@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .attractor import DegenerateCharge, NotAttractor
+from .attractor import DegenerateCharge, NotAttractor, NotOrthogonal, NotPositive
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
 from .mirror import BadFibrationClasses, NormalizationFailure, PreconditionViolation
 from .scenario import (
@@ -34,6 +34,7 @@ from .scenario import (
     ScenarioError,
     attractor_report,
     charge_table_report,
+    integer_field,
     mirror_reality_report,
     mirror_report,
     obstruction_json,
@@ -70,10 +71,10 @@ def _emit(payload: dict) -> None:
 def _load_scenario(args) -> Scenario:
     sc = scenario_from_file(args.scenario)
     if getattr(args, "bound", None) is not None:
-        sc.bound = args.bound
-        sc.search.bound = args.bound
+        sc.bound = integer_field(args.bound, "--bound", 0)
+        sc.search.bound = sc.bound
     if getattr(args, "max_iter", None) is not None:
-        sc.search.max_iter = args.max_iter
+        sc.search.max_iter = integer_field(args.max_iter, "--max-iter", 1)
     return sc
 
 
@@ -120,12 +121,16 @@ def cmd_forms(args) -> int:
             }
         )
     else:  # enumerate
-        disc = int(args.forms[0])
+        try:
+            disc = int(args.forms[0])
+            forms = enumerate_reduced(disc)
+        except ValueError as exc:
+            raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
         _emit(
             {
                 "action": "enumerate",
                 "discriminant": disc,
-                "forms": [f.as_list() for f in enumerate_reduced(disc)],
+                "forms": [f.as_list() for f in forms],
             }
         )
     return 0
@@ -149,6 +154,8 @@ def cmd_walls(args) -> int:
 def cmd_verify(args) -> int:
     sc = _load_scenario(args)
     which = _VERIFY_ALIASES[args.certificate]
+    if which in ("6.3", "6.4") and sc.B:
+        raise PreconditionViolation(f"verify {which} requires B = 0")
     if which == "5.1":
         _emit(slag_reality_report(sc, args.float))
     elif which == "6.2":
@@ -209,7 +216,13 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         _emit({"error": str(exc), "kind": "scenario"})
         return 1
-    except (BadFibrationClasses, NormalizationFailure, PreconditionViolation) as exc:
+    except (
+        BadFibrationClasses,
+        NormalizationFailure,
+        PreconditionViolation,
+        NotOrthogonal,
+        NotPositive,
+    ) as exc:
         _emit({"error": str(exc), "kind": "precondition"})
         return 1
     except (DegenerateCharge, NotAttractor) as exc:

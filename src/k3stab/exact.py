@@ -123,6 +123,8 @@ class QuadScalar:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # rational factor: no field join
+            return QuadScalar(self.a * other, self.b * other, self.m)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

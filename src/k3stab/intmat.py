@@ -14,10 +14,6 @@ from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 
-def identity_int(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_vec_int(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
@@ -223,20 +219,32 @@ def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def enumerate_quadric(
-    p: Sequence[Sequence[Fraction]], w: Sequence[Fraction], r: Fraction
-) -> list[tuple[int, ...]]:
-    """All integer y with (y - w)^T p (y - w) == r, for positive definite p.
+def ldl_solve(factors, b: Sequence[Fraction]) -> list[Fraction]:
+    """Solve p x = b by substitution against ``factors = ldl_posdef(p)``."""
+    d, u = factors
+    n = len(d)
+    z = [Fraction(0)] * n
+    for i in range(n):  # U^T z = b, U^T unit lower triangular
+        z[i] = b[i] - sum(u[k][i] * z[k] for k in range(i))
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):  # U x = D^-1 z
+        x[i] = z[i] / d[i] - sum(u[i][j] * x[j] for j in range(i + 1, n))
+    return x
+
+
+def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple[int, ...]]:
+    """All integer y with (y - w)^T p (y - w) == r, for positive definite p
+    given by its factorization ``factors = ldl_posdef(p)``.
 
     Finite because p is definite; output in lexicographic order.
     """
-    n = len(p)
+    d, u = factors
+    n = len(d)
     r = Fraction(r)
     if n == 0:
         return [()] if r == 0 else []
     if r < 0:
         return []
-    d, u = ldl_posdef(p)
     w = [Fraction(x) for x in w]
     out: list[tuple[int, ...]] = []
     y = [0] * n

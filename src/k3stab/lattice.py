@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import QuadComplex, QuadScalar
+from .exact import FieldMismatch, QuadComplex, QuadScalar
 from .intmat import kernel_basis, signature_of
 
 Scalar = Union[int, Fraction, QuadScalar]
@@ -65,7 +66,7 @@ class LatticeVector:
 
     def __mul__(self, s):
         if isinstance(s, (int, Fraction, QuadScalar)):
-            return LatticeVector([a * s for a in self.coords])
+            return LatticeVector([a * s if a else a for a in self.coords])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -195,23 +196,57 @@ class Sublattice:
         return [[pair(self.ambient, x, y).as_int() for y in self.basis] for x in self.basis]
 
     def from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
-        v = LatticeVector.zero(self.ambient.rank)
+        out = [0] * self.ambient.rank  # integer sums: the basis is integral
         for c, b in zip(coeffs, self.basis, strict=True):
             if c:
-                v = v + c * b
-        return v
+                for i, x in enumerate(b.coords):
+                    if x:
+                        out[i] += c * x.a.numerator
+        return LatticeVector(out)
+
+
+def _numerators(v: LatticeVector) -> tuple[list[int], Optional[list[int]], int, int]:
+    """Write v = (A + B sqrt(m)) / den with integer lists A, B (B is None when
+    v is rational); raises FieldMismatch when v mixes two radicands."""
+    m = 0
+    den = 1
+    for c in v.coords:
+        if c.m and c.m != m:
+            if m:
+                raise FieldMismatch(f"sqrt({m}) vs sqrt({c.m})")
+            m = c.m
+        den = lcm(den, c.a.denominator, c.b.denominator)
+    a = [c.a.numerator * (den // c.a.denominator) for c in v.coords]
+    if not m:
+        return a, None, den, 0
+    return a, [c.b.numerator * (den // c.b.denominator) for c in v.coords], den, m
+
+
+def _int_pair(nonzero, x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(g * x[i] * y[j] for i, j, g in nonzero)
 
 
 def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScalar:
+    """x.y over integer numerators: one conversion per vector, then integer
+    sums over the nonzero Gram entries.  Vectors over different quadratic
+    fields raise FieldMismatch."""
     if len(x) != lat.rank or len(y) != lat.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
-    total = QuadScalar(0)
-    xc, yc = x.coords, y.coords
-    for i, j, g in lat._nonzero:
-        xi, yj = xc[i], yc[j]
-        if xi and yj:
-            total = total + g * (xi * yj)
-    return total
+    nz = lat._nonzero
+    xa, xb, xd, xm = _numerators(x)
+    ya, yb, yd, ym = _numerators(y)
+    if xm and ym and xm != ym:
+        raise FieldMismatch(f"sqrt({xm}) vs sqrt({ym})")
+    rational = _int_pair(nz, xa, ya)
+    radical = 0
+    if xb is not None:
+        radical += _int_pair(nz, xb, ya)
+        if yb is not None:
+            rational += xm * _int_pair(nz, xb, yb)
+    if yb is not None:
+        radical += _int_pair(nz, xa, yb)
+    den = xd * yd
+    return QuadScalar(Fraction(rational, den), Fraction(radical, den), xm or ym)
 
 
 def pair(lat: GramLattice, x, y):
@@ -417,11 +452,6 @@ MUKAI = standard_mukai_lattice()
 
 MUKAI_W = MukaiVector(0, LatticeVector.zero(GAMMA.rank), -1)
 MUKAI_WSTAR = MukaiVector(1, LatticeVector.zero(GAMMA.rank), 0)
-
-
-def gamma_sublattice_of_mukai() -> Sublattice:
-    """Gamma sitting inside the Mukai lattice as the first 22 coordinates."""
-    return Sublattice(MUKAI, [MUKAI.basis(i) for i in range(GAMMA.rank)])
 
 
 def embed_gamma(x: LatticeVector) -> LatticeVector:

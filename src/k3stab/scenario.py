@@ -51,12 +51,15 @@ from .stability import (
     ObstructionCheck,
     SearchParams,
     StabilityPoint,
+    WallReport,
+    central_charge,
     exp_point,
     fibration_obstruction,
     ns_of_mirror,
     search_kahler_class,
     verify_reality,
     wall_intersection,
+    wall_table,
 )
 
 
@@ -77,6 +80,13 @@ def _scalar(value) -> QuadScalar:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
     raise ScenarioError(f"not a scalar: {value!r}")
+
+
+def integer_field(value, name: str, minimum: int) -> int:
+    """A scenario count: a JSON integer (not a bool) no smaller than `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _vector(value, rank: int = 22) -> LatticeVector:
@@ -183,6 +193,7 @@ def build_scenario(
     bound: int = 3,
     search: Optional[dict] = None,
 ) -> Scenario:
+    bound = integer_field(bound, "bound", 0)
     if form is not None:
         if isinstance(form, (list, tuple)):
             try:
@@ -202,7 +213,10 @@ def build_scenario(
     if sigma0 is not None:
         s_vec = _vector(sigma0)
     split = make_split(f_vec, s_vec)
-    charge = Charge(p_vec, q_vec)
+    try:
+        charge = Charge(p_vec, q_vec)
+    except ValueError as exc:  # non-integral charge vectors
+        raise ScenarioError(str(exc)) from None
     if isinstance(omega_J, str):
         if omega_J.replace(" ", "") != "2f+sigma0":
             raise ScenarioError(f"unknown omega_J family {omega_J!r}")
@@ -218,9 +232,9 @@ def build_scenario(
         split=split,
         omega_J=omega_vec,
         B=b_vec,
-        bound=int(bound),
+        bound=bound,
         form=form if isinstance(form, BinaryEvenForm) else None,
-        m_aux=int(m),
+        m_aux=integer_field(m, "m", 0),
         search=params,
     )
     return sc.assemble()
@@ -240,9 +254,9 @@ def _search_params(raw: dict, omega0: LatticeVector, bound: int) -> SearchParams
         beta = _scalar(raw["beta"])
         kwargs["beta"] = beta.as_fraction()
     if "max_iter" in raw:
-        kwargs["max_iter"] = int(raw["max_iter"])
+        kwargs["max_iter"] = integer_field(raw["max_iter"], "search.max_iter", 1)
     if "shrinks" in raw:
-        kwargs["shrinks"] = int(raw["shrinks"])
+        kwargs["shrinks"] = integer_field(raw["shrinks"], "search.shrinks", 1)
     if "eta" in raw and raw["eta"] is not None:
         kwargs["eta"] = _vector(raw["eta"])
     if "alphas" in raw:
@@ -446,6 +460,16 @@ def obstruction_json(ob: ObstructionCheck) -> dict:
     }
 
 
+def wall_json(r: WallReport, with_float: bool = False) -> dict:
+    return {
+        "i": r.i,
+        "j": r.j,
+        "member": r.member,
+        "Z_i": complex_json(r.z_i, with_float),
+        "Z_j": complex_json(r.z_j, with_float),
+    }
+
+
 def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
     result = search_kahler_class(
         sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
@@ -457,16 +481,7 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
         "omega_J": vector_json(result.omega_J, with_float),
         "flips": walls.flips,
         "charges": [scalar_json(z, with_float) for z in walls.charges],
-        "walls": [
-            {
-                "i": r.i,
-                "j": r.j,
-                "member": r.member,
-                "Z_i": complex_json(r.z_i, with_float),
-                "Z_j": complex_json(r.z_j, with_float),
-            }
-            for r in walls.reports
-        ],
+        "walls": [wall_json(r, with_float) for r in walls.reports],
         "member_count": sum(1 for r in walls.reports if r.member),
         "pairs": len(walls.reports),
         "kind": "generalized",
@@ -476,29 +491,12 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
 
 def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
     """Pairwise wall membership at the scenario's own omega_J (no search)."""
-    from .stability import wall_member
-
-    vectors = [mirror_class(sc.split, cls) for cls in sc.pic_basis]
-    rows = []
-    member_count = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            rep = wall_member(sc.psi, vectors[i], vectors[j])
-            member_count += rep.member
-            rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "member": rep.member,
-                    "Z_i": complex_json(rep.z_i, with_float),
-                    "Z_j": complex_json(rep.z_j, with_float),
-                }
-            )
+    reports = wall_table(sc.psi, [mirror_class(sc.split, cls) for cls in sc.pic_basis])
     return {
         "scenario": sc.echo(),
-        "walls": rows,
-        "member_count": member_count,
-        "pairs": len(rows),
+        "walls": [wall_json(r, with_float) for r in reports],
+        "member_count": sum(1 for r in reports if r.member),
+        "pairs": len(reports),
         "kind": "generalized",
     }
 
@@ -506,14 +504,11 @@ def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
 def charge_table_report(sc: Scenario, with_float: bool = False) -> dict:
     lat = sc.charge.lat
     zero = LatticeVector.zero(lat.rank)
+    mirror_side = sc.fibration_orthogonal
     rows = []
     for cls in sc.pic_basis:
         z3 = threefold_central_charge(sc.data, zero, cls)
-        zm = None
-        if sc.fibration_orthogonal:
-            from .stability import central_charge
-
-            zm = central_charge(sc.psi, mirror_class(sc.split, cls))
+        zm = central_charge(sc.psi, mirror_class(sc.split, cls)) if mirror_side else None
         rows.append(
             {
                 "class": vector_json(cls, with_float),

@@ -23,14 +23,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .attractor import AttractorData, Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
 from .intmat import (
     enumerate_quadric,
-    is_negative_definite,
     kernel_basis,
+    ldl_posdef,
+    ldl_solve,
     mat_vec_int,
     solve_integer,
 )
@@ -97,8 +99,13 @@ class StabilityPoint:
 
     @property
     def s_part(self) -> QuadComplex:
-        x_sq = pair(self.lat, self.d_part, self.d_part)
-        return x_sq * Fraction(1, 2)
+        """1/2 (B + i omega)^2, computed on first use and kept on the instance."""
+        cached = self.__dict__.get("_s_part")
+        if cached is None:
+            x_sq = pair(self.lat, self.d_part, self.d_part)
+            cached = x_sq * Fraction(1, 2)
+            object.__setattr__(self, "_s_part", cached)
+        return cached
 
     def triple(self) -> tuple[QuadComplex, ComplexVector, QuadComplex]:
         return QuadComplex(1), self.d_part, self.s_part
@@ -156,13 +163,7 @@ def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
 
 def is_positive_plane(psi: StabilityPoint) -> bool:
     """Exact positive-definiteness of the (Re Psi, Im Psi) Gram matrix."""
-    lat = psi.lat
-    s = psi.s_part
-    re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
-    im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
-    g11 = mukai_pair(re_t, re_t, lat).re
-    g12 = mukai_pair(re_t, im_t, lat).re
-    g22 = mukai_pair(im_t, im_t, lat).re
+    (g11, g12), (_, g22) = plane_gram(psi)
     return g11.sign() > 0 and (g11 * g22 - g12 * g12).sign() > 0
 
 
@@ -208,9 +209,7 @@ def _integer_rows(coeffs: Sequence[QuadScalar], rhs: QuadScalar):
             if target:
                 return None
             continue
-        denom = 1
-        for x in cs + [target]:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in cs + [target]))
         out.append(
             (
                 [int(x * denom) for x in cs],
@@ -218,12 +217,6 @@ def _integer_rows(coeffs: Sequence[QuadScalar], rhs: QuadScalar):
             )
         )
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[MukaiVector]:
@@ -285,9 +278,7 @@ def _functional_rows(functionals: Sequence[Sequence[QuadScalar]]):
             if not any(cs):
                 out.append((None, (idx, part, 1)))
                 continue
-            denom = 1
-            for x in cs:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in cs))
             out.append((([int(x * denom) for x in cs]), (idx, part, denom)))
     return out
 
@@ -311,7 +302,7 @@ class _KernelQuadricSolver:
     """Solve {A x = rhs, x^T G x = target, |x_i| <= bound} for varying rhs.
 
     The kernel of A and its Gram matrix are fixed, so the negative-definite
-    fast path sets up its data once.
+    fast path factors P = -K^T G K once and reuses the factors on every coset.
     """
 
     def __init__(self, gram, rows, k):
@@ -322,18 +313,15 @@ class _KernelQuadricSolver:
             self.kern = kernel_basis(rows, k)
         else:
             self.kern = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        self.factors = None
         if self.kern:
-            self.gk = [
-                [
-                    sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k))
-                    for w in self.kern
-                ]
-                for u in self.kern
-            ]
-            self.definite = is_negative_definite(self.gk)
-        else:
-            self.gk = []
-            self.definite = True
+            g_kern = [mat_vec_int(gram, w) for w in self.kern]
+            gk = [[sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in self.kern]
+            # P = -K^T G K is positive definite exactly when its LDL^T exists
+            try:
+                self.factors = ldl_posdef([[Fraction(-x) for x in row] for row in gk])
+            except ValueError:  # indefinite: box-scan fallback
+                pass
 
     def solve(self, rhs, target, bound):
         k = self.k
@@ -353,8 +341,8 @@ class _KernelQuadricSolver:
                 if value == target:
                     return [tuple(x0)]
             return []
-        if self.definite:
-            return _enumerate_coset(self.gram, self.gk, self.kern, x0, target, bound, k)
+        if self.factors is not None:
+            return _enumerate_coset(self.gram, self.factors, self.kern, x0, target, bound, k)
         return _box_scan(self.gram, self.rows, rhs, target, bound, k)
 
 
@@ -367,18 +355,20 @@ def p0_falsifier(psi: StabilityPoint, ns: Sublattice, bound: int) -> Optional[Mu
     return hits[0] if hits else None
 
 
-def _enumerate_coset(gram, gk, kern, x0, target, bound, k):
-    m = len(kern)
+def _enumerate_coset(gram, factors, kern, x0, target, bound, k):
+    """Points x = x0 + K y of the coset with x^T G x = target inside the box.
+
+    With P = -K^T G K (given by its LDL factors) and lin = K^T G x0:
+    Q(y) = -y P y + 2 lin.y + c0 = target
+      <=> (y - w)^T P (y - w) = w.P.w + c0 - target with P w = lin.
+    """
     gx0 = mat_vec_int(gram, x0)
     lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]  # K^T G x0
     c0 = sum(x0[i] * gx0[i] for i in range(k))
-    p = [[Fraction(-gk[i][j]) for j in range(m)] for i in range(m)]
-    # solve P w = -? : Q(y) = y gk y + 2 lin.y + c0 = target
-    #   <=> (y - w)^T P (y - w) = w.P.w + c0 - target with P w = lin
-    w = _solve_rational(p, [Fraction(x) for x in lin])
+    w = ldl_solve(factors, lin)
     radius = sum(wi * li for wi, li in zip(w, lin)) + c0 - target
     out = []
-    for y in enumerate_quadric(p, w, radius):
+    for y in enumerate_quadric(factors, w, radius):
         x = list(x0)
         for coeff, v in zip(y, kern):
             if coeff:
@@ -506,6 +496,15 @@ class WallReport:
     z_j: QuadComplex
 
 
+def _phase_aligned(z1: QuadComplex, z2: QuadComplex) -> bool:
+    """z1/z2 in R_{>0}, decided exactly; a zero charge has no phase."""
+    if not (z1 and z2):
+        return False
+    cross = z1.re * z2.im - z1.im * z2.re
+    dot = z1.re * z2.re + z1.im * z2.im
+    return not cross and dot.sign() > 0
+
+
 def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallReport:
     """Generalized wall membership: Z(v1)/Z(v2) in R_{>0}, decided exactly.
 
@@ -513,12 +512,18 @@ def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallRe
     """
     z1 = central_charge(psi, v1)
     z2 = central_charge(psi, v2)
-    member = False
-    if z1 and z2:
-        cross = z1.re * z2.im - z1.im * z2.re
-        dot = z1.re * z2.re + z1.im * z2.im
-        member = not cross and dot.sign() > 0
-    return WallReport(i=0, j=1, member=member, z_i=z1, z_j=z2)
+    return WallReport(i=0, j=1, member=_phase_aligned(z1, z2), z_i=z1, z_j=z2)
+
+
+def wall_table(psi: StabilityPoint, vectors: Sequence[MukaiVector]) -> list[WallReport]:
+    """Wall membership of every pair i < j, in (i, j) order, from one central
+    charge per vector."""
+    zs = [central_charge(psi, v) for v in vectors]
+    return [
+        WallReport(i=i, j=j, member=_phase_aligned(zs[i], zs[j]), z_i=zs[i], z_j=zs[j])
+        for i in range(len(zs))
+        for j in range(i + 1, len(zs))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +594,7 @@ def _generated_eta(
                 [[Fraction(x) for x in row] for row in gram],
                 [Fraction(-1)] * len(gram),
             )
-            denom = 1
-            for c in coeffs:
-                denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = lcm(*(c.denominator for c in coeffs))
             eta = LatticeVector.zero(rank)
             for c, b in zip(coeffs, basis):
                 eta = eta + int(c * denom) * b
@@ -639,22 +642,23 @@ def search_kahler_class(
     for alpha, cls in zip(alphas, pic_basis):
         if alpha:
             base = base + alpha * cls
-    zero_b = LatticeVector.zero(lat.rank)
+    mirrored = [(cls, mirror_class(split, cls)) for cls in pic_basis]
     rejections: list[tuple[int, str]] = []
+    etas: dict[int, LatticeVector] = {}  # generated direction per seed
     for idx in range(params.max_iter):
         seed = idx // params.shrinks
         shrink = Fraction(1, 2 ** (idx % params.shrinks))
-        eta = (
-            params.eta
-            if params.eta is not None
-            else _generated_eta(eta_basis, seed, lat.rank, eta_gram)
-        )
+        eta = params.eta
+        if eta is None:
+            if seed not in etas:
+                etas[seed] = _generated_eta(eta_basis, seed, lat.rank, eta_gram)
+            eta = etas[seed]
         omega = base
         if params.c_sigma:
             omega = omega + (params.c_sigma * shrink) * split.sigma0
         if params.c_eta:
             omega = omega + (params.c_eta * shrink) * eta
-        reason = _check_candidate(charge, split, tau, pic_basis, params.bound, omega, params.omega0)
+        reason = _check_candidate(charge, split, tau, mirrored, params.bound, omega, params.omega0)
         if isinstance(reason, str):
             rejections.append((idx, reason))
             continue
@@ -674,7 +678,9 @@ def search_kahler_class(
     raise SearchExhausted(rejections)
 
 
-def _check_candidate(charge, split, tau, pic_basis, bound, omega, omega_ref):
+def _check_candidate(charge, split, tau, mirrored, bound, omega, omega_ref):
+    """Rejection reason for one candidate omega_J, or its (data, triple, psi,
+    charges); `mirrored` pairs each Picard class with its mirror class."""
     lat = charge.lat
     if pair(lat, omega, charge.p) or pair(lat, omega, charge.q):
         return "candidate not orthogonal to the charge"
@@ -690,8 +696,8 @@ def _check_candidate(charge, split, tau, pic_basis, bound, omega, omega_ref):
     if not is_positive_plane(psi):
         return "stability point plane is not positive definite"
     charges = []
-    for cls in pic_basis:
-        z = central_charge(psi, mirror_class(split, cls))
+    for cls, mirror_vector in mirrored:
+        z = central_charge(psi, mirror_vector)
         if z.im:
             raise RealityViolation(cls, z)
         if not z.re:
@@ -734,12 +740,8 @@ def wall_intersection(
         flips.append(flip)
         vectors.append(mirror_class(split, -cls if flip else cls))
         charges.append(-z if flip else z)
-    reports = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            rep = wall_member(psi, vectors[i], vectors[j])
-            rep = WallReport(i=i, j=j, member=rep.member, z_i=rep.z_i, z_j=rep.z_j)
-            if not rep.member:
-                raise WallFailure(f"pair ({i},{j}) is not on a common wall")
-            reports.append(rep)
+    reports = wall_table(psi, vectors)
+    for rep in reports:
+        if not rep.member:
+            raise WallFailure(f"pair ({rep.i},{rep.j}) is not on a common wall")
     return WallIntersectionResult(flips=flips, reports=reports, charges=charges)

@@ -88,6 +88,14 @@ def test_field_axioms(x, y, z):
         assert x * (1 / x) == QuadScalar(1)
 
 
+@given(scalars(), st.one_of(st.integers(-20, 20), rationals))
+@settings(max_examples=100)
+def test_rational_factor_matches_field_product(x, r):
+    product = x * QuadScalar(r)
+    for value in (x * r, r * x):
+        assert (value.a, value.b, value.m) == (product.a, product.b, product.m)
+
+
 @given(scalars())
 @settings(max_examples=100)
 def test_conjugation_norm_sign(x):

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3stab.intmat import (
     enumerate_quadric,
     kernel_basis,
     ldl_posdef,
+    ldl_solve,
     rank_generic,
     signature_of,
     solve_integer,
@@ -61,7 +64,7 @@ def test_ldl_rejects_indefinite():
 
 def test_enumerate_quadric_circle():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    sols = enumerate_quadric(eye, [Fraction(0), Fraction(0)], Fraction(25))
+    sols = enumerate_quadric(ldl_posdef(eye), [Fraction(0), Fraction(0)], Fraction(25))
     assert len(sols) == 12
     assert all(x * x + y * y == 25 for x, y in sols)
     assert sols == sorted(sols)
@@ -69,22 +72,22 @@ def test_enumerate_quadric_circle():
 
 def test_enumerate_quadric_shifted():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    sols = enumerate_quadric(eye, [Fraction(1, 2), Fraction(0)], Fraction(1, 4))
+    sols = enumerate_quadric(ldl_posdef(eye), [Fraction(1, 2), Fraction(0)], Fraction(1, 4))
     assert sols == [(0, 0), (1, 0)]
 
 
 def test_enumerate_quadric_empty_and_zero_dim():
     eye = [[Fraction(1)]]
-    assert enumerate_quadric(eye, [Fraction(0)], Fraction(-1)) == []
-    assert enumerate_quadric(eye, [Fraction(0)], Fraction(2)) == []
-    assert enumerate_quadric([], [], Fraction(0)) == [()]
-    assert enumerate_quadric([], [], Fraction(1)) == []
+    assert enumerate_quadric(ldl_posdef(eye), [Fraction(0)], Fraction(-1)) == []
+    assert enumerate_quadric(ldl_posdef(eye), [Fraction(0)], Fraction(2)) == []
+    assert enumerate_quadric(ldl_posdef([]), [], Fraction(0)) == [()]
+    assert enumerate_quadric(ldl_posdef([]), [], Fraction(1)) == []
 
 
 def test_enumerate_quadric_matches_brute_force():
     g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
     for target in [2, 6, 8, 5]:
-        sols = set(enumerate_quadric(g, [Fraction(0), Fraction(0)], Fraction(target)))
+        sols = set(enumerate_quadric(ldl_posdef(g), [Fraction(0), Fraction(0)], Fraction(target)))
         brute = {
             (x, y)
             for x in range(-10, 11)
@@ -92,3 +95,26 @@ def test_enumerate_quadric_matches_brute_force():
             if 2 * x * x + 2 * x * y + 2 * y * y == target
         }
         assert sols == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+        )
+    )
+)
+def test_ldl_solve_matches_gauss_jordan(case):
+    from k3stab.stability import _solve_rational
+
+    m, b = case
+    n = len(m)
+    # M^T M + I is positive definite
+    p = [
+        [Fraction(sum(m[k][i] * m[k][j] for k in range(n)) + (i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [Fraction(x) for x in b]
+    assert ldl_solve(ldl_posdef(p), rhs) == _solve_rational(p, rhs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3stab.exact import QuadScalar
+from k3stab.exact import FieldMismatch, QuadScalar
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
@@ -203,3 +203,52 @@ def test_scalar_vector_algebra():
     assert v.coords[0] == QuadScalar(0, 1, 2)
     assert (v + v).coords[0] == QuadScalar(0, 2, 2)
     assert not v.is_integral
+
+
+# ---------------------------------------------------------------------------
+# The integer pairing kernel against the QuadScalar loop it replaced.
+
+
+def _reference_pair(lat, x, y):
+    total = QuadScalar(0)
+    for i, j, g in lat._nonzero:
+        xi, yj = x.coords[i], y.coords[j]
+        if xi and yj:
+            total = total + QuadScalar(g) * (xi * yj)
+    return total
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, -2, 3, -5]))
+
+
+def field_vectors(m, dense=False):
+    """Vectors of GAMMA over Q(sqrt m) (over Q when m == 0)."""
+    b_part = nonzero_rationals if dense else small_rationals
+    coord = st.builds(QuadScalar, small_rationals, b_part if m else st.just(0), st.just(m))
+    if not dense:
+        coord = st.one_of(st.just(QuadScalar(0)), coord)
+    return st.lists(coord, min_size=22, max_size=22).map(LatticeVector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_matches_quadscalar_loop(data):
+    m = data.draw(st.sampled_from([2, 3, 5, 23]))
+    x = data.draw(field_vectors(data.draw(st.sampled_from([0, m]))))
+    y = data.draw(field_vectors(data.draw(st.sampled_from([0, m]))))
+    value = pair(GAMMA, x, y)
+    reference = _reference_pair(GAMMA, x, y)
+    assert value == reference
+    assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(field_vectors(2, dense=True), field_vectors(3, dense=True))
+def test_pair_mixed_radicands_raise(x, y):
+    with pytest.raises(FieldMismatch):
+        _reference_pair(GAMMA, x, y)
+    with pytest.raises(FieldMismatch):
+        pair(GAMMA, x, y)
+    with pytest.raises(FieldMismatch):
+        pair(GAMMA, y, x)

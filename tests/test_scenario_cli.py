@@ -270,3 +270,82 @@ def test_module_entry_point(diag28):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"]["im"] == "2"
+
+
+def assert_json_error(code, out, kind, says=""):
+    assert code == 1
+    report = json.loads(out)
+    assert report["kind"] == kind
+    assert says in report["error"]
+    assert "pass" not in report
+
+
+def test_cli_rejects_negative_bound(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "bound": -1})
+    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+
+
+def test_cli_rejects_non_integer_bound(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "bound": "x"})
+    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+
+
+def test_cli_rejects_zero_shrinks(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"shrinks": 0}})
+    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+
+
+def test_cli_rejects_zero_max_iter(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"max_iter": 0}})
+    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+
+
+def test_cli_rejects_negative_bound_flag(capsys, diag28):
+    argv = ["verify", "6.3", "--scenario", diag28, "--bound", "-1"]
+    assert_json_error(*run_cli(capsys, argv), "scenario")
+
+
+def test_cli_rejects_zero_max_iter_flag(capsys, diag28):
+    argv = ["verify", "6.3", "--scenario", diag28, "--max-iter", "0"]
+    assert_json_error(*run_cli(capsys, argv), "scenario")
+
+
+def test_cli_forms_enumerate_not_a_number(capsys):
+    assert_json_error(*run_cli(capsys, ["forms", "enumerate", "abc"]), "scenario")
+
+
+def test_cli_forms_enumerate_nonpositive(capsys):
+    assert_json_error(*run_cli(capsys, ["forms", "enumerate", "0"]), "scenario")
+
+
+def test_cli_walls_nonpositive_omega(tmp_path, capsys):
+    f = [1] + [0] * 21  # the fiber class, f^2 = 0
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": f})
+    assert_json_error(*run_cli(capsys, ["walls", "--scenario", path]), "precondition", "positive")
+
+
+def test_cli_walls_omega_not_orthogonal(tmp_path, capsys):
+    omega = [0, 0, 1] + [0] * 19  # pairs to 4 with p
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": omega})
+    assert_json_error(*run_cli(capsys, ["walls", "--scenario", path]), "precondition", "zero")
+
+
+@pytest.mark.parametrize("suite", ["6.3", "6.4"])
+def test_cli_theorem_suites_reject_nonzero_b(tmp_path, capsys, suite):
+    b_field = [0] * 6 + [1] + [0] * 15
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "B": b_field})
+    argv = ["verify", suite, "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "precondition", "B = 0")
+
+
+def test_cli_rejects_non_integer_radicand(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "m": "x"})
+    assert_json_error(*run_cli(capsys, ["attractor", "--scenario", path]), "scenario", "m")
+
+
+def test_cli_rejects_non_integral_charge(tmp_path, capsys):
+    p = [0, 0, 1, "1/2"] + [0] * 18
+    q = [0, 0, 0, 0, 1, 4] + [0] * 16
+    path = write_scenario(tmp_path, {"p": p, "q": q})
+    argv = ["attractor", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "integral")

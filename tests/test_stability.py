@@ -391,3 +391,113 @@ def test_wall_intersection_2_8(searched28, sc28):
 def test_wall_intersection_rejects_zero_charge(sc28):
     with pytest.raises(WallFailure):
         wall_intersection(sc28.split, sc28.psi, sc28.pic_basis)
+
+
+# ---------------------------------------------------------------------------
+# Rewritten kernels against the code they replaced.
+
+
+def _reference_coset(gram, kern, x0, target, bound, k):
+    """Coset enumeration with a Gauss-Jordan solve and a fresh factorization
+    of P = -K^T G K on every call."""
+    from k3stab.intmat import enumerate_quadric, ldl_posdef, mat_vec_int
+    from k3stab.stability import _solve_rational
+
+    m = len(kern)
+    gk = [
+        [sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k)) for w in kern]
+        for u in kern
+    ]
+    gx0 = mat_vec_int(gram, x0)
+    lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]
+    c0 = sum(x0[i] * gx0[i] for i in range(k))
+    p = [[Fraction(-gk[i][j]) for j in range(m)] for i in range(m)]
+    w = _solve_rational(p, [Fraction(x) for x in lin])
+    radius = sum(wi * li for wi, li in zip(w, lin)) + c0 - target
+    out = []
+    for y in enumerate_quadric(ldl_posdef(p), w, radius):
+        x = [x0[i] + sum(c * v[i] for c, v in zip(y, kern)) for i in range(k)]
+        if all(abs(c) <= bound for c in x):
+            out.append(tuple(x))
+    return sorted(out)
+
+
+def _coset_hits(psi, ns, bound):
+    """Every (r, s) coset of the (-2)-class search, solved both ways."""
+    from k3stab.intmat import solve_integer
+    from k3stab.stability import _functional_rhs, _functional_rows, _KernelQuadricSolver
+
+    lat = ns.ambient
+    gram = ns.gram()
+    cw = [pair(lat, psi.omega, b) for b in ns.basis]
+    cb = [pair(lat, psi.B, b) for b in ns.basis]
+    b_dot_w = pair(lat, psi.B, psi.omega)
+    b_sq, w_sq = pair(lat, psi.B, psi.B), pair(lat, psi.omega, psi.omega)
+    functionals = _functional_rows([cw, cb])
+    rows = [row for row, _ in functionals if row is not None]
+    solver = _KernelQuadricSolver(gram, rows, ns.rank)
+    assert solver.factors is not None and solver.kern
+    cosets = hits = 0
+    for r in range(-bound, bound + 1):
+        for s in range(-bound, bound + 1):
+            rhs = _functional_rhs(
+                functionals, [r * b_dot_w, QuadScalar(Fraction(r, 2)) * (b_sq - w_sq) + s]
+            )
+            x0 = None if rhs is None else solve_integer(rows, rhs)
+            if x0 is None:
+                continue
+            got = solver.solve(rhs, 2 * r * s - 2, bound)
+            assert got == _reference_coset(gram, solver.kern, x0, 2 * r * s - 2, bound, ns.rank)
+            cosets += 1
+            hits += len(got)
+    return cosets, hits
+
+
+def test_factored_cosets_match_reference(sc22, searched28):
+    cosets, hits = _coset_hits(sc22.psi, ns_of_mirror(sc22.triple.Omega_check), 2)
+    assert cosets and hits >= 2  # the obstructed point carries (0, +-sigma0, 0)
+    cosets, hits = _coset_hits(searched28.psi, ns_of_mirror(searched28.triple.Omega_check), 3)
+    assert cosets and hits == 0
+
+
+def test_wall_table_matches_wall_member(sc28, searched28):
+    from k3stab.stability import wall_table
+
+    vectors = [mirror_class(sc28.split, cls) for cls in sc28.pic_basis]
+    mixed = [-v for v in vectors[:4]] + vectors[4:]
+    for psi, vs in ((sc28.psi, vectors), (searched28.psi, vectors), (searched28.psi, mixed)):
+        reports = wall_table(psi, vs)
+        assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(vs)), 2))
+        for rep in reports:
+            ref = wall_member(psi, vs[rep.i], vs[rep.j])
+            assert (rep.member, rep.z_i, rep.z_j) == (ref.member, ref.z_i, ref.z_j)
+    assert not all(r.member for r in wall_table(searched28.psi, mixed))
+
+
+def test_s_part_memo_is_the_value(sc28):
+    fresh = StabilityPoint(sc28.psi.B, sc28.psi.omega)
+    d = ComplexVector(fresh.B, fresh.omega)
+    expected = pair(GAMMA, d, d) * Fraction(1, 2)
+    assert fresh.s_part == expected
+    assert fresh.s_part is fresh.s_part
+    assert fresh == StabilityPoint(sc28.psi.B, sc28.psi.omega)
+    assert hash(fresh) == hash(StabilityPoint(sc28.psi.B, sc28.psi.omega))
+
+
+def test_search_generates_eta_once_per_seed(sc28, monkeypatch):
+    import k3stab.stability as stability
+
+    seeds = []
+    original = stability._generated_eta
+
+    def counting(basis, seed, rank, gram=None):
+        seeds.append(seed)
+        return original(basis, seed, rank, gram)
+
+    monkeypatch.setattr(stability, "_generated_eta", counting)
+    params = SearchParams(omega0=sc28.omega_J, c_eta=Fraction(0), max_iter=13, shrinks=3)
+    with pytest.raises(SearchExhausted):
+        search_kahler_class(
+            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
+        )
+    assert seeds == [0, 1, 2, 3, 4]
