@@ -18,12 +18,15 @@ comparison.  Exit codes:
     2  degenerate charge or failed attractor decomposition
     3  verification failed, counterexample attached
     4  candidate search exhausted without a success
+  141  stdout closed before the report was written (e.g. piped into `head`);
+       the shell's status for a SIGPIPE death, 128 + 13
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .attractor import DegenerateCharge, NotAttractor, NotOrthogonal, NotPositive
@@ -65,7 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # flush here, so a closed stdout raises inside main() and not at exit
+    print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
 
 
 def _load_scenario(args) -> Scenario:
@@ -211,6 +215,17 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to /dev/null so the
+        # interpreter's final flush of stdout cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _dispatch(args) -> int:
+    """Run one command; map every documented failure to its JSON error."""
     try:
         return args.func(args)
     except ScenarioError as exc:

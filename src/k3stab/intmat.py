@@ -66,10 +66,13 @@ def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> lis
     return [ucols[c] for c in sorted(free)]
 
 
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
+def solve_integer(
+    a: Sequence[Sequence[int]], b: Sequence[int], ncols: Optional[int] = None
+) -> Optional[list[int]]:
     """One integer solution of ``a @ x = b``, or None."""
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
     cols, ucols, pivots, _ = _column_reduce(a, ncols)
     residual = list(b)
     coeff = [0] * ncols

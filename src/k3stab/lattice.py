@@ -23,7 +23,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import FieldMismatch, QuadComplex, QuadScalar
-from .intmat import kernel_basis, signature_of
+from .intmat import kernel_basis, mat_vec_int, signature_of
 
 Scalar = Union[int, Fraction, QuadScalar]
 
@@ -279,14 +279,18 @@ def signature(obj) -> tuple[int, int, int]:
 
 
 def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:
-    """Integral basis of {x : x.g = 0 for all generators g}; saturated."""
+    """Integral basis of {x : x.g = 0 for all generators g}; saturated.
+
+    A generator may have rational or Q(sqrt m) coordinates: an integral x is
+    orthogonal to g = (A + B sqrt(m)) / den exactly when x.A = x.B = 0, so each
+    generator adds the integer rows G A and, when irrational, G B.
+    """
     rows = []
     for g in gens:
-        gi = g.int_coords()
-        rows.append([sum(lat.gram[j][k] * gi[k] for k in range(lat.rank)) for j in range(lat.rank)])
-    if not rows:
-        basis = [lat.basis(i) for i in range(lat.rank)]
-        return Sublattice(lat, basis)
+        a, b, _, _ = _numerators(g)
+        rows.append(mat_vec_int(lat.gram, a))
+        if b is not None:
+            rows.append(mat_vec_int(lat.gram, b))
     kern = kernel_basis(rows, lat.rank)
     return Sublattice(lat, [lat.vector(v) for v in kern])
 
@@ -319,8 +323,6 @@ def minus_two_coefficients(gram: Sequence[Sequence[int]], bound: int, target: in
     k = len(gram)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if k == 0 or bound == 0:
-        return []
     # suffix data for pruning
     abs_suffix = [0] * (k + 1)
     for d in range(k - 1, -1, -1):

@@ -72,6 +72,8 @@ class SplitData:
 
 
 def make_split(f: LatticeVector, sigma0: LatticeVector, lat: GramLattice = GAMMA) -> SplitData:
+    if not (f.is_integral and sigma0.is_integral):
+        raise BadFibrationClasses(f"f and sigma0 must be integral classes; got {f}, {sigma0}")
     if pair(lat, f, f) != 0 or pair(lat, f, sigma0) != 1 or pair(lat, sigma0, sigma0) != -2:
         raise BadFibrationClasses(
             "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got "

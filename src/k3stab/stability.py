@@ -13,9 +13,16 @@ zero charge has no phase and fails every wall test.
 The regular-point search ("is Psi away from every delta-perp with
 delta^2 = -2?") is a falsifier, not a proof: it enumerates candidates delta =
 (r, D, s) with |r|, |s| bounded and D confined to a coefficient box of the
-mirror Neron-Severi basis, and reports the bound with every verdict.  Only
-the fibration-supported family D = m f + n sigma0 admits a finite exact
-certificate, equivalent to D != 2 p^2.
+mirror Neron-Severi basis, and reports the bound with every verdict.  For each
+(r, s) the condition (Psi, delta) = 0 fixes a coset of the integral kernel of
+the pairings with omega and B inside NS(mirror).  On mirror data that kernel
+is negative definite: Re and Im of the mirror period and omega span a positive
+3-plane in Gamma, of signature (3,19), and the kernel is orthogonal to all
+three.  Each coset is then a finite Fincke-Pohst enumeration.  Only a
+sublattice chosen by the caller can give a kernel that is not negative
+definite; for it the bounded scan `lattice.minus_two_coefficients` is
+filtered to the coset.  Only the fibration-supported family D = m f + n sigma0
+admits a finite exact certificate, equivalent to D != 2 p^2.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from .lattice import (
     LatticeVector,
     MukaiVector,
     Sublattice,
+    minus_two_coefficients,
+    orth_complement,
     pair,
 )
 from .mirror import MirrorTriple, PreconditionViolation, SplitData, mirror_class, mirror_period
@@ -180,43 +189,11 @@ def plane_gram(psi: StabilityPoint) -> list[list[QuadScalar]]:
 
 def ns_of_mirror(omega_check: ComplexVector, lat: GramLattice = GAMMA) -> Sublattice:
     """Integral classes orthogonal to both Re and Im of the mirror period."""
-    rows: list[list[int]] = []
-    for vec in (omega_check.re, omega_check.im):
-        coeffs = [pair(lat, vec, lat.basis(i)) for i in range(lat.rank)]
-        split_rows = _integer_rows(coeffs, QuadScalar(0))
-        assert split_rows is not None
-        rows.extend(r for r, _ in split_rows)
-    if not rows:
-        return Sublattice(lat, [lat.basis(i) for i in range(lat.rank)])
-    return Sublattice(lat, [lat.vector(v) for v in kernel_basis(rows, lat.rank)])
+    return orth_complement(lat, [omega_check.re, omega_check.im])
 
 
 # ---------------------------------------------------------------------------
 # Bounded search for (-2)-classes annihilating Psi.
-
-
-def _integer_rows(coeffs: Sequence[QuadScalar], rhs: QuadScalar):
-    """Split a Q(sqrt m)-linear condition into integer rows (row, rhs).
-
-    Returns None when the condition is unsatisfiable (a zero functional with a
-    nonzero target on one of the two rational components).
-    """
-    out = []
-    for part in ("a", "b"):
-        cs = [getattr(c, part) for c in coeffs]
-        target = getattr(rhs, part)
-        if not any(cs):
-            if target:
-                return None
-            continue
-        denom = lcm(*(x.denominator for x in cs + [target]))
-        out.append(
-            (
-                [int(x * denom) for x in cs],
-                int(target * denom),
-            )
-        )
-    return out
 
 
 def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[MukaiVector]:
@@ -225,13 +202,14 @@ def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[Mukai
 
     Ordered by (r, s, coefficient tuple).  Exactness: the annihilation
     condition splits into rational linear constraints on the coefficients;
-    the remaining quadratic equation is enumerated on the constraint kernel
-    (negative definite in all geometric cases, with a pruned box scan as the
-    general fallback) and every reported hit is re-verified against the exact
-    Mukai pairing.
+    the remaining quadratic equation is enumerated on the constraint kernel,
+    and every reported hit is re-verified against the exact Mukai pairing.
+    When ns is NS(mirror) the kernel is orthogonal to a positive 3-plane of
+    Gamma (module docstring), hence negative definite, and each coset is a
+    Fincke-Pohst enumeration; the bounded scan for a kernel that is not
+    negative definite serves only sublattices chosen by the caller.
     """
     lat = ns.ambient
-    k = ns.rank
     gram = ns.gram()
     cw = [pair(lat, psi.omega, b) for b in ns.basis]
     cb = [pair(lat, psi.B, b) for b in ns.basis]
@@ -240,7 +218,7 @@ def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[Mukai
     w_sq = pair(lat, psi.omega, psi.omega)
     # The left-hand rows are independent of (r, s); only the targets move.
     functionals = _functional_rows([cw, cb])
-    solver = _KernelQuadricSolver(gram, [row for row, _ in functionals if row is not None], k)
+    solver = _KernelQuadricSolver(gram, [row for row, _ in functionals if row is not None])
     found: list[tuple[int, int, tuple[int, ...]]] = []
     for r in range(-bound, bound + 1):
         for s in range(-bound, bound + 1):
@@ -301,49 +279,35 @@ def _functional_rhs(functionals, targets: Sequence[QuadScalar]):
 class _KernelQuadricSolver:
     """Solve {A x = rhs, x^T G x = target, |x_i| <= bound} for varying rhs.
 
-    The kernel of A and its Gram matrix are fixed, so the negative-definite
-    fast path factors P = -K^T G K once and reuses the factors on every coset.
+    The kernel K of A and its Gram matrix are fixed, so P = -K^T G K is
+    factored once and the factors are reused on every coset x0 + K y.  A
+    failed factorization means the kernel is not negative definite; its
+    cosets are then read off the bounded scan of all x with x^T G x = target.
     """
 
-    def __init__(self, gram, rows, k):
+    def __init__(self, gram, rows):
         self.gram = gram
         self.rows = rows
-        self.k = k
-        if rows:
-            self.kern = kernel_basis(rows, k)
-        else:
-            self.kern = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        self.factors = None
-        if self.kern:
-            g_kern = [mat_vec_int(gram, w) for w in self.kern]
-            gk = [[sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in self.kern]
-            # P = -K^T G K is positive definite exactly when its LDL^T exists
-            try:
-                self.factors = ldl_posdef([[Fraction(-x) for x in row] for row in gk])
-            except ValueError:  # indefinite: box-scan fallback
-                pass
+        self.kern = kernel_basis(rows, len(gram))
+        g_kern = [mat_vec_int(gram, w) for w in self.kern]
+        gk = [[sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in self.kern]
+        # P = -K^T G K is positive definite exactly when its LDL^T exists
+        try:
+            self.factors = ldl_posdef([[Fraction(-x) for x in row] for row in gk])
+        except ValueError:
+            self.factors = None
 
     def solve(self, rhs, target, bound):
-        k = self.k
-        if k == 0:
-            return [()] if target == 0 and not any(rhs) else []
-        if self.rows:
-            x0 = solve_integer(self.rows, rhs)
-            if x0 is None:
-                return []
-        else:
-            x0 = [0] * k
-        if not self.kern:
-            if all(abs(c) <= bound for c in x0):
-                value = sum(
-                    x0[i] * self.gram[i][j] * x0[j] for i in range(k) for j in range(k)
-                )
-                if value == target:
-                    return [tuple(x0)]
+        if self.factors is None:
+            return [
+                x
+                for x in minus_two_coefficients(self.gram, bound, target)
+                if mat_vec_int(self.rows, x) == rhs
+            ]
+        x0 = solve_integer(self.rows, rhs, len(self.gram))
+        if x0 is None:
             return []
-        if self.factors is not None:
-            return _enumerate_coset(self.gram, self.factors, self.kern, x0, target, bound, k)
-        return _box_scan(self.gram, self.rows, rhs, target, bound, k)
+        return _enumerate_coset(self.gram, self.factors, self.kern, x0, target, bound)
 
 
 def p0_falsifier(psi: StabilityPoint, ns: Sublattice, bound: int) -> Optional[MukaiVector]:
@@ -355,13 +319,14 @@ def p0_falsifier(psi: StabilityPoint, ns: Sublattice, bound: int) -> Optional[Mu
     return hits[0] if hits else None
 
 
-def _enumerate_coset(gram, factors, kern, x0, target, bound, k):
+def _enumerate_coset(gram, factors, kern, x0, target, bound):
     """Points x = x0 + K y of the coset with x^T G x = target inside the box.
 
     With P = -K^T G K (given by its LDL factors) and lin = K^T G x0:
     Q(y) = -y P y + 2 lin.y + c0 = target
       <=> (y - w)^T P (y - w) = w.P.w + c0 - target with P w = lin.
     """
+    k = len(x0)
     gx0 = mat_vec_int(gram, x0)
     lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]  # K^T G x0
     c0 = sum(x0[i] * gx0[i] for i in range(k))
@@ -392,52 +357,6 @@ def _solve_rational(a, b):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return [m[i][n] for i in range(n)]
-
-
-def _box_scan(gram, rows, rhs, target, bound, k):
-    """Pruned DFS over the full coefficient box; indefinite-kernel fallback."""
-    abs_suffix = [0] * (k + 1)
-    for d in range(k - 1, -1, -1):
-        abs_suffix[d] = abs_suffix[d + 1] + abs(gram[d][d])
-        for j in range(d + 1, k):
-            abs_suffix[d] += 2 * abs(gram[d][j])
-    out = []
-    coeffs = [0] * k
-    lin = [0] * k
-    partial_rows = [0] * len(rows)
-
-    def descend(d: int, value: int):
-        if d == k:
-            if value == target and all(pr == rr for pr, rr in zip(partial_rows, rhs)):
-                out.append(tuple(coeffs))
-            return
-        lin_span = 2 * bound * sum(abs(lin[j]) for j in range(d, k))
-        quad_mag = bound * bound * abs_suffix[d]
-        if not (value - lin_span - quad_mag <= target <= value + lin_span + quad_mag):
-            return
-        for idx, row in enumerate(rows):
-            slack = bound * sum(abs(row[j]) for j in range(d, k))
-            if not (partial_rows[idx] - slack <= rhs[idx] <= partial_rows[idx] + slack):
-                return
-        grow = gram[d]
-        for t in range(-bound, bound + 1):
-            coeffs[d] = t
-            new_value = value + 2 * t * lin[d] + t * t * grow[d]
-            if t:
-                for j in range(k):
-                    lin[j] += t * grow[j]
-                for idx, row in enumerate(rows):
-                    partial_rows[idx] += t * row[d]
-            descend(d + 1, new_value)
-            if t:
-                for j in range(k):
-                    lin[j] -= t * grow[j]
-                for idx, row in enumerate(rows):
-                    partial_rows[idx] -= t * row[d]
-        coeffs[d] = 0
-
-    descend(0, 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +548,6 @@ def search_kahler_class(
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
     if eta_basis is None:
-        from .lattice import orth_complement
-
         eta_basis = orth_complement(
             lat, [charge.p, charge.q, split.f, split.sigma0]
         ).basis

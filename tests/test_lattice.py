@@ -104,6 +104,14 @@ def test_orth_complement_ranks():
     assert signature(uprime) == (2, 0, 18)
 
 
+def test_orth_complement_of_irrational_generators():
+    # x.(P + sqrt(2) Q) = 0 for integral x exactly when x.P = x.Q = 0
+    irrational = orth_complement(GAMMA, [Fraction(1, 3) * P + QuadScalar(0, 1, 2) * Q])
+    assert irrational == orth_complement(GAMMA, [P, Q])
+    assert orth_complement(GAMMA, [Fraction(1, 2) * F]) == orth_complement(GAMMA, [F])
+    assert orth_complement(GAMMA, []).basis == tuple(GAMMA.basis(i) for i in range(22))
+
+
 def test_ns_signature_recorded():
     # complement of the rank-2 positive definite charge lattice inside (3,19)
     assert signature(orth_complement(GAMMA, [P, Q])) == (1, 0, 19)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -349,3 +350,28 @@ def test_cli_rejects_non_integral_charge(tmp_path, capsys):
     path = write_scenario(tmp_path, {"p": p, "q": q})
     argv = ["attractor", "--scenario", path]
     assert_json_error(*run_cli(capsys, argv), "scenario", "integral")
+
+
+def test_cli_rejects_non_integral_fibration_classes(tmp_path, capsys):
+    # f = e1/2 and sigma0 = -e1/2 + 2 e2 satisfy every pairing relation
+    f = ["1/2"] + [0] * 21
+    sigma0 = ["-1/2", 2] + [0] * 20
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "f": f, "sigma0": sigma0})
+    argv = ["walls", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "precondition", "integral")
+
+
+def test_cli_closed_stdout_exits_quietly(diag28):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3stab", "mirror", "--scenario", diag28],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

@@ -13,9 +13,11 @@ from k3stab.lattice import (
     LatticeVector,
     MukaiVector,
     Sublattice,
+    orth_complement,
     pair,
 )
 from k3stab.mirror import PreconditionViolation, make_split, mirror_class, mirror_period
+from k3stab.scenario import build_scenario, scenario_from_file
 from k3stab.stability import (
     RealityViolation,
     SearchExhausted,
@@ -233,7 +235,7 @@ def _naive_p0(psi, ns, bound):
     return hits
 
 
-@pytest.mark.parametrize("basis_idx", [(0, 1), (0, 1, 6), (0, 1, 6, 7)])
+@pytest.mark.parametrize("basis_idx", [(0, 1), (0, 1, 6), (0, 1, 6, 7), (2, 3, 6, 7)])
 def test_falsifier_matches_naive_scan(basis_idx, sc28):
     sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in basis_idx])
     for b_vec, w_vec in [
@@ -435,7 +437,7 @@ def _coset_hits(psi, ns, bound):
     b_sq, w_sq = pair(lat, psi.B, psi.B), pair(lat, psi.omega, psi.omega)
     functionals = _functional_rows([cw, cb])
     rows = [row for row, _ in functionals if row is not None]
-    solver = _KernelQuadricSolver(gram, rows, ns.rank)
+    solver = _KernelQuadricSolver(gram, rows)
     assert solver.factors is not None and solver.kern
     cosets = hits = 0
     for r in range(-bound, bound + 1):
@@ -501,3 +503,51 @@ def test_search_generates_eta_once_per_seed(sc28, monkeypatch):
             sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
         )
     assert seeds == [0, 1, 2, 3, 4]
+
+
+def _reference_ns(omega_check, lat=GAMMA):
+    """Oracle for NS(mirror): one pairing per basis vector, and the rational
+    and the radical part of each functional scaled to an integer row by its
+    own denominator."""
+    from math import lcm
+
+    from k3stab.intmat import kernel_basis
+
+    rows = []
+    for vec in (omega_check.re, omega_check.im):
+        coeffs = [pair(lat, vec, lat.basis(i)) for i in range(lat.rank)]
+        for part in ("a", "b"):
+            cs = [getattr(c, part) for c in coeffs]
+            if any(cs):
+                denom = lcm(*(x.denominator for x in cs))
+                rows.append([int(x * denom) for x in cs])
+    if not rows:
+        return tuple(lat.basis(i) for i in range(lat.rank))
+    return tuple(lat.vector(v) for v in kernel_basis(rows, lat.rank))
+
+
+def _shipped_periods():
+    from pathlib import Path
+
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    return {
+        path.stem: scenario_from_file(str(path)).triple.Omega_check
+        for path in sorted(scenarios.glob("*.json"))
+    }
+
+
+def test_orth_complement_matches_per_basis_rows():
+    periods = _shipped_periods()
+    assert len(periods) == 5
+    # a perturbed search candidate over sqrt(23)
+    sc = build_scenario(form=[4, 1, 6], bound=2)
+    omega = sc.omega_J + Fraction(1, 10) * sc.eta_basis[0]
+    data = hyperkahler_rotate(sc.charge, sc.tau, omega)
+    period = mirror_period(sc.split, data.Omega_I, data.omega_I, ZERO).Omega_check
+    assert {c.m for c in period.re.coords + period.im.coords} == {0, 23}
+    periods["perturbed_4_1_6"] = period
+    for name, period in periods.items():
+        ns = orth_complement(GAMMA, [period.re, period.im])
+        assert ns.basis == _reference_ns(period), name
+        for v in ns.basis:
+            assert not pair(GAMMA, v, period.re) and not pair(GAMMA, v, period.im)
