@@ -17,7 +17,7 @@ comparison.  Exit codes:
     1  usage, scenario-file, or precondition error
     2  degenerate charge or failed attractor decomposition
     3  verification failed, counterexample attached
-    4  candidate search exhausted without a success
+    4  the one constructed Kaehler candidate failed its check
   141  stdout closed before the report was written (e.g. piped into `head`);
        the shell's status for a SIGPIPE death, 128 + 13
 """
@@ -77,8 +77,6 @@ def _load_scenario(args) -> Scenario:
     if getattr(args, "bound", None) is not None:
         sc.bound = integer_field(args.bound, "--bound", 0)
         sc.search.bound = sc.bound
-    if getattr(args, "max_iter", None) is not None:
-        sc.search.max_iter = integer_field(args.max_iter, "--max-iter", 1)
     return sc
 
 
@@ -180,7 +178,6 @@ def build_parser() -> _Parser:
     def with_scenario(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--bound", type=int, help="coefficient box bound override")
-        p.add_argument("--max-iter", type=int, dest="max_iter", help="search iteration cap")
         p.add_argument("--float", action="store_true", help="add decimal renderings")
 
     p = sub.add_parser("attractor", help="solve and verify the attractor background")

@@ -241,7 +241,7 @@ def build_scenario(
 
 
 def _search_params(raw: dict, omega0: LatticeVector, bound: int) -> SearchParams:
-    known = {"c_eta", "c_sigma", "beta", "max_iter", "shrinks", "eta", "alphas"}
+    known = {"c_eta", "c_sigma", "beta", "eta", "alphas"}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
@@ -253,10 +253,6 @@ def _search_params(raw: dict, omega0: LatticeVector, bound: int) -> SearchParams
     if "beta" in raw:
         beta = _scalar(raw["beta"])
         kwargs["beta"] = beta.as_fraction()
-    if "max_iter" in raw:
-        kwargs["max_iter"] = integer_field(raw["max_iter"], "search.max_iter", 1)
-    if "shrinks" in raw:
-        kwargs["shrinks"] = integer_field(raw["shrinks"], "search.shrinks", 1)
     if "eta" in raw and raw["eta"] is not None:
         kwargs["eta"] = _vector(raw["eta"])
     if "alphas" in raw:

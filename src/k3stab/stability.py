@@ -27,7 +27,6 @@ admits a finite exact certificate, equivalent to D != 2 p^2.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -83,11 +82,12 @@ class SearchObstructed(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """All candidate Kaehler classes failed; diagnostics attached."""
+    """The constructed Kaehler candidate failed: the rejected halvings and the
+    final reason, each with its step index k."""
 
     def __init__(self, rejections: list[tuple[int, str]]):
         self.rejections = rejections
-        super().__init__(f"no candidate passed after {len(rejections)} tries")
+        super().__init__(f"the constructed candidate failed: {rejections[-1][1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +196,23 @@ def ns_of_mirror(omega_check: ComplexVector, lat: GramLattice = GAMMA) -> Sublat
 # Bounded search for (-2)-classes annihilating Psi.
 
 
-def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[MukaiVector]:
+def p0_violations(
+    psi: StabilityPoint, ns: Sublattice, bound: int, limit: Optional[int] = None
+) -> list[MukaiVector]:
     """All delta = (r, D, s) with delta^2 = -2, |r|,|s| <= bound, D in the
-    coefficient box of the ns basis, and (Psi, delta) = 0 exactly.
+    coefficient box of the ns basis, and (Psi, delta) = 0 exactly; only the
+    first `limit` of them when a limit is given.
 
-    Ordered by (r, s, coefficient tuple).  Exactness: the annihilation
-    condition splits into rational linear constraints on the coefficients;
-    the remaining quadratic equation is enumerated on the constraint kernel,
-    and every reported hit is re-verified against the exact Mukai pairing.
-    When ns is NS(mirror) the kernel is orthogonal to a positive 3-plane of
-    Gamma (module docstring), hence negative definite, and each coset is a
-    Fincke-Pohst enumeration; the bounded scan for a kernel that is not
-    negative definite serves only sublattices chosen by the caller.
+    Ordered by (r, s, coefficient tuple): the (r, s) cosets are walked in
+    that order, each sorted, and the walk stops at the limit.  Exactness: the
+    annihilation condition splits into rational linear constraints on the
+    coefficients; the remaining quadratic equation is enumerated on the
+    constraint kernel, and every reported hit is re-verified against the
+    exact Mukai pairing.  When ns is NS(mirror) the kernel is orthogonal to a
+    positive 3-plane of Gamma (module docstring), hence negative definite,
+    and each coset is a Fincke-Pohst enumeration; the bounded scan for a
+    kernel that is not negative definite serves only sublattices chosen by
+    the caller.
     """
     lat = ns.ambient
     gram = ns.gram()
@@ -219,26 +224,23 @@ def p0_violations(psi: StabilityPoint, ns: Sublattice, bound: int) -> list[Mukai
     # The left-hand rows are independent of (r, s); only the targets move.
     functionals = _functional_rows([cw, cb])
     solver = _KernelQuadricSolver(gram, [row for row, _ in functionals if row is not None])
-    found: list[tuple[int, int, tuple[int, ...]]] = []
+    out: list[MukaiVector] = []
     for r in range(-bound, bound + 1):
         for s in range(-bound, bound + 1):
-            target = 2 * r * s - 2
             rhs_values = _functional_rhs(
                 functionals,
                 [r * b_dot_w, QuadScalar(Fraction(r, 2)) * (b_sq - w_sq) + s],
             )
             if rhs_values is None:
                 continue
-            for coeffs in solver.solve(rhs_values, target, bound):
-                found.append((r, s, coeffs))
-    found.sort()
-    out = []
-    for r, s, coeffs in found:
-        delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
-        value = mukai_pair(psi, delta, lat)
-        assert not value, f"false positive {delta}: pairing {value}"
-        assert mukai_pair(delta, delta, lat) == -2
-        out.append(delta)
+            for coeffs in solver.solve(rhs_values, 2 * r * s - 2, bound):
+                delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
+                value = mukai_pair(psi, delta, lat)
+                assert not value, f"false positive {delta}: pairing {value}"
+                assert mukai_pair(delta, delta, lat) == -2
+                out.append(delta)
+                if len(out) == limit:
+                    return out
     return out
 
 
@@ -311,11 +313,12 @@ class _KernelQuadricSolver:
 
 
 def p0_falsifier(psi: StabilityPoint, ns: Sublattice, bound: int) -> Optional[MukaiVector]:
-    """First annihilating (-2)-class within the bound, or None.
+    """First annihilating (-2)-class within the bound, or None; the coset
+    walk stops at the first hit.
 
     Absence is evidence up to the stated bound, never a proof.
     """
-    hits = p0_violations(psi, ns, bound)
+    hits = p0_violations(psi, ns, bound, limit=1)
     return hits[0] if hits else None
 
 
@@ -342,21 +345,6 @@ def _enumerate_coset(gram, factors, kern, x0, target, bound):
         if all(abs(c) <= bound for c in x):
             out.append(tuple(x))
     return sorted(out)
-
-
-def _solve_rational(a, b):
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col])
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +452,13 @@ def verify_reality(
 
 @dataclass
 class SearchParams:
-    """Candidate schedule for the Kaehler-class search.
+    """The one constructed candidate of the Kaehler-class search.
 
-    Candidates are omega = beta * omega0 + sum(alpha_k n_k) + c_sigma * sigma0
-    + c_eta * eta, with the two perturbation scalars shrunk geometrically
-    (factor 1/2 per step) along the schedule and eta regenerated (seeded,
-    deterministic) every `shrinks` steps when no explicit direction is given.
+    The candidate is omega_k = base + 2^-k (c_sigma * sigma0 + c_eta * eta),
+    with base = beta * omega0 + sum(alpha_k n_k), at the least k >= 0 where
+    omega_k is inside the open cone omega^2 > 0, omega.f > 0, omega.omega0 > 0.
+    `eta` defaults to the integral class dual to a basis of the complement of
+    (p, q, f, sigma0).
     """
 
     omega0: LatticeVector
@@ -479,8 +468,6 @@ class SearchParams:
     alphas: tuple = ()
     beta: Fraction = Fraction(1)
     bound: int = 3
-    max_iter: int = 24
-    shrinks: int = 6
 
 
 @dataclass
@@ -497,35 +484,35 @@ class SearchResult:
     rejections: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _generated_eta(
-    basis: Sequence[LatticeVector], seed: int, rank: int, gram=None
-) -> LatticeVector:
-    """Deterministic perturbation directions inside a negative definite lattice.
+def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector:
+    """The integral class eta with eta . b_i the same negative integer for
+    every vector b_i of a basis of a negative definite lattice.
 
-    Seed 0 picks the integral vector dual to the basis (eta . b_i constant and
-    nonzero for every i), which in root-lattice blocks pairs with each root by
-    a multiple of its height and so avoids every root hyperplane.  Later seeds
-    fall back to pseudorandom small weights.
+    In root-lattice blocks eta pairs with each root by a multiple of its
+    height, and so avoids every root hyperplane.
     """
-    if seed == 0 and gram is not None:
-        try:
-            coeffs = _solve_rational(
-                [[Fraction(x) for x in row] for row in gram],
-                [Fraction(-1)] * len(gram),
-            )
-            denom = lcm(*(c.denominator for c in coeffs))
-            eta = LatticeVector.zero(rank)
-            for c, b in zip(coeffs, basis):
-                eta = eta + int(c * denom) * b
-            if eta:
-                return eta
-        except StopIteration:  # singular gram: fall through to random weights
-            pass
-    rng = random.Random(seed)
-    eta = LatticeVector.zero(rank)
-    for b in basis:
-        eta = eta + rng.randint(1, 9) * b
+    neg_gram = [[-pair(lat, x, y).as_int() for y in basis] for x in basis]
+    try:
+        factors = ldl_posdef(neg_gram)
+    except ValueError:
+        raise PreconditionViolation("the eta basis must span a negative definite lattice") from None
+    coeffs = ldl_solve(factors, [Fraction(1)] * len(basis))
+    denom = lcm(*(c.denominator for c in coeffs))
+    eta = LatticeVector.zero(lat.rank)
+    for c, b in zip(coeffs, basis):
+        eta = eta + int(c * denom) * b
     return eta
+
+
+def _cone_violation(lat, omega, f, omega0, what):
+    """Which of omega^2 > 0, omega.f > 0, omega.omega0 > 0 fails first, or None."""
+    if pair(lat, omega, omega).sign() <= 0:
+        return f"{what} has nonpositive square"
+    if pair(lat, omega, f).sign() <= 0:
+        return f"{what} does not pair positively with the fiber class"
+    if pair(lat, omega, omega0).sign() <= 0:
+        return f"{what} leaves the reference cone"
+    return None
 
 
 def search_kahler_class(
@@ -538,93 +525,80 @@ def search_kahler_class(
 ) -> SearchResult:
     """Find omega_J making exp(mirror B + i mirror omega) a regular point.
 
-    Fails fast with SearchObstructed when D = 2 p^2 (no candidate can work);
-    otherwise walks the deterministic schedule and returns the first candidate
-    that passes the positivity proxy, has all twenty mirror charges real with
-    nonzero real part, and survives the bounded (-2)-class falsifier.
+    Fails fast with SearchObstructed when D = 2 p^2 (no candidate can work).
+    Otherwise builds the one candidate of `SearchParams`: halving the step
+    moves omega_k towards the base, so a base strictly inside the cone gives a
+    least k with no cap, and a base outside it, or a candidate line not
+    orthogonal to the charge, ends the search at once.  The candidate must
+    span a positive plane, give all twenty mirror charges real and nonzero,
+    and survive the bounded (-2)-class falsifier; otherwise SearchExhausted
+    carries the k halving rejections and the final reason.
     """
     lat = charge.lat
     obstruction = fibration_obstruction(charge, split)
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
-    if eta_basis is None:
-        eta_basis = orth_complement(
-            lat, [charge.p, charge.q, split.f, split.sigma0]
-        ).basis
-    eta_gram = [
-        [pair(lat, x, y).as_int() for y in eta_basis] for x in eta_basis
-    ]
-    alphas = tuple(params.alphas) + (Fraction(0),) * (len(pic_basis) - len(params.alphas))
     base = params.beta * params.omega0
-    for alpha, cls in zip(alphas, pic_basis):
+    for alpha, cls in zip(params.alphas, pic_basis):
         if alpha:
             base = base + alpha * cls
-    mirrored = [(cls, mirror_class(split, cls)) for cls in pic_basis]
-    rejections: list[tuple[int, str]] = []
-    etas: dict[int, LatticeVector] = {}  # generated direction per seed
-    for idx in range(params.max_iter):
-        seed = idx // params.shrinks
-        shrink = Fraction(1, 2 ** (idx % params.shrinks))
+    step = LatticeVector.zero(lat.rank)
+    if params.c_sigma:
+        step = step + params.c_sigma * split.sigma0
+    eta = None
+    if params.c_eta:
         eta = params.eta
         if eta is None:
-            if seed not in etas:
-                etas[seed] = _generated_eta(eta_basis, seed, lat.rank, eta_gram)
-            eta = etas[seed]
-        omega = base
-        if params.c_sigma:
-            omega = omega + (params.c_sigma * shrink) * split.sigma0
-        if params.c_eta:
-            omega = omega + (params.c_eta * shrink) * eta
-        reason = _check_candidate(charge, split, tau, mirrored, params.bound, omega, params.omega0)
-        if isinstance(reason, str):
-            rejections.append((idx, reason))
-            continue
-        data, triple, psi, charges = reason
-        return SearchResult(
-            omega_J=omega,
-            candidate_index=idx,
-            candidates_tried=idx + 1,
-            bound=params.bound,
-            eta=eta if params.c_eta else None,
-            psi=psi,
-            triple=triple,
-            data=data,
-            charges=charges,
-            rejections=rejections,
-        )
-    raise SearchExhausted(rejections)
+            if eta_basis is None:
+                eta_basis = orth_complement(
+                    lat, [charge.p, charge.q, split.f, split.sigma0]
+                ).basis
+            eta = _dual_eta(lat, eta_basis)
+        step = step + params.c_eta * eta
+    if any(pair(lat, v, c) for v in (base, step) for c in (charge.p, charge.q)):
+        raise SearchExhausted([(0, "candidate not orthogonal to the charge")])
+    reason = _cone_violation(lat, base, split.f, params.omega0, "base")
+    if reason is not None:
+        raise SearchExhausted([(0, reason)])
+    rejections: list[tuple[int, str]] = []
+    k = 0
+    omega = base + step
+    while (reason := _cone_violation(lat, omega, split.f, params.omega0, "candidate")) is not None:
+        rejections.append((k, reason))
+        k += 1
+        omega = base + Fraction(1, 2**k) * step
 
+    def exhausted(reason: str) -> SearchExhausted:
+        return SearchExhausted(rejections + [(k, reason)])
 
-def _check_candidate(charge, split, tau, mirrored, bound, omega, omega_ref):
-    """Rejection reason for one candidate omega_J, or its (data, triple, psi,
-    charges); `mirrored` pairs each Picard class with its mirror class."""
-    lat = charge.lat
-    if pair(lat, omega, charge.p) or pair(lat, omega, charge.q):
-        return "candidate not orthogonal to the charge"
-    if pair(lat, omega, omega).sign() <= 0:
-        return "candidate has nonpositive square"
-    if pair(lat, omega, split.f).sign() <= 0:
-        return "candidate does not pair positively with the fiber class"
-    if pair(lat, omega, omega_ref).sign() <= 0:
-        return "candidate leaves the reference cone"
     data = hyperkahler_rotate(charge, tau, omega)
     triple = mirror_period(split, data.Omega_I, data.omega_I, LatticeVector.zero(lat.rank))
     psi = exp_point(triple.B_check, triple.omega_check, lat)
     if not is_positive_plane(psi):
-        return "stability point plane is not positive definite"
+        raise exhausted("stability point plane is not positive definite")
     charges = []
-    for cls, mirror_vector in mirrored:
-        z = central_charge(psi, mirror_vector)
+    for cls in pic_basis:
+        z = central_charge(psi, mirror_class(split, cls))
         if z.im:
             raise RealityViolation(cls, z)
         if not z.re:
-            return f"zero real charge for class {cls}"
+            raise exhausted(f"zero real charge for class {cls}")
         charges.append((cls, z.re))
-    ns = ns_of_mirror(triple.Omega_check, lat)
-    hit = p0_falsifier(psi, ns, bound)
+    hit = p0_falsifier(psi, ns_of_mirror(triple.Omega_check, lat), params.bound)
     if hit is not None:
-        return f"annihilating class within bound: {hit}"
-    return data, triple, psi, charges
+        raise exhausted(f"annihilating class within bound: {hit}")
+    return SearchResult(
+        omega_J=omega,
+        candidate_index=k,
+        candidates_tried=k + 1,
+        bound=params.bound,
+        eta=eta,
+        psi=psi,
+        triple=triple,
+        data=data,
+        charges=charges,
+        rejections=rejections,
+    )
 
 
 @dataclass

@@ -33,10 +33,16 @@ GOLDEN = [
         "f851c55d7638ba5e113e63c03b1484b16a0f12ac6ce5991a2adba28e014f92d7",
     ),
     (
+        ("verify", "6.3"),
+        "form_4_1_6",
+        0,
+        "b78d4a45e163dae4125112a832610ee366b7eb5a2eacae91c5940b6a7b8a967b",
+    ),
+    (
         ("verify", "6.4"),
         "form_4_1_6",
-        4,
-        "9955d458bab27af486e2084e0a93adb1ef5c16a57ac5d1541e061ea90185a266",
+        0,
+        "4b78f07b179393eb03bb694fe182c6f9752d126a4556bed618f66b2f2c6d941c",
     ),
     (
         ("verify", "6.4"),

@@ -13,6 +13,7 @@ from k3stab.intmat import (
     signature_of,
     solve_integer,
 )
+from oracles import solve_rational
 
 
 def test_kernel_basis_simple():
@@ -107,8 +108,6 @@ def test_enumerate_quadric_matches_brute_force():
     )
 )
 def test_ldl_solve_matches_gauss_jordan(case):
-    from k3stab.stability import _solve_rational
-
     m, b = case
     n = len(m)
     # M^T M + I is positive definite
@@ -117,4 +116,4 @@ def test_ldl_solve_matches_gauss_jordan(case):
         for i in range(n)
     ]
     rhs = [Fraction(x) for x in b]
-    assert ldl_solve(ldl_posdef(p), rhs) == _solve_rational(p, rhs)
+    assert ldl_solve(ldl_posdef(p), rhs) == solve_rational(p, rhs)

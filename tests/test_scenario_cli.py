@@ -3,10 +3,15 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from k3stab.cli import main
+from k3stab.forms import enumerate_reduced
+from k3stab.lattice import GAMMA, MukaiVector, pair
 from k3stab.scenario import ScenarioError, build_scenario, scenario_from_file
+from oracles import dual_eta
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -80,7 +85,7 @@ def test_scenario_search_overrides(tmp_path):
         {
             "form": [2, 0, 8],
             "bound": 2,
-            "search": {"c_eta": "1/20", "max_iter": 30, "beta": "2"},
+            "search": {"c_eta": "1/20", "beta": "2"},
         },
     )
     sc = scenario_from_file(path)
@@ -88,7 +93,6 @@ def test_scenario_search_overrides(tmp_path):
     assert sc.search.bound == 2
     assert str(sc.search.c_eta) == "1/20"
     assert sc.search.beta == 2
-    assert sc.search.max_iter == 30
 
 
 def test_cli_attractor(capsys, diag28):
@@ -247,11 +251,60 @@ def test_cli_verify_64_obstructed_exit(capsys, diag22):
 
 def test_cli_search_exhausted_exit(tmp_path, capsys):
     path = write_scenario(
-        tmp_path, {"form": [2, 0, 8], "search": {"c_eta": "0", "max_iter": 2}}
+        tmp_path, {"form": [2, 0, 8], "search": {"c_eta": "0"}}
     )
     code, out = run_cli(capsys, ["verify", "6.3", "--scenario", str(path)])
     assert code == 4
     assert json.loads(out)["kind"] == "search-exhausted"
+
+
+@pytest.mark.parametrize(
+    "search, reason",
+    [
+        ({"beta": "-1"}, "base does not pair positively with the fiber class"),
+        ({"eta": [0, 0, 1] + [0] * 19}, "candidate not orthogonal to the charge"),
+    ],
+)
+def test_cli_hopeless_candidate_exits_at_once(tmp_path, capsys, search, reason):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": search})
+    code, out = run_cli(capsys, ["verify", "6.4", "--scenario", path])
+    assert code == 4
+    report = json.loads(out)
+    assert report["kind"] == "search-exhausted"
+    assert report["rejections"] == [[0, reason]]
+
+
+def test_verify_63_on_reduced_forms(tmp_path, capsys):
+    """Every reduced form with D <= 40: [2,0,2] is obstructed, [2,1,2] fails
+    on its root (0, e2(U3) - e1(U3), 0), which is orthogonal to p, q, omega0
+    and the dual eta, and every other form certifies at the least halving
+    with positive square."""
+    root = MukaiVector(0, GAMMA.basis(5) - GAMMA.basis(4), 0)
+    outcomes = {}
+    for disc in range(1, 41):
+        for form in enumerate_reduced(disc):
+            name = tuple(form.as_list())
+            path = write_scenario(tmp_path, {"form": list(name)})
+            code, out = run_cli(capsys, ["verify", "6.3", "--scenario", path])
+            report = json.loads(out)
+            outcomes[name] = code
+            if name == (2, 0, 2):
+                assert code == 3 and report["kind"] == "obstructed"
+            elif name == (2, 1, 2):
+                assert code == 4 and report["kind"] == "search-exhausted"
+                assert report["rejections"][-1][1] == f"annihilating class within bound: {root}"
+            else:
+                assert code == 0, name
+                sc = build_scenario(form=list(name))
+                eta = dual_eta(GAMMA, sc.eta_basis)
+                k = 0
+                while True:
+                    omega = sc.omega_J + Fraction(1, 10 * 2**k) * eta
+                    if pair(GAMMA, omega, omega).sign() > 0:
+                        break
+                    k += 1
+                assert report["candidate_index"] == k, name
+    assert len(outcomes) == 40
 
 
 def test_cli_usage_error_exit_code():
@@ -293,12 +346,14 @@ def test_cli_rejects_non_integer_bound(tmp_path, capsys):
 
 def test_cli_rejects_zero_shrinks(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"shrinks": 0}})
-    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown search parameters")
 
 
 def test_cli_rejects_zero_max_iter(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"max_iter": 0}})
-    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown search parameters")
 
 
 def test_cli_rejects_negative_bound_flag(capsys, diag28):
@@ -307,8 +362,11 @@ def test_cli_rejects_negative_bound_flag(capsys, diag28):
 
 
 def test_cli_rejects_zero_max_iter_flag(capsys, diag28):
-    argv = ["verify", "6.3", "--scenario", diag28, "--max-iter", "0"]
-    assert_json_error(*run_cli(capsys, argv), "scenario")
+    # --max-iter is no longer an option: an argparse usage error, exit 1
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "6.3", "--scenario", diag28, "--max-iter", "0"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --max-iter" in capsys.readouterr().err
 
 
 def test_cli_forms_enumerate_not_a_number(capsys):

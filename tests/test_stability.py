@@ -39,6 +39,8 @@ from k3stab.stability import (
     wall_intersection,
     wall_member,
 )
+from k3stab.stability import _dual_eta
+from oracles import dual_eta, solve_rational
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -168,7 +170,7 @@ def test_ns_rank_drops_for_irrational_period():
 def test_falsifier_finds_sigma0_for_2_2_family(sc22):
     split = sc22.split
     eta = sc22.eta_basis[0]
-    dual = _dual_direction(sc22)
+    dual = _dual_eta(GAMMA, sc22.eta_basis)
     family = [
         2 * F + SIGMA0,
         3 * F + SIGMA0,
@@ -191,13 +193,6 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
             assert mukai_pair(psi, h) == QuadComplex(0)
 
 
-def _dual_direction(sc):
-    from k3stab.stability import _generated_eta
-
-    gram = [[pair(GAMMA, x, y).as_int() for y in sc.eta_basis] for x in sc.eta_basis]
-    return _generated_eta(sc.eta_basis, 0, 22, gram)
-
-
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
     ns = ns_of_mirror(searched28.triple.Omega_check)
     assert p0_falsifier(searched28.psi, ns, 3) is None
@@ -210,6 +205,20 @@ def test_falsifier_hits_base_family_member(sc28):
     assert hit is not None
     assert hit.r == 0 and hit.s == 0
     assert mukai_pair(sc28.psi, hit) == QuadComplex(0)
+
+
+def test_falsifier_is_first_violation(sc28, searched28, sc22):
+    points = [(sc28.psi, sc28.triple, 3), (searched28.psi, searched28.triple, 3)]
+    points.append((sc22.psi, sc22.triple, 2))
+    expected_hits = []
+    for psi, triple, bound in points:
+        ns = ns_of_mirror(triple.Omega_check)
+        hits = p0_violations(psi, ns, bound)
+        assert [(h.r, h.s) for h in hits] == sorted((h.r, h.s) for h in hits)
+        assert p0_falsifier(psi, ns, bound) == (hits[0] if hits else None)
+        assert p0_violations(psi, ns, bound, limit=2) == hits[:2]
+        expected_hits.append(bool(hits))
+    assert expected_hits == [True, False, True]
 
 
 def _naive_p0(psi, ns, bound):
@@ -373,13 +382,43 @@ def test_search_fails_fast_on_2_2(sc22):
 
 
 def test_search_exhausts_without_perturbation(sc28):
-    params = SearchParams(omega0=2 * F + SIGMA0, c_eta=Fraction(0), max_iter=3)
+    # with c_eta = 0 the one candidate is omega0 itself
+    params = SearchParams(omega0=2 * F + SIGMA0, c_eta=Fraction(0))
     with pytest.raises(SearchExhausted) as err:
         search_kahler_class(
             sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
         )
-    assert len(err.value.rejections) == 3
+    assert len(err.value.rejections) == 1
     assert all("zero real charge" in r or "annihilating" in r for _, r in err.value.rejections)
+
+
+def _shipped_scenarios():
+    from pathlib import Path
+
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    return {path.stem: scenario_from_file(str(path)) for path in sorted(scenarios.glob("*.json"))}
+
+
+def test_dual_eta_matches_gauss_jordan():
+    cases = _shipped_scenarios()
+    assert len(cases) == 5
+    cases["form_2_1_2"] = build_scenario(form=[2, 1, 2])
+    for name, sc in cases.items():
+        eta = _dual_eta(GAMMA, sc.eta_basis)
+        assert eta == dual_eta(GAMMA, sc.eta_basis), name
+        products = {pair(GAMMA, eta, b) for b in sc.eta_basis}
+        assert len(products) == 1 and products.pop().sign() < 0, name
+
+
+def test_dual_eta_needs_a_negative_definite_basis(sc28):
+    # a caller-chosen basis starting with the isotropic class f + sigma0
+    with pytest.raises(PreconditionViolation):
+        _dual_eta(GAMMA, [F + SIGMA0] + sc28.eta_basis[:3])
+    params = SearchParams(omega0=sc28.omega_J)
+    with pytest.raises(PreconditionViolation):
+        search_kahler_class(
+            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, [F + SIGMA0]
+        )
 
 
 def test_wall_intersection_2_8(searched28, sc28):
@@ -403,8 +442,6 @@ def _reference_coset(gram, kern, x0, target, bound, k):
     """Coset enumeration with a Gauss-Jordan solve and a fresh factorization
     of P = -K^T G K on every call."""
     from k3stab.intmat import enumerate_quadric, ldl_posdef, mat_vec_int
-    from k3stab.stability import _solve_rational
-
     m = len(kern)
     gk = [
         [sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k)) for w in kern]
@@ -414,7 +451,7 @@ def _reference_coset(gram, kern, x0, target, bound, k):
     lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]
     c0 = sum(x0[i] * gx0[i] for i in range(k))
     p = [[Fraction(-gk[i][j]) for j in range(m)] for i in range(m)]
-    w = _solve_rational(p, [Fraction(x) for x in lin])
+    w = solve_rational(p, [Fraction(x) for x in lin])
     radius = sum(wi * li for wi, li in zip(w, lin)) + c0 - target
     out = []
     for y in enumerate_quadric(ldl_posdef(p), w, radius):
@@ -486,25 +523,6 @@ def test_s_part_memo_is_the_value(sc28):
     assert hash(fresh) == hash(StabilityPoint(sc28.psi.B, sc28.psi.omega))
 
 
-def test_search_generates_eta_once_per_seed(sc28, monkeypatch):
-    import k3stab.stability as stability
-
-    seeds = []
-    original = stability._generated_eta
-
-    def counting(basis, seed, rank, gram=None):
-        seeds.append(seed)
-        return original(basis, seed, rank, gram)
-
-    monkeypatch.setattr(stability, "_generated_eta", counting)
-    params = SearchParams(omega0=sc28.omega_J, c_eta=Fraction(0), max_iter=13, shrinks=3)
-    with pytest.raises(SearchExhausted):
-        search_kahler_class(
-            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
-        )
-    assert seeds == [0, 1, 2, 3, 4]
-
-
 def _reference_ns(omega_check, lat=GAMMA):
     """Oracle for NS(mirror): one pairing per basis vector, and the rational
     and the radical part of each functional scaled to an integer row by its
@@ -526,18 +544,8 @@ def _reference_ns(omega_check, lat=GAMMA):
     return tuple(lat.vector(v) for v in kernel_basis(rows, lat.rank))
 
 
-def _shipped_periods():
-    from pathlib import Path
-
-    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
-    return {
-        path.stem: scenario_from_file(str(path)).triple.Omega_check
-        for path in sorted(scenarios.glob("*.json"))
-    }
-
-
 def test_orth_complement_matches_per_basis_rows():
-    periods = _shipped_periods()
+    periods = {name: sc.triple.Omega_check for name, sc in _shipped_scenarios().items()}
     assert len(periods) == 5
     # a perturbed search candidate over sqrt(23)
     sc = build_scenario(form=[4, 1, 6], bound=2)
