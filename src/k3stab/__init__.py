@@ -11,7 +11,6 @@ from .lattice import (
     LatticeVector,
     MukaiVector,
     Sublattice,
-    minus_two_vectors,
     orth_complement,
     pair,
     signature,
@@ -51,7 +50,6 @@ from .stability import (
     is_positive_plane,
     mukai_pair,
     ns_of_mirror,
-    p0_falsifier,
     p0_violations,
     search_kahler_class,
     verify_reality,

@@ -33,11 +33,9 @@ from .attractor import DegenerateCharge, NotAttractor, NotOrthogonal, NotPositiv
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
 from .mirror import BadFibrationClasses, NormalizationFailure, PreconditionViolation
 from .scenario import (
-    Scenario,
     ScenarioError,
     attractor_report,
     charge_table_report,
-    integer_field,
     mirror_reality_report,
     mirror_report,
     obstruction_json,
@@ -72,14 +70,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
 
 
-def _load_scenario(args) -> Scenario:
-    sc = scenario_from_file(args.scenario)
-    if getattr(args, "bound", None) is not None:
-        sc.bound = integer_field(args.bound, "--bound", 0)
-        sc.search.bound = sc.bound
-    return sc
-
-
 def _parse_form(text: str) -> BinaryEvenForm:
     try:
         triple = json.loads(text)
@@ -91,7 +81,7 @@ def _parse_form(text: str) -> BinaryEvenForm:
 
 
 def cmd_attractor(args) -> int:
-    _emit(attractor_report(_load_scenario(args), args.float))
+    _emit(attractor_report(scenario_from_file(args.scenario), args.float))
     return 0
 
 
@@ -139,22 +129,22 @@ def cmd_forms(args) -> int:
 
 
 def cmd_mirror(args) -> int:
-    _emit(mirror_report(_load_scenario(args), args.float))
+    _emit(mirror_report(scenario_from_file(args.scenario), args.float))
     return 0
 
 
 def cmd_charge(args) -> int:
-    _emit(charge_table_report(_load_scenario(args), args.float))
+    _emit(charge_table_report(scenario_from_file(args.scenario), args.float))
     return 0
 
 
 def cmd_walls(args) -> int:
-    _emit(wall_table_report(_load_scenario(args), args.float))
+    _emit(wall_table_report(scenario_from_file(args.scenario), args.float))
     return 0
 
 
 def cmd_verify(args) -> int:
-    sc = _load_scenario(args)
+    sc = scenario_from_file(args.scenario)
     which = _VERIFY_ALIASES[args.certificate]
     if which in ("6.3", "6.4") and sc.B:
         raise PreconditionViolation(f"verify {which} requires B = 0")
@@ -177,7 +167,6 @@ def build_parser() -> _Parser:
 
     def with_scenario(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--bound", type=int, help="coefficient box bound override")
         p.add_argument("--float", action="store_true", help="add decimal renderings")
 
     p = sub.add_parser("attractor", help="solve and verify the attractor background")

@@ -2,15 +2,15 @@
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic over ``int`` and ``Fraction``: unimodular column reduction for
-integer kernels and linear solves, symmetric congruence for signatures, and an
-exact Fincke–Pohst style enumerator for definite quadrics used by the bounded
-(-2)-class searches.
+integer kernels, symmetric congruence for signatures, integral LLL reduction,
+and an exact Fincke–Pohst style enumerator for definite quadrics used by the
+(-2)-class enumeration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -18,20 +18,20 @@ def mat_vec_int(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def _column_reduce(a: Sequence[Sequence[int]], ncols: int):
-    """Unimodular column reduction of an integer matrix.
+def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[list[int]]:
+    """Basis of the integer kernel {x : a @ x = 0}; saturated by construction.
 
-    Returns ``(cols, ucols, pivots, free)`` where ``cols`` are the reduced
-    columns (column echelon: pivot column for row r has its first nonzero at
-    r), ``ucols`` the columns of the unimodular transform U with A*U = reduced,
-    ``pivots`` a list of (row, col) pairs in increasing row order and ``free``
-    the non-pivot column indices (their U-columns span the kernel).
+    Unimodular column reduction A U = (echelon): row by row, the live columns
+    are reduced against the one of least absolute entry until a single pivot
+    column remains, which then leaves the active set.  The columns of U that
+    never become pivots span the kernel.
     """
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
     nrows = len(a)
     cols = [[a[r][c] for r in range(nrows)] for c in range(ncols)]
     ucols = [[1 if i == c else 0 for i in range(ncols)] for c in range(ncols)]
     active = list(range(ncols))
-    pivots = []
     for r in range(nrows):
         while True:
             live = [c for c in active if cols[c][r] != 0]
@@ -49,50 +49,8 @@ def _column_reduce(a: Sequence[Sequence[int]], ncols: int):
                         ucols[c][i] -= q * ucols[c0][i]
         live = [c for c in active if cols[c][r] != 0]
         if live:
-            c0 = live[0]
-            if cols[c0][r] < 0:
-                cols[c0] = [-x for x in cols[c0]]
-                ucols[c0] = [-x for x in ucols[c0]]
-            pivots.append((r, c0))
-            active.remove(c0)
-    return cols, ucols, pivots, active
-
-
-def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[list[int]]:
-    """Basis of the integer kernel {x : a @ x = 0}; saturated by construction."""
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    _, ucols, _, free = _column_reduce(a, ncols)
-    return [ucols[c] for c in sorted(free)]
-
-
-def solve_integer(
-    a: Sequence[Sequence[int]], b: Sequence[int], ncols: Optional[int] = None
-) -> Optional[list[int]]:
-    """One integer solution of ``a @ x = b``, or None."""
-    nrows = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    cols, ucols, pivots, _ = _column_reduce(a, ncols)
-    residual = list(b)
-    coeff = [0] * ncols
-    for r, c in pivots:
-        h = cols[c][r]
-        if residual[r] % h != 0:
-            return None
-        t = residual[r] // h
-        coeff[c] = t
-        if t:
-            for i in range(r, nrows):
-                residual[i] -= t * cols[c][i]
-    if any(residual):
-        return None
-    x = [0] * ncols
-    for c in range(ncols):
-        if coeff[c]:
-            for i in range(ncols):
-                x[i] += coeff[c] * ucols[c][i]
-    return x
+            active.remove(live[0])
+    return [ucols[c] for c in sorted(active)]
 
 
 def rank_generic(rows: Iterable[Sequence]) -> int:
@@ -170,6 +128,76 @@ def is_negative_definite(gram: Sequence[Sequence]) -> bool:
 # Exact enumeration on a definite quadric.
 
 
+def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL reduction, delta = 3/4, of a positive definite integer Gram matrix.
+
+    Returns ``(t, g)`` with t unimodular and g = t gram t^T reduced.  This is
+    the integral LLL of Cohen (Algorithm 2.6.7): the Gram-Schmidt data are
+    the integers d_i (leading principal minors) and lam[k][j] = d_{j+1} mu_kj,
+    updated in place on every size reduction and swap, never recomputed.
+    """
+    n = len(gram)
+    g = [[int(x) for x in row] for row in gram]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n == 0:
+        return t, g
+    if g[0][0] <= 0:
+        raise ValueError("matrix is not positive definite")
+    d = [1, g[0][0]] + [0] * (n - 1)  # d[i + 1] belongs to basis vector i
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+        t[k] = [a - q * b for a, b in zip(t[k], t[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        t[k], t[k - 1] = t[k - 1], t[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            x = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * x) // d[k]
+            lam[i][k - 1] = (b * x + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # Gram-Schmidt data of a vector not seen before
+            kmax = k
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("matrix is not positive definite")
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return t, g
+
+
 def ldl_posdef(p: Sequence[Sequence[Fraction]]):
     """LDL^T of a positive definite rational matrix: p = U^T diag(d) U."""
     n = len(p)
@@ -184,33 +212,6 @@ def ldl_posdef(p: Sequence[Sequence[Fraction]]):
             w = Fraction(p[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
             u[i][j] = w / v
     return d, u
-
-
-def _floor_frac(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _floor_sqrt(f: Fraction) -> Fraction:
-    # a rational lower bound r <= sqrt(f) with sqrt(f) - r < 1/denominator
-    return Fraction(isqrt(f.numerator * f.denominator), f.denominator)
-
-
-def _int_interval(gamma: Fraction, bound: Fraction) -> range:
-    """Integers t with (t + gamma)^2 <= bound, as a range."""
-    if bound < 0:
-        return range(0, 0)
-    s = _floor_sqrt(bound)
-    lo = -_floor_frac(gamma + s)
-    while (Fraction(lo - 1) + gamma) ** 2 <= bound:
-        lo -= 1
-    hi = _floor_frac(s - gamma)
-    while (Fraction(hi + 1) + gamma) ** 2 <= bound:
-        hi += 1
-    while lo <= hi and (Fraction(lo) + gamma) ** 2 > bound:
-        lo += 1
-    while lo <= hi and (Fraction(hi) + gamma) ** 2 > bound:
-        hi -= 1
-    return range(lo, hi + 1)
 
 
 def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
@@ -249,24 +250,35 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
     if r < 0:
         return []
     w = [Fraction(x) for x in w]
+    # integer numerators: w = wn / wd and row i of u is num[i] / den[i]
+    wd = lcm(*(x.denominator for x in w))
+    wn = [x.numerator * (wd // x.denominator) for x in w]
+    den = [lcm(*(x.denominator for x in row[i + 1 :])) for i, row in enumerate(u)]
+    num = [[x.numerator * (den[i] // x.denominator) for x in row] for i, row in enumerate(u)]
     out: list[tuple[int, ...]] = []
     y = [0] * n
 
     def descend(i: int, budget: Fraction):
-        # z_i = (y_i - w_i) + sum_{j>i} u[i][j] (y_j - w_j)
-        gamma = -w[i] + sum(u[i][j] * (y[j] - w[j]) for j in range(i + 1, n))
+        # z_i = y_i + gamma_i with gamma_i = sum_{j>i} u[i][j] (y_j - w_j) - w_i = g / gd
+        g = sum(num[i][j] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - den[i] * wn[i]
+        gd = den[i] * wd
+        c = budget / d[i]  # z_i^2 <= c
         if i == 0:
-            c = budget / d[0]
             root = _sqrt_fraction(c)
             if root is None:
                 return
-            cands = {root - gamma, -root - gamma}
-            for val in sorted(cands):
+            gamma = Fraction(g, gd)
+            for val in sorted({root - gamma, -root - gamma}):
                 if val.denominator == 1:
                     y[0] = val.numerator
                     out.append(tuple(y))
             return
-        for t in _int_interval(gamma, budget / d[i]):
+        if c < 0:
+            return
+        # |t gd + g| <= floor(sqrt(c) gd), an integer bound on an integer
+        s = isqrt(c.numerator * gd * gd // c.denominator)
+        gamma = Fraction(g, gd)
+        for t in range(-((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
             descend(i - 1, budget - d[i] * (t + gamma) ** 2)
 

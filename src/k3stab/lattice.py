@@ -308,64 +308,6 @@ def project_off_hyperbolic(lat: GramLattice, v: LatticeVector, vstar: LatticeVec
     return x - pair(lat, x, vstar) * v - pair(lat, x, v) * vstar
 
 
-def minus_two_vectors(sub: Sublattice, bound: int) -> list[LatticeVector]:
-    """All delta in the integer span of the basis with delta^2 = -2 and all
-    basis coefficients in [-bound, bound].
-
-    Exhaustive backtracking with interval pruning on the remaining quadratic
-    and linear contributions; output in lexicographic coefficient order.
-    """
-    hits = [sub.from_coefficients(c) for c in minus_two_coefficients(sub.gram(), bound)]
-    return hits
-
-
-def minus_two_coefficients(gram: Sequence[Sequence[int]], bound: int, target: int = -2) -> list[tuple[int, ...]]:
-    k = len(gram)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    # suffix data for pruning
-    abs_suffix = [0] * (k + 1)
-    for d in range(k - 1, -1, -1):
-        abs_suffix[d] = abs_suffix[d + 1] + abs(gram[d][d])
-        for j in range(d + 1, k):
-            abs_suffix[d] += 2 * abs(gram[d][j])
-    neg_semidef = [True] * (k + 1)
-    for d in range(k - 1, -1, -1):
-        block = [[gram[i][j] for j in range(d, k)] for i in range(d, k)]
-        pos, _, _ = signature_of(block)
-        neg_semidef[d] = pos == 0
-    out: list[tuple[int, ...]] = []
-    coeffs = [0] * k
-    lin = [0] * k  # lin[j] = sum_{i<d} coeffs[i] * gram[i][j]
-
-    def descend(d: int, value: int):
-        if d == k:
-            if value == target:
-                out.append(tuple(coeffs))
-            return
-        lin_span = 2 * bound * sum(abs(lin[j]) for j in range(d, k))
-        quad_mag = bound * bound * abs_suffix[d]
-        hi = value + lin_span + (0 if neg_semidef[d] else quad_mag)
-        lo = value - lin_span - quad_mag
-        if not (lo <= target <= hi):
-            return
-        row = gram[d]
-        for t in range(-bound, bound + 1):
-            new_value = value + 2 * t * lin[d] + t * t * row[d]
-            coeffs[d] = t
-            if t:
-                for j in range(k):
-                    lin[j] += t * row[j]
-            descend(d + 1, new_value)
-            if t:
-                for j in range(k):
-                    lin[j] -= t * row[j]
-        coeffs[d] = 0
-
-    descend(0, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class MukaiVector:
     """An integral triple (r, D, s) with D in the K3 lattice."""

@@ -9,7 +9,8 @@ A scenario fixes the standard block realization
 for an even form [a, b, c] (so p^2 = a, p.q = b, q^2 = c and the fibration
 classes are automatically orthogonal to the charge), or accepts explicit
 coordinates for any of p, q, f, sigma0, omega_J, B.  Defaults: omega_J is the
-suspension class 2f + sigma0, B = 0, enumeration bound 3.
+suspension class 2f + sigma0, B = 0.  One quadratic field Q(sqrt m) holds
+every scalar of a scenario; it is fixed at assembly (m = 0 when rational).
 
 Everything derived (tau, rotation data, mirror triple, stability point, a
 Picard basis containing f and sigma0) is computed eagerly and exactly.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .attractor import (
@@ -54,7 +56,6 @@ from .stability import (
     WallReport,
     central_charge,
     exp_point,
-    fibration_obstruction,
     ns_of_mirror,
     search_kahler_class,
     verify_reality,
@@ -80,13 +81,6 @@ def _scalar(value) -> QuadScalar:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
     raise ScenarioError(f"not a scalar: {value!r}")
-
-
-def integer_field(value, name: str, minimum: int) -> int:
-    """A scenario count: a JSON integer (not a bool) no smaller than `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 def _vector(value, rank: int = 22) -> LatticeVector:
@@ -116,11 +110,10 @@ class Scenario:
     split: SplitData
     omega_J: LatticeVector
     B: LatticeVector
-    bound: int = 3
     form: Optional[BinaryEvenForm] = None
-    m_aux: int = 0
     search: Optional[SearchParams] = None
     # derived, filled by assemble()
+    m: int = 0
     tau: QuadComplex = None
     Omega: ComplexVector = None
     data: AttractorData = None
@@ -135,6 +128,9 @@ class Scenario:
         lat = self.charge.lat
         self.tau, self.Omega = solve_attractor(self.charge)
         self.sqrt_disc_integral = self.tau.im.is_rational
+        if self.search is None:
+            self.search = SearchParams(omega0=self.omega_J)
+        self.m = self._field()
         self.data = hyperkahler_rotate(self.charge, self.tau, self.omega_J)
         self.triple = mirror_period(self.split, self.data.Omega_I, self.data.omega_I, self.B)
         self.psi = exp_point(self.triple.B_check, self.triple.omega_check, lat)
@@ -148,9 +144,20 @@ class Scenario:
         if self.sqrt_disc_integral:
             # default polarization generator: p^2 * omega_I, integral here
             self.polarization = self.charge.p2 * self.data.omega_I
-        if self.search is None:
-            self.search = SearchParams(omega0=self.omega_J, bound=self.bound)
         return self
+
+    def _field(self) -> int:
+        """The radicand m of the one field Q(sqrt m) that holds sqrt(D) and
+        every given scalar; two different radicands are a scenario error."""
+        sp = self.search
+        values = [self.tau.im, *self.omega_J.coords, *self.B.coords, sp.c_sigma, sp.c_eta]
+        if sp.eta is not None:
+            values += sp.eta.coords
+        radicands = sorted({x.m for x in values if isinstance(x, QuadScalar) and x.m})
+        if len(radicands) > 1:
+            fields = " and ".join(f"Q(sqrt {m})" for m in radicands)
+            raise ScenarioError(f"scenario mixes the fields {fields}")
+        return radicands[0] if radicands else 0
 
     @property
     def fibration_orthogonal(self) -> bool:
@@ -170,10 +177,9 @@ class Scenario:
             "sigma0": vector_json(self.split.sigma0),
             "omega_J": vector_json(self.omega_J),
             "B": vector_json(self.B),
-            "bound": self.bound,
             "disc": self.charge.disc,
             "gram": [[self.charge.p2, self.charge.pq], [self.charge.pq, self.charge.q2]],
-            "m": self.m_aux or self.tau.im.m,
+            "m": self.m,
             "sqrt_disc_integral": self.sqrt_disc_integral,
         }
         if self.form is not None:
@@ -189,24 +195,23 @@ def build_scenario(
     sigma0=None,
     omega_J="2f+sigma0",
     B=None,
-    m: int = 0,
-    bound: int = 3,
     search: Optional[dict] = None,
 ) -> Scenario:
-    bound = integer_field(bound, "bound", 0)
     if form is not None:
+        if p is not None or q is not None:
+            raise ScenarioError("scenario takes either a form or explicit p and q, not both")
         if isinstance(form, (list, tuple)):
             try:
                 form = BinaryEvenForm(*[int(x) for x in form])
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"bad form: {exc}") from None
+        elif not isinstance(form, BinaryEvenForm):
+            raise ScenarioError(f"form must be a triple [a, b, c], got {form!r}")
         p_vec, q_vec = standard_charge(form)
     elif p is not None and q is not None:
         p_vec, q_vec = _vector(p), _vector(q)
     else:
         raise ScenarioError("scenario needs either a form [a, b, c] or explicit p and q")
-    if p is not None and q is not None and form is not None:
-        p_vec, q_vec = _vector(p), _vector(q)
     f_vec, s_vec = standard_fibration()
     if f is not None:
         f_vec = _vector(f)
@@ -224,39 +229,45 @@ def build_scenario(
     else:
         omega_vec = _vector(omega_J)
     b_vec = LatticeVector.zero(GAMMA.rank) if B is None else _vector(B)
-    params = None
-    if search:
-        params = _search_params(search, omega_vec, bound)
+    if search is not None and not isinstance(search, dict):
+        raise ScenarioError(f"search must be a JSON object, got {search!r}")
     sc = Scenario(
         charge=charge,
         split=split,
         omega_J=omega_vec,
         B=b_vec,
-        bound=bound,
-        form=form if isinstance(form, BinaryEvenForm) else None,
-        m_aux=integer_field(m, "m", 0),
-        search=params,
+        form=form,
+        search=_search_params(search, omega_vec) if search else None,
     )
     return sc.assemble()
 
 
-def _search_params(raw: dict, omega0: LatticeVector, bound: int) -> SearchParams:
+def _rational(value, name: str) -> Fraction:
+    x = _scalar(value)
+    if not x.is_rational:
+        raise ScenarioError(f"{name} must be rational, got {value!r}")
+    return x.as_fraction()
+
+
+def _search_params(raw: dict, omega0: LatticeVector) -> SearchParams:
     known = {"c_eta", "c_sigma", "beta", "eta", "alphas"}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
-    kwargs = {"omega0": omega0, "bound": bound}
+    kwargs = {"omega0": omega0}
     if "c_eta" in raw:
         kwargs["c_eta"] = _scalar(raw["c_eta"])
     if "c_sigma" in raw:
         kwargs["c_sigma"] = _scalar(raw["c_sigma"])
     if "beta" in raw:
-        beta = _scalar(raw["beta"])
-        kwargs["beta"] = beta.as_fraction()
+        kwargs["beta"] = _rational(raw["beta"], "search.beta")
     if "eta" in raw and raw["eta"] is not None:
         kwargs["eta"] = _vector(raw["eta"])
     if "alphas" in raw:
-        kwargs["alphas"] = tuple(_scalar(a).as_fraction() for a in raw["alphas"])
+        alphas = raw["alphas"]
+        if not isinstance(alphas, list):
+            raise ScenarioError(f"search.alphas must be a list, got {alphas!r}")
+        kwargs["alphas"] = tuple(_rational(a, "search.alphas") for a in alphas)
     return SearchParams(**kwargs)
 
 
@@ -272,7 +283,7 @@ def scenario_from_file(path: str) -> Scenario:
         ) from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    known = {"form", "p", "q", "f", "sigma0", "omega_J", "B", "m", "bound", "search"}
+    known = {"form", "p", "q", "f", "sigma0", "omega_J", "B", "search"}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
@@ -284,8 +295,6 @@ def scenario_from_file(path: str) -> Scenario:
         sigma0=raw.get("sigma0"),
         omega_J=raw.get("omega_J", "2f+sigma0"),
         B=raw.get("B"),
-        m=raw.get("m", 0),
-        bound=raw.get("bound", 3),
         search=raw.get("search"),
     )
 
@@ -427,16 +436,19 @@ def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
     result = search_kahler_class(
         sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
     )
-    obstruction = fibration_obstruction(sc.charge, sc.split)
+    enumeration = result.enumeration
     return {
         "scenario": sc.echo(),
         "certificate": "regular-point",
-        "obstruction": obstruction_json(obstruction),
+        "obstruction": obstruction_json(result.obstruction),
         "omega_J": vector_json(result.omega_J, with_float),
         "candidate_index": result.candidate_index,
         "candidates_tried": result.candidates_tried,
-        "bound": result.bound,
-        "falsifier": "no annihilating (-2)-class up to the stated bound (evidence, not proof)",
+        "root_enumeration": {
+            "complete": True,
+            "lattice_rank": enumeration.lattice_rank,
+            "roots": enumeration.count,
+        },
         "charges": [
             {"class": vector_json(c, with_float), "Z": scalar_json(z, with_float)}
             for c, z in result.charges

@@ -10,19 +10,17 @@ and the central charge of v is Z(v) = (Psi, v).  Two nonzero charges lie on a
 common generalized wall at Psi when Z(v1)/Z(v2) is a positive real number; a
 zero charge has no phase and fails every wall test.
 
-The regular-point search ("is Psi away from every delta-perp with
-delta^2 = -2?") is a falsifier, not a proof: it enumerates candidates delta =
-(r, D, s) with |r|, |s| bounded and D confined to a coefficient box of the
-mirror Neron-Severi basis, and reports the bound with every verdict.  For each
-(r, s) the condition (Psi, delta) = 0 fixes a coset of the integral kernel of
-the pairings with omega and B inside NS(mirror).  On mirror data that kernel
-is negative definite: Re and Im of the mirror period and omega span a positive
-3-plane in Gamma, of signature (3,19), and the kernel is orthogonal to all
-three.  Each coset is then a finite Fincke-Pohst enumeration.  Only a
-sublattice chosen by the caller can give a kernel that is not negative
-definite; for it the bounded scan `lattice.minus_two_coefficients` is
-filtered to the coset.  Only the fibration-supported family D = m f + n sigma0
-admits a finite exact certificate, equivalent to D != 2 p^2.
+The regular-point condition ("is Psi away from every delta-perp with
+delta^2 = -2?") is decided by one complete enumeration.  Re and Im of Psi
+span a positive plane (checked by `is_positive_plane`), Re and Im of the
+mirror period span another (asserted by `mirror_period`), and the two are
+orthogonal, so together they span a positive 4-plane of the Mukai lattice, of
+signature (4,20).  The integral classes orthogonal to that 4-plane, which are
+exactly the delta = (r, D, s) with D in NS(mirror) and (Psi, delta) = 0, form
+a negative-definite lattice; it has finitely many roots, and
+`p0_violations` lists all of them (Fincke-Pohst on an LLL-reduced basis).
+Only the fibration-supported family D = m f + n sigma0 admits a closed-form
+certificate, equivalent to D != 2 p^2 (`fibration_obstruction`).
 """
 
 from __future__ import annotations
@@ -34,22 +32,16 @@ from typing import Optional, Sequence, Union
 
 from .attractor import AttractorData, Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
-from .intmat import (
-    enumerate_quadric,
-    kernel_basis,
-    ldl_posdef,
-    ldl_solve,
-    mat_vec_int,
-    solve_integer,
-)
+from .intmat import enumerate_quadric, ldl_posdef, ldl_solve, lll_reduce, mat_vec_int
 from .lattice import (
     GAMMA,
+    MUKAI,
     ComplexVector,
     GramLattice,
     LatticeVector,
     MukaiVector,
     Sublattice,
-    minus_two_coefficients,
+    embed_gamma,
     orth_complement,
     pair,
 )
@@ -193,158 +185,72 @@ def ns_of_mirror(omega_check: ComplexVector, lat: GramLattice = GAMMA) -> Sublat
 
 
 # ---------------------------------------------------------------------------
-# Bounded search for (-2)-classes annihilating Psi.
+# Complete enumeration of the (-2)-classes annihilating Psi.
+
+
+@dataclass(frozen=True)
+class RootEnumeration:
+    """The roots of the lattice orthogonal to Psi and the mirror period.
+
+    `count` is the number of roots; `roots` holds the first `limit` of them in
+    (r, D, s) order, each re-verified against the exact Mukai pairing.
+    """
+
+    lattice_rank: int
+    count: int
+    roots: list[MukaiVector]
 
 
 def p0_violations(
-    psi: StabilityPoint, ns: Sublattice, bound: int, limit: Optional[int] = None
-) -> list[MukaiVector]:
-    """All delta = (r, D, s) with delta^2 = -2, |r|,|s| <= bound, D in the
-    coefficient box of the ns basis, and (Psi, delta) = 0 exactly; only the
-    first `limit` of them when a limit is given.
+    psi: StabilityPoint, omega_check: ComplexVector, limit: Optional[int] = None
+) -> RootEnumeration:
+    """Every delta = (r, D, s) with delta^2 = -2, D in NS(mirror) and
+    (Psi, delta) = 0, found by one complete enumeration (module docstring).
 
-    Ordered by (r, s, coefficient tuple): the (r, s) cosets are walked in
-    that order, each sorted, and the walk stops at the limit.  Exactness: the
-    annihilation condition splits into rational linear constraints on the
-    coefficients; the remaining quadratic equation is enumerated on the
-    constraint kernel, and every reported hit is re-verified against the
-    exact Mukai pairing.  When ns is NS(mirror) the kernel is orthogonal to a
-    positive 3-plane of Gamma (module docstring), hence negative definite,
-    and each coset is a Fincke-Pohst enumeration; the bounded scan for a
-    kernel that is not negative definite serves only sublattices chosen by
-    the caller.
+    The integral kernel of the Mukai pairings with Re and Im of the mirror
+    period and of Psi is negative definite; minus its Gram matrix is LLL
+    reduced, factored once, and its vectors of norm 2 are enumerated.
     """
-    lat = ns.ambient
-    gram = ns.gram()
-    cw = [pair(lat, psi.omega, b) for b in ns.basis]
-    cb = [pair(lat, psi.B, b) for b in ns.basis]
-    b_dot_w = pair(lat, psi.B, psi.omega)
-    b_sq = pair(lat, psi.B, psi.B)
-    w_sq = pair(lat, psi.omega, psi.omega)
-    # The left-hand rows are independent of (r, s); only the targets move.
-    functionals = _functional_rows([cw, cb])
-    solver = _KernelQuadricSolver(gram, [row for row, _ in functionals if row is not None])
-    out: list[MukaiVector] = []
-    for r in range(-bound, bound + 1):
-        for s in range(-bound, bound + 1):
-            rhs_values = _functional_rhs(
-                functionals,
-                [r * b_dot_w, QuadScalar(Fraction(r, 2)) * (b_sq - w_sq) + s],
-            )
-            if rhs_values is None:
-                continue
-            for coeffs in solver.solve(rhs_values, 2 * r * s - 2, bound):
-                delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
-                value = mukai_pair(psi, delta, lat)
-                assert not value, f"false positive {delta}: pairing {value}"
-                assert mukai_pair(delta, delta, lat) == -2
-                out.append(delta)
-                if len(out) == limit:
-                    return out
-    return out
+    s_part = psi.s_part
+    gens = [
+        embed_gamma(omega_check.re),
+        embed_gamma(omega_check.im),
+        LatticeVector(list(psi.B.coords) + [1, s_part.re]),
+        LatticeVector(list(psi.omega.coords) + [0, s_part.im]),
+    ]
+    kern = [v.int_coords() for v in orth_complement(MUKAI, gens).basis]
+    g_kern = [mat_vec_int(MUKAI.gram, v) for v in kern]
+    neg_gram = [[-sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in kern]
+    try:
+        t, reduced = lll_reduce(neg_gram)
+        factors = ldl_posdef(reduced)
+    except ValueError:
+        raise RuntimeError(
+            "the lattice orthogonal to Psi and the mirror period is not negative "
+            "definite: they do not span a positive 4-plane"
+        ) from None
 
+    def combine(coeffs, vectors):
+        out = [0] * MUKAI.rank
+        for c, v in zip(coeffs, vectors):
+            if c:
+                out = [o + c * x for o, x in zip(out, v)]
+        return out
 
-def _functional_rows(functionals: Sequence[Sequence[QuadScalar]]):
-    """Clear denominators of the rational and radical parts of each functional.
-
-    Returns a list of (row_or_None, (functional_index, part, denominator))
-    with one entry per component; a None row marks an identically-zero
-    functional component whose target must vanish.
-    """
-    out = []
-    for idx, coeffs in enumerate(functionals):
-        for part in ("a", "b"):
-            cs = [getattr(c, part) for c in coeffs]
-            if not any(cs):
-                out.append((None, (idx, part, 1)))
-                continue
-            denom = lcm(*(x.denominator for x in cs))
-            out.append((([int(x * denom) for x in cs]), (idx, part, denom)))
-    return out
-
-
-def _functional_rhs(functionals, targets: Sequence[QuadScalar]):
-    """Scaled integer targets for the active rows; None when unsatisfiable."""
-    rhs = []
-    for row, (idx, part, denom) in functionals:
-        value = getattr(targets[idx], part) * denom
-        if row is None:
-            if value:
-                return None
-            continue
-        if value.denominator != 1:
-            return None
-        rhs.append(value.numerator)
-    return rhs
-
-
-class _KernelQuadricSolver:
-    """Solve {A x = rhs, x^T G x = target, |x_i| <= bound} for varying rhs.
-
-    The kernel K of A and its Gram matrix are fixed, so P = -K^T G K is
-    factored once and the factors are reused on every coset x0 + K y.  A
-    failed factorization means the kernel is not negative definite; its
-    cosets are then read off the bounded scan of all x with x^T G x = target.
-    """
-
-    def __init__(self, gram, rows):
-        self.gram = gram
-        self.rows = rows
-        self.kern = kernel_basis(rows, len(gram))
-        g_kern = [mat_vec_int(gram, w) for w in self.kern]
-        gk = [[sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in self.kern]
-        # P = -K^T G K is positive definite exactly when its LDL^T exists
-        try:
-            self.factors = ldl_posdef([[Fraction(-x) for x in row] for row in gk])
-        except ValueError:
-            self.factors = None
-
-    def solve(self, rhs, target, bound):
-        if self.factors is None:
-            return [
-                x
-                for x in minus_two_coefficients(self.gram, bound, target)
-                if mat_vec_int(self.rows, x) == rhs
-            ]
-        x0 = solve_integer(self.rows, rhs, len(self.gram))
-        if x0 is None:
-            return []
-        return _enumerate_coset(self.gram, self.factors, self.kern, x0, target, bound)
-
-
-def p0_falsifier(psi: StabilityPoint, ns: Sublattice, bound: int) -> Optional[MukaiVector]:
-    """First annihilating (-2)-class within the bound, or None; the coset
-    walk stops at the first hit.
-
-    Absence is evidence up to the stated bound, never a proof.
-    """
-    hits = p0_violations(psi, ns, bound, limit=1)
-    return hits[0] if hits else None
-
-
-def _enumerate_coset(gram, factors, kern, x0, target, bound):
-    """Points x = x0 + K y of the coset with x^T G x = target inside the box.
-
-    With P = -K^T G K (given by its LDL factors) and lin = K^T G x0:
-    Q(y) = -y P y + 2 lin.y + c0 = target
-      <=> (y - w)^T P (y - w) = w.P.w + c0 - target with P w = lin.
-    """
-    k = len(x0)
-    gx0 = mat_vec_int(gram, x0)
-    lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]  # K^T G x0
-    c0 = sum(x0[i] * gx0[i] for i in range(k))
-    w = ldl_solve(factors, lin)
-    radius = sum(wi * li for wi, li in zip(w, lin)) + c0 - target
-    out = []
-    for y in enumerate_quadric(factors, w, radius):
-        x = list(x0)
-        for coeff, v in zip(y, kern):
-            if coeff:
-                for i in range(k):
-                    x[i] += coeff * v[i]
-        if all(abs(c) <= bound for c in x):
-            out.append(tuple(x))
-    return sorted(out)
+    basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
+    n = GAMMA.rank  # Mukai coordinates are (D, r, s)
+    hits = sorted(
+        (x[n], tuple(x[:n]), x[n + 1])
+        for x in (combine(y, basis) for y in enumerate_quadric(factors, [0] * len(basis), 2))
+    )
+    roots = []
+    for r, d, s in hits[:limit]:
+        delta = MukaiVector(r, LatticeVector(d), s)
+        assert not mukai_pair(psi, delta), f"false positive {delta}: pairs with Psi"
+        assert not pair(GAMMA, omega_check, delta.D), f"{delta} is not in NS(mirror)"
+        assert mukai_pair(delta, delta) == -2
+        roots.append(delta)
+    return RootEnumeration(lattice_rank=len(kern), count=len(hits), roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +373,6 @@ class SearchParams:
     c_eta: Union[Fraction, QuadScalar] = Fraction(1, 10)
     alphas: tuple = ()
     beta: Fraction = Fraction(1)
-    bound: int = 3
 
 
 @dataclass
@@ -475,12 +380,13 @@ class SearchResult:
     omega_J: LatticeVector
     candidate_index: int
     candidates_tried: int
-    bound: int
     eta: Optional[LatticeVector]
     psi: StabilityPoint
     triple: MirrorTriple
     data: AttractorData
     charges: list[tuple[LatticeVector, QuadScalar]]
+    obstruction: ObstructionCheck
+    enumeration: RootEnumeration
     rejections: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -531,8 +437,8 @@ def search_kahler_class(
     least k with no cap, and a base outside it, or a candidate line not
     orthogonal to the charge, ends the search at once.  The candidate must
     span a positive plane, give all twenty mirror charges real and nonzero,
-    and survive the bounded (-2)-class falsifier; otherwise SearchExhausted
-    carries the k halving rejections and the final reason.
+    and annihilate no (-2)-class (the complete `p0_violations`); otherwise
+    SearchExhausted carries the k halving rejections and the final reason.
     """
     lat = charge.lat
     obstruction = fibration_obstruction(charge, split)
@@ -584,19 +490,20 @@ def search_kahler_class(
         if not z.re:
             raise exhausted(f"zero real charge for class {cls}")
         charges.append((cls, z.re))
-    hit = p0_falsifier(psi, ns_of_mirror(triple.Omega_check, lat), params.bound)
-    if hit is not None:
-        raise exhausted(f"annihilating class within bound: {hit}")
+    enumeration = p0_violations(psi, triple.Omega_check, limit=1)
+    if enumeration.roots:
+        raise exhausted(f"annihilating (-2)-class: {enumeration.roots[0]}")
     return SearchResult(
         omega_J=omega,
         candidate_index=k,
         candidates_tried=k + 1,
-        bound=params.bound,
         eta=eta,
         psi=psi,
         triple=triple,
         data=data,
         charges=charges,
+        obstruction=obstruction,
+        enumeration=enumeration,
         rejections=rejections,
     )
 

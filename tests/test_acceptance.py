@@ -27,18 +27,16 @@ from k3stab.lattice import (
     LatticeVector,
     MukaiVector,
     Sublattice,
-    minus_two_coefficients,
     orth_complement,
     pair,
     signature,
 )
 from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period, tube_map
+from oracles import bounded_p0_violations, minus_two_coefficients
 from k3stab.stability import (
     exp_point,
     fibration_obstruction,
     mukai_pair,
-    ns_of_mirror,
-    p0_falsifier,
     p0_violations,
     plane_gram,
     verify_reality,
@@ -157,8 +155,8 @@ def test_criterion_5_mirror_reality(sc28):
 
 def test_criterion_6_regular_point_search(sc28, searched28):
     with acceptance_criterion("regular stability point found for diag(2,8)"):
-        ns = ns_of_mirror(searched28.triple.Omega_check)
-        assert p0_falsifier(searched28.psi, ns, 3) is None
+        enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
+        assert enumeration.lattice_rank == 20 and enumeration.count == 0
         assert all(z.sign() != 0 for _, z in searched28.charges)
         # the unperturbed family member has plane Gram diag(8,8)
         gram = plane_gram(sc28.psi)
@@ -176,7 +174,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
             data = hyperkahler_rotate(sc22.charge, sc22.tau, omega_J)
             triple = mirror_period(sc22.split, data.Omega_I, data.omega_I, ZERO)
             psi = exp_point(triple.B_check, triple.omega_check)
-            hits = p0_violations(psi, ns_of_mirror(triple.Omega_check), 2)
+            hits = p0_violations(psi, triple.Omega_check).roots
             sigma_hits = [
                 h for h in hits if h.r == 0 and h.s == 0 and h.D in (SIGMA0, -SIGMA0)
             ]
@@ -286,6 +284,7 @@ def _naive_p0(psi, sub, bound):
 
 def test_criterion_10_brute_force_equivalence(sc28):
     with acceptance_criterion("bounded enumerations match naive grid scans"):
+        # the bounded scans are the oracles of the complete root enumeration
         assert signature(GAMMA) == (3, 0, 19)
         four = orth_complement(
             GAMMA, [sc28.charge.p, sc28.charge.q, F, SIGMA0]
@@ -296,7 +295,8 @@ def test_criterion_10_brute_force_equivalence(sc28):
             assert sorted(minus_two_coefficients(sub.gram(), 2)) == _naive_minus_two(sub, 2)
             psi = exp_point(GAMMA.basis(6) if len(idx) > 2 else ZERO, 2 * F + SIGMA0)
             fast = {
-                (h.r, tuple(h.D.int_coords()), h.s) for h in p0_violations(psi, sub, 2)
+                (h.r, tuple(h.D.int_coords()), h.s)
+                for h in bounded_p0_violations(psi, sub, 2)
             }
             naive = {
                 (r, tuple(sub.from_coefficients(x).int_coords()), s)

@@ -19,8 +19,8 @@ from k3stab.attractor import (
     z_k3,
 )
 from k3stab.exact import QuadComplex, QuadScalar
-from k3stab.intmat import solve_integer
 from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair, signature
+from oracles import solve_integer
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)

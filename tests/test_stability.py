@@ -31,7 +31,6 @@ from k3stab.stability import (
     is_positive_plane,
     mukai_pair,
     ns_of_mirror,
-    p0_falsifier,
     p0_violations,
     plane_gram,
     search_kahler_class,
@@ -40,7 +39,7 @@ from k3stab.stability import (
     wall_member,
 )
 from k3stab.stability import _dual_eta
-from oracles import dual_eta, solve_rational
+from oracles import bounded_p0_violations, dual_eta, solve_integer
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -148,8 +147,6 @@ def test_ns_of_mirror(sc28, sc22):
         assert pair(GAMMA, v, sc28.triple.Omega_check.im) == 0
     # the obstructing section class lies in the mirror Picard lattice for 2,2
     ns22 = ns_of_mirror(sc22.triple.Omega_check)
-    from k3stab.intmat import solve_integer
-
     cols = [list(v.int_coords()) for v in ns22.basis]
     matrix = [list(col) for col in zip(*cols)]
     assert solve_integer(matrix, SIGMA0.int_coords()) is not None
@@ -164,7 +161,7 @@ def test_ns_rank_drops_for_irrational_period():
 
 
 # ---------------------------------------------------------------------------
-# Falsifier.
+# Complete (-2)-class enumeration.
 
 
 def test_falsifier_finds_sigma0_for_2_2_family(sc22):
@@ -182,7 +179,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         data = hyperkahler_rotate(sc22.charge, sc22.tau, omega_J)
         triple = mirror_period(split, data.Omega_I, data.omega_I, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
-        hits = p0_violations(psi, ns_of_mirror(triple.Omega_check), 2)
+        hits = p0_violations(psi, triple.Omega_check).roots
         found = {
             (h.r, tuple(h.D.int_coords()), h.s)
             for h in hits
@@ -194,31 +191,66 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
 
 
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
-    ns = ns_of_mirror(searched28.triple.Omega_check)
-    assert p0_falsifier(searched28.psi, ns, 3) is None
+    enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
+    assert (enumeration.lattice_rank, enumeration.count, enumeration.roots) == (20, 0, [])
+    assert searched28.enumeration == enumeration
 
 
 def test_falsifier_hits_base_family_member(sc28):
     # with B-check = 0 every Gamma'-root annihilates the stability point
-    ns = ns_of_mirror(sc28.triple.Omega_check)
-    hit = p0_falsifier(sc28.psi, ns, 3)
-    assert hit is not None
+    hit = p0_violations(sc28.psi, sc28.triple.Omega_check, limit=1).roots[0]
     assert hit.r == 0 and hit.s == 0
     assert mukai_pair(sc28.psi, hit) == QuadComplex(0)
 
 
+def _sort_key(delta):
+    return (delta.r, tuple(delta.D.int_coords()), delta.s)
+
+
 def test_falsifier_is_first_violation(sc28, searched28, sc22):
-    points = [(sc28.psi, sc28.triple, 3), (searched28.psi, searched28.triple, 3)]
-    points.append((sc22.psi, sc22.triple, 2))
-    expected_hits = []
-    for psi, triple, bound in points:
-        ns = ns_of_mirror(triple.Omega_check)
-        hits = p0_violations(psi, ns, bound)
-        assert [(h.r, h.s) for h in hits] == sorted((h.r, h.s) for h in hits)
-        assert p0_falsifier(psi, ns, bound) == (hits[0] if hits else None)
-        assert p0_violations(psi, ns, bound, limit=2) == hits[:2]
-        expected_hits.append(bool(hits))
-    assert expected_hits == [True, False, True]
+    """The roots come in (r, D, s) order and `limit` keeps a prefix of them."""
+    points = [(sc28.psi, sc28.triple), (searched28.psi, searched28.triple)]
+    points.append((sc22.psi, sc22.triple))
+    counts = []
+    for psi, triple in points:
+        full = p0_violations(psi, triple.Omega_check)
+        assert full.count == len(full.roots)
+        assert full.roots == sorted(full.roots, key=_sort_key)
+        assert len(set(full.roots)) == full.count
+        assert set(full.roots) == {-h for h in full.roots}
+        for limit in (1, 2):
+            cut = p0_violations(psi, triple.Omega_check, limit=limit)
+            assert cut.roots == full.roots[:limit]
+            assert (cut.count, cut.lattice_rank) == (full.count, full.lattice_rank)
+        counts.append(full.count)
+    assert counts == [482, 0, 488]
+
+
+def test_complete_list_contains_obstruction_delta(sc22):
+    obstruction = fibration_obstruction(sc22.charge, sc22.split)
+    roots = p0_violations(sc22.psi, sc22.triple.Omega_check).roots
+    assert obstruction.delta in roots and -obstruction.delta in roots
+    assert {obstruction.delta.D, -obstruction.delta.D} == {SIGMA0, -SIGMA0}
+
+
+def test_complete_enumeration_contains_bounded_walk():
+    """At the five shipped scenarios every hit of the bounded (r, s) coset
+    walk is in the complete list; the complete list also finds roots that
+    lie outside the walk's coefficient box."""
+    for name, sc in _shipped_scenarios().items():
+        complete = p0_violations(sc.psi, sc.triple.Omega_check)
+        bounded = bounded_p0_violations(sc.psi, ns_of_mirror(sc.triple.Omega_check), 2)
+        assert bounded and set(bounded) <= set(complete.roots), name
+        assert complete.count > len(bounded), name
+
+
+def test_enumeration_needs_a_positive_four_plane(sc28):
+    # Im Psi = (q, 0, 0) is Re of this period, so the four vectors span only
+    # a positive 3-plane and its complement is indefinite
+    psi = exp_point(ZERO, sc28.charge.q)
+    period = ComplexVector(sc28.charge.q, sc28.charge.p)
+    with pytest.raises(RuntimeError, match="not negative definite"):
+        p0_violations(psi, period)
 
 
 def _naive_p0(psi, ns, bound):
@@ -246,6 +278,8 @@ def _naive_p0(psi, ns, bound):
 
 @pytest.mark.parametrize("basis_idx", [(0, 1), (0, 1, 6), (0, 1, 6, 7), (2, 3, 6, 7)])
 def test_falsifier_matches_naive_scan(basis_idx, sc28):
+    """The bounded-walk oracle equals a naive grid scan on small sublattices,
+    (2, 3, 6, 7) with an indefinite kernel."""
     sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in basis_idx])
     for b_vec, w_vec in [
         (ZERO, 2 * F + SIGMA0),
@@ -254,7 +288,7 @@ def test_falsifier_matches_naive_scan(basis_idx, sc28):
     ]:
         psi = exp_point(b_vec, w_vec)
         fast = {
-            (h.r, tuple(h.D.int_coords()), h.s) for h in p0_violations(psi, sub, 2)
+            (h.r, tuple(h.D.int_coords()), h.s) for h in bounded_p0_violations(psi, sub, 2)
         }
         naive = {
             (r, tuple(sub.from_coefficients(x).int_coords()), s)
@@ -438,67 +472,6 @@ def test_wall_intersection_rejects_zero_charge(sc28):
 # Rewritten kernels against the code they replaced.
 
 
-def _reference_coset(gram, kern, x0, target, bound, k):
-    """Coset enumeration with a Gauss-Jordan solve and a fresh factorization
-    of P = -K^T G K on every call."""
-    from k3stab.intmat import enumerate_quadric, ldl_posdef, mat_vec_int
-    m = len(kern)
-    gk = [
-        [sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k)) for w in kern]
-        for u in kern
-    ]
-    gx0 = mat_vec_int(gram, x0)
-    lin = [sum(v[i] * gx0[i] for i in range(k)) for v in kern]
-    c0 = sum(x0[i] * gx0[i] for i in range(k))
-    p = [[Fraction(-gk[i][j]) for j in range(m)] for i in range(m)]
-    w = solve_rational(p, [Fraction(x) for x in lin])
-    radius = sum(wi * li for wi, li in zip(w, lin)) + c0 - target
-    out = []
-    for y in enumerate_quadric(ldl_posdef(p), w, radius):
-        x = [x0[i] + sum(c * v[i] for c, v in zip(y, kern)) for i in range(k)]
-        if all(abs(c) <= bound for c in x):
-            out.append(tuple(x))
-    return sorted(out)
-
-
-def _coset_hits(psi, ns, bound):
-    """Every (r, s) coset of the (-2)-class search, solved both ways."""
-    from k3stab.intmat import solve_integer
-    from k3stab.stability import _functional_rhs, _functional_rows, _KernelQuadricSolver
-
-    lat = ns.ambient
-    gram = ns.gram()
-    cw = [pair(lat, psi.omega, b) for b in ns.basis]
-    cb = [pair(lat, psi.B, b) for b in ns.basis]
-    b_dot_w = pair(lat, psi.B, psi.omega)
-    b_sq, w_sq = pair(lat, psi.B, psi.B), pair(lat, psi.omega, psi.omega)
-    functionals = _functional_rows([cw, cb])
-    rows = [row for row, _ in functionals if row is not None]
-    solver = _KernelQuadricSolver(gram, rows)
-    assert solver.factors is not None and solver.kern
-    cosets = hits = 0
-    for r in range(-bound, bound + 1):
-        for s in range(-bound, bound + 1):
-            rhs = _functional_rhs(
-                functionals, [r * b_dot_w, QuadScalar(Fraction(r, 2)) * (b_sq - w_sq) + s]
-            )
-            x0 = None if rhs is None else solve_integer(rows, rhs)
-            if x0 is None:
-                continue
-            got = solver.solve(rhs, 2 * r * s - 2, bound)
-            assert got == _reference_coset(gram, solver.kern, x0, 2 * r * s - 2, bound, ns.rank)
-            cosets += 1
-            hits += len(got)
-    return cosets, hits
-
-
-def test_factored_cosets_match_reference(sc22, searched28):
-    cosets, hits = _coset_hits(sc22.psi, ns_of_mirror(sc22.triple.Omega_check), 2)
-    assert cosets and hits >= 2  # the obstructed point carries (0, +-sigma0, 0)
-    cosets, hits = _coset_hits(searched28.psi, ns_of_mirror(searched28.triple.Omega_check), 3)
-    assert cosets and hits == 0
-
-
 def test_wall_table_matches_wall_member(sc28, searched28):
     from k3stab.stability import wall_table
 
@@ -548,7 +521,7 @@ def test_orth_complement_matches_per_basis_rows():
     periods = {name: sc.triple.Omega_check for name, sc in _shipped_scenarios().items()}
     assert len(periods) == 5
     # a perturbed search candidate over sqrt(23)
-    sc = build_scenario(form=[4, 1, 6], bound=2)
+    sc = build_scenario(form=[4, 1, 6])
     omega = sc.omega_J + Fraction(1, 10) * sc.eta_basis[0]
     data = hyperkahler_rotate(sc.charge, sc.tau, omega)
     period = mirror_period(sc.split, data.Omega_I, data.omega_I, ZERO).Omega_check
