@@ -36,6 +36,7 @@ from .scenario import (
     ScenarioError,
     attractor_report,
     charge_table_report,
+    form_from_json,
     mirror_reality_report,
     mirror_report,
     obstruction_json,
@@ -72,12 +73,10 @@ def _emit(payload: dict) -> None:
 
 def _parse_form(text: str) -> BinaryEvenForm:
     try:
-        triple = json.loads(text)
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise ValueError("need a JSON triple [a, b, c]")
-        return BinaryEvenForm(*[int(x) for x in triple])
-    except (ValueError, TypeError) as exc:
+        value = json.loads(text)
+    except ValueError as exc:
         raise ScenarioError(f"bad form {text!r}: {exc}") from None
+    return form_from_json(value)
 
 
 def cmd_attractor(args) -> int:

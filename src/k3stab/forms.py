@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .lattice import GramLattice, LatticeVector, pair
-
 
 @dataclass(frozen=True)
 class BinaryEvenForm:
@@ -157,9 +155,3 @@ def enumerate_reduced(disc: int) -> list[BinaryEvenForm]:
             out.append(BinaryEvenForm(a, b, c))
     return out
 
-
-def form_of_charge(lat: GramLattice, p: LatticeVector, q: LatticeVector) -> BinaryEvenForm:
-    """The even form (p.p, p.q, q.q) attached to a pair of lattice vectors."""
-    return BinaryEvenForm(
-        pair(lat, p, p).as_int(), pair(lat, p, q).as_int(), pair(lat, q, q).as_int()
-    )

@@ -2,7 +2,8 @@
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic over ``int`` and ``Fraction``: unimodular column reduction for
-integer kernels, symmetric congruence for signatures, integral LLL reduction,
+integer kernels, symmetric congruence for signatures, integral Gram-Schmidt
+data (the one factorization of a definite matrix), integral LLL reduction,
 and an exact Fincke–Pohst style enumerator for definite quadrics used by the
 (-2)-class enumeration.
 """
@@ -128,23 +129,57 @@ def is_negative_definite(gram: Sequence[Sequence]) -> bool:
 # Exact enumeration on a definite quadric.
 
 
-def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _gram_schmidt_row(g, d: list[int], lam: list[list[int]], k: int) -> None:
+    """Fill d[k + 1] and lam[k][:k] from row k of g and the data of rows < k;
+    every division is exact (the values are integer minors)."""
+    for j in range(k + 1):
+        u = g[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u <= 0:
+            raise ValueError("matrix is not positive definite")
+        else:
+            d[k + 1] = u
+
+
+def gram_schmidt(gram: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data ``(d, lam)`` of a positive definite integer
+    Gram matrix, its only factorization here (Cohen, Algorithm 2.6.7).
+
+    d[i] is the i-th leading principal minor (d[0] = 1) and, for j < k,
+    lam[k][j] = d[j + 1] mu_kj: as an LDL^T, the pivot of row i is
+    d[i + 1] / d[i] and its coefficient on row j > i is lam[j][i] / d[i + 1].
+    Raises ValueError unless the matrix is positive definite.
+    """
+    n = len(gram)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(gram, d, lam, k)
+    return d, lam
+
+
+def lll_reduce(
+    gram: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
     """LLL reduction, delta = 3/4, of a positive definite integer Gram matrix.
 
-    Returns ``(t, g)`` with t unimodular and g = t gram t^T reduced.  This is
-    the integral LLL of Cohen (Algorithm 2.6.7): the Gram-Schmidt data are
-    the integers d_i (leading principal minors) and lam[k][j] = d_{j+1} mu_kj,
-    updated in place on every size reduction and swap, never recomputed.
+    Returns ``(t, g, d, lam)`` with t unimodular, g = t gram t^T reduced and
+    ``(d, lam) = gram_schmidt(g)``.  This is the integral LLL of Cohen
+    (Algorithm 2.6.7): the Gram-Schmidt data are computed once per new
+    vector and then updated in place on every size reduction and swap,
+    never recomputed.
     """
     n = len(gram)
     g = [[int(x) for x in row] for row in gram]
     t = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n == 0:
-        return t, g
-    if g[0][0] <= 0:
-        raise ValueError("matrix is not positive definite")
-    d = [1, g[0][0]] + [0] * (n - 1)  # d[i + 1] belongs to basis vector i
+    d = [1] + [0] * n  # d[i + 1] belongs to basis vector i
     lam = [[0] * n for _ in range(n)]
+    if n == 0:
+        return t, g, d, lam
+    _gram_schmidt_row(g, d, lam, 0)
 
     def reduce(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) <= d[l + 1]:
@@ -177,16 +212,7 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[lis
     while k < n:
         if k > kmax:  # Gram-Schmidt data of a vector not seen before
             kmax = k
-            for j in range(k + 1):
-                u = g[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u <= 0:
-                    raise ValueError("matrix is not positive definite")
-                else:
-                    d[k + 1] = u
+            _gram_schmidt_row(g, d, lam, k)
         reduce(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
             swap(k)
@@ -195,23 +221,7 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[lis
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return t, g
-
-
-def ldl_posdef(p: Sequence[Sequence[Fraction]]):
-    """LDL^T of a positive definite rational matrix: p = U^T diag(d) U."""
-    n = len(p)
-    d = [Fraction(0)] * n
-    u = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        v = Fraction(p[i][i]) - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if v <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[i] = v
-        for j in range(i + 1, n):
-            w = Fraction(p[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
-            u[i][j] = w / v
-    return d, u
+    return t, g, d, lam
 
 
 def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
@@ -223,46 +233,32 @@ def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def ldl_solve(factors, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve p x = b by substitution against ``factors = ldl_posdef(p)``."""
-    d, u = factors
-    n = len(d)
-    z = [Fraction(0)] * n
-    for i in range(n):  # U^T z = b, U^T unit lower triangular
-        z[i] = b[i] - sum(u[k][i] * z[k] for k in range(i))
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):  # U x = D^-1 z
-        x[i] = z[i] / d[i] - sum(u[i][j] * x[j] for j in range(i + 1, n))
-    return x
-
-
 def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple[int, ...]]:
     """All integer y with (y - w)^T p (y - w) == r, for positive definite p
-    given by its factorization ``factors = ldl_posdef(p)``.
+    given by its Gram-Schmidt data ``factors = gram_schmidt(p)``.
 
     Finite because p is definite; output in lexicographic order.
     """
-    d, u = factors
-    n = len(d)
+    d, lam = factors
+    n = len(lam)
     r = Fraction(r)
     if n == 0:
         return [()] if r == 0 else []
     if r < 0:
         return []
     w = [Fraction(x) for x in w]
-    # integer numerators: w = wn / wd and row i of u is num[i] / den[i]
-    wd = lcm(*(x.denominator for x in w))
+    wd = lcm(*(x.denominator for x in w))  # w = wn / wd
     wn = [x.numerator * (wd // x.denominator) for x in w]
-    den = [lcm(*(x.denominator for x in row[i + 1 :])) for i, row in enumerate(u)]
-    num = [[x.numerator * (den[i] // x.denominator) for x in row] for i, row in enumerate(u)]
+    pivot = [Fraction(d[i + 1], d[i]) for i in range(n)]
     out: list[tuple[int, ...]] = []
     y = [0] * n
 
     def descend(i: int, budget: Fraction):
-        # z_i = y_i + gamma_i with gamma_i = sum_{j>i} u[i][j] (y_j - w_j) - w_i = g / gd
-        g = sum(num[i][j] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - den[i] * wn[i]
-        gd = den[i] * wd
-        c = budget / d[i]  # z_i^2 <= c
+        # z_i = y_i + gamma_i with gamma_i = sum_{j>i} mu_ji (y_j - w_j) - w_i = g / gd,
+        # mu_ji = lam[j][i] / d[i + 1]
+        g = sum(lam[j][i] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - d[i + 1] * wn[i]
+        gd = d[i + 1] * wd
+        c = budget / pivot[i]  # z_i^2 <= c
         if i == 0:
             root = _sqrt_fraction(c)
             if root is None:
@@ -280,7 +276,7 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
         gamma = Fraction(g, gd)
         for t in range(-((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
-            descend(i - 1, budget - d[i] * (t + gamma) ** 2)
+            descend(i - 1, budget - pivot[i] * (t + gamma) ** 2)
 
     descend(n - 1, r)
     return sorted(out)

@@ -193,7 +193,10 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> list[list[int]]:
-        return [[pair(self.ambient, x, y).as_int() for y in self.basis] for x in self.basis]
+        """The integer Gram matrix of the basis, by integer dot products."""
+        coords = [b.int_coords() for b in self.basis]
+        images = [mat_vec_int(self.ambient.gram, x) for x in coords]
+        return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
 
     def from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
         out = [0] * self.ambient.rank  # integer sums: the basis is integral
@@ -263,10 +266,6 @@ def pair(lat: GramLattice, x, y):
     if cx:
         return QuadComplex(_pair_real(lat, x.re, y), _pair_real(lat, x.im, y))
     return QuadComplex(_pair_real(lat, x, y.re), _pair_real(lat, x, y.im))
-
-
-def gram_of(lat: GramLattice, vectors: Sequence[LatticeVector]) -> list[list[QuadScalar]]:
-    return [[pair(lat, x, y) for y in vectors] for x in vectors]
 
 
 def signature(obj) -> tuple[int, int, int]:

@@ -131,14 +131,6 @@ def mirror_period(
     return triple
 
 
-def canonicalize_period(split: SplitData, Omega: ComplexVector) -> ComplexVector:
-    """Rescale a period so its v*-coefficient (= Omega.v) equals 1."""
-    coeff = pair(split.lat, Omega, ComplexVector(split.v))
-    if not coeff:
-        raise NormalizationFailure("period has no v* component")
-    return Omega.scale(coeff.inverse())
-
-
 def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
     """Mukai vector of the mirror of an integral class.
 

@@ -91,6 +91,22 @@ def _vector(value, rank: int = 22) -> LatticeVector:
     return LatticeVector([_scalar(x) for x in value])
 
 
+def form_from_json(value) -> BinaryEvenForm:
+    """An even form from a triple [a, b, c] of JSON integers; a bool, float or
+    string entry is an error, never coerced."""
+    if isinstance(value, BinaryEvenForm):
+        return value
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ScenarioError(f"form must be a triple [a, b, c], got {value!r}")
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ScenarioError(f"form entries must be integers, got {x!r} in {value!r}")
+    try:
+        return BinaryEvenForm(*value)
+    except ValueError as exc:
+        raise ScenarioError(f"bad form {value!r}: {exc}") from None
+
+
 def standard_charge(form: BinaryEvenForm) -> tuple[LatticeVector, LatticeVector]:
     """Block realization of a charge with Gram matrix equal to the form."""
     p = GAMMA.basis(2) + (form.a // 2) * GAMMA.basis(3)
@@ -200,13 +216,7 @@ def build_scenario(
     if form is not None:
         if p is not None or q is not None:
             raise ScenarioError("scenario takes either a form or explicit p and q, not both")
-        if isinstance(form, (list, tuple)):
-            try:
-                form = BinaryEvenForm(*[int(x) for x in form])
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"bad form: {exc}") from None
-        elif not isinstance(form, BinaryEvenForm):
-            raise ScenarioError(f"form must be a triple [a, b, c], got {form!r}")
+        form = form_from_json(form)
         p_vec, q_vec = standard_charge(form)
     elif p is not None and q is not None:
         p_vec, q_vec = _vector(p), _vector(q)
@@ -379,10 +389,10 @@ def mirror_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     rows = [
         {
             "class": vector_json(cls, with_float),
-            "mukai": mukai_json(mirror_class(sc.split, cls)),
+            "mukai": mukai_json(v),
             "Z": scalar_json(z, with_float),
         }
-        for cls, z in values
+        for cls, z, v in values
     ]
     return {
         "scenario": sc.echo(),
@@ -482,7 +492,7 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
     result = search_kahler_class(
         sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
     )
-    walls = wall_intersection(sc.split, result.psi, sc.pic_basis)
+    walls = wall_intersection(result.charges)
     return {
         "scenario": sc.echo(),
         "certificate": "wall-intersection",
@@ -499,7 +509,9 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
 
 def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
     """Pairwise wall membership at the scenario's own omega_J (no search)."""
-    reports = wall_table(sc.psi, [mirror_class(sc.split, cls) for cls in sc.pic_basis])
+    reports = wall_table(
+        [central_charge(sc.psi, mirror_class(sc.split, cls)) for cls in sc.pic_basis]
+    )
     return {
         "scenario": sc.echo(),
         "walls": [wall_json(r, with_float) for r in reports],

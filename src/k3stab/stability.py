@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .attractor import AttractorData, Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
-from .intmat import enumerate_quadric, ldl_posdef, ldl_solve, lll_reduce, mat_vec_int
+from .intmat import enumerate_quadric, gram_schmidt, kernel_basis, lll_reduce
 from .lattice import (
     GAMMA,
     MUKAI,
@@ -209,7 +208,8 @@ def p0_violations(
 
     The integral kernel of the Mukai pairings with Re and Im of the mirror
     period and of Psi is negative definite; minus its Gram matrix is LLL
-    reduced, factored once, and its vectors of norm 2 are enumerated.
+    reduced, and its vectors of norm 2 are enumerated with the Gram-Schmidt
+    data that the reduction ends with, so nothing is factored twice.
     """
     s_part = psi.s_part
     gens = [
@@ -218,12 +218,10 @@ def p0_violations(
         LatticeVector(list(psi.B.coords) + [1, s_part.re]),
         LatticeVector(list(psi.omega.coords) + [0, s_part.im]),
     ]
-    kern = [v.int_coords() for v in orth_complement(MUKAI, gens).basis]
-    g_kern = [mat_vec_int(MUKAI.gram, v) for v in kern]
-    neg_gram = [[-sum(a * b for a, b in zip(u, gw)) for gw in g_kern] for u in kern]
+    sub = orth_complement(MUKAI, gens)
+    kern = [v.int_coords() for v in sub.basis]
     try:
-        t, reduced = lll_reduce(neg_gram)
-        factors = ldl_posdef(reduced)
+        t, _, d, lam = lll_reduce([[-x for x in row] for row in sub.gram()])
     except ValueError:
         raise RuntimeError(
             "the lattice orthogonal to Psi and the mirror period is not negative "
@@ -241,7 +239,7 @@ def p0_violations(
     n = GAMMA.rank  # Mukai coordinates are (D, r, s)
     hits = sorted(
         (x[n], tuple(x[:n]), x[n + 1])
-        for x in (combine(y, basis) for y in enumerate_quadric(factors, [0] * len(basis), 2))
+        for x in (combine(y, basis) for y in enumerate_quadric((d, lam), [0] * len(basis), 2))
     )
     roots = []
     for r, d, s in hits[:limit]:
@@ -328,10 +326,9 @@ def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallRe
     return WallReport(i=0, j=1, member=_phase_aligned(z1, z2), z_i=z1, z_j=z2)
 
 
-def wall_table(psi: StabilityPoint, vectors: Sequence[MukaiVector]) -> list[WallReport]:
-    """Wall membership of every pair i < j, in (i, j) order, from one central
-    charge per vector."""
-    zs = [central_charge(psi, v) for v in vectors]
+def wall_table(zs: Sequence[QuadComplex]) -> list[WallReport]:
+    """Wall membership of every pair i < j, in (i, j) order, from the central
+    charges of the vectors (one per vector, computed by the caller)."""
     return [
         WallReport(i=i, j=j, member=_phase_aligned(zs[i], zs[j]), z_i=zs[i], z_j=zs[j])
         for i in range(len(zs))
@@ -345,14 +342,16 @@ def wall_table(psi: StabilityPoint, vectors: Sequence[MukaiVector]) -> list[Wall
 
 def verify_reality(
     split: SplitData, psi: StabilityPoint, classes: Sequence[LatticeVector]
-) -> list[tuple[LatticeVector, QuadScalar]]:
-    """Check that every Z(mu(l)) is exactly real; return the real values."""
+) -> list[tuple[LatticeVector, QuadScalar, MukaiVector]]:
+    """Check that every Z(mu(l)) is exactly real; return (l, Z(mu(l)), mu(l))
+    per class, from one mirror class and one central charge each."""
     out = []
     for cls in classes:
-        z = central_charge(psi, mirror_class(split, cls))
+        v = mirror_class(split, cls)
+        z = central_charge(psi, v)
         if z.im:
             raise RealityViolation(cls, z)
-        out.append((cls, z.re))
+        out.append((cls, z.re, v))
     return out
 
 
@@ -391,23 +390,24 @@ class SearchResult:
 
 
 def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector:
-    """The integral class eta with eta . b_i the same negative integer for
-    every vector b_i of a basis of a negative definite lattice.
+    """The integral class eta with eta . b_i = -c for every vector b_i of a
+    basis of a negative definite lattice, c > 0 the least such integer.
 
-    In root-lattice blocks eta pairs with each root by a multiple of its
-    height, and so avoids every root hyperplane.
+    `gram_schmidt` of minus the Gram matrix P decides definiteness; then the
+    kernel of [P | -1] is spanned by one primitive vector (x, c), and with
+    c > 0, P x = c 1 makes x the coefficients of eta.  In root-lattice blocks
+    eta pairs with each root by a multiple of its height, and so avoids every
+    root hyperplane.
     """
-    neg_gram = [[-pair(lat, x, y).as_int() for y in basis] for x in basis]
+    sub = Sublattice(lat, basis)
+    neg_gram = [[-x for x in row] for row in sub.gram()]
     try:
-        factors = ldl_posdef(neg_gram)
+        gram_schmidt(neg_gram)
     except ValueError:
         raise PreconditionViolation("the eta basis must span a negative definite lattice") from None
-    coeffs = ldl_solve(factors, [Fraction(1)] * len(basis))
-    denom = lcm(*(c.denominator for c in coeffs))
-    eta = LatticeVector.zero(lat.rank)
-    for c, b in zip(coeffs, basis):
-        eta = eta + int(c * denom) * b
-    return eta
+    (kernel,) = kernel_basis([row + [-1] for row in neg_gram])
+    *x, _ = kernel if kernel[-1] > 0 else [-a for a in kernel]
+    return sub.from_coefficients(x)
 
 
 def _cone_violation(lat, omega, f, omega0, what):
@@ -482,14 +482,10 @@ def search_kahler_class(
     psi = exp_point(triple.B_check, triple.omega_check, lat)
     if not is_positive_plane(psi):
         raise exhausted("stability point plane is not positive definite")
-    charges = []
-    for cls in pic_basis:
-        z = central_charge(psi, mirror_class(split, cls))
-        if z.im:
-            raise RealityViolation(cls, z)
-        if not z.re:
+    charges = [(cls, z) for cls, z, _ in verify_reality(split, psi, pic_basis)]
+    for cls, z in charges:
+        if not z:
             raise exhausted(f"zero real charge for class {cls}")
-        charges.append((cls, z.re))
     enumeration = p0_violations(psi, triple.Omega_check, limit=1)
     if enumeration.roots:
         raise exhausted(f"annihilating (-2)-class: {enumeration.roots[0]}")
@@ -520,26 +516,26 @@ class WallIntersectionResult:
 
 
 def wall_intersection(
-    split: SplitData, psi: StabilityPoint, classes: Sequence[LatticeVector]
+    charges: Sequence[tuple[LatticeVector, QuadScalar]],
 ) -> WallIntersectionResult:
     """Sign-normalize the classes and certify every pairwise generalized wall.
 
-    After flipping l -> -l wherever Z(mu(l)) < 0, all charges are positive
-    reals, so all pairs must be members; a failure raises WallFailure.
+    `charges` are the exactly real (l, Z(mu(l))) of `verify_reality` or of a
+    search.  Flipping l -> -l wherever Z(mu(l)) < 0 negates the charge, since
+    Z(mu(-l)) = -Z(mu(l)) exactly, so the table is built from the flipped
+    values without a second central charge; all of them are positive reals,
+    so all pairs must be members, and a failure raises WallFailure.
     """
-    values = verify_reality(split, psi, classes)
     flips = []
-    vectors = []
-    charges = []
-    for cls, z in values:
+    positive = []
+    for cls, z in charges:
         if not z:
             raise WallFailure(f"zero charge for {cls}: no phase to align")
         flip = z.sign() < 0
         flips.append(flip)
-        vectors.append(mirror_class(split, -cls if flip else cls))
-        charges.append(-z if flip else z)
-    reports = wall_table(psi, vectors)
+        positive.append(-z if flip else z)
+    reports = wall_table([QuadComplex(z) for z in positive])
     for rep in reports:
         if not rep.member:
             raise WallFailure(f"pair ({rep.i},{rep.j}) is not on a common wall")
-    return WallIntersectionResult(flips=flips, reports=reports, charges=charges)
+    return WallIntersectionResult(flips=flips, reports=reports, charges=positive)

@@ -4,9 +4,48 @@ from fractions import Fraction
 from math import lcm
 
 from k3stab.exact import QuadScalar
-from k3stab.intmat import enumerate_quadric, kernel_basis, ldl_posdef, mat_vec_int, signature_of
-from k3stab.lattice import LatticeVector, MukaiVector, pair
+from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, mat_vec_int, signature_of
+from k3stab.forms import BinaryEvenForm
+from k3stab.lattice import ComplexVector, LatticeVector, MukaiVector, pair
+from k3stab.mirror import NormalizationFailure
 from k3stab.stability import mukai_pair
+
+
+def gram_of(lat, vectors):
+    """Gram matrix of exact vectors, one `pair` per entry."""
+    return [[pair(lat, x, y) for y in vectors] for x in vectors]
+
+
+def form_of_charge(lat, p, q):
+    """The even form (p.p, p.q, q.q) attached to a pair of lattice vectors."""
+    return BinaryEvenForm(
+        pair(lat, p, p).as_int(), pair(lat, p, q).as_int(), pair(lat, q, q).as_int()
+    )
+
+
+def canonicalize_period(split, period):
+    """Rescale a period so its v*-coefficient (= period.v) equals 1."""
+    coeff = pair(split.lat, period, ComplexVector(split.v))
+    if not coeff:
+        raise NormalizationFailure("period has no v* component")
+    return period.scale(coeff.inverse())
+
+
+def ldl_posdef(p):
+    """LDL^T of a positive definite rational matrix, p = U^T diag(d) U, in
+    Fraction arithmetic; the reference for `intmat.gram_schmidt`."""
+    n = len(p)
+    d = [Fraction(0)] * n
+    u = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        v = Fraction(p[i][i]) - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if v <= 0:
+            raise ValueError("matrix is not positive definite")
+        d[i] = v
+        for j in range(i + 1, n):
+            w = Fraction(p[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
+            u[i][j] = w / v
+    return d, u
 
 
 def solve_rational(a, b):
@@ -138,10 +177,10 @@ def bounded_p0_violations(psi, ns, bound):
             if any(cs):
                 rows.append([int(x * denom) for x in cs])
     kern = kernel_basis(rows, k)
-    p = [[Fraction(-sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k)))
+    p = [[-sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k))
           for w in kern] for u in kern]
     try:
-        factors = ldl_posdef(p)
+        factors = gram_schmidt(p)
     except ValueError:
         factors = None
     out = []
@@ -166,7 +205,7 @@ def bounded_p0_violations(psi, ns, bound):
                     continue
                 gx0 = mat_vec_int(gram, x0)
                 lin = [Fraction(sum(v[i] * gx0[i] for i in range(k))) for v in kern]
-                w = solve_rational(p, lin) if kern else []
+                w = solve_rational([[Fraction(x) for x in row] for row in p], lin) if kern else []
                 radius = sum(a * b for a, b in zip(w, lin)) + sum(a * b for a, b in zip(x0, gx0)) - target
                 found = []
                 for y in enumerate_quadric(factors, w, radius):

@@ -185,7 +185,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
 
 def test_criterion_8_wall_intersection(sc28, searched28):
     with acceptance_criterion("190/190 generalized walls meet at the mirror point"):
-        result = wall_intersection(sc28.split, searched28.psi, sc28.pic_basis)
+        result = wall_intersection(searched28.charges)
         assert len(result.reports) == 190 and result.all_member
         aligned = [
             mirror_class(sc28.split, -cls if flip else cls)

@@ -10,11 +10,11 @@ from k3stab.forms import (
     SL2Witness,
     discriminant,
     enumerate_reduced,
-    form_of_charge,
     gauss_reduce,
     sl2_equivalent,
 )
 from k3stab.lattice import GAMMA
+from oracles import form_of_charge
 
 
 def test_discriminants():

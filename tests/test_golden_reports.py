@@ -51,6 +51,24 @@ GOLDEN = [
         "c94079b62f1e439843a98b606aeecad0e2a1b983a4b2bb721b5c7acbdbbed72d",
     ),
     (
+        ("verify", "6.2"),
+        "diag_2_8",
+        0,
+        "e2c321fad4537073174bc524a342ffadc5d003ce580bb94aa764a39e1e196e77",
+    ),
+    (
+        ("verify", "6.4", "--float"),
+        "form_4_1_6",
+        0,
+        "6d2f19bc47868dccb527ce49821ddd3de08dbddcaddd58a44f15ff4d24db38f0",
+    ),
+    (
+        ("walls", "--float"),
+        "diag_2_8",
+        0,
+        "1c1dfdb54d984d6a58ab21f81fc83c80f0212d14005dbcb63b6b652320c76aa0",
+    ),
+    (
         ("charge",),
         "diag_2_8_tuned",
         0,

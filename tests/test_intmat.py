@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from k3stab.intmat import (
     enumerate_quadric,
+    gram_schmidt,
     kernel_basis,
-    ldl_posdef,
-    ldl_solve,
     lll_reduce,
     rank_generic,
     signature_of,
 )
 from k3stab.lattice import MUKAI, LatticeVector, embed_gamma, orth_complement
-from oracles import solve_integer, solve_rational
+from oracles import ldl_posdef, solve_integer
 
 
 def test_kernel_basis_simple():
@@ -60,38 +59,41 @@ def test_rank_generic():
 
 
 def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ldl_posdef([[Fraction(-1)]])
-    with pytest.raises(ValueError):
-        ldl_posdef([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+    for factor in (gram_schmidt, ldl_posdef):
+        with pytest.raises(ValueError):
+            factor([[-1]])
+        with pytest.raises(ValueError):
+            factor([[0, 1], [1, 0]])
+        with pytest.raises(ValueError):
+            factor([[2, 3], [3, 2]])  # positive first minor, negative determinant
 
 
 def test_enumerate_quadric_circle():
-    eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    sols = enumerate_quadric(ldl_posdef(eye), [Fraction(0), Fraction(0)], Fraction(25))
+    eye = [[1, 0], [0, 1]]
+    sols = enumerate_quadric(gram_schmidt(eye), [Fraction(0), Fraction(0)], Fraction(25))
     assert len(sols) == 12
     assert all(x * x + y * y == 25 for x, y in sols)
     assert sols == sorted(sols)
 
 
 def test_enumerate_quadric_shifted():
-    eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    sols = enumerate_quadric(ldl_posdef(eye), [Fraction(1, 2), Fraction(0)], Fraction(1, 4))
+    eye = [[1, 0], [0, 1]]
+    sols = enumerate_quadric(gram_schmidt(eye), [Fraction(1, 2), Fraction(0)], Fraction(1, 4))
     assert sols == [(0, 0), (1, 0)]
 
 
 def test_enumerate_quadric_empty_and_zero_dim():
-    eye = [[Fraction(1)]]
-    assert enumerate_quadric(ldl_posdef(eye), [Fraction(0)], Fraction(-1)) == []
-    assert enumerate_quadric(ldl_posdef(eye), [Fraction(0)], Fraction(2)) == []
-    assert enumerate_quadric(ldl_posdef([]), [], Fraction(0)) == [()]
-    assert enumerate_quadric(ldl_posdef([]), [], Fraction(1)) == []
+    eye = [[1]]
+    assert enumerate_quadric(gram_schmidt(eye), [Fraction(0)], Fraction(-1)) == []
+    assert enumerate_quadric(gram_schmidt(eye), [Fraction(0)], Fraction(2)) == []
+    assert enumerate_quadric(gram_schmidt([]), [], Fraction(0)) == [()]
+    assert enumerate_quadric(gram_schmidt([]), [], Fraction(1)) == []
 
 
 def test_enumerate_quadric_matches_brute_force():
-    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
+    g = [[2, 1], [1, 2]]
     for target in [2, 6, 8, 5]:
-        sols = set(enumerate_quadric(ldl_posdef(g), [Fraction(0), Fraction(0)], Fraction(target)))
+        sols = set(enumerate_quadric(gram_schmidt(g), [Fraction(0), Fraction(0)], Fraction(target)))
         brute = {
             (x, y)
             for x in range(-10, 11)
@@ -108,10 +110,7 @@ def test_enumerate_quadric_matches_brute_force():
     st.lists(st.integers(-2, 2), min_size=2, max_size=2),
 )
 def test_enumerate_quadric_matches_brute_force_off_centre(m, w, y0):
-    p = [
-        [Fraction(sum(m[2 * k + i] * m[2 * k + j] for k in range(2)) + (i == j)) for j in range(2)]
-        for i in range(2)
-    ]
+    p = [[sum(m[2 * k + i] * m[2 * k + j] for k in range(2)) + (i == j) for j in range(2)] for i in range(2)]
 
     def q(y):
         z = [y[0] - w[0], y[1] - w[1]]
@@ -122,28 +121,39 @@ def test_enumerate_quadric_matches_brute_force_off_centre(m, w, y0):
     box = range(-3 - isqrt(int(r) + 1), 4 + isqrt(int(r) + 1))
     brute = sorted((x, y) for x in box for y in box if q((x, y)) == r)
     assert tuple(y0) in brute
-    assert enumerate_quadric(ldl_posdef(p), w, r) == brute
+    assert enumerate_quadric(gram_schmidt(p), w, r) == brute
+
+
+def _posdef(m):
+    """M^T M + I, positive definite for every square integer M."""
+    n = len(m)
+    return [[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+
+
+_SQUARE = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
-            st.lists(st.integers(-20, 20), min_size=n, max_size=n),
-        )
-    )
-)
-def test_ldl_solve_matches_gauss_jordan(case):
-    m, b = case
-    n = len(m)
-    # M^T M + I is positive definite
-    p = [
-        [Fraction(sum(m[k][i] * m[k][j] for k in range(n)) + (i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [Fraction(x) for x in b]
-    assert ldl_solve(ldl_posdef(p), rhs) == solve_rational(p, rhs)
+@given(_SQUARE)
+def test_gram_schmidt_matches_rational_ldl(m):
+    """d[i+1]/d[i] are the LDL pivots and lam[k][j]/d[j+1] the coefficients
+    u[j][k] of the Fraction LDL^T, and every d[i] is a leading minor."""
+    p = _posdef(m)
+    d, lam = gram_schmidt(p)
+    pivots, u = ldl_posdef(p)
+    n = len(p)
+    assert d[0] == 1 and len(d) == n + 1
+    for i in range(n):
+        assert Fraction(d[i + 1], d[i]) == pivots[i]
+        assert d[i + 1] == _det([row[: i + 1] for row in p[: i + 1]])
+    for k in range(n):
+        for j in range(n):
+            if j < k:
+                assert Fraction(lam[k][j], d[j + 1]) == u[j][k]
+            else:
+                assert lam[k][j] == 0
 
 
 def _mul(a, b):
@@ -168,16 +178,17 @@ def _det(m):
 
 
 def _assert_lll_reduced(gram):
-    t, g = lll_reduce(gram)
+    t, g, d, lam = lll_reduce(gram)
     assert abs(_det(t)) == 1  # unimodular
     assert _mul(_mul(t, gram), [list(col) for col in zip(*t)]) == g
-    # g = U^T diag(d) U: U holds the Gram-Schmidt coefficients mu_ij = u[j][i]
-    d, u = ldl_posdef([[Fraction(x) for x in row] for row in g])
-    for i in range(len(g)):
-        for j in range(i):
-            assert abs(u[j][i]) <= Fraction(1, 2)  # size reduced
+    # the data kept through the reduction are those of the reduced matrix
+    assert (d, lam) == gram_schmidt(g)
+    for k in range(len(g)):
+        for j in range(k):
+            assert 2 * abs(lam[k][j]) <= d[j + 1]  # size reduced: |mu_kj| <= 1/2
     for k in range(1, len(g)):
-        assert d[k] >= (Fraction(3, 4) - u[k - 1][k] ** 2) * d[k - 1]  # Lovasz
+        # Lovasz: B_k >= (3/4 - mu_k,k-1^2) B_k-1 with B_k = d[k+1]/d[k]
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,6 +221,6 @@ def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
     neg_gram = [[-x for x in row] for row in kern.gram()]
     assert len(neg_gram) == 20
     _assert_lll_reduced(neg_gram)
-    assert lll_reduce([]) == ([], [])
+    assert lll_reduce([]) == ([], [], [1], [])
     with pytest.raises(ValueError):
         lll_reduce([[2, 3], [3, 2]])  # indefinite

@@ -10,14 +10,12 @@ from k3stab.lattice import (
     MUKAI,
     ComplexVector,
     LatticeVector,
-    gram_of,
     pair,
 )
 from k3stab.mirror import (
     BadFibrationClasses,
     NormalizationFailure,
     PreconditionViolation,
-    canonicalize_period,
     make_split,
     mirror_class,
     mirror_involution_check,
@@ -25,6 +23,7 @@ from k3stab.mirror import (
     period_embed,
     tube_map,
 )
+from oracles import canonicalize_period, gram_of
 
 F = GAMMA.basis(0)
 E2 = GAMMA.basis(1)

@@ -163,6 +163,33 @@ def test_cli_forms_bad_input(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "form, says",
+    [
+        ([2.5, 0, 8], "got 2.5"),
+        (["2", "0", "8"], "got '2'"),
+        ([2, False, 8], "got False"),
+    ],
+    ids=["float", "strings", "bool"],
+)
+def test_scenario_form_entries_must_be_integers(tmp_path, capsys, form, says):
+    # each once ran silently as [2, 0, 8]
+    path = write_scenario(tmp_path, {"form": form})
+    assert_json_error(*run_cli(capsys, ["attractor", "--scenario", path]), "scenario", says)
+    with pytest.raises(ScenarioError, match="form entries must be integers"):
+        build_scenario(form=form)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [("[2.5, 0, 8]", "got 2.5"), ('["2", true, 8]', "got '2'")],
+    ids=["float", "string-and-bool"],
+)
+def test_cli_forms_reduce_rejects_non_integer_entries(capsys, text, says):
+    # each once reduced a coerced form: [2, 0, 8] and [2, 1, 8]
+    assert_json_error(*run_cli(capsys, ["forms", "reduce", text]), "scenario", says)
+
+
 def test_cli_mirror(capsys, diag28):
     code, out = run_cli(capsys, ["mirror", "--scenario", diag28])
     assert code == 0
@@ -519,3 +546,30 @@ def test_cli_closed_stdout_exits_quietly(diag28):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
+    """verify 6.4 on diag(2,8) takes one mirror class and one central charge
+    per Picard class (20 of each) and one complete root enumeration."""
+    import k3stab.mirror
+    import k3stab.stability
+
+    calls = {}
+    for fn in (
+        k3stab.stability.central_charge,
+        k3stab.mirror.mirror_class,
+        k3stab.stability.p0_violations,
+    ):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        # every module that imported the function by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("k3stab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
+    assert code == 0
+    assert calls == {"central_charge": 20, "mirror_class": 20, "p0_violations": 1}

@@ -37,7 +37,9 @@ from k3stab.stability import (
     verify_reality,
     wall_intersection,
     wall_member,
+    wall_table,
 )
+from k3stab.intmat import signature_of
 from k3stab.stability import _dual_eta
 from oracles import bounded_p0_violations, dual_eta, solve_integer
 
@@ -351,6 +353,7 @@ def test_verify_reality_2_8(sc28):
     assert len(values) == 20
     assert values[0][1] == QuadScalar(1)  # fiber class
     assert values[1][1] == QuadScalar(3)  # section class
+    assert [v for _, _, v in values] == [mirror_class(sc28.split, c) for c in sc28.pic_basis]
 
 
 def test_reality_violation_detected(sc28):
@@ -448,6 +451,12 @@ def test_dual_eta_needs_a_negative_definite_basis(sc28):
     # a caller-chosen basis starting with the isotropic class f + sigma0
     with pytest.raises(PreconditionViolation):
         _dual_eta(GAMMA, [F + SIGMA0] + sc28.eta_basis[:3])
+    # nonsingular but indefinite: P x = c 1 has a solution, definiteness does not hold
+    indefinite = [F, SIGMA0] + sc28.eta_basis[:3]
+    neg_gram = [[-pair(GAMMA, x, y).as_int() for y in indefinite] for x in indefinite]
+    assert signature_of(neg_gram) == (4, 0, 1)
+    with pytest.raises(PreconditionViolation):
+        _dual_eta(GAMMA, indefinite)
     params = SearchParams(omega0=sc28.omega_J)
     with pytest.raises(PreconditionViolation):
         search_kahler_class(
@@ -456,16 +465,32 @@ def test_dual_eta_needs_a_negative_definite_basis(sc28):
 
 
 def test_wall_intersection_2_8(searched28, sc28):
-    result = wall_intersection(sc28.split, searched28.psi, sc28.pic_basis)
+    result = wall_intersection(searched28.charges)
     assert len(result.reports) == 190
     assert result.all_member
     for z in result.charges:
         assert z.sign() > 0
 
 
+def test_wall_intersection_matches_flipped_central_charges(searched28, sc28):
+    """The table built from the flipped values equals the one from a central
+    charge of each flipped class: Z(mu(-l)) = -Z(mu(l))."""
+    psi = searched28.psi
+    result = wall_intersection(searched28.charges)
+    assert any(result.flips) and not all(result.flips)
+    flipped = [-cls if flip else cls for cls, flip in zip(sc28.pic_basis, result.flips)]
+    zs = [central_charge(psi, mirror_class(sc28.split, cls)) for cls in flipped]
+    assert [z.re for z in zs] == result.charges and not any(z.im for z in zs)
+    reference = wall_table(zs)
+    assert [(r.i, r.j, r.member, r.z_i, r.z_j) for r in result.reports] == [
+        (r.i, r.j, r.member, r.z_i, r.z_j) for r in reference
+    ]
+
+
 def test_wall_intersection_rejects_zero_charge(sc28):
+    charges = [(cls, z) for cls, z, _ in verify_reality(sc28.split, sc28.psi, sc28.pic_basis)]
     with pytest.raises(WallFailure):
-        wall_intersection(sc28.split, sc28.psi, sc28.pic_basis)
+        wall_intersection(charges)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +498,15 @@ def test_wall_intersection_rejects_zero_charge(sc28):
 
 
 def test_wall_table_matches_wall_member(sc28, searched28):
-    from k3stab.stability import wall_table
-
     vectors = [mirror_class(sc28.split, cls) for cls in sc28.pic_basis]
     mixed = [-v for v in vectors[:4]] + vectors[4:]
     for psi, vs in ((sc28.psi, vectors), (searched28.psi, vectors), (searched28.psi, mixed)):
-        reports = wall_table(psi, vs)
+        reports = wall_table([central_charge(psi, v) for v in vs])
         assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(vs)), 2))
         for rep in reports:
             ref = wall_member(psi, vs[rep.i], vs[rep.j])
             assert (rep.member, rep.z_i, rep.z_j) == (ref.member, ref.z_i, ref.z_j)
-    assert not all(r.member for r in wall_table(searched28.psi, mixed))
+    assert not all(r.member for r in wall_table([central_charge(searched28.psi, v) for v in mixed]))
 
 
 def test_s_part_memo_is_the_value(sc28):
