@@ -10,6 +10,11 @@ The design is deliberately restrictive: a single radical per computation.
 Mixing ``sqrt(2)`` with ``sqrt(3)`` raises :class:`FieldMismatch` instead of
 silently working in a larger field.  One auxiliary radical is all the
 attractor and mirror formulas ever need.
+
+:class:`QuadScalar` is the scalar type of pairings, charges, parsing and
+serialization.  Lattice vectors do not hold one per coordinate: a
+``lattice.LatticeVector`` keeps integer numerators over one common
+denominator in one field, and converts to QuadScalars only for rendering.
 """
 
 from __future__ import annotations

@@ -13,13 +13,20 @@ The first 22 coordinates form the K3 lattice Gamma of signature (3,19).  The
 final block carries the Mukai-pairing sign convention: a triple (r, D, s) has
 pairing ((r1,D1,s1),(r2,D2,s2)) = D1.D2 - r1*s2 - r2*s1, so w = (0,0,-1) and
 w* = (1,0,0) pair to +1.
+
+A `LatticeVector` lives in one field Q(sqrt m): it is stored as integer
+numerator lists (A, B) over one common denominator, so sums, scalings and the
+pairing `pair` are integer list operations with one field check each.
+QuadScalar is the scalar type at the boundary: the constructor parses
+QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
+as QuadScalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import FieldMismatch, QuadComplex, QuadScalar
@@ -32,68 +39,190 @@ class DimensionMismatch(ValueError):
     """Vector length does not match the ambient lattice rank."""
 
 
-def _qs(x) -> QuadScalar:
-    return x if isinstance(x, QuadScalar) else QuadScalar(x)
-
-
 class LatticeVector:
-    """A vector with exact (possibly irrational) coordinates in a fixed basis."""
+    """An exact vector (A + B sqrt(m)) / den in a fixed basis.
 
-    __slots__ = ("coords",)
+    `A` and `B` are integer lists (`B` is None when the vector is rational),
+    `den` > 0 is one common denominator with gcd(den, A, B) = 1, and `m` is
+    the square-free radicand (0 when rational).  The form is canonical, so two
+    vectors are equal exactly when their numerators are.  Arithmetic works on
+    the integer lists with one field check per operation; two different
+    radicands meeting raise FieldMismatch.  `coords`, the coordinates as
+    QuadScalars, is built on first read, for rendering.
+    """
+
+    __slots__ = ("A", "B", "den", "m", "_coords")
 
     def __init__(self, coords: Iterable[Scalar]):
-        self.coords = tuple(_qs(c) for c in coords)
+        """Parse exact scalars; a vector with two radicands raises FieldMismatch."""
+        qs = tuple(c if isinstance(c, QuadScalar) else QuadScalar(c) for c in coords)
+        m = 0
+        den = 1
+        for c in qs:
+            if c.m and c.m != m:
+                if m:
+                    raise FieldMismatch(f"sqrt({m}) vs sqrt({c.m})")
+                m = c.m
+            den = lcm(den, c.a.denominator, c.b.denominator)
+        self.A = [c.a.numerator * (den // c.a.denominator) for c in qs]
+        self.B = [c.b.numerator * (den // c.b.denominator) for c in qs] if m else None
+        self.den = den
+        self.m = m
+        self._coords = qs
+
+    @classmethod
+    def _raw(cls, A: list[int], B: Optional[list[int]], den: int, m: int) -> "LatticeVector":
+        """Wrap numerators that are already in canonical form."""
+        v = object.__new__(cls)
+        v.A, v.B, v.den, v.m, v._coords = A, B, den, m, None
+        return v
+
+    @classmethod
+    def _reduced(cls, A: list[int], B: Optional[list[int]], den: int, m: int) -> "LatticeVector":
+        """The canonical form of (A + B sqrt(m)) / den, den > 0."""
+        if B is not None and not any(B):
+            B, m = None, 0
+        if den != 1:
+            g = gcd(den, *A) if B is None else gcd(den, *A, *B)
+            if g != 1:
+                A = [a // g for a in A]
+                if B is not None:
+                    B = [b // g for b in B]
+                den //= g
+        return cls._raw(A, B, den, m)
+
+    @classmethod
+    def from_ints(cls, ints: Iterable[int]) -> "LatticeVector":
+        """The integral vector with the given integer coordinates."""
+        return cls._raw(list(ints), None, 1, 0)
 
     @classmethod
     def zero(cls, rank: int) -> "LatticeVector":
-        return cls([0] * rank)
+        return cls.from_ints([0] * rank)
 
     @classmethod
     def unit(cls, rank: int, i: int) -> "LatticeVector":
-        return cls([1 if j == i else 0 for j in range(rank)])
+        return cls.from_ints([1 if j == i else 0 for j in range(rank)])
+
+    @property
+    def coords(self) -> tuple[QuadScalar, ...]:
+        out = self._coords
+        if out is None:
+            den, m = self.den, self.m
+            if self.B is None:
+                out = tuple(QuadScalar(Fraction(a, den)) for a in self.A)
+            else:
+                out = tuple(
+                    QuadScalar(Fraction(a, den), Fraction(b, den), m) for a, b in zip(self.A, self.B)
+                )
+            self._coords = out
+        return out
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.A)
+
+    def _combine(self, other: "LatticeVector", sign: int) -> "LatticeVector":
+        """self + sign * other over the common denominator."""
+        if len(self.A) != len(other.A):
+            raise DimensionMismatch("vector lengths differ")
+        m = _join(self.m, other.m)
+        if self.den == other.den:
+            den, s, t = self.den, 1, sign
+        else:
+            den = lcm(self.den, other.den)
+            s, t = den // self.den, sign * (den // other.den)
+        return LatticeVector._reduced(
+            _lin(self.A, s, other.A, t), _lin(self.B, s, other.B, t), den, m
+        )
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector([a + b for a, b in zip(self.coords, other.coords, strict=True)])
+        if not isinstance(other, LatticeVector):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector([a - b for a, b in zip(self.coords, other.coords, strict=True)])
+        if not isinstance(other, LatticeVector):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector([-a for a in self.coords])
+        B = None if self.B is None else [-b for b in self.B]
+        return LatticeVector._raw([-a for a in self.A], B, self.den, self.m)
 
     def __mul__(self, s):
-        if isinstance(s, (int, Fraction, QuadScalar)):
-            return LatticeVector([a * s if a else a for a in self.coords])
-        return NotImplemented
+        if isinstance(s, QuadScalar):
+            if not s.b:
+                s = s.a
+            else:
+                m = _join(self.m, s.m)
+                sd = lcm(s.a.denominator, s.b.denominator)
+                x = s.a.numerator * (sd // s.a.denominator)
+                y = s.b.numerator * (sd // s.b.denominator)
+                A, B = self.A, self.B
+                if B is None:
+                    newA, newB = [x * a for a in A], [y * a for a in A]
+                else:
+                    my = m * y
+                    newA = [x * a + my * b for a, b in zip(A, B)]
+                    newB = [y * a + x * b for a, b in zip(A, B)]
+                return LatticeVector._reduced(newA, newB, self.den * sd, m)
+        if isinstance(s, int):
+            n, d = s, 1
+        elif isinstance(s, Fraction):
+            n, d = s.numerator, s.denominator
+        else:
+            return NotImplemented
+        B = None if self.B is None else [n * b for b in self.B]
+        return LatticeVector._reduced([n * a for a in self.A], B, self.den * d, self.m)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LatticeVector):
             return NotImplemented
-        return self.coords == other.coords
+        return (
+            self.den == other.den
+            and self.m == other.m
+            and self.A == other.A
+            and self.B == other.B
+        )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.den, self.m, tuple(self.A), None if self.B is None else tuple(self.B)))
 
     def __bool__(self):
-        return any(self.coords)
+        return self.B is not None or any(self.A)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.is_integer for c in self.coords)
+        return self.den == 1 and self.B is None
 
     def int_coords(self) -> list[int]:
-        return [c.as_int() for c in self.coords]
+        if not self.is_integral:
+            raise ValueError(f"{self} is not integral")
+        return list(self.A)
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
     def __repr__(self):
         return f"LatticeVector({[str(c) for c in self.coords]})"
+
+
+def _join(m1: int, m2: int) -> int:
+    """The radicand of a result over the fields of both operands."""
+    if m1 and m2 and m1 != m2:
+        raise FieldMismatch(f"sqrt({m1}) vs sqrt({m2})")
+    return m1 or m2
+
+
+def _lin(x: Optional[list[int]], s: int, y: Optional[list[int]], t: int) -> Optional[list[int]]:
+    """s x + t y for integer lists, with None standing for the zero list."""
+    if x is None:
+        return None if y is None else [t * b for b in y]
+    if y is None:
+        return [s * a for a in x]
+    return [s * a + t * b for a, b in zip(x, y)]
 
 
 class ComplexVector:
@@ -194,7 +323,7 @@ class Sublattice:
 
     def gram(self) -> list[list[int]]:
         """The integer Gram matrix of the basis, by integer dot products."""
-        coords = [b.int_coords() for b in self.basis]
+        coords = [b.A for b in self.basis]
         images = [mat_vec_int(self.ambient.gram, x) for x in coords]
         return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
 
@@ -202,27 +331,10 @@ class Sublattice:
         out = [0] * self.ambient.rank  # integer sums: the basis is integral
         for c, b in zip(coeffs, self.basis, strict=True):
             if c:
-                for i, x in enumerate(b.coords):
+                for i, x in enumerate(b.A):
                     if x:
-                        out[i] += c * x.a.numerator
-        return LatticeVector(out)
-
-
-def _numerators(v: LatticeVector) -> tuple[list[int], Optional[list[int]], int, int]:
-    """Write v = (A + B sqrt(m)) / den with integer lists A, B (B is None when
-    v is rational); raises FieldMismatch when v mixes two radicands."""
-    m = 0
-    den = 1
-    for c in v.coords:
-        if c.m and c.m != m:
-            if m:
-                raise FieldMismatch(f"sqrt({m}) vs sqrt({c.m})")
-            m = c.m
-        den = lcm(den, c.a.denominator, c.b.denominator)
-    a = [c.a.numerator * (den // c.a.denominator) for c in v.coords]
-    if not m:
-        return a, None, den, 0
-    return a, [c.b.numerator * (den // c.b.denominator) for c in v.coords], den, m
+                        out[i] += c * x
+        return LatticeVector.from_ints(out)
 
 
 def _int_pair(nonzero, x: Sequence[int], y: Sequence[int]) -> int:
@@ -230,26 +342,22 @@ def _int_pair(nonzero, x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScalar:
-    """x.y over integer numerators: one conversion per vector, then integer
-    sums over the nonzero Gram entries.  Vectors over different quadratic
-    fields raise FieldMismatch."""
-    if len(x) != lat.rank or len(y) != lat.rank:
+    """x.y by integer sums of the numerators over the nonzero Gram entries.
+    Vectors over different quadratic fields raise FieldMismatch."""
+    if len(x.A) != lat.rank or len(y.A) != lat.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
     nz = lat._nonzero
-    xa, xb, xd, xm = _numerators(x)
-    ya, yb, yd, ym = _numerators(y)
-    if xm and ym and xm != ym:
-        raise FieldMismatch(f"sqrt({xm}) vs sqrt({ym})")
-    rational = _int_pair(nz, xa, ya)
+    m = _join(x.m, y.m)
+    rational = _int_pair(nz, x.A, y.A)
     radical = 0
-    if xb is not None:
-        radical += _int_pair(nz, xb, ya)
-        if yb is not None:
-            rational += xm * _int_pair(nz, xb, yb)
-    if yb is not None:
-        radical += _int_pair(nz, xa, yb)
-    den = xd * yd
-    return QuadScalar(Fraction(rational, den), Fraction(radical, den), xm or ym)
+    if x.B is not None:
+        radical += _int_pair(nz, x.B, y.A)
+        if y.B is not None:
+            rational += m * _int_pair(nz, x.B, y.B)
+    if y.B is not None:
+        radical += _int_pair(nz, x.A, y.B)
+    den = x.den * y.den
+    return QuadScalar(Fraction(rational, den), Fraction(radical, den), m)
 
 
 def pair(lat: GramLattice, x, y):
@@ -286,12 +394,11 @@ def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublatti
     """
     rows = []
     for g in gens:
-        a, b, _, _ = _numerators(g)
-        rows.append(mat_vec_int(lat.gram, a))
-        if b is not None:
-            rows.append(mat_vec_int(lat.gram, b))
+        rows.append(mat_vec_int(lat.gram, g.A))
+        if g.B is not None:
+            rows.append(mat_vec_int(lat.gram, g.B))
     kern = kernel_basis(rows, lat.rank)
-    return Sublattice(lat, [lat.vector(v) for v in kern])
+    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern])
 
 
 def project_off_hyperbolic(lat: GramLattice, v: LatticeVector, vstar: LatticeVector, x):
@@ -330,7 +437,7 @@ class MukaiVector:
 
     def to_ambient(self) -> LatticeVector:
         """Coordinates in the rank-24 Mukai lattice (D followed by r, s)."""
-        return LatticeVector(list(self.D.coords) + [self.r, self.s])
+        return LatticeVector.from_ints(self.D.A + [self.r, self.s])
 
     def __str__(self):
         return f"({self.r}, {self.D}, {self.s})"
@@ -401,4 +508,5 @@ def embed_gamma(x: LatticeVector) -> LatticeVector:
     """Extend a Gamma vector by zero Mukai coordinates."""
     if len(x) != GAMMA.rank:
         raise DimensionMismatch("expected a Gamma vector")
-    return LatticeVector(list(x.coords) + [0, 0])
+    B = None if x.B is None else x.B + [0, 0]
+    return LatticeVector._raw(x.A + [0, 0], B, x.den, x.m)

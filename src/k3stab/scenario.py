@@ -32,7 +32,7 @@ from .attractor import (
     verify_attractor,
     z_k3,
 )
-from .exact import QuadComplex, QuadScalar, parse_quad
+from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .forms import BinaryEvenForm
 from .lattice import (
     GAMMA,
@@ -88,7 +88,16 @@ def _vector(value, rank: int = 22) -> LatticeVector:
         return value
     if not isinstance(value, (list, tuple)) or len(value) != rank:
         raise ScenarioError(f"expected a length-{rank} coordinate array, got {value!r}")
-    return LatticeVector([_scalar(x) for x in value])
+    scalars = [_scalar(x) for x in value]
+    try:
+        return LatticeVector(scalars)
+    except FieldMismatch:
+        raise _mixed_fields({x.m for x in scalars}) from None
+
+
+def _mixed_fields(radicands) -> ScenarioError:
+    fields = " and ".join(f"Q(sqrt {m})" for m in sorted(set(radicands) - {0}))
+    return ScenarioError(f"scenario mixes the fields {fields}")
 
 
 def form_from_json(value) -> BinaryEvenForm:
@@ -138,7 +147,6 @@ class Scenario:
     pic_basis: list[LatticeVector] = field(default_factory=list)
     eta_basis: list[LatticeVector] = field(default_factory=list)
     sqrt_disc_integral: bool = False
-    polarization: Optional[LatticeVector] = None
 
     def assemble(self) -> "Scenario":
         lat = self.charge.lat
@@ -157,23 +165,25 @@ class Scenario:
         self.pic_basis = [self.split.f, self.split.sigma0] + self.eta_basis
         if len(self.pic_basis) != lat.rank - 2:
             raise ScenarioError("Picard basis does not have the expected rank")
-        if self.sqrt_disc_integral:
-            # default polarization generator: p^2 * omega_I, integral here
-            self.polarization = self.charge.p2 * self.data.omega_I
+        if len(self.search.alphas) > len(self.pic_basis):
+            raise ScenarioError(
+                f"search.alphas has {len(self.search.alphas)} entries, but the Picard "
+                f"rank is {len(self.pic_basis)}"
+            )
         return self
 
     def _field(self) -> int:
         """The radicand m of the one field Q(sqrt m) that holds sqrt(D) and
         every given scalar; two different radicands are a scenario error."""
         sp = self.search
-        values = [self.tau.im, *self.omega_J.coords, *self.B.coords, sp.c_sigma, sp.c_eta]
-        if sp.eta is not None:
-            values += sp.eta.coords
-        radicands = sorted({x.m for x in values if isinstance(x, QuadScalar) and x.m})
+        scalars = (self.tau.im, sp.c_sigma, sp.c_eta)
+        vectors = (self.omega_J, self.B, sp.eta)
+        radicands = {x.m for x in scalars if isinstance(x, QuadScalar)}
+        radicands |= {v.m for v in vectors if v is not None}
+        radicands.discard(0)
         if len(radicands) > 1:
-            fields = " and ".join(f"Q(sqrt {m})" for m in radicands)
-            raise ScenarioError(f"scenario mixes the fields {fields}")
-        return radicands[0] if radicands else 0
+            raise _mixed_fields(radicands)
+        return radicands.pop() if radicands else 0
 
     @property
     def fibration_orthogonal(self) -> bool:

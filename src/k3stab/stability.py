@@ -212,11 +212,13 @@ def p0_violations(
     data that the reduction ends with, so nothing is factored twice.
     """
     s_part = psi.s_part
+    n = GAMMA.rank  # Mukai coordinates are (D, r, s)
+    r_unit, s_unit = LatticeVector.unit(MUKAI.rank, n), LatticeVector.unit(MUKAI.rank, n + 1)
     gens = [
         embed_gamma(omega_check.re),
         embed_gamma(omega_check.im),
-        LatticeVector(list(psi.B.coords) + [1, s_part.re]),
-        LatticeVector(list(psi.omega.coords) + [0, s_part.im]),
+        embed_gamma(psi.B) + r_unit + s_part.re * s_unit,
+        embed_gamma(psi.omega) + s_part.im * s_unit,
     ]
     sub = orth_complement(MUKAI, gens)
     kern = [v.int_coords() for v in sub.basis]
@@ -236,14 +238,13 @@ def p0_violations(
         return out
 
     basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
-    n = GAMMA.rank  # Mukai coordinates are (D, r, s)
     hits = sorted(
         (x[n], tuple(x[:n]), x[n + 1])
         for x in (combine(y, basis) for y in enumerate_quadric((d, lam), [0] * len(basis), 2))
     )
     roots = []
     for r, d, s in hits[:limit]:
-        delta = MukaiVector(r, LatticeVector(d), s)
+        delta = MukaiVector(r, LatticeVector.from_ints(d), s)
         assert not mukai_pair(psi, delta), f"false positive {delta}: pairs with Psi"
         assert not pair(GAMMA, omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
@@ -308,9 +309,12 @@ class WallReport:
 
 
 def _phase_aligned(z1: QuadComplex, z2: QuadComplex) -> bool:
-    """z1/z2 in R_{>0}, decided exactly; a zero charge has no phase."""
+    """z1/z2 in R_{>0}, decided exactly; a zero charge has no phase.  Two real
+    charges are aligned exactly when their signs agree."""
     if not (z1 and z2):
         return False
+    if not (z1.im or z2.im):
+        return z1.re.sign() == z2.re.sign()
     cross = z1.re * z2.im - z1.im * z2.re
     dot = z1.re * z2.re + z1.im * z2.im
     return not cross and dot.sign() > 0

@@ -3,12 +3,104 @@
 from fractions import Fraction
 from math import lcm
 
-from k3stab.exact import QuadScalar
+from k3stab.exact import FieldMismatch, QuadScalar
 from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, mat_vec_int, signature_of
 from k3stab.forms import BinaryEvenForm
-from k3stab.lattice import ComplexVector, LatticeVector, MukaiVector, pair
+from k3stab.lattice import ComplexVector, DimensionMismatch, LatticeVector, MukaiVector, pair
 from k3stab.mirror import NormalizationFailure
 from k3stab.stability import mukai_pair
+
+
+class QuadVector:
+    """A lattice vector as a tuple of QuadScalar coordinates, one scalar
+    operation per coordinate; the reference for `lattice.LatticeVector`.
+    Unlike it, a vector may hold coordinates over two radicands, which only
+    a later pairing rejects."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        self.coords = tuple(c if isinstance(c, QuadScalar) else QuadScalar(c) for c in coords)
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __add__(self, other):
+        return QuadVector([a + b for a, b in zip(self.coords, other.coords, strict=True)])
+
+    def __sub__(self, other):
+        return QuadVector([a - b for a, b in zip(self.coords, other.coords, strict=True)])
+
+    def __neg__(self):
+        return QuadVector([-a for a in self.coords])
+
+    def __mul__(self, s):
+        if isinstance(s, (int, Fraction, QuadScalar)):
+            return QuadVector([a * s if a else a for a in self.coords])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadVector):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __bool__(self):
+        return any(self.coords)
+
+    @property
+    def is_integral(self):
+        return all(c.is_integer for c in self.coords)
+
+    def int_coords(self):
+        return [c.as_int() for c in self.coords]
+
+    def __str__(self):
+        return "[" + ", ".join(str(c) for c in self.coords) + "]"
+
+
+def _numerators(v):
+    """Write v = (A + B sqrt(m)) / den with integer lists A, B (B is None when
+    v is rational); raises FieldMismatch when v mixes two radicands."""
+    m = 0
+    den = 1
+    for c in v.coords:
+        if c.m and c.m != m:
+            if m:
+                raise FieldMismatch(f"sqrt({m}) vs sqrt({c.m})")
+            m = c.m
+        den = lcm(den, c.a.denominator, c.b.denominator)
+    a = [c.a.numerator * (den // c.a.denominator) for c in v.coords]
+    if not m:
+        return a, None, den, 0
+    return a, [c.b.numerator * (den // c.b.denominator) for c in v.coords], den, m
+
+
+def _int_pair(nonzero, x, y):
+    return sum(g * x[i] * y[j] for i, j, g in nonzero)
+
+
+def quad_pair(lat, x, y):
+    """x.y of two QuadVectors: one conversion to integer numerators per
+    vector, then integer sums over the nonzero Gram entries."""
+    if len(x) != lat.rank or len(y) != lat.rank:
+        raise DimensionMismatch("vector length does not match lattice rank")
+    nz = lat._nonzero
+    xa, xb, xd, xm = _numerators(x)
+    ya, yb, yd, ym = _numerators(y)
+    if xm and ym and xm != ym:
+        raise FieldMismatch(f"sqrt({xm}) vs sqrt({ym})")
+    rational = _int_pair(nz, xa, ya)
+    radical = 0
+    if xb is not None:
+        radical += _int_pair(nz, xb, ya)
+        if yb is not None:
+            rational += xm * _int_pair(nz, xb, yb)
+    if yb is not None:
+        radical += _int_pair(nz, xa, yb)
+    den = xd * yd
+    return QuadScalar(Fraction(rational, den), Fraction(radical, den), xm or ym)
 
 
 def gram_of(lat, vectors):

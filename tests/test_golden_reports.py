@@ -74,6 +74,25 @@ GOLDEN = [
         0,
         "b1f7b44a8b215d1924cf6917e6d4e23ef89d48b9daaf64cb032a594a3f4a350b",
     ),
+    # complex charges over Q(sqrt 23): the complex branch of the phase test
+    (
+        ("walls",),
+        "form_4_1_6",
+        0,
+        "5180d266fe955caacb8befa6fdda8a655253a799d3df6ae4a86e0a0d95d06047",
+    ),
+    (
+        ("mirror",),
+        "form_4_1_6",
+        0,
+        "362ca21ef3fe379567789ec730812c7113ec567b49f19317123b7d9cd045b8c8",
+    ),
+    (
+        ("attractor",),
+        "form_4_1_6",
+        0,
+        "0e8a9d1faf4d88020607d34ac0afcf799c0fdb4505eee669af99fda723569704",
+    ),
 ]
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3stab.exact import FieldMismatch, QuadScalar
+from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
     MUKAI_W,
     MUKAI_WSTAR,
     U_GRAM,
+    ComplexVector,
     DimensionMismatch,
     GramLattice,
     LatticeVector,
@@ -21,7 +22,7 @@ from k3stab.lattice import (
     project_off_hyperbolic,
     signature,
 )
-from oracles import minus_two_coefficients
+from oracles import QuadVector, minus_two_coefficients, quad_pair
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -259,3 +260,91 @@ def test_pair_mixed_radicands_raise(x, y):
         pair(GAMMA, x, y)
     with pytest.raises(FieldMismatch):
         pair(GAMMA, y, x)
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator vector against the QuadScalar-coordinate reference.
+
+
+def coordinate_lists(m):
+    """22 coordinates that are integers, rationals, or over Q(sqrt m)."""
+    integral = st.integers(-5, 5).map(QuadScalar)
+    rational = st.builds(QuadScalar, small_rationals)
+    field = st.builds(QuadScalar, small_rationals, small_rationals, st.just(m))
+    coord = st.sampled_from([integral, rational, field] if m else [integral, rational])
+    return coord.flatmap(
+        lambda c: st.lists(st.one_of(st.just(QuadScalar(0)), c), min_size=22, max_size=22)
+    )
+
+
+def both(coords):
+    return LatticeVector(coords), QuadVector(coords)
+
+
+def assert_same(new, old):
+    assert new.coords == old.coords
+    assert str(new) == str(old)
+    assert bool(new) == bool(old)
+    assert new.is_integral == old.is_integral
+    if old.is_integral:
+        assert new.int_coords() == old.int_coords()
+    else:
+        with pytest.raises(ValueError):
+            new.int_coords()
+    assert new == LatticeVector(old.coords) and hash(new) == hash(LatticeVector(old.coords))
+
+
+def scalars_in(m):
+    values = [st.integers(-4, 4), small_rationals, st.builds(QuadScalar, small_rationals)]
+    if m:
+        values.append(st.builds(QuadScalar, small_rationals, small_rationals, st.just(m)))
+    return st.one_of(*values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_vector_matches_quadscalar_reference(data):
+    m = data.draw(st.sampled_from([0, 2, 3, 23]))
+    x, x_ref = both(data.draw(coordinate_lists(m)))
+    y, y_ref = both(data.draw(coordinate_lists(m)))
+    s = data.draw(scalars_in(m))
+    assert_same(x, x_ref)
+    assert_same(x + y, x_ref + y_ref)
+    assert_same(x - y, x_ref - y_ref)
+    assert_same(-x, -x_ref)
+    assert_same(s * x, s * x_ref)
+    assert_same(x * s, x_ref * s)
+    assert_same((x + y) - y, x_ref)
+    assert (x == y) == (x_ref == y_ref)
+    value, reference = pair(GAMMA, x, y), quad_pair(GAMMA, x_ref, y_ref)
+    assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
+    u, u_ref = both(data.draw(coordinate_lists(m)))
+    w, w_ref = both(data.draw(coordinate_lists(m)))
+    z = pair(GAMMA, ComplexVector(x, u), ComplexVector(y, w))
+    assert z.re == quad_pair(GAMMA, x_ref, y_ref) - quad_pair(GAMMA, u_ref, w_ref)
+    assert z.im == quad_pair(GAMMA, x_ref, w_ref) + quad_pair(GAMMA, u_ref, y_ref)
+    assert pair(GAMMA, ComplexVector(x, u), y) == QuadComplex(
+        quad_pair(GAMMA, x_ref, y_ref), quad_pair(GAMMA, u_ref, y_ref)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_vector_field_mismatch(data):
+    x, x_ref = both(data.draw(field_vectors(2, dense=True)).coords)
+    y, y_ref = both(data.draw(field_vectors(3, dense=True)).coords)
+    sqrt3 = QuadScalar(0, data.draw(nonzero_rationals), 3)
+    for op in (
+        lambda: x + y,
+        lambda: x - y,
+        lambda: sqrt3 * x,
+        lambda: pair(GAMMA, x, y),
+        lambda: LatticeVector(x.coords[:11] + y.coords[11:]),
+    ):
+        with pytest.raises(FieldMismatch):
+            op()
+    with pytest.raises(FieldMismatch):
+        quad_pair(GAMMA, x_ref, y_ref)
+    # a rational vector joins either field
+    r = LatticeVector([Fraction(1, 3)] * 22)
+    assert (r + x).m == 2 and (r - y).m == 3 and (sqrt3 * r).m == 3

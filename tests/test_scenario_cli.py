@@ -43,7 +43,6 @@ def test_scenario_defaults():
     assert not sc.B
     assert sc.omega_J == 2 * sc.split.f + sc.split.sigma0
     assert sc.sqrt_disc_integral
-    assert sc.polarization == 2 * sc.data.omega_I
     assert len(sc.pic_basis) == 20
     assert sc.fibration_orthogonal
 
@@ -485,6 +484,28 @@ def test_cli_rejects_mixed_fields(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [4, 1, 6], "search": {"eta": eta}})
     argv = ["verify", "6.3", "--scenario", path]
     assert_json_error(*run_cli(capsys, argv), "scenario", "Q(sqrt 3) and Q(sqrt 23)")
+    # one vector over two radicands, on a form with rational sqrt(D) = 4
+    says = "scenario mixes the fields Q(sqrt 2) and Q(sqrt 3)"
+    omega = [2, 1] + [0] * 4 + ["1/10*sqrt(2)", "1/10*sqrt(3)"] + [0] * 14
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": omega})
+    assert_json_error(*run_cli(capsys, ["walls", "--scenario", path]), "scenario", says)
+    eta = [0] * 6 + ["sqrt(2)", "sqrt(3)"] + [0] * 14
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"eta": eta}})
+    argv = ["verify", "6.3", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", says)
+
+
+def test_cli_rejects_more_alphas_than_the_picard_rank(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"alphas": ["0"] * 20 + ["7"]}})
+    argv = ["verify", "6.4", "--scenario", path]
+    assert_json_error(*run_cli(capsys, argv), "scenario", "search.alphas has 21 entries")
+    # a shorter list means zeros for the rest
+    short = {"form": [2, 0, 8], "search": {"alphas": ["0"] * 3}}
+    short = write_scenario(tmp_path, short, name="short.json")
+    default = write_scenario(tmp_path, {"form": [2, 0, 8]}, name="default.json")
+    assert run_cli(capsys, ["verify", "6.4", "--scenario", short]) == run_cli(
+        capsys, ["verify", "6.4", "--scenario", default]
+    )
 
 
 def test_echo_m_is_the_scenario_field(tmp_path, capsys):
