@@ -84,7 +84,17 @@ def cmd_attractor(args) -> int:
     return 0
 
 
+_FORMS_ARITY = {
+    "reduce": (1, "one form"),
+    "equiv": (2, "two forms"),
+    "enumerate": (1, "one discriminant"),
+}
+
+
 def cmd_forms(args) -> int:
+    count, what = _FORMS_ARITY[args.action]
+    if len(args.forms) != count:
+        raise ScenarioError(f"{args.action} needs {what}, got {len(args.forms)} arguments")
     if args.action == "reduce":
         form = _parse_form(args.forms[0])
         reduced, witness = gauss_reduce(form)
@@ -98,8 +108,6 @@ def cmd_forms(args) -> int:
             }
         )
     elif args.action == "equiv":
-        if len(args.forms) != 2:
-            raise ScenarioError("equiv needs two forms")
         q1, q2 = (_parse_form(t) for t in args.forms)
         witness = sl2_equivalent(q1, q2)
         _emit(

@@ -1,11 +1,13 @@
 """Exact integer / rational matrix machinery.
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
-arithmetic over ``int`` and ``Fraction``: unimodular column reduction for
-integer kernels, symmetric congruence for signatures, integral Gram-Schmidt
-data (the one factorization of a definite matrix), integral LLL reduction,
-and an exact Fincke–Pohst style enumerator for definite quadrics used by the
-(-2)-class enumeration.
+arithmetic: unimodular column reduction for integer kernels, symmetric
+congruence for signatures (over ``Fraction``), integral Gram-Schmidt data (the
+one factorization of a definite matrix), integral LLL reduction, and the
+Fincke–Pohst enumerator of a definite quadric used by the (-2)-class
+enumeration.  The last three run in integers only: the enumerator scales its
+budget once at entry, so every level costs an integer and every coordinate
+bound is an `isqrt`.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
-
-
-def mat_vec_int(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
 def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[list[int]]:
@@ -224,20 +222,17 @@ def lll_reduce(
     return t, g, d, lam
 
 
-def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple[int, ...]]:
     """All integer y with (y - w)^T p (y - w) == r, for positive definite p
     given by its Gram-Schmidt data ``factors = gram_schmidt(p)``.
 
-    Finite because p is definite; output in lexicographic order.
+    Finite because p is definite; output in lexicographic order.  The search
+    runs in integers: with w = wn / wd, the i-th Gram-Schmidt coordinate of
+    y - w is X / (d[i + 1] wd) for the integer X = y_i d[i + 1] wd + g_i, and
+    it costs X^2 / (d[i] d[i + 1] wd^2) of the budget.  Scaling the budget by
+    L = r.den * lcm_i(d[i] d[i + 1]) * wd^2 makes every cost the integer
+    c_i X^2 with c_i = L / (d[i] d[i + 1] wd^2), so the bounds on each X come
+    from `isqrt` and the last level tests one exact square.
     """
     d, lam = factors
     n = len(lam)
@@ -247,36 +242,35 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
     if r < 0:
         return []
     w = [Fraction(x) for x in w]
-    wd = lcm(*(x.denominator for x in w))  # w = wn / wd
+    wd = lcm(*(x.denominator for x in w))
     wn = [x.numerator * (wd // x.denominator) for x in w]
-    pivot = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    steps = [d[i] * d[i + 1] for i in range(n)]
+    common = lcm(*steps)
+    cost = [r.denominator * common // s for s in steps]
     out: list[tuple[int, ...]] = []
     y = [0] * n
 
-    def descend(i: int, budget: Fraction):
-        # z_i = y_i + gamma_i with gamma_i = sum_{j>i} mu_ji (y_j - w_j) - w_i = g / gd,
-        # mu_ji = lam[j][i] / d[i + 1]
+    def descend(i: int, budget: int) -> None:
+        # X = t gd + g, where g = sum_{j>i} lam[j][i] (wd y_j - wn_j) - d[i + 1] wn_i
         g = sum(lam[j][i] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - d[i + 1] * wn[i]
         gd = d[i + 1] * wd
-        c = budget / pivot[i]  # z_i^2 <= c
+        c = cost[i]
         if i == 0:
-            root = _sqrt_fraction(c)
-            if root is None:
+            q, rem = divmod(budget, c)
+            s = isqrt(q)
+            if rem or s * s != q:
                 return
-            gamma = Fraction(g, gd)
-            for val in sorted({root - gamma, -root - gamma}):
-                if val.denominator == 1:
-                    y[0] = val.numerator
+            for x in sorted({-s, s}):
+                t, off = divmod(x - g, gd)
+                if not off:
+                    y[0] = t
                     out.append(tuple(y))
             return
-        if c < 0:
-            return
-        # |t gd + g| <= floor(sqrt(c) gd), an integer bound on an integer
-        s = isqrt(c.numerator * gd * gd // c.denominator)
-        gamma = Fraction(g, gd)
+        s = isqrt(budget // c)  # c X^2 <= budget  <=>  |X| <= s
         for t in range(-((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
-            descend(i - 1, budget - pivot[i] * (t + gamma) ** 2)
+            x = t * gd + g
+            descend(i - 1, budget - c * x * x)
 
-    descend(n - 1, r)
+    descend(n - 1, r.numerator * common * wd * wd)  # r L
     return sorted(out)

@@ -20,6 +20,11 @@ pairing `pair` are integer list operations with one field check each.
 QuadScalar is the scalar type at the boundary: the constructor parses
 QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
 as QuadScalars.
+
+A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
+standard lattices), and every integer image G x -- the Gram matrix of a
+`Sublattice`, the rows of `orth_complement` -- is summed over those entries
+and the nonzero coordinates of x, never over the dense matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import FieldMismatch, QuadComplex, QuadScalar
-from .intmat import kernel_basis, mat_vec_int, signature_of
+from .intmat import kernel_basis, signature_of
 
 Scalar = Union[int, Fraction, QuadScalar]
 
@@ -287,6 +292,18 @@ class GramLattice:
             for j in range(self.rank)
             if self.gram[i][j]
         )
+        # the nonzero entries of each row: at most 3 in the standard lattices
+        self._rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+
+    def image(self, x: Sequence[int]) -> list[int]:
+        """G x for an integer vector x, summed over the nonzero coordinates of
+        x and the nonzero Gram entries of their rows (G is symmetric)."""
+        out = [0] * self.rank
+        for i, xi in enumerate(x):
+            if xi:
+                for j, g in self._rows[i]:
+                    out[j] += g * xi
+        return out
 
     def vector(self, coords: Iterable[Scalar]) -> LatticeVector:
         v = LatticeVector(coords)
@@ -322,10 +339,18 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self) -> list[list[int]]:
-        """The integer Gram matrix of the basis, by integer dot products."""
-        coords = [b.A for b in self.basis]
-        images = [mat_vec_int(self.ambient.gram, x) for x in coords]
-        return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
+        """The integer Gram matrix of the basis: one sparse image G y per basis
+        vector y, then x . (G y) over the nonzero coordinates of x, i <= j."""
+        lat = self.ambient
+        images = [lat.image(b.A) for b in self.basis]
+        support = [[(i, a) for i, a in enumerate(b.A) if a] for b in self.basis]
+        n = len(images)
+        out = [[0] * n for _ in range(n)]
+        for k in range(n):
+            for j in range(k, n):
+                gy = images[j]
+                out[k][j] = out[j][k] = sum(a * gy[i] for i, a in support[k])
+        return out
 
     def from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
         out = [0] * self.ambient.rank  # integer sums: the basis is integral
@@ -394,9 +419,9 @@ def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublatti
     """
     rows = []
     for g in gens:
-        rows.append(mat_vec_int(lat.gram, g.A))
+        rows.append(lat.image(g.A))
         if g.B is not None:
-            rows.append(mat_vec_int(lat.gram, g.B))
+            rows.append(lat.image(g.B))
     kern = kernel_basis(rows, lat.rank)
     return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern])
 

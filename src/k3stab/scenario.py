@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .attractor import (
@@ -80,6 +81,8 @@ def _scalar(value) -> QuadScalar:
             return parse_quad(value)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
+        except ZeroDivisionError:
+            raise ScenarioError(f"zero denominator in scalar {value!r}") from None
     raise ScenarioError(f"not a scalar: {value!r}")
 
 
@@ -293,14 +296,18 @@ def _search_params(raw: dict, omega0: LatticeVector) -> SearchParams:
 
 def scenario_from_file(path: str) -> Scenario:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"malformed scenario file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ScenarioError(f"scenario file {path} is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
     known = {"form", "p", "q", "f", "sigma0", "omega_J", "B", "search"}
@@ -418,6 +425,16 @@ def mirror_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     }
 
 
+def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
+    """The rational square root of f, or None when f has none."""
+    if f < 0:
+        return None
+    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
     involution = None
     # the involution contract needs a null period: rescale Im(Omega_I) when
@@ -426,9 +443,7 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
         sc.charge.lat, sc.data.im_omega_I, sc.data.im_omega_I
     )
     if ratio.is_rational:
-        from .intmat import _sqrt_fraction
-
-        root = _sqrt_fraction(ratio.as_fraction())
+        root = _rational_sqrt(ratio.as_fraction())
         if root is not None:
             null_period = ComplexVector(sc.omega_J, root * sc.data.im_omega_I)
             rep = mirror_involution_check(sc.split, null_period, sc.data.omega_I, sc.B)

@@ -1,12 +1,19 @@
 """Reference implementations that the tests compare the library against."""
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from k3stab.exact import FieldMismatch, QuadScalar
-from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, mat_vec_int, signature_of
+from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
+from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, signature_of
 from k3stab.forms import BinaryEvenForm
-from k3stab.lattice import ComplexVector, DimensionMismatch, LatticeVector, MukaiVector, pair
+from k3stab.lattice import (
+    ComplexVector,
+    DimensionMismatch,
+    LatticeVector,
+    MukaiVector,
+    Sublattice,
+    pair,
+)
 from k3stab.mirror import NormalizationFailure
 from k3stab.stability import mukai_pair
 
@@ -101,6 +108,106 @@ def quad_pair(lat, x, y):
         radical += _int_pair(nz, xa, yb)
     den = xd * yd
     return QuadScalar(Fraction(rational, den), Fraction(radical, den), xm or ym)
+
+
+def mat_vec_int(a, x):
+    """The dense integer product a x."""
+    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
+
+
+def dense_gram(sub):
+    """The Gram matrix of a sublattice basis by dense images G y over the full
+    ambient Gram matrix; the reference for `Sublattice.gram`."""
+    coords = [b.A for b in sub.basis]
+    images = [mat_vec_int(sub.ambient.gram, x) for x in coords]
+    return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
+
+
+def dense_orth_complement(lat, gens):
+    """`orth_complement` with the integer rows G A and G B formed densely."""
+    rows = []
+    for g in gens:
+        rows.append(mat_vec_int(lat.gram, g.A))
+        if g.B is not None:
+            rows.append(mat_vec_int(lat.gram, g.B))
+    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)])
+
+
+def _sqrt_fraction(f):
+    if f < 0:
+        return None
+    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_enumerate_quadric(factors, w, r):
+    """All integer y with (y - w)^T p (y - w) == r, in lexicographic order, by
+    Fincke-Pohst with the budget and the centres kept as Fractions; the
+    reference for the integer `intmat.enumerate_quadric`."""
+    d, lam = factors
+    n = len(lam)
+    r = Fraction(r)
+    if n == 0:
+        return [()] if r == 0 else []
+    if r < 0:
+        return []
+    w = [Fraction(x) for x in w]
+    wd = lcm(*(x.denominator for x in w))  # w = wn / wd
+    wn = [x.numerator * (wd // x.denominator) for x in w]
+    pivot = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    out = []
+    y = [0] * n
+
+    def descend(i, budget):
+        # z_i = y_i + gamma_i with gamma_i = sum_{j>i} mu_ji (y_j - w_j) - w_i = g / gd,
+        # mu_ji = lam[j][i] / d[i + 1]
+        g = sum(lam[j][i] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - d[i + 1] * wn[i]
+        gd = d[i + 1] * wd
+        c = budget / pivot[i]  # z_i^2 <= c
+        if i == 0:
+            root = _sqrt_fraction(c)
+            if root is None:
+                return
+            gamma = Fraction(g, gd)
+            for val in sorted({root - gamma, -root - gamma}):
+                if val.denominator == 1:
+                    y[0] = val.numerator
+                    out.append(tuple(y))
+            return
+        if c < 0:
+            return
+        # |t gd + g| <= floor(sqrt(c) gd), an integer bound on an integer
+        s = isqrt(c.numerator * gd * gd // c.denominator)
+        gamma = Fraction(g, gd)
+        for t in range(-((s + g) // gd), (s - g) // gd + 1):
+            y[i] = t
+            descend(i - 1, budget - pivot[i] * (t + gamma) ** 2)
+
+    descend(n - 1, r)
+    return sorted(out)
+
+
+def triple_charge(psi, v):
+    """Z(v) = (Psi, v) with v wrapped as the complex triple (r, D + 0i, s):
+    four real pairings and two QuadComplex products; the reference for
+    `stability.central_charge`."""
+    r1, d1, s1 = psi.triple()
+    r2, d2, s2 = QuadComplex(v.r), ComplexVector(v.D), QuadComplex(v.s)
+    return pair(psi.lat, d1, d2) - r1 * s2 - r2 * s1
+
+
+def triple_plane_gram(psi):
+    """The Gram matrix of Re Psi and Im Psi by complex-triple Mukai pairings;
+    the reference for `stability.plane_gram`."""
+    s = psi.s_part
+    re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
+    im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
+    g11 = mukai_pair(re_t, re_t, psi.lat).re
+    g12 = mukai_pair(re_t, im_t, psi.lat).re
+    g22 = mukai_pair(im_t, im_t, psi.lat).re
+    return [[g11, g12], [g12, g22]]
 
 
 def gram_of(lat, vectors):

@@ -14,7 +14,7 @@ from k3stab.intmat import (
     signature_of,
 )
 from k3stab.lattice import MUKAI, LatticeVector, embed_gamma, orth_complement
-from oracles import ldl_posdef, solve_integer
+from oracles import fraction_enumerate_quadric, ldl_posdef, solve_integer
 
 
 def test_kernel_basis_simple():
@@ -128,6 +128,23 @@ def _posdef(m):
     """M^T M + I, positive definite for every square integer M."""
     n = len(m)
     return [[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_enumerate_quadric_matches_fraction_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    p = _posdef(data.draw(st.lists(row, min_size=n, max_size=n)))
+    w = data.draw(st.lists(st.fractions(-2, 2, max_denominator=6), min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # r on the lattice: at least one solution
+        y0 = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        z = [a - b for a, b in zip(y0, w)]
+        r = sum(z[i] * p[i][j] * z[j] for i in range(n) for j in range(n))
+    else:
+        r = data.draw(st.fractions(-1, 24, max_denominator=6))
+    factors = gram_schmidt(p)
+    assert enumerate_quadric(factors, w, r) == fraction_enumerate_quadric(factors, w, r)
 
 
 _SQUARE = st.integers(1, 6).flatmap(

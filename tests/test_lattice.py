@@ -22,7 +22,13 @@ from k3stab.lattice import (
     project_off_hyperbolic,
     signature,
 )
-from oracles import QuadVector, minus_two_coefficients, quad_pair
+from oracles import (
+    QuadVector,
+    dense_gram,
+    dense_orth_complement,
+    minus_two_coefficients,
+    quad_pair,
+)
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -348,3 +354,28 @@ def test_vector_field_mismatch(data):
     # a rational vector joins either field
     r = LatticeVector([Fraction(1, 3)] * 22)
     assert (r + x).m == 2 and (r - y).m == 3 and (sqrt3 * r).m == 3
+
+
+# ---------------------------------------------------------------------------
+# Sparse Gram images against the dense products they replaced.
+
+
+def integral_vectors(lat):
+    coord = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    return st.lists(coord, min_size=lat.rank, max_size=lat.rank).map(LatticeVector.from_ints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_gram_images_match_dense(data):
+    lat = data.draw(st.sampled_from([GAMMA, MUKAI]))
+    sub = Sublattice(lat, data.draw(st.lists(integral_vectors(lat), min_size=1, max_size=8)))
+    assert sub.gram() == dense_gram(sub)
+    gens = data.draw(st.lists(integral_vectors(lat), min_size=1, max_size=3))
+    m = data.draw(st.sampled_from([0, 2, 23]))
+    if m:  # a generator over Q(sqrt m): it adds the two rows G A and G B
+        x, y = data.draw(integral_vectors(lat)), data.draw(integral_vectors(lat))
+        gens.append(Fraction(1, 3) * x + QuadScalar(0, 1, m) * y)
+    fast, dense = orth_complement(lat, gens), dense_orth_complement(lat, gens)
+    assert fast.basis == dense.basis
+    assert fast.gram() == dense_gram(dense)

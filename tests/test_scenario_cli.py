@@ -458,6 +458,56 @@ def test_cli_rejects_malformed_scenario_values(tmp_path, capsys, fields, says):
     assert_json_error(*run_cli(capsys, argv), "scenario", says)
 
 
+SCENARIO_COMMANDS = [
+    ["attractor"],
+    ["mirror"],
+    ["charge"],
+    ["walls"],
+    *(["verify", suite] for suite in ("5.1", "6.2", "6.3", "6.4")),
+]
+
+
+def _zero_denominator(path):
+    path.write_text(json.dumps({"form": [2, 0, 8], "B": ["1/0"] + [0] * 21}))
+    return "zero denominator in scalar '1/0'"
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"form": [2, 0, 8], "B": "\xff"}')
+    return "is not UTF-8 text"
+
+
+def _nested_too_deeply(path):
+    path.write_text('{"form": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return "nested too deeply"
+
+
+@pytest.mark.parametrize(
+    "make", [_zero_denominator, _not_utf8, _nested_too_deeply], ids=["1/0", "not-utf8", "deep"]
+)
+def test_cli_scenario_file_failures_are_json_errors(tmp_path, capsys, make):
+    # each once ended in a traceback (ZeroDivisionError, UnicodeDecodeError,
+    # RecursionError) on every command
+    path = tmp_path / "bad.json"
+    says = make(path)
+    for command in SCENARIO_COMMANDS:
+        assert_json_error(*run_cli(capsys, [*command, "--scenario", str(path)]), "scenario", says)
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["forms", "reduce", "[2,0,8]", "[4,0,4]"], "reduce needs one form, got 2"),
+        (["forms", "enumerate", "8", "20"], "enumerate needs one discriminant, got 2"),
+        (["forms", "equiv", "[2,0,8]"], "equiv needs two forms, got 1"),
+    ],
+    ids=["reduce", "enumerate", "equiv"],
+)
+def test_cli_forms_rejects_extra_or_missing_arguments(capsys, argv, says):
+    # reduce and enumerate once ignored every argument after the first
+    assert_json_error(*run_cli(capsys, argv), "scenario", says)
+
+
 @pytest.mark.parametrize("charge", ["p and q", "p only"])
 def test_cli_rejects_form_with_explicit_charge(tmp_path, capsys, charge):
     p = [0, 0, 1, 0, 0, 0] + [0] * 16

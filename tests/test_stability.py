@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3stab.attractor import NotPositive, hyperkahler_rotate
 from k3stab.exact import QuadComplex, QuadScalar
@@ -41,7 +43,13 @@ from k3stab.stability import (
 )
 from k3stab.intmat import signature_of
 from k3stab.stability import _dual_eta
-from oracles import bounded_p0_violations, dual_eta, solve_integer
+from oracles import (
+    bounded_p0_violations,
+    dual_eta,
+    solve_integer,
+    triple_charge,
+    triple_plane_gram,
+)
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -71,6 +79,28 @@ def test_mukai_pair_symmetric_and_matches_gram():
         lhs = mukai_pair(u, v)
         assert lhs == mukai_pair(v, u)
         assert lhs == pair(MUKAI, u.to_ambient(), v.to_ambient())
+
+
+_RATIONALS = st.fractions(-3, 3, max_denominator=5)
+
+
+def _field_vector(m):
+    """A GAMMA vector over Q(sqrt m), m = 0 meaning Q, with sparse coordinates."""
+    coord = st.builds(QuadScalar, _RATIONALS, _RATIONALS if m else st.just(0), st.just(m))
+    return st.lists(st.one_of(st.just(QuadScalar(0)), coord), min_size=22, max_size=22).map(
+        LatticeVector
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_central_charge_and_plane_gram_match_complex_triples(data):
+    m = data.draw(st.sampled_from([0, 2, 3, 23]))
+    psi = StabilityPoint(B=data.draw(_field_vector(m)), omega=data.draw(_field_vector(m)))
+    d = st.lists(st.integers(-3, 3), min_size=22, max_size=22).map(LatticeVector.from_ints)
+    v = MukaiVector(data.draw(st.integers(-3, 3)), data.draw(d), data.draw(st.integers(-3, 3)))
+    assert central_charge(psi, v) == triple_charge(psi, v)
+    assert plane_gram(psi) == triple_plane_gram(psi)
 
 
 def test_exp_point_examples(sc28):
