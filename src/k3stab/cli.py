@@ -9,8 +9,9 @@ Commands
     verify 5.1|6.2|6.3|6.4   certificate suites (aliases: slag-reality,
                          mirror-reality, regular-point, wall-intersection)
 
-Reports are JSON on stdout with sorted keys and exact scalar strings; the
---float flag adds 15-digit decimal renderings for reading, never used in any
+Reports are JSON on stdout, byte for byte `json.dumps(report, indent=2,
+sort_keys=True)` and one newline, with exact scalar strings; the --float flag
+adds 15-digit decimal renderings (strings) for reading, never used in any
 comparison.  Exit codes:
 
     0  certificate verified / command succeeded
@@ -25,9 +26,11 @@ comparison.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .attractor import DegenerateCharge, NotAttractor, NotOrthogonal, NotPositive
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
@@ -68,7 +71,65 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict) -> None:
     # flush here, so a closed stdout raises inside main() and not at exit
-    print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+    print(_render(payload), flush=True)
+
+
+def _render(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for the
+    types a report holds: dicts with str keys, lists, str, int, bool and None.
+    Any other type, a float or a tuple included, raises TypeError.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
+    generators; this writer appends to one list and joins it once.
+    """
+    parts: list[str] = []
+    _write(obj, parts, "\n")
+    return "".join(parts)
+
+
+def _write(obj, parts: list, newline: str) -> None:
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "["
+        for value in obj:
+            parts.append(opener)
+            parts.append(inner)
+            _write(value, parts, inner)
+            opener = ","
+        parts.append(newline)
+        parts.append("]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            parts.append(opener)
+            parts.append(inner)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _write(value, parts, inner)
+            opener = ","
+        parts.append(newline)
+        parts.append("}")
+    else:
+        raise TypeError(f"not a report value: {type(obj).__name__}")
 
 
 def _parse_form(text: str) -> BinaryEvenForm:
@@ -168,7 +229,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing leaves no state in it."""
     parser = _Parser(prog="k3stab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

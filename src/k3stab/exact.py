@@ -198,6 +198,9 @@ class QuadScalar:
         return self.a == o.a and self.b == o.b and self.m == o.m
 
     def __hash__(self):
+        # equal values hash alike: a rational scalar equals its Fraction
+        if not self.b:
+            return hash(self.a)
         return hash((self.a, self.b, self.m))
 
     def __lt__(self, other):
@@ -386,6 +389,9 @@ class QuadComplex:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal values hash alike: a real complex equals its real part
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __str__(self):

@@ -503,14 +503,13 @@ def obstruction_json(ob: ObstructionCheck) -> dict:
     }
 
 
-def wall_json(r: WallReport, with_float: bool = False) -> dict:
-    return {
-        "i": r.i,
-        "j": r.j,
-        "member": r.member,
-        "Z_i": complex_json(r.z_i, with_float),
-        "Z_j": complex_json(r.z_j, with_float),
-    }
+def _wall_rows(reports: list[WallReport], rendered: list) -> list[dict]:
+    """The wall table's rows; `rendered[i]` is charge i, rendered once and
+    shared by every row that names it."""
+    return [
+        {"i": r.i, "j": r.j, "member": r.member, "Z_i": rendered[r.i], "Z_j": rendered[r.j]}
+        for r in reports
+    ]
 
 
 def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
@@ -518,13 +517,17 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
         sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
     )
     walls = wall_intersection(result.charges)
+    charges = [scalar_json(z, with_float) for z in walls.charges]
+    # every charge of the table is the real positive QuadComplex(z)
+    zero = scalar_json(QuadScalar(0), with_float)
+    rendered = [{"re": z, "im": zero} for z in charges]
     return {
         "scenario": sc.echo(),
         "certificate": "wall-intersection",
         "omega_J": vector_json(result.omega_J, with_float),
         "flips": walls.flips,
-        "charges": [scalar_json(z, with_float) for z in walls.charges],
-        "walls": [wall_json(r, with_float) for r in walls.reports],
+        "charges": charges,
+        "walls": _wall_rows(walls.reports, rendered),
         "member_count": sum(1 for r in walls.reports if r.member),
         "pairs": len(walls.reports),
         "kind": "generalized",
@@ -534,12 +537,11 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
 
 def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
     """Pairwise wall membership at the scenario's own omega_J (no search)."""
-    reports = wall_table(
-        [central_charge(sc.psi, mirror_class(sc.split, cls)) for cls in sc.pic_basis]
-    )
+    zs = [central_charge(sc.psi, mirror_class(sc.split, cls)) for cls in sc.pic_basis]
+    reports = wall_table(zs)
     return {
         "scenario": sc.echo(),
-        "walls": [wall_json(r, with_float) for r in reports],
+        "walls": _wall_rows(reports, [complex_json(z, with_float) for z in zs]),
         "member_count": sum(1 for r in reports if r.member),
         "pairs": len(reports),
         "kind": "generalized",

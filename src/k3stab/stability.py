@@ -319,16 +319,14 @@ class WallReport:
     z_j: QuadComplex
 
 
-def _phase_aligned(z1: QuadComplex, z2: QuadComplex) -> bool:
-    """z1/z2 in R_{>0}, decided exactly; a zero charge has no phase.  Two real
-    charges are aligned exactly when their signs agree."""
-    if not (z1 and z2):
-        return False
-    if not (z1.im or z2.im):
-        return z1.re.sign() == z2.re.sign()
-    cross = z1.re * z2.im - z1.im * z2.re
-    dot = z1.re * z2.re + z1.im * z2.im
-    return not cross and dot.sign() > 0
+def _phase_key(z: QuadComplex) -> Optional[tuple]:
+    """An exact key of the phase of z: None for zero, (0, sign re) for a real
+    z, (sign im, re/im) otherwise.  The sign of im picks the half plane and
+    re/im, the cotangent of the argument, is injective on each, so z1/z2 is a
+    positive real exactly when the keys are equal and not None."""
+    if not z.im:
+        return (0, z.re.sign()) if z.re else None
+    return (z.im.sign(), z.re / z.im)
 
 
 def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallReport:
@@ -336,16 +334,19 @@ def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallRe
 
     Zero central charges have no phase and fail membership.
     """
-    z1 = central_charge(psi, v1)
-    z2 = central_charge(psi, v2)
-    return WallReport(i=0, j=1, member=_phase_aligned(z1, z2), z_i=z1, z_j=z2)
+    (report,) = wall_table([central_charge(psi, v1), central_charge(psi, v2)])
+    return report
 
 
 def wall_table(zs: Sequence[QuadComplex]) -> list[WallReport]:
     """Wall membership of every pair i < j, in (i, j) order, from the central
-    charges of the vectors (one per vector, computed by the caller)."""
+    charges of the vectors (one per vector, computed by the caller) and one
+    phase key per charge."""
+    keys = [_phase_key(z) for z in zs]
     return [
-        WallReport(i=i, j=j, member=_phase_aligned(zs[i], zs[j]), z_i=zs[i], z_j=zs[j])
+        WallReport(
+            i=i, j=j, member=keys[i] is not None and keys[i] == keys[j], z_i=zs[i], z_j=zs[j]
+        )
         for i in range(len(zs))
         for j in range(i + 1, len(zs))
     ]

@@ -210,6 +210,18 @@ def triple_plane_gram(psi):
     return [[g11, g12], [g12, g22]]
 
 
+def phase_aligned(z1, z2):
+    """z1/z2 in R_{>0}, decided exactly by two products per pair; a zero
+    charge has no phase.  The reference for `stability.wall_table`."""
+    if not (z1 and z2):
+        return False
+    if not (z1.im or z2.im):
+        return z1.re.sign() == z2.re.sign()
+    cross = z1.re * z2.im - z1.im * z2.re
+    dot = z1.re * z2.re + z1.im * z2.im
+    return not cross and dot.sign() > 0
+
+
 def gram_of(lat, vectors):
     """Gram matrix of exact vectors, one `pair` per entry."""
     return [[pair(lat, x, y) for y in vectors] for x in vectors]

@@ -155,3 +155,45 @@ def test_complex_arithmetic():
 def test_complex_i_times():
     i = QuadComplex(0, 1)
     assert i * i == QuadComplex(-1, 0)
+
+
+_SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)])
+# (a, b, m, im): the value a + b sqrt(m) + i im
+_VALUES = st.tuples(_SMALL, _SMALL, st.sampled_from([0, 2, 3]), _SMALL).map(
+    lambda v: (v[0], v[1] if v[2] else Fraction(0), v[2], v[3])
+)
+
+
+def _typed(value):
+    """The value as an int, a Fraction, a QuadScalar or a QuadComplex,
+    whichever of these can hold it."""
+    a, b, m, im = value
+    kinds = [QuadComplex(QuadScalar(a, b, m), QuadScalar(im))]
+    if not im:
+        kinds.append(QuadScalar(a, b, m))
+        if not b:
+            kinds.append(a)
+            if a.denominator == 1:
+                kinds.append(int(a))
+    return st.sampled_from(kinds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_equal_values_hash_alike(data):
+    """a == b implies hash(a) == hash(b), across the four types; the second
+    value is often the first in another type."""
+    first = data.draw(_VALUES)
+    second = data.draw(st.one_of(st.just(first), _VALUES))
+    a, b = data.draw(_typed(first)), data.draw(_typed(second))
+    if a == b:
+        assert hash(a) == hash(b), (a, b)
+    assert len({a, b}) == (1 if a == b else 2)
+
+
+def test_mixed_hash_examples():
+    assert hash(QuadScalar(3)) == hash(3)
+    assert hash(QuadComplex(2)) == hash(2)
+    assert hash(QuadComplex(QuadScalar(0, 1, 2))) == hash(QuadScalar(0, 1, 2))
+    assert {QuadScalar(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+    assert 2 in {QuadComplex(2)}

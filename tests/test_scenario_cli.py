@@ -644,3 +644,37 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0
     assert calls == {"central_charge": 20, "mirror_class": 20, "p0_violations": 1}
+
+
+def test_verify_64_wall_table_and_rendering_cost(monkeypatch, capsys, diag28):
+    """The wall table of verify 6.4 takes one exact sign per charge (20, not
+    two per pair), and the report renders each exact string once; the 190
+    wall rows share the rendered charges."""
+    import k3stab.scenario
+    import k3stab.stability
+    from k3stab.exact import QuadScalar
+
+    signs, strings = [], []
+    sign, to_str = QuadScalar.sign, QuadScalar.__str__
+    monkeypatch.setattr(QuadScalar, "sign", lambda x: signs.append(x) or sign(x))
+    monkeypatch.setattr(QuadScalar, "__str__", lambda x: strings.append(x) or to_str(x))
+    table = k3stab.stability.wall_table
+    in_table = []
+
+    def counted_table(zs):
+        before = len(signs)
+        reports = table(zs)
+        in_table.append(len(signs) - before)
+        return reports
+
+    for module in (k3stab.stability, k3stab.scenario):
+        monkeypatch.setattr(module, "wall_table", counted_table)
+    code, out = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
+    assert code == 0
+    assert in_table == [20]
+    report = json.loads(out)
+    assert len(report["charges"]) == 20 and len(report["walls"]) == 190
+    # one str() per charge, one for the shared imaginary part "0", and one per
+    # exact coordinate of omega_J: nothing is rendered twice
+    omega = [x for x in report["omega_J"] if isinstance(x, str)]
+    assert sorted(map(to_str, strings)) == sorted(report["charges"] + ["0"] + omega)

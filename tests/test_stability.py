@@ -46,6 +46,7 @@ from k3stab.stability import _dual_eta
 from oracles import (
     bounded_p0_violations,
     dual_eta,
+    phase_aligned,
     solve_integer,
     triple_charge,
     triple_plane_gram,
@@ -537,6 +538,42 @@ def test_wall_table_matches_wall_member(sc28, searched28):
             ref = wall_member(psi, vs[rep.i], vs[rep.j])
             assert (rep.member, rep.z_i, rep.z_j) == (ref.member, ref.z_i, ref.z_j)
     assert not all(r.member for r in wall_table([central_charge(searched28.psi, v) for v in mixed]))
+
+
+@st.composite
+def _charge_lists(draw):
+    """QuadComplex charges over Q or one Q(sqrt m): a few base charges, some
+    of them zero, real or imaginary, and rational multiples of either sign of
+    them, so that aligned and anti-aligned pairs both occur."""
+    m = draw(st.sampled_from([0, 2, 5]))
+    part = st.builds(QuadScalar, _RATIONALS, _RATIONALS if m else st.just(0), st.just(m))
+    zero = st.just(QuadScalar(0))
+    base = st.one_of(
+        st.builds(QuadComplex, zero, zero),
+        st.builds(QuadComplex, part, zero),
+        st.builds(QuadComplex, zero, part),
+        st.builds(QuadComplex, part, part),
+    )
+    bases = draw(st.lists(base, min_size=1, max_size=4))
+    factors = st.fractions(-3, 3, max_denominator=4)
+    picks = st.tuples(st.sampled_from(bases), factors)
+    return [z * f for z, f in draw(st.lists(picks, min_size=2, max_size=8))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_charge_lists())
+def test_wall_table_matches_phase_aligned_oracle(zs):
+    reports = wall_table(zs)
+    assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(zs)), 2))
+    assert [r.member for r in reports] == [phase_aligned(r.z_i, r.z_j) for r in reports]
+
+
+def test_wall_table_phase_examples():
+    one, i = QuadComplex(1), QuadComplex(0, 1)
+    z = QuadComplex(QuadScalar(1, 1, 2), QuadScalar(-3))
+    zs = [one, 2 * one, -one, i, -i, z, z * Fraction(1, 3), -z, QuadComplex(0), z.conj()]
+    members = {(r.i, r.j) for r in wall_table(zs) if r.member}
+    assert members == {(0, 1), (5, 6)}
 
 
 def test_s_part_memo_is_the_value(sc28):
