@@ -146,7 +146,6 @@ class AttractorData:
     omega_I: LatticeVector
     im_omega_I: LatticeVector
     is_normalized: bool
-    m: int  # square-free radicand of the scenario field (0 when rational)
 
     @property
     def Omega_I(self) -> ComplexVector:
@@ -182,7 +181,6 @@ def hyperkahler_rotate(charge: Charge, tau: QuadComplex, omega_J: LatticeVector)
         omega_I=omega_I,
         im_omega_I=im_omega_I,
         is_normalized=normalized,
-        m=tau.im.m,
     )
 
 

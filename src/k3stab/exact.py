@@ -301,19 +301,12 @@ def qs_sign(x: QuadScalar | Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
-
-
 class QuadComplex:
     """A complex number with :class:`QuadScalar` real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0, m: int | None = None):
-        if m is not None:
-            re = QuadScalar(re, 0, 0) if not isinstance(re, QuadScalar) else re
-            im = QuadScalar(0, im, m) if not isinstance(im, QuadScalar) else im
+    def __init__(self, re=0, im=0):
         self.re = re if isinstance(re, QuadScalar) else QuadScalar(re)
         self.im = im if isinstance(im, QuadScalar) else QuadScalar(im)
 
@@ -400,5 +393,3 @@ class QuadComplex:
     def __repr__(self):
         return f"QuadComplex({self.re!r}, {self.im!r})"
 
-
-I = QuadComplex(0, 1)

@@ -35,9 +35,7 @@ from .lattice import (
     GramLattice,
     LatticeVector,
     MukaiVector,
-    Sublattice,
     embed_gamma,
-    orth_complement,
     pair,
     project_off_hyperbolic,
 )
@@ -64,7 +62,6 @@ class SplitData:
     sigma0: LatticeVector
     v: LatticeVector
     vstar: LatticeVector
-    gamma_prime: Sublattice
 
     def project(self, x):
         """Projection pr onto Gamma'_R (kills v and v* components)."""
@@ -79,10 +76,7 @@ def make_split(f: LatticeVector, sigma0: LatticeVector, lat: GramLattice = GAMMA
             "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got "
             f"{pair(lat, f, f)}, {pair(lat, f, sigma0)}, {pair(lat, sigma0, sigma0)}"
         )
-    v = f
-    vstar = f + sigma0
-    gamma_prime = orth_complement(lat, [f, sigma0])
-    return SplitData(lat=lat, f=f, sigma0=sigma0, v=v, vstar=vstar, gamma_prime=gamma_prime)
+    return SplitData(lat=lat, f=f, sigma0=sigma0, v=f, vstar=f + sigma0)
 
 
 @dataclass(frozen=True)

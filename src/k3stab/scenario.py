@@ -168,18 +168,13 @@ class Scenario:
         self.pic_basis = [self.split.f, self.split.sigma0] + self.eta_basis
         if len(self.pic_basis) != lat.rank - 2:
             raise ScenarioError("Picard basis does not have the expected rank")
-        if len(self.search.alphas) > len(self.pic_basis):
-            raise ScenarioError(
-                f"search.alphas has {len(self.search.alphas)} entries, but the Picard "
-                f"rank is {len(self.pic_basis)}"
-            )
         return self
 
     def _field(self) -> int:
         """The radicand m of the one field Q(sqrt m) that holds sqrt(D) and
         every given scalar; two different radicands are a scenario error."""
         sp = self.search
-        scalars = (self.tau.im, sp.c_sigma, sp.c_eta)
+        scalars = (self.tau.im, sp.c_eta)
         vectors = (self.omega_J, self.B, sp.eta)
         radicands = {x.m for x in scalars if isinstance(x, QuadScalar)}
         radicands |= {v.m for v in vectors if v is not None}
@@ -265,33 +260,18 @@ def build_scenario(
     return sc.assemble()
 
 
-def _rational(value, name: str) -> Fraction:
-    x = _scalar(value)
-    if not x.is_rational:
-        raise ScenarioError(f"{name} must be rational, got {value!r}")
-    return x.as_fraction()
-
-
 def _search_params(raw: dict, omega0: LatticeVector) -> SearchParams:
-    known = {"c_eta", "c_sigma", "beta", "eta", "alphas"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"c_eta", "eta"}
     if unknown:
         raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
-    kwargs = {"omega0": omega0}
+    params = SearchParams(omega0=omega0)
     if "c_eta" in raw:
-        kwargs["c_eta"] = _scalar(raw["c_eta"])
-    if "c_sigma" in raw:
-        kwargs["c_sigma"] = _scalar(raw["c_sigma"])
-    if "beta" in raw:
-        kwargs["beta"] = _rational(raw["beta"], "search.beta")
-    if "eta" in raw and raw["eta"] is not None:
-        kwargs["eta"] = _vector(raw["eta"])
-    if "alphas" in raw:
-        alphas = raw["alphas"]
-        if not isinstance(alphas, list):
-            raise ScenarioError(f"search.alphas must be a list, got {alphas!r}")
-        kwargs["alphas"] = tuple(_rational(a, "search.alphas") for a in alphas)
-    return SearchParams(**kwargs)
+        params.c_eta = _scalar(raw["c_eta"])
+    if raw.get("eta") is not None:
+        if not params.c_eta:
+            raise ScenarioError("search.eta has no effect when search.c_eta is 0")
+        params.eta = _vector(raw["eta"])
+    return params
 
 
 def scenario_from_file(path: str) -> Scenario:

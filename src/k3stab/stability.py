@@ -375,19 +375,16 @@ def verify_reality(
 class SearchParams:
     """The one constructed candidate of the Kaehler-class search.
 
-    The candidate is omega_k = base + 2^-k (c_sigma * sigma0 + c_eta * eta),
-    with base = beta * omega0 + sum(alpha_k n_k), at the least k >= 0 where
-    omega_k is inside the open cone omega^2 > 0, omega.f > 0, omega.omega0 > 0.
-    `eta` defaults to the integral class dual to a basis of the complement of
-    (p, q, f, sigma0).
+    The candidate is omega_k = omega0 + 2^-k c_eta eta at the least k >= 0
+    where omega_k is inside the open cone omega^2 > 0, omega.f > 0,
+    omega.omega0 > 0; with c_eta = 0 it is omega0 itself.  `eta` defaults to
+    the integral class dual to the given basis of the complement of
+    (p, q, f, sigma0) (`_dual_eta`).
     """
 
     omega0: LatticeVector
     eta: Optional[LatticeVector] = None
-    c_sigma: Union[Fraction, QuadScalar] = Fraction(0)
     c_eta: Union[Fraction, QuadScalar] = Fraction(1, 10)
-    alphas: tuple = ()
-    beta: Fraction = Fraction(1)
 
 
 @dataclass
@@ -411,9 +408,11 @@ def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector
 
     `gram_schmidt` of minus the Gram matrix P decides definiteness; then the
     kernel of [P | -1] is spanned by one primitive vector (x, c), and with
-    c > 0, P x = c 1 makes x the coefficients of eta.  In root-lattice blocks
-    eta pairs with each root by a multiple of its height, and so avoids every
-    root hyperplane.
+    c > 0, P x = c 1 makes x the coefficients of eta.  Nothing more holds in
+    general: eta is orthogonal to every difference b_i - b_j, so it does not
+    avoid the hyperplane of a root of that form.  On the form [2,1,2] the
+    root e2(U3) - e1(U3), the difference of the first two vectors of the
+    scenario's basis, annihilates every candidate (ROADMAP item 1).
     """
     sub = Sublattice(lat, basis)
     neg_gram = [[-x for x in row] for row in sub.gram()]
@@ -443,52 +442,42 @@ def search_kahler_class(
     tau: QuadComplex,
     pic_basis: Sequence[LatticeVector],
     params: SearchParams,
-    eta_basis: Optional[Sequence[LatticeVector]] = None,
+    eta_basis: Sequence[LatticeVector],
 ) -> SearchResult:
     """Find omega_J making exp(mirror B + i mirror omega) a regular point.
 
     Fails fast with SearchObstructed when D = 2 p^2 (no candidate can work).
-    Otherwise builds the one candidate of `SearchParams`: halving the step
-    moves omega_k towards the base, so a base strictly inside the cone gives a
-    least k with no cap, and a base outside it, or a candidate line not
-    orthogonal to the charge, ends the search at once.  The candidate must
-    span a positive plane, give all twenty mirror charges real and nonzero,
-    and annihilate no (-2)-class (the complete `p0_violations`); otherwise
-    SearchExhausted carries the k halving rejections and the final reason.
+    Otherwise builds the one candidate of `SearchParams`, whose default eta
+    is dual to `eta_basis`: halving the step moves omega_k towards omega0, so
+    an omega0 strictly inside the cone gives a least k with no cap, and an
+    omega0 outside it, or a candidate line not orthogonal to the charge, ends
+    the search at once.  The candidate must span a positive plane, give all
+    twenty mirror charges real and nonzero, and annihilate no (-2)-class (the
+    complete `p0_violations`); otherwise SearchExhausted carries the k
+    halving rejections and the final reason.
     """
     lat = charge.lat
     obstruction = fibration_obstruction(charge, split)
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
-    base = params.beta * params.omega0
-    for alpha, cls in zip(params.alphas, pic_basis):
-        if alpha:
-            base = base + alpha * cls
+    omega0 = params.omega0
     step = LatticeVector.zero(lat.rank)
-    if params.c_sigma:
-        step = step + params.c_sigma * split.sigma0
     eta = None
     if params.c_eta:
-        eta = params.eta
-        if eta is None:
-            if eta_basis is None:
-                eta_basis = orth_complement(
-                    lat, [charge.p, charge.q, split.f, split.sigma0]
-                ).basis
-            eta = _dual_eta(lat, eta_basis)
-        step = step + params.c_eta * eta
-    if any(pair(lat, v, c) for v in (base, step) for c in (charge.p, charge.q)):
+        eta = params.eta if params.eta is not None else _dual_eta(lat, eta_basis)
+        step = params.c_eta * eta
+    if any(pair(lat, v, c) for v in (omega0, step) for c in (charge.p, charge.q)):
         raise SearchExhausted([(0, "candidate not orthogonal to the charge")])
-    reason = _cone_violation(lat, base, split.f, params.omega0, "base")
+    reason = _cone_violation(lat, omega0, split.f, omega0, "base")
     if reason is not None:
         raise SearchExhausted([(0, reason)])
     rejections: list[tuple[int, str]] = []
     k = 0
-    omega = base + step
-    while (reason := _cone_violation(lat, omega, split.f, params.omega0, "candidate")) is not None:
+    omega = omega0 + step
+    while (reason := _cone_violation(lat, omega, split.f, omega0, "candidate")) is not None:
         rejections.append((k, reason))
         k += 1
-        omega = base + Fraction(1, 2**k) * step
+        omega = omega0 + Fraction(1, 2**k) * step
 
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])

@@ -107,7 +107,6 @@ def test_rotation_fields_diag_2_8():
     assert data.omega_I == 2 * ch.p
     assert data.im_omega_I == ch.q
     assert not data.is_normalized  # omega_J^2 = 2 while D / p^2 = 8
-    assert data.m == 0
 
 
 def test_rotation_rejections():

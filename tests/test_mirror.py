@@ -10,6 +10,7 @@ from k3stab.lattice import (
     MUKAI,
     ComplexVector,
     LatticeVector,
+    orth_complement,
     pair,
 )
 from k3stab.mirror import (
@@ -37,7 +38,8 @@ def split():
 
 
 def test_make_split(split):
-    assert split.gamma_prime.rank == 20
+    assert (split.v, split.vstar) == (F, E2)
+    assert orth_complement(GAMMA, [split.f, split.sigma0]).rank == 20
     assert pair(GAMMA, split.vstar, split.vstar) == 0
     assert pair(GAMMA, split.v, split.vstar) == 1
 

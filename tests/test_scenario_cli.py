@@ -84,12 +84,12 @@ def test_scenario_search_overrides(tmp_path):
         tmp_path,
         {
             "form": [2, 0, 8],
-            "search": {"c_eta": "1/20", "beta": "2"},
+            "search": {"c_eta": "1/20", "eta": [0] * 6 + [1] + [0] * 15},
         },
     )
     sc = scenario_from_file(path)
     assert str(sc.search.c_eta) == "1/20"
-    assert sc.search.beta == 2
+    assert sc.search.eta == GAMMA.basis(6)
 
 
 def test_cli_attractor(capsys, diag28):
@@ -286,12 +286,16 @@ def test_cli_search_exhausted_exit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "search, reason",
     [
-        ({"beta": "-1"}, "base does not pair positively with the fiber class"),
+        ({}, "base does not pair positively with the fiber class"),
         ({"eta": [0, 0, 1] + [0] * 19}, "candidate not orthogonal to the charge"),
     ],
 )
 def test_cli_hopeless_candidate_exits_at_once(tmp_path, capsys, search, reason):
-    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": search})
+    fields = {"form": [2, 0, 8], "search": search}
+    if reason.startswith("base"):
+        # omega_J = -(2f + sigma0): positive square, but omega_J.f = -1
+        fields["omega_J"] = [-1, -1] + [0] * 20
+    path = write_scenario(tmp_path, fields)
     code, out = run_cli(capsys, ["verify", "6.4", "--scenario", path])
     assert code == 4
     report = json.loads(out)
@@ -446,11 +450,19 @@ def test_cli_rejects_radicand_key(tmp_path, capsys):
     [
         ({"form": "abc"}, "form must be a triple"),
         ({"form": [2, 0, 8], "search": 5}, "search must be a JSON object"),
-        ({"form": [2, 0, 8], "search": {"alphas": 5}}, "search.alphas must be a list"),
-        ({"form": [2, 0, 8], "search": {"beta": "sqrt(2)"}}, "search.beta must be rational"),
-        ({"form": [2, 0, 8], "search": {"alphas": ["sqrt(3)"]}}, "search.alphas must be rational"),
+        # the search takes omega_J and eta only: a base built from alphas and
+        # beta is an explicit omega_J, and c_sigma sigma0 folds into eta
+        *(
+            ({"form": [2, 0, 8], "search": {key: value}}, f"unknown search parameters: ['{key}']")
+            for key, value in (
+                ("alphas", 5),
+                ("beta", "sqrt(2)"),
+                ("alphas", ["sqrt(3)"]),
+                ("c_sigma", "1/10"),
+            )
+        ),
     ],
-    ids=["form-string", "search-number", "alphas-number", "beta-irrational", "alphas-irrational"],
+    ids=["form-string", "search-number", "alphas-number", "beta-irrational", "alphas-irrational", "c_sigma"],
 )
 def test_cli_rejects_malformed_scenario_values(tmp_path, capsys, fields, says):
     path = write_scenario(tmp_path, fields)
@@ -546,16 +558,28 @@ def test_cli_rejects_mixed_fields(tmp_path, capsys):
 
 
 def test_cli_rejects_more_alphas_than_the_picard_rank(tmp_path, capsys):
-    path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"alphas": ["0"] * 20 + ["7"]}})
-    argv = ["verify", "6.4", "--scenario", path]
-    assert_json_error(*run_cli(capsys, argv), "scenario", "search.alphas has 21 entries")
-    # a shorter list means zeros for the rest
-    short = {"form": [2, 0, 8], "search": {"alphas": ["0"] * 3}}
-    short = write_scenario(tmp_path, short, name="short.json")
-    default = write_scenario(tmp_path, {"form": [2, 0, 8]}, name="default.json")
-    assert run_cli(capsys, ["verify", "6.4", "--scenario", short]) == run_cli(
-        capsys, ["verify", "6.4", "--scenario", default]
-    )
+    # alphas is no search parameter, so no length of the list is read as a
+    # base: a list longer than the Picard rank and a short one fail alike
+    for alphas in (["0"] * 20 + ["7"], ["0"] * 3):
+        path = write_scenario(tmp_path, {"form": [2, 0, 8], "search": {"alphas": alphas}})
+        argv = ["verify", "6.4", "--scenario", path]
+        assert_json_error(*run_cli(capsys, argv), "scenario", "unknown search parameters: ['alphas']")
+
+
+def test_cli_rejects_eta_without_a_step(tmp_path, capsys):
+    # with c_eta = 0 the candidate is omega_J itself and eta would be ignored,
+    # even one that is not orthogonal to the charge
+    path = write_scenario(tmp_path, {"form": [2, 0, 8]})
+    omega_J = json.loads(run_cli(capsys, ["verify", "6.3", "--scenario", path])[1])["omega_J"]
+    fields = {"form": [2, 0, 8], "omega_J": omega_J, "search": {"c_eta": "0"}}
+    path = write_scenario(tmp_path, fields, name="no_step.json")
+    code, out = run_cli(capsys, ["verify", "6.3", "--scenario", path])
+    assert code == 0 and json.loads(out)["pass"] is True
+    fields["search"]["eta"] = [0, 0, 1] + [0] * 19
+    path = write_scenario(tmp_path, fields, name="ignored_eta.json")
+    argv = ["verify", "6.3", "--scenario", path]
+    says = "search.eta has no effect when search.c_eta is 0"
+    assert_json_error(*run_cli(capsys, argv), "scenario", says)
 
 
 def test_echo_m_is_the_scenario_field(tmp_path, capsys):
