@@ -1,8 +1,8 @@
 """Attractor data for a charge (p, q) on K3 x T^2.
 
-For p, q in the K3 lattice with D = p^2 q^2 - (p.q)^2 > 0 the attractor
-equation fixes the torus modulus tau = (p.q + i*sqrt(D)) / p^2 and the K3
-period Omega = q - conj(tau) p.  Everything here is exact: sqrt(D) lives in
+For p, q in the K3 lattice with p^2 > 0 and D = p^2 q^2 - (p.q)^2 > 0 the
+attractor equation fixes the torus modulus tau = (p.q + i*sqrt(D)) / p^2 and
+the K3 period Omega = q - conj(tau) p.  Everything here is exact: sqrt(D) lives in
 Q(sqrt(m)) for the square-free part m of D.
 
 The hyperkaehler rotation bookkeeping follows the standard triple (I, J, K):
@@ -38,7 +38,7 @@ from .lattice import (
 
 
 class DegenerateCharge(ValueError):
-    """p^2 = 0 or D <= 0: the attractor equation has no solution."""
+    """p^2 <= 0 or D <= 0: the charge plane is not positive definite."""
 
 
 class NotAttractor(ValueError):
@@ -84,8 +84,9 @@ class Charge:
 
 
 def solve_attractor(charge: Charge) -> tuple[QuadComplex, ComplexVector]:
-    """Exact attractor solution (tau, Omega) with Omega = q - conj(tau) p."""
-    if charge.p2 == 0 or charge.disc <= 0:
+    """Exact attractor solution (tau, Omega) with Omega = q - conj(tau) p,
+    for a positive definite charge plane (p^2 > 0 and D > 0)."""
+    if charge.p2 <= 0 or charge.disc <= 0:
         raise DegenerateCharge(f"p^2={charge.p2}, D={charge.disc}")
     re = QuadScalar(Fraction(charge.pq, charge.p2))
     im = QuadScalar.sqrt(charge.disc) * Fraction(1, charge.p2)

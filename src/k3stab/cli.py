@@ -16,7 +16,7 @@ comparison.  Exit codes:
 
     0  certificate verified / command succeeded
     1  usage, scenario-file, or precondition error
-    2  degenerate charge or failed attractor decomposition
+    2  degenerate charge (p^2 <= 0 or D <= 0) or failed attractor decomposition
     3  verification failed, counterexample attached
     4  the one constructed Kaehler candidate failed its check
   141  stdout closed before the report was written (e.g. piped into `head`);

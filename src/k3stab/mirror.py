@@ -88,12 +88,13 @@ class MirrorTriple:
     B_check: LatticeVector
 
 
-def mirror_period(
+def check_period_data(
     split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
-) -> MirrorTriple:
-    """Apply the mirror map to period data; all scalars exact."""
+) -> QuadScalar:
+    """The input checks of `mirror_period`, in its order; returns the
+    normalizing pairing Re(Omega).v, which they leave nonzero."""
     lat = split.lat
-    v, vstar = split.v, split.vstar
+    v = split.v
     if pair(lat, Omega.im, v):
         raise PreconditionViolation("Im(Omega) must be orthogonal to v")
     if pair(lat, omega, v) or pair(lat, B, v):
@@ -103,7 +104,16 @@ def mirror_period(
     rev = pair(lat, Omega.re, v)
     if not rev:
         raise NormalizationFailure("Re(Omega).v = 0")
-    scale = rev.inverse()
+    return rev
+
+
+def mirror_period(
+    split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
+) -> MirrorTriple:
+    """Apply the mirror map to period data; all scalars exact."""
+    lat = split.lat
+    v, vstar = split.v, split.vstar
+    scale = check_period_data(split, Omega, omega, B).inverse()
     x = ComplexVector(B, omega)
     x_sq = pair(lat, x, x)
     omega_check_cplx = (

@@ -12,8 +12,16 @@ coordinates for any of p, q, f, sigma0, omega_J, B.  Defaults: omega_J is the
 suspension class 2f + sigma0, B = 0.  One quadratic field Q(sqrt m) holds
 every scalar of a scenario; it is fixed at assembly (m = 0 when rational).
 
-Everything derived (tau, rotation data, mirror triple, stability point, a
-Picard basis containing f and sigma0) is computed eagerly and exactly.
+A `Scenario` is one pipeline.  Constructing it runs the eager stages, all
+exact: the attractor solution (tau, Omega), the field, the hyperkaehler
+rotation at omega_J, and a Picard basis containing f and sigma0 with the
+eta basis of the complement of (p, q, f, sigma0).  It also runs every input
+check once: those of the rotation, those of the mirror map at omega_J
+(`check_period_data`), and omega_J.f > 0, since f is nef.  The lazy stages
+are computed on first read and kept: the mirror triple at omega_J
+(`triple`), its stability point (`psi`), and the Kaehler search
+(`result`).  A command pays only for the stages it reads, and rejects the
+same scenarios as any other command.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -44,7 +53,9 @@ from .lattice import (
 )
 from .mirror import (
     MirrorTriple,
+    PreconditionViolation,
     SplitData,
+    check_period_data,
     make_split,
     mirror_class,
     mirror_involution_check,
@@ -53,8 +64,10 @@ from .mirror import (
 from .stability import (
     ObstructionCheck,
     SearchParams,
+    SearchResult,
     StabilityPoint,
     WallReport,
+    _cone_violation,
     central_charge,
     exp_point,
     ns_of_mirror,
@@ -134,33 +147,36 @@ def standard_fibration() -> tuple[LatticeVector, LatticeVector]:
 
 @dataclass
 class Scenario:
+    """One pipeline: the eager stages and every input check run here, the
+    lazy stages on first read (module docstring)."""
+
     charge: Charge
     split: SplitData
     omega_J: LatticeVector
     B: LatticeVector
+    search: SearchParams
     form: Optional[BinaryEvenForm] = None
-    search: Optional[SearchParams] = None
-    # derived, filled by assemble()
-    m: int = 0
-    tau: QuadComplex = None
-    Omega: ComplexVector = None
-    data: AttractorData = None
-    triple: MirrorTriple = None
-    psi: StabilityPoint = None
-    pic_basis: list[LatticeVector] = field(default_factory=list)
-    eta_basis: list[LatticeVector] = field(default_factory=list)
-    sqrt_disc_integral: bool = False
+    # eager stages, filled at construction
+    m: int = field(init=False)
+    tau: QuadComplex = field(init=False)
+    Omega: ComplexVector = field(init=False)
+    data: AttractorData = field(init=False)
+    pic_basis: list[LatticeVector] = field(init=False)
+    eta_basis: list[LatticeVector] = field(init=False)
+    sqrt_disc_integral: bool = field(init=False)
 
-    def assemble(self) -> "Scenario":
+    def __post_init__(self):
         lat = self.charge.lat
         self.tau, self.Omega = solve_attractor(self.charge)
         self.sqrt_disc_integral = self.tau.im.is_rational
-        if self.search is None:
-            self.search = SearchParams(omega0=self.omega_J)
         self.m = self._field()
         self.data = hyperkahler_rotate(self.charge, self.tau, self.omega_J)
-        self.triple = mirror_period(self.split, self.data.Omega_I, self.data.omega_I, self.B)
-        self.psi = exp_point(self.triple.B_check, self.triple.omega_check, lat)
+        check_period_data(self.split, self.data.Omega_I, self.data.omega_I, self.B)
+        # f is nef, so a Kaehler class pairs positively with it: the search's
+        # cone test at omega0 = omega_J, where only omega_J.f > 0 is left
+        reason = _cone_violation(lat, self.omega_J, self.split.f, self.omega_J, "omega_J")
+        if reason is not None:
+            raise PreconditionViolation(reason)
         complement = orth_complement(
             lat, [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
         )
@@ -168,7 +184,25 @@ class Scenario:
         self.pic_basis = [self.split.f, self.split.sigma0] + self.eta_basis
         if len(self.pic_basis) != lat.rank - 2:
             raise ScenarioError("Picard basis does not have the expected rank")
-        return self
+
+    @cached_property
+    def triple(self) -> MirrorTriple:
+        """The mirror of the period data at omega_J."""
+        return mirror_period(self.split, self.data.Omega_I, self.data.omega_I, self.B)
+
+    @cached_property
+    def psi(self) -> StabilityPoint:
+        """exp(mirror B + i mirror omega) at omega_J.  After the checks at
+        construction the mirror omega has square D / (p^2 (omega_J.f)^2) > 0,
+        so the check of `exp_point` holds."""
+        return exp_point(self.triple.B_check, self.triple.omega_check)
+
+    @cached_property
+    def result(self) -> SearchResult:
+        """The Kaehler search from omega_J, read by `verify 6.3` and `6.4`."""
+        return search_kahler_class(
+            self.charge, self.split, self.tau, self.pic_basis, self.search, self.eta_basis
+        )
 
     def _field(self) -> int:
         """The radicand m of the one field Q(sqrt m) that holds sqrt(D) and
@@ -249,15 +283,14 @@ def build_scenario(
     b_vec = LatticeVector.zero(GAMMA.rank) if B is None else _vector(B)
     if search is not None and not isinstance(search, dict):
         raise ScenarioError(f"search must be a JSON object, got {search!r}")
-    sc = Scenario(
+    return Scenario(
         charge=charge,
         split=split,
         omega_J=omega_vec,
         B=b_vec,
+        search=_search_params(search or {}, omega_vec),
         form=form,
-        search=_search_params(search, omega_vec) if search else None,
     )
-    return sc.assemble()
 
 
 def _search_params(raw: dict, omega0: LatticeVector) -> SearchParams:
@@ -440,7 +473,7 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
             "omega": vector_json(sc.triple.omega_check, with_float),
             "B": vector_json(sc.triple.B_check, with_float),
         },
-        "ns_of_mirror_rank": ns_of_mirror(sc.triple.Omega_check, sc.charge.lat).rank,
+        "ns_of_mirror_rank": ns_of_mirror(sc.triple.Omega_check).rank,
         "involution": involution,
     }
 
@@ -448,9 +481,7 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
 def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
     """Obstruction certificate plus the Kaehler-class search (exit data only;
     raising variants live in the stability module)."""
-    result = search_kahler_class(
-        sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
-    )
+    result = sc.result
     enumeration = result.enumeration
     return {
         "scenario": sc.echo(),
@@ -493,9 +524,7 @@ def _wall_rows(reports: list[WallReport], rendered: list) -> list[dict]:
 
 
 def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
-    result = search_kahler_class(
-        sc.charge, sc.split, sc.tau, sc.pic_basis, sc.search, sc.eta_basis
-    )
+    result = sc.result
     walls = wall_intersection(result.charges)
     charges = [scalar_json(z, with_float) for z in walls.charges]
     # every charge of the table is the real positive QuadComplex(z)

@@ -25,11 +25,11 @@ certificate, equivalent to D != 2 p^2 (`fibration_obstruction`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .attractor import AttractorData, Charge, NotPositive, hyperkahler_rotate
+from .attractor import Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
 from .intmat import enumerate_quadric, gram_schmidt, kernel_basis, lll_reduce
 from .lattice import (
@@ -87,11 +87,11 @@ class SearchExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilityPoint:
-    """exp(B + i omega) as an exact complex Mukai triple."""
+    """exp(B + i omega) as an exact complex Mukai triple over the K3 lattice
+    GAMMA."""
 
     B: LatticeVector
     omega: LatticeVector
-    lat: GramLattice = GAMMA
 
     @property
     def d_part(self) -> ComplexVector:
@@ -102,7 +102,7 @@ class StabilityPoint:
         """1/2 (B + i omega)^2, computed on first use and kept on the instance."""
         cached = self.__dict__.get("_s_part")
         if cached is None:
-            x_sq = pair(self.lat, self.d_part, self.d_part)
+            x_sq = pair(GAMMA, self.d_part, self.d_part)
             cached = x_sq * Fraction(1, 2)
             object.__setattr__(self, "_s_part", cached)
         return cached
@@ -111,13 +111,13 @@ class StabilityPoint:
         return QuadComplex(1), self.d_part, self.s_part
 
 
-def exp_point(B: LatticeVector, omega: LatticeVector, lat: GramLattice = GAMMA) -> StabilityPoint:
-    if pair(lat, omega, omega).sign() <= 0:
+def exp_point(B: LatticeVector, omega: LatticeVector) -> StabilityPoint:
+    if pair(GAMMA, omega, omega).sign() <= 0:
         raise NotPositive("omega^2 must be positive")
-    return StabilityPoint(B=B, omega=omega, lat=lat)
+    return StabilityPoint(B=B, omega=omega)
 
 
-def _as_triple(x, lat):
+def _as_triple(x):
     if isinstance(x, MukaiVector):
         return QuadComplex(x.r), ComplexVector(x.D), QuadComplex(x.s)
     if isinstance(x, StabilityPoint):
@@ -130,44 +130,44 @@ def _as_triple(x, lat):
 def _charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     """(Psi, v) for an integral v = (r, D, s) by two real pairings:
     (B.D - s - r Re s_Psi) + i (omega.D - r Im s_Psi), s_Psi = psi.s_part."""
-    lat, s_psi = psi.lat, psi.s_part
-    re = pair(lat, psi.B, v.D) - v.s
-    im = pair(lat, psi.omega, v.D)
+    s_psi = psi.s_part
+    re = pair(GAMMA, psi.B, v.D) - v.s
+    im = pair(GAMMA, psi.omega, v.D)
     if v.r:
         re = re - s_psi.re * v.r
         im = im - s_psi.im * v.r
     return QuadComplex(re, im)
 
 
-def mukai_pair(x, y, lat: GramLattice = GAMMA):
+def mukai_pair(x, y):
     """The Mukai pairing, extended bilinearly to complex triples.
 
     Returns a QuadScalar for two integral vectors, a QuadComplex otherwise.
     """
     if isinstance(x, MukaiVector) and isinstance(y, MukaiVector):
-        return pair(lat, x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
-    r1, d1, s1 = _as_triple(x, lat)
-    r2, d2, s2 = _as_triple(y, lat)
-    return pair(lat, d1, d2) - r1 * s2 - r2 * s1
+        return pair(GAMMA, x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
+    r1, d1, s1 = _as_triple(x)
+    r2, d2, s2 = _as_triple(y)
+    return pair(GAMMA, d1, d2) - r1 * s2 - r2 * s1
 
 
 def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     """Z(v) = (exp(B + i omega), v) by two real pairings, cross-checked
     against the expanded forms."""
     value = _charge(psi, v)
-    lat, B, omega = psi.lat, psi.B, psi.omega
+    B, omega = psi.B, psi.omega
     d_min_rb = v.D - v.r * B
-    im = pair(lat, d_min_rb, omega)
+    im = pair(GAMMA, d_min_rb, omega)
     if v.r == 0:
-        re = pair(lat, v.D, B) - QuadScalar(v.s)
+        re = pair(GAMMA, v.D, B) - QuadScalar(v.s)
     else:
-        d2 = pair(lat, v.D, v.D)
-        w2 = pair(lat, omega, omega)
+        d2 = pair(GAMMA, v.D, v.D)
+        w2 = pair(GAMMA, omega, omega)
         re = (
             d2
             - QuadScalar(2 * v.r * v.s)
             + QuadScalar(v.r * v.r) * w2
-            - pair(lat, d_min_rb, d_min_rb)
+            - pair(GAMMA, d_min_rb, d_min_rb)
         ) * Fraction(1, 2 * v.r)
     if value != QuadComplex(re, im):
         raise ExpansionMismatch(f"{value} vs {QuadComplex(re, im)} for v={v}")
@@ -182,16 +182,16 @@ def is_positive_plane(psi: StabilityPoint) -> bool:
 
 def plane_gram(psi: StabilityPoint) -> list[list[QuadScalar]]:
     """Mukai Gram matrix of Re Psi = (1, B, Re s) and Im Psi = (0, omega, Im s)."""
-    lat, B, omega, s = psi.lat, psi.B, psi.omega, psi.s_part
-    g11 = pair(lat, B, B) - s.re * 2
-    g12 = pair(lat, B, omega) - s.im
-    g22 = pair(lat, omega, omega)
+    B, omega, s = psi.B, psi.omega, psi.s_part
+    g11 = pair(GAMMA, B, B) - s.re * 2
+    g12 = pair(GAMMA, B, omega) - s.im
+    g22 = pair(GAMMA, omega, omega)
     return [[g11, g12], [g12, g22]]
 
 
-def ns_of_mirror(omega_check: ComplexVector, lat: GramLattice = GAMMA) -> Sublattice:
+def ns_of_mirror(omega_check: ComplexVector) -> Sublattice:
     """Integral classes orthogonal to both Re and Im of the mirror period."""
-    return orth_complement(lat, [omega_check.re, omega_check.im])
+    return orth_complement(GAMMA, [omega_check.re, omega_check.im])
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +392,11 @@ class SearchResult:
     omega_J: LatticeVector
     candidate_index: int
     candidates_tried: int
-    eta: Optional[LatticeVector]
     psi: StabilityPoint
     triple: MirrorTriple
-    data: AttractorData
     charges: list[tuple[LatticeVector, QuadScalar]]
     obstruction: ObstructionCheck
     enumeration: RootEnumeration
-    rejections: list[tuple[int, str]] = field(default_factory=list)
 
 
 def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector:
@@ -462,7 +459,6 @@ def search_kahler_class(
         raise SearchObstructed(obstruction)
     omega0 = params.omega0
     step = LatticeVector.zero(lat.rank)
-    eta = None
     if params.c_eta:
         eta = params.eta if params.eta is not None else _dual_eta(lat, eta_basis)
         step = params.c_eta * eta
@@ -484,7 +480,7 @@ def search_kahler_class(
 
     data = hyperkahler_rotate(charge, tau, omega)
     triple = mirror_period(split, data.Omega_I, data.omega_I, LatticeVector.zero(lat.rank))
-    psi = exp_point(triple.B_check, triple.omega_check, lat)
+    psi = exp_point(triple.B_check, triple.omega_check)
     if not is_positive_plane(psi):
         raise exhausted("stability point plane is not positive definite")
     charges = [(cls, z) for cls, z, _ in verify_reality(split, psi, pic_basis)]
@@ -498,14 +494,11 @@ def search_kahler_class(
         omega_J=omega,
         candidate_index=k,
         candidates_tried=k + 1,
-        eta=eta,
         psi=psi,
         triple=triple,
-        data=data,
         charges=charges,
         obstruction=obstruction,
         enumeration=enumeration,
-        rejections=rejections,
     )
 
 

@@ -3,7 +3,6 @@ from contextlib import contextmanager
 import pytest
 
 from k3stab.scenario import build_scenario
-from k3stab.stability import search_kahler_class
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 
@@ -45,6 +44,4 @@ def sc24():
 
 @pytest.fixture(scope="session")
 def searched28(sc28):
-    return search_kahler_class(
-        sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, sc28.search, sc28.eta_basis
-    )
+    return sc28.result

@@ -7,6 +7,7 @@ from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
 from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, signature_of
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
+    GAMMA,
     ComplexVector,
     DimensionMismatch,
     LatticeVector,
@@ -195,7 +196,7 @@ def triple_charge(psi, v):
     `stability.central_charge`."""
     r1, d1, s1 = psi.triple()
     r2, d2, s2 = QuadComplex(v.r), ComplexVector(v.D), QuadComplex(v.s)
-    return pair(psi.lat, d1, d2) - r1 * s2 - r2 * s1
+    return pair(GAMMA, d1, d2) - r1 * s2 - r2 * s1
 
 
 def triple_plane_gram(psi):
@@ -204,9 +205,9 @@ def triple_plane_gram(psi):
     s = psi.s_part
     re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
     im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
-    g11 = mukai_pair(re_t, re_t, psi.lat).re
-    g12 = mukai_pair(re_t, im_t, psi.lat).re
-    g22 = mukai_pair(im_t, im_t, psi.lat).re
+    g11 = mukai_pair(re_t, re_t).re
+    g12 = mukai_pair(re_t, im_t).re
+    g22 = mukai_pair(im_t, im_t).re
     return [[g11, g12], [g12, g22]]
 
 
@@ -425,6 +426,6 @@ def bounded_p0_violations(psi, ns, bound):
                         found.append(tuple(x))
             for coeffs in sorted(found):
                 delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
-                assert not mukai_pair(psi, delta, lat) and mukai_pair(delta, delta, lat) == -2
+                assert not mukai_pair(psi, delta) and mukai_pair(delta, delta) == -2
                 out.append(delta)
     return out

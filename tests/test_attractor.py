@@ -59,6 +59,15 @@ def test_degenerate_charges():
         solve_attractor(Charge(P, P))  # D = 0
 
 
+def test_negative_definite_charge_is_degenerate():
+    # p = e8a.1, q = e8a.2: p^2 = q^2 = -2, p.q = 0, so D = 4 > 0 but the
+    # charge plane is negative definite
+    charge = Charge(GAMMA.basis(6), GAMMA.basis(7))
+    assert (charge.p2, charge.pq, charge.disc) == (-2, 0, 4)
+    with pytest.raises(DegenerateCharge, match=r"^p\^2=-2, D=4$"):
+        solve_attractor(charge)
+
+
 def test_lambda_for_diag_2_8():
     ch = diag_charge(4)
     tau, omega = solve_attractor(ch)

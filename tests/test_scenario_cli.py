@@ -293,8 +293,15 @@ def test_cli_search_exhausted_exit(tmp_path, capsys):
 def test_cli_hopeless_candidate_exits_at_once(tmp_path, capsys, search, reason):
     fields = {"form": [2, 0, 8], "search": search}
     if reason.startswith("base"):
-        # omega_J = -(2f + sigma0): positive square, but omega_J.f = -1
+        # omega_J = -(2f + sigma0): positive square, but omega_J.f = -1.
+        # Assembly rejects it for every command, before the search would
+        # (test_search_rejects_a_base_outside_the_cone)
         fields["omega_J"] = [-1, -1] + [0] * 20
+        path = write_scenario(tmp_path, fields)
+        argv = ["verify", "6.4", "--scenario", path]
+        says = "omega_J does not pair positively with the fiber class"
+        assert_json_error(*run_cli(capsys, argv), "precondition", says)
+        return
     path = write_scenario(tmp_path, fields)
     code, out = run_cli(capsys, ["verify", "6.4", "--scenario", path])
     assert code == 4
@@ -643,31 +650,147 @@ def test_cli_closed_stdout_exits_quietly(diag28):
     assert proc.stderr == ""
 
 
-def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
-    """verify 6.4 on diag(2,8) takes one mirror class and one central charge
-    per Picard class (20 of each) and one complete root enumeration."""
-    import k3stab.mirror
-    import k3stab.stability
-
+def _count_calls(monkeypatch, fns) -> dict:
+    """Count the calls of each function in `fns`, in every k3stab module that
+    imported it by name."""
     calls = {}
-    for fn in (
-        k3stab.stability.central_charge,
-        k3stab.mirror.mirror_class,
-        k3stab.stability.p0_violations,
-    ):
+    for fn in fns:
         calls[fn.__name__] = 0
 
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
 
-        # every module that imported the function by name
         for name, module in list(sys.modules.items()):
             if name.startswith("k3stab") and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
+    """verify 6.4 on diag(2,8) takes one mirror class and one central charge
+    per Picard class (20 of each), one complete root enumeration, and one
+    pass through the pipeline: the search's mirror period and stability
+    point, none at the scenario's own omega_J."""
+    import k3stab.mirror
+    import k3stab.stability
+
+    calls = _count_calls(
+        monkeypatch,
+        (
+            k3stab.stability.central_charge,
+            k3stab.mirror.mirror_class,
+            k3stab.stability.p0_violations,
+            k3stab.mirror.mirror_period,
+            k3stab.stability.exp_point,
+            k3stab.stability.search_kahler_class,
+        ),
+    )
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0
-    assert calls == {"central_charge": 20, "mirror_class": 20, "p0_violations": 1}
+    assert calls == {
+        "central_charge": 20,
+        "mirror_class": 20,
+        "p0_violations": 1,
+        "mirror_period": 1,
+        "exp_point": 1,
+        "search_kahler_class": 1,
+    }
+
+
+@pytest.mark.parametrize("command", [["attractor"], ["verify", "5.1"]])
+def test_commands_without_mirror_data_skip_the_mirror_map(monkeypatch, capsys, diag28, command):
+    # the mirror map's input checks still run at assembly (ERROR_TABLE)
+    import k3stab.mirror
+    import k3stab.stability
+
+    calls = _count_calls(monkeypatch, (k3stab.mirror.mirror_period, k3stab.stability.exp_point))
+    code, _ = run_cli(capsys, [*command, "--scenario", diag28])
+    assert code == 0
+    assert calls == {"mirror_period": 0, "exp_point": 0}
+
+
+def _vec(**coords):
+    """A length-22 coordinate array, zero except at the given indices
+    (`i6=1` sets coordinate 6, the first vector of the first E8(-1))."""
+    out = [0] * 22
+    for key, value in coords.items():
+        out[int(key[1:])] = value
+    return out
+
+
+_NON_INTEGRAL = "f and sigma0 must be integral classes; got %s, %s" % (
+    "[1/2" + ", 0" * 21 + "]",
+    "[-1/2, 2" + ", 0" * 20 + "]",
+)
+# name: (scenario fields, {command: (exit, kind, error)}, default for the
+# other commands).  Assembly checks every input once, so each malformed
+# scenario fails alike on every command; only the E8 B-field passes
+# assembly, and the searching suites reject it.
+ERROR_TABLE = {
+    "nonpositive-omega_J": (
+        {"form": [2, 0, 8], "omega_J": _vec(i0=1)},
+        {},
+        (1, "precondition", "omega_J^2 must be positive"),
+    ),
+    "omega_J-not-orthogonal": (
+        {"form": [2, 0, 8], "omega_J": _vec(i2=1)},
+        {},
+        (1, "precondition", "omega_J must pair to zero with p and q"),
+    ),
+    "negative-cone-omega_J": (
+        {"form": [2, 0, 8], "omega_J": _vec(i0=-1, i1=-1)},
+        {},
+        (1, "precondition", "omega_J does not pair positively with the fiber class"),
+    ),
+    "B-dot-f": (
+        {"form": [2, 0, 8], "B": _vec(i1=1)},
+        {},
+        (1, "precondition", "omega and B must lie in Gamma'_R + R*v"),
+    ),
+    "E8-B": (
+        {"form": [2, 0, 8], "B": _vec(i6=1)},
+        {
+            "verify 6.3": (1, "precondition", "verify 6.3 requires B = 0"),
+            "verify 6.4": (1, "precondition", "verify 6.4 requires B = 0"),
+        },
+        (0, None, None),
+    ),
+    "negative-definite-charge": (
+        {"p": _vec(i6=1), "q": _vec(i7=1)},
+        {},
+        (2, "DegenerateCharge", "p^2=-2, D=4"),
+    ),
+    "bad-f-sigma0-relations": (
+        {"form": [2, 0, 8], "f": _vec(i0=1), "sigma0": _vec(i1=1)},
+        {},
+        (1, "precondition", "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got 0, 1, 0"),
+    ),
+    "non-integral-f-sigma0": (
+        {"form": [2, 0, 8], "f": _vec(i0="1/2"), "sigma0": _vec(i0="-1/2", i1=2)},
+        {},
+        (1, "precondition", _NON_INTEGRAL),
+    ),
+    "form-and-p": (
+        {"form": [2, 0, 8], "p": _vec(i2=1)},
+        {},
+        (1, "scenario", "scenario takes either a form or explicit p and q, not both"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("row", sorted(ERROR_TABLE))
+def test_error_table(tmp_path, capsys, row, command):
+    fields, overrides, default = ERROR_TABLE[row]
+    exit_code, kind, error = overrides.get(" ".join(command), default)
+    path = write_scenario(tmp_path, fields)
+    code, out = run_cli(capsys, [*command, "--scenario", path])
+    assert code == exit_code
+    if error is None:
+        assert "error" not in json.loads(out)
+    else:
+        assert out == json.dumps({"error": error, "kind": kind}, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_64_wall_table_and_rendering_cost(monkeypatch, capsys, diag28):

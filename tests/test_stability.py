@@ -287,10 +287,9 @@ def test_enumeration_needs_a_positive_four_plane(sc28):
 
 
 def _naive_p0(psi, ns, bound):
-    lat = ns.ambient
     k = ns.rank
     gram = ns.gram()
-    c_psi = [mukai_pair(psi, MukaiVector(0, b, 0), lat) for b in ns.basis]
+    c_psi = [mukai_pair(psi, MukaiVector(0, b, 0)) for b in ns.basis]
     s_part = psi.s_part
     hits = set()
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
@@ -458,6 +457,17 @@ def test_search_exhausts_without_perturbation(sc28):
         )
     assert len(err.value.rejections) == 1
     assert all("zero real charge" in r or "annihilating" in r for _, r in err.value.rejections)
+
+
+def test_search_rejects_a_base_outside_the_cone(sc28):
+    # omega0 = -(2f + sigma0): positive square, but omega0.f = -1.  A scenario
+    # cannot carry this omega_J (assembly rejects it), so call the search
+    params = SearchParams(omega0=-sc28.omega_J)
+    with pytest.raises(SearchExhausted) as err:
+        search_kahler_class(
+            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
+        )
+    assert err.value.rejections == [(0, "base does not pair positively with the fiber class")]
 
 
 def _shipped_scenarios():
