@@ -24,7 +24,6 @@ from .attractor import (
     DegenerateCharge,
     NotAttractor,
     hyperkahler_rotate,
-    ns_lattice,
     solve_attractor,
     threefold_central_charge,
     verify_attractor,
@@ -37,17 +36,13 @@ from .mirror import (
     mirror_class,
     mirror_involution_check,
     mirror_period,
-    period_embed,
-    tube_map,
 )
 from .stability import (
     ObstructionCheck,
-    SearchParams,
     StabilityPoint,
     central_charge,
     exp_point,
     fibration_obstruction,
-    is_positive_plane,
     mukai_pair,
     ns_of_mirror,
     p0_violations,

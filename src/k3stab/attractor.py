@@ -31,8 +31,6 @@ from .lattice import (
     ComplexVector,
     GramLattice,
     LatticeVector,
-    Sublattice,
-    orth_complement,
     pair,
 )
 
@@ -59,7 +57,6 @@ class Charge:
 
     p: LatticeVector
     q: LatticeVector
-    lat: GramLattice = GAMMA
 
     def __post_init__(self):
         if not (self.p.is_integral and self.q.is_integral):
@@ -67,15 +64,15 @@ class Charge:
 
     @cached_property
     def p2(self) -> int:
-        return pair(self.lat, self.p, self.p).as_int()
+        return pair(GAMMA, self.p, self.p).as_int()
 
     @cached_property
     def q2(self) -> int:
-        return pair(self.lat, self.q, self.q).as_int()
+        return pair(GAMMA, self.q, self.q).as_int()
 
     @cached_property
     def pq(self) -> int:
-        return pair(self.lat, self.p, self.q).as_int()
+        return pair(GAMMA, self.p, self.q).as_int()
 
     @cached_property
     def disc(self) -> int:
@@ -103,18 +100,17 @@ def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> 
     Omega is a genuine period (Omega^2 = 0, Omega.conj(Omega) > 0).  Any
     perturbation of the attractor solution makes some equation fail.
     """
-    lat = charge.lat
     disc = charge.disc
     if disc == 0:
         raise NotAttractor("p and q are not independent")
-    if pair(lat, omega, omega):
+    if pair(GAMMA, omega, omega):
         raise NotAttractor("Omega^2 is nonzero: not a period vector")
-    norm = pair(lat, omega, omega.conj())
+    norm = pair(GAMMA, omega, omega.conj())
     if norm.im or norm.re.sign() <= 0:
         raise NotAttractor("Omega . conj(Omega) is not positive")
     # coefficients of Omega in the (p, q) plane
-    op = pair(lat, omega, ComplexVector(charge.p))
-    oq = pair(lat, omega, ComplexVector(charge.q))
+    op = pair(GAMMA, omega, ComplexVector(charge.p))
+    oq = pair(GAMMA, omega, ComplexVector(charge.q))
     d = Fraction(1, disc)
     coeff_p = (op * charge.q2 - oq * charge.pq) * d
     coeff_q = (oq * charge.p2 - op * charge.pq) * d
@@ -161,19 +157,18 @@ def hyperkahler_rotate(charge: Charge, tau: QuadComplex, omega_J: LatticeVector)
     satisfies the unit normalization omega_J^2 = D / p^2 is recorded, not
     required.
     """
-    lat = charge.lat
-    if pair(lat, omega_J, charge.p) or pair(lat, omega_J, charge.q):
+    if pair(GAMMA, omega_J, charge.p) or pair(GAMMA, omega_J, charge.q):
         raise NotOrthogonal("omega_J must pair to zero with p and q")
-    w2 = pair(lat, omega_J, omega_J)
+    w2 = pair(GAMMA, omega_J, omega_J)
     if w2.sign() <= 0:
         raise NotPositive("omega_J^2 must be positive")
     omega_I = tau.im * charge.p
     im_omega_I = charge.q - tau.re * charge.p
     omega_big_j = ComplexVector(im_omega_I, omega_I)
     # period sanity for the J structure
-    if pair(lat, omega_big_j, omega_big_j):
+    if pair(GAMMA, omega_big_j, omega_big_j):
         raise NotAttractor("Omega_J is not null")
-    normalized = w2 == pair(lat, omega_I, omega_I)
+    normalized = w2 == pair(GAMMA, omega_I, omega_I)
     return AttractorData(
         charge=charge,
         tau=tau,
@@ -183,14 +178,6 @@ def hyperkahler_rotate(charge: Charge, tau: QuadComplex, omega_J: LatticeVector)
         im_omega_I=im_omega_I,
         is_normalized=normalized,
     )
-
-
-def ns_lattice(charge: Charge) -> Sublattice:
-    """Neron-Severi lattice of the background: the complement of <p, q>."""
-    sub = orth_complement(charge.lat, [charge.p, charge.q])
-    if sub.rank != charge.lat.rank - 2:
-        raise DegenerateCharge("charge pair does not span a rank-2 sublattice")
-    return sub
 
 
 def z_k3(lat: GramLattice, omega_J: LatticeVector, cls: LatticeVector) -> QuadScalar:
@@ -206,6 +193,5 @@ def threefold_central_charge(
     With the unit torus normalization the pairing collapses to
     Omega_I . (q' - tau p').
     """
-    lat = data.charge.lat
     combo = ComplexVector(q_prime) - ComplexVector(p_prime).scale(data.tau)
-    return pair(lat, data.Omega_I, combo)
+    return pair(GAMMA, data.Omega_I, combo)

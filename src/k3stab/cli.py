@@ -219,8 +219,6 @@ def cmd_verify(args) -> int:
     if which == "5.1":
         _emit(slag_reality_report(sc, args.float))
     elif which == "6.2":
-        if not sc.fibration_orthogonal:
-            raise PreconditionViolation("fibration classes must be orthogonal to the charge")
         _emit(mirror_reality_report(sc, args.float))
     elif which == "6.3":
         _emit(regular_point_report(sc, args.float))

@@ -23,19 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import QuadScalar
 from .intmat import rank_generic
 from .lattice import (
     GAMMA,
-    MUKAI_W,
-    MUKAI_WSTAR,
     ComplexVector,
-    GramLattice,
     LatticeVector,
     MukaiVector,
-    embed_gamma,
     pair,
     project_off_hyperbolic,
 )
@@ -57,7 +52,6 @@ class PreconditionViolation(ValueError):
 class SplitData:
     """A fixed hyperbolic splitting Gamma = Gamma' + U' with U' = <f, f+sigma0>."""
 
-    lat: GramLattice
     f: LatticeVector
     sigma0: LatticeVector
     v: LatticeVector
@@ -65,18 +59,18 @@ class SplitData:
 
     def project(self, x):
         """Projection pr onto Gamma'_R (kills v and v* components)."""
-        return project_off_hyperbolic(self.lat, self.v, self.vstar, x)
+        return project_off_hyperbolic(GAMMA, self.v, self.vstar, x)
 
 
-def make_split(f: LatticeVector, sigma0: LatticeVector, lat: GramLattice = GAMMA) -> SplitData:
+def make_split(f: LatticeVector, sigma0: LatticeVector) -> SplitData:
     if not (f.is_integral and sigma0.is_integral):
         raise BadFibrationClasses(f"f and sigma0 must be integral classes; got {f}, {sigma0}")
-    if pair(lat, f, f) != 0 or pair(lat, f, sigma0) != 1 or pair(lat, sigma0, sigma0) != -2:
+    if pair(GAMMA, f, f) != 0 or pair(GAMMA, f, sigma0) != 1 or pair(GAMMA, sigma0, sigma0) != -2:
         raise BadFibrationClasses(
             "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got "
-            f"{pair(lat, f, f)}, {pair(lat, f, sigma0)}, {pair(lat, sigma0, sigma0)}"
+            f"{pair(GAMMA, f, f)}, {pair(GAMMA, f, sigma0)}, {pair(GAMMA, sigma0, sigma0)}"
         )
-    return SplitData(lat=lat, f=f, sigma0=sigma0, v=f, vstar=f + sigma0)
+    return SplitData(f=f, sigma0=sigma0, v=f, vstar=f + sigma0)
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,14 @@ def check_period_data(
 ) -> QuadScalar:
     """The input checks of `mirror_period`, in its order; returns the
     normalizing pairing Re(Omega).v, which they leave nonzero."""
-    lat = split.lat
     v = split.v
-    if pair(lat, Omega.im, v):
+    if pair(GAMMA, Omega.im, v):
         raise PreconditionViolation("Im(Omega) must be orthogonal to v")
-    if pair(lat, omega, v) or pair(lat, B, v):
+    if pair(GAMMA, omega, v) or pair(GAMMA, B, v):
         raise PreconditionViolation("omega and B must lie in Gamma'_R + R*v")
-    if pair(lat, omega, omega).sign() <= 0:
+    if pair(GAMMA, omega, omega).sign() <= 0:
         raise PreconditionViolation("omega^2 must be positive")
-    rev = pair(lat, Omega.re, v)
+    rev = pair(GAMMA, Omega.re, v)
     if not rev:
         raise NormalizationFailure("Re(Omega).v = 0")
     return rev
@@ -111,17 +104,16 @@ def mirror_period(
     split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
 ) -> MirrorTriple:
     """Apply the mirror map to period data; all scalars exact."""
-    lat = split.lat
     v, vstar = split.v, split.vstar
     scale = check_period_data(split, Omega, omega, B).inverse()
     x = ComplexVector(B, omega)
-    x_sq = pair(lat, x, x)
+    x_sq = pair(GAMMA, x, x)
     omega_check_cplx = (
         split.project(x)
         - ComplexVector(v).scale(x_sq * Fraction(1, 2))
         + ComplexVector(vstar)
     ).scale(scale)
-    shift = pair(lat, Omega, ComplexVector(B))
+    shift = pair(GAMMA, Omega, ComplexVector(B))
     kahler_side = (split.project(Omega) - ComplexVector(v).scale(shift)).scale(scale)
     triple = MirrorTriple(
         Omega_check=omega_check_cplx,
@@ -129,8 +121,8 @@ def mirror_period(
         B_check=kahler_side.re,
     )
     # structural invariants of the output period
-    assert not pair(lat, triple.Omega_check, triple.Omega_check), "mirror period is not null"
-    conj_norm = pair(lat, triple.Omega_check, triple.Omega_check.conj())
+    assert not pair(GAMMA, triple.Omega_check, triple.Omega_check), "mirror period is not null"
+    conj_norm = pair(GAMMA, triple.Omega_check, triple.Omega_check.conj())
     assert not conj_norm.im and conj_norm.re.sign() > 0, "mirror period plane is not positive"
     return triple
 
@@ -143,55 +135,10 @@ def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
     """
     if not cls.is_integral:
         raise ValueError("mirror_class requires an integral class")
-    lat = split.lat
-    a = pair(lat, cls, split.vstar).as_int()
-    b = pair(lat, cls, split.v).as_int()
+    a = pair(GAMMA, cls, split.vstar).as_int()
+    b = pair(GAMMA, cls, split.v).as_int()
     core = cls - a * split.v - b * split.vstar
     return MukaiVector(b, core, -a)
-
-
-def tube_map(split: SplitData, z: ComplexVector) -> ComplexVector:
-    """Tube-domain coordinate to period: z - 1/2 z^2 v + v*."""
-    lat = split.lat
-    if pair(lat, z, ComplexVector(split.v)) or pair(lat, z, ComplexVector(split.vstar)):
-        raise PreconditionViolation("tube coordinate must be orthogonal to U'")
-    z_sq = pair(lat, z, z)
-    return z - ComplexVector(split.v).scale(z_sq * Fraction(1, 2)) + ComplexVector(split.vstar)
-
-
-def period_embed(
-    split: SplitData,
-    p_basis: Sequence[LatticeVector],
-    omega: LatticeVector,
-    B: LatticeVector,
-) -> tuple[list[LatticeVector], list[LatticeVector]]:
-    """Embed ((P, omega), B) as an orthogonal pair of 2-planes in Gamma + U.
-
-    H1 = {x - (x.B) w : x in P};  H2 is spanned by 1/2(omega^2 - B^2) w + w* + B
-    and omega - (omega.B) w.  Returned in rank-24 Mukai coordinates.
-    """
-    lat = split.lat
-    if len(p_basis) != 2:
-        raise PreconditionViolation("P needs exactly two spanning vectors")
-    g00 = pair(lat, p_basis[0], p_basis[0])
-    g01 = pair(lat, p_basis[0], p_basis[1])
-    g11 = pair(lat, p_basis[1], p_basis[1])
-    if g00.sign() <= 0 or (g00 * g11 - g01 * g01).sign() <= 0:
-        raise PreconditionViolation("P must span a positive definite 2-plane")
-    if pair(lat, omega, p_basis[0]) or pair(lat, omega, p_basis[1]):
-        raise PreconditionViolation("omega must be orthogonal to P")
-    if pair(lat, omega, omega).sign() <= 0:
-        raise PreconditionViolation("omega^2 must be positive")
-    w = MUKAI_W.to_ambient()
-    wstar = MUKAI_WSTAR.to_ambient()
-    h1 = [embed_gamma(x) - pair(lat, x, B) * w for x in p_basis]
-    half = QuadScalar(Fraction(1, 2))
-    norm_coeff = half * (pair(lat, omega, omega) - pair(lat, B, B))
-    h2 = [
-        norm_coeff * w + wstar + embed_gamma(B),
-        embed_gamma(omega) - pair(lat, omega, B) * w,
-    ]
-    return h1, h2
 
 
 @dataclass(frozen=True)
@@ -219,7 +166,6 @@ def mirror_involution_check(
     (Omega^2 = 0); the Kaehler-side data returns exactly in B and up to an
     explicit v-multiple in omega, whose coefficient is reported.
     """
-    lat = split.lat
     first = mirror_period(split, Omega, omega, B)
     second = mirror_period(split, first.Omega_check, first.omega_check, first.B_check)
     plane_in = [list(Omega.re.coords), list(Omega.im.coords)]
@@ -231,7 +177,7 @@ def mirror_involution_check(
     )
     b_recovered = second.B_check == B
     delta = second.omega_check - omega
-    shift, along_v = _component_along(lat.rank, split.v, delta)
+    shift, along_v = _component_along(GAMMA.rank, split.v, delta)
     return InvolutionReport(
         span_equal=span_equal,
         omega_recovered=along_v,

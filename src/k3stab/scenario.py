@@ -16,12 +16,14 @@ A `Scenario` is one pipeline.  Constructing it runs the eager stages, all
 exact: the attractor solution (tau, Omega), the field, the hyperkaehler
 rotation at omega_J, and a Picard basis containing f and sigma0 with the
 eta basis of the complement of (p, q, f, sigma0).  It also runs every input
-check once: those of the rotation, those of the mirror map at omega_J
-(`check_period_data`), and omega_J.f > 0, since f is nef.  The lazy stages
-are computed on first read and kept: the mirror triple at omega_J
-(`triple`), its stability point (`psi`), and the Kaehler search
-(`result`).  A command pays only for the stages it reads, and rejects the
-same scenarios as any other command.
+check once, and nothing downstream repeats one: f and sigma0 orthogonal to
+p and q (they lie in the Picard lattice), those of the rotation, those of
+the mirror map at omega_J (`check_period_data`), omega_J.f > 0, since f is
+nef, and an explicit search eta orthogonal to p and q.  The lazy stages are
+computed on first read and kept: the mirror triple at omega_J (`triple`),
+its stability point (`psi`), and the Kaehler search (`result`), which reads
+the scenario itself.  A command pays only for the stages it reads, and
+rejects the same scenarios as any other command.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Optional
+from typing import Optional, Union
 
 from .attractor import (
     AttractorData,
@@ -63,7 +65,6 @@ from .mirror import (
 )
 from .stability import (
     ObstructionCheck,
-    SearchParams,
     SearchResult,
     StabilityPoint,
     WallReport,
@@ -154,7 +155,9 @@ class Scenario:
     split: SplitData
     omega_J: LatticeVector
     B: LatticeVector
-    search: SearchParams
+    # the search step c_eta eta; eta None is the dual eta of the search
+    c_eta: Union[Fraction, QuadScalar]
+    eta: Optional[LatticeVector]
     form: Optional[BinaryEvenForm] = None
     # eager stages, filled at construction
     m: int = field(init=False)
@@ -166,24 +169,31 @@ class Scenario:
     sqrt_disc_integral: bool = field(init=False)
 
     def __post_init__(self):
-        lat = self.charge.lat
         self.tau, self.Omega = solve_attractor(self.charge)
         self.sqrt_disc_integral = self.tau.im.is_rational
         self.m = self._field()
+        if not self._orthogonal_to_charge(self.split.f, self.split.sigma0):
+            raise PreconditionViolation("fibration classes must be orthogonal to the charge")
         self.data = hyperkahler_rotate(self.charge, self.tau, self.omega_J)
         check_period_data(self.split, self.data.Omega_I, self.data.omega_I, self.B)
         # f is nef, so a Kaehler class pairs positively with it: the search's
         # cone test at omega0 = omega_J, where only omega_J.f > 0 is left
-        reason = _cone_violation(lat, self.omega_J, self.split.f, self.omega_J, "omega_J")
+        reason = _cone_violation(self.omega_J, self.split.f, self.omega_J, "omega_J")
         if reason is not None:
             raise PreconditionViolation(reason)
+        if self.eta is not None and not self._orthogonal_to_charge(self.eta):
+            raise PreconditionViolation("search.eta must pair to zero with p and q")
+        # the definite plane (p, q) and the hyperbolic plane (f, sigma0) are
+        # orthogonal, so the complement has rank 18
         complement = orth_complement(
-            lat, [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
+            GAMMA, [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
         )
         self.eta_basis = list(complement.basis)
         self.pic_basis = [self.split.f, self.split.sigma0] + self.eta_basis
-        if len(self.pic_basis) != lat.rank - 2:
-            raise ScenarioError("Picard basis does not have the expected rank")
+
+    def _orthogonal_to_charge(self, *classes: LatticeVector) -> bool:
+        p, q = self.charge.p, self.charge.q
+        return not any(pair(GAMMA, x, c) for x in classes for c in (p, q))
 
     @cached_property
     def triple(self) -> MirrorTriple:
@@ -200,32 +210,19 @@ class Scenario:
     @cached_property
     def result(self) -> SearchResult:
         """The Kaehler search from omega_J, read by `verify 6.3` and `6.4`."""
-        return search_kahler_class(
-            self.charge, self.split, self.tau, self.pic_basis, self.search, self.eta_basis
-        )
+        return search_kahler_class(self)
 
     def _field(self) -> int:
         """The radicand m of the one field Q(sqrt m) that holds sqrt(D) and
         every given scalar; two different radicands are a scenario error."""
-        sp = self.search
-        scalars = (self.tau.im, sp.c_eta)
-        vectors = (self.omega_J, self.B, sp.eta)
+        scalars = (self.tau.im, self.c_eta)
+        vectors = (self.omega_J, self.B, self.eta)
         radicands = {x.m for x in scalars if isinstance(x, QuadScalar)}
         radicands |= {v.m for v in vectors if v is not None}
         radicands.discard(0)
         if len(radicands) > 1:
             raise _mixed_fields(radicands)
         return radicands.pop() if radicands else 0
-
-    @property
-    def fibration_orthogonal(self) -> bool:
-        lat = self.charge.lat
-        return not (
-            pair(lat, self.split.f, self.charge.p)
-            or pair(lat, self.split.f, self.charge.q)
-            or pair(lat, self.split.sigma0, self.charge.p)
-            or pair(lat, self.split.sigma0, self.charge.q)
-        )
 
     def echo(self) -> dict:
         out = {
@@ -283,28 +280,25 @@ def build_scenario(
     b_vec = LatticeVector.zero(GAMMA.rank) if B is None else _vector(B)
     if search is not None and not isinstance(search, dict):
         raise ScenarioError(f"search must be a JSON object, got {search!r}")
+    search = search or {}
+    unknown = set(search) - {"c_eta", "eta"}
+    if unknown:
+        raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
+    c_eta = _scalar(search["c_eta"]) if "c_eta" in search else Fraction(1, 10)
+    eta = None
+    if search.get("eta") is not None:
+        if not c_eta:
+            raise ScenarioError("search.eta has no effect when search.c_eta is 0")
+        eta = _vector(search["eta"])
     return Scenario(
         charge=charge,
         split=split,
         omega_J=omega_vec,
         B=b_vec,
-        search=_search_params(search or {}, omega_vec),
+        c_eta=c_eta,
+        eta=eta,
         form=form,
     )
-
-
-def _search_params(raw: dict, omega0: LatticeVector) -> SearchParams:
-    unknown = set(raw) - {"c_eta", "eta"}
-    if unknown:
-        raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
-    params = SearchParams(omega0=omega0)
-    if "c_eta" in raw:
-        params.c_eta = _scalar(raw["c_eta"])
-    if raw.get("eta") is not None:
-        if not params.c_eta:
-            raise ScenarioError("search.eta has no effect when search.c_eta is 0")
-        params.eta = _vector(raw["eta"])
-    return params
 
 
 def scenario_from_file(path: str) -> Scenario:
@@ -373,7 +367,7 @@ def mukai_json(m, with_float: bool = False):
 
 def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
     lam = verify_attractor(sc.charge, sc.tau, sc.Omega)
-    conj_norm = pair(sc.charge.lat, sc.Omega, sc.Omega.conj())
+    conj_norm = pair(GAMMA, sc.Omega, sc.Omega.conj())
     return {
         "scenario": sc.echo(),
         "tau": complex_json(sc.tau, with_float),
@@ -389,12 +383,11 @@ def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
 def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     """Threefold central charges of the Picard basis: exactly real, equal to
     the K3 charges omega_J . l."""
-    lat = sc.charge.lat
-    zero = LatticeVector.zero(lat.rank)
+    zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
         z3 = threefold_central_charge(sc.data, zero, cls)
-        zk = z_k3(lat, sc.data.omega_J, cls)
+        zk = z_k3(GAMMA, sc.data.omega_J, cls)
         if z3.im or z3.re != zk:
             raise ScenarioError(f"threefold charge mismatch for {cls}: {z3} vs {zk}")
         rows.append(
@@ -452,8 +445,8 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
     involution = None
     # the involution contract needs a null period: rescale Im(Omega_I) when
     # the norm ratio is a perfect rational square
-    ratio = pair(sc.charge.lat, sc.omega_J, sc.omega_J) / pair(
-        sc.charge.lat, sc.data.im_omega_I, sc.data.im_omega_I
+    ratio = pair(GAMMA, sc.omega_J, sc.omega_J) / pair(
+        GAMMA, sc.data.im_omega_I, sc.data.im_omega_I
     )
     if ratio.is_rational:
         root = _rational_sqrt(ratio.as_fraction())
@@ -558,18 +551,16 @@ def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
 
 
 def charge_table_report(sc: Scenario, with_float: bool = False) -> dict:
-    lat = sc.charge.lat
-    zero = LatticeVector.zero(lat.rank)
-    mirror_side = sc.fibration_orthogonal
+    zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
         z3 = threefold_central_charge(sc.data, zero, cls)
-        zm = central_charge(sc.psi, mirror_class(sc.split, cls)) if mirror_side else None
+        zm = central_charge(sc.psi, mirror_class(sc.split, cls))
         rows.append(
             {
                 "class": vector_json(cls, with_float),
                 "Z_threefold": complex_json(z3, with_float),
-                "Z_mirror": complex_json(zm, with_float) if zm is not None else None,
+                "Z_mirror": complex_json(zm, with_float),
             }
         )
     return {"scenario": sc.echo(), "charges": rows}

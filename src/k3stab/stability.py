@@ -12,7 +12,9 @@ zero charge has no phase and fails every wall test.
 
 The regular-point condition ("is Psi away from every delta-perp with
 delta^2 = -2?") is decided by one complete enumeration.  Re and Im of Psi
-span a positive plane (checked by `is_positive_plane`), Re and Im of the
+span a positive plane: their Mukai Gram matrix is omega^2 times the identity
+(B^2 - 2 Re s = omega^2 and B.omega - Im s = 0 for s = 1/2 (B + i omega)^2),
+so the check omega^2 > 0 of `exp_point` is that test.  Re and Im of the
 mirror period span another (asserted by `mirror_period`), and the two are
 orthogonal, so together they span a positive 4-plane of the Mukai lattice, of
 signature (4,20).  The integral classes orthogonal to that 4-plane, which are
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .attractor import Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
@@ -45,6 +47,9 @@ from .lattice import (
     pair,
 )
 from .mirror import MirrorTriple, PreconditionViolation, SplitData, mirror_class, mirror_period
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 class ExpansionMismatch(RuntimeError):
@@ -174,21 +179,6 @@ def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     return value
 
 
-def is_positive_plane(psi: StabilityPoint) -> bool:
-    """Exact positive-definiteness of the (Re Psi, Im Psi) Gram matrix."""
-    (g11, g12), (_, g22) = plane_gram(psi)
-    return g11.sign() > 0 and (g11 * g22 - g12 * g12).sign() > 0
-
-
-def plane_gram(psi: StabilityPoint) -> list[list[QuadScalar]]:
-    """Mukai Gram matrix of Re Psi = (1, B, Re s) and Im Psi = (0, omega, Im s)."""
-    B, omega, s = psi.B, psi.omega, psi.s_part
-    g11 = pair(GAMMA, B, B) - s.re * 2
-    g12 = pair(GAMMA, B, omega) - s.im
-    g22 = pair(GAMMA, omega, omega)
-    return [[g11, g12], [g12, g22]]
-
-
 def ns_of_mirror(omega_check: ComplexVector) -> Sublattice:
     """Integral classes orthogonal to both Re and Im of the mirror period."""
     return orth_complement(GAMMA, [omega_check.re, omega_check.im])
@@ -284,10 +274,8 @@ class ObstructionCheck:
 
 
 def fibration_obstruction(charge: Charge, split: SplitData) -> ObstructionCheck:
-    lat = charge.lat
-    for cls in (split.f, split.sigma0):
-        if pair(lat, cls, charge.p) or pair(lat, cls, charge.q):
-            raise PreconditionViolation("fibration classes must be orthogonal to the charge")
+    """The case analysis for f and sigma0 orthogonal to the charge, which
+    scenario assembly checks."""
     solutions = ((0, 1), (0, -1))
     ratio = Fraction(charge.disc, 2 * charge.p2)
     residuals = tuple(Fraction(m - n) + ratio * n for m, n in solutions)
@@ -372,22 +360,6 @@ def verify_reality(
 
 
 @dataclass
-class SearchParams:
-    """The one constructed candidate of the Kaehler-class search.
-
-    The candidate is omega_k = omega0 + 2^-k c_eta eta at the least k >= 0
-    where omega_k is inside the open cone omega^2 > 0, omega.f > 0,
-    omega.omega0 > 0; with c_eta = 0 it is omega0 itself.  `eta` defaults to
-    the integral class dual to the given basis of the complement of
-    (p, q, f, sigma0) (`_dual_eta`).
-    """
-
-    omega0: LatticeVector
-    eta: Optional[LatticeVector] = None
-    c_eta: Union[Fraction, QuadScalar] = Fraction(1, 10)
-
-
-@dataclass
 class SearchResult:
     omega_J: LatticeVector
     candidate_index: int
@@ -422,55 +394,45 @@ def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector
     return sub.from_coefficients(x)
 
 
-def _cone_violation(lat, omega, f, omega0, what):
+def _cone_violation(omega, f, omega0, what):
     """Which of omega^2 > 0, omega.f > 0, omega.omega0 > 0 fails first, or None."""
-    if pair(lat, omega, omega).sign() <= 0:
+    if pair(GAMMA, omega, omega).sign() <= 0:
         return f"{what} has nonpositive square"
-    if pair(lat, omega, f).sign() <= 0:
+    if pair(GAMMA, omega, f).sign() <= 0:
         return f"{what} does not pair positively with the fiber class"
-    if pair(lat, omega, omega0).sign() <= 0:
+    if pair(GAMMA, omega, omega0).sign() <= 0:
         return f"{what} leaves the reference cone"
     return None
 
 
-def search_kahler_class(
-    charge: Charge,
-    split: SplitData,
-    tau: QuadComplex,
-    pic_basis: Sequence[LatticeVector],
-    params: SearchParams,
-    eta_basis: Sequence[LatticeVector],
-) -> SearchResult:
+def search_kahler_class(sc: Scenario) -> SearchResult:
     """Find omega_J making exp(mirror B + i mirror omega) a regular point.
 
     Fails fast with SearchObstructed when D = 2 p^2 (no candidate can work).
-    Otherwise builds the one candidate of `SearchParams`, whose default eta
-    is dual to `eta_basis`: halving the step moves omega_k towards omega0, so
-    an omega0 strictly inside the cone gives a least k with no cap, and an
-    omega0 outside it, or a candidate line not orthogonal to the charge, ends
-    the search at once.  The candidate must span a positive plane, give all
-    twenty mirror charges real and nonzero, and annihilate no (-2)-class (the
-    complete `p0_violations`); otherwise SearchExhausted carries the k
-    halving rejections and the final reason.
+    Otherwise builds the one candidate omega_k = omega0 + 2^-k c_eta eta,
+    with omega0 the scenario's omega_J and eta, unless the scenario gives
+    one, the integral class dual to its eta basis (`_dual_eta`); k is the
+    least index where omega_k is inside the open cone omega^2 > 0,
+    omega.f > 0, omega.omega0 > 0; with c_eta = 0 the candidate is omega0
+    itself.  Assembly puts omega0 strictly inside
+    that cone and eta orthogonal to the charge, so halving the step towards
+    omega0 ends with no cap.  The candidate must give all twenty mirror
+    charges real and nonzero and annihilate no (-2)-class (the complete
+    `p0_violations`); otherwise SearchExhausted carries the k halving
+    rejections and the final reason.
     """
-    lat = charge.lat
-    obstruction = fibration_obstruction(charge, split)
+    obstruction = fibration_obstruction(sc.charge, sc.split)
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
-    omega0 = params.omega0
-    step = LatticeVector.zero(lat.rank)
-    if params.c_eta:
-        eta = params.eta if params.eta is not None else _dual_eta(lat, eta_basis)
-        step = params.c_eta * eta
-    if any(pair(lat, v, c) for v in (omega0, step) for c in (charge.p, charge.q)):
-        raise SearchExhausted([(0, "candidate not orthogonal to the charge")])
-    reason = _cone_violation(lat, omega0, split.f, omega0, "base")
-    if reason is not None:
-        raise SearchExhausted([(0, reason)])
+    omega0 = sc.omega_J
+    step = LatticeVector.zero(GAMMA.rank)
+    if sc.c_eta:
+        eta = sc.eta if sc.eta is not None else _dual_eta(GAMMA, sc.eta_basis)
+        step = sc.c_eta * eta
     rejections: list[tuple[int, str]] = []
     k = 0
     omega = omega0 + step
-    while (reason := _cone_violation(lat, omega, split.f, omega0, "candidate")) is not None:
+    while (reason := _cone_violation(omega, sc.split.f, omega0, "candidate")) is not None:
         rejections.append((k, reason))
         k += 1
         omega = omega0 + Fraction(1, 2**k) * step
@@ -478,12 +440,10 @@ def search_kahler_class(
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])
 
-    data = hyperkahler_rotate(charge, tau, omega)
-    triple = mirror_period(split, data.Omega_I, data.omega_I, LatticeVector.zero(lat.rank))
+    data = hyperkahler_rotate(sc.charge, sc.tau, omega)
+    triple = mirror_period(sc.split, data.Omega_I, data.omega_I, LatticeVector.zero(GAMMA.rank))
     psi = exp_point(triple.B_check, triple.omega_check)
-    if not is_positive_plane(psi):
-        raise exhausted("stability point plane is not positive definite")
-    charges = [(cls, z) for cls, z, _ in verify_reality(split, psi, pic_basis)]
+    charges = [(cls, z) for cls, z, _ in verify_reality(sc.split, psi, sc.pic_basis)]
     for cls, z in charges:
         if not z:
             raise exhausted(f"zero real charge for class {cls}")

@@ -3,19 +3,24 @@
 from fractions import Fraction
 from math import isqrt, lcm
 
+from k3stab.attractor import DegenerateCharge
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
 from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, signature_of
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
+    MUKAI_W,
+    MUKAI_WSTAR,
     ComplexVector,
     DimensionMismatch,
     LatticeVector,
     MukaiVector,
     Sublattice,
+    embed_gamma,
+    orth_complement,
     pair,
 )
-from k3stab.mirror import NormalizationFailure
+from k3stab.mirror import NormalizationFailure, PreconditionViolation
 from k3stab.stability import mukai_pair
 
 
@@ -200,8 +205,9 @@ def triple_charge(psi, v):
 
 
 def triple_plane_gram(psi):
-    """The Gram matrix of Re Psi and Im Psi by complex-triple Mukai pairings;
-    the reference for `stability.plane_gram`."""
+    """The Gram matrix of Re Psi and Im Psi by complex-triple Mukai pairings,
+    which is omega^2 times the identity; `stability.exp_point` checks
+    omega^2 > 0 for that reason."""
     s = psi.s_part
     re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
     im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
@@ -237,7 +243,7 @@ def form_of_charge(lat, p, q):
 
 def canonicalize_period(split, period):
     """Rescale a period so its v*-coefficient (= period.v) equals 1."""
-    coeff = pair(split.lat, period, ComplexVector(split.v))
+    coeff = pair(GAMMA, period, ComplexVector(split.v))
     if not coeff:
         raise NormalizationFailure("period has no v* component")
     return period.scale(coeff.inverse())
@@ -429,3 +435,53 @@ def bounded_p0_violations(psi, ns, bound):
                 assert not mukai_pair(psi, delta) and mukai_pair(delta, delta) == -2
                 out.append(delta)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Period-domain helpers that no certificate calls, kept as references for
+# the mirror map and the Picard lattice.
+
+
+def tube_map(split, z):
+    """Tube-domain coordinate to period: z - 1/2 z^2 v + v*."""
+    if pair(GAMMA, z, ComplexVector(split.v)) or pair(GAMMA, z, ComplexVector(split.vstar)):
+        raise PreconditionViolation("tube coordinate must be orthogonal to U'")
+    z_sq = pair(GAMMA, z, z)
+    return z - ComplexVector(split.v).scale(z_sq * Fraction(1, 2)) + ComplexVector(split.vstar)
+
+
+def period_embed(split, p_basis, omega, B):
+    """Embed ((P, omega), B) as an orthogonal pair of 2-planes in Gamma + U.
+
+    H1 = {x - (x.B) w : x in P};  H2 is spanned by 1/2(omega^2 - B^2) w + w* + B
+    and omega - (omega.B) w.  Returned in rank-24 Mukai coordinates.
+    """
+    if len(p_basis) != 2:
+        raise PreconditionViolation("P needs exactly two spanning vectors")
+    g00 = pair(GAMMA, p_basis[0], p_basis[0])
+    g01 = pair(GAMMA, p_basis[0], p_basis[1])
+    g11 = pair(GAMMA, p_basis[1], p_basis[1])
+    if g00.sign() <= 0 or (g00 * g11 - g01 * g01).sign() <= 0:
+        raise PreconditionViolation("P must span a positive definite 2-plane")
+    if pair(GAMMA, omega, p_basis[0]) or pair(GAMMA, omega, p_basis[1]):
+        raise PreconditionViolation("omega must be orthogonal to P")
+    if pair(GAMMA, omega, omega).sign() <= 0:
+        raise PreconditionViolation("omega^2 must be positive")
+    w = MUKAI_W.to_ambient()
+    wstar = MUKAI_WSTAR.to_ambient()
+    h1 = [embed_gamma(x) - pair(GAMMA, x, B) * w for x in p_basis]
+    half = QuadScalar(Fraction(1, 2))
+    norm_coeff = half * (pair(GAMMA, omega, omega) - pair(GAMMA, B, B))
+    h2 = [
+        norm_coeff * w + wstar + embed_gamma(B),
+        embed_gamma(omega) - pair(GAMMA, omega, B) * w,
+    ]
+    return h1, h2
+
+
+def ns_lattice(charge):
+    """Neron-Severi lattice of the background: the complement of <p, q>."""
+    sub = orth_complement(GAMMA, [charge.p, charge.q])
+    if sub.rank != GAMMA.rank - 2:
+        raise DegenerateCharge("charge pair does not span a rank-2 sublattice")
+    return sub

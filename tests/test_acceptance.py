@@ -31,14 +31,13 @@ from k3stab.lattice import (
     pair,
     signature,
 )
-from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period, tube_map
-from oracles import bounded_p0_violations, minus_two_coefficients
+from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
+from oracles import bounded_p0_violations, minus_two_coefficients, triple_plane_gram, tube_map
 from k3stab.stability import (
     exp_point,
     fibration_obstruction,
     mukai_pair,
     p0_violations,
-    plane_gram,
     verify_reality,
     wall_intersection,
     wall_member,
@@ -78,8 +77,7 @@ def test_criterion_2_slag_reality(sc28):
 
 def _mirror_b0_oracle(split, tau, charge, omega_J):
     """Independent (specialized, raw-scalar) evaluation of the B = 0 mirror."""
-    lat = split.lat
-    scale = pair(lat, omega_J, split.f).inverse()
+    scale = pair(GAMMA, omega_J, split.f).inverse()
     omega_check = scale * (charge.q - tau.re * charge.p)
     b_check = scale * split.project(omega_J)
     f_coeff = tau.im * tau.im * charge.p2 * Fraction(1, 2) + 1
@@ -158,8 +156,8 @@ def test_criterion_6_regular_point_search(sc28, searched28):
         enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
         assert enumeration.lattice_rank == 20 and enumeration.count == 0
         assert all(z.sign() != 0 for _, z in searched28.charges)
-        # the unperturbed family member has plane Gram diag(8,8)
-        gram = plane_gram(sc28.psi)
+        # the unperturbed family member has plane Gram omega^2 I = diag(8,8)
+        gram = triple_plane_gram(sc28.psi)
         assert gram == [[QuadScalar(8), QuadScalar(0)], [QuadScalar(0), QuadScalar(8)]]
 
 

@@ -12,7 +12,6 @@ from k3stab.attractor import (
     NotOrthogonal,
     NotPositive,
     hyperkahler_rotate,
-    ns_lattice,
     solve_attractor,
     threefold_central_charge,
     verify_attractor,
@@ -20,7 +19,7 @@ from k3stab.attractor import (
 )
 from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair, signature
-from oracles import solve_integer
+from oracles import ns_lattice, solve_integer
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)

@@ -21,10 +21,8 @@ from k3stab.mirror import (
     mirror_class,
     mirror_involution_check,
     mirror_period,
-    period_embed,
-    tube_map,
 )
-from oracles import canonicalize_period, gram_of
+from oracles import canonicalize_period, gram_of, period_embed, tube_map
 
 F = GAMMA.basis(0)
 E2 = GAMMA.basis(1)
@@ -51,8 +49,7 @@ def test_make_split_rejects_bad_classes():
 
 def mirror_b0_oracle(split, tau, charge, omega_J):
     """Independent evaluation of the B = 0 mirror formulas from raw scalars."""
-    lat = split.lat
-    scale = pair(lat, omega_J, split.f).inverse()
+    scale = pair(GAMMA, omega_J, split.f).inverse()
     omega_check = scale * (charge.q - tau.re * charge.p)
     b_check = scale * split.project(omega_J)
     f_coeff = tau.im * tau.im * charge.p2 * Fraction(1, 2) + 1

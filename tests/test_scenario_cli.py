@@ -44,7 +44,7 @@ def test_scenario_defaults():
     assert sc.omega_J == 2 * sc.split.f + sc.split.sigma0
     assert sc.sqrt_disc_integral
     assert len(sc.pic_basis) == 20
-    assert sc.fibration_orthogonal
+    assert sc.c_eta == Fraction(1, 10) and sc.eta is None
 
 
 def test_scenario_nondiagonal_form():
@@ -88,8 +88,8 @@ def test_scenario_search_overrides(tmp_path):
         },
     )
     sc = scenario_from_file(path)
-    assert str(sc.search.c_eta) == "1/20"
-    assert sc.search.eta == GAMMA.basis(6)
+    assert str(sc.c_eta) == "1/20"
+    assert sc.eta == GAMMA.basis(6)
 
 
 def test_cli_attractor(capsys, diag28):
@@ -285,29 +285,16 @@ def test_cli_search_exhausted_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "search, reason",
-    [
-        ({}, "base does not pair positively with the fiber class"),
-        ({"eta": [0, 0, 1] + [0] * 19}, "candidate not orthogonal to the charge"),
-    ],
+    [({}, "base does not pair positively with the fiber class")],
 )
 def test_cli_hopeless_candidate_exits_at_once(tmp_path, capsys, search, reason):
-    fields = {"form": [2, 0, 8], "search": search}
-    if reason.startswith("base"):
-        # omega_J = -(2f + sigma0): positive square, but omega_J.f = -1.
-        # Assembly rejects it for every command, before the search would
-        # (test_search_rejects_a_base_outside_the_cone)
-        fields["omega_J"] = [-1, -1] + [0] * 20
-        path = write_scenario(tmp_path, fields)
-        argv = ["verify", "6.4", "--scenario", path]
-        says = "omega_J does not pair positively with the fiber class"
-        assert_json_error(*run_cli(capsys, argv), "precondition", says)
-        return
+    # omega_J = -(2f + sigma0): positive square, but omega_J.f = -1.  The
+    # search's base is omega_J, and assembly rejects it under that name
+    fields = {"form": [2, 0, 8], "search": search, "omega_J": [-1, -1] + [0] * 20}
     path = write_scenario(tmp_path, fields)
-    code, out = run_cli(capsys, ["verify", "6.4", "--scenario", path])
-    assert code == 4
-    report = json.loads(out)
-    assert report["kind"] == "search-exhausted"
-    assert report["rejections"] == [[0, reason]]
+    argv = ["verify", "6.4", "--scenario", path]
+    says = reason.replace("base", "omega_J")
+    assert_json_error(*run_cli(capsys, argv), "precondition", says)
 
 
 def test_verify_63_on_reduced_forms(tmp_path, capsys):
@@ -728,6 +715,21 @@ _NON_INTEGRAL = "f and sigma0 must be integral classes; got %s, %s" % (
 # scenario fails alike on every command; only the E8 B-field passes
 # assembly, and the searching suites reject it.
 ERROR_TABLE = {
+    # sigma0 + e1(U2): still f.sigma0 = 1 and sigma0^2 = -2, but it pairs to
+    # 1 with p, so it is not a Picard class; omega_J = 2f + (standard sigma0)
+    # passes every other check
+    "sigma0-not-orthogonal": (
+        {"form": [2, 0, 8], "sigma0": _vec(i0=-1, i1=1, i2=1), "omega_J": _vec(i0=1, i1=1)},
+        {},
+        (1, "precondition", "fibration classes must be orthogonal to the charge"),
+    ),
+    # eta = e1(U2) pairs to 1 with p, so no candidate on its line is
+    # orthogonal to the charge
+    "eta-not-orthogonal": (
+        {"form": [2, 0, 8], "search": {"eta": _vec(i2=1)}},
+        {},
+        (1, "precondition", "search.eta must pair to zero with p and q"),
+    ),
     "nonpositive-omega_J": (
         {"form": [2, 0, 8], "omega_J": _vec(i0=1)},
         {},

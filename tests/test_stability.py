@@ -18,23 +18,20 @@ from k3stab.lattice import (
     orth_complement,
     pair,
 )
-from k3stab.mirror import PreconditionViolation, make_split, mirror_class, mirror_period
+from k3stab.mirror import PreconditionViolation, mirror_class, mirror_period
 from k3stab.scenario import build_scenario, scenario_from_file
 from k3stab.stability import (
     RealityViolation,
     SearchExhausted,
     SearchObstructed,
-    SearchParams,
     StabilityPoint,
     WallFailure,
     central_charge,
     exp_point,
     fibration_obstruction,
-    is_positive_plane,
     mukai_pair,
     ns_of_mirror,
     p0_violations,
-    plane_gram,
     search_kahler_class,
     verify_reality,
     wall_intersection,
@@ -96,12 +93,16 @@ def _field_vector(m):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_central_charge_and_plane_gram_match_complex_triples(data):
+    """Z(v) matches the complex-triple pairing, and the Mukai Gram matrix of
+    Re Psi and Im Psi is omega^2 times the identity for every B and omega,
+    so `exp_point`'s omega^2 > 0 is the positive-plane test."""
     m = data.draw(st.sampled_from([0, 2, 3, 23]))
     psi = StabilityPoint(B=data.draw(_field_vector(m)), omega=data.draw(_field_vector(m)))
     d = st.lists(st.integers(-3, 3), min_size=22, max_size=22).map(LatticeVector.from_ints)
     v = MukaiVector(data.draw(st.integers(-3, 3)), data.draw(d), data.draw(st.integers(-3, 3)))
     assert central_charge(psi, v) == triple_charge(psi, v)
-    assert plane_gram(psi) == triple_plane_gram(psi)
+    w = pair(GAMMA, psi.omega, psi.omega)
+    assert triple_plane_gram(psi) == [[w, QuadScalar(0)], [QuadScalar(0), w]]
 
 
 def test_exp_point_examples(sc28):
@@ -164,12 +165,13 @@ def test_central_charge_linear(sc28):
 
 
 def test_positive_plane(sc28):
-    assert is_positive_plane(sc28.psi)
-    gram = plane_gram(sc28.psi)
+    gram = triple_plane_gram(sc28.psi)
     assert gram == [[QuadScalar(8), QuadScalar(0)], [QuadScalar(0), QuadScalar(8)]]
-    # degenerate omega: not a positive plane
-    assert not is_positive_plane(StabilityPoint(B=ZERO, omega=GAMMA.basis(2)))
-    assert not is_positive_plane(StabilityPoint(B=ZERO, omega=ZERO))
+    # degenerate omega: the plane Gram omega^2 I is not positive, and
+    # exp_point refuses it
+    for omega in (GAMMA.basis(2), ZERO):
+        with pytest.raises(NotPositive):
+            exp_point(ZERO, omega)
 
 
 def test_ns_of_mirror(sc28, sc22):
@@ -354,10 +356,12 @@ def test_obstruction_2_4(sc24):
     assert sorted(ob.residuals) == [Fraction(-1), Fraction(1)]
 
 
-def test_obstruction_requires_orthogonality(sc28):
-    split = make_split(GAMMA.basis(2), GAMMA.basis(3) - GAMMA.basis(2))
-    with pytest.raises(PreconditionViolation):
-        fibration_obstruction(sc28.charge, split)
+def test_obstruction_requires_orthogonality():
+    # the case analysis needs f and sigma0 orthogonal to the charge; assembly
+    # checks that once, for every command.  Here f = e1(U2) pairs to 1 with p
+    f, sigma0 = GAMMA.basis(2), GAMMA.basis(3) - GAMMA.basis(2)
+    with pytest.raises(PreconditionViolation, match="fibration classes must be orthogonal"):
+        build_scenario(form=[2, 0, 8], f=f, sigma0=sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,44 +434,25 @@ def test_search_succeeds_2_8(searched28):
 
 
 def test_search_deterministic(sc28):
-    again = search_kahler_class(
-        sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, sc28.search, sc28.eta_basis
-    )
-    rerun = search_kahler_class(
-        sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, sc28.search, sc28.eta_basis
-    )
+    again = search_kahler_class(sc28)
+    rerun = search_kahler_class(sc28)
     assert again.omega_J == rerun.omega_J
     assert again.candidate_index == rerun.candidate_index
 
 
 def test_search_fails_fast_on_2_2(sc22):
     with pytest.raises(SearchObstructed) as err:
-        search_kahler_class(
-            sc22.charge, sc22.split, sc22.tau, sc22.pic_basis, sc22.search, sc22.eta_basis
-        )
+        search_kahler_class(sc22)
     assert err.value.obstruction.delta.D in (SIGMA0, -SIGMA0)
 
 
-def test_search_exhausts_without_perturbation(sc28):
-    # with c_eta = 0 the one candidate is omega0 itself
-    params = SearchParams(omega0=2 * F + SIGMA0, c_eta=Fraction(0))
+def test_search_exhausts_without_perturbation():
+    # with c_eta = 0 the one candidate is omega_J = 2f + sigma0 itself
+    sc = build_scenario(form=[2, 0, 8], search={"c_eta": "0"})
     with pytest.raises(SearchExhausted) as err:
-        search_kahler_class(
-            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
-        )
+        search_kahler_class(sc)
     assert len(err.value.rejections) == 1
     assert all("zero real charge" in r or "annihilating" in r for _, r in err.value.rejections)
-
-
-def test_search_rejects_a_base_outside_the_cone(sc28):
-    # omega0 = -(2f + sigma0): positive square, but omega0.f = -1.  A scenario
-    # cannot carry this omega_J (assembly rejects it), so call the search
-    params = SearchParams(omega0=-sc28.omega_J)
-    with pytest.raises(SearchExhausted) as err:
-        search_kahler_class(
-            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, sc28.eta_basis
-        )
-    assert err.value.rejections == [(0, "base does not pair positively with the fiber class")]
 
 
 def _shipped_scenarios():
@@ -498,11 +483,6 @@ def test_dual_eta_needs_a_negative_definite_basis(sc28):
     assert signature_of(neg_gram) == (4, 0, 1)
     with pytest.raises(PreconditionViolation):
         _dual_eta(GAMMA, indefinite)
-    params = SearchParams(omega0=sc28.omega_J)
-    with pytest.raises(PreconditionViolation):
-        search_kahler_class(
-            sc28.charge, sc28.split, sc28.tau, sc28.pic_basis, params, [F + SIGMA0]
-        )
 
 
 def test_wall_intersection_2_8(searched28, sc28):
