@@ -39,7 +39,7 @@ from k3stab.stability import (
     wall_table,
 )
 from k3stab.intmat import signature_of
-from k3stab.stability import _dual_eta
+from k3stab.stability import _cone_violation, _dual_eta
 from oracles import (
     bounded_p0_violations,
     dual_eta,
@@ -453,6 +453,20 @@ def test_search_exhausts_without_perturbation():
         search_kahler_class(sc)
     assert len(err.value.rejections) == 1
     assert all("zero real charge" in r or "annihilating" in r for _, r in err.value.rejections)
+
+
+def test_search_rejects_a_base_outside_the_cone(sc28):
+    # omega0 = -(2f + sigma0): positive square, but omega0.f = -1.  The
+    # search's cone test refuses it as a base, and assembly runs that test at
+    # omega_J, so no scenario (and no search) can start from it
+    base = -sc28.omega_J
+    assert _cone_violation(base, F, base, "base") == (
+        "base does not pair positively with the fiber class"
+    )
+    with pytest.raises(
+        PreconditionViolation, match="omega_J does not pair positively with the fiber class"
+    ):
+        build_scenario(form=[2, 0, 8], omega_J=base)
 
 
 def _shipped_scenarios():
