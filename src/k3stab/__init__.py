@@ -13,13 +13,11 @@ from .lattice import (
     Sublattice,
     orth_complement,
     pair,
-    signature,
     standard_k3_lattice,
     standard_mukai_lattice,
 )
 from .forms import BinaryEvenForm, SL2Witness, enumerate_reduced, gauss_reduce, sl2_equivalent
 from .attractor import (
-    AttractorData,
     Charge,
     DegenerateCharge,
     NotAttractor,

@@ -7,16 +7,16 @@ Q(sqrt(m)) for the square-free part m of D.
 
 The hyperkaehler rotation bookkeeping follows the standard triple (I, J, K):
 the given complex structure is J, rotation to I turns holomorphic cycles into
-special Lagrangians, and
+special Lagrangians, and it relabels the attractor period Omega:
 
-    omega_I     = Im(tau) p          (the Kaehler class of I, up to scale)
-    Im(Omega_I) = q - Re(tau) p
-    Re(Omega_I) = omega_J            (the chosen Kaehler representative of J)
+    omega_I     = Im(Omega) = Im(tau) p      (the Kaehler class of I, up to scale)
+    Im(Omega_I) = Re(Omega) = q - Re(tau) p
+    Re(Omega_I) = omega_J                    (the chosen Kaehler representative of J)
 
-The normalization omega_J^2 = D / p^2 that would make Omega_I a genuine null
-period is recorded (``is_normalized``) but never enforced: the downstream
-reality and wall statements are invariant under positive rescaling of omega_J,
-and the perturbation searches need the scale free.
+Omega_I is a null period only when omega_J^2 = D / p^2, and that
+normalization is never enforced: the downstream reality and wall statements
+are invariant under positive rescaling of omega_J, and the Kaehler search
+needs the scale free.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .exact import QuadComplex, QuadScalar
 from .lattice import (
     GAMMA,
     ComplexVector,
-    GramLattice,
     LatticeVector,
     pair,
 )
@@ -132,66 +131,34 @@ def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> 
     return lam
 
 
-@dataclass(frozen=True)
-class AttractorData:
-    """A charge together with its solved modulus and rotation bookkeeping."""
+def hyperkahler_rotate(
+    charge: Charge, Omega: ComplexVector, omega_J: LatticeVector
+) -> ComplexVector:
+    """The period Omega_I = omega_J + i Re(Omega) of the complex structure I,
+    from the attractor period Omega of the charge.
 
-    charge: Charge
-    tau: QuadComplex
-    omega_J: LatticeVector
-    Omega_J: ComplexVector
-    omega_I: LatticeVector
-    im_omega_I: LatticeVector
-    is_normalized: bool
-
-    @property
-    def Omega_I(self) -> ComplexVector:
-        """omega_J + i (q - Re(tau) p)."""
-        return ComplexVector(self.omega_J, self.im_omega_I)
-
-
-def hyperkahler_rotate(charge: Charge, tau: QuadComplex, omega_J: LatticeVector) -> AttractorData:
-    """Rotate the solved background to the complex structure I.
-
-    omega_J must annihilate p and q and have positive square; whether it also
-    satisfies the unit normalization omega_J^2 = D / p^2 is recorded, not
-    required.
+    omega_J must annihilate p and q and have positive square; its scale is
+    free (module docstring).
     """
     if pair(GAMMA, omega_J, charge.p) or pair(GAMMA, omega_J, charge.q):
         raise NotOrthogonal("omega_J must pair to zero with p and q")
-    w2 = pair(GAMMA, omega_J, omega_J)
-    if w2.sign() <= 0:
+    if pair(GAMMA, omega_J, omega_J).sign() <= 0:
         raise NotPositive("omega_J^2 must be positive")
-    omega_I = tau.im * charge.p
-    im_omega_I = charge.q - tau.re * charge.p
-    omega_big_j = ComplexVector(im_omega_I, omega_I)
-    # period sanity for the J structure
-    if pair(GAMMA, omega_big_j, omega_big_j):
-        raise NotAttractor("Omega_J is not null")
-    normalized = w2 == pair(GAMMA, omega_I, omega_I)
-    return AttractorData(
-        charge=charge,
-        tau=tau,
-        omega_J=omega_J,
-        Omega_J=omega_big_j,
-        omega_I=omega_I,
-        im_omega_I=im_omega_I,
-        is_normalized=normalized,
-    )
+    return ComplexVector(omega_J, Omega.re)
 
 
-def z_k3(lat: GramLattice, omega_J: LatticeVector, cls: LatticeVector) -> QuadScalar:
+def z_k3(omega_J: LatticeVector, cls: LatticeVector) -> QuadScalar:
     """K3 central charge of a class: omega_J . cls."""
-    return pair(lat, omega_J, cls)
+    return pair(GAMMA, omega_J, cls)
 
 
 def threefold_central_charge(
-    data: AttractorData, p_prime: LatticeVector, q_prime: LatticeVector
+    tau: QuadComplex, Omega_I: ComplexVector, p_prime: LatticeVector, q_prime: LatticeVector
 ) -> QuadComplex:
     """Central charge of p' dx + q' dy against Omega_I ^ (dx + tau dy).
 
     With the unit torus normalization the pairing collapses to
     Omega_I . (q' - tau p').
     """
-    combo = ComplexVector(q_prime) - ComplexVector(p_prime).scale(data.tau)
-    return pair(GAMMA, data.Omega_I, combo)
+    combo = ComplexVector(q_prime) - ComplexVector(p_prime).scale(tau)
+    return pair(GAMMA, Omega_I, combo)

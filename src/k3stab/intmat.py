@@ -1,9 +1,9 @@
 """Exact integer / rational matrix machinery.
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
-arithmetic: unimodular column reduction for integer kernels, symmetric
-congruence for signatures (over ``Fraction``), integral Gram-Schmidt data (the
-one factorization of a definite matrix), integral LLL reduction, and the
+arithmetic: unimodular column reduction for integer kernels, integral
+Gram-Schmidt data (the one factorization of a definite matrix, which also
+decides definiteness), integral LLL reduction, and the
 Fincke–Pohst enumerator of a definite quadric used by the (-2)-class
 enumeration.  The last three run in integers only: the enumerator scales its
 budget once at entry, so every level costs an integer and every coordinate
@@ -74,55 +74,6 @@ def rank_generic(rows: Iterable[Sequence]) -> int:
     return rank
 
 
-def signature_of(gram: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Inertia ``(n_plus, n_zero, n_minus)`` by exact symmetric congruence."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if p is None:
-            pair = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                zero += n - k
-                return pos, zero, neg
-            i, j = pair
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            p = i
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            for t in range(n):
-                a[t][k], a[t][p] = a[t][p], a[t][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return pos, zero, neg
-
-
-def is_negative_definite(gram: Sequence[Sequence]) -> bool:
-    pos, zero, neg = signature_of(gram)
-    return pos == 0 and zero == 0
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration on a definite quadric.
 
@@ -157,6 +108,16 @@ def gram_schmidt(gram: Sequence[Sequence[int]]) -> tuple[list[int], list[list[in
     for k in range(n):
         _gram_schmidt_row(gram, d, lam, k)
     return d, lam
+
+
+def is_negative_definite(gram: Sequence[Sequence[int]]) -> bool:
+    """Whether an integer Gram matrix is negative definite: minus it has
+    Gram-Schmidt data."""
+    try:
+        gram_schmidt([[-x for x in row] for row in gram])
+    except ValueError:
+        return False
+    return True
 
 
 def lll_reduce(

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import FieldMismatch, QuadComplex, QuadScalar
-from .intmat import kernel_basis, signature_of
+from .intmat import kernel_basis
 
 Scalar = Union[int, Fraction, QuadScalar]
 
@@ -399,15 +399,6 @@ def pair(lat: GramLattice, x, y):
     if cx:
         return QuadComplex(_pair_real(lat, x.re, y), _pair_real(lat, x.im, y))
     return QuadComplex(_pair_real(lat, x, y.re), _pair_real(lat, x, y.im))
-
-
-def signature(obj) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus) of a GramLattice or Sublattice."""
-    if isinstance(obj, GramLattice):
-        return signature_of(obj.gram)
-    if isinstance(obj, Sublattice):
-        return signature_of(obj.gram())
-    return signature_of(obj)
 
 
 def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:

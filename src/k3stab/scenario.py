@@ -36,7 +36,6 @@ from math import isqrt
 from typing import Optional, Union
 
 from .attractor import (
-    AttractorData,
     Charge,
     hyperkahler_rotate,
     solve_attractor,
@@ -163,19 +162,18 @@ class Scenario:
     m: int = field(init=False)
     tau: QuadComplex = field(init=False)
     Omega: ComplexVector = field(init=False)
-    data: AttractorData = field(init=False)
+    Omega_I: ComplexVector = field(init=False)
     pic_basis: list[LatticeVector] = field(init=False)
     eta_basis: list[LatticeVector] = field(init=False)
-    sqrt_disc_integral: bool = field(init=False)
 
     def __post_init__(self):
         self.tau, self.Omega = solve_attractor(self.charge)
-        self.sqrt_disc_integral = self.tau.im.is_rational
         self.m = self._field()
         if not self._orthogonal_to_charge(self.split.f, self.split.sigma0):
             raise PreconditionViolation("fibration classes must be orthogonal to the charge")
-        self.data = hyperkahler_rotate(self.charge, self.tau, self.omega_J)
-        check_period_data(self.split, self.data.Omega_I, self.data.omega_I, self.B)
+        self.Omega_I = hyperkahler_rotate(self.charge, self.Omega, self.omega_J)
+        # the Kaehler class of I is Im(Omega) (attractor module docstring)
+        check_period_data(self.split, self.Omega_I, self.Omega.im, self.B)
         # f is nef, so a Kaehler class pairs positively with it: the search's
         # cone test at omega0 = omega_J, where only omega_J.f > 0 is left
         reason = _cone_violation(self.omega_J, self.split.f, self.omega_J, "omega_J")
@@ -198,7 +196,7 @@ class Scenario:
     @cached_property
     def triple(self) -> MirrorTriple:
         """The mirror of the period data at omega_J."""
-        return mirror_period(self.split, self.data.Omega_I, self.data.omega_I, self.B)
+        return mirror_period(self.split, self.Omega_I, self.Omega.im, self.B)
 
     @cached_property
     def psi(self) -> StabilityPoint:
@@ -235,7 +233,7 @@ class Scenario:
             "disc": self.charge.disc,
             "gram": [[self.charge.p2, self.charge.pq], [self.charge.pq, self.charge.q2]],
             "m": self.m,
-            "sqrt_disc_integral": self.sqrt_disc_integral,
+            "sqrt_disc_integral": self.tau.im.is_rational,
         }
         if self.form is not None:
             out["form"] = self.form.as_list()
@@ -386,8 +384,8 @@ def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.data, zero, cls)
-        zk = z_k3(GAMMA, sc.data.omega_J, cls)
+        z3 = threefold_central_charge(sc.tau, sc.Omega_I, zero, cls)
+        zk = z_k3(sc.omega_J, cls)
         if z3.im or z3.re != zk:
             raise ScenarioError(f"threefold charge mismatch for {cls}: {z3} vs {zk}")
         rows.append(
@@ -443,16 +441,14 @@ def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
 
 def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
     involution = None
-    # the involution contract needs a null period: rescale Im(Omega_I) when
-    # the norm ratio is a perfect rational square
-    ratio = pair(GAMMA, sc.omega_J, sc.omega_J) / pair(
-        GAMMA, sc.data.im_omega_I, sc.data.im_omega_I
-    )
+    # the involution contract needs a null period: rescale Im(Omega_I) =
+    # Re(Omega) when the norm ratio is a perfect rational square
+    ratio = pair(GAMMA, sc.omega_J, sc.omega_J) / pair(GAMMA, sc.Omega.re, sc.Omega.re)
     if ratio.is_rational:
         root = _rational_sqrt(ratio.as_fraction())
         if root is not None:
-            null_period = ComplexVector(sc.omega_J, root * sc.data.im_omega_I)
-            rep = mirror_involution_check(sc.split, null_period, sc.data.omega_I, sc.B)
+            null_period = ComplexVector(sc.omega_J, root * sc.Omega.re)
+            rep = mirror_involution_check(sc.split, null_period, sc.Omega.im, sc.B)
             involution = {
                 "holds": rep.holds,
                 "span_equal": rep.span_equal,
@@ -554,7 +550,7 @@ def charge_table_report(sc: Scenario, with_float: bool = False) -> dict:
     zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.data, zero, cls)
+        z3 = threefold_central_charge(sc.tau, sc.Omega_I, zero, cls)
         zm = central_charge(sc.psi, mirror_class(sc.split, cls))
         rows.append(
             {

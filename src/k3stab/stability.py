@@ -33,12 +33,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .attractor import Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
-from .intmat import enumerate_quadric, gram_schmidt, kernel_basis, lll_reduce
+from .intmat import enumerate_quadric, kernel_basis, lll_reduce
 from .lattice import (
     GAMMA,
     MUKAI,
     ComplexVector,
-    GramLattice,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -371,24 +370,22 @@ class SearchResult:
     enumeration: RootEnumeration
 
 
-def _dual_eta(lat: GramLattice, basis: Sequence[LatticeVector]) -> LatticeVector:
+def _dual_eta(basis: Sequence[LatticeVector]) -> LatticeVector:
     """The integral class eta with eta . b_i = -c for every vector b_i of a
     basis of a negative definite lattice, c > 0 the least such integer.
 
-    `gram_schmidt` of minus the Gram matrix P decides definiteness; then the
-    kernel of [P | -1] is spanned by one primitive vector (x, c), and with
-    c > 0, P x = c 1 makes x the coefficients of eta.  Nothing more holds in
-    general: eta is orthogonal to every difference b_i - b_j, so it does not
-    avoid the hyperplane of a root of that form.  On the form [2,1,2] the
+    The eta basis of a scenario spans the complement of the definite plane
+    (p, q) and the hyperbolic plane (f, sigma0) in signature (3,19), which is
+    negative definite.  With P minus its Gram matrix, the kernel of [P | -1]
+    is spanned by one primitive vector (x, c), and with c > 0, P x = c 1
+    makes x the coefficients of eta.  Nothing more holds in general: eta is
+    orthogonal to every difference b_i - b_j, so it does not avoid the
+    hyperplane of a root of that form.  On the form [2,1,2] the
     root e2(U3) - e1(U3), the difference of the first two vectors of the
     scenario's basis, annihilates every candidate (ROADMAP item 1).
     """
-    sub = Sublattice(lat, basis)
+    sub = Sublattice(GAMMA, basis)
     neg_gram = [[-x for x in row] for row in sub.gram()]
-    try:
-        gram_schmidt(neg_gram)
-    except ValueError:
-        raise PreconditionViolation("the eta basis must span a negative definite lattice") from None
     (kernel,) = kernel_basis([row + [-1] for row in neg_gram])
     *x, _ = kernel if kernel[-1] > 0 else [-a for a in kernel]
     return sub.from_coefficients(x)
@@ -408,8 +405,8 @@ def _cone_violation(omega, f, omega0, what):
 def search_kahler_class(sc: Scenario) -> SearchResult:
     """Find omega_J making exp(mirror B + i mirror omega) a regular point.
 
-    Fails fast with SearchObstructed when D = 2 p^2 (no candidate can work).
-    Otherwise builds the one candidate omega_k = omega0 + 2^-k c_eta eta,
+    Requires B = 0, and fails fast with SearchObstructed when D = 2 p^2 (no
+    candidate can work).  Otherwise builds the one candidate omega_k = omega0 + 2^-k c_eta eta,
     with omega0 the scenario's omega_J and eta, unless the scenario gives
     one, the integral class dual to its eta basis (`_dual_eta`); k is the
     least index where omega_k is inside the open cone omega^2 > 0,
@@ -421,13 +418,15 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     `p0_violations`); otherwise SearchExhausted carries the k halving
     rejections and the final reason.
     """
+    if sc.B:
+        raise PreconditionViolation("the Kaehler search requires B = 0")
     obstruction = fibration_obstruction(sc.charge, sc.split)
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
     omega0 = sc.omega_J
     step = LatticeVector.zero(GAMMA.rank)
     if sc.c_eta:
-        eta = sc.eta if sc.eta is not None else _dual_eta(GAMMA, sc.eta_basis)
+        eta = sc.eta if sc.eta is not None else _dual_eta(sc.eta_basis)
         step = sc.c_eta * eta
     rejections: list[tuple[int, str]] = []
     k = 0
@@ -440,8 +439,8 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])
 
-    data = hyperkahler_rotate(sc.charge, sc.tau, omega)
-    triple = mirror_period(sc.split, data.Omega_I, data.omega_I, LatticeVector.zero(GAMMA.rank))
+    Omega_I = hyperkahler_rotate(sc.charge, sc.Omega, omega)
+    triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
     psi = exp_point(triple.B_check, triple.omega_check)
     charges = [(cls, z) for cls, z, _ in verify_reality(sc.split, psi, sc.pic_basis)]
     for cls, z in charges:

@@ -5,7 +5,7 @@ from math import isqrt, lcm
 
 from k3stab.attractor import DegenerateCharge
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
-from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis, signature_of
+from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
@@ -13,6 +13,7 @@ from k3stab.lattice import (
     MUKAI_WSTAR,
     ComplexVector,
     DimensionMismatch,
+    GramLattice,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -264,6 +265,61 @@ def ldl_posdef(p):
             w = Fraction(p[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))
             u[i][j] = w / v
     return d, u
+
+
+def signature_of(gram):
+    """Inertia ``(n_plus, n_zero, n_minus)`` by exact symmetric congruence
+    over ``Fraction``; the reference for `intmat.is_negative_definite`."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if p is None:
+            pair = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                zero += n - k
+                return pos, zero, neg
+            i, j = pair
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            p = i
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            for t in range(n):
+                a[t][k], a[t][p] = a[t][p], a[t][k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / d
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return pos, zero, neg
+
+
+def signature(obj):
+    """Inertia (n_plus, n_zero, n_minus) of a GramLattice, a Sublattice or
+    a Gram matrix."""
+    if isinstance(obj, GramLattice):
+        return signature_of(obj.gram)
+    if isinstance(obj, Sublattice):
+        return signature_of(obj.gram())
+    return signature_of(obj)
 
 
 def solve_rational(a, b):

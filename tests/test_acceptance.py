@@ -29,10 +29,15 @@ from k3stab.lattice import (
     Sublattice,
     orth_complement,
     pair,
-    signature,
 )
 from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
-from oracles import bounded_p0_violations, minus_two_coefficients, triple_plane_gram, tube_map
+from oracles import (
+    bounded_p0_violations,
+    minus_two_coefficients,
+    signature,
+    triple_plane_gram,
+    tube_map,
+)
 from k3stab.stability import (
     exp_point,
     fibration_obstruction,
@@ -70,9 +75,9 @@ def test_criterion_2_slag_reality(sc28):
     with acceptance_criterion("special-Lagrangian charge reality (20 classes)"):
         assert len(sc28.pic_basis) == 20
         for cls in sc28.pic_basis:
-            z = threefold_central_charge(sc28.data, ZERO, cls)
+            z = threefold_central_charge(sc28.tau, sc28.Omega_I, ZERO, cls)
             assert not z.im
-            assert z.re == z_k3(GAMMA, sc28.data.omega_J, cls)
+            assert z.re == z_k3(sc28.omega_J, cls)
 
 
 def _mirror_b0_oracle(split, tau, charge, omega_J):
@@ -95,8 +100,8 @@ def test_criterion_3_mirror_formulas(sc28):
         # the general map specializes term-for-term at B = 0
         eta = sc28.eta_basis[0] + 3 * sc28.eta_basis[7]
         for omega_J in [2 * F + SIGMA0, 7 * F + 3 * SIGMA0 + eta]:
-            data = hyperkahler_rotate(sc28.charge, sc28.tau, omega_J)
-            triple = mirror_period(sc28.split, data.Omega_I, data.omega_I, ZERO)
+            Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, omega_J)
+            triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
             period, omega_check, b_check = _mirror_b0_oracle(
                 sc28.split, sc28.tau, sc28.charge, omega_J
             )
@@ -169,8 +174,8 @@ def test_criterion_7_obstruction_sharpness(sc22):
         assert ob.delta.D in (SIGMA0, -SIGMA0)
         family = [2 * F + SIGMA0, 5 * F + 2 * SIGMA0, 16 * (2 * F + SIGMA0) + sc22.eta_basis[0]]
         for omega_J in family:
-            data = hyperkahler_rotate(sc22.charge, sc22.tau, omega_J)
-            triple = mirror_period(sc22.split, data.Omega_I, data.omega_I, ZERO)
+            Omega_I = hyperkahler_rotate(sc22.charge, sc22.Omega, omega_J)
+            triple = mirror_period(sc22.split, Omega_I, sc22.Omega.im, ZERO)
             psi = exp_point(triple.B_check, triple.omega_check)
             hits = p0_violations(psi, triple.Omega_check).roots
             sigma_hits = [

@@ -18,8 +18,8 @@ from k3stab.attractor import (
     z_k3,
 )
 from k3stab.exact import QuadComplex, QuadScalar
-from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair, signature
-from oracles import ns_lattice, solve_integer
+from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair
+from oracles import ns_lattice, signature, solve_integer
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -109,36 +109,37 @@ def test_verify_rejects_non_null_period():
 
 
 def test_rotation_fields_diag_2_8():
+    # tau = 2i, so Omega = q + 2i p: the Kaehler class of I is Im(Omega) = 2p
+    # and Omega_I = omega_J + i Re(Omega) = omega_J + i q
     ch = diag_charge(4)
-    tau, _ = solve_attractor(ch)
-    data = hyperkahler_rotate(ch, tau, 2 * F + SIGMA0)
-    assert data.omega_I == 2 * ch.p
-    assert data.im_omega_I == ch.q
-    assert not data.is_normalized  # omega_J^2 = 2 while D / p^2 = 8
+    _, Omega = solve_attractor(ch)
+    assert Omega.im == 2 * ch.p
+    omega_J = 2 * F + SIGMA0
+    assert hyperkahler_rotate(ch, Omega, omega_J) == ComplexVector(omega_J, ch.q)
 
 
 def test_rotation_rejections():
     ch = diag_charge(4)
-    tau, _ = solve_attractor(ch)
+    _, Omega = solve_attractor(ch)
     with pytest.raises(NotOrthogonal):
-        hyperkahler_rotate(ch, tau, GAMMA.basis(2))
+        hyperkahler_rotate(ch, Omega, GAMMA.basis(2))
     with pytest.raises(NotPositive):
-        hyperkahler_rotate(ch, tau, GAMMA.basis(6))  # a (-2)-class
+        hyperkahler_rotate(ch, Omega, GAMMA.basis(6))  # a (-2)-class
 
 
 @given(st.integers(1, 6), st.integers(0, 2))
 @settings(max_examples=30, deadline=None)
 def test_rotated_norms_agree(k, b):
-    # omega_I^2 = (Im Omega_I)^2 = D / p^2 identically
+    # omega_I^2 = (Im Omega_I)^2, that is (Im Omega)^2 = (Re Omega)^2, is
+    # D / p^2 identically
     p = GAMMA.basis(2) + GAMMA.basis(3)
     q = b * GAMMA.basis(3) + GAMMA.basis(4) + k * GAMMA.basis(5)
     ch = Charge(p, q)
     if ch.disc <= 0:
         return
-    tau, _ = solve_attractor(ch)
-    data = hyperkahler_rotate(ch, tau, 2 * F + SIGMA0)
-    lhs = pair(GAMMA, data.omega_I, data.omega_I)
-    rhs = pair(GAMMA, data.im_omega_I, data.im_omega_I)
+    _, Omega = solve_attractor(ch)
+    lhs = pair(GAMMA, Omega.re, Omega.re)
+    rhs = pair(GAMMA, Omega.im, Omega.im)
     assert lhs == rhs
     assert lhs == QuadScalar(Fraction(ch.disc, ch.p2))
 
@@ -156,26 +157,27 @@ def test_ns_lattice():
 
 def test_z_k3_examples():
     omega_J = 2 * F + SIGMA0
-    assert z_k3(GAMMA, omega_J, F) == 1
-    assert z_k3(GAMMA, omega_J, LatticeVector.zero(22)) == 0
-    assert z_k3(GAMMA, omega_J, SIGMA0) == 0
+    assert z_k3(omega_J, F) == 1
+    assert z_k3(omega_J, LatticeVector.zero(22)) == 0
+    assert z_k3(omega_J, SIGMA0) == 0
 
 
 def test_threefold_charges(sc28):
     zero = LatticeVector.zero(22)
-    assert threefold_central_charge(sc28.data, zero, zero) == QuadComplex(0)
-    z = threefold_central_charge(sc28.data, zero, F)
+    tau, Omega_I = sc28.tau, sc28.Omega_I
+    assert threefold_central_charge(tau, Omega_I, zero, zero) == QuadComplex(0)
+    z = threefold_central_charge(tau, Omega_I, zero, F)
     assert z == QuadComplex(1)
-    assert threefold_central_charge(sc28.data, sc28.charge.p, zero) == QuadComplex(0)
+    assert threefold_central_charge(tau, Omega_I, sc28.charge.p, zero) == QuadComplex(0)
 
 
 def test_slag_reality_and_alignment(sc28):
     zero = LatticeVector.zero(22)
     charges = []
     for cls in sc28.pic_basis:
-        z = threefold_central_charge(sc28.data, zero, cls)
+        z = threefold_central_charge(sc28.tau, sc28.Omega_I, zero, cls)
         assert not z.im
-        assert z.re == z_k3(GAMMA, sc28.data.omega_J, cls)
+        assert z.re == z_k3(sc28.omega_J, cls)
         charges.append(z)
     nonzero = [z for z in charges if z]
     for i in range(len(nonzero)):

@@ -2,19 +2,19 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3stab.intmat import (
     enumerate_quadric,
     gram_schmidt,
     kernel_basis,
+    is_negative_definite,
     lll_reduce,
     rank_generic,
-    signature_of,
 )
 from k3stab.lattice import MUKAI, LatticeVector, embed_gamma, orth_complement
-from oracles import fraction_enumerate_quadric, ldl_posdef, solve_integer
+from oracles import fraction_enumerate_quadric, ldl_posdef, signature_of, solve_integer
 
 
 def test_kernel_basis_simple():
@@ -171,6 +171,29 @@ def test_gram_schmidt_matches_rational_ldl(m):
                 assert Fraction(lam[k][j], d[j + 1]) == u[j][k]
             else:
                 assert lam[k][j] == 0
+
+
+def _near_negative_definite(n):
+    """-(M^T M + I) plus a small symmetric S: negative definite for some
+    draws and not for others."""
+    square = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(square, square).map(
+        lambda ms: [
+            [-p + s + t for p, s, t in zip(prow, srow, tcol)]
+            for prow, srow, tcol in zip(_posdef(ms[0]), ms[1], zip(*ms[1]))
+        ]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(_near_negative_definite))
+@example([[-2, 1], [1, -2]])
+@example([[-2, 0], [0, 0]])  # degenerate
+@example([[0, 1], [1, 0]])  # hyperbolic
+@example([[-2, 3], [3, -2]])  # negative first minor, indefinite
+def test_is_negative_definite_matches_signature_oracle(gram):
+    n = len(gram)
+    assert is_negative_definite(gram) == (signature_of(gram) == (0, 0, n))
 
 
 def _mul(a, b):

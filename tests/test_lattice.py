@@ -20,7 +20,6 @@ from k3stab.lattice import (
     orth_complement,
     pair,
     project_off_hyperbolic,
-    signature,
 )
 from oracles import (
     QuadVector,
@@ -28,6 +27,7 @@ from oracles import (
     dense_orth_complement,
     minus_two_coefficients,
     quad_pair,
+    signature,
 )
 
 F = GAMMA.basis(0)

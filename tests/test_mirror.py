@@ -78,8 +78,8 @@ def test_general_formula_matches_b0_specialization(split, sc28):
     for omega_J in [2 * F + SIGMA0, 6 * F + 3 * SIGMA0 + eta, 9 * F + 2 * SIGMA0 + eta]:
         if pair(GAMMA, omega_J, omega_J).sign() <= 0:
             continue
-        data = hyperkahler_rotate(sc28.charge, sc28.tau, omega_J)
-        triple = mirror_period(split, data.Omega_I, data.omega_I, ZERO)
+        Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, omega_J)
+        triple = mirror_period(split, Omega_I, sc28.Omega.im, ZERO)
         omega_big, omega_check, b_check = mirror_b0_oracle(split, sc28.tau, sc28.charge, omega_J)
         assert triple.Omega_check == omega_big
         assert triple.omega_check == omega_check
@@ -87,7 +87,7 @@ def test_general_formula_matches_b0_specialization(split, sc28):
 
 
 def test_b_zero_with_projected_omega_gives_zero_b(split, sc28):
-    triple = mirror_period(split, sc28.data.Omega_I, sc28.data.omega_I, ZERO)
+    triple = mirror_period(split, sc28.Omega_I, sc28.Omega.im, ZERO)
     assert not triple.B_check  # pr(2f + sigma0) = 0
 
 
@@ -98,14 +98,14 @@ def test_mirror_preconditions(split, sc28):
         mirror_period(split, bad, sc28.charge.p, ZERO)
     # omega with a v* component
     with pytest.raises(PreconditionViolation):
-        mirror_period(split, sc28.data.Omega_I, sc28.charge.p + E2, ZERO)
+        mirror_period(split, sc28.Omega_I, sc28.charge.p + E2, ZERO)
     # nonpositive omega^2
     with pytest.raises(PreconditionViolation):
-        mirror_period(split, sc28.data.Omega_I, GAMMA.basis(6), ZERO)
+        mirror_period(split, sc28.Omega_I, GAMMA.basis(6), ZERO)
     # Im(Omega) not orthogonal to v
-    skew = ComplexVector(sc28.data.omega_J, E2)
+    skew = ComplexVector(sc28.omega_J, E2)
     with pytest.raises(PreconditionViolation):
-        mirror_period(split, skew, sc28.data.omega_I, ZERO)
+        mirror_period(split, skew, sc28.Omega.im, ZERO)
 
 
 def test_mirror_class_anchors(split):
@@ -196,7 +196,7 @@ def test_involution_diag_2_8(split, sc28):
     # norm-matched null representative of the rotated period plane
     omega = ComplexVector(2 * F + SIGMA0, Fraction(1, 2) * sc28.charge.q)
     assert pair(GAMMA, omega, omega) == QuadComplex(0)
-    report = mirror_involution_check(split, omega, sc28.data.omega_I, ZERO)
+    report = mirror_involution_check(split, omega, sc28.Omega.im, ZERO)
     assert report.holds and report.span_equal
     assert report.second.Omega_check == omega
     assert report.omega_v_shift == QuadScalar(0)
@@ -205,7 +205,7 @@ def test_involution_diag_2_8(split, sc28):
 def test_involution_diag_2_2(split, sc22):
     omega = ComplexVector(2 * F + SIGMA0, sc22.charge.q)
     assert pair(GAMMA, omega, omega) == QuadComplex(0)
-    report = mirror_involution_check(split, omega, sc22.data.omega_I, ZERO)
+    report = mirror_involution_check(split, omega, sc22.Omega.im, ZERO)
     assert report.holds
 
 
@@ -236,5 +236,5 @@ def test_involution_on_random_tube_periods(split, sc28):
 
 def test_involution_reports_failure_for_non_null_input(split, sc28):
     # unnormalized rotated data is not a period: the check must say so
-    report = mirror_involution_check(split, sc28.data.Omega_I, sc28.data.omega_I, ZERO)
+    report = mirror_involution_check(split, sc28.Omega_I, sc28.Omega.im, ZERO)
     assert not report.span_equal

