@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from k3stab.intmat import (
     enumerate_quadric,
     gram_schmidt,
-    kernel_basis,
     is_negative_definite,
+    kernel_basis,
     lll_reduce,
     rank_generic,
 )
