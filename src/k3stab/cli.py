@@ -80,14 +80,21 @@ def _render(obj) -> str:
     Any other type, a float or a tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
-    generators; this writer appends to one list and joins it once.
+    generators; this writer appends to one list and joins it once.  A report
+    shares dicts: a `verify 6.4` wall table holds 380 references to its 20
+    charge dicts.  So each dict is rendered once per indentation.  A memo
+    that lives for this call, keyed by (id, indentation), keeps where the
+    first rendering lies in the output; the first repeat joins it into one
+    string, which every later reference at that indentation appends.  The
+    ids are stable because the report holds every object until the call
+    ends.
     """
     parts: list[str] = []
-    _write(obj, parts, "\n")
+    _write(obj, parts, "\n", {})
     return "".join(parts)
 
 
-def _write(obj, parts: list, newline: str) -> None:
+def _write(obj, parts: list, newline: str, memo: dict) -> None:
     if isinstance(obj, str):
         parts.append(_quote(obj))
     elif obj is None:
@@ -107,7 +114,7 @@ def _write(obj, parts: list, newline: str) -> None:
         for value in obj:
             parts.append(opener)
             parts.append(inner)
-            _write(value, parts, inner)
+            _write(value, parts, inner, memo)
             opener = ","
         parts.append(newline)
         parts.append("]")
@@ -115,6 +122,14 @@ def _write(obj, parts: list, newline: str) -> None:
         if not obj:
             parts.append("{}")
             return
+        ref = (id(obj), newline)
+        done = memo.get(ref)
+        if done is not None:
+            if type(done) is tuple:  # the first repeat: join the first rendering
+                done = memo[ref] = "".join(parts[done[0] : done[1]])
+            parts.append(done)
+            return
+        start = len(parts)
         inner = newline + "  "
         opener = "{"
         for key, value in sorted(obj.items()):
@@ -124,10 +139,11 @@ def _write(obj, parts: list, newline: str) -> None:
             parts.append(inner)
             parts.append(_quote(key))
             parts.append(": ")
-            _write(value, parts, inner)
+            _write(value, parts, inner, memo)
             opener = ","
         parts.append(newline)
         parts.append("}")
+        memo[ref] = (start, len(parts))
     else:
         raise TypeError(f"not a report value: {type(obj).__name__}")
 

@@ -67,7 +67,7 @@ from .stability import (
     SearchResult,
     StabilityPoint,
     WallReport,
-    _cone_violation,
+    _fiber_violation,
     central_charge,
     exp_point,
     ns_of_mirror,
@@ -174,9 +174,9 @@ class Scenario:
         self.Omega_I = hyperkahler_rotate(self.charge, self.Omega, self.omega_J)
         # the Kaehler class of I is Im(Omega) (attractor module docstring)
         check_period_data(self.split, self.Omega_I, self.Omega.im, self.B)
-        # f is nef, so a Kaehler class pairs positively with it: the search's
-        # cone test at omega0 = omega_J, where only omega_J.f > 0 is left
-        reason = _cone_violation(self.omega_J, self.split.f, self.omega_J, "omega_J")
+        # the rotation has checked omega_J^2 > 0, so of the search's cone
+        # test at omega0 = omega_J only omega_J.f > 0 is left
+        reason = _fiber_violation(self.omega_J, self.split.f, "omega_J")
         if reason is not None:
             raise PreconditionViolation(reason)
         if self.eta is not None and not self._orthogonal_to_charge(self.eta):

@@ -391,12 +391,20 @@ def _dual_eta(basis: Sequence[LatticeVector]) -> LatticeVector:
     return sub.from_coefficients(x)
 
 
+def _fiber_violation(omega, f, what):
+    """The reason omega.f > 0 fails, or None: f is nef, so a Kaehler class
+    pairs positively with it."""
+    if pair(GAMMA, omega, f).sign() <= 0:
+        return f"{what} does not pair positively with the fiber class"
+    return None
+
+
 def _cone_violation(omega, f, omega0, what):
     """Which of omega^2 > 0, omega.f > 0, omega.omega0 > 0 fails first, or None."""
     if pair(GAMMA, omega, omega).sign() <= 0:
         return f"{what} has nonpositive square"
-    if pair(GAMMA, omega, f).sign() <= 0:
-        return f"{what} does not pair positively with the fiber class"
+    if (reason := _fiber_violation(omega, f, what)) is not None:
+        return reason
     if pair(GAMMA, omega, omega0).sign() <= 0:
         return f"{what} leaves the reference cone"
     return None

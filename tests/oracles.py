@@ -91,6 +91,11 @@ def _numerators(v):
     return a, [c.b.numerator * (den // c.b.denominator) for c in v.coords], den, m
 
 
+def nonzero_entries(lat):
+    """The nonzero Gram entries (i, j, g) of a lattice, row by row."""
+    return [(i, j, g) for i, row in enumerate(lat.gram) for j, g in enumerate(row) if g]
+
+
 def _int_pair(nonzero, x, y):
     return sum(g * x[i] * y[j] for i, j, g in nonzero)
 
@@ -100,7 +105,7 @@ def quad_pair(lat, x, y):
     vector, then integer sums over the nonzero Gram entries."""
     if len(x) != lat.rank or len(y) != lat.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
-    nz = lat._nonzero
+    nz = nonzero_entries(lat)
     xa, xb, xd, xm = _numerators(x)
     ya, yb, yd, ym = _numerators(y)
     if xm and ym and xm != ym:

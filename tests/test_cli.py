@@ -1,5 +1,6 @@
 """The CLI's report writer and its shared argument parser."""
 
+import collections
 import contextlib
 import io
 import json
@@ -63,6 +64,53 @@ def test_render_examples(value):
 def test_render_rejects_other_types(value):
     with pytest.raises(TypeError):
         _render(value)
+
+
+_CHARGE = {"re": "1/2", "im": {"exact": "0", "float": "0"}}
+_PAIR = {"Z_i": _CHARGE, "Z_j": _CHARGE}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [_CHARGE, _CHARGE, _CHARGE],
+        [_CHARGE, [_CHARGE], {"k": [_CHARGE]}, _CHARGE],
+        {"a": _CHARGE, "b": _CHARGE, "c": [1, _CHARGE]},
+        [_PAIR, _CHARGE, {"p": _PAIR}, _PAIR],
+    ],
+    ids=["one-depth", "two-depths", "two-keys", "nested"],
+)
+def test_render_shared_dicts(value):
+    """A dict referenced more than once renders as json.dumps renders it at
+    every place: the same indentation reuses the memo, another renders anew."""
+    assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_render_writes_each_shared_charge_once(monkeypatch):
+    """verify 6.4 on diag(2,8): the 190 wall rows name the 20 charge dicts
+    380 times, all at one indentation, and each dict is rendered once; the
+    other references find it in the memo."""
+    import k3stab.cli as cli
+
+    payloads, renders = [], collections.Counter()
+    render, write = cli._render, cli._write
+    monkeypatch.setattr(cli, "_render", lambda obj: payloads.append(obj) or render(obj))
+
+    def counted(obj, parts, newline, memo):
+        if isinstance(obj, dict) and (id(obj), newline) not in memo:
+            renders[id(obj), newline] += 1
+        write(obj, parts, newline, memo)
+
+    monkeypatch.setattr(cli, "_write", counted)
+    code, out, _ = _in_process(["verify", "6.4", "--scenario", SCENARIO])
+    assert code == 0
+    (report,) = payloads
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    rows = report["walls"]
+    charges = {id(row[z]): row[z] for row in rows for z in ("Z_i", "Z_j")}
+    assert (len(rows), len(charges)) == (190, 20)
+    rendered = {ref: n for ref, n in renders.items() if ref[0] in charges}
+    assert len(rendered) == 20 and set(rendered.values()) == {1}
 
 
 def _in_process(argv):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -13,7 +14,17 @@ from k3stab.intmat import (
     lll_reduce,
     rank_generic,
 )
-from k3stab.lattice import MUKAI, LatticeVector, embed_gamma, orth_complement
+from k3stab.attractor import hyperkahler_rotate
+from k3stab.lattice import GAMMA, MUKAI, LatticeVector, embed_gamma, orth_complement
+from k3stab.mirror import mirror_period
+from k3stab.scenario import build_scenario
+from k3stab.stability import (
+    SearchExhausted,
+    _dual_eta,
+    exp_point,
+    p0_violations,
+    search_kahler_class,
+)
 from oracles import fraction_enumerate_quadric, ldl_posdef, signature_of, solve_integer
 
 
@@ -229,27 +240,43 @@ def _assert_lll_reduced(gram):
     for k in range(1, len(g)):
         # Lovasz: B_k >= (3/4 - mu_k,k-1^2) B_k-1 with B_k = d[k+1]/d[k]
         assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+    return t, g, d, lam
+
+
+def _permuted(gram, perm):
+    """The Gram matrix of the basis reordered by perm."""
+    return [[gram[i][j] for j in perm] for i in perm]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-30, 30), min_size=n + 2, max_size=n + 2), min_size=n, max_size=n
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-30, 30), min_size=n + 2, max_size=n + 2),
+                min_size=n,
+                max_size=n,
+            ),
+            st.permutations(range(n)),
         )
     )
 )
-def test_lll_reduce_is_unimodular_and_reduced(b):
+def test_lll_reduce_is_unimodular_and_reduced(case):
+    b, perm = case
     gram = _mul(b, [list(col) for col in zip(*b)])  # B B^T, definite when B has full rank
     if not _det(gram):
         with pytest.raises(ValueError):
             lll_reduce(gram)
         return
-    _assert_lll_reduced(gram)
+    _, _, d, _ = _assert_lll_reduced(gram)
+    # any order of the input basis: reduced again, with the same determinant
+    assert _assert_lll_reduced(_permuted(gram, perm))[2][-1] == d[-1]
 
 
-def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
-    psi, period = searched28.psi, searched28.triple.Omega_check
+def _root_kernel(psi, period):
+    """The integral basis (rows) of the Mukai classes orthogonal to Re and
+    Im of the mirror period and of Psi, and minus its Gram matrix: the input
+    of the reduction in `p0_violations`."""
     s = psi.s_part
     gens = [
         embed_gamma(period.re),
@@ -258,9 +285,63 @@ def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
         LatticeVector(list(psi.omega.coords) + [0, s.im]),
     ]
     kern = orth_complement(MUKAI, gens)
-    neg_gram = [[-x for x in row] for row in kern.gram()]
+    return [v.int_coords() for v in kern.basis], [[-x for x in row] for row in kern.gram()]
+
+
+def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
+    _, neg_gram = _root_kernel(searched28.psi, searched28.triple.Omega_check)
     assert len(neg_gram) == 20
     _assert_lll_reduced(neg_gram)
     assert lll_reduce([]) == ([], [], [1], [])
     with pytest.raises(ValueError):
         lll_reduce([[2, 3], [3, 2]])  # indefinite
+
+
+def _exhausted_point_2_1_2():
+    """Psi and the mirror period at the candidate that fails the search on
+    [2,1,2] (exit 4): the last halving of omega_J + 2^-k c_eta eta."""
+    sc = build_scenario(form=[2, 1, 2])
+    with pytest.raises(SearchExhausted) as err:
+        search_kahler_class(sc)
+    k, reason = err.value.rejections[-1]
+    assert reason.startswith("annihilating (-2)-class")
+    omega = sc.omega_J + Fraction(sc.c_eta, 2**k) * _dual_eta(sc.eta_basis)
+    Omega_I = hyperkahler_rotate(sc.charge, sc.Omega, omega)
+    triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
+    return exp_point(triple.B_check, triple.omega_check), triple.Omega_check
+
+
+def _norm_two_classes(kern, neg_gram):
+    """The sorted (r, D, s) of the vectors of norm 2 of minus the lattice
+    with basis rows kern, by LLL and one enumeration, as `p0_violations`
+    finds them."""
+    t, _, d, lam = lll_reduce(neg_gram)
+    basis = [[sum(c * v[i] for c, v in zip(row, kern)) for i in range(MUKAI.rank)] for row in t]
+    n = GAMMA.rank
+    out = []
+    for y in enumerate_quadric((d, lam), [0] * len(basis), 2):
+        x = [sum(c * v[i] for c, v in zip(y, basis)) for i in range(MUKAI.rank)]
+        out.append((x[n], tuple(x[:n]), x[n + 1]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("point", ["searched-2-0-8", "exhausted-2-1-2"])
+def test_basis_order_does_not_change_the_root_enumeration(point, searched28):
+    """`lll_reduce` sorts its input basis; any order of the kernel basis
+    gives a reduced basis with the same determinant and the same roots."""
+    if point == "searched-2-0-8":
+        psi, period = searched28.psi, searched28.triple.Omega_check
+    else:
+        psi, period = _exhausted_point_2_1_2()
+    kern, neg_gram = _root_kernel(psi, period)
+    n = len(kern)
+    det = lll_reduce(neg_gram)[2][n]
+    roots = sorted((r.r, tuple(r.D.int_coords()), r.s) for r in p0_violations(psi, period).roots)
+    assert _norm_two_classes(kern, neg_gram) == roots
+    assert (len(roots) > 0) == (point == "exhausted-2-1-2")
+    rng = random.Random(14)
+    for _ in range(3):
+        perm = rng.sample(range(n), n)
+        _, _, d, _ = _assert_lll_reduced(_permuted(neg_gram, perm))
+        assert d[n] == det
+        assert _norm_two_classes([kern[i] for i in perm], _permuted(neg_gram, perm)) == roots

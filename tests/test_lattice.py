@@ -26,6 +26,7 @@ from oracles import (
     dense_gram,
     dense_orth_complement,
     minus_two_coefficients,
+    nonzero_entries,
     quad_pair,
     signature,
 )
@@ -225,7 +226,7 @@ def test_scalar_vector_algebra():
 
 def _reference_pair(lat, x, y):
     total = QuadScalar(0)
-    for i, j, g in lat._nonzero:
+    for i, j, g in nonzero_entries(lat):
         xi, yj = x.coords[i], y.coords[j]
         if xi and yj:
             total = total + QuadScalar(g) * (xi * yj)
@@ -266,6 +267,30 @@ def test_pair_mixed_radicands_raise(x, y):
         pair(GAMMA, x, y)
     with pytest.raises(FieldMismatch):
         pair(GAMMA, y, x)
+
+
+# a second rank-22 lattice with another Gram matrix: tridiagonal, with the
+# diagonal 1, 2, ..., 22 and 1 next to it
+TRIDIAGONAL = GramLattice(
+    [[(i + 1) * (i == j) + (abs(i - j) == 1) for j in range(22)] for i in range(22)]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_pair_through_kept_images_matches_oracle(data):
+    """A vector keeps the Gram image of the lattice it was last paired in:
+    pairing the same objects again, in both orders, over Q and Q(sqrt m),
+    gives the oracle's value, and so does pairing them in a second lattice
+    and then in GAMMA again."""
+    m = data.draw(st.sampled_from([2, 3, 5, 23]))
+    vectors = [data.draw(field_vectors(data.draw(st.sampled_from([0, m])))) for _ in range(3)]
+    for lat in (GAMMA, GAMMA, TRIDIAGONAL, TRIDIAGONAL, GAMMA):
+        for x, y in itertools.product(vectors, repeat=2):
+            value = pair(lat, x, y)
+            reference = _reference_pair(lat, x, y)
+            assert value == reference
+            assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
 
 
 # ---------------------------------------------------------------------------
