@@ -80,45 +80,46 @@ def _render(obj) -> str:
     Any other type, a float or a tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
-    generators; this writer appends to one list and joins it once.  A report
-    shares dicts: a `verify 6.4` wall table holds 380 references to its 20
-    charge dicts.  So each dict is rendered once per indentation.  A memo
-    that lives for this call, keyed by (id, indentation), keeps where the
-    first rendering lies in the output; the first repeat joins it into one
-    string, which every later reference at that indentation appends.  The
-    ids are stable because the report holds every object until the call
-    ends.
+    generators; this writer appends to one list and joins it once.  Two memos
+    live for this call.
+
+    * A report shares dicts: a `verify 6.4` wall table holds 380 references
+      to its 20 charge dicts.  So each dict is rendered once per
+      indentation.  `memo`, keyed by (id, indentation), keeps where the
+      first rendering lies in the output; the first repeat joins it into one
+      string, which every later reference at that indentation appends.  The
+      ids are stable because the report holds every object until the call
+      ends.
+    * A report repeats dict shapes: the 190 rows of a wall table have one
+      key tuple.  `plans`, keyed by (key tuple, indentation), holds one plan
+      per shape: the sorted keys, each with its head, the opener, the
+      indentation and the quoted key.  Its keys are checked when the plan is
+      built.
+
+    In a dict or a list, a str, int or bool value, told apart by exact type
+    so that a bool is never written as an int, is appended right after its
+    head; any other value is written by the recursion.
     """
     parts: list[str] = []
-    _write(obj, parts, "\n", {})
+    _write(obj, parts, "\n", {}, {})
     return "".join(parts)
 
 
-def _write(obj, parts: list, newline: str, memo: dict) -> None:
-    if isinstance(obj, str):
-        parts.append(_quote(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, list):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        opener = "["
-        for value in obj:
-            parts.append(opener)
-            parts.append(inner)
-            _write(value, parts, inner, memo)
-            opener = ","
-        parts.append(newline)
-        parts.append("]")
-    elif isinstance(obj, dict):
+def _plan(obj: dict, newline: str) -> list[tuple[str, str]]:
+    """(key, head) for each key of obj in sorted order; raises TypeError on a
+    key that is not a str."""
+    for key in obj:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    inner = newline + "  "
+    heads = ["," + inner] * len(obj)
+    heads[0] = "{" + inner
+    return [(key, head + _quote(key) + ": ") for key, head in zip(sorted(obj), heads)]
+
+
+def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
+    # containers first: the scalars of a container are mostly written inline
+    if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
@@ -129,21 +130,57 @@ def _write(obj, parts: list, newline: str, memo: dict) -> None:
                 done = memo[ref] = "".join(parts[done[0] : done[1]])
             parts.append(done)
             return
+        shape = (tuple(obj), newline)
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _plan(obj, newline)
         start = len(parts)
         inner = newline + "  "
-        opener = "{"
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            parts.append(opener)
-            parts.append(inner)
-            parts.append(_quote(key))
-            parts.append(": ")
-            _write(value, parts, inner, memo)
-            opener = ","
+        for key, head in plan:
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                parts.append(head + _quote(value))
+            elif kind is int:
+                parts.append(head + int.__repr__(value))
+            elif kind is bool:
+                parts.append(head + ("true" if value else "false"))
+            else:
+                parts.append(head)
+                _write(value, parts, inner, memo, plans)
         parts.append(newline)
         parts.append("}")
         memo[ref] = (start, len(parts))
+    elif isinstance(obj, list):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for value in obj:
+            kind = type(value)
+            if kind is str:
+                parts.append(head + _quote(value))
+            elif kind is int:
+                parts.append(head + int.__repr__(value))
+            elif kind is bool:
+                parts.append(head + ("true" if value else "false"))
+            else:
+                parts.append(head)
+                _write(value, parts, inner, memo, plans)
+            head = "," + inner
+        parts.append(newline)
+        parts.append("]")
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
     else:
         raise TypeError(f"not a report value: {type(obj).__name__}")
 

@@ -15,6 +15,14 @@ attractor and mirror formulas ever need.
 serialization.  Lattice vectors do not hold one per coordinate: a
 ``lattice.LatticeVector`` keeps integer numerators over one common
 denominator in one field, and converts to QuadScalars only for rendering.
+
+A scalar is canonicalized once, where its parts come from outside: the
+public constructor coerces them to Fractions and splits the square part off
+the radicand.  Every arithmetic result, and every pairing and rendered
+coordinate in ``lattice``, already has canonical parts (Fractions, a
+square-free radicand, and m = 0 when b = 0, which the result sets itself
+when the radicals cancel), so it is wrapped by ``QuadScalar._canon``, which
+coerces and splits nothing.
 """
 
 from __future__ import annotations
@@ -63,8 +71,11 @@ class QuadScalar:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, m: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
+        # Fraction() of a Fraction would pass the slow numbers.Rational check
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         m = int(m)
         if m < 0:
             raise ValueError("radicand must be nonnegative")
@@ -80,6 +91,16 @@ class QuadScalar:
         self.a = a
         self.b = b
         self.m = m
+
+    @staticmethod
+    def _canon(a: Fraction, b: Fraction, m: int) -> "QuadScalar":
+        """Wrap parts that are already canonical: Fractions a and b, m
+        square-free, and m == 0 when b == 0.  Nothing is coerced or split."""
+        x = _new(QuadScalar)
+        x.a = a
+        x.b = b
+        x.m = m
+        return x
 
     # -- constructors -------------------------------------------------
 
@@ -97,7 +118,7 @@ class QuadScalar:
         if isinstance(x, QuadScalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadScalar(x)
+            return _canon(x if type(x) is Fraction else Fraction(x), _ZERO, 0)
         return None
 
     def _join(self, other: "QuadScalar") -> int:
@@ -111,7 +132,9 @@ class QuadScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b, self._join(o))
+        m = self._join(o)
+        b = self.b + o.b
+        return _canon(self.a + o.a, b, m if b else 0)
 
     __radd__ = __add__
 
@@ -119,7 +142,9 @@ class QuadScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(self.a - o.a, self.b - o.b, self._join(o))
+        m = self._join(o)
+        b = self.b - o.b
+        return _canon(self.a - o.a, b, m if b else 0)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -129,14 +154,14 @@ class QuadScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # rational factor: no field join
-            return QuadScalar(self.a * other, self.b * other, self.m)
+            b = self.b * other
+            return _canon(self.a * other, b, self.m if b else 0)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         m = self._join(o)
-        return QuadScalar(
-            self.a * o.a + m * self.b * o.b, self.a * o.b + self.b * o.a, m
-        )
+        b = self.a * o.b + self.b * o.a  # 0 also when the radicals cancel
+        return _canon(self.a * o.a + m * self.b * o.b, b, m if b else 0)
 
     __rmul__ = __mul__
 
@@ -153,7 +178,7 @@ class QuadScalar:
         return o * self.inverse()
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.m)
+        return _canon(-self.a, -self.b, self.m)
 
     def __pos__(self):
         return self
@@ -162,11 +187,11 @@ class QuadScalar:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         n = self.norm()
-        return QuadScalar(self.a / n, -self.b / n, self.m)
+        return _canon(self.a / n, -self.b / n, self.m)
 
     def conj(self) -> "QuadScalar":
         """Galois conjugate ``a - b*sqrt(m)``."""
-        return QuadScalar(self.a, -self.b, self.m)
+        return _canon(self.a, -self.b, self.m)
 
     def norm(self) -> Fraction:
         """Field norm ``a*a - m*b*b`` (rational)."""
@@ -262,6 +287,11 @@ class QuadScalar:
 
     def __repr__(self):
         return f"QuadScalar({self.a!r}, {self.b!r}, {self.m})"
+
+
+_new = object.__new__
+_canon = QuadScalar._canon
+_ZERO = Fraction(0)
 
 
 _TERM = re.compile(

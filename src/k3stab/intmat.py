@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -203,6 +204,10 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
     L = r.den * lcm_i(d[i] d[i + 1]) * wd^2 makes every cost the integer
     c_i X^2 with c_i = L / (d[i] d[i + 1] wd^2), so the bounds on each X come
     from `isqrt` and the last level tests one exact square.
+
+    The integers z_j = wd y_j - wn_j are kept up to date with y, and the
+    column of lam below each diagonal entry is listed once, so the offset of
+    a level, sum_{j>i} lam[j][i] z_j, is one C-level `sum(map(mul, ...))`.
     """
     d, lam = factors
     n = len(lam)
@@ -217,12 +222,14 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
     steps = [d[i] * d[i + 1] for i in range(n)]
     common = lcm(*steps)
     cost = [r.denominator * common // s for s in steps]
+    cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]  # below the diagonal
     out: list[tuple[int, ...]] = []
     y = [0] * n
+    z = [0] * n  # z_j = wd y_j - wn_j, kept with y
 
     def descend(i: int, budget: int) -> None:
-        # X = t gd + g, where g = sum_{j>i} lam[j][i] (wd y_j - wn_j) - d[i + 1] wn_i
-        g = sum(lam[j][i] * (wd * y[j] - wn[j]) for j in range(i + 1, n)) - d[i + 1] * wn[i]
+        # X = t gd + g, where g = sum_{j>i} lam[j][i] z_j - d[i + 1] wn_i
+        g = sum(map(mul, cols[i], z[i + 1 :])) - d[i + 1] * wn[i]
         gd = d[i + 1] * wd
         c = cost[i]
         if i == 0:
@@ -237,8 +244,10 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
                     out.append(tuple(y))
             return
         s = isqrt(budget // c)  # c X^2 <= budget  <=>  |X| <= s
+        wni = wn[i]
         for t in range(-((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
+            z[i] = wd * t - wni
             x = t * gd + g
             descend(i - 1, budget - c * x * x)
 

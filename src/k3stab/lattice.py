@@ -19,7 +19,7 @@ numerator lists (A, B) over one common denominator, so sums, scalings and the
 pairing `pair` are integer list operations with one field check each.
 QuadScalar is the scalar type at the boundary: the constructor parses
 QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
-as QuadScalars.
+as QuadScalars; both build them from canonical parts (`QuadScalar._canon`).
 
 A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
 standard lattices), and every integer image G x -- the Gram matrix of a
@@ -41,6 +41,9 @@ from .exact import FieldMismatch, QuadComplex, QuadScalar
 from .intmat import kernel_basis
 
 Scalar = Union[int, Fraction, QuadScalar]
+
+_canon = QuadScalar._canon
+_ZERO = Fraction(0)
 
 
 class DimensionMismatch(ValueError):
@@ -120,12 +123,11 @@ class LatticeVector:
         out = self._coords
         if out is None:
             den, m = self.den, self.m
-            if self.B is None:
-                out = tuple(QuadScalar(Fraction(a, den)) for a in self.A)
-            else:
-                out = tuple(
-                    QuadScalar(Fraction(a, den), Fraction(b, den), m) for a, b in zip(self.A, self.B)
-                )
+            B = self.B or [0] * len(self.A)
+            out = tuple(
+                _canon(Fraction(a, den), Fraction(b, den) if b else _ZERO, m if b else 0)
+                for a, b in zip(self.A, B)
+            )
             self._coords = out
         return out
 
@@ -381,7 +383,10 @@ def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScal
     omega of a stability point, the fibration classes, omega_J): in a
     `verify 6.4` about 150 of about 187 pairings find a kept image and cost
     one dot product per numerator list.  Vectors over different quadratic
-    fields raise FieldMismatch.
+    fields raise FieldMismatch.  The two sums are already the canonical
+    parts of the result over den, with m = 0 when the radical sum is 0, so
+    the QuadScalar is wrapped by `QuadScalar._canon` without a second
+    coercion.
     """
     if len(x.A) != lat.rank or len(y.A) != lat.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
@@ -400,7 +405,9 @@ def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScal
     if gb is not None:
         radical += sum(map(mul, x.A, gb))
     den = x.den * y.den
-    return QuadScalar(Fraction(rational, den), Fraction(radical, den), m)
+    if not radical:
+        return _canon(Fraction(rational, den), _ZERO, 0)
+    return _canon(Fraction(rational, den), Fraction(radical, den), m)
 
 
 def pair(lat: GramLattice, x, y):

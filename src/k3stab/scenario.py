@@ -380,7 +380,12 @@ def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
 
 def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     """Threefold central charges of the Picard basis: exactly real, equal to
-    the K3 charges omega_J . l."""
+    the K3 charges omega_J . l.  Those charges do not depend on B, so a
+    scenario with B != 0 is refused rather than certified with its B unread."""
+    if sc.B:
+        raise PreconditionViolation(
+            "verify 5.1 requires B = 0: the threefold charges it certifies do not depend on B"
+        )
     zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:

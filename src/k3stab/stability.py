@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .attractor import Charge, NotPositive, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
@@ -209,7 +209,9 @@ def p0_violations(
     The integral kernel of the Mukai pairings with Re and Im of the mirror
     period and of Psi is negative definite; minus its Gram matrix is LLL
     reduced, and its vectors of norm 2 are enumerated with the Gram-Schmidt
-    data that the reduction ends with, so nothing is factored twice.
+    data that the reduction ends with, so nothing is factored twice.  The
+    reduced basis is built only to map hits back to Mukai coordinates; a
+    certified point has none.  Every reported root is re-verified.
     """
     s_part = psi.s_part
     n = GAMMA.rank  # Mukai coordinates are (D, r, s)
@@ -237,11 +239,11 @@ def p0_violations(
                 out = [o + c * x for o, x in zip(out, v)]
         return out
 
-    basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
-    hits = sorted(
-        (x[n], tuple(x[:n]), x[n + 1])
-        for x in (combine(y, basis) for y in enumerate_quadric((d, lam), [0] * len(basis), 2))
-    )
+    hits = []
+    ys = enumerate_quadric((d, lam), [0] * len(t), 2)
+    if ys:  # a certified point has none, and needs no reduced basis
+        basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
+        hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []
     for r, d, s in hits[:limit]:
         delta = MukaiVector(r, LatticeVector.from_ints(d), s)
@@ -297,8 +299,7 @@ def fibration_obstruction(charge: Charge, split: SplitData) -> ObstructionCheck:
 # Walls.
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(NamedTuple):
     i: int
     j: int
     member: bool
@@ -331,9 +332,7 @@ def wall_table(zs: Sequence[QuadComplex]) -> list[WallReport]:
     phase key per charge."""
     keys = [_phase_key(z) for z in zs]
     return [
-        WallReport(
-            i=i, j=j, member=keys[i] is not None and keys[i] == keys[j], z_i=zs[i], z_j=zs[j]
-        )
+        WallReport(i, j, keys[i] is not None and keys[i] == keys[j], zs[i], zs[j])
         for i in range(len(zs))
         for j in range(i + 1, len(zs))
     ]

@@ -86,6 +86,36 @@ def test_render_shared_dicts(value):
     assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+_ROW = {"i": 0, "j": 1, "member": True, "Z": _CHARGE}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{"b": 1, "a": "x", "c": False}, {"a": "y", "c": True, "b": 2}],
+        [_ROW, {"rows": [_ROW, dict(_ROW, i=2)]}, [[dict(_ROW, member=False)]]],
+        [{"a": 1}, {"a": True}, {"a": None}, {"a": "1"}, {"a": False}, {"a": 0}],
+        [[1, True, None, "1", False, 0, -(10**30)], {"a": [True, 1, "x"]}],
+    ],
+    ids=["two-insertion-orders", "two-depths", "value-types", "list-values"],
+)
+def test_render_planned_shapes(value):
+    """Dicts of one key tuple share one plan per indentation: the same keys
+    in another insertion order, the same shape at another depth, and bool,
+    None and str values under a shape first planned with an int all render
+    as json.dumps renders them."""
+    assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[{"a": 1}, {"a": 2}, {1: 2}], [{"a": 1}, {"a": 2, 3: 4}], {"a": {"b": 1}, "c": [{"b": 1.5}]}],
+)
+def test_render_rejects_a_bad_key_or_value_after_a_planned_shape(value):
+    with pytest.raises(TypeError):
+        _render(value)
+
+
 def test_render_writes_each_shared_charge_once(monkeypatch):
     """verify 6.4 on diag(2,8): the 190 wall rows name the 20 charge dicts
     380 times, all at one indentation, and each dict is rendered once; the
@@ -96,10 +126,10 @@ def test_render_writes_each_shared_charge_once(monkeypatch):
     render, write = cli._render, cli._write
     monkeypatch.setattr(cli, "_render", lambda obj: payloads.append(obj) or render(obj))
 
-    def counted(obj, parts, newline, memo):
+    def counted(obj, parts, newline, memo, plans):
         if isinstance(obj, dict) and (id(obj), newline) not in memo:
             renders[id(obj), newline] += 1
-        write(obj, parts, newline, memo)
+        write(obj, parts, newline, memo, plans)
 
     monkeypatch.setattr(cli, "_write", counted)
     code, out, _ = _in_process(["verify", "6.4", "--scenario", SCENARIO])

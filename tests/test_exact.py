@@ -197,3 +197,51 @@ def test_mixed_hash_examples():
     assert hash(QuadComplex(QuadScalar(0, 1, 2))) == hash(QuadScalar(0, 1, 2))
     assert {QuadScalar(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
     assert 2 in {QuadComplex(2)}
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic builds its results with `QuadScalar._canon`, which trusts its
+# parts: they must be what the public constructor makes of the same parts.
+
+
+def _assert_canonical(value, reference):
+    assert (type(value.a), type(value.b)) == (Fraction, Fraction)
+    assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
+    assert value == reference and hash(value) == hash(reference)
+    assert str(value) == str(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_arithmetic_results_match_the_public_constructor(data):
+    m = data.draw(st.sampled_from([0, 2, 3, 5, 23]))
+    # each operand over Q or over Q(sqrt m); a small pool makes equal parts,
+    # hence cancelling radicals, frequent
+    parts = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]), rationals)
+    x = QuadScalar(data.draw(parts), data.draw(parts), data.draw(st.sampled_from([0, m])))
+    y = QuadScalar(data.draw(parts), data.draw(parts), data.draw(st.sampled_from([0, m])))
+    r = data.draw(st.one_of(st.integers(-5, 5), rationals))
+    k = x.m or y.m  # the joined field
+    cases = [
+        (x + y, QuadScalar(x.a + y.a, x.b + y.b, k)),
+        (x - y, QuadScalar(x.a - y.a, x.b - y.b, k)),
+        (x * y, QuadScalar(x.a * y.a + k * x.b * y.b, x.a * y.b + x.b * y.a, k)),
+        (x * r, QuadScalar(x.a * r, x.b * r, x.m)),
+        (r * x, QuadScalar(x.a * r, x.b * r, x.m)),
+        (x + r, QuadScalar(x.a + r, x.b, x.m)),
+        (r - x, QuadScalar(r - x.a, -x.b, x.m)),
+        (-x, QuadScalar(-x.a, -x.b, x.m)),
+        (x.conj(), QuadScalar(x.a, -x.b, x.m)),
+    ]
+    if y:
+        n = y.norm()
+        inv = QuadScalar(y.a / n, -y.b / n, y.m)
+        cases.append((y.inverse(), inv))
+        cases.append((x / y, QuadScalar(x.a * inv.a + k * x.b * inv.b, x.a * inv.b + x.b * inv.a, k)))
+    for value, reference in cases:
+        _assert_canonical(value, reference)
+    # the radical cancels: the result is rational, with m == 0
+    for value in (x - x, x + (-x), x * x.conj(), x.conj() * x):
+        _assert_canonical(value, QuadScalar(value.a, value.b, 0))
+        assert value.m == 0 and value.is_rational
+

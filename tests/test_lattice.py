@@ -404,3 +404,26 @@ def test_sparse_gram_images_match_dense(data):
     fast, dense = orth_complement(lat, gens), dense_orth_complement(lat, gens)
     assert fast.basis == dense.basis
     assert fast.gram() == dense_gram(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_with_a_zero_radical_part_is_rational(data):
+    """x = A + B sqrt(m) and y = C + D sqrt(m) with A, C in the U blocks and
+    B, D in the E8 blocks pair to A.C + m B.D: the radical part A.D + B.C
+    is 0, and the pairing comes out rational, with m == 0."""
+    m = data.draw(st.sampled_from([2, 3, 5, 23]))
+
+    def split_vector():
+        u = data.draw(st.lists(small_rationals, min_size=6, max_size=6))
+        e8 = data.draw(st.lists(small_rationals, min_size=16, max_size=16))
+        return LatticeVector([QuadScalar(a) for a in u] + [QuadScalar(0, b, m) for b in e8])
+
+    x, y = split_vector(), split_vector()
+    for u, v in [(x, y), (y, x), (x, x), (x, y)]:  # the last one through kept images
+        value = pair(GAMMA, u, v)
+        # the oracle builds its result with the public constructor
+        reference = quad_pair(GAMMA, QuadVector(u.coords), QuadVector(v.coords))
+        assert value.m == 0 and value.is_rational
+        assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
+        assert value == reference and hash(value) == hash(reference)

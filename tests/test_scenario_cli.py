@@ -726,10 +726,12 @@ _NON_INTEGRAL = "f and sigma0 must be integral classes; got %s, %s" % (
     "[1/2" + ", 0" * 21 + "]",
     "[-1/2, 2" + ", 0" * 20 + "]",
 )
+_SLAG_B = "verify 5.1 requires B = 0: the threefold charges it certifies do not depend on B"
 # name: (scenario fields, {command: (exit, kind, error)}, default for the
 # other commands).  Assembly checks every input once, so each malformed
 # scenario fails alike on every command; only the E8 B-field passes
-# assembly, and the searching suites reject it.
+# assembly, and the searching suites and 5.1, whose charges do not depend
+# on B, reject it.
 ERROR_TABLE = {
     # sigma0 + e1(U2): still f.sigma0 = 1 and sigma0^2 = -2, but it pairs to
     # 1 with p, so it is not a Picard class; omega_J = 2f + (standard sigma0)
@@ -769,6 +771,7 @@ ERROR_TABLE = {
     "E8-B": (
         {"form": [2, 0, 8], "B": _vec(i6=1)},
         {
+            "verify 5.1": (1, "precondition", _SLAG_B),
             "verify 6.3": (1, "precondition", "the Kaehler search requires B = 0"),
             "verify 6.4": (1, "precondition", "the Kaehler search requires B = 0"),
         },
