@@ -25,7 +25,6 @@ from .attractor import (
     solve_attractor,
     threefold_central_charge,
     verify_attractor,
-    z_k3,
 )
 from .mirror import (
     MirrorTriple,

@@ -42,14 +42,6 @@ class NotAttractor(ValueError):
     """The supplied (tau, Omega) do not decompose the charge."""
 
 
-class NotOrthogonal(ValueError):
-    """omega_J fails to annihilate the charge pair."""
-
-
-class NotPositive(ValueError):
-    """A class required to have positive square does not."""
-
-
 @dataclass(frozen=True)
 class Charge:
     """An integral pair (p, q) in the K3 lattice."""
@@ -131,34 +123,22 @@ def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> 
     return lam
 
 
-def hyperkahler_rotate(
-    charge: Charge, Omega: ComplexVector, omega_J: LatticeVector
-) -> ComplexVector:
+def hyperkahler_rotate(Omega: ComplexVector, omega_J: LatticeVector) -> ComplexVector:
     """The period Omega_I = omega_J + i Re(Omega) of the complex structure I,
     from the attractor period Omega of the charge.
 
-    omega_J must annihilate p and q and have positive square; its scale is
-    free (module docstring).
+    omega_J must annihilate p and q and have positive square; scenario
+    assembly checks both, so the rotation only relabels.  Its scale is free
+    (module docstring).
     """
-    if pair(GAMMA, omega_J, charge.p) or pair(GAMMA, omega_J, charge.q):
-        raise NotOrthogonal("omega_J must pair to zero with p and q")
-    if pair(GAMMA, omega_J, omega_J).sign() <= 0:
-        raise NotPositive("omega_J^2 must be positive")
     return ComplexVector(omega_J, Omega.re)
 
 
-def z_k3(omega_J: LatticeVector, cls: LatticeVector) -> QuadScalar:
-    """K3 central charge of a class: omega_J . cls."""
-    return pair(GAMMA, omega_J, cls)
-
-
-def threefold_central_charge(
-    tau: QuadComplex, Omega_I: ComplexVector, p_prime: LatticeVector, q_prime: LatticeVector
-) -> QuadComplex:
-    """Central charge of p' dx + q' dy against Omega_I ^ (dx + tau dy).
+def threefold_central_charge(Omega_I: ComplexVector, cls: LatticeVector) -> QuadComplex:
+    """Central charge of the charge cls dy (p' = 0) against
+    Omega_I ^ (dx + tau dy).
 
     With the unit torus normalization the pairing collapses to
-    Omega_I . (q' - tau p').
+    Omega_I . (q' - tau p') = Omega_I . cls, so tau does not enter.
     """
-    combo = ComplexVector(q_prime) - ComplexVector(p_prime).scale(tau)
-    return pair(GAMMA, Omega_I, combo)
+    return pair(GAMMA, Omega_I, cls)

@@ -32,9 +32,9 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .attractor import DegenerateCharge, NotAttractor, NotOrthogonal, NotPositive
+from .attractor import DegenerateCharge, NotAttractor
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
-from .mirror import BadFibrationClasses, NormalizationFailure, PreconditionViolation
+from .mirror import PreconditionViolation
 from .scenario import (
     ScenarioError,
     attractor_report,
@@ -337,13 +337,7 @@ def _dispatch(args) -> int:
     except ScenarioError as exc:
         _emit({"error": str(exc), "kind": "scenario"})
         return 1
-    except (
-        BadFibrationClasses,
-        NormalizationFailure,
-        PreconditionViolation,
-        NotOrthogonal,
-        NotPositive,
-    ) as exc:
+    except PreconditionViolation as exc:
         _emit({"error": str(exc), "kind": "precondition"})
         return 1
     except (DegenerateCharge, NotAttractor) as exc:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -41,14 +42,16 @@ class FieldMismatch(ValueError):
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write ``n = s*s*m`` with ``m`` square-free; return ``(s, m)``.
 
-    ``n`` must be nonnegative; ``0`` splits as ``(0, 1)``.
+    ``n`` must be nonnegative; ``0`` splits as ``(0, 1)``.  Trial division
+    stops once d^3 exceeds the cofactor: its primes are all at least d, so
+    it has at most two, and it is either a prime square or square-free.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 1
     s, m, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             count = 0
             while n % d == 0:
@@ -58,6 +61,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if count % 2:
                 m *= d
         d += 1 if d == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        return s * r, m
     return s, m * n
 
 
@@ -257,10 +263,6 @@ class QuadScalar:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:

@@ -33,16 +33,6 @@ class BinaryEvenForm:
     def discriminant(self) -> int:
         return self.a * self.c - self.b * self.b
 
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.b, self.c))
-
-    def is_reduced(self) -> bool:
-        if not (-self.a < 2 * self.b <= self.a <= self.c):
-            return False
-        if self.a == self.c and self.b < 0:
-            return False
-        return True
-
     def as_list(self) -> list[int]:
         return [self.a, self.b, self.c]
 
@@ -86,10 +76,6 @@ class SL2Witness:
 
     def __str__(self):
         return str(self.as_rows())
-
-
-def discriminant(form: BinaryEvenForm) -> int:
-    return form.discriminant()
 
 
 _SWAP = SL2Witness(((0, -1), (1, 0)))

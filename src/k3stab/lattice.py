@@ -284,7 +284,7 @@ class ComplexVector:
 class GramLattice:
     """A lattice presented by an integral symmetric Gram matrix."""
 
-    def __init__(self, gram: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
+    def __init__(self, gram: Sequence[Sequence[int]]):
         self.rank = len(gram)
         self.gram = tuple(tuple(int(x) for x in row) for row in gram)
         for i in range(self.rank):
@@ -293,7 +293,6 @@ class GramLattice:
             for j in range(self.rank):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(self.rank))
         # the nonzero entries of each row: at most 3 in the standard lattices
         self._rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
 
@@ -306,12 +305,6 @@ class GramLattice:
                 for j, g in self._rows[i]:
                     out[j] += g * xi
         return out
-
-    def vector(self, coords: Iterable[Scalar]) -> LatticeVector:
-        v = LatticeVector(coords)
-        if len(v) != self.rank:
-            raise DimensionMismatch(f"expected {self.rank} coordinates")
-        return v
 
     def basis(self, i: int) -> LatticeVector:
         return LatticeVector.unit(self.rank, i)
@@ -521,21 +514,15 @@ def _e8_neg():
 
 def standard_k3_lattice() -> GramLattice:
     """Gamma = 3U + 2(-E8) in the basis order documented at module top."""
-    labels = (
-        ["u1.e1", "u1.e2", "u2.e1", "u2.e2", "u3.e1", "u3.e2"]
-        + [f"e8a.{i}" for i in range(1, 9)]
-        + [f"e8b.{i}" for i in range(1, 9)]
-    )
     gram = _block_diag([U_GRAM, U_GRAM, U_GRAM, _e8_neg(), _e8_neg()])
-    return GramLattice(gram, labels)
+    return GramLattice(gram)
 
 
 def standard_mukai_lattice() -> GramLattice:
     """Gamma extended by the (r, s) block carrying the Mukai pairing signs."""
     k3 = standard_k3_lattice()
     gram = _block_diag([k3.gram, U_MUKAI_GRAM])
-    labels = list(k3.labels) + ["mukai.r", "mukai.s"]
-    return GramLattice(gram, labels)
+    return GramLattice(gram)
 
 
 GAMMA = standard_k3_lattice()

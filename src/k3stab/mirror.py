@@ -36,14 +36,6 @@ from .lattice import (
 )
 
 
-class BadFibrationClasses(ValueError):
-    """f, sigma0 fail the pairing relations of a fibration with section."""
-
-
-class NormalizationFailure(ValueError):
-    """Re(Omega).v = 0: the mirror formulas cannot be normalized."""
-
-
 class PreconditionViolation(ValueError):
     """An input violates a documented precondition."""
 
@@ -64,9 +56,9 @@ class SplitData:
 
 def make_split(f: LatticeVector, sigma0: LatticeVector) -> SplitData:
     if not (f.is_integral and sigma0.is_integral):
-        raise BadFibrationClasses(f"f and sigma0 must be integral classes; got {f}, {sigma0}")
+        raise PreconditionViolation(f"f and sigma0 must be integral classes; got {f}, {sigma0}")
     if pair(GAMMA, f, f) != 0 or pair(GAMMA, f, sigma0) != 1 or pair(GAMMA, sigma0, sigma0) != -2:
-        raise BadFibrationClasses(
+        raise PreconditionViolation(
             "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got "
             f"{pair(GAMMA, f, f)}, {pair(GAMMA, f, sigma0)}, {pair(GAMMA, sigma0, sigma0)}"
         )
@@ -96,7 +88,7 @@ def check_period_data(
         raise PreconditionViolation("omega^2 must be positive")
     rev = pair(GAMMA, Omega.re, v)
     if not rev:
-        raise NormalizationFailure("Re(Omega).v = 0")
+        raise PreconditionViolation("Re(Omega).v = 0")
     return rev
 
 
@@ -149,7 +141,6 @@ class InvolutionReport:
     omega_recovered: bool  # up to a multiple of v
     b_recovered: bool
     omega_v_shift: QuadScalar  # coefficient of v in (omega'' - omega)
-    first: MirrorTriple
     second: MirrorTriple
 
     @property
@@ -183,7 +174,6 @@ def mirror_involution_check(
         omega_recovered=along_v,
         b_recovered=b_recovered,
         omega_v_shift=shift,
-        first=first,
         second=second,
     )
 

@@ -17,9 +17,10 @@ exact: the attractor solution (tau, Omega), the field, the hyperkaehler
 rotation at omega_J, and a Picard basis containing f and sigma0 with the
 eta basis of the complement of (p, q, f, sigma0).  It also runs every input
 check once, and nothing downstream repeats one: f and sigma0 orthogonal to
-p and q (they lie in the Picard lattice), those of the rotation, those of
-the mirror map at omega_J (`check_period_data`), omega_J.f > 0, since f is
-nef, and an explicit search eta orthogonal to p and q.  The lazy stages are
+p and q (they lie in the Picard lattice), those of the rotation (omega_J
+orthogonal to p and q, with positive square), those of the mirror map at
+omega_J (`check_period_data`), omega_J.f > 0, since f is nef, and an
+explicit search eta orthogonal to p and q.  The lazy stages are
 computed on first read and kept: the mirror triple at omega_J (`triple`),
 its stability point (`psi`), and the Kaehler search (`result`), which reads
 the scenario itself.  A command pays only for the stages it reads, and
@@ -41,7 +42,6 @@ from .attractor import (
     solve_attractor,
     threefold_central_charge,
     verify_attractor,
-    z_k3,
 )
 from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .forms import BinaryEvenForm
@@ -64,6 +64,7 @@ from .mirror import (
 )
 from .stability import (
     ObstructionCheck,
+    RealityViolation,
     SearchResult,
     StabilityPoint,
     WallReport,
@@ -171,11 +172,15 @@ class Scenario:
         self.m = self._field()
         if not self._orthogonal_to_charge(self.split.f, self.split.sigma0):
             raise PreconditionViolation("fibration classes must be orthogonal to the charge")
-        self.Omega_I = hyperkahler_rotate(self.charge, self.Omega, self.omega_J)
+        if not self._orthogonal_to_charge(self.omega_J):
+            raise PreconditionViolation("omega_J must pair to zero with p and q")
+        if pair(GAMMA, self.omega_J, self.omega_J).sign() <= 0:
+            raise PreconditionViolation("omega_J^2 must be positive")
+        self.Omega_I = hyperkahler_rotate(self.Omega, self.omega_J)
         # the Kaehler class of I is Im(Omega) (attractor module docstring)
         check_period_data(self.split, self.Omega_I, self.Omega.im, self.B)
-        # the rotation has checked omega_J^2 > 0, so of the search's cone
-        # test at omega0 = omega_J only omega_J.f > 0 is left
+        # omega_J^2 > 0 is checked above, so of the search's cone test at
+        # omega0 = omega_J only omega_J.f > 0 is left
         reason = _fiber_violation(self.omega_J, self.split.f, "omega_J")
         if reason is not None:
             raise PreconditionViolation(reason)
@@ -355,8 +360,8 @@ def complex_vector_json(v: ComplexVector, with_float: bool = False):
     return {"re": vector_json(v.re, with_float), "im": vector_json(v.im, with_float)}
 
 
-def mukai_json(m, with_float: bool = False):
-    return {"r": m.r, "D": vector_json(m.D, with_float), "s": m.s}
+def mukai_json(m):
+    return {"r": m.r, "D": vector_json(m.D), "s": m.s}
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +384,25 @@ def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
 
 
 def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
-    """Threefold central charges of the Picard basis: exactly real, equal to
-    the K3 charges omega_J . l.  Those charges do not depend on B, so a
-    scenario with B != 0 is refused rather than certified with its B unread."""
+    """Threefold central charges of the Picard basis: exactly real.  Their
+    real part is the K3 charge omega_J . l by the rotation's definition
+    (Re(Omega_I) = omega_J), so only reality is checked.  Those charges do
+    not depend on B, so a scenario with B != 0 is refused rather than
+    certified with its B unread."""
     if sc.B:
         raise PreconditionViolation(
             "verify 5.1 requires B = 0: the threefold charges it certifies do not depend on B"
         )
-    zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.tau, sc.Omega_I, zero, cls)
-        zk = z_k3(sc.omega_J, cls)
-        if z3.im or z3.re != zk:
-            raise ScenarioError(f"threefold charge mismatch for {cls}: {z3} vs {zk}")
+        z3 = threefold_central_charge(sc.Omega_I, cls)
+        if z3.im:
+            raise RealityViolation(cls, z3)
         rows.append(
             {
                 "class": vector_json(cls, with_float),
                 "Z": scalar_json(z3.re, with_float),
-                "Z_K3": scalar_json(zk, with_float),
+                "Z_K3": scalar_json(z3.re, with_float),
             }
         )
     return {
@@ -552,10 +557,9 @@ def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
 
 
 def charge_table_report(sc: Scenario, with_float: bool = False) -> dict:
-    zero = LatticeVector.zero(GAMMA.rank)
     rows = []
     for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.tau, sc.Omega_I, zero, cls)
+        z3 = threefold_central_charge(sc.Omega_I, cls)
         zm = central_charge(sc.psi, mirror_class(sc.split, cls))
         rows.append(
             {

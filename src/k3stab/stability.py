@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .attractor import Charge, NotPositive, hyperkahler_rotate
+from .attractor import Charge, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
 from .intmat import enumerate_quadric, kernel_basis, lll_reduce
 from .lattice import (
@@ -117,7 +117,7 @@ class StabilityPoint:
 
 def exp_point(B: LatticeVector, omega: LatticeVector) -> StabilityPoint:
     if pair(GAMMA, omega, omega).sign() <= 0:
-        raise NotPositive("omega^2 must be positive")
+        raise PreconditionViolation("omega^2 must be positive")
     return StabilityPoint(B=B, omega=omega)
 
 
@@ -398,15 +398,21 @@ def _fiber_violation(omega, f, what):
     return None
 
 
-def _cone_violation(omega, f, omega0, what):
-    """Which of omega^2 > 0, omega.f > 0, omega.omega0 > 0 fails first, or None."""
+def _cone_violation(omega, f, what):
+    """Which of omega^2 > 0, omega.f > 0 fails first, or None.
+
+    Both put omega in the cone of the base omega0, with no test of
+    omega.omega0: omega and omega0 lie in (p, q)^perp, of signature (1,19),
+    both have positive square, and both pair positively with the nonzero
+    isotropic f.  The vectors of positive square form two cones, told apart
+    by the sign of their pairing with f (which is never 0, since the
+    complement of a vector of positive square is negative definite and holds
+    no nonzero isotropic vector).  So omega and omega0 lie in one cone, and
+    by the light-cone lemma omega.omega0 >= sqrt(omega^2 omega0^2) > 0.
+    """
     if pair(GAMMA, omega, omega).sign() <= 0:
         return f"{what} has nonpositive square"
-    if (reason := _fiber_violation(omega, f, what)) is not None:
-        return reason
-    if pair(GAMMA, omega, omega0).sign() <= 0:
-        return f"{what} leaves the reference cone"
-    return None
+    return _fiber_violation(omega, f, what)
 
 
 def search_kahler_class(sc: Scenario) -> SearchResult:
@@ -417,8 +423,8 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     with omega0 the scenario's omega_J and eta, unless the scenario gives
     one, the integral class dual to its eta basis (`_dual_eta`); k is the
     least index where omega_k is inside the open cone omega^2 > 0,
-    omega.f > 0, omega.omega0 > 0; with c_eta = 0 the candidate is omega0
-    itself.  Assembly puts omega0 strictly inside
+    omega.f > 0 of omega0 (`_cone_violation`); with c_eta = 0 the candidate
+    is omega0 itself.  Assembly puts omega0 strictly inside
     that cone and eta orthogonal to the charge, so halving the step towards
     omega0 ends with no cap.  The candidate must give all twenty mirror
     charges real and nonzero and annihilate no (-2)-class (the complete
@@ -438,7 +444,7 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     rejections: list[tuple[int, str]] = []
     k = 0
     omega = omega0 + step
-    while (reason := _cone_violation(omega, sc.split.f, omega0, "candidate")) is not None:
+    while (reason := _cone_violation(omega, sc.split.f, "candidate")) is not None:
         rejections.append((k, reason))
         k += 1
         omega = omega0 + Fraction(1, 2**k) * step
@@ -446,7 +452,10 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])
 
-    Omega_I = hyperkahler_rotate(sc.charge, sc.Omega, omega)
+    # the rotation's checks hold without a test: omega_J and eta are
+    # orthogonal to p and q by assembly, the dual eta lies in the span of
+    # the eta basis, and the loop above has checked omega^2 > 0
+    Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
     psi = exp_point(triple.B_check, triple.omega_check)
     charges = [(cls, z) for cls, z, _ in verify_reality(sc.split, psi, sc.pic_basis)]

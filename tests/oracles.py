@@ -21,8 +21,24 @@ from k3stab.lattice import (
     orth_complement,
     pair,
 )
-from k3stab.mirror import NormalizationFailure, PreconditionViolation
+from k3stab.mirror import PreconditionViolation
 from k3stab.stability import mukai_pair
+
+
+def is_reduced(form: BinaryEvenForm) -> bool:
+    """The reduction convention of `forms`: -a < 2b <= a <= c, with b >= 0
+    when a = c."""
+    a, b, c = form.a, form.b, form.c
+    return -a < 2 * b <= a <= c and not (a == c and b < 0)
+
+
+def squarefree_split_brute(n: int) -> tuple[int, int]:
+    """(s, m) with n = s^2 m and m square-free, by the largest square divisor
+    s^2 of n; the reference for `exact.squarefree_split`."""
+    if n == 0:
+        return 0, 1
+    s = max(d for d in range(1, isqrt(n) + 1) if n % (d * d) == 0)
+    return s, n // (s * s)
 
 
 class QuadVector:
@@ -65,7 +81,7 @@ class QuadVector:
 
     @property
     def is_integral(self):
-        return all(c.is_integer for c in self.coords)
+        return all(c.is_rational and c.a.denominator == 1 for c in self.coords)
 
     def int_coords(self):
         return [c.as_int() for c in self.coords]
@@ -251,7 +267,7 @@ def canonicalize_period(split, period):
     """Rescale a period so its v*-coefficient (= period.v) equals 1."""
     coeff = pair(GAMMA, period, ComplexVector(split.v))
     if not coeff:
-        raise NormalizationFailure("period has no v* component")
+        raise PreconditionViolation("period has no v* component")
     return period.scale(coeff.inverse())
 
 

@@ -16,7 +16,6 @@ from k3stab.attractor import (
     hyperkahler_rotate,
     threefold_central_charge,
     verify_attractor,
-    z_k3,
 )
 from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.forms import BinaryEvenForm, SL2Witness, enumerate_reduced, gauss_reduce, sl2_equivalent
@@ -75,9 +74,9 @@ def test_criterion_2_slag_reality(sc28):
     with acceptance_criterion("special-Lagrangian charge reality (20 classes)"):
         assert len(sc28.pic_basis) == 20
         for cls in sc28.pic_basis:
-            z = threefold_central_charge(sc28.tau, sc28.Omega_I, ZERO, cls)
+            z = threefold_central_charge(sc28.Omega_I, cls)
             assert not z.im
-            assert z.re == z_k3(sc28.omega_J, cls)
+            assert z.re == pair(GAMMA, sc28.omega_J, cls)
 
 
 def _mirror_b0_oracle(split, tau, charge, omega_J):
@@ -100,7 +99,7 @@ def test_criterion_3_mirror_formulas(sc28):
         # the general map specializes term-for-term at B = 0
         eta = sc28.eta_basis[0] + 3 * sc28.eta_basis[7]
         for omega_J in [2 * F + SIGMA0, 7 * F + 3 * SIGMA0 + eta]:
-            Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, omega_J)
+            Omega_I = hyperkahler_rotate(sc28.Omega, omega_J)
             triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
             period, omega_check, b_check = _mirror_b0_oracle(
                 sc28.split, sc28.tau, sc28.charge, omega_J
@@ -174,7 +173,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
         assert ob.delta.D in (SIGMA0, -SIGMA0)
         family = [2 * F + SIGMA0, 5 * F + 2 * SIGMA0, 16 * (2 * F + SIGMA0) + sc22.eta_basis[0]]
         for omega_J in family:
-            Omega_I = hyperkahler_rotate(sc22.charge, sc22.Omega, omega_J)
+            Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
             triple = mirror_period(sc22.split, Omega_I, sc22.Omega.im, ZERO)
             psi = exp_point(triple.B_check, triple.omega_check)
             hits = p0_violations(psi, triple.Omega_check).roots

@@ -13,6 +13,7 @@ from k3stab.exact import (
     qs_sign,
     squarefree_split,
 )
+from oracles import squarefree_split_brute
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -76,6 +77,26 @@ def test_squarefree_split():
     assert squarefree_split(16) == (4, 1)
     assert squarefree_split(12) == (2, 3)
     assert squarefree_split(7) == (1, 7)
+    # the prime D of the form [2, 1, 1000000000000072]
+    assert squarefree_split(2000000000000143) == (1, 2000000000000143)
+
+
+def test_squarefree_split_matches_brute_force():
+    for n in range(3000):
+        assert squarefree_split(n) == squarefree_split_brute(n), n
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(10**7)
+        assert squarefree_split(n) == squarefree_split_brute(n), n
+
+
+@pytest.mark.parametrize("p", [1000003, 999999937, 2147483647])
+def test_squarefree_split_of_large_prime_squares(p):
+    # p^2 q with a prime p past the cube root of the cofactor; trial
+    # division up to sqrt(p^2) would stall here
+    for q in (1, 2, 12, 30, 1000033):
+        s, m = squarefree_split_brute(q)
+        assert squarefree_split(p * p * q) == (p * s, m), (p, q)
 
 
 @given(scalars(2), scalars(2), scalars(2))

@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3stab.attractor import NotPositive, hyperkahler_rotate
+from k3stab.attractor import hyperkahler_rotate
 from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.lattice import (
     GAMMA,
@@ -114,7 +115,7 @@ def test_exp_point_examples(sc28):
     b = GAMMA.basis(6)
     psi2 = exp_point(b, q)
     assert psi2.s_part == QuadComplex(QuadScalar(Fraction(-2 - 8, 2)))
-    with pytest.raises(NotPositive):
+    with pytest.raises(PreconditionViolation, match="omega\\^2 must be positive"):
         exp_point(ZERO, GAMMA.basis(6))
 
 
@@ -169,7 +170,7 @@ def test_positive_plane(sc28):
     # degenerate omega: the plane Gram omega^2 I is not positive, and
     # exp_point refuses it
     for omega in (GAMMA.basis(2), ZERO):
-        with pytest.raises(NotPositive):
+        with pytest.raises(PreconditionViolation, match="omega\\^2 must be positive"):
             exp_point(ZERO, omega)
 
 
@@ -210,7 +211,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
     ]
     for omega_J in family:
         assert pair(GAMMA, omega_J, omega_J).sign() > 0
-        Omega_I = hyperkahler_rotate(sc22.charge, sc22.Omega, omega_J)
+        Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         hits = p0_violations(psi, triple.Omega_check).roots
@@ -397,7 +398,7 @@ def test_reality_violation_detected(sc28):
 
 def test_reality_preserved_under_scaling(sc28):
     for t in (Fraction(1, 3), Fraction(2), Fraction(7)):
-        Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, t * (2 * F + SIGMA0))
+        Omega_I = hyperkahler_rotate(sc28.Omega, t * (2 * F + SIGMA0))
         triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         verify_reality(sc28.split, psi, sc28.pic_basis)  # must not raise
@@ -408,7 +409,7 @@ def test_gamma_prime_charges_scale_invariant(searched28, sc28):
     # Gamma'-class keeps its real charge; only the section-class value moves
     base = dict()
     for t in (1, 2, 5):
-        Omega_I = hyperkahler_rotate(sc28.charge, sc28.Omega, t * searched28.omega_J)
+        Omega_I = hyperkahler_rotate(sc28.Omega, t * searched28.omega_J)
         triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
         psi = exp_point(triple.B_check, triple.omega_check)
         for cls in sc28.eta_basis:
@@ -459,13 +460,53 @@ def test_search_rejects_a_base_outside_the_cone(sc28):
     # search's cone test refuses it as a base, and assembly runs that test at
     # omega_J, so no scenario (and no search) can start from it
     base = -sc28.omega_J
-    assert _cone_violation(base, F, base, "base") == (
+    assert _cone_violation(base, F, "base") == (
         "base does not pair positively with the fiber class"
     )
     with pytest.raises(
         PreconditionViolation, match="omega_J does not pair positively with the fiber class"
     ):
         build_scenario(form=[2, 0, 8], omega_J=base)
+
+
+@cache
+def _form_scenario(form):
+    return build_scenario(form=list(form))
+
+
+_combination = st.tuples(
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.lists(st.integers(-2, 2), min_size=18, max_size=18),
+)
+
+
+@pytest.mark.parametrize("form", [(2, 0, 8), (4, 1, 6)])
+@given(_combination, _combination)
+@settings(max_examples=60, deadline=None)
+def test_light_cone_lemma(form, x_coeffs, y_coeffs):
+    # why `_cone_violation` needs no omega.omega0 test: in (p, q)^perp, of
+    # signature (1,19), two classes of positive square that pair positively
+    # with f pair positively with each other, omega_J among them
+    sc = _form_scenario(form)
+
+    def combine(a, b, cs):
+        out = a * sc.omega_J + b * F
+        for c, eta in zip(cs, sc.eta_basis):
+            out = out + c * eta
+        return out
+
+    inside = []
+    for coeffs in (x_coeffs, y_coeffs):
+        omega = combine(*coeffs)
+        if _cone_violation(omega, F, "omega") is None:
+            assert pair(GAMMA, omega, sc.omega_J).sign() > 0
+            inside.append(omega)
+    if len(inside) == 2:
+        x, y = inside
+        xy = pair(GAMMA, x, y)
+        assert xy.sign() > 0
+        assert xy * xy >= pair(GAMMA, x, x) * pair(GAMMA, y, y)
 
 
 def _shipped_scenarios():
@@ -595,7 +636,7 @@ def _reference_ns(omega_check, lat=GAMMA):
                 rows.append([int(x * denom) for x in cs])
     if not rows:
         return tuple(lat.basis(i) for i in range(lat.rank))
-    return tuple(lat.vector(v) for v in kernel_basis(rows, lat.rank))
+    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank))
 
 
 def test_orth_complement_matches_per_basis_rows():
@@ -604,7 +645,7 @@ def test_orth_complement_matches_per_basis_rows():
     # a perturbed search candidate over sqrt(23)
     sc = build_scenario(form=[4, 1, 6])
     omega = sc.omega_J + Fraction(1, 10) * sc.eta_basis[0]
-    Omega_I = hyperkahler_rotate(sc.charge, sc.Omega, omega)
+    Omega_I = hyperkahler_rotate(sc.Omega, omega)
     period = mirror_period(sc.split, Omega_I, sc.Omega.im, ZERO).Omega_check
     assert {c.m for c in period.re.coords + period.im.coords} == {0, 23}
     periods["perturbed_4_1_6"] = period
