@@ -155,6 +155,14 @@ def test_ns_lattice():
     assert signature(ns) == (1, 0, 19)
 
 
+def test_z_k3_examples():
+    # the K3 central charge of a class is its pairing with omega_J
+    omega_J = 2 * F + SIGMA0
+    assert pair(GAMMA, omega_J, F) == 1
+    assert pair(GAMMA, omega_J, LatticeVector.zero(22)) == 0
+    assert pair(GAMMA, omega_J, SIGMA0) == 0
+
+
 def test_threefold_charges(sc28):
     # omega_J = 2f + sigma0 pairs to 1 with f and to 0 with sigma0
     Omega_I = sc28.Omega_I
