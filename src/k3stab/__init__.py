@@ -38,7 +38,6 @@ from .stability import (
     ObstructionCheck,
     StabilityPoint,
     central_charge,
-    exp_point,
     fibration_obstruction,
     mukai_pair,
     ns_of_mirror,

@@ -4,10 +4,10 @@ Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic: unimodular column reduction for integer kernels, integral
 Gram-Schmidt data (the one factorization of a definite matrix, which also
 decides definiteness), integral LLL reduction, and the
-Fincke–Pohst enumerator of a definite quadric used by the (-2)-class
-enumeration.  The last three run in integers only: the enumerator scales its
-budget once at entry, so every level costs an integer and every coordinate
-bound is an `isqrt`.
+Fincke–Pohst enumerator of the integer vectors of one norm of a definite
+form, which the (-2)-class enumeration runs at norm 2.  The last three run in
+integers only: the enumerator scales its budget once at entry, so every level
+costs an integer and every coordinate bound is an `isqrt`.
 """
 
 from __future__ import annotations
@@ -193,21 +193,21 @@ def lll_reduce(
     return t, g, d, lam
 
 
-def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple[int, ...]]:
-    """All integer y with (y - w)^T p (y - w) == r, for positive definite p
-    given by its Gram-Schmidt data ``factors = gram_schmidt(p)``.
+def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
+    """All integer y with y^T p y == r, for positive definite p given by its
+    Gram-Schmidt data ``factors = gram_schmidt(p)``.
 
     Finite because p is definite; output in lexicographic order.  The search
-    runs in integers: with w = wn / wd, the i-th Gram-Schmidt coordinate of
-    y - w is X / (d[i + 1] wd) for the integer X = y_i d[i + 1] wd + g_i, and
-    it costs X^2 / (d[i] d[i + 1] wd^2) of the budget.  Scaling the budget by
-    L = r.den * lcm_i(d[i] d[i + 1]) * wd^2 makes every cost the integer
-    c_i X^2 with c_i = L / (d[i] d[i + 1] wd^2), so the bounds on each X come
-    from `isqrt` and the last level tests one exact square.
+    runs in integers: the i-th Gram-Schmidt coordinate of y is X / d[i + 1]
+    for the integer X = y_i d[i + 1] + g_i, and it costs X^2 / (d[i] d[i + 1])
+    of the budget.  Scaling the budget by L = r.den * lcm_i(d[i] d[i + 1])
+    makes every cost the integer c_i X^2 with c_i = L / (d[i] d[i + 1]), so
+    the bounds on each X come from `isqrt` and the last level tests one exact
+    square.
 
-    The integers z_j = wd y_j - wn_j are kept up to date with y, and the
-    column of lam below each diagonal entry is listed once, so the offset of
-    a level, sum_{j>i} lam[j][i] z_j, is one C-level `sum(map(mul, ...))`.
+    The column of lam below each diagonal entry is listed once, so the offset
+    of a level, g_i = sum_{j>i} lam[j][i] y_j, is one C-level
+    `sum(map(mul, ...))`.
     """
     d, lam = factors
     n = len(lam)
@@ -216,21 +216,16 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
         return [()] if r == 0 else []
     if r < 0:
         return []
-    w = [Fraction(x) for x in w]
-    wd = lcm(*(x.denominator for x in w))
-    wn = [x.numerator * (wd // x.denominator) for x in w]
     steps = [d[i] * d[i + 1] for i in range(n)]
     common = lcm(*steps)
     cost = [r.denominator * common // s for s in steps]
     cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]  # below the diagonal
     out: list[tuple[int, ...]] = []
     y = [0] * n
-    z = [0] * n  # z_j = wd y_j - wn_j, kept with y
 
     def descend(i: int, budget: int) -> None:
-        # X = t gd + g, where g = sum_{j>i} lam[j][i] z_j - d[i + 1] wn_i
-        g = sum(map(mul, cols[i], z[i + 1 :])) - d[i + 1] * wn[i]
-        gd = d[i + 1] * wd
+        g = sum(map(mul, cols[i], y[i + 1 :]))  # X = t d[i + 1] + g
+        gd = d[i + 1]
         c = cost[i]
         if i == 0:
             q, rem = divmod(budget, c)
@@ -244,12 +239,10 @@ def enumerate_quadric(factors, w: Sequence[Fraction], r: Fraction) -> list[tuple
                     out.append(tuple(y))
             return
         s = isqrt(budget // c)  # c X^2 <= budget  <=>  |X| <= s
-        wni = wn[i]
         for t in range(-((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
-            z[i] = wd * t - wni
             x = t * gd + g
             descend(i - 1, budget - c * x * x)
 
-    descend(n - 1, r.numerator * common * wd * wd)  # r L
+    descend(n - 1, r.numerator * common)  # r L
     return sorted(out)

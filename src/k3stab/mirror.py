@@ -8,7 +8,8 @@ Gamma = Gamma' + U' with Gamma' = (U')^perp.
 The mirror map swaps U' with the (r, s) Mukai block U via v -> w = (0,0,-1),
 v* -> w* = (1,0,0) (equivalently f -> w, sigma0 -> (1,0,1)) and is the
 identity on Gamma'.  On period data ((P, omega), B), with P spanned by Omega,
-Im(Omega) orthogonal to v, and omega, B in Gamma'_R + R*v, it acts by
+Im(Omega) orthogonal to v, omega and B in Gamma'_R + R*v, omega^2 > 0 and
+Re(Omega).v != 0, it acts by
 
     mirror Omega   = (pr(B + i omega) - 1/2 (B + i omega)^2 v + v*) / (Re(Omega).v)
     mirror B+i omega = (pr(Omega) - (Omega.B) v) / (Re(Omega).v)
@@ -17,6 +18,16 @@ where pr kills the U' components.  Applying the map twice returns the input
 period exactly whenever the input satisfies Omega^2 = 0; for non-null inputs
 (e.g. unnormalized hyperkaehler data) only the Kaehler-side data returns, and
 the involution check reports that honestly instead of asserting it.
+
+The preconditions are the caller's, and `mirror_period` tests none of them.
+Scenario assembly proves them for the data (Omega_I, Im(Omega), B) at
+omega_J, where only B.v = 0 needs a test: Im(Omega_I) = Re(Omega) and
+Im(Omega) lie in span(p, q), which is orthogonal to v = f;
+Im(Omega)^2 = D / p^2 > 0; and Re(Omega_I).v = omega_J.f is nonzero since
+omega_J^2 > 0 (the light-cone argument of `stability._cone_violation`).
+They hold alike at the Kaehler search's candidate, and for the mirror data
+that the involution check maps a second time, whose Re(Omega).v is
+1 / (omega.f).
 """
 
 from __future__ import annotations
@@ -74,30 +85,14 @@ class MirrorTriple:
     B_check: LatticeVector
 
 
-def check_period_data(
-    split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
-) -> QuadScalar:
-    """The input checks of `mirror_period`, in its order; returns the
-    normalizing pairing Re(Omega).v, which they leave nonzero."""
-    v = split.v
-    if pair(GAMMA, Omega.im, v):
-        raise PreconditionViolation("Im(Omega) must be orthogonal to v")
-    if pair(GAMMA, omega, v) or pair(GAMMA, B, v):
-        raise PreconditionViolation("omega and B must lie in Gamma'_R + R*v")
-    if pair(GAMMA, omega, omega).sign() <= 0:
-        raise PreconditionViolation("omega^2 must be positive")
-    rev = pair(GAMMA, Omega.re, v)
-    if not rev:
-        raise PreconditionViolation("Re(Omega).v = 0")
-    return rev
-
-
 def mirror_period(
     split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
 ) -> MirrorTriple:
-    """Apply the mirror map to period data; all scalars exact."""
+    """Apply the mirror map to period data that meets the preconditions of
+    the module docstring; all scalars exact.  The two invariants of the
+    output period are asserted."""
     v, vstar = split.v, split.vstar
-    scale = check_period_data(split, Omega, omega, B).inverse()
+    scale = pair(GAMMA, Omega.re, v).inverse()
     x = ComplexVector(B, omega)
     x_sq = pair(GAMMA, x, x)
     omega_check_cplx = (

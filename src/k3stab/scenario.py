@@ -18,9 +18,10 @@ rotation at omega_J, and a Picard basis containing f and sigma0 with the
 eta basis of the complement of (p, q, f, sigma0).  It also runs every input
 check once, and nothing downstream repeats one: f and sigma0 orthogonal to
 p and q (they lie in the Picard lattice), those of the rotation (omega_J
-orthogonal to p and q, with positive square), those of the mirror map at
-omega_J (`check_period_data`), omega_J.f > 0, since f is nef, and an
-explicit search eta orthogonal to p and q.  The lazy stages are
+orthogonal to p and q, with positive square), B.f = 0, the one precondition
+of the mirror map at omega_J that the others leave open (mirror module
+docstring), omega_J.f > 0, since f is nef, and an explicit search eta
+orthogonal to p and q.  The lazy stages are
 computed on first read and kept: the mirror triple at omega_J (`triple`),
 its stability point (`psi`), and the Kaehler search (`result`), which reads
 the scenario itself.  A command pays only for the stages it reads, and
@@ -30,6 +31,7 @@ rejects the same scenarios as any other command.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +58,6 @@ from .mirror import (
     MirrorTriple,
     PreconditionViolation,
     SplitData,
-    check_period_data,
     make_split,
     mirror_class,
     mirror_involution_check,
@@ -70,7 +71,6 @@ from .stability import (
     WallReport,
     _fiber_violation,
     central_charge,
-    exp_point,
     ns_of_mirror,
     search_kahler_class,
     verify_reality,
@@ -177,8 +177,10 @@ class Scenario:
         if pair(GAMMA, self.omega_J, self.omega_J).sign() <= 0:
             raise PreconditionViolation("omega_J^2 must be positive")
         self.Omega_I = hyperkahler_rotate(self.Omega, self.omega_J)
-        # the Kaehler class of I is Im(Omega) (attractor module docstring)
-        check_period_data(self.split, self.Omega_I, self.Omega.im, self.B)
+        # the mirror map's other preconditions hold for (Omega_I, Im(Omega))
+        # by construction (mirror module docstring)
+        if pair(GAMMA, self.B, self.split.v):
+            raise PreconditionViolation("omega and B must lie in Gamma'_R + R*v")
         # omega_J^2 > 0 is checked above, so of the search's cone test at
         # omega0 = omega_J only omega_J.f > 0 is left
         reason = _fiber_violation(self.omega_J, self.split.f, "omega_J")
@@ -205,10 +207,9 @@ class Scenario:
 
     @cached_property
     def psi(self) -> StabilityPoint:
-        """exp(mirror B + i mirror omega) at omega_J.  After the checks at
-        construction the mirror omega has square D / (p^2 (omega_J.f)^2) > 0,
-        so the check of `exp_point` holds."""
-        return exp_point(self.triple.B_check, self.triple.omega_check)
+        """exp(mirror B + i mirror omega) at omega_J.  The mirror omega has
+        square D / (p^2 (omega_J.f)^2) > 0, so the point needs no check."""
+        return StabilityPoint(self.triple.B_check, self.triple.omega_check)
 
     @cached_property
     def result(self) -> SearchResult:
@@ -315,6 +316,11 @@ def scenario_from_file(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"malformed scenario file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:  # the int digit limit: json.load raises no other plain ValueError
+        raise ScenarioError(
+            f"scenario file {path} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
         ) from None
     except RecursionError:
         raise ScenarioError(f"scenario file {path} is nested too deeply") from None

@@ -14,8 +14,9 @@ The regular-point condition ("is Psi away from every delta-perp with
 delta^2 = -2?") is decided by one complete enumeration.  Re and Im of Psi
 span a positive plane: their Mukai Gram matrix is omega^2 times the identity
 (B^2 - 2 Re s = omega^2 and B.omega - Im s = 0 for s = 1/2 (B + i omega)^2),
-so the check omega^2 > 0 of `exp_point` is that test.  Re and Im of the
-mirror period span another (asserted by `mirror_period`), and the two are
+so omega^2 > 0 is that test.  It needs no check at the mirror of the period
+data: the mirror omega has square D / (p^2 (omega.f)^2) > 0.  Re and Im of
+the mirror period span another (asserted by `mirror_period`), and the two are
 orthogonal, so together they span a positive 4-plane of the Mukai lattice, of
 signature (4,20).  The integral classes orthogonal to that 4-plane, which are
 exactly the delta = (r, D, s) with D in NS(mirror) and (Psi, delta) = 0, form
@@ -113,12 +114,6 @@ class StabilityPoint:
 
     def triple(self) -> tuple[QuadComplex, ComplexVector, QuadComplex]:
         return QuadComplex(1), self.d_part, self.s_part
-
-
-def exp_point(B: LatticeVector, omega: LatticeVector) -> StabilityPoint:
-    if pair(GAMMA, omega, omega).sign() <= 0:
-        raise PreconditionViolation("omega^2 must be positive")
-    return StabilityPoint(B=B, omega=omega)
 
 
 def _as_triple(x):
@@ -240,7 +235,7 @@ def p0_violations(
         return out
 
     hits = []
-    ys = enumerate_quadric((d, lam), [0] * len(t), 2)
+    ys = enumerate_quadric((d, lam), 2)
     if ys:  # a certified point has none, and needs no reduced basis
         basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
         hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
@@ -452,12 +447,14 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])
 
-    # the rotation's checks hold without a test: omega_J and eta are
-    # orthogonal to p and q by assembly, the dual eta lies in the span of
-    # the eta basis, and the loop above has checked omega^2 > 0
+    # the rotation's and the mirror map's preconditions hold without a test:
+    # omega_J and eta are orthogonal to p and q by assembly, the dual eta
+    # lies in the span of the eta basis, the loop above has checked
+    # omega^2 > 0 and omega.f > 0, and B = 0 (mirror module docstring); the
+    # mirror omega has square D / (p^2 (omega.f)^2) > 0
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
-    psi = exp_point(triple.B_check, triple.omega_check)
+    psi = StabilityPoint(triple.B_check, triple.omega_check)
     charges = [(cls, z) for cls, z, _ in verify_reality(sc.split, psi, sc.pic_basis)]
     for cls, z in charges:
         if not z:

@@ -5,7 +5,7 @@ from math import isqrt, lcm
 
 from k3stab.attractor import DegenerateCharge
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
-from k3stab.intmat import enumerate_quadric, gram_schmidt, kernel_basis
+from k3stab.intmat import gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
@@ -228,8 +228,8 @@ def triple_charge(psi, v):
 
 def triple_plane_gram(psi):
     """The Gram matrix of Re Psi and Im Psi by complex-triple Mukai pairings,
-    which is omega^2 times the identity; `stability.exp_point` checks
-    omega^2 > 0 for that reason."""
+    which is omega^2 times the identity, so Re Psi and Im Psi span a positive
+    plane exactly when omega^2 > 0."""
     s = psi.s_part
     re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
     im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
@@ -503,7 +503,7 @@ def bounded_p0_violations(psi, ns, bound):
                 w = solve_rational([[Fraction(x) for x in row] for row in p], lin) if kern else []
                 radius = sum(a * b for a, b in zip(w, lin)) + sum(a * b for a, b in zip(x0, gx0)) - target
                 found = []
-                for y in enumerate_quadric(factors, w, radius):
+                for y in fraction_enumerate_quadric(factors, w, radius):
                     x = [x0[i] + sum(c * v[i] for c, v in zip(y, kern)) for i in range(k)]
                     if all(abs(c) <= bound for c in x):
                         found.append(tuple(x))

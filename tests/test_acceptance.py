@@ -38,7 +38,7 @@ from oracles import (
     tube_map,
 )
 from k3stab.stability import (
-    exp_point,
+    StabilityPoint,
     fibration_obstruction,
     mukai_pair,
     p0_violations,
@@ -175,7 +175,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
         for omega_J in family:
             Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
             triple = mirror_period(sc22.split, Omega_I, sc22.Omega.im, ZERO)
-            psi = exp_point(triple.B_check, triple.omega_check)
+            psi = StabilityPoint(triple.B_check, triple.omega_check)
             hits = p0_violations(psi, triple.Omega_check).roots
             sigma_hits = [
                 h for h in hits if h.r == 0 and h.s == 0 and h.D in (SIGMA0, -SIGMA0)
@@ -295,7 +295,7 @@ def test_criterion_10_brute_force_equivalence(sc28):
         for idx in [(0, 1), (0, 1, 6), (0, 1, 6, 7)]:
             sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in idx])
             assert sorted(minus_two_coefficients(sub.gram(), 2)) == _naive_minus_two(sub, 2)
-            psi = exp_point(GAMMA.basis(6) if len(idx) > 2 else ZERO, 2 * F + SIGMA0)
+            psi = StabilityPoint(GAMMA.basis(6) if len(idx) > 2 else ZERO, 2 * F + SIGMA0)
             fast = {
                 (h.r, tuple(h.D.int_coords()), h.s)
                 for h in bounded_p0_violations(psi, sub, 2)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +19,8 @@ from k3stab.mirror import mirror_period
 from k3stab.scenario import build_scenario
 from k3stab.stability import (
     SearchExhausted,
+    StabilityPoint,
     _dual_eta,
-    exp_point,
     p0_violations,
     search_kahler_class,
 )
@@ -81,30 +80,24 @@ def test_ldl_rejects_indefinite():
 
 def test_enumerate_quadric_circle():
     eye = [[1, 0], [0, 1]]
-    sols = enumerate_quadric(gram_schmidt(eye), [Fraction(0), Fraction(0)], Fraction(25))
+    sols = enumerate_quadric(gram_schmidt(eye), Fraction(25))
     assert len(sols) == 12
     assert all(x * x + y * y == 25 for x, y in sols)
     assert sols == sorted(sols)
 
 
-def test_enumerate_quadric_shifted():
-    eye = [[1, 0], [0, 1]]
-    sols = enumerate_quadric(gram_schmidt(eye), [Fraction(1, 2), Fraction(0)], Fraction(1, 4))
-    assert sols == [(0, 0), (1, 0)]
-
-
 def test_enumerate_quadric_empty_and_zero_dim():
     eye = [[1]]
-    assert enumerate_quadric(gram_schmidt(eye), [Fraction(0)], Fraction(-1)) == []
-    assert enumerate_quadric(gram_schmidt(eye), [Fraction(0)], Fraction(2)) == []
-    assert enumerate_quadric(gram_schmidt([]), [], Fraction(0)) == [()]
-    assert enumerate_quadric(gram_schmidt([]), [], Fraction(1)) == []
+    assert enumerate_quadric(gram_schmidt(eye), Fraction(-1)) == []
+    assert enumerate_quadric(gram_schmidt(eye), Fraction(2)) == []
+    assert enumerate_quadric(gram_schmidt([]), Fraction(0)) == [()]
+    assert enumerate_quadric(gram_schmidt([]), Fraction(1)) == []
 
 
 def test_enumerate_quadric_matches_brute_force():
     g = [[2, 1], [1, 2]]
     for target in [2, 6, 8, 5]:
-        sols = set(enumerate_quadric(gram_schmidt(g), [Fraction(0), Fraction(0)], Fraction(target)))
+        sols = set(enumerate_quadric(gram_schmidt(g), Fraction(target)))
         brute = {
             (x, y)
             for x in range(-10, 11)
@@ -112,27 +105,6 @@ def test_enumerate_quadric_matches_brute_force():
             if 2 * x * x + 2 * x * y + 2 * y * y == target
         }
         assert sols == brute
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=2, max_size=2),
-    st.lists(st.integers(-2, 2), min_size=2, max_size=2),
-)
-def test_enumerate_quadric_matches_brute_force_off_centre(m, w, y0):
-    p = [[sum(m[2 * k + i] * m[2 * k + j] for k in range(2)) + (i == j) for j in range(2)] for i in range(2)]
-
-    def q(y):
-        z = [y[0] - w[0], y[1] - w[1]]
-        return sum(z[i] * p[i][j] * z[j] for i in range(2) for j in range(2))
-
-    r = q(y0)  # at least one solution
-    # p = M^T M + I >= I, so every solution has |y_i - w_i| <= sqrt(r)
-    box = range(-3 - isqrt(int(r) + 1), 4 + isqrt(int(r) + 1))
-    brute = sorted((x, y) for x in box for y in box if q((x, y)) == r)
-    assert tuple(y0) in brute
-    assert enumerate_quadric(gram_schmidt(p), w, r) == brute
 
 
 def _posdef(m):
@@ -147,15 +119,13 @@ def test_enumerate_quadric_matches_fraction_oracle(data):
     n = data.draw(st.integers(1, 5))
     row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     p = _posdef(data.draw(st.lists(row, min_size=n, max_size=n)))
-    w = data.draw(st.lists(st.fractions(-2, 2, max_denominator=6), min_size=n, max_size=n))
     if data.draw(st.booleans()):  # r on the lattice: at least one solution
         y0 = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        z = [a - b for a, b in zip(y0, w)]
-        r = sum(z[i] * p[i][j] * z[j] for i in range(n) for j in range(n))
+        r = sum(y0[i] * p[i][j] * y0[j] for i in range(n) for j in range(n))
     else:
         r = data.draw(st.fractions(-1, 24, max_denominator=6))
     factors = gram_schmidt(p)
-    assert enumerate_quadric(factors, w, r) == fraction_enumerate_quadric(factors, w, r)
+    assert enumerate_quadric(factors, r) == fraction_enumerate_quadric(factors, [0] * n, r)
 
 
 _SQUARE = st.integers(1, 6).flatmap(
@@ -308,7 +278,7 @@ def _exhausted_point_2_1_2():
     omega = sc.omega_J + Fraction(sc.c_eta, 2**k) * _dual_eta(sc.eta_basis)
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
-    return exp_point(triple.B_check, triple.omega_check), triple.Omega_check
+    return StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check
 
 
 def _norm_two_classes(kern, neg_gram):
@@ -319,7 +289,7 @@ def _norm_two_classes(kern, neg_gram):
     basis = [[sum(c * v[i] for c, v in zip(row, kern)) for i in range(MUKAI.rank)] for row in t]
     n = GAMMA.rank
     out = []
-    for y in enumerate_quadric((d, lam), [0] * len(basis), 2):
+    for y in enumerate_quadric((d, lam), 2):
         x = [sum(c * v[i] for c, v in zip(y, basis)) for i in range(MUKAI.rank)]
         out.append((x[n], tuple(x[:n]), x[n + 1]))
     return sorted(out)

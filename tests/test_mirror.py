@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from k3stab.attractor import hyperkahler_rotate
 from k3stab.exact import QuadComplex, QuadScalar
+from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
@@ -20,6 +24,7 @@ from k3stab.mirror import (
     mirror_involution_check,
     mirror_period,
 )
+from k3stab.scenario import build_scenario
 from oracles import canonicalize_period, gram_of, period_embed, tube_map
 
 F = GAMMA.basis(0)
@@ -89,21 +94,50 @@ def test_b_zero_with_projected_omega_gives_zero_b(split, sc28):
     assert not triple.B_check  # pr(2f + sigma0) = 0
 
 
-def test_mirror_preconditions(split, sc28):
-    # Re(Omega).v = 0
-    bad = ComplexVector(sc28.charge.q, sc28.charge.p)
-    with pytest.raises(PreconditionViolation, match=r"Re\(Omega\)\.v = 0"):
-        mirror_period(split, bad, sc28.charge.p, ZERO)
-    # omega with a v* component
-    with pytest.raises(PreconditionViolation):
-        mirror_period(split, sc28.Omega_I, sc28.charge.p + E2, ZERO)
-    # nonpositive omega^2
-    with pytest.raises(PreconditionViolation):
-        mirror_period(split, sc28.Omega_I, GAMMA.basis(6), ZERO)
-    # Im(Omega) not orthogonal to v
-    skew = ComplexVector(sc28.omega_J, E2)
-    with pytest.raises(PreconditionViolation):
-        mirror_period(split, skew, sc28.Omega.im, ZERO)
+_FORMS_UP_TO_40 = [
+    tuple(form.as_list()) for disc in range(1, 41) for form in enumerate_reduced(disc)
+]
+
+
+@cache
+def _form_scenario(form):
+    return build_scenario(form=list(form))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_period_data_meets_the_preconditions_by_construction(data):
+    """Why `mirror_period` tests none of its preconditions: for every form
+    with D <= 40, over Q and Q(sqrt m), and a class omega of positive square
+    in (p, q)^perp, which the rotation makes Re(Omega_I), they hold for
+    (Omega_I, Im(Omega), 0), and again for the mirror data that the
+    involution check maps a second time."""
+    sc = _form_scenario(data.draw(st.sampled_from(_FORMS_UP_TO_40)))
+    f, p2, disc = sc.split.f, sc.charge.p2, sc.charge.disc
+    part = st.integers(-30, 30)
+    a, b = (
+        QuadScalar(data.draw(part), data.draw(part) if sc.m else 0, sc.m) for _ in range(2)
+    )
+    omega = a * sc.omega_J + b * F
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=18, max_size=18))
+    for c, eta in zip(coeffs, sc.eta_basis):
+        omega = omega + c * eta
+    assume(pair(GAMMA, omega, omega).sign() > 0)
+    # the light-cone argument of `stability._cone_violation`
+    omega_f = pair(GAMMA, omega, f)
+    assert omega_f
+    if omega_f.sign() < 0:  # into the cone of omega_J
+        omega, omega_f = -omega, -omega_f
+    Omega_I = hyperkahler_rotate(sc.Omega, omega)
+    assert not pair(GAMMA, Omega_I.im, f) and not pair(GAMMA, sc.Omega.im, f)
+    assert pair(GAMMA, sc.Omega.im, sc.Omega.im) * p2 == disc
+    first = mirror_period(sc.split, Omega_I, sc.Omega.im, ZERO)
+    mirror_sq = pair(GAMMA, first.omega_check, first.omega_check)
+    assert omega_f * omega_f * mirror_sq * p2 == disc
+    # the input of the second application
+    assert pair(GAMMA, first.Omega_check.re, f) == omega_f.inverse()
+    assert not pair(GAMMA, first.Omega_check.im, f)
+    assert not pair(GAMMA, first.omega_check, f) and not pair(GAMMA, first.B_check, f)
 
 
 def test_mirror_class_anchors(split):

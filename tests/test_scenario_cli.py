@@ -489,12 +489,20 @@ def _nested_too_deeply(path):
     return "nested too deeply"
 
 
+def _oversized_integer(path):
+    # raw text: json.dump cannot write an integer over the digit limit
+    path.write_text('{"form": [2, 0, ' + "8" * 5000 + "]}")
+    return f"holds an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 @pytest.mark.parametrize(
-    "make", [_zero_denominator, _not_utf8, _nested_too_deeply], ids=["1/0", "not-utf8", "deep"]
+    "make",
+    [_zero_denominator, _not_utf8, _nested_too_deeply, _oversized_integer],
+    ids=["1/0", "not-utf8", "deep", "5000-digits"],
 )
 def test_cli_scenario_file_failures_are_json_errors(tmp_path, capsys, make):
     # each once ended in a traceback (ZeroDivisionError, UnicodeDecodeError,
-    # RecursionError) on every command
+    # RecursionError, the ValueError of the int digit limit) on every command
     path = tmp_path / "bad.json"
     says = make(path)
     for command in SCENARIO_COMMANDS:
@@ -669,9 +677,9 @@ def _count_calls(monkeypatch, fns) -> dict:
 def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     """verify 6.4 on diag(2,8) takes one mirror class and one central charge
     per Picard class (20 of each), one complete root enumeration, and one
-    pass through the pipeline: the search's mirror period and stability
-    point, none at the scenario's own omega_J.  The hyperkaehler rotation
-    runs twice: at omega_J on assembly, and at the search's candidate."""
+    pass through the pipeline: the search's mirror period, none at the
+    scenario's own omega_J.  The hyperkaehler rotation runs twice: at
+    omega_J on assembly, and at the search's candidate."""
     import k3stab.attractor
     import k3stab.mirror
     import k3stab.stability
@@ -683,7 +691,6 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
             k3stab.mirror.mirror_class,
             k3stab.stability.p0_violations,
             k3stab.mirror.mirror_period,
-            k3stab.stability.exp_point,
             k3stab.stability.search_kahler_class,
             k3stab.attractor.hyperkahler_rotate,
         ),
@@ -695,7 +702,6 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
         "mirror_class": 20,
         "p0_violations": 1,
         "mirror_period": 1,
-        "exp_point": 1,
         "search_kahler_class": 1,
         "hyperkahler_rotate": 2,
     }
@@ -703,14 +709,14 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
 
 @pytest.mark.parametrize("command", [["attractor"], ["verify", "5.1"]])
 def test_commands_without_mirror_data_skip_the_mirror_map(monkeypatch, capsys, diag28, command):
-    # the mirror map's input checks still run at assembly (ERROR_TABLE)
+    # the mirror map's one input check, B.f = 0, still runs at assembly
+    # (ERROR_TABLE)
     import k3stab.mirror
-    import k3stab.stability
 
-    calls = _count_calls(monkeypatch, (k3stab.mirror.mirror_period, k3stab.stability.exp_point))
+    calls = _count_calls(monkeypatch, (k3stab.mirror.mirror_period,))
     code, _ = run_cli(capsys, [*command, "--scenario", diag28])
     assert code == 0
-    assert calls == {"mirror_period": 0, "exp_point": 0}
+    assert calls == {"mirror_period": 0}
 
 
 def _vec(**coords):

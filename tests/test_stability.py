@@ -28,7 +28,6 @@ from k3stab.stability import (
     StabilityPoint,
     WallFailure,
     central_charge,
-    exp_point,
     fibration_obstruction,
     mukai_pair,
     ns_of_mirror,
@@ -95,7 +94,7 @@ def _field_vector(m):
 def test_central_charge_and_plane_gram_match_complex_triples(data):
     """Z(v) matches the complex-triple pairing, and the Mukai Gram matrix of
     Re Psi and Im Psi is omega^2 times the identity for every B and omega,
-    so `exp_point`'s omega^2 > 0 is the positive-plane test."""
+    so omega^2 > 0 is the positive-plane test."""
     m = data.draw(st.sampled_from([0, 2, 3, 23]))
     psi = StabilityPoint(B=data.draw(_field_vector(m)), omega=data.draw(_field_vector(m)))
     d = st.lists(st.integers(-3, 3), min_size=22, max_size=22).map(LatticeVector.from_ints)
@@ -110,13 +109,11 @@ def test_exp_point_examples(sc28):
     assert psi.s_part == QuadComplex(-4)
     # B = 0: third component is -omega^2/2
     q = sc28.charge.q
-    assert exp_point(ZERO, q).s_part == QuadComplex(-4)
+    assert StabilityPoint(ZERO, q).s_part == QuadComplex(-4)
     # orthogonal B: real third component
     b = GAMMA.basis(6)
-    psi2 = exp_point(b, q)
+    psi2 = StabilityPoint(b, q)
     assert psi2.s_part == QuadComplex(QuadScalar(Fraction(-2 - 8, 2)))
-    with pytest.raises(PreconditionViolation, match="omega\\^2 must be positive"):
-        exp_point(ZERO, GAMMA.basis(6))
 
 
 def test_central_charge_anchors(sc28):
@@ -128,7 +125,7 @@ def test_central_charge_anchors(sc28):
 def test_imaginary_part_is_minus_b_dot_omega():
     b = GAMMA.basis(5)  # b.q = 1 for q = e1 + 4 e2 in U3
     q = GAMMA.basis(4) + 4 * GAMMA.basis(5)
-    psi = exp_point(b, q)
+    psi = StabilityPoint(b, q)
     z = central_charge(psi, MukaiVector(1, ZERO, 1))
     assert z.im == -pair(GAMMA, b, q)
 
@@ -138,7 +135,7 @@ def test_expansion_branches_agree_randomly():
     q = GAMMA.basis(4) + 4 * GAMMA.basis(5)
     for _ in range(1000):
         b = LatticeVector([rng.randint(-2, 2) if i > 5 else 0 for i in range(22)])
-        psi = exp_point(b, q)
+        psi = StabilityPoint(b, q)
         v = MukaiVector(
             rng.randint(-2, 2),
             LatticeVector([rng.randint(-1, 1) for _ in range(22)]),
@@ -167,11 +164,10 @@ def test_central_charge_linear(sc28):
 def test_positive_plane(sc28):
     gram = triple_plane_gram(sc28.psi)
     assert gram == [[QuadScalar(8), QuadScalar(0)], [QuadScalar(0), QuadScalar(8)]]
-    # degenerate omega: the plane Gram omega^2 I is not positive, and
-    # exp_point refuses it
+    # degenerate omega: the plane Gram omega^2 I is not positive
+    zero = QuadScalar(0)
     for omega in (GAMMA.basis(2), ZERO):
-        with pytest.raises(PreconditionViolation, match="omega\\^2 must be positive"):
-            exp_point(ZERO, omega)
+        assert triple_plane_gram(StabilityPoint(ZERO, omega)) == [[zero, zero], [zero, zero]]
 
 
 def test_ns_of_mirror(sc28, sc22):
@@ -213,7 +209,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         assert pair(GAMMA, omega_J, omega_J).sign() > 0
         Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
-        psi = exp_point(triple.B_check, triple.omega_check)
+        psi = StabilityPoint(triple.B_check, triple.omega_check)
         hits = p0_violations(psi, triple.Omega_check).roots
         found = {
             (h.r, tuple(h.D.int_coords()), h.s)
@@ -282,7 +278,7 @@ def test_complete_enumeration_contains_bounded_walk():
 def test_enumeration_needs_a_positive_four_plane(sc28):
     # Im Psi = (q, 0, 0) is Re of this period, so the four vectors span only
     # a positive 3-plane and its complement is indefinite
-    psi = exp_point(ZERO, sc28.charge.q)
+    psi = StabilityPoint(ZERO, sc28.charge.q)
     period = ComplexVector(sc28.charge.q, sc28.charge.p)
     with pytest.raises(RuntimeError, match="not negative definite"):
         p0_violations(psi, period)
@@ -320,7 +316,7 @@ def test_falsifier_matches_naive_scan(basis_idx, sc28):
         (GAMMA.basis(6), 2 * F + SIGMA0),
         (F, 3 * F + SIGMA0),
     ]:
-        psi = exp_point(b_vec, w_vec)
+        psi = StabilityPoint(b_vec, w_vec)
         fast = {
             (h.r, tuple(h.D.int_coords()), h.s) for h in bounded_p0_violations(psi, sub, 2)
         }
@@ -391,7 +387,7 @@ def test_verify_reality_2_8(sc28):
 
 
 def test_reality_violation_detected(sc28):
-    bad_psi = exp_point(GAMMA.basis(5), sc28.charge.q)  # B.omega != 0
+    bad_psi = StabilityPoint(GAMMA.basis(5), sc28.charge.q)  # B.omega != 0
     with pytest.raises(RealityViolation):
         verify_reality(sc28.split, bad_psi, [SIGMA0])
 
@@ -400,7 +396,7 @@ def test_reality_preserved_under_scaling(sc28):
     for t in (Fraction(1, 3), Fraction(2), Fraction(7)):
         Omega_I = hyperkahler_rotate(sc28.Omega, t * (2 * F + SIGMA0))
         triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
-        psi = exp_point(triple.B_check, triple.omega_check)
+        psi = StabilityPoint(triple.B_check, triple.omega_check)
         verify_reality(sc28.split, psi, sc28.pic_basis)  # must not raise
 
 
@@ -411,7 +407,7 @@ def test_gamma_prime_charges_scale_invariant(searched28, sc28):
     for t in (1, 2, 5):
         Omega_I = hyperkahler_rotate(sc28.Omega, t * searched28.omega_J)
         triple = mirror_period(sc28.split, Omega_I, sc28.Omega.im, ZERO)
-        psi = exp_point(triple.B_check, triple.omega_check)
+        psi = StabilityPoint(triple.B_check, triple.omega_check)
         for cls in sc28.eta_basis:
             z = central_charge(psi, mirror_class(sc28.split, cls))
             assert not z.im
