@@ -1,6 +1,6 @@
 """Exact K3 attractor backgrounds, the lattice mirror map, and wall certificates."""
 
-from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad, qs_sign
+from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .lattice import (
     GAMMA,
     MUKAI,

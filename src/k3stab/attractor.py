@@ -26,12 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import QuadComplex, QuadScalar
-from .lattice import (
-    GAMMA,
-    ComplexVector,
-    LatticeVector,
-    pair,
-)
+from .lattice import ComplexVector, LatticeVector, pair
 
 
 class DegenerateCharge(ValueError):
@@ -55,15 +50,15 @@ class Charge:
 
     @cached_property
     def p2(self) -> int:
-        return pair(GAMMA, self.p, self.p).as_int()
+        return pair(self.p, self.p).as_int()
 
     @cached_property
     def q2(self) -> int:
-        return pair(GAMMA, self.q, self.q).as_int()
+        return pair(self.q, self.q).as_int()
 
     @cached_property
     def pq(self) -> int:
-        return pair(GAMMA, self.p, self.q).as_int()
+        return pair(self.p, self.q).as_int()
 
     @cached_property
     def disc(self) -> int:
@@ -94,14 +89,14 @@ def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> 
     disc = charge.disc
     if disc == 0:
         raise NotAttractor("p and q are not independent")
-    if pair(GAMMA, omega, omega):
+    if pair(omega, omega):
         raise NotAttractor("Omega^2 is nonzero: not a period vector")
-    norm = pair(GAMMA, omega, omega.conj())
+    norm = pair(omega, omega.conj())
     if norm.im or norm.re.sign() <= 0:
         raise NotAttractor("Omega . conj(Omega) is not positive")
     # coefficients of Omega in the (p, q) plane
-    op = pair(GAMMA, omega, ComplexVector(charge.p))
-    oq = pair(GAMMA, omega, ComplexVector(charge.q))
+    op = pair(omega, ComplexVector(charge.p))
+    oq = pair(omega, ComplexVector(charge.q))
     d = Fraction(1, disc)
     coeff_p = (op * charge.q2 - oq * charge.pq) * d
     coeff_q = (oq * charge.p2 - op * charge.pq) * d
@@ -141,4 +136,4 @@ def threefold_central_charge(Omega_I: ComplexVector, cls: LatticeVector) -> Quad
     With the unit torus normalization the pairing collapses to
     Omega_I . (q' - tau p') = Omega_I . cls, so tau does not enter.
     """
-    return pair(GAMMA, Omega_I, cls)
+    return pair(Omega_I, cls)

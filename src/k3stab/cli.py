@@ -15,7 +15,8 @@ adds 15-digit decimal renderings (strings) for reading, never used in any
 comparison.  Exit codes:
 
     0  certificate verified / command succeeded
-    1  usage, scenario-file, or precondition error
+    1  usage, scenario-file, or precondition error, or a report number too
+       large to write (over the int digit limit, or the float range of --float)
     2  degenerate charge (p^2 <= 0 or D <= 0) or failed attractor decomposition
     3  verification failed, counterexample attached
     4  the one constructed Kaehler candidate failed its check
@@ -49,7 +50,7 @@ from .scenario import (
     wall_system_report,
     wall_table_report,
 )
-from .stability import RealityViolation, SearchExhausted, SearchObstructed, WallFailure
+from .stability import RealityViolation, SearchExhausted, SearchObstructed
 
 _VERIFY_ALIASES = {
     "5.1": "5.1",
@@ -331,7 +332,22 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run one command; map every documented failure to its JSON error."""
+    """Run one command.  A report number over the int digit limit
+    (`sys.get_int_max_str_digits()`) cannot be written: the plain ValueError
+    that str() or the writer raises, also while `_run` writes an error,
+    becomes a `scenario` error.  Every other plain ValueError propagates."""
+    try:
+        return _run(args)
+    except ValueError as exc:
+        if type(exc) is not ValueError or "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        _emit({"error": f"a report number has more than {limit} digits", "kind": "scenario"})
+        return 1
+
+
+def _run(args) -> int:
+    """`args.func`, each documented failure mapped to its JSON error."""
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -355,9 +371,6 @@ def _dispatch(args) -> int:
         return 3
     except RealityViolation as exc:
         _emit({"error": str(exc), "kind": "reality-violation", "pass": False})
-        return 3
-    except WallFailure as exc:
-        _emit({"error": str(exc), "kind": "wall-failure", "pass": False})
         return 3
     except SearchExhausted as exc:
         _emit(

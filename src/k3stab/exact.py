@@ -4,7 +4,8 @@ Every quantity in this package is an exact number: a rational, a value
 ``a + b*sqrt(m)`` with ``a, b`` rational and ``m`` a square-free positive
 integer, or a complex pair of such values.  Signs (hence all inequalities,
 positivity tests and wall conditions) are decided exactly, never through
-floating point.
+floating point.  ``QuadScalar.sign()`` is the one order: scalars define no
+``<`` or ``>``, and every comparison is written as the sign of a difference.
 
 The design is deliberately restrictive: a single radical per computation.
 Mixing ``sqrt(2)`` with ``sqrt(3)`` raises :class:`FieldMismatch` instead of
@@ -152,12 +153,6 @@ class QuadScalar:
         b = self.b - o.b
         return _canon(self.a - o.a, b, m if b else 0)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # rational factor: no field join
             b = self.b * other
@@ -177,17 +172,8 @@ class QuadScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __neg__(self):
         return _canon(-self.a, -self.b, self.m)
-
-    def __pos__(self):
-        return self
 
     def inverse(self) -> "QuadScalar":
         if not self:
@@ -233,30 +219,6 @@ class QuadScalar:
         if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # -- views ----------------------------------------------------------
 
@@ -326,13 +288,6 @@ def parse_quad(text: str) -> QuadScalar:
     return result
 
 
-def qs_sign(x: QuadScalar | Rational) -> int:
-    """Exact sign of a scalar (module-level convenience)."""
-    if isinstance(x, QuadScalar):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 class QuadComplex:
     """A complex number with :class:`QuadScalar` real and imaginary parts."""
 
@@ -364,12 +319,6 @@ class QuadComplex:
             return NotImplemented
         return QuadComplex(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -385,12 +334,6 @@ class QuadComplex:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __neg__(self):
         return QuadComplex(-self.re, -self.im)

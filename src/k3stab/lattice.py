@@ -16,15 +16,19 @@ w* = (1,0,0) pair to +1.
 
 A `LatticeVector` lives in one field Q(sqrt m): it is stored as integer
 numerator lists (A, B) over one common denominator, so sums, scalings and the
-pairing `pair` are integer list operations with one field check each.
+pairing `pair` of GAMMA are integer list operations with one field check
+each.  Every charge, period and class is a Gamma vector, so `pair` pairs in
+GAMMA only; other lattices (the Mukai lattice of the root enumeration) are
+reached through their integer images, by `Sublattice.gram` and
+`orth_complement`.
 QuadScalar is the scalar type at the boundary: the constructor parses
 QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
 as QuadScalars; both build them from canonical parts (`QuadScalar._canon`).
 
 A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
 standard lattices), and every integer image G x -- the Gram matrix of a
-`Sublattice`, the rows of `orth_complement`, the image a vector keeps for
-`pair` -- is summed over those entries and the nonzero coordinates of x,
+`Sublattice`, the rows of `orth_complement`, GAMMA's image a vector keeps
+for `pair` -- is summed over those entries and the nonzero coordinates of x,
 never over the dense matrix.  A pairing x.y is then one dot product of the
 numerators of x with the kept image of y.
 """
@@ -60,8 +64,8 @@ class LatticeVector:
     the integer lists with one field check per operation; two different
     radicands meeting raise FieldMismatch.  `coords`, the coordinates as
     QuadScalars, is built on first read, for rendering.  No code writes to
-    `A` or `B`, so a vector also keeps the Gram image of its numerators for
-    the lattice it was last paired in (`_pair_real`).
+    `A` or `B`, so a vector paired in GAMMA keeps the GAMMA Gram image of
+    its numerators (`_pair_real`).
     """
 
     __slots__ = ("A", "B", "den", "m", "_coords", "_image")
@@ -357,38 +361,31 @@ class Sublattice:
         return LatticeVector.from_ints(out)
 
 
-def _gram_image(lat: GramLattice, v: LatticeVector) -> tuple:
-    """``(lat, G A, G B)`` for v = (A + B sqrt(m)) / den (G B is None when v
-    is rational), kept on v for the lattice it was last paired in."""
-    img = v._image
-    if img is None or img[0] is not lat:
-        img = v._image = (lat, lat.image(v.A), None if v.B is None else lat.image(v.B))
-    return img
+def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
+    """x.y in GAMMA as integer dot products of the numerators of one operand
+    with the Gram image of the other.
 
-
-def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScalar:
-    """x.y as integer dot products of the numerators of one operand with the
-    Gram image of the other.
-
-    The image is the one an operand already keeps for `lat`, y's first;
-    when neither keeps one, x is imaged and keeps it.  On the certificate
-    path most pairings are against a vector paired many times (the B and
-    omega of a stability point, the fibration classes, omega_J): in a
-    `verify 6.4` about 150 of about 187 pairings find a kept image and cost
-    one dot product per numerator list.  Vectors over different quadratic
-    fields raise FieldMismatch.  The two sums are already the canonical
-    parts of the result over den, with m = 0 when the radical sum is 0, so
-    the QuadScalar is wrapped by `QuadScalar._canon` without a second
-    coercion.
+    The image is the one an operand already keeps, y's first; when neither
+    keeps one, x is imaged and keeps ``(G A, G B)`` (G B is None when x is
+    rational).  On the certificate path most pairings are against a vector
+    paired many times (the B and omega of a stability point, the fibration
+    classes, omega_J): in a `verify 6.4` about 150 of about 187 pairings
+    find a kept image and cost one dot product per numerator list.  Vectors
+    over different quadratic fields raise FieldMismatch.  The two sums are
+    already the canonical parts of the result over den, with m = 0 when the
+    radical sum is 0, so the QuadScalar is wrapped by `QuadScalar._canon`
+    without a second coercion.
     """
-    if len(x.A) != lat.rank or len(y.A) != lat.rank:
+    if len(x.A) != GAMMA.rank or len(y.A) != GAMMA.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
     m = _join(x.m, y.m)
     img = y._image
-    if img is None or img[0] is not lat:
+    if img is None:
         x, y = y, x
-        img = _gram_image(lat, y)
-    _, ga, gb = img
+        img = y._image
+        if img is None:
+            img = y._image = (GAMMA.image(y.A), None if y.B is None else GAMMA.image(y.B))
+    ga, gb = img
     rational = sum(map(mul, x.A, ga))
     radical = 0
     if x.B is not None:
@@ -403,20 +400,21 @@ def _pair_real(lat: GramLattice, x: LatticeVector, y: LatticeVector) -> QuadScal
     return _canon(Fraction(rational, den), Fraction(radical, den), m)
 
 
-def pair(lat: GramLattice, x, y):
-    """Exact Gram pairing; extended complex-bilinearly to ComplexVector inputs."""
+def pair(x, y):
+    """The exact pairing of GAMMA; extended complex-bilinearly to
+    ComplexVector inputs."""
     cx = isinstance(x, ComplexVector)
     cy = isinstance(y, ComplexVector)
     if not cx and not cy:
-        return _pair_real(lat, x, y)
+        return _pair_real(x, y)
     if cx and cy:
         return QuadComplex(
-            _pair_real(lat, x.re, y.re) - _pair_real(lat, x.im, y.im),
-            _pair_real(lat, x.re, y.im) + _pair_real(lat, x.im, y.re),
+            _pair_real(x.re, y.re) - _pair_real(x.im, y.im),
+            _pair_real(x.re, y.im) + _pair_real(x.im, y.re),
         )
     if cx:
-        return QuadComplex(_pair_real(lat, x.re, y), _pair_real(lat, x.im, y))
-    return QuadComplex(_pair_real(lat, x, y.re), _pair_real(lat, x, y.im))
+        return QuadComplex(_pair_real(x.re, y), _pair_real(x.im, y))
+    return QuadComplex(_pair_real(x, y.re), _pair_real(x, y.im))
 
 
 def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:
@@ -433,19 +431,6 @@ def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublatti
             rows.append(lat.image(g.B))
     kern = kernel_basis(rows, lat.rank)
     return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern])
-
-
-def project_off_hyperbolic(lat: GramLattice, v: LatticeVector, vstar: LatticeVector, x):
-    """Projection killing the hyperbolic summand spanned by v, v* (v^2 = v*^2 = 0, v.v* = 1).
-
-    pr(x) = x - (x.v*) v - (x.v) v*; the image pairs to zero with both v and v*.
-    """
-    if isinstance(x, ComplexVector):
-        return ComplexVector(
-            project_off_hyperbolic(lat, v, vstar, x.re),
-            project_off_hyperbolic(lat, v, vstar, x.im),
-        )
-    return x - pair(lat, x, vstar) * v - pair(lat, x, v) * vstar
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ Re(Omega).v != 0, it acts by
     mirror Omega   = (pr(B + i omega) - 1/2 (B + i omega)^2 v + v*) / (Re(Omega).v)
     mirror B+i omega = (pr(Omega) - (Omega.B) v) / (Re(Omega).v)
 
-where pr kills the U' components.  Applying the map twice returns the input
-period exactly whenever the input satisfies Omega^2 = 0; for non-null inputs
-(e.g. unnormalized hyperkaehler data) only the Kaehler-side data returns, and
-the involution check reports that honestly instead of asserting it.
+where pr = `SplitData.project` kills the U' components.  Applying the map
+twice returns the input period exactly whenever the input satisfies
+Omega^2 = 0; for non-null inputs (e.g. unnormalized hyperkaehler data) only
+the Kaehler-side data returns, and the involution check reports that honestly
+instead of asserting it.
 
 The preconditions are the caller's, and `mirror_period` tests none of them.
 Scenario assembly proves them for the data (Omega_I, Im(Omega), B) at
@@ -37,14 +38,7 @@ from fractions import Fraction
 
 from .exact import QuadScalar
 from .intmat import rank_generic
-from .lattice import (
-    GAMMA,
-    ComplexVector,
-    LatticeVector,
-    MukaiVector,
-    pair,
-    project_off_hyperbolic,
-)
+from .lattice import GAMMA, ComplexVector, LatticeVector, MukaiVector, pair
 
 
 class PreconditionViolation(ValueError):
@@ -61,17 +55,21 @@ class SplitData:
     vstar: LatticeVector
 
     def project(self, x):
-        """Projection pr onto Gamma'_R (kills v and v* components)."""
-        return project_off_hyperbolic(GAMMA, self.v, self.vstar, x)
+        """The projection pr onto Gamma'_R, pr(x) = x - (x.v*) v - (x.v) v*,
+        of a real or complex vector: v^2 = v*^2 = 0 and v.v* = 1, so the
+        image pairs to zero with both v and v*."""
+        if isinstance(x, ComplexVector):
+            return ComplexVector(self.project(x.re), self.project(x.im))
+        return x - pair(x, self.vstar) * self.v - pair(x, self.v) * self.vstar
 
 
 def make_split(f: LatticeVector, sigma0: LatticeVector) -> SplitData:
     if not (f.is_integral and sigma0.is_integral):
         raise PreconditionViolation(f"f and sigma0 must be integral classes; got {f}, {sigma0}")
-    if pair(GAMMA, f, f) != 0 or pair(GAMMA, f, sigma0) != 1 or pair(GAMMA, sigma0, sigma0) != -2:
+    if pair(f, f) != 0 or pair(f, sigma0) != 1 or pair(sigma0, sigma0) != -2:
         raise PreconditionViolation(
             "need f^2 = 0, f.sigma0 = 1, sigma0^2 = -2; got "
-            f"{pair(GAMMA, f, f)}, {pair(GAMMA, f, sigma0)}, {pair(GAMMA, sigma0, sigma0)}"
+            f"{pair(f, f)}, {pair(f, sigma0)}, {pair(sigma0, sigma0)}"
         )
     return SplitData(f=f, sigma0=sigma0, v=f, vstar=f + sigma0)
 
@@ -92,15 +90,15 @@ def mirror_period(
     the module docstring; all scalars exact.  The two invariants of the
     output period are asserted."""
     v, vstar = split.v, split.vstar
-    scale = pair(GAMMA, Omega.re, v).inverse()
+    scale = pair(Omega.re, v).inverse()
     x = ComplexVector(B, omega)
-    x_sq = pair(GAMMA, x, x)
+    x_sq = pair(x, x)
     omega_check_cplx = (
         split.project(x)
         - ComplexVector(v).scale(x_sq * Fraction(1, 2))
         + ComplexVector(vstar)
     ).scale(scale)
-    shift = pair(GAMMA, Omega, ComplexVector(B))
+    shift = pair(Omega, ComplexVector(B))
     kahler_side = (split.project(Omega) - ComplexVector(v).scale(shift)).scale(scale)
     triple = MirrorTriple(
         Omega_check=omega_check_cplx,
@@ -108,8 +106,8 @@ def mirror_period(
         B_check=kahler_side.re,
     )
     # structural invariants of the output period
-    assert not pair(GAMMA, triple.Omega_check, triple.Omega_check), "mirror period is not null"
-    conj_norm = pair(GAMMA, triple.Omega_check, triple.Omega_check.conj())
+    assert not pair(triple.Omega_check, triple.Omega_check), "mirror period is not null"
+    conj_norm = pair(triple.Omega_check, triple.Omega_check.conj())
     assert not conj_norm.im and conj_norm.re.sign() > 0, "mirror period plane is not positive"
     return triple
 
@@ -122,8 +120,8 @@ def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
     """
     if not cls.is_integral:
         raise ValueError("mirror_class requires an integral class")
-    a = pair(GAMMA, cls, split.vstar).as_int()
-    b = pair(GAMMA, cls, split.v).as_int()
+    a = pair(cls, split.vstar).as_int()
+    b = pair(cls, split.v).as_int()
     core = cls - a * split.v - b * split.vstar
     return MukaiVector(b, core, -a)
 

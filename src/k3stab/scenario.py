@@ -174,12 +174,12 @@ class Scenario:
             raise PreconditionViolation("fibration classes must be orthogonal to the charge")
         if not self._orthogonal_to_charge(self.omega_J):
             raise PreconditionViolation("omega_J must pair to zero with p and q")
-        if pair(GAMMA, self.omega_J, self.omega_J).sign() <= 0:
+        if pair(self.omega_J, self.omega_J).sign() <= 0:
             raise PreconditionViolation("omega_J^2 must be positive")
         self.Omega_I = hyperkahler_rotate(self.Omega, self.omega_J)
         # the mirror map's other preconditions hold for (Omega_I, Im(Omega))
         # by construction (mirror module docstring)
-        if pair(GAMMA, self.B, self.split.v):
+        if pair(self.B, self.split.v):
             raise PreconditionViolation("omega and B must lie in Gamma'_R + R*v")
         # omega_J^2 > 0 is checked above, so of the search's cone test at
         # omega0 = omega_J only omega_J.f > 0 is left
@@ -198,7 +198,7 @@ class Scenario:
 
     def _orthogonal_to_charge(self, *classes: LatticeVector) -> bool:
         p, q = self.charge.p, self.charge.q
-        return not any(pair(GAMMA, x, c) for x in classes for c in (p, q))
+        return not any(pair(x, c) for x in classes for c in (p, q))
 
     @cached_property
     def triple(self) -> MirrorTriple:
@@ -348,7 +348,11 @@ def scenario_from_file(path: str) -> Scenario:
 
 def scalar_json(x: QuadScalar, with_float: bool = False):
     if with_float:
-        return {"exact": str(x), "float": f"{float(x):.15g}"}
+        try:
+            approx = float(x)
+        except OverflowError:
+            raise ScenarioError("a report number is beyond the range of --float") from None
+        return {"exact": str(x), "float": f"{approx:.15g}"}
     return str(x)
 
 
@@ -376,7 +380,7 @@ def mukai_json(m):
 
 def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
     lam = verify_attractor(sc.charge, sc.tau, sc.Omega)
-    conj_norm = pair(GAMMA, sc.Omega, sc.Omega.conj())
+    conj_norm = pair(sc.Omega, sc.Omega.conj())
     return {
         "scenario": sc.echo(),
         "tau": complex_json(sc.tau, with_float),
@@ -459,7 +463,7 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
     involution = None
     # the involution contract needs a null period: rescale Im(Omega_I) =
     # Re(Omega) when the norm ratio is a perfect rational square
-    ratio = pair(GAMMA, sc.omega_J, sc.omega_J) / pair(GAMMA, sc.Omega.re, sc.Omega.re)
+    ratio = pair(sc.omega_J, sc.omega_J) / pair(sc.Omega.re, sc.Omega.re)
     if ratio.is_rational:
         root = _rational_sqrt(ratio.as_fraction())
         if root is not None:

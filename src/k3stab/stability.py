@@ -65,10 +65,6 @@ class RealityViolation(ValueError):
         super().__init__(f"Z({cls}) = {value} is not real")
 
 
-class WallFailure(ValueError):
-    """A pair of charges fails the generalized wall condition."""
-
-
 class SearchObstructed(ValueError):
     """The fibration obstruction D = 2 p^2 holds: no Kaehler class can work."""
 
@@ -107,7 +103,7 @@ class StabilityPoint:
         """1/2 (B + i omega)^2, computed on first use and kept on the instance."""
         cached = self.__dict__.get("_s_part")
         if cached is None:
-            x_sq = pair(GAMMA, self.d_part, self.d_part)
+            x_sq = pair(self.d_part, self.d_part)
             cached = x_sq * Fraction(1, 2)
             object.__setattr__(self, "_s_part", cached)
         return cached
@@ -130,8 +126,8 @@ def _charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     """(Psi, v) for an integral v = (r, D, s) by two real pairings:
     (B.D - s - r Re s_Psi) + i (omega.D - r Im s_Psi), s_Psi = psi.s_part."""
     s_psi = psi.s_part
-    re = pair(GAMMA, psi.B, v.D) - v.s
-    im = pair(GAMMA, psi.omega, v.D)
+    re = pair(psi.B, v.D) - v.s
+    im = pair(psi.omega, v.D)
     if v.r:
         re = re - s_psi.re * v.r
         im = im - s_psi.im * v.r
@@ -144,10 +140,10 @@ def mukai_pair(x, y):
     Returns a QuadScalar for two integral vectors, a QuadComplex otherwise.
     """
     if isinstance(x, MukaiVector) and isinstance(y, MukaiVector):
-        return pair(GAMMA, x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
+        return pair(x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
     r1, d1, s1 = _as_triple(x)
     r2, d2, s2 = _as_triple(y)
-    return pair(GAMMA, d1, d2) - r1 * s2 - r2 * s1
+    return pair(d1, d2) - r1 * s2 - r2 * s1
 
 
 def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
@@ -156,17 +152,17 @@ def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     value = _charge(psi, v)
     B, omega = psi.B, psi.omega
     d_min_rb = v.D - v.r * B
-    im = pair(GAMMA, d_min_rb, omega)
+    im = pair(d_min_rb, omega)
     if v.r == 0:
-        re = pair(GAMMA, v.D, B) - QuadScalar(v.s)
+        re = pair(v.D, B) - QuadScalar(v.s)
     else:
-        d2 = pair(GAMMA, v.D, v.D)
-        w2 = pair(GAMMA, omega, omega)
+        d2 = pair(v.D, v.D)
+        w2 = pair(omega, omega)
         re = (
             d2
             - QuadScalar(2 * v.r * v.s)
             + QuadScalar(v.r * v.r) * w2
-            - pair(GAMMA, d_min_rb, d_min_rb)
+            - pair(d_min_rb, d_min_rb)
         ) * Fraction(1, 2 * v.r)
     if value != QuadComplex(re, im):
         raise ExpansionMismatch(f"{value} vs {QuadComplex(re, im)} for v={v}")
@@ -243,7 +239,7 @@ def p0_violations(
     for r, d, s in hits[:limit]:
         delta = MukaiVector(r, LatticeVector.from_ints(d), s)
         assert not _charge(psi, delta), f"false positive {delta}: pairs with Psi"
-        assert not pair(GAMMA, omega_check, delta.D), f"{delta} is not in NS(mirror)"
+        assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
         roots.append(delta)
     return RootEnumeration(lattice_rank=len(kern), count=len(hits), roots=roots)
@@ -388,7 +384,7 @@ def _dual_eta(basis: Sequence[LatticeVector]) -> LatticeVector:
 def _fiber_violation(omega, f, what):
     """The reason omega.f > 0 fails, or None: f is nef, so a Kaehler class
     pairs positively with it."""
-    if pair(GAMMA, omega, f).sign() <= 0:
+    if pair(omega, f).sign() <= 0:
         return f"{what} does not pair positively with the fiber class"
     return None
 
@@ -405,7 +401,7 @@ def _cone_violation(omega, f, what):
     no nonzero isotropic vector).  So omega and omega0 lie in one cone, and
     by the light-cone lemma omega.omega0 >= sqrt(omega^2 omega0^2) > 0.
     """
-    if pair(GAMMA, omega, omega).sign() <= 0:
+    if pair(omega, omega).sign() <= 0:
         return f"{what} has nonpositive square"
     return _fiber_violation(omega, f, what)
 
@@ -488,24 +484,17 @@ class WallIntersectionResult:
 def wall_intersection(
     charges: Sequence[tuple[LatticeVector, QuadScalar]],
 ) -> WallIntersectionResult:
-    """Sign-normalize the classes and certify every pairwise generalized wall.
+    """Sign-normalize the classes and report every pairwise generalized wall.
 
     `charges` are the exactly real (l, Z(mu(l))) of `verify_reality` or of a
     search.  Flipping l -> -l wherever Z(mu(l)) < 0 negates the charge, since
     Z(mu(-l)) = -Z(mu(l)) exactly, so the table is built from the flipped
-    values without a second central charge; all of them are positive reals,
-    so all pairs must be members, and a failure raises WallFailure.
+    values without a second central charge.  Nothing is raised: a nonzero
+    flipped charge is a positive real with phase key (0, 1), so all pairs
+    are members; a zero charge (which the search refuses) has no phase, so
+    every pair it is in fails and `all_member` is False.
     """
-    flips = []
-    positive = []
-    for cls, z in charges:
-        if not z:
-            raise WallFailure(f"zero charge for {cls}: no phase to align")
-        flip = z.sign() < 0
-        flips.append(flip)
-        positive.append(-z if flip else z)
+    flips = [z.sign() < 0 for _, z in charges]
+    positive = [-z if flip else z for (_, z), flip in zip(charges, flips)]
     reports = wall_table([QuadComplex(z) for z in positive])
-    for rep in reports:
-        if not rep.member:
-            raise WallFailure(f"pair ({rep.i},{rep.j}) is not on a common wall")
     return WallIntersectionResult(flips=flips, reports=reports, charges=positive)

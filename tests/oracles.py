@@ -223,7 +223,7 @@ def triple_charge(psi, v):
     `stability.central_charge`."""
     r1, d1, s1 = psi.triple()
     r2, d2, s2 = QuadComplex(v.r), ComplexVector(v.D), QuadComplex(v.s)
-    return pair(GAMMA, d1, d2) - r1 * s2 - r2 * s1
+    return pair(d1, d2) - r1 * s2 - r2 * s1
 
 
 def triple_plane_gram(psi):
@@ -252,20 +252,22 @@ def phase_aligned(z1, z2):
 
 
 def gram_of(lat, vectors):
-    """Gram matrix of exact vectors, one `pair` per entry."""
-    return [[pair(lat, x, y) for y in vectors] for x in vectors]
+    """Gram matrix of exact vectors, one `quad_pair` per entry."""
+    return [[quad_pair(lat, x, y) for y in vectors] for x in vectors]
 
 
 def form_of_charge(lat, p, q):
     """The even form (p.p, p.q, q.q) attached to a pair of lattice vectors."""
     return BinaryEvenForm(
-        pair(lat, p, p).as_int(), pair(lat, p, q).as_int(), pair(lat, q, q).as_int()
+        quad_pair(lat, p, p).as_int(),
+        quad_pair(lat, p, q).as_int(),
+        quad_pair(lat, q, q).as_int(),
     )
 
 
 def canonicalize_period(split, period):
     """Rescale a period so its v*-coefficient (= period.v) equals 1."""
-    coeff = pair(GAMMA, period, ComplexVector(split.v))
+    coeff = pair(period, ComplexVector(split.v))
     if not coeff:
         raise PreconditionViolation("period has no v* component")
     return period.scale(coeff.inverse())
@@ -362,7 +364,7 @@ def solve_rational(a, b):
 def dual_eta(lat, basis):
     """The integral class with eta . b_i = -d for every basis vector, d the
     least positive integer that makes it integral, by a Gauss-Jordan solve."""
-    gram = [[Fraction(pair(lat, x, y).as_int()) for y in basis] for x in basis]
+    gram = [[Fraction(quad_pair(lat, x, y).as_int()) for y in basis] for x in basis]
     coeffs = solve_rational(gram, [Fraction(-1)] * len(basis))
     denom = lcm(*(c.denominator for c in coeffs))
     eta = LatticeVector.zero(lat.rank)
@@ -460,9 +462,9 @@ def bounded_p0_violations(psi, ns, bound):
     lat = ns.ambient
     gram = ns.gram()
     k = ns.rank
-    functionals = [[pair(lat, v, b) for b in ns.basis] for v in (psi.omega, psi.B)]
-    b_dot_w = pair(lat, psi.B, psi.omega)
-    b_sq, w_sq = pair(lat, psi.B, psi.B), pair(lat, psi.omega, psi.omega)
+    functionals = [[quad_pair(lat, v, b) for b in ns.basis] for v in (psi.omega, psi.B)]
+    b_dot_w = quad_pair(lat, psi.B, psi.omega)
+    b_sq, w_sq = quad_pair(lat, psi.B, psi.B), quad_pair(lat, psi.omega, psi.omega)
     rows, parts = [], []
     for idx, coeffs in enumerate(functionals):
         for part in ("a", "b"):
@@ -521,9 +523,9 @@ def bounded_p0_violations(psi, ns, bound):
 
 def tube_map(split, z):
     """Tube-domain coordinate to period: z - 1/2 z^2 v + v*."""
-    if pair(GAMMA, z, ComplexVector(split.v)) or pair(GAMMA, z, ComplexVector(split.vstar)):
+    if pair(z, ComplexVector(split.v)) or pair(z, ComplexVector(split.vstar)):
         raise PreconditionViolation("tube coordinate must be orthogonal to U'")
-    z_sq = pair(GAMMA, z, z)
+    z_sq = pair(z, z)
     return z - ComplexVector(split.v).scale(z_sq * Fraction(1, 2)) + ComplexVector(split.vstar)
 
 
@@ -535,23 +537,23 @@ def period_embed(split, p_basis, omega, B):
     """
     if len(p_basis) != 2:
         raise PreconditionViolation("P needs exactly two spanning vectors")
-    g00 = pair(GAMMA, p_basis[0], p_basis[0])
-    g01 = pair(GAMMA, p_basis[0], p_basis[1])
-    g11 = pair(GAMMA, p_basis[1], p_basis[1])
+    g00 = pair(p_basis[0], p_basis[0])
+    g01 = pair(p_basis[0], p_basis[1])
+    g11 = pair(p_basis[1], p_basis[1])
     if g00.sign() <= 0 or (g00 * g11 - g01 * g01).sign() <= 0:
         raise PreconditionViolation("P must span a positive definite 2-plane")
-    if pair(GAMMA, omega, p_basis[0]) or pair(GAMMA, omega, p_basis[1]):
+    if pair(omega, p_basis[0]) or pair(omega, p_basis[1]):
         raise PreconditionViolation("omega must be orthogonal to P")
-    if pair(GAMMA, omega, omega).sign() <= 0:
+    if pair(omega, omega).sign() <= 0:
         raise PreconditionViolation("omega^2 must be positive")
     w = MUKAI_W.to_ambient()
     wstar = MUKAI_WSTAR.to_ambient()
-    h1 = [embed_gamma(x) - pair(GAMMA, x, B) * w for x in p_basis]
+    h1 = [embed_gamma(x) - pair(x, B) * w for x in p_basis]
     half = QuadScalar(Fraction(1, 2))
-    norm_coeff = half * (pair(GAMMA, omega, omega) - pair(GAMMA, B, B))
+    norm_coeff = half * (pair(omega, omega) - pair(B, B))
     h2 = [
         norm_coeff * w + wstar + embed_gamma(B),
-        embed_gamma(omega) - pair(GAMMA, omega, B) * w,
+        embed_gamma(omega) - pair(omega, B) * w,
     ]
     return h1, h2
 

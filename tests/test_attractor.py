@@ -31,8 +31,8 @@ def diag_charge(k: int) -> Charge:
 def test_tau_for_diag_2_8():
     tau, omega = solve_attractor(diag_charge(4))
     assert tau == QuadComplex(0, 2)
-    assert pair(GAMMA, omega, omega) == QuadComplex(0)
-    assert pair(GAMMA, omega, omega.conj()) == QuadComplex(16)
+    assert pair(omega, omega) == QuadComplex(0)
+    assert pair(omega, omega.conj()) == QuadComplex(16)
 
 
 def test_tau_for_diag_2_2():
@@ -45,7 +45,7 @@ def test_tau_irrational_case():
     ch = diag_charge(3)
     tau, omega = solve_attractor(ch)
     assert tau.im == QuadScalar(0, 1, 3)
-    assert pair(GAMMA, omega, omega) == QuadComplex(0)
+    assert pair(omega, omega) == QuadComplex(0)
 
 
 def test_degenerate_charges():
@@ -138,8 +138,8 @@ def test_rotated_norms_agree(k, b):
     if ch.disc <= 0:
         return
     _, Omega = solve_attractor(ch)
-    lhs = pair(GAMMA, Omega.re, Omega.re)
-    rhs = pair(GAMMA, Omega.im, Omega.im)
+    lhs = pair(Omega.re, Omega.re)
+    rhs = pair(Omega.im, Omega.im)
     assert lhs == rhs
     assert lhs == QuadScalar(Fraction(ch.disc, ch.p2))
 
@@ -158,9 +158,9 @@ def test_ns_lattice():
 def test_z_k3_examples():
     # the K3 central charge of a class is its pairing with omega_J
     omega_J = 2 * F + SIGMA0
-    assert pair(GAMMA, omega_J, F) == 1
-    assert pair(GAMMA, omega_J, LatticeVector.zero(22)) == 0
-    assert pair(GAMMA, omega_J, SIGMA0) == 0
+    assert pair(omega_J, F) == 1
+    assert pair(omega_J, LatticeVector.zero(22)) == 0
+    assert pair(omega_J, SIGMA0) == 0
 
 
 def test_threefold_charges(sc28):
@@ -176,7 +176,7 @@ def test_slag_reality_and_alignment(sc28):
     for cls in sc28.pic_basis:
         z = threefold_central_charge(sc28.Omega_I, cls)
         assert not z.im
-        assert z.re == pair(GAMMA, sc28.omega_J, cls)
+        assert z.re == pair(sc28.omega_J, cls)
         charges.append(z)
     nonzero = [z for z in charges if z]
     for i in range(len(nonzero)):

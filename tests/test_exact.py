@@ -10,7 +10,6 @@ from k3stab.exact import (
     QuadComplex,
     QuadScalar,
     parse_quad,
-    qs_sign,
     squarefree_split,
 )
 from oracles import squarefree_split_brute
@@ -37,7 +36,7 @@ def test_componentwise_add():
 
 def test_inverse_of_one_plus_sqrt2():
     x = QuadScalar(1, 1, 2)
-    inv = 1 / x
+    inv = x.inverse()
     assert inv == QuadScalar(-1, 1, 2)
     assert x * inv == QuadScalar(1)
 
@@ -55,11 +54,11 @@ def test_field_mismatch():
 
 
 def test_sign_examples():
-    assert qs_sign(QuadScalar(0)) == 0
-    assert qs_sign(QuadScalar(1, -1, 2)) == -1
-    assert qs_sign(QuadScalar(3, -1, 2)) == 1
-    assert qs_sign(QuadScalar(-1, 1, 2)) == 1
-    assert qs_sign(QuadScalar(-3, 1, 2)) == -1
+    assert QuadScalar(0).sign() == 0
+    assert QuadScalar(1, -1, 2).sign() == -1
+    assert QuadScalar(3, -1, 2).sign() == 1
+    assert QuadScalar(-1, 1, 2).sign() == 1
+    assert QuadScalar(-3, 1, 2).sign() == -1
 
 
 def test_canonicalization():
@@ -106,7 +105,7 @@ def test_field_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     if x:
-        assert x * (1 / x) == QuadScalar(1)
+        assert x * x.inverse() == QuadScalar(1)
 
 
 @given(scalars(), st.one_of(st.integers(-20, 20), rationals))
@@ -120,7 +119,7 @@ def test_rational_factor_matches_field_product(x, r):
 @given(scalars())
 @settings(max_examples=100)
 def test_conjugation_norm_sign(x):
-    norm_sign = qs_sign(QuadScalar(x.norm()))
+    norm_sign = QuadScalar(x.norm()).sign()
     assert norm_sign == x.sign() * x.conj().sign()
 
 
@@ -154,12 +153,6 @@ def test_parse_examples():
         parse_quad("")
     with pytest.raises(ValueError):
         parse_quad("1 + bogus")
-
-
-def test_comparisons():
-    assert QuadScalar(0, 1, 2) > QuadScalar(1)
-    assert QuadScalar(0, 1, 2) < QuadScalar(Fraction(3, 2))
-    assert QuadScalar(1, 1, 2) >= QuadScalar(1, 1, 2)
 
 
 def test_complex_arithmetic():
@@ -250,7 +243,6 @@ def test_arithmetic_results_match_the_public_constructor(data):
         (x * r, QuadScalar(x.a * r, x.b * r, x.m)),
         (r * x, QuadScalar(x.a * r, x.b * r, x.m)),
         (x + r, QuadScalar(x.a + r, x.b, x.m)),
-        (r - x, QuadScalar(r - x.a, -x.b, x.m)),
         (-x, QuadScalar(-x.a, -x.b, x.m)),
         (x.conj(), QuadScalar(x.a, -x.b, x.m)),
     ]

@@ -25,7 +25,7 @@ from k3stab.mirror import (
     mirror_period,
 )
 from k3stab.scenario import build_scenario
-from oracles import canonicalize_period, gram_of, period_embed, tube_map
+from oracles import canonicalize_period, gram_of, period_embed, quad_pair, tube_map
 
 F = GAMMA.basis(0)
 E2 = GAMMA.basis(1)
@@ -41,8 +41,8 @@ def split():
 def test_make_split(split):
     assert (split.v, split.vstar) == (F, E2)
     assert orth_complement(GAMMA, [split.f, split.sigma0]).rank == 20
-    assert pair(GAMMA, split.vstar, split.vstar) == 0
-    assert pair(GAMMA, split.v, split.vstar) == 1
+    assert pair(split.vstar, split.vstar) == 0
+    assert pair(split.v, split.vstar) == 1
 
 
 def test_make_split_rejects_bad_classes():
@@ -52,7 +52,7 @@ def test_make_split_rejects_bad_classes():
 
 def mirror_b0_oracle(split, tau, charge, omega_J):
     """Independent evaluation of the B = 0 mirror formulas from raw scalars."""
-    scale = pair(GAMMA, omega_J, split.f).inverse()
+    scale = pair(omega_J, split.f).inverse()
     omega_check = scale * (charge.q - tau.re * charge.p)
     b_check = scale * split.project(omega_J)
     f_coeff = tau.im * tau.im * charge.p2 * Fraction(1, 2) + 1
@@ -79,7 +79,7 @@ def test_mirror_diag_2_2(split, sc22):
 def test_general_formula_matches_b0_specialization(split, sc28):
     eta = sc28.eta_basis[0] + 2 * sc28.eta_basis[5]
     for omega_J in [2 * F + SIGMA0, 6 * F + 3 * SIGMA0 + eta, 9 * F + 2 * SIGMA0 + eta]:
-        if pair(GAMMA, omega_J, omega_J).sign() <= 0:
+        if pair(omega_J, omega_J).sign() <= 0:
             continue
         Omega_I = hyperkahler_rotate(sc28.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc28.Omega.im, ZERO)
@@ -122,22 +122,22 @@ def test_period_data_meets_the_preconditions_by_construction(data):
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=18, max_size=18))
     for c, eta in zip(coeffs, sc.eta_basis):
         omega = omega + c * eta
-    assume(pair(GAMMA, omega, omega).sign() > 0)
+    assume(pair(omega, omega).sign() > 0)
     # the light-cone argument of `stability._cone_violation`
-    omega_f = pair(GAMMA, omega, f)
+    omega_f = pair(omega, f)
     assert omega_f
     if omega_f.sign() < 0:  # into the cone of omega_J
         omega, omega_f = -omega, -omega_f
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
-    assert not pair(GAMMA, Omega_I.im, f) and not pair(GAMMA, sc.Omega.im, f)
-    assert pair(GAMMA, sc.Omega.im, sc.Omega.im) * p2 == disc
+    assert not pair(Omega_I.im, f) and not pair(sc.Omega.im, f)
+    assert pair(sc.Omega.im, sc.Omega.im) * p2 == disc
     first = mirror_period(sc.split, Omega_I, sc.Omega.im, ZERO)
-    mirror_sq = pair(GAMMA, first.omega_check, first.omega_check)
+    mirror_sq = pair(first.omega_check, first.omega_check)
     assert omega_f * omega_f * mirror_sq * p2 == disc
     # the input of the second application
-    assert pair(GAMMA, first.Omega_check.re, f) == omega_f.inverse()
-    assert not pair(GAMMA, first.Omega_check.im, f)
-    assert not pair(GAMMA, first.omega_check, f) and not pair(GAMMA, first.B_check, f)
+    assert pair(first.Omega_check.re, f) == omega_f.inverse()
+    assert not pair(first.Omega_check.im, f)
+    assert not pair(first.omega_check, f) and not pair(first.B_check, f)
 
 
 def test_mirror_class_anchors(split):
@@ -155,12 +155,12 @@ def test_mirror_class_preserves_pairing(split):
     for i in range(22):
         for j in range(22):
             x, y = GAMMA.basis(i), GAMMA.basis(j)
-            image = pair(
+            image = quad_pair(
                 MUKAI,
                 mirror_class(split, x).to_ambient(),
                 mirror_class(split, y).to_ambient(),
             )
-            assert image == pair(GAMMA, x, y)
+            assert image == pair(x, y)
             count += 1
     assert count == 484
 
@@ -177,7 +177,7 @@ def test_tube_map(split, sc28):
             coeffs[0] * sc28.charge.p + coeffs[1] * GAMMA.basis(6),
             coeffs[2] * q + coeffs[3] * GAMMA.basis(14),
         )
-        assert pair(GAMMA, tube_map(split, z), ComplexVector(split.v)) == QuadComplex(1)
+        assert pair(tube_map(split, z), ComplexVector(split.v)) == QuadComplex(1)
     with pytest.raises(PreconditionViolation):
         tube_map(split, ComplexVector(E2))
 
@@ -207,7 +207,7 @@ def test_period_embed_orthogonality_with_b_field(split, sc28):
     h1, h2 = period_embed(split, [5 * F + SIGMA0, 2 * p], omega, b)
     for x in h1:
         for y in h2:
-            assert pair(MUKAI, x, y) == 0
+            assert quad_pair(MUKAI, x, y) == 0
 
 
 def test_period_embed_preconditions(split, sc28):
@@ -221,13 +221,13 @@ def test_period_embed_preconditions(split, sc28):
 def test_canonicalize_period(split, sc28):
     scaled = sc28.triple.Omega_check.scale(QuadComplex(3, 2))
     canonical = canonicalize_period(split, scaled)
-    assert pair(GAMMA, canonical, ComplexVector(split.v)) == QuadComplex(1)
+    assert pair(canonical, ComplexVector(split.v)) == QuadComplex(1)
 
 
 def test_involution_diag_2_8(split, sc28):
     # norm-matched null representative of the rotated period plane
     omega = ComplexVector(2 * F + SIGMA0, Fraction(1, 2) * sc28.charge.q)
-    assert pair(GAMMA, omega, omega) == QuadComplex(0)
+    assert pair(omega, omega) == QuadComplex(0)
     report = mirror_involution_check(split, omega, sc28.Omega.im, ZERO)
     assert report.holds and report.span_equal
     assert report.second.Omega_check == omega
@@ -236,7 +236,7 @@ def test_involution_diag_2_8(split, sc28):
 
 def test_involution_diag_2_2(split, sc22):
     omega = ComplexVector(2 * F + SIGMA0, sc22.charge.q)
-    assert pair(GAMMA, omega, omega) == QuadComplex(0)
+    assert pair(omega, omega) == QuadComplex(0)
     report = mirror_involution_check(split, omega, sc22.Omega.im, ZERO)
     assert report.holds
 
@@ -249,13 +249,13 @@ def test_involution_on_random_tube_periods(split, sc28):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         c, d = rng.randint(-2, 2), rng.randint(-2, 2)
         omega0 = a * p + b * q + c * GAMMA.basis(7)
-        if pair(GAMMA, omega0, omega0).sign() <= 0:
+        if pair(omega0, omega0).sign() <= 0:
             continue
         b0 = d * GAMMA.basis(15) + c * p
         period = tube_map(split, ComplexVector(b0, omega0))
         # a second, independent Kaehler slot for the involution input
         omega1 = (a * a + 1) * q + d * GAMMA.basis(8) + rng.randint(0, 2) * split.v
-        if pair(GAMMA, omega1, omega1).sign() <= 0:
+        if pair(omega1, omega1).sign() <= 0:
             continue
         b1 = rng.randint(-2, 2) * GAMMA.basis(16) + rng.randint(-2, 2) * split.v
         report = mirror_involution_check(split, period, omega1, b1)

@@ -324,7 +324,7 @@ def test_verify_63_on_reduced_forms(tmp_path, capsys):
                 k = 0
                 while True:
                     omega = sc.omega_J + Fraction(1, 10 * 2**k) * eta
-                    if pair(GAMMA, omega, omega).sign() > 0:
+                    if pair(omega, omega).sign() > 0:
                         break
                     k += 1
                 assert report["candidate_index"] == k, name
@@ -507,6 +507,80 @@ def test_cli_scenario_file_failures_are_json_errors(tmp_path, capsys, make):
     says = make(path)
     for command in SCENARIO_COMMANDS:
         assert_json_error(*run_cli(capsys, [*command, "--scenario", str(path)]), "scenario", says)
+
+
+HUGE = 2 * 10**2200  # 2201 digits: every input integer is under the digit limit
+
+
+def _huge_form(tmp_path):
+    # D = HUGE^2 has 4401 digits
+    return write_scenario(tmp_path, {"form": [HUGE, 0, HUGE]}, "huge_form.json")
+
+
+def _huge_omega(tmp_path):
+    omega_J = [HUGE, HUGE // 2] + [0] * 20
+    return write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": omega_J}, "huge_omega.json")
+
+
+def _huge_obstructed(tmp_path):
+    # D = 2 p^2 = 18 * 10^4299 has 4301 digits: the number over the limit is
+    # met while the obstruction error is written
+    return write_scenario(tmp_path, {"form": [9 * 10**4299, 0, 2]}, "huge_obstructed.json")
+
+
+def assert_number_over_the_limit(code, out, says):
+    assert_json_error(code, out, "scenario", says)
+    assert len(out) < 200  # the error text holds no report number
+
+
+@pytest.mark.parametrize(
+    "make, command",
+    [
+        *((_huge_form, command) for command in SCENARIO_COMMANDS[:6]),
+        *((_huge_omega, command) for command in (["charge"], ["walls"], ["verify", "6.2"])),
+        (_huge_obstructed, ["verify", "6.3"]),
+    ],
+    ids=[
+        *(f"form-{'-'.join(c)}" for c in SCENARIO_COMMANDS[:6]),
+        "omega-charge",
+        "omega-walls",
+        "omega-verify-6.2",
+        "obstructed-verify-6.3",
+    ],
+)
+def test_cli_report_numbers_over_the_digit_limit_are_json_errors(tmp_path, capsys, make, command):
+    # each once ended in the ValueError traceback of the int digit limit,
+    # raised by str() of a report number or by the writer
+    path = make(tmp_path)
+    says = f"a report number has more than {sys.get_int_max_str_digits()} digits"
+    assert_number_over_the_limit(*run_cli(capsys, [*command, "--scenario", path]), says)
+
+
+@pytest.mark.parametrize("command", [["attractor"], ["mirror"], ["verify", "5.1"]])
+def test_cli_reports_without_a_number_over_the_limit_still_pass(tmp_path, capsys, command):
+    # the huge omega_J meets no report number over the limit on these
+    code, out = run_cli(capsys, [*command, "--scenario", _huge_omega(tmp_path)])
+    assert code == 0
+    assert "error" not in json.loads(out)
+
+
+@pytest.mark.parametrize("command", [["attractor"], ["walls"], ["verify", "6.2"]])
+def test_cli_float_rendering_beyond_the_float_range_is_a_json_error(tmp_path, capsys, command):
+    # float() of a report number over about 1.8e308 once ended in an
+    # OverflowError traceback
+    argv = [*command, "--scenario", _huge_form(tmp_path), "--float"]
+    assert_number_over_the_limit(*run_cli(capsys, argv), "beyond the range of --float")
+
+
+def test_cli_other_value_errors_propagate(monkeypatch, diag28):
+    import k3stab.cli
+
+    def broken(*args):
+        raise ValueError("not the digit limit")
+
+    monkeypatch.setattr(k3stab.cli, "attractor_report", broken)
+    with pytest.raises(ValueError, match="not the digit limit"):
+        main(["attractor", "--scenario", diag28])
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from k3stab.stability import (
     SearchExhausted,
     SearchObstructed,
     StabilityPoint,
-    WallFailure,
     central_charge,
     fibration_obstruction,
     mukai_pair,
@@ -43,6 +42,7 @@ from oracles import (
     bounded_p0_violations,
     dual_eta,
     phase_aligned,
+    quad_pair,
     solve_integer,
     triple_charge,
     triple_plane_gram,
@@ -75,7 +75,7 @@ def test_mukai_pair_symmetric_and_matches_gram():
         )
         lhs = mukai_pair(u, v)
         assert lhs == mukai_pair(v, u)
-        assert lhs == pair(MUKAI, u.to_ambient(), v.to_ambient())
+        assert lhs == quad_pair(MUKAI, u.to_ambient(), v.to_ambient())
 
 
 _RATIONALS = st.fractions(-3, 3, max_denominator=5)
@@ -100,7 +100,7 @@ def test_central_charge_and_plane_gram_match_complex_triples(data):
     d = st.lists(st.integers(-3, 3), min_size=22, max_size=22).map(LatticeVector.from_ints)
     v = MukaiVector(data.draw(st.integers(-3, 3)), data.draw(d), data.draw(st.integers(-3, 3)))
     assert central_charge(psi, v) == triple_charge(psi, v)
-    w = pair(GAMMA, psi.omega, psi.omega)
+    w = pair(psi.omega, psi.omega)
     assert triple_plane_gram(psi) == [[w, QuadScalar(0)], [QuadScalar(0), w]]
 
 
@@ -127,7 +127,7 @@ def test_imaginary_part_is_minus_b_dot_omega():
     q = GAMMA.basis(4) + 4 * GAMMA.basis(5)
     psi = StabilityPoint(b, q)
     z = central_charge(psi, MukaiVector(1, ZERO, 1))
-    assert z.im == -pair(GAMMA, b, q)
+    assert z.im == -pair(b, q)
 
 
 def test_expansion_branches_agree_randomly():
@@ -174,8 +174,8 @@ def test_ns_of_mirror(sc28, sc22):
     ns = ns_of_mirror(sc28.triple.Omega_check)
     assert ns.rank == 20
     for v in ns.basis:
-        assert pair(GAMMA, v, sc28.triple.Omega_check.re) == 0
-        assert pair(GAMMA, v, sc28.triple.Omega_check.im) == 0
+        assert pair(v, sc28.triple.Omega_check.re) == 0
+        assert pair(v, sc28.triple.Omega_check.im) == 0
     # the obstructing section class lies in the mirror Picard lattice for 2,2
     ns22 = ns_of_mirror(sc22.triple.Omega_check)
     cols = [list(v.int_coords()) for v in ns22.basis]
@@ -206,7 +206,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         400 * (2 * F + SIGMA0) + dual,
     ]
     for omega_J in family:
-        assert pair(GAMMA, omega_J, omega_J).sign() > 0
+        assert pair(omega_J, omega_J).sign() > 0
         Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
         psi = StabilityPoint(triple.B_check, triple.omega_check)
@@ -496,13 +496,13 @@ def test_light_cone_lemma(form, x_coeffs, y_coeffs):
     for coeffs in (x_coeffs, y_coeffs):
         omega = combine(*coeffs)
         if _cone_violation(omega, F, "omega") is None:
-            assert pair(GAMMA, omega, sc.omega_J).sign() > 0
+            assert pair(omega, sc.omega_J).sign() > 0
             inside.append(omega)
     if len(inside) == 2:
         x, y = inside
-        xy = pair(GAMMA, x, y)
+        xy = pair(x, y)
         assert xy.sign() > 0
-        assert xy * xy >= pair(GAMMA, x, x) * pair(GAMMA, y, y)
+        assert (xy * xy - pair(x, x) * pair(y, y)).sign() >= 0
 
 
 def _shipped_scenarios():
@@ -519,7 +519,7 @@ def test_dual_eta_matches_gauss_jordan():
     for name, sc in cases.items():
         eta = _dual_eta(sc.eta_basis)
         assert eta == dual_eta(GAMMA, sc.eta_basis), name
-        products = {pair(GAMMA, eta, b) for b in sc.eta_basis}
+        products = {pair(eta, b) for b in sc.eta_basis}
         assert len(products) == 1 and products.pop().sign() < 0, name
 
 
@@ -548,8 +548,8 @@ def test_wall_intersection_matches_flipped_central_charges(searched28, sc28):
 
 def test_wall_intersection_rejects_zero_charge(sc28):
     charges = [(cls, z) for cls, z, _ in verify_reality(sc28.split, sc28.psi, sc28.pic_basis)]
-    with pytest.raises(WallFailure):
-        wall_intersection(charges)
+    assert any(not z for _, z in charges)
+    assert not wall_intersection(charges).all_member
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +607,14 @@ def test_wall_table_phase_examples():
 def test_s_part_memo_is_the_value(sc28):
     fresh = StabilityPoint(sc28.psi.B, sc28.psi.omega)
     d = ComplexVector(fresh.B, fresh.omega)
-    expected = pair(GAMMA, d, d) * Fraction(1, 2)
+    expected = pair(d, d) * Fraction(1, 2)
     assert fresh.s_part == expected
     assert fresh.s_part is fresh.s_part
     assert fresh == StabilityPoint(sc28.psi.B, sc28.psi.omega)
     assert hash(fresh) == hash(StabilityPoint(sc28.psi.B, sc28.psi.omega))
 
 
-def _reference_ns(omega_check, lat=GAMMA):
+def _reference_ns(omega_check):
     """Oracle for NS(mirror): one pairing per basis vector, and the rational
     and the radical part of each functional scaled to an integer row by its
     own denominator."""
@@ -624,15 +624,15 @@ def _reference_ns(omega_check, lat=GAMMA):
 
     rows = []
     for vec in (omega_check.re, omega_check.im):
-        coeffs = [pair(lat, vec, lat.basis(i)) for i in range(lat.rank)]
+        coeffs = [pair(vec, GAMMA.basis(i)) for i in range(GAMMA.rank)]
         for part in ("a", "b"):
             cs = [getattr(c, part) for c in coeffs]
             if any(cs):
                 denom = lcm(*(x.denominator for x in cs))
                 rows.append([int(x * denom) for x in cs])
     if not rows:
-        return tuple(lat.basis(i) for i in range(lat.rank))
-    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank))
+        return tuple(GAMMA.basis(i) for i in range(GAMMA.rank))
+    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, GAMMA.rank))
 
 
 def test_orth_complement_matches_per_basis_rows():
@@ -649,4 +649,4 @@ def test_orth_complement_matches_per_basis_rows():
         ns = orth_complement(GAMMA, [period.re, period.im])
         assert ns.basis == _reference_ns(period), name
         for v in ns.basis:
-            assert not pair(GAMMA, v, period.re) and not pair(GAMMA, v, period.im)
+            assert not pair(v, period.re) and not pair(v, period.im)
