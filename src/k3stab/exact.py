@@ -13,24 +13,28 @@ silently working in a larger field.  One auxiliary radical is all the
 attractor and mirror formulas ever need.
 
 :class:`QuadScalar` is the scalar type of pairings, charges, parsing and
-serialization.  Lattice vectors do not hold one per coordinate: a
-``lattice.LatticeVector`` keeps integer numerators over one common
-denominator in one field, and converts to QuadScalars only for rendering.
+serialization.  It holds four integers ``(p, q, d, m)``, read as
+``(p + q*sqrt(m)) / d``: one denominator for both parts, as a
+``lattice.LatticeVector`` keeps one for all its coordinates.  The form is
+canonical, so two scalars are equal exactly when their integers are:
+``d > 0``, ``gcd(p, q, d) = 1``, ``m`` square-free, and ``q = 0`` forces
+``m = 0``.
 
-A scalar is canonicalized once, where its parts come from outside: the
-public constructor coerces them to Fractions and splits the square part off
-the radicand.  Every arithmetic result, and every pairing and rendered
-coordinate in ``lattice``, already has canonical parts (Fractions, a
-square-free radicand, and m = 0 when b = 0, which the result sets itself
-when the radicals cancel), so it is wrapped by ``QuadScalar._canon``, which
-coerces and splits nothing.
+A scalar is canonicalized where its parts come from outside: the public
+constructor takes rational parts ``a`` and ``b`` and splits the square part
+off the radicand.  Every arithmetic result, and every pairing and rendered
+coordinate in ``lattice``, is built from integer products by
+``QuadScalar._ints``, which divides out one gcd and drops ``m`` when the
+radicals cancel; no Fraction is built on the way.  The rational parts
+``a = p/d`` and ``b = q/d`` are read-only Fraction views, for rendering and
+for callers that want a rational.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -69,44 +73,48 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 class QuadScalar:
-    """An exact real number ``a + b*sqrt(m)``.
+    """An exact real number ``(p + q*sqrt(m)) / d``, read as ``a + b*sqrt(m)``.
 
-    Canonical form: ``a`` and ``b`` are reduced fractions, ``m`` is square-free,
-    and ``b == 0`` forces ``m == 0``.  Instances are immutable by convention.
+    Canonical form: ``d > 0``, ``gcd(p, q, d) == 1``, ``m`` square-free, and
+    ``q == 0`` forces ``m == 0``.  Instances are immutable by convention.
     """
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ("p", "q", "d", "m")
 
     def __init__(self, a: Rational = 0, b: Rational = 0, m: int = 0):
-        # Fraction() of a Fraction would pass the slow numbers.Rational check
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
         m = int(m)
         if m < 0:
             raise ValueError("radicand must be nonnegative")
-        if b:
+        p, q, d = an * bd, bn * ad, ad * bd
+        if q:
             s, m = squarefree_split(m)
-            b *= s
+            q *= s
             if m == 1:
-                a += b
-                b = Fraction(0)
-                m = 0
-        if not b:
-            m = 0
-        self.a = a
-        self.b = b
-        self.m = m
+                p, q = p + q, 0
+        g = gcd(p, q, d)
+        self.p = p // g
+        self.q = q // g
+        self.d = d // g
+        self.m = m if q else 0
 
     @staticmethod
-    def _canon(a: Fraction, b: Fraction, m: int) -> "QuadScalar":
-        """Wrap parts that are already canonical: Fractions a and b, m
-        square-free, and m == 0 when b == 0.  Nothing is coerced or split."""
+    def _ints(p: int, q: int, d: int, m: int) -> "QuadScalar":
+        """The canonical scalar ``(p + q*sqrt(m)) / d`` for integers with
+        d > 0 and m square-free: one gcd divides out the common factor, and
+        m drops when q == 0.  Nothing is coerced or split."""
+        if d != 1:
+            g = gcd(p, q, d)
+            if g != 1:
+                p //= g
+                q //= g
+                d //= g
         x = _new(QuadScalar)
-        x.a = a
-        x.b = b
-        x.m = m
+        x.p = p
+        x.q = q
+        x.d = d
+        x.m = m if q else 0
         return x
 
     # -- constructors -------------------------------------------------
@@ -120,122 +128,125 @@ class QuadScalar:
         # sqrt(p/q) = sqrt(p*q)/q
         return cls(0, Fraction(1, n.denominator), n.numerator * n.denominator)
 
-    @staticmethod
-    def _coerce(x) -> "QuadScalar | None":
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _canon(x if type(x) is Fraction else Fraction(x), _ZERO, 0)
-        return None
-
-    def _join(self, other: "QuadScalar") -> int:
-        if self.m and other.m and self.m != other.m:
-            raise FieldMismatch(f"sqrt({self.m}) vs sqrt({other.m})")
-        return self.m or other.m
-
     # -- ring / field operations --------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        m = self._join(o)
-        b = self.b + o.b
-        return _canon(self.a + o.a, b, m if b else 0)
+        p, q, d, m = o
+        m = _join(self.m, m)
+        if d == self.d:
+            return _ints(self.p + p, self.q + q, d, m)
+        return _ints(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d, m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        m = self._join(o)
-        b = self.b - o.b
-        return _canon(self.a - o.a, b, m if b else 0)
+        p, q, d, m = o
+        m = _join(self.m, m)
+        if d == self.d:
+            return _ints(self.p - p, self.q - q, d, m)
+        return _ints(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d, m)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # rational factor: no field join
-            b = self.b * other
-            return _canon(self.a * other, b, self.m if b else 0)
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        m = self._join(o)
-        b = self.a * o.b + self.b * o.a  # 0 also when the radicals cancel
-        return _canon(self.a * o.a + m * self.b * o.b, b, m if b else 0)
+        p, q, d, m = o
+        m = _join(self.m, m)  # a rational factor has m == 0 and q == 0
+        # the radical part is 0 also when the radicals cancel
+        return _ints(self.p * p + m * self.q * q, self.p * q + self.q * p, self.d * d, m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _ints(*o).inverse()
 
     def __neg__(self):
-        return _canon(-self.a, -self.b, self.m)
+        return _ints(-self.p, -self.q, self.d, self.m)
 
     def inverse(self) -> "QuadScalar":
-        if not self:
+        """``d (p - q*sqrt(m)) / (p^2 - m q^2)``, the denominator made positive."""
+        p, q, d = self.p, self.q, self.d
+        n = p * p - self.m * q * q  # 0 only for zero: sqrt(m) is irrational
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        n = self.norm()
-        return _canon(self.a / n, -self.b / n, self.m)
+        if n < 0:
+            return _ints(-d * p, d * q, -n, self.m)
+        return _ints(d * p, -d * q, n, self.m)
 
     def conj(self) -> "QuadScalar":
         """Galois conjugate ``a - b*sqrt(m)``."""
-        return _canon(self.a, -self.b, self.m)
+        return _ints(self.p, -self.q, self.d, self.m)
 
     def norm(self) -> Fraction:
         """Field norm ``a*a - m*b*b`` (rational)."""
-        return self.a * self.a - self.m * self.b * self.b
+        return Fraction(self.p * self.p - self.m * self.q * self.q, self.d * self.d)
 
     # -- exact decisions ------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by comparing a^2 with m*b^2."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: the larger of a^2 and m*b^2 wins; they cannot tie
+        """Exact sign in {-1, 0, +1}, decided by comparing p^2 with m*q^2."""
+        p, q = self.p, self.q
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sq == 0:
+            return sp
+        if sp == 0 or sp == sq:
+            return sq
+        # opposite signs: the larger of p^2 and m*q^2 wins; they cannot tie
         # because sqrt(m) is irrational in canonical form.
-        return sa if self.a * self.a > self.m * self.b * self.b else sb
+        return sp if p * p > self.m * q * q else sq
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return self.p != 0 or self.q != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.m == o.m
+        return (self.p, self.q, self.d, self.m) == o
 
     def __hash__(self):
         # equal values hash alike: a rational scalar equals its Fraction
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
+        if not self.q:
+            return hash(self.p) if self.d == 1 else hash(self.a)
+        return hash((self.p, self.q, self.d, self.m))
 
     # -- views ----------------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        """The rational part ``p/d``."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient ``q/d`` of ``sqrt(m)``."""
+        return Fraction(self.q, self.d)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.q:
             raise ValueError(f"{self} is irrational")
         return self.a
 
     def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
+        if self.q:
+            raise ValueError(f"{self} is irrational")
+        if self.d != 1:
             raise ValueError(f"{self} is not an integer")
-        return f.numerator
+        return self.p
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * self.m ** 0.5
@@ -243,9 +254,9 @@ class QuadScalar:
     # -- serialization ----------------------------------------------------
 
     def __str__(self):
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
-        if self.b < 0:
+        if self.q < 0:
             return f"{self.a} - {-self.b}*sqrt({self.m})"
         return f"{self.a} + {self.b}*sqrt({self.m})"
 
@@ -254,8 +265,35 @@ class QuadScalar:
 
 
 _new = object.__new__
-_canon = QuadScalar._canon
-_ZERO = Fraction(0)
+_ints = QuadScalar._ints
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational constructor argument."""
+    if isinstance(x, int):
+        return int(x), 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _parts(x) -> "tuple[int, int, int, int] | None":
+    """(p, q, d, m) of a QuadScalar, int or Fraction operand; None for any
+    other type."""
+    if isinstance(x, QuadScalar):
+        return x.p, x.q, x.d, x.m
+    if isinstance(x, int):
+        return x, 0, 1, 0
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 0
+    return None
+
+
+def _join(m1: int, m2: int) -> int:
+    """The radicand of a result over the fields of both operands."""
+    if m1 and m2 and m1 != m2:
+        raise FieldMismatch(f"sqrt({m1}) vs sqrt({m2})")
+    return m1 or m2
 
 
 _TERM = re.compile(
@@ -265,7 +303,11 @@ _TERM = re.compile(
 
 
 def parse_quad(text: str) -> QuadScalar:
-    """Parse the ``"a + b*sqrt(m)"`` serialization (also plain ``"a"``)."""
+    """Parse the ``"a + b*sqrt(m)"`` serialization (also plain ``"a"``).
+
+    A term is a coefficient, a root or both (``"3 sqrt(5)"``, ``"3*sqrt(5)"``);
+    every term after the first needs its ``+`` or ``-``, so ``"1 2"`` is an
+    error and not 3."""
     s = text.strip()
     if not s:
         raise ValueError("empty scalar")
@@ -275,7 +317,9 @@ def parse_quad(text: str) -> QuadScalar:
         match = _TERM.match(s, pos)
         if not match or match.end() == pos:
             raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
-        if match.group("coef") is None and match.group("root") is None:
+        if (match.group("coef") is None and match.group("root") is None) or (
+            pos and not match.group("sign")
+        ):
             raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
         sign = -1 if match.group("sign") == "-" else 1
         coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)

@@ -23,7 +23,9 @@ reached through their integer images, by `Sublattice.gram` and
 `orth_complement`.
 QuadScalar is the scalar type at the boundary: the constructor parses
 QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
-as QuadScalars; both build them from canonical parts (`QuadScalar._canon`).
+as QuadScalars.  A QuadScalar keeps the same kind of integer parts, (p + q
+sqrt(m)) / d, so all three read or build those integers directly: `pair`
+and `coords` wrap them by `QuadScalar._ints`, and no Fraction is built.
 
 A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
 standard lattices), and every integer image G x -- the Gram matrix of a
@@ -41,13 +43,12 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import FieldMismatch, QuadComplex, QuadScalar
+from .exact import FieldMismatch, QuadComplex, QuadScalar, _join
 from .intmat import kernel_basis
 
 Scalar = Union[int, Fraction, QuadScalar]
 
-_canon = QuadScalar._canon
-_ZERO = Fraction(0)
+_ints = QuadScalar._ints
 
 
 class DimensionMismatch(ValueError):
@@ -80,9 +81,10 @@ class LatticeVector:
                 if m:
                     raise FieldMismatch(f"sqrt({m}) vs sqrt({c.m})")
                 m = c.m
-            den = lcm(den, c.a.denominator, c.b.denominator)
-        self.A = [c.a.numerator * (den // c.a.denominator) for c in qs]
-        self.B = [c.b.numerator * (den // c.b.denominator) for c in qs] if m else None
+            den = lcm(den, c.d)
+        # gcd(p, q, d) = 1 in each coordinate, so gcd(den, A, B) = 1
+        self.A = [c.p * (den // c.d) for c in qs]
+        self.B = [c.q * (den // c.d) for c in qs] if m else None
         self.den = den
         self.m = m
         self._coords = qs
@@ -128,10 +130,7 @@ class LatticeVector:
         if out is None:
             den, m = self.den, self.m
             B = self.B or [0] * len(self.A)
-            out = tuple(
-                _canon(Fraction(a, den), Fraction(b, den) if b else _ZERO, m if b else 0)
-                for a, b in zip(self.A, B)
-            )
+            out = tuple(_ints(a, b, den, m) for a, b in zip(self.A, B))
             self._coords = out
         return out
 
@@ -168,13 +167,11 @@ class LatticeVector:
 
     def __mul__(self, s):
         if isinstance(s, QuadScalar):
-            if not s.b:
-                s = s.a
+            x, y, sd = s.p, s.q, s.d
+            if not y:
+                n, d = x, sd
             else:
                 m = _join(self.m, s.m)
-                sd = lcm(s.a.denominator, s.b.denominator)
-                x = s.a.numerator * (sd // s.a.denominator)
-                y = s.b.numerator * (sd // s.b.denominator)
                 A, B = self.A, self.B
                 if B is None:
                     newA, newB = [x * a for a in A], [y * a for a in A]
@@ -183,7 +180,7 @@ class LatticeVector:
                     newA = [x * a + my * b for a, b in zip(A, B)]
                     newB = [y * a + x * b for a, b in zip(A, B)]
                 return LatticeVector._reduced(newA, newB, self.den * sd, m)
-        if isinstance(s, int):
+        elif isinstance(s, int):
             n, d = s, 1
         elif isinstance(s, Fraction):
             n, d = s.numerator, s.denominator
@@ -224,13 +221,6 @@ class LatticeVector:
 
     def __repr__(self):
         return f"LatticeVector({[str(c) for c in self.coords]})"
-
-
-def _join(m1: int, m2: int) -> int:
-    """The radicand of a result over the fields of both operands."""
-    if m1 and m2 and m1 != m2:
-        raise FieldMismatch(f"sqrt({m1}) vs sqrt({m2})")
-    return m1 or m2
 
 
 def _lin(x: Optional[list[int]], s: int, y: Optional[list[int]], t: int) -> Optional[list[int]]:
@@ -371,10 +361,9 @@ def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
     paired many times (the B and omega of a stability point, the fibration
     classes, omega_J): in a `verify 6.4` about 150 of about 187 pairings
     find a kept image and cost one dot product per numerator list.  Vectors
-    over different quadratic fields raise FieldMismatch.  The two sums are
-    already the canonical parts of the result over den, with m = 0 when the
-    radical sum is 0, so the QuadScalar is wrapped by `QuadScalar._canon`
-    without a second coercion.
+    over different quadratic fields raise FieldMismatch.  The two sums over
+    den are the integer parts of the result, wrapped by `QuadScalar._ints`
+    with one gcd and no Fraction.
     """
     if len(x.A) != GAMMA.rank or len(y.A) != GAMMA.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
@@ -394,10 +383,7 @@ def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
             rational += m * sum(map(mul, x.B, gb))
     if gb is not None:
         radical += sum(map(mul, x.A, gb))
-    den = x.den * y.den
-    if not radical:
-        return _canon(Fraction(rational, den), _ZERO, 0)
-    return _canon(Fraction(rational, den), Fraction(radical, den), m)
+    return _ints(rational, radical, x.den * y.den, m)
 
 
 def pair(x, y):

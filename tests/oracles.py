@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from k3stab.attractor import DegenerateCharge
-from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
+from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
 from k3stab.intmat import gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
@@ -39,6 +39,131 @@ def squarefree_split_brute(n: int) -> tuple[int, int]:
         return 0, 1
     s = max(d for d in range(1, isqrt(n) + 1) if n % (d * d) == 0)
     return s, n // (s * s)
+
+
+class FractionQuadScalar:
+    """``a + b*sqrt(m)`` with ``a`` and ``b`` held as Fractions; the
+    reference for `exact.QuadScalar`, which holds integers over one
+    denominator.  Canonical form: reduced Fractions, ``m`` square-free, and
+    ``b == 0`` forces ``m == 0``."""
+
+    __slots__ = ("a", "b", "m")
+
+    def __init__(self, a=0, b=0, m=0):
+        a, b, m = Fraction(a), Fraction(b), int(m)
+        if m < 0:
+            raise ValueError("radicand must be nonnegative")
+        if b:
+            s, m = squarefree_split(m)
+            b *= s
+            if m == 1:
+                a, b = a + b, Fraction(0)
+        self.a, self.b, self.m = a, b, (m if b else 0)
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, FractionQuadScalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionQuadScalar(x)
+        return None
+
+    def _join(self, other):
+        if self.m and other.m and self.m != other.m:
+            raise FieldMismatch(f"sqrt({self.m}) vs sqrt({other.m})")
+        return self.m or other.m
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQuadScalar(self.a + o.a, self.b + o.b, self._join(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQuadScalar(self.a - o.a, self.b - o.b, self._join(o))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        m = self._join(o)
+        return FractionQuadScalar(
+            self.a * o.a + m * self.b * o.b, self.a * o.b + self.b * o.a, m
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __neg__(self):
+        return FractionQuadScalar(-self.a, -self.b, self.m)
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        n = self.norm()
+        return FractionQuadScalar(self.a / n, -self.b / n, self.m)
+
+    def conj(self):
+        return FractionQuadScalar(self.a, -self.b, self.m)
+
+    def norm(self):
+        return self.a * self.a - self.m * self.b * self.b
+
+    def sign(self):
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa == sb:
+            return sa or sb
+        if sa == 0:
+            return sb
+        return sa if self.a * self.a > self.m * self.b * self.b else sb
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.a, self.b, self.m) == (o.a, o.b, o.m)
+
+    def __hash__(self):
+        return hash(self.a) if not self.b else hash((self.a, self.b, self.m))
+
+    @property
+    def is_rational(self):
+        return self.b == 0
+
+    def as_fraction(self):
+        if not self.is_rational:
+            raise ValueError(f"{self} is irrational")
+        return self.a
+
+    def as_int(self):
+        f = self.as_fraction()
+        if f.denominator != 1:
+            raise ValueError(f"{self} is not an integer")
+        return f.numerator
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * self.m ** 0.5
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        if self.b < 0:
+            return f"{self.a} - {-self.b}*sqrt({self.m})"
+        return f"{self.a} + {self.b}*sqrt({self.m})"
 
 
 class QuadVector:

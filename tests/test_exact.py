@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from math import gcd
 
 from k3stab.exact import (
     FieldMismatch,
@@ -12,7 +15,8 @@ from k3stab.exact import (
     parse_quad,
     squarefree_split,
 )
-from oracles import squarefree_split_brute
+from k3stab.lattice import LatticeVector, pair
+from oracles import FractionQuadScalar, squarefree_split_brute
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -155,6 +159,19 @@ def test_parse_examples():
         parse_quad("1 + bogus")
 
 
+@pytest.mark.parametrize("text", ["1 2", "1/2 1/2", "sqrt(2) sqrt(2)", "sqrt(2) 3", "1 + 2 3"])
+def test_parse_rejects_a_term_without_its_sign(text):
+    # each once parsed as the sum of its terms: 3, 1, 2*sqrt(2), ...
+    with pytest.raises(ValueError, match="cannot parse scalar"):
+        parse_quad(text)
+
+
+def test_parse_keeps_a_coefficient_with_its_root():
+    assert parse_quad("3 sqrt(5)") == parse_quad("3*sqrt(5)") == QuadScalar(0, 3, 5)
+    assert parse_quad("1 - 3 sqrt(5)") == QuadScalar(1, -3, 5)
+    assert parse_quad(" 7 ") == QuadScalar(7)
+
+
 def test_complex_arithmetic():
     z = QuadComplex(QuadScalar(1), QuadScalar(0, 1, 2))
     w = QuadComplex(QuadScalar(0, 1, 2), QuadScalar(-1))
@@ -214,11 +231,23 @@ def test_mixed_hash_examples():
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic builds its results with `QuadScalar._canon`, which trusts its
-# parts: they must be what the public constructor makes of the same parts.
+# Arithmetic builds its results with `QuadScalar._ints`, which trusts its
+# radicand: they must be what the public constructor makes of the same parts.
+
+
+def _assert_invariant(x):
+    """The canonical form (p + q sqrt(m)) / d: integers, d > 0,
+    gcd(p, q, d) = 1, m square-free, and m = 0 exactly when q = 0."""
+    assert {type(x.p), type(x.q), type(x.d), type(x.m)} == {int}, x
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1, x
+    if x.q:
+        assert x.m > 1 and squarefree_split(x.m) == (1, x.m), x
+    else:
+        assert x.m == 0, x
 
 
 def _assert_canonical(value, reference):
+    _assert_invariant(value)
     assert (type(value.a), type(value.b)) == (Fraction, Fraction)
     assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
     assert value == reference and hash(value) == hash(reference)
@@ -258,3 +287,126 @@ def test_arithmetic_results_match_the_public_constructor(data):
         _assert_canonical(value, QuadScalar(value.a, value.b, 0))
         assert value.m == 0 and value.is_rational
 
+
+
+# ---------------------------------------------------------------------------
+# `QuadScalar` against the Fraction-pair oracle `FractionQuadScalar`.
+
+# (name, operation on (x, y, r)): x and y are scalars of one implementation,
+# r is an int or a Fraction
+_OPERATIONS = [
+    ("add", lambda x, y, r: x + y),
+    ("sub", lambda x, y, r: x - y),
+    ("mul", lambda x, y, r: x * y),
+    ("div", lambda x, y, r: x / y),
+    ("add-rational", lambda x, y, r: x + r),
+    ("sub-rational", lambda x, y, r: x - r),
+    ("mul-rational", lambda x, y, r: x * r),
+    ("div-rational", lambda x, y, r: x / r),
+    ("radd", lambda x, y, r: r + x),
+    ("rmul", lambda x, y, r: r * x),
+    ("inverse", lambda x, y, r: x.inverse()),
+    ("neg", lambda x, y, r: -x),
+    ("conj", lambda x, y, r: x.conj()),
+    ("norm", lambda x, y, r: x.norm()),
+    ("sign", lambda x, y, r: x.sign()),
+    ("eq", lambda x, y, r: x == y),
+    ("eq-rational", lambda x, y, r: x == r),
+    ("req-rational", lambda x, y, r: r == x),
+    ("hash-if-rational", lambda x, y, r: hash(x) if x.is_rational else None),
+    ("bool", lambda x, y, r: bool(x)),
+    ("str", lambda x, y, r: str(x)),
+    ("float", lambda x, y, r: float(x)),
+    ("is_rational", lambda x, y, r: x.is_rational),
+    ("as_fraction", lambda x, y, r: x.as_fraction()),
+    ("as_int", lambda x, y, r: x.as_int()),
+]
+
+
+def _outcome(operation, x, y, r):
+    """What an operation gives, comparable across the two implementations:
+    a scalar as (a, b, m, str), any other value with its type, and an error
+    as its type and message."""
+    try:
+        value = operation(x, y, r)
+    except (ValueError, ZeroDivisionError) as exc:  # FieldMismatch included
+        return type(exc), str(exc)
+    if isinstance(value, QuadScalar):
+        _assert_invariant(value)
+    if isinstance(value, (QuadScalar, FractionQuadScalar)):
+        return "scalar", value.a, value.b, value.m, str(value)
+    return type(value), value
+
+
+_PARTS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]), rationals)
+# non-square-free radicands exercise the constructor's split: 8 and 18 are
+# Q(sqrt 2), 12 is Q(sqrt 3)
+_RADICANDS = st.sampled_from([0, 2, 3, 5, 8, 12, 18])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_quad_scalar_agrees_with_the_fraction_oracle(data):
+    (ax, bx, ay, by) = (data.draw(_PARTS) for _ in range(4))
+    mx = data.draw(_RADICANDS)
+    my = data.draw(st.one_of(st.just(mx), _RADICANDS))
+    r = data.draw(st.one_of(st.integers(-5, 5), rationals))
+    x, y = QuadScalar(ax, bx, mx), QuadScalar(ay, by, my)
+    ox, oy = FractionQuadScalar(ax, bx, mx), FractionQuadScalar(ay, by, my)
+    _assert_invariant(x)
+    _assert_invariant(y)
+    for name, operation in _OPERATIONS:
+        got, expected = _outcome(operation, x, y, r), _outcome(operation, ox, oy, r)
+        assert got == expected, (name, x, y, r)
+
+
+@pytest.mark.parametrize("kind", [QuadScalar, FractionQuadScalar])
+@pytest.mark.parametrize("operation", [add, sub, mul, truediv])
+def test_mixed_radicands_raise_in_both_implementations(kind, operation):
+    x, y = kind(1, 1, 12), kind(0, 1, 8)  # 1 + 2 sqrt(3) and 2 sqrt(2)
+    with pytest.raises(FieldMismatch, match=r"sqrt\(3\) vs sqrt\(2\)"):
+        operation(x, y)
+
+
+def test_numerators_of_4000_digits_render_as_the_oracle_renders():
+    a = Fraction(7**4700 + 1, 11**3800)
+    b = Fraction(-(3**8300), 13**3500)
+    x, ox = QuadScalar(a, b, 20), FractionQuadScalar(a, b, 20)
+    # a and b have numerators of about 4000 digits; p, over the common
+    # denominator, has about 7900, past the int-to-str limit that rendering
+    # through the reduced parts never meets
+    assert 3900 < len(str(a.numerator)) < 4300 and x.p.bit_length() > 25000
+    results = (
+        (x, ox),
+        (-x, -ox),
+        (x + 3, ox + 3),
+        (x - x.conj(), ox - ox.conj()),
+        (x * Fraction(2, 11), ox * Fraction(2, 11)),
+    )
+    for value, expected in results:
+        _assert_invariant(value)
+        assert str(value) == str(expected)
+
+
+def test_pairing_and_scalar_arithmetic_build_no_fraction(monkeypatch):
+    """Pairing two irrational vectors, rendering their coordinates, and the
+    arithmetic of two irrational scalars construct no Fraction."""
+    x = LatticeVector([QuadScalar(Fraction(1, 3), Fraction(2, 5), 7)] * 3 + [Fraction(3, 4)] + [0] * 18)
+    y = LatticeVector([QuadScalar(Fraction(-5, 6), Fraction(1, 9), 7)] * 2 + [0] * 20)
+    s, t = QuadScalar(Fraction(3, 7), Fraction(-2, 9), 7), QuadScalar(Fraction(5, 4), Fraction(1, 6), 7)
+    half = Fraction(1, 2)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    values = [pair(x, y), pair(y, x), s * t, s + t, s - t, s * 3, s * half, s + half]
+    values += [s.inverse(), -s, s.conj(), s / t]
+    values += list((x * s).coords) + list((y * half).coords)
+    signs = [v.sign() for v in values]
+    monkeypatch.undo()
+    assert made == []
+    assert any(not v.is_rational for v in values) and signs

@@ -358,6 +358,21 @@ def assert_json_error(code, out, kind, says=""):
     assert "pass" not in report
 
 
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        (["verify", "6.3"], {"search": {"c_eta": "1 10"}}),
+        (["charge"], {"omega_J": ["2 1", 1] + [0] * 20}),
+    ],
+    ids=["c_eta", "omega_J"],
+)
+def test_cli_rejects_a_scalar_term_without_its_sign(tmp_path, capsys, command, fields):
+    # each once read the terms as a sum: c_eta = 11 certified as "11" does,
+    # and omega_J was echoed with the entry 3
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], **fields})
+    assert_json_error(*run_cli(capsys, [*command, "--scenario", path]), "scenario", "cannot parse scalar")
+
+
 # `bound` is no longer a scenario field: any value is an unknown field
 def test_cli_rejects_negative_bound(tmp_path, capsys):
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "bound": -1})
