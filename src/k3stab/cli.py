@@ -89,8 +89,10 @@ def _render(obj) -> str:
       indentation.  `memo`, keyed by (id, indentation), keeps where the
       first rendering lies in the output; the first repeat joins it into one
       string, which every later reference at that indentation appends.  The
-      ids are stable because the report holds every object until the call
-      ends.
+      dict loop looks each value up before it recurses, so a repeat costs
+      no call; a list item is rendered anew (no list of a report repeats a
+      dict).  The ids are stable because the report holds every object
+      until the call ends.
     * A report repeats dict shapes: the 190 rows of a wall table have one
       key tuple.  `plans`, keyed by (key tuple, indentation), holds one plan
       per shape: the sorted keys, each with its head, the opener, the
@@ -124,13 +126,6 @@ def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
         if not obj:
             parts.append("{}")
             return
-        ref = (id(obj), newline)
-        done = memo.get(ref)
-        if done is not None:
-            if type(done) is tuple:  # the first repeat: join the first rendering
-                done = memo[ref] = "".join(parts[done[0] : done[1]])
-            parts.append(done)
-            return
         shape = (tuple(obj), newline)
         plan = plans.get(shape)
         if plan is None:
@@ -147,11 +142,18 @@ def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
             elif kind is bool:
                 parts.append(head + ("true" if value else "false"))
             else:
-                parts.append(head)
-                _write(value, parts, inner, memo, plans)
+                ref = (id(value), inner)
+                done = memo.get(ref)
+                if done is None:
+                    parts.append(head)
+                    _write(value, parts, inner, memo, plans)
+                else:  # a shared dict: its rendering at this indentation
+                    if type(done) is tuple:  # the first repeat joins it
+                        done = memo[ref] = "".join(parts[done[0] : done[1]])
+                    parts.append(head + done)
         parts.append(newline)
         parts.append("}")
-        memo[ref] = (start, len(parts))
+        memo[(id(obj), newline)] = (start, len(parts))
     elif isinstance(obj, list):
         if not obj:
             parts.append("[]")

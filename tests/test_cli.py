@@ -86,6 +86,32 @@ def test_render_shared_dicts(value):
     assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_render_looks_up_a_shared_dict_before_writing_it(monkeypatch):
+    """One dict named five times as a dict value, at two indentations:
+    `_write` sees it once per indentation, and every repeat appends the
+    memoized rendering."""
+    import k3stab.cli as cli
+
+    shared = {"re": "1/2", "im": {"exact": "0", "float": "0"}, "n": [1, True]}
+    value = [
+        {"Z": shared},
+        {"Z": shared},
+        [{"deep": {"Z": shared}}, {"deep": {"W": shared}}],
+        {"W": shared},
+    ]
+    seen = collections.Counter()
+    write = cli._write
+
+    def counted(obj, parts, newline, memo, plans):
+        if obj is shared:
+            seen[newline] += 1
+        write(obj, parts, newline, memo, plans)
+
+    monkeypatch.setattr(cli, "_write", counted)
+    assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert sorted(seen.values()) == [1, 1] and len(seen) == 2
+
+
 _ROW = {"i": 0, "j": 1, "member": True, "Z": _CHARGE}
 
 
