@@ -4,8 +4,6 @@ from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .lattice import (
     GAMMA,
     MUKAI,
-    MUKAI_W,
-    MUKAI_WSTAR,
     ComplexVector,
     GramLattice,
     LatticeVector,

@@ -5,6 +5,17 @@ attractor equation fixes the torus modulus tau = (p.q + i*sqrt(D)) / p^2 and
 the K3 period Omega = q - conj(tau) p.  Everything here is exact: sqrt(D) lives in
 Q(sqrt(m)) for the square-free part m of D.
 
+The attractor decomposition p dx + q dy = lambda (dx + tau dy) ^ Omega + c.c.
+has the closed-form witness lambda = -i / (2 Im tau).  Equating the dx and dy
+components asks for p = 2 Re(lambda Omega) and q = 2 Re(lambda tau Omega).
+With Omega = q - conj(tau) p the first is
+(lambda + conj(lambda)) q - (lambda conj(tau) + conj(lambda) tau) p = p,
+so lambda = i t is imaginary and 2 t Im tau = -1; the second then reads
+2 Re(lambda tau) q = (Im tau / Im tau) q = q.  The witness is unique: Omega
+and conj(Omega) are linearly independent (Omega^2 = 0 while
+Omega.conj(Omega) > 0), so the coefficients of p in the basis (Omega,
+conj(Omega)) are fixed.
+
 The hyperkaehler rotation bookkeeping follows the standard triple (I, J, K):
 the given complex structure is J, rotation to I turns holomorphic cycles into
 special Lagrangians, and it relabels the attractor period Omega:
@@ -79,35 +90,21 @@ def solve_attractor(charge: Charge) -> tuple[QuadComplex, ComplexVector]:
 
 
 def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> QuadComplex:
-    """Solve the decomposition p dx + q dy = lambda * (dx + tau dy) ^ Omega + c.c.
+    """Check p dx + q dy = lambda * (dx + tau dy) ^ Omega + c.c. with the
+    witness lambda = -i / (2 Im tau) (module docstring) and return lambda.
 
-    Equating dx and dy components gives an overdetermined linear system for
-    lambda; the unique solution is returned when the system is consistent and
-    Omega is a genuine period (Omega^2 = 0, Omega.conj(Omega) > 0).  Any
-    perturbation of the attractor solution makes some equation fail.
+    Im tau must be positive and Omega a genuine period (Omega^2 = 0,
+    Omega.conj(Omega) > 0); then the dx and dy components must give p and q.
+    Any perturbation of the attractor solution makes some test fail.
     """
-    disc = charge.disc
-    if disc == 0:
-        raise NotAttractor("p and q are not independent")
+    if tau.im.sign() <= 0:
+        raise NotAttractor("Im tau is not positive")
     if pair(omega, omega):
         raise NotAttractor("Omega^2 is nonzero: not a period vector")
     norm = pair(omega, omega.conj())
     if norm.im or norm.re.sign() <= 0:
         raise NotAttractor("Omega . conj(Omega) is not positive")
-    # coefficients of Omega in the (p, q) plane
-    op = pair(omega, ComplexVector(charge.p))
-    oq = pair(omega, ComplexVector(charge.q))
-    d = Fraction(1, disc)
-    coeff_p = (op * charge.q2 - oq * charge.pq) * d
-    coeff_q = (oq * charge.p2 - op * charge.pq) * d
-    # dx components: lambda*A + mu*conj(A) = 1 (p part), lambda*B + mu*conj(B) = 0 (q part)
-    det = coeff_p * coeff_q.conj() - coeff_p.conj() * coeff_q
-    if not det:
-        raise NotAttractor("decomposition system is singular")
-    lam = coeff_q.conj() / det
-    mu = -coeff_q / det
-    if mu != lam.conj():
-        raise NotAttractor("decomposition requires a non-conjugate pair")
+    lam = QuadComplex(0, tau.im.inverse() * Fraction(-1, 2))
     lam_bar = lam.conj()
     dx = omega.scale(lam) + omega.conj().scale(lam_bar)
     if dx != ComplexVector(charge.p):

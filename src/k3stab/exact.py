@@ -186,10 +186,6 @@ class QuadScalar:
         """Galois conjugate ``a - b*sqrt(m)``."""
         return _ints(self.p, -self.q, self.d, self.m)
 
-    def norm(self) -> Fraction:
-        """Field norm ``a*a - m*b*b`` (rational)."""
-        return Fraction(self.p * self.p - self.m * self.q * self.q, self.d * self.d)
-
     # -- exact decisions ------------------------------------------------
 
     def sign(self) -> int:

@@ -440,10 +440,6 @@ class MukaiVector:
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r - other.r, self.D - other.D, self.s - other.s)
 
-    def to_ambient(self) -> LatticeVector:
-        """Coordinates in the rank-24 Mukai lattice (D followed by r, s)."""
-        return LatticeVector.from_ints(self.D.A + [self.r, self.s])
-
     def __str__(self):
         return f"({self.r}, {self.D}, {self.s})"
 
@@ -498,9 +494,6 @@ def standard_mukai_lattice() -> GramLattice:
 
 GAMMA = standard_k3_lattice()
 MUKAI = standard_mukai_lattice()
-
-MUKAI_W = MukaiVector(0, LatticeVector.zero(GAMMA.rank), -1)
-MUKAI_WSTAR = MukaiVector(1, LatticeVector.zero(GAMMA.rank), 0)
 
 
 def embed_gamma(x: LatticeVector) -> LatticeVector:

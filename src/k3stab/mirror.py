@@ -25,7 +25,7 @@ Scenario assembly proves them for the data (Omega_I, Im(Omega), B) at
 omega_J, where only B.v = 0 needs a test: Im(Omega_I) = Re(Omega) and
 Im(Omega) lie in span(p, q), which is orthogonal to v = f;
 Im(Omega)^2 = D / p^2 > 0; and Re(Omega_I).v = omega_J.f is nonzero since
-omega_J^2 > 0 (the light-cone argument of `stability._cone_violation`).
+omega_J^2 > 0 (the light-cone argument of `stability.search_kahler_class`).
 They hold alike at the Kaehler search's candidate, and for the mirror data
 that the involution check maps a second time, whose Re(Omega).v is
 1 / (omega.f).

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional
 
 from .attractor import (
     Charge,
@@ -69,7 +69,6 @@ from .stability import (
     SearchResult,
     StabilityPoint,
     WallReport,
-    _fiber_violation,
     central_charge,
     ns_of_mirror,
     search_kahler_class,
@@ -156,7 +155,7 @@ class Scenario:
     omega_J: LatticeVector
     B: LatticeVector
     # the search step c_eta eta; eta None is the dual eta of the search
-    c_eta: Union[Fraction, QuadScalar]
+    c_eta: QuadScalar
     eta: Optional[LatticeVector]
     form: Optional[BinaryEvenForm] = None
     # eager stages, filled at construction
@@ -182,10 +181,10 @@ class Scenario:
         if pair(self.B, self.split.v):
             raise PreconditionViolation("omega and B must lie in Gamma'_R + R*v")
         # omega_J^2 > 0 is checked above, so of the search's cone test at
-        # omega0 = omega_J only omega_J.f > 0 is left
-        reason = _fiber_violation(self.omega_J, self.split.f, "omega_J")
-        if reason is not None:
-            raise PreconditionViolation(reason)
+        # omega0 = omega_J only omega_J.f > 0 is left: f is nef, so a Kaehler
+        # class pairs positively with it
+        if pair(self.omega_J, self.split.f).sign() <= 0:
+            raise PreconditionViolation("omega_J does not pair positively with the fiber class")
         if self.eta is not None and not self._orthogonal_to_charge(self.eta):
             raise PreconditionViolation("search.eta must pair to zero with p and q")
         # the definite plane (p, q) and the hyperbolic plane (f, sigma0) are
@@ -221,7 +220,7 @@ class Scenario:
         every given scalar; two different radicands are a scenario error."""
         scalars = (self.tau.im, self.c_eta)
         vectors = (self.omega_J, self.B, self.eta)
-        radicands = {x.m for x in scalars if isinstance(x, QuadScalar)}
+        radicands = {x.m for x in scalars}
         radicands |= {v.m for v in vectors if v is not None}
         radicands.discard(0)
         if len(radicands) > 1:
@@ -288,7 +287,7 @@ def build_scenario(
     unknown = set(search) - {"c_eta", "eta"}
     if unknown:
         raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
-    c_eta = _scalar(search["c_eta"]) if "c_eta" in search else Fraction(1, 10)
+    c_eta = _scalar(search["c_eta"]) if "c_eta" in search else QuadScalar(Fraction(1, 10))
     eta = None
     if search.get("eta") is not None:
         if not c_eta:

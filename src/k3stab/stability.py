@@ -6,7 +6,10 @@ omega with omega^2 > 0 the stability point is the complex triple
 
     Psi = exp(B + i omega) = (1, B + i omega, 1/2 (B + i omega)^2)
 
-and the central charge of v is Z(v) = (Psi, v).  Two nonzero charges lie on a
+and the central charge of v is Z(v) = (Psi, v).  For an integral v that is
+one formula of two real pairings, (B.D - s - r Re s_Psi) +
+i (omega.D - r Im s_Psi) with s_Psi = 1/2 (B + i omega)^2 kept on the point
+(`central_charge`).  Two nonzero charges lie on a
 common generalized wall at Psi when Z(v1)/Z(v2) is a positive real number; a
 zero charge has no phase and fails every wall test.
 
@@ -52,10 +55,6 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
-class ExpansionMismatch(RuntimeError):
-    """The two central-charge formulas disagreed: an internal bug."""
-
-
 class RealityViolation(ValueError):
     """A mirror central charge has a nonzero imaginary part."""
 
@@ -95,36 +94,25 @@ class StabilityPoint:
     omega: LatticeVector
 
     @property
-    def d_part(self) -> ComplexVector:
-        return ComplexVector(self.B, self.omega)
-
-    @property
     def s_part(self) -> QuadComplex:
         """1/2 (B + i omega)^2, computed on first use and kept on the instance."""
         cached = self.__dict__.get("_s_part")
         if cached is None:
-            x_sq = pair(self.d_part, self.d_part)
-            cached = x_sq * Fraction(1, 2)
+            x = ComplexVector(self.B, self.omega)
+            cached = pair(x, x) * Fraction(1, 2)
             object.__setattr__(self, "_s_part", cached)
         return cached
 
-    def triple(self) -> tuple[QuadComplex, ComplexVector, QuadComplex]:
-        return QuadComplex(1), self.d_part, self.s_part
+
+def mukai_pair(x: MukaiVector, y: MukaiVector) -> QuadScalar:
+    """The Mukai pairing of two integral vectors (module docstring)."""
+    return pair(x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
 
 
-def _as_triple(x):
-    if isinstance(x, MukaiVector):
-        return QuadComplex(x.r), ComplexVector(x.D), QuadComplex(x.s)
-    if isinstance(x, StabilityPoint):
-        return x.triple()
-    if isinstance(x, tuple) and len(x) == 3:
-        return x
-    raise TypeError(f"not a Mukai triple: {x!r}")
-
-
-def _charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
-    """(Psi, v) for an integral v = (r, D, s) by two real pairings:
-    (B.D - s - r Re s_Psi) + i (omega.D - r Im s_Psi), s_Psi = psi.s_part."""
+def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
+    """Z(v) = (Psi, v) for an integral v = (r, D, s): the Mukai pairing of
+    Psi = (1, B + i omega, s_Psi) with v is (B + i omega).D - s - r s_Psi,
+    two real pairings with s_Psi = psi.s_part kept on the point."""
     s_psi = psi.s_part
     re = pair(psi.B, v.D) - v.s
     im = pair(psi.omega, v.D)
@@ -132,41 +120,6 @@ def _charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
         re = re - s_psi.re * v.r
         im = im - s_psi.im * v.r
     return QuadComplex(re, im)
-
-
-def mukai_pair(x, y):
-    """The Mukai pairing, extended bilinearly to complex triples.
-
-    Returns a QuadScalar for two integral vectors, a QuadComplex otherwise.
-    """
-    if isinstance(x, MukaiVector) and isinstance(y, MukaiVector):
-        return pair(x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
-    r1, d1, s1 = _as_triple(x)
-    r2, d2, s2 = _as_triple(y)
-    return pair(d1, d2) - r1 * s2 - r2 * s1
-
-
-def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
-    """Z(v) = (exp(B + i omega), v) by two real pairings, cross-checked
-    against the expanded forms."""
-    value = _charge(psi, v)
-    B, omega = psi.B, psi.omega
-    d_min_rb = v.D - v.r * B
-    im = pair(d_min_rb, omega)
-    if v.r == 0:
-        re = pair(v.D, B) - QuadScalar(v.s)
-    else:
-        d2 = pair(v.D, v.D)
-        w2 = pair(omega, omega)
-        re = (
-            d2
-            - QuadScalar(2 * v.r * v.s)
-            + QuadScalar(v.r * v.r) * w2
-            - pair(d_min_rb, d_min_rb)
-        ) * Fraction(1, 2 * v.r)
-    if value != QuadComplex(re, im):
-        raise ExpansionMismatch(f"{value} vs {QuadComplex(re, im)} for v={v}")
-    return value
 
 
 def ns_of_mirror(omega_check: ComplexVector) -> Sublattice:
@@ -238,7 +191,7 @@ def p0_violations(
     roots = []
     for r, d, s in hits[:limit]:
         delta = MukaiVector(r, LatticeVector.from_ints(d), s)
-        assert not _charge(psi, delta), f"false positive {delta}: pairs with Psi"
+        assert not central_charge(psi, delta), f"false positive {delta}: pairs with Psi"
         assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
         roots.append(delta)
@@ -381,64 +334,57 @@ def _dual_eta(basis: Sequence[LatticeVector]) -> LatticeVector:
     return sub.from_coefficients(x)
 
 
-def _fiber_violation(omega, f, what):
-    """The reason omega.f > 0 fails, or None: f is nef, so a Kaehler class
-    pairs positively with it."""
-    if pair(omega, f).sign() <= 0:
-        return f"{what} does not pair positively with the fiber class"
-    return None
-
-
-def _cone_violation(omega, f, what):
-    """Which of omega^2 > 0, omega.f > 0 fails first, or None.
-
-    Both put omega in the cone of the base omega0, with no test of
-    omega.omega0: omega and omega0 lie in (p, q)^perp, of signature (1,19),
-    both have positive square, and both pair positively with the nonzero
-    isotropic f.  The vectors of positive square form two cones, told apart
-    by the sign of their pairing with f (which is never 0, since the
-    complement of a vector of positive square is negative definite and holds
-    no nonzero isotropic vector).  So omega and omega0 lie in one cone, and
-    by the light-cone lemma omega.omega0 >= sqrt(omega^2 omega0^2) > 0.
-    """
-    if pair(omega, omega).sign() <= 0:
-        return f"{what} has nonpositive square"
-    return _fiber_violation(omega, f, what)
-
-
 def search_kahler_class(sc: Scenario) -> SearchResult:
     """Find omega_J making exp(mirror B + i mirror omega) a regular point.
 
     Requires B = 0, and fails fast with SearchObstructed when D = 2 p^2 (no
-    candidate can work).  Otherwise builds the one candidate omega_k = omega0 + 2^-k c_eta eta,
-    with omega0 the scenario's omega_J and eta, unless the scenario gives
-    one, the integral class dual to its eta basis (`_dual_eta`); k is the
-    least index where omega_k is inside the open cone omega^2 > 0,
-    omega.f > 0 of omega0 (`_cone_violation`); with c_eta = 0 the candidate
-    is omega0 itself.  Assembly puts omega0 strictly inside
-    that cone and eta orthogonal to the charge, so halving the step towards
-    omega0 ends with no cap.  The candidate must give all twenty mirror
-    charges real and nonzero and annihilate no (-2)-class (the complete
-    `p0_violations`); otherwise SearchExhausted carries the k halving
-    rejections and the final reason.
+    candidate can work).  Otherwise builds the one candidate
+    omega_k = omega0 + t step, t = 2^-k, step = c_eta eta, with omega0 the
+    scenario's omega_J and eta, unless the scenario gives one, the integral
+    class dual to its eta basis (`_dual_eta`); k is the least index where
+    omega_k is inside the open cone omega^2 > 0, omega.f > 0 of omega0;
+    with c_eta = 0 the candidate is omega0 itself.  Assembly puts omega0
+    strictly inside that cone and eta orthogonal to the charge, so halving
+    the step towards omega0 ends with no cap.  The candidate must give all
+    twenty mirror charges real and nonzero and annihilate no (-2)-class (the
+    complete `p0_violations`); otherwise SearchExhausted carries the k
+    halving rejections and the final reason.
+
+    The cone test needs no omega.omega0 test: omega and omega0 lie in
+    (p, q)^perp, of signature (1,19), both have positive square, and both
+    pair positively with the nonzero isotropic f.  The vectors of positive
+    square form two cones, told apart by the sign of their pairing with f
+    (which is never 0, since the complement of a vector of positive square
+    is negative definite and holds no nonzero isotropic vector).  So omega
+    and omega0 lie in one cone, and by the light-cone lemma
+    omega.omega0 >= sqrt(omega^2 omega0^2) > 0.  Both tests are polynomials
+    in t, omega_t^2 = a + (2 b + c t) t and omega_t.f = e + g t, whose five
+    coefficients are paired once; omega is built only at the accepted k.
     """
     if sc.B:
         raise PreconditionViolation("the Kaehler search requires B = 0")
     obstruction = fibration_obstruction(sc.charge, sc.split)
     if obstruction.obstructed:
         raise SearchObstructed(obstruction)
-    omega0 = sc.omega_J
+    omega0, f = sc.omega_J, sc.split.f
     step = LatticeVector.zero(GAMMA.rank)
     if sc.c_eta:
         eta = sc.eta if sc.eta is not None else _dual_eta(sc.eta_basis)
         step = sc.c_eta * eta
+    a, b, c = pair(omega0, omega0), pair(omega0, step), pair(step, step)
+    e, g = pair(omega0, f), pair(step, f)
     rejections: list[tuple[int, str]] = []
-    k = 0
-    omega = omega0 + step
-    while (reason := _cone_violation(omega, sc.split.f, "candidate")) is not None:
-        rejections.append((k, reason))
+    k, t = 0, Fraction(1)
+    while True:
+        if (a + (2 * b + c * t) * t).sign() <= 0:
+            rejections.append((k, "candidate has nonpositive square"))
+        elif (e + g * t).sign() <= 0:
+            rejections.append((k, "candidate does not pair positively with the fiber class"))
+        else:
+            break
         k += 1
-        omega = omega0 + Fraction(1, 2**k) * step
+        t = Fraction(1, 2**k)
+    omega = omega0 + t * step
 
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])

@@ -3,14 +3,12 @@
 from fractions import Fraction
 from math import isqrt, lcm
 
-from k3stab.attractor import DegenerateCharge
+from k3stab.attractor import DegenerateCharge, NotAttractor
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
 from k3stab.intmat import gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
-    MUKAI_W,
-    MUKAI_WSTAR,
     ComplexVector,
     DimensionMismatch,
     GramLattice,
@@ -22,7 +20,7 @@ from k3stab.lattice import (
     pair,
 )
 from k3stab.mirror import PreconditionViolation
-from k3stab.stability import mukai_pair
+from k3stab.stability import StabilityPoint
 
 
 def is_reduced(form: BinaryEvenForm) -> bool:
@@ -342,13 +340,64 @@ def fraction_enumerate_quadric(factors, w, r):
     return sorted(out)
 
 
-def triple_charge(psi, v):
-    """Z(v) = (Psi, v) with v wrapped as the complex triple (r, D + 0i, s):
-    four real pairings and two QuadComplex products; the reference for
-    `stability.central_charge`."""
-    r1, d1, s1 = psi.triple()
-    r2, d2, s2 = QuadComplex(v.r), ComplexVector(v.D), QuadComplex(v.s)
+# ---------------------------------------------------------------------------
+# Second formulas for the central charge, the Mukai pairing, the attractor
+# witness and the Kaehler search's cone test: the library keeps one formula
+# for each, and the tests compare it against these.
+
+
+# w = (0, 0, -1) and w* = (1, 0, 0) in rank-24 Mukai coordinates (D, r, s):
+# the hyperbolic pair of the (r, s) block, (w, w*) = 1
+MUKAI_W = LatticeVector.from_ints([0] * 22 + [0, -1])
+MUKAI_WSTAR = LatticeVector.from_ints([0] * 22 + [1, 0])
+
+
+def mukai_ambient(v):
+    """The rank-24 Mukai coordinates (D, r, s) of a Mukai vector."""
+    return LatticeVector.from_ints(list(v.D.int_coords()) + [v.r, v.s])
+
+
+def as_triple(x):
+    """x as a complex Mukai triple (r, D, s): an integral vector with zero
+    imaginary parts, a stability point as
+    exp(B + i omega) = (1, B + i omega, 1/2 (B + i omega)^2) with its third
+    entry computed here, not read from `s_part`, and a triple as itself."""
+    if isinstance(x, MukaiVector):
+        return QuadComplex(x.r), ComplexVector(x.D), QuadComplex(x.s)
+    if isinstance(x, StabilityPoint):
+        d = ComplexVector(x.B, x.omega)
+        return QuadComplex(1), d, pair(d, d) * Fraction(1, 2)
+    return x
+
+
+def triple_pair(x, y):
+    """The Mukai pairing D1.D2 - r1 s2 - r2 s1 extended bilinearly to complex
+    triples (`as_triple`); the reference for `stability.mukai_pair` and,
+    with a stability point, for `stability.central_charge`."""
+    r1, d1, s1 = as_triple(x)
+    r2, d2, s2 = as_triple(y)
     return pair(d1, d2) - r1 * s2 - r2 * s1
+
+
+def expanded_charge(psi, v):
+    """Z(v) from the expanded forms, with no s_Psi: Im Z = (D - r B).omega,
+    Re Z = B.D - s for r = 0 and otherwise
+    (D^2 - 2 r s + r^2 omega^2 - (D - r B)^2) / 2r."""
+    B, omega = psi.B, psi.omega
+    d_min_rb = v.D - v.r * B
+    im = pair(d_min_rb, omega)
+    if v.r == 0:
+        re = pair(v.D, B) - QuadScalar(v.s)
+    else:
+        d2 = pair(v.D, v.D)
+        w2 = pair(omega, omega)
+        re = (
+            d2
+            - QuadScalar(2 * v.r * v.s)
+            + QuadScalar(v.r * v.r) * w2
+            - pair(d_min_rb, d_min_rb)
+        ) * Fraction(1, 2 * v.r)
+    return QuadComplex(re, im)
 
 
 def triple_plane_gram(psi):
@@ -358,10 +407,60 @@ def triple_plane_gram(psi):
     s = psi.s_part
     re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
     im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
-    g11 = mukai_pair(re_t, re_t).re
-    g12 = mukai_pair(re_t, im_t).re
-    g22 = mukai_pair(im_t, im_t).re
+    g11 = triple_pair(re_t, re_t).re
+    g12 = triple_pair(re_t, im_t).re
+    g22 = triple_pair(im_t, im_t).re
     return [[g11, g12], [g12, g22]]
+
+
+def solve_lambda(charge, tau, omega):
+    """lambda of p dx + q dy = lambda (dx + tau dy) ^ Omega + c.c., solved
+    from the linear system of the dx and dy components rather than read off
+    in closed form; the reference for `attractor.verify_attractor`.
+
+    Raises NotAttractor when Omega is no period or the system is
+    inconsistent."""
+    disc = charge.disc
+    if disc == 0:
+        raise NotAttractor("p and q are not independent")
+    if pair(omega, omega):
+        raise NotAttractor("Omega^2 is nonzero: not a period vector")
+    norm = pair(omega, omega.conj())
+    if norm.im or norm.re.sign() <= 0:
+        raise NotAttractor("Omega . conj(Omega) is not positive")
+    # coefficients of Omega in the (p, q) plane
+    op = pair(omega, ComplexVector(charge.p))
+    oq = pair(omega, ComplexVector(charge.q))
+    d = Fraction(1, disc)
+    coeff_p = (op * charge.q2 - oq * charge.pq) * d
+    coeff_q = (oq * charge.p2 - op * charge.pq) * d
+    # dx components: lambda*A + mu*conj(A) = 1 (p part), lambda*B + mu*conj(B) = 0 (q part)
+    det = coeff_p * coeff_q.conj() - coeff_p.conj() * coeff_q
+    if not det:
+        raise NotAttractor("decomposition system is singular")
+    lam = coeff_q.conj() / det
+    mu = -coeff_q / det
+    if mu != lam.conj():
+        raise NotAttractor("decomposition requires a non-conjugate pair")
+    lam_bar = lam.conj()
+    dx = omega.scale(lam) + omega.conj().scale(lam_bar)
+    if dx != ComplexVector(charge.p):
+        raise NotAttractor("dx component mismatch")
+    dy = omega.scale(lam * tau) + omega.conj().scale(lam_bar * tau.conj())
+    if dy != ComplexVector(charge.q):
+        raise NotAttractor("dy component mismatch")
+    return lam
+
+
+def cone_violation(omega, f, what):
+    """Which of omega^2 > 0, omega.f > 0 fails first for a built omega, or
+    None, with the search's reason strings; the reference for the cone test
+    of `stability.search_kahler_class`."""
+    if pair(omega, omega).sign() <= 0:
+        return f"{what} has nonpositive square"
+    if pair(omega, f).sign() <= 0:
+        return f"{what} does not pair positively with the fiber class"
+    return None
 
 
 def phase_aligned(z1, z2):
@@ -636,7 +735,7 @@ def bounded_p0_violations(psi, ns, bound):
                         found.append(tuple(x))
             for coeffs in sorted(found):
                 delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
-                assert not mukai_pair(psi, delta) and mukai_pair(delta, delta) == -2
+                assert not triple_pair(psi, delta) and triple_pair(delta, delta) == -2
                 out.append(delta)
     return out
 
@@ -671,14 +770,12 @@ def period_embed(split, p_basis, omega, B):
         raise PreconditionViolation("omega must be orthogonal to P")
     if pair(omega, omega).sign() <= 0:
         raise PreconditionViolation("omega^2 must be positive")
-    w = MUKAI_W.to_ambient()
-    wstar = MUKAI_WSTAR.to_ambient()
-    h1 = [embed_gamma(x) - pair(x, B) * w for x in p_basis]
+    h1 = [embed_gamma(x) - pair(x, B) * MUKAI_W for x in p_basis]
     half = QuadScalar(Fraction(1, 2))
     norm_coeff = half * (pair(omega, omega) - pair(B, B))
     h2 = [
-        norm_coeff * w + wstar + embed_gamma(B),
-        embed_gamma(omega) - pair(omega, B) * w,
+        norm_coeff * MUKAI_W + MUKAI_WSTAR + embed_gamma(B),
+        embed_gamma(omega) - pair(omega, B) * MUKAI_W,
     ]
     return h1, h2
 

@@ -33,15 +33,16 @@ from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
 from oracles import (
     bounded_p0_violations,
     minus_two_coefficients,
+    mukai_ambient,
     quad_pair,
     signature,
+    triple_pair,
     triple_plane_gram,
     tube_map,
 )
 from k3stab.stability import (
     StabilityPoint,
     fibration_obstruction,
-    mukai_pair,
     p0_violations,
     verify_reality,
     wall_intersection,
@@ -141,8 +142,8 @@ def test_criterion_4_mirror_class_pairing(sc28):
                 x, y = GAMMA.basis(i), GAMMA.basis(j)
                 lhs = quad_pair(
                     MUKAI,
-                    mirror_class(split, x).to_ambient(),
-                    mirror_class(split, y).to_ambient(),
+                    mukai_ambient(mirror_class(split, x)),
+                    mukai_ambient(mirror_class(split, y)),
                 )
                 assert lhs == pair(x, y)
                 checks += 1
@@ -183,7 +184,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
             ]
             assert len(sigma_hits) == 2
             for h in sigma_hits:
-                assert mukai_pair(psi, h) == QuadComplex(0)
+                assert triple_pair(psi, h) == QuadComplex(0)
 
 
 def test_criterion_8_wall_intersection(sc28, searched28):
@@ -268,7 +269,7 @@ def _naive_minus_two(sub, bound):
 def _naive_p0(psi, sub, bound):
     gram = sub.gram()
     k = len(gram)
-    charges = [mukai_pair(psi, MukaiVector(0, b, 0)) for b in sub.basis]
+    charges = [triple_pair(psi, MukaiVector(0, b, 0)) for b in sub.basis]
     hits = set()
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
         norm = sum(coeffs[i] * gram[i][j] * coeffs[j] for i in range(k) for j in range(k))

@@ -15,8 +15,10 @@ from k3stab.attractor import (
     verify_attractor,
 )
 from k3stab.exact import QuadComplex, QuadScalar
+from k3stab.forms import enumerate_reduced
 from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair
-from oracles import ns_lattice, signature, solve_integer
+from k3stab.scenario import build_scenario
+from oracles import ns_lattice, signature, solve_integer, solve_lambda
 
 F = GAMMA.basis(0)
 SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
@@ -92,6 +94,48 @@ def test_verify_rejects_perturbed_tau():
             verify_attractor(ch, bad, omega)
         rejected += 1
     assert rejected == 100
+
+
+def test_lambda_matches_the_solver_on_reduced_forms():
+    """The witness -i / (2 Im tau) is the lambda that the linear system of
+    the dx and dy components solves for, on every reduced form with D <= 40."""
+    forms = [form for disc in range(1, 41) for form in enumerate_reduced(disc)]
+    assert len(forms) == 40
+    for form in forms:
+        sc = build_scenario(form=form.as_list())
+        lam = verify_attractor(sc.charge, sc.tau, sc.Omega)
+        assert lam == solve_lambda(sc.charge, sc.tau, sc.Omega), form
+        assert lam == QuadComplex(0, sc.tau.im.inverse() * Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("im", [Fraction(0), Fraction(-2), Fraction(-1, 3)])
+def test_verify_refuses_nonpositive_im_tau(im):
+    # the witness divides by Im tau, so Im tau = 0 must be refused before it
+    ch = diag_charge(4)
+    tau, omega = solve_attractor(ch)
+    with pytest.raises(NotAttractor, match="Im tau is not positive"):
+        verify_attractor(ch, QuadComplex(tau.re, QuadScalar(im)), omega)
+    # (conj tau, conj Omega) meets every other identity, with lambda
+    # conjugated, so the sign of Im tau is what refuses it
+    assert solve_lambda(ch, tau.conj(), omega.conj()) == QuadComplex(0, Fraction(1, 4))
+    with pytest.raises(NotAttractor, match="Im tau is not positive"):
+        verify_attractor(ch, tau.conj(), omega.conj())
+
+
+def test_verify_and_solver_reject_the_same_perturbations():
+    ch = diag_charge(3)  # tau.im = sqrt(3)
+    tau, omega = solve_attractor(ch)
+    rng = random.Random(11)
+    for _ in range(50):
+        dr = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+        di = Fraction(rng.randint(-5, 20), rng.randint(1, 20))
+        if dr == 0 and di == 0:
+            dr = Fraction(1, 10)
+        bad = QuadComplex(tau.re + dr, tau.im + di)
+        with pytest.raises(NotAttractor):
+            verify_attractor(ch, bad, omega)
+        with pytest.raises(NotAttractor):
+            solve_lambda(ch, bad, omega)
 
 
 def test_verify_rejects_non_null_period():

@@ -275,7 +275,7 @@ def _exhausted_point_2_1_2():
         search_kahler_class(sc)
     k, reason = err.value.rejections[-1]
     assert reason.startswith("annihilating (-2)-class")
-    omega = sc.omega_J + Fraction(sc.c_eta, 2**k) * _dual_eta(sc.eta_basis)
+    omega = sc.omega_J + sc.c_eta * Fraction(1, 2**k) * _dual_eta(sc.eta_basis)
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
     return StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check

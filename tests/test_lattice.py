@@ -9,8 +9,6 @@ from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
-    MUKAI_W,
-    MUKAI_WSTAR,
     U_GRAM,
     ComplexVector,
     DimensionMismatch,
@@ -22,10 +20,13 @@ from k3stab.lattice import (
 )
 from k3stab.mirror import make_split
 from oracles import (
+    MUKAI_W,
+    MUKAI_WSTAR,
     QuadVector,
     dense_gram,
     dense_orth_complement,
     minus_two_coefficients,
+    mukai_ambient,
     nonzero_entries,
     quad_pair,
     signature,
@@ -42,7 +43,7 @@ int_vectors = st.lists(st.integers(-4, 4), min_size=22, max_size=22).map(Lattice
 
 def test_standard_pairings():
     assert pair(GAMMA.basis(0), GAMMA.basis(1)) == 1
-    assert quad_pair(MUKAI, MUKAI_W.to_ambient(), MUKAI_WSTAR.to_ambient()) == 1
+    assert quad_pair(MUKAI, MUKAI_W, MUKAI_WSTAR) == 1
     for i in range(6, 22):
         assert pair(GAMMA.basis(i), GAMMA.basis(i)) == -2
 
@@ -87,7 +88,7 @@ def _det(m):
 
 def test_pair_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        pair(MUKAI_W.to_ambient(), MUKAI_W.to_ambient())
+        pair(MUKAI_W, MUKAI_W)
 
 
 def test_pair_zero():
@@ -206,7 +207,7 @@ def test_mukai_vector_ambient_roundtrip():
     from k3stab.lattice import MukaiVector
 
     v = MukaiVector(2, SIGMA0, -3)
-    amb = v.to_ambient()
+    amb = mukai_ambient(v)
     assert amb.int_coords()[:22] == SIGMA0.int_coords()
     assert amb.int_coords()[22:] == [2, -3]
     assert (-v).r == -2 and (v - v).s == 0

@@ -25,7 +25,7 @@ from k3stab.mirror import (
     mirror_period,
 )
 from k3stab.scenario import build_scenario
-from oracles import canonicalize_period, gram_of, period_embed, quad_pair, tube_map
+from oracles import canonicalize_period, gram_of, mukai_ambient, period_embed, quad_pair, tube_map
 
 F = GAMMA.basis(0)
 E2 = GAMMA.basis(1)
@@ -123,7 +123,7 @@ def test_period_data_meets_the_preconditions_by_construction(data):
     for c, eta in zip(coeffs, sc.eta_basis):
         omega = omega + c * eta
     assume(pair(omega, omega).sign() > 0)
-    # the light-cone argument of `stability._cone_violation`
+    # the light-cone argument of the cone test of `stability.search_kahler_class`
     omega_f = pair(omega, f)
     assert omega_f
     if omega_f.sign() < 0:  # into the cone of omega_J
@@ -157,8 +157,8 @@ def test_mirror_class_preserves_pairing(split):
             x, y = GAMMA.basis(i), GAMMA.basis(j)
             image = quad_pair(
                 MUKAI,
-                mirror_class(split, x).to_ambient(),
-                mirror_class(split, y).to_ambient(),
+                mukai_ambient(mirror_class(split, x)),
+                mukai_ambient(mirror_class(split, y)),
             )
             assert image == pair(x, y)
             count += 1

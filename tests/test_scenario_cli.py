@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from k3stab.cli import main
+from k3stab.exact import QuadScalar
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import GAMMA, MukaiVector, pair
 from k3stab.mirror import PreconditionViolation
@@ -46,6 +47,9 @@ def test_scenario_defaults():
     assert sc.tau.im.is_rational
     assert len(sc.pic_basis) == 20
     assert sc.c_eta == Fraction(1, 10) and sc.eta is None
+    # the default and a parsed c_eta have one type
+    assert type(sc.c_eta) is QuadScalar
+    assert type(build_scenario(form=[2, 0, 8], search={"c_eta": "1/10"}).c_eta) is QuadScalar
 
 
 def test_scenario_nondiagonal_form():
@@ -915,7 +919,6 @@ def test_verify_64_wall_table_and_rendering_cost(monkeypatch, capsys, diag28):
     wall rows share the rendered charges."""
     import k3stab.scenario
     import k3stab.stability
-    from k3stab.exact import QuadScalar
 
     signs, strings = [], []
     sign, to_str = QuadScalar.sign, QuadScalar.__str__

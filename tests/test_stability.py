@@ -37,14 +37,17 @@ from k3stab.stability import (
     wall_member,
     wall_table,
 )
-from k3stab.stability import _cone_violation, _dual_eta
+from k3stab.stability import _dual_eta
 from oracles import (
     bounded_p0_violations,
+    cone_violation,
     dual_eta,
+    expanded_charge,
+    mukai_ambient,
     phase_aligned,
     quad_pair,
     solve_integer,
-    triple_charge,
+    triple_pair,
     triple_plane_gram,
 )
 
@@ -75,7 +78,8 @@ def test_mukai_pair_symmetric_and_matches_gram():
         )
         lhs = mukai_pair(u, v)
         assert lhs == mukai_pair(v, u)
-        assert lhs == quad_pair(MUKAI, u.to_ambient(), v.to_ambient())
+        assert lhs == quad_pair(MUKAI, mukai_ambient(u), mukai_ambient(v))
+        assert lhs == triple_pair(u, v)
 
 
 _RATIONALS = st.fractions(-3, 3, max_denominator=5)
@@ -99,7 +103,7 @@ def test_central_charge_and_plane_gram_match_complex_triples(data):
     psi = StabilityPoint(B=data.draw(_field_vector(m)), omega=data.draw(_field_vector(m)))
     d = st.lists(st.integers(-3, 3), min_size=22, max_size=22).map(LatticeVector.from_ints)
     v = MukaiVector(data.draw(st.integers(-3, 3)), data.draw(d), data.draw(st.integers(-3, 3)))
-    assert central_charge(psi, v) == triple_charge(psi, v)
+    assert central_charge(psi, v) == triple_pair(psi, v)
     w = pair(psi.omega, psi.omega)
     assert triple_plane_gram(psi) == [[w, QuadScalar(0)], [QuadScalar(0), w]]
 
@@ -141,7 +145,7 @@ def test_expansion_branches_agree_randomly():
             LatticeVector([rng.randint(-1, 1) for _ in range(22)]),
             rng.randint(-2, 2),
         )
-        central_charge(psi, v)  # raises ExpansionMismatch on any disagreement
+        assert central_charge(psi, v) == expanded_charge(psi, v)
 
 
 def test_central_charge_linear(sc28):
@@ -218,7 +222,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         }
         assert len(found) == 2, f"sigma0 hits missing for omega_J={omega_J}"
         for h in hits:
-            assert mukai_pair(psi, h) == QuadComplex(0)
+            assert triple_pair(psi, h) == QuadComplex(0)
 
 
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
@@ -231,7 +235,7 @@ def test_falsifier_hits_base_family_member(sc28):
     # with B-check = 0 every Gamma'-root annihilates the stability point
     hit = p0_violations(sc28.psi, sc28.triple.Omega_check, limit=1).roots[0]
     assert hit.r == 0 and hit.s == 0
-    assert mukai_pair(sc28.psi, hit) == QuadComplex(0)
+    assert triple_pair(sc28.psi, hit) == QuadComplex(0)
 
 
 def _sort_key(delta):
@@ -287,7 +291,7 @@ def test_enumeration_needs_a_positive_four_plane(sc28):
 def _naive_p0(psi, ns, bound):
     k = ns.rank
     gram = ns.gram()
-    c_psi = [mukai_pair(psi, MukaiVector(0, b, 0)) for b in ns.basis]
+    c_psi = [triple_pair(psi, MukaiVector(0, b, 0)) for b in ns.basis]
     s_part = psi.s_part
     hits = set()
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
@@ -343,7 +347,7 @@ def test_obstruction_2_2(sc22):
     assert ob.obstructed
     assert ob.delta.r == 0 and ob.delta.s == 0
     assert ob.delta.D in (SIGMA0, -SIGMA0)
-    assert mukai_pair(sc22.psi, ob.delta) == QuadComplex(0)
+    assert triple_pair(sc22.psi, ob.delta) == QuadComplex(0)
 
 
 def test_obstruction_2_4(sc24):
@@ -456,13 +460,99 @@ def test_search_rejects_a_base_outside_the_cone(sc28):
     # search's cone test refuses it as a base, and assembly runs that test at
     # omega_J, so no scenario (and no search) can start from it
     base = -sc28.omega_J
-    assert _cone_violation(base, F, "base") == (
+    assert cone_violation(base, F, "base") == (
         "base does not pair positively with the fiber class"
     )
     with pytest.raises(
         PreconditionViolation, match="omega_J does not pair positively with the fiber class"
     ):
         build_scenario(form=[2, 0, 8], omega_J=base)
+
+
+def _halvings(sc):
+    """The search's halvings by the oracle cone test on each built
+    omega_k = omega_J + 2^-k c_eta eta: (least k inside the cone, the
+    rejections before it)."""
+    eta = sc.eta if sc.eta is not None else _dual_eta(sc.eta_basis)
+    step = sc.c_eta * eta
+    rejections, k = [], 0
+    while (reason := cone_violation(sc.omega_J + Fraction(1, 2**k) * step, F, "candidate")):
+        rejections.append((k, reason))
+        k += 1
+    return k, rejections
+
+
+# eta = -(2f + sigma0) = -omega_J with c_eta = 4: omega_k = (1 - 2^(2-k)) omega_J
+# is -3 omega_J and -omega_J (positive square, negative on f), then 0, then
+# omega_J / 2, so every reason occurs before the full check fails
+_AGAINST_OMEGA_J = {"c_eta": "4", "eta": [-1, -1] + [0] * 20}
+
+
+@pytest.mark.parametrize(
+    "form, search",
+    [
+        ([2, 0, 8], {"c_eta": "1000000"}),
+        ([4, 1, 6], {"c_eta": "1000*sqrt(23)"}),
+        ([2, 1, 2], None),
+        ([2, 1, 2], {"c_eta": "1000"}),
+        ([2, 0, 8], _AGAINST_OMEGA_J),
+    ],
+    ids=["2-0-8-large", "4-1-6-sqrt23", "2-1-2", "2-1-2-large", "against-omega-J"],
+)
+def test_halvings_match_the_built_candidates(form, search):
+    """The cone test on the five coefficients takes the same k, with the same
+    rejections in the same order, as the cone test on each built candidate."""
+    sc = build_scenario(form=form, search=search)
+    k, rejections = _halvings(sc)
+    try:
+        result = search_kahler_class(sc)
+    except SearchExhausted as err:
+        assert err.rejections[:-1] == rejections
+        assert err.rejections[-1][0] == k
+    else:
+        assert (result.candidate_index, result.candidates_tried) == (k, k + 1)
+        step = sc.c_eta * _dual_eta(sc.eta_basis)
+        assert result.omega_J == sc.omega_J + Fraction(1, 2**k) * step
+    if search == _AGAINST_OMEGA_J:
+        fiber = "candidate does not pair positively with the fiber class"
+        square = "candidate has nonpositive square"
+        assert rejections == [(0, fiber), (1, fiber), (2, square)]
+
+
+class _BuiltCandidate(Exception):
+    pass
+
+
+def test_cone_test_pairs_five_times(monkeypatch):
+    """The halvings pair nothing: a = w0^2, b = w0.step, c = step^2,
+    e = w0.f and g = step.f are paired once, here over k = 28 halvings."""
+    import k3stab.stability
+
+    sc = build_scenario(form=[2, 0, 8], search={"c_eta": "1000000"})
+    assert search_kahler_class(sc).candidate_index == 28
+    calls = []
+    monkeypatch.setattr(k3stab.stability, "pair", lambda *a: calls.append(a) or pair(*a))
+
+    def stop(Omega, omega):  # the first step after the cone test
+        raise _BuiltCandidate(omega)
+
+    monkeypatch.setattr(k3stab.stability, "hyperkahler_rotate", stop)
+    with pytest.raises(_BuiltCandidate):
+        search_kahler_class(sc)
+    assert len(calls) == 5
+
+
+def test_central_charge_pairs_twice(monkeypatch, sc28):
+    import k3stab.stability
+
+    psi = StabilityPoint(sc28.psi.B, sc28.psi.omega)
+    psi.s_part  # kept on the instance
+    calls = []
+    monkeypatch.setattr(k3stab.stability, "pair", lambda *a: calls.append(a) or pair(*a))
+    for v in (MukaiVector(0, SIGMA0, -1), MukaiVector(2, SIGMA0 + F, 3)):
+        calls.clear()
+        assert central_charge(psi, v) == expanded_charge(psi, v)
+        assert len(calls) == 2
 
 
 @cache
@@ -481,7 +571,7 @@ _combination = st.tuples(
 @given(_combination, _combination)
 @settings(max_examples=60, deadline=None)
 def test_light_cone_lemma(form, x_coeffs, y_coeffs):
-    # why `_cone_violation` needs no omega.omega0 test: in (p, q)^perp, of
+    # why the search's cone test needs no omega.omega0 test: in (p, q)^perp, of
     # signature (1,19), two classes of positive square that pair positively
     # with f pair positively with each other, omega_J among them
     sc = _form_scenario(form)
@@ -495,7 +585,7 @@ def test_light_cone_lemma(form, x_coeffs, y_coeffs):
     inside = []
     for coeffs in (x_coeffs, y_coeffs):
         omega = combine(*coeffs)
-        if _cone_violation(omega, F, "omega") is None:
+        if cone_violation(omega, F, "omega") is None:
             assert pair(omega, sc.omega_J).sign() > 0
             inside.append(omega)
     if len(inside) == 2:
