@@ -34,6 +34,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .attractor import DegenerateCharge, NotAttractor
+from .exact import UnsplitRadicand
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
 from .mirror import PreconditionViolation
 from .scenario import (
@@ -81,30 +82,17 @@ def _render(obj) -> str:
     Any other type, a float or a tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
-    generators; this writer appends to one list and joins it once.  Two memos
-    live for this call.
-
-    * A report shares dicts: a `verify 6.4` wall table holds 380 references
-      to its 20 charge dicts.  So each dict is rendered once per
-      indentation.  `memo`, keyed by (id, indentation), keeps where the
-      first rendering lies in the output; the first repeat joins it into one
-      string, which every later reference at that indentation appends.  The
-      dict loop looks each value up before it recurses, so a repeat costs
-      no call; a list item is rendered anew (no list of a report repeats a
-      dict).  The ids are stable because the report holds every object
-      until the call ends.
-    * A report repeats dict shapes: the 190 rows of a wall table have one
-      key tuple.  `plans`, keyed by (key tuple, indentation), holds one plan
-      per shape: the sorted keys, each with its head, the opener, the
-      indentation and the quoted key.  Its keys are checked when the plan is
-      built.
+    generators; this writer appends to one list and joins it once.  `plans`
+    holds one plan per key tuple and indentation, which the 190 rows of a
+    wall table share: the sorted keys, each with its head (the opener, the
+    indentation and the quoted key), checked when the plan is built.
 
     In a dict or a list, a str, int or bool value, told apart by exact type
     so that a bool is never written as an int, is appended right after its
     head; any other value is written by the recursion.
     """
     parts: list[str] = []
-    _write(obj, parts, "\n", {}, {})
+    _write(obj, parts, "\n", {})
     return "".join(parts)
 
 
@@ -120,7 +108,7 @@ def _plan(obj: dict, newline: str) -> list[tuple[str, str]]:
     return [(key, head + _quote(key) + ": ") for key, head in zip(sorted(obj), heads)]
 
 
-def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
+def _write(obj, parts: list, newline: str, plans: dict) -> None:
     # containers first: the scalars of a container are mostly written inline
     if isinstance(obj, dict):
         if not obj:
@@ -130,7 +118,6 @@ def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
         plan = plans.get(shape)
         if plan is None:
             plan = plans[shape] = _plan(obj, newline)
-        start = len(parts)
         inner = newline + "  "
         for key, head in plan:
             value = obj[key]
@@ -142,18 +129,10 @@ def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
             elif kind is bool:
                 parts.append(head + ("true" if value else "false"))
             else:
-                ref = (id(value), inner)
-                done = memo.get(ref)
-                if done is None:
-                    parts.append(head)
-                    _write(value, parts, inner, memo, plans)
-                else:  # a shared dict: its rendering at this indentation
-                    if type(done) is tuple:  # the first repeat joins it
-                        done = memo[ref] = "".join(parts[done[0] : done[1]])
-                    parts.append(head + done)
+                parts.append(head)
+                _write(value, parts, inner, plans)
         parts.append(newline)
         parts.append("}")
-        memo[(id(obj), newline)] = (start, len(parts))
     elif isinstance(obj, list):
         if not obj:
             parts.append("[]")
@@ -170,7 +149,7 @@ def _write(obj, parts: list, newline: str, memo: dict, plans: dict) -> None:
                 parts.append(head + ("true" if value else "false"))
             else:
                 parts.append(head)
-                _write(value, parts, inner, memo, plans)
+                _write(value, parts, inner, plans)
             head = "," + inner
         parts.append(newline)
         parts.append("]")
@@ -352,7 +331,7 @@ def _run(args) -> int:
     """`args.func`, each documented failure mapped to its JSON error."""
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, UnsplitRadicand) as exc:
         _emit({"error": str(exc), "kind": "scenario"})
         return 1
     except PreconditionViolation as exc:

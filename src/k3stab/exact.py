@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -44,19 +44,33 @@ class FieldMismatch(ValueError):
     """Arithmetic between two irrational scalars with different radicands."""
 
 
+_TRIAL, _PROVEN, _RHO_STEPS = 10**6, 3317044064679887385961981, 2**17
+
+
+class UnsplitRadicand(ValueError):
+    """A radicand whose square part cannot be split off in bounded time."""
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write ``n = s*s*m`` with ``m`` square-free; return ``(s, m)``.
 
     ``n`` must be nonnegative; ``0`` splits as ``(0, 1)``.  Trial division
-    stops once d^3 exceeds the cofactor: its primes are all at least d, so
-    it has at most two, and it is either a prime square or square-free.
+    stops at ``_TRIAL`` or once d^3 exceeds the cofactor.  In the second
+    case the cofactor's primes are all at least d, so it has at most two,
+    and it is either a prime square or square-free.  Otherwise Pollard-Brent
+    rho splits the cofactor into squares and primes, each proven prime by
+    Miller-Rabin on the first 13 prime bases, a test proven below
+    ``_PROVEN`` (Sorenson and Webster, Math. Comp. 2017).
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 1
     s, m, d = 1, 1, 2
-    while d * d * d <= n:
+    while d < _TRIAL and d * d * d <= n:
+        if d % 256 == 1 and gcd(n, prod(range(d, d + 256, 2))) == 1:
+            d += 256  # one gcd clears the 128 odd d of a block
+            continue
         if n % d == 0:
             count = 0
             while n % d == 0:
@@ -66,10 +80,56 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if count % 2:
                 m *= d
         d += 1 if d == 2 else 2
-    r = isqrt(n)
-    if r * r == n:
-        return s * r, m
-    return s, m * n
+    if d * d * d > n:
+        r = isqrt(n)
+        return (s * r, m) if r * r == n else (s, m * n)
+    odd: set[int] = set()  # the primes found an odd number of times
+    pending = [n]  # factors that no d < _TRIAL divides
+    while pending:
+        x = pending.pop()
+        r = isqrt(x)
+        if r * r == x:
+            s *= r
+        elif x < _TRIAL * _TRIAL or x < _PROVEN and _is_prime(x):
+            s *= x if x in odd else 1
+            odd ^= {x}
+        else:
+            pending += [y := _rho_factor(x), x // y]
+    return s, m * prod(odd)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases: a proof for 41 < n < _PROVEN."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    xs = (pow(a, (n - 1) >> r, n) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    return all(x == 1 or n - 1 in {pow(x, 1 << i, n) for i in range(r)} for x in xs)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd n, no square and no prime below _PROVEN, by
+    rho on x^2 + c, c = 1, 2, ..., one gcd per 128 steps.  n over _PROVEN may
+    be prime: UnsplitRadicand after _RHO_STEPS steps, at once over _PROVEN^2."""
+    spent, c = 0, 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            if n >= _PROVEN and (spent >= _RHO_STEPS or n >= _PROVEN * _PROVEN):
+                raise UnsplitRadicand(
+                    f"a radicand has a factor over {_PROVEN}, the bound of the primality "
+                    "proof, that is not a perfect square and that rho leaves unsplit"
+                )
+            x, q = y, 1
+            for start in range(0, r, 128):
+                for _ in range(min(128, r - start)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            spent, r = spent + r, 2 * r
+        if g != n:  # else the batch overshot: the next c
+            return g
 
 
 class QuadScalar:
@@ -369,20 +429,8 @@ class QuadComplex:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def __neg__(self):
         return QuadComplex(-self.re, -self.im)
-
-    def inverse(self) -> "QuadComplex":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero")
-        return QuadComplex(self.re / n, -self.im / n)
 
     def conj(self) -> "QuadComplex":
         return QuadComplex(self.re, -self.im)

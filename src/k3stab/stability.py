@@ -247,8 +247,6 @@ class WallReport(NamedTuple):
     i: int
     j: int
     member: bool
-    z_i: QuadComplex
-    z_j: QuadComplex
 
 
 def _phase_key(z: QuadComplex) -> Optional[tuple]:
@@ -262,10 +260,8 @@ def _phase_key(z: QuadComplex) -> Optional[tuple]:
 
 
 def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallReport:
-    """Generalized wall membership: Z(v1)/Z(v2) in R_{>0}, decided exactly.
-
-    Zero central charges have no phase and fail membership.
-    """
+    """Generalized wall membership, Z(v1)/Z(v2) in R_{>0}, decided exactly; a
+    zero central charge has no phase and fails it."""
     (report,) = wall_table([central_charge(psi, v1), central_charge(psi, v2)])
     return report
 
@@ -276,7 +272,7 @@ def wall_table(zs: Sequence[QuadComplex]) -> list[WallReport]:
     phase key per charge."""
     keys = [_phase_key(z) for z in zs]
     return [
-        WallReport(i, j, keys[i] is not None and keys[i] == keys[j], zs[i], zs[j])
+        WallReport(i, j, keys[i] is not None and keys[i] == keys[j])
         for i in range(len(zs))
         for j in range(i + 1, len(zs))
     ]
@@ -416,31 +412,15 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     )
 
 
-@dataclass
-class WallIntersectionResult:
-    flips: list[bool]
-    reports: list[WallReport]
-    charges: list[QuadScalar]
-
-    @property
-    def all_member(self) -> bool:
-        return all(r.member for r in self.reports)
-
-
 def wall_intersection(
     charges: Sequence[tuple[LatticeVector, QuadScalar]],
-) -> WallIntersectionResult:
-    """Sign-normalize the classes and report every pairwise generalized wall.
-
-    `charges` are the exactly real (l, Z(mu(l))) of `verify_reality` or of a
-    search.  Flipping l -> -l wherever Z(mu(l)) < 0 negates the charge, since
-    Z(mu(-l)) = -Z(mu(l)) exactly, so the table is built from the flipped
-    values without a second central charge.  Nothing is raised: a nonzero
-    flipped charge is a positive real with phase key (0, 1), so all pairs
-    are members; a zero charge (which the search refuses) has no phase, so
-    every pair it is in fails and `all_member` is False.
+) -> tuple[list[bool], list[QuadScalar]]:
+    """The flips and the flipped charges of the exactly real (l, Z(mu(l))) of
+    a search.  Flipping l -> -l wherever Z(mu(l)) < 0 negates the charge,
+    since Z(mu(-l)) = -Z(mu(l)), so a flipped charge is a positive real or
+    zero.  A ratio of positive reals is a positive real, so every pair of
+    nonzero flipped charges lies on a common generalized wall; a zero charge
+    (which the search refuses) has no phase and lies on none.
     """
     flips = [z.sign() < 0 for _, z in charges]
-    positive = [-z if flip else z for (_, z), flip in zip(charges, flips)]
-    reports = wall_table([QuadComplex(z) for z in positive])
-    return WallIntersectionResult(flips=flips, reports=reports, charges=positive)
+    return flips, [-z if flip else z for (_, z), flip in zip(charges, flips)]

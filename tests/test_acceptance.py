@@ -5,6 +5,7 @@ lines appear in the terminal summary.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from k3stab.attractor import (
     threefold_central_charge,
     verify_attractor,
 )
-from k3stab.exact import QuadComplex, QuadScalar
+from k3stab.cli import main
+from k3stab.exact import QuadComplex, QuadScalar, parse_quad
 from k3stab.forms import BinaryEvenForm, SL2Witness, enumerate_reduced, gauss_reduce, sl2_equivalent
 from k3stab.lattice import (
     GAMMA,
@@ -30,6 +32,7 @@ from k3stab.lattice import (
     pair,
 )
 from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
+from k3stab.scenario import build_scenario
 from oracles import (
     bounded_p0_violations,
     minus_two_coefficients,
@@ -42,11 +45,12 @@ from oracles import (
 )
 from k3stab.stability import (
     StabilityPoint,
+    central_charge,
     fibration_obstruction,
     p0_violations,
     verify_reality,
-    wall_intersection,
     wall_member,
+    wall_table,
 )
 
 F = GAMMA.basis(0)
@@ -187,33 +191,56 @@ def test_criterion_7_obstruction_sharpness(sc22):
                 assert triple_pair(psi, h) == QuadComplex(0)
 
 
-def test_criterion_8_wall_intersection(sc28, searched28):
+def _cli_report(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_criterion_8_wall_intersection(tmp_path, capsys):
+    """verify 6.4 states the 20 flipped charges and no wall table; `walls` at
+    the omega_J that 6.4 reports is the table it leaves out."""
     with acceptance_criterion("190/190 generalized walls meet at the mirror point"):
-        result = wall_intersection(searched28.charges)
-        assert len(result.reports) == 190 and result.all_member
-        aligned = [
-            mirror_class(sc28.split, -cls if flip else cls)
-            for cls, flip in zip(sc28.pic_basis, result.flips)
-        ]
-        # flipping any single class back breaks exactly its 19 walls
-        for i in range(20):
-            broken = [
-                j
-                for j in range(20)
-                if j != i
-                and not wall_member(searched28.psi, -aligned[i], aligned[j]).member
+        path = tmp_path / "scenario.json"
+        for form in ([2, 0, 8], [4, 1, 6]):
+            path.write_text(json.dumps({"form": form}))
+            cert = _cli_report(capsys, ["verify", "6.4", "--scenario", str(path)])
+            assert "walls" not in cert
+            assert (cert["member_count"], cert["pairs"], cert["pass"]) == (190, 190, True)
+            path.write_text(json.dumps({"form": form, "omega_J": cert["omega_J"]}))
+            table = _cli_report(capsys, ["walls", "--scenario", str(path)])
+            assert all(z["im"] == "0" for z in table["charges"])
+            zs = [parse_quad(z["re"]) for z in table["charges"]]
+            signs = [z.sign() for z in zs]
+            assert len(zs) == 20 and 0 not in signs
+            assert [sign < 0 for sign in signs] == cert["flips"]
+            assert [str(-z if sign < 0 else z) for z, sign in zip(zs, signs)] == cert["charges"]
+            pairs = list(itertools.combinations(range(20), 2))
+            members = [(w["i"], w["j"]) for w in table["walls"] if w["member"]]
+            assert members == [(i, j) for i, j in pairs if signs[i] == signs[j]]
+            assert table["member_count"] == len(members)
+
+            # once flipped, 190 of 190; flipping any single class back
+            # breaks exactly its 19 walls
+            sc = build_scenario(form=form, omega_J=cert["omega_J"])
+            aligned = [
+                mirror_class(sc.split, -cls if flip else cls)
+                for cls, flip in zip(sc.pic_basis, cert["flips"])
             ]
-            assert broken == [j for j in range(20) if j != i]
-        for i in (0, 7, 19):
-            vectors = list(aligned)
-            vectors[i] = -vectors[i]
-            bad_pairs = {
-                (a, b)
-                for a in range(20)
-                for b in range(a + 1, 20)
-                if not wall_member(searched28.psi, vectors[a], vectors[b]).member
-            }
-            assert bad_pairs == {(min(i, j), max(i, j)) for j in range(20) if j != i}
+            flipped = [central_charge(sc.psi, v) for v in aligned]
+            assert [str(z.re) for z in flipped] == cert["charges"]
+            assert all(r.member for r in wall_table(flipped))
+            for i in range(20):
+                broken = [
+                    j
+                    for j in range(20)
+                    if j != i and not wall_member(sc.psi, -aligned[i], aligned[j]).member
+                ]
+                assert broken == [j for j in range(20) if j != i]
+            for i in (0, 7, 19):
+                zs = list(flipped)
+                zs[i] = central_charge(sc.psi, -aligned[i])
+                bad_pairs = {(r.i, r.j) for r in wall_table(zs) if not r.member}
+                assert bad_pairs == {(min(i, j), max(i, j)) for j in range(20) if j != i}
 
 
 def _naive_reduced_forms(disc):

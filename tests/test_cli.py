@@ -1,6 +1,5 @@
 """The CLI's report writer and its shared argument parser."""
 
-import collections
 import contextlib
 import io
 import json
@@ -82,34 +81,8 @@ _PAIR = {"Z_i": _CHARGE, "Z_j": _CHARGE}
 )
 def test_render_shared_dicts(value):
     """A dict referenced more than once renders as json.dumps renders it at
-    every place: the same indentation reuses the memo, another renders anew."""
+    every place, at the same indentation and at another."""
     assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-def test_render_looks_up_a_shared_dict_before_writing_it(monkeypatch):
-    """One dict named five times as a dict value, at two indentations:
-    `_write` sees it once per indentation, and every repeat appends the
-    memoized rendering."""
-    import k3stab.cli as cli
-
-    shared = {"re": "1/2", "im": {"exact": "0", "float": "0"}, "n": [1, True]}
-    value = [
-        {"Z": shared},
-        {"Z": shared},
-        [{"deep": {"Z": shared}}, {"deep": {"W": shared}}],
-        {"W": shared},
-    ]
-    seen = collections.Counter()
-    write = cli._write
-
-    def counted(obj, parts, newline, memo, plans):
-        if obj is shared:
-            seen[newline] += 1
-        write(obj, parts, newline, memo, plans)
-
-    monkeypatch.setattr(cli, "_write", counted)
-    assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
-    assert sorted(seen.values()) == [1, 1] and len(seen) == 2
 
 
 _ROW = {"i": 0, "j": 1, "member": True, "Z": _CHARGE}
@@ -140,33 +113,6 @@ def test_render_planned_shapes(value):
 def test_render_rejects_a_bad_key_or_value_after_a_planned_shape(value):
     with pytest.raises(TypeError):
         _render(value)
-
-
-def test_render_writes_each_shared_charge_once(monkeypatch):
-    """verify 6.4 on diag(2,8): the 190 wall rows name the 20 charge dicts
-    380 times, all at one indentation, and each dict is rendered once; the
-    other references find it in the memo."""
-    import k3stab.cli as cli
-
-    payloads, renders = [], collections.Counter()
-    render, write = cli._render, cli._write
-    monkeypatch.setattr(cli, "_render", lambda obj: payloads.append(obj) or render(obj))
-
-    def counted(obj, parts, newline, memo, plans):
-        if isinstance(obj, dict) and (id(obj), newline) not in memo:
-            renders[id(obj), newline] += 1
-        write(obj, parts, newline, memo, plans)
-
-    monkeypatch.setattr(cli, "_write", counted)
-    code, out, _ = _in_process(["verify", "6.4", "--scenario", SCENARIO])
-    assert code == 0
-    (report,) = payloads
-    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    rows = report["walls"]
-    charges = {id(row[z]): row[z] for row in rows for z in ("Z_i", "Z_j")}
-    assert (len(rows), len(charges)) == (190, 20)
-    rendered = {ref: n for ref, n in renders.items() if ref[0] in charges}
-    assert len(rendered) == 20 and set(rendered.values()) == {1}
 
 
 def _in_process(argv):

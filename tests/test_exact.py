@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from math import gcd
+from math import gcd, isqrt
 
 from k3stab.exact import (
     FieldMismatch,
     QuadComplex,
     QuadScalar,
+    UnsplitRadicand,
+    _is_prime,
     parse_quad,
     squarefree_split,
 )
 from k3stab.lattice import LatticeVector, pair
-from oracles import FractionQuadScalar, squarefree_split_brute
+from oracles import (
+    FractionQuadScalar,
+    complex_quotient,
+    squarefree_split_brute,
+    squarefree_split_trial,
+)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -102,6 +109,59 @@ def test_squarefree_split_of_large_prime_squares(p):
         assert squarefree_split(p * p * q) == (p * s, m), (p, q)
 
 
+def test_squarefree_split_matches_trial_division():
+    """The bounded split agrees with the cube-root trial division it replaced
+    on every n < 10^5 and on random n < 10^15."""
+    for n in range(10**5):
+        assert squarefree_split(n) == squarefree_split_trial(n), n
+    rng = random.Random(21)
+    for _ in range(100):
+        n = rng.randrange(10**15)
+        assert squarefree_split(n) == squarefree_split_trial(n), n
+
+
+# primes past the trial division bound 10^6
+_P, _Q, _R = 1000003, 1000033, 1000037
+_MERSENNE_89 = 2**89 - 1  # a prime over the proven Miller-Rabin bound 3.3e24
+
+
+@pytest.mark.parametrize(
+    "n, split",
+    [
+        (_P * _Q * _R, (1, _P * _Q * _R)),
+        (12 * _P**3, (2 * _P, 3 * _P)),
+        (_P**2 * _Q * _R, (_P, _Q * _R)),
+        (_P**2 * _Q**2 * 5, (_P * _Q, 5)),
+        (999999999989 * 999999999959 * 7, (1, 999999999989 * 999999999959 * 7)),
+        (_MERSENNE_89**2 * 18, (3 * _MERSENNE_89, 2)),
+    ],
+)
+def test_squarefree_split_past_the_trial_bound(n, split):
+    """Cofactors over 10^18 split by Pollard rho and proven prime by
+    Miller-Rabin, and a perfect square over the proven bound."""
+    assert squarefree_split(n) == split
+
+
+@pytest.mark.parametrize(
+    "n", [_MERSENNE_89, 4 * _MERSENNE_89 * 1000003, 2 * 10**29 + 7, 10**47 - 1]
+)
+def test_squarefree_split_refuses_a_cofactor_over_the_proven_bound(n):
+    with pytest.raises(UnsplitRadicand, match="3317044064679887385961981"):
+        squarefree_split(n)
+
+
+def test_miller_rabin_on_the_first_13_prime_bases():
+    """Prime exactly when trial division says so, on odd n from 43 to 3*10^4,
+    and composite on strong pseudoprimes to the first 4, 9 and 12 of the
+    bases.  The least strong pseudoprime to all 13 passes: below it the
+    test is a proof, and `squarefree_split` runs it only there."""
+    for n in range(43, 30000, 2):
+        assert _is_prime(n) == all(n % d for d in range(3, isqrt(n) + 1, 2)), n
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(3317044064679887385961981)
+
+
 @given(scalars(2), scalars(2), scalars(2))
 @settings(max_examples=100)
 def test_field_axioms(x, y, z):
@@ -177,10 +237,12 @@ def test_complex_arithmetic():
     w = QuadComplex(QuadScalar(0, 1, 2), QuadScalar(-1))
     prod = z * w
     assert prod == QuadComplex(QuadScalar(0, 2, 2), QuadScalar(1))
-    assert (prod / w) == z
+    assert complex_quotient(prod, w) == z
     assert z * z.conj() == QuadComplex(QuadScalar(3))
     with pytest.raises(ZeroDivisionError):
-        z / QuadComplex(0, 0)
+        complex_quotient(z, QuadComplex(0, 0))
+    with pytest.raises(TypeError):
+        z / w  # no code of the library divides complex numbers
 
 
 def test_complex_i_times():

@@ -18,7 +18,7 @@ GOLDEN = [
         ("walls",),
         "diag_2_8",
         0,
-        "c6b79581a379c6464a28ded447d071d3a221e683ebd80df84c29587fb849ceec",
+        "b290fdd7482f1164e0d4c80ccb3e4ddfd0f5d47da67d425901891893880ac47d",
     ),
     (
         ("verify", "6.3"),
@@ -30,7 +30,7 @@ GOLDEN = [
         ("verify", "6.4"),
         "diag_2_8",
         0,
-        "172b5bdd96f104301d427dfc7c96d6323d88b42398341935c6e107137a7f5d49",
+        "66a33c925dbc19e3a0a91dbdee3bd2878cd406c2035ce726a1e76d280909a91f",
     ),
     (
         ("verify", "6.3"),
@@ -42,7 +42,7 @@ GOLDEN = [
         ("verify", "6.4"),
         "form_4_1_6",
         0,
-        "81f18291c8a888e2a185cdf5d870a6b4e374f588a7facd1ca4af18d798b984f9",
+        "7132924a3320520b30b02889a33652049a88ddee470c9c3dc5f74b896f02e7df",
     ),
     (
         ("verify", "6.4"),
@@ -60,13 +60,13 @@ GOLDEN = [
         ("verify", "6.4", "--float"),
         "form_4_1_6",
         0,
-        "6d2f19bc47868dccb527ce49821ddd3de08dbddcaddd58a44f15ff4d24db38f0",
+        "0d6b8d63e576cc826b05afbf33a0afaaa9aee8b30052645b2edd2be60e709373",
     ),
     (
         ("walls", "--float"),
         "diag_2_8",
         0,
-        "1c1dfdb54d984d6a58ab21f81fc83c80f0212d14005dbcb63b6b652320c76aa0",
+        "1a271b32b137ab10d584e37673610d415db1f0b7f1ecd316dccb9a9f415996fd",
     ),
     (
         ("charge",),
@@ -79,7 +79,7 @@ GOLDEN = [
         ("walls",),
         "form_4_1_6",
         0,
-        "5180d266fe955caacb8befa6fdda8a655253a799d3df6ae4a86e0a0d95d06047",
+        "61f8cba139055e606f713d537b336697922bf6cdf6d5cb749864f82fbb1a37d2",
     ),
     (
         ("mirror",),

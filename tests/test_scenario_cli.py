@@ -223,6 +223,10 @@ def test_cli_walls_table(capsys, diag28):
     assert report["kind"] == "generalized"
     # the unsearched base point has zero charges, so not all pairs align
     assert report["member_count"] < 190
+    # each charge once, and rows that name charges by index
+    assert len(report["charges"]) == 20 and report["charges"][0] == {"re": "1", "im": "0"}
+    assert report["walls"][0] == {"i": 0, "j": 1, "member": True}
+    assert report["member_count"] == sum(row["member"] for row in report["walls"])
 
 
 def test_cli_verify_51(capsys, diag28):
@@ -230,6 +234,7 @@ def test_cli_verify_51(capsys, diag28):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and report["classes"] == 20
+    assert report["charges"][0] == {"class": [1] + [0] * 21, "Z": "1"}
 
 
 def test_cli_verify_62(capsys, diag28):
@@ -914,33 +919,51 @@ def test_error_table(tmp_path, capsys, row, command):
 
 
 def test_verify_64_wall_table_and_rendering_cost(monkeypatch, capsys, diag28):
-    """The wall table of verify 6.4 takes one exact sign per charge (20, not
-    two per pair), and the report renders each exact string once; the 190
-    wall rows share the rendered charges."""
+    """verify 6.4 builds no wall table: every pair of its flipped charges is
+    a member by the report's `argument`.  The report renders each exact
+    string once: one str() per charge and per exact coordinate of omega_J."""
     import k3stab.scenario
     import k3stab.stability
 
-    signs, strings = [], []
-    sign, to_str = QuadScalar.sign, QuadScalar.__str__
-    monkeypatch.setattr(QuadScalar, "sign", lambda x: signs.append(x) or sign(x))
+    strings, tables = [], []
+    to_str = QuadScalar.__str__
     monkeypatch.setattr(QuadScalar, "__str__", lambda x: strings.append(x) or to_str(x))
-    table = k3stab.stability.wall_table
-    in_table = []
-
-    def counted_table(zs):
-        before = len(signs)
-        reports = table(zs)
-        in_table.append(len(signs) - before)
-        return reports
-
     for module in (k3stab.stability, k3stab.scenario):
-        monkeypatch.setattr(module, "wall_table", counted_table)
+        monkeypatch.setattr(module, "wall_table", tables.append)
     code, out = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
-    assert code == 0
-    assert in_table == [20]
+    assert code == 0 and tables == []
     report = json.loads(out)
-    assert len(report["charges"]) == 20 and len(report["walls"]) == 190
-    # one str() per charge, one for the shared imaginary part "0", and one per
-    # exact coordinate of omega_J: nothing is rendered twice
+    assert len(report["charges"]) == 20 and "walls" not in report
+    assert "positive real" in report["argument"]
+    assert (report["member_count"], report["pairs"]) == (190, 190)
     omega = [x for x in report["omega_J"] if isinstance(x, str)]
-    assert sorted(map(to_str, strings)) == sorted(report["charges"] + ["0"] + omega)
+    assert sorted(map(to_str, strings)) == sorted(report["charges"] + omega)
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        # D = 2 * 10^29 + 7 = 9 * 22222222222222222222222222223, a composite
+        # that 2^17 steps of rho leave unsplit
+        (["attractor"], {"form": [2, 1, 10**29 + 4]}),
+        (["verify", "6.4"], {"form": [2, 1, 10**29 + 4]}),
+        # 10^47 - 1 = 9 * 35121409 * 316362908763458525001406154038726382279
+        (["attractor"], {"form": [2, 0, 8], "search": {"c_eta": "sqrt(" + "9" * 47 + ")"}}),
+    ],
+)
+def test_radicand_out_of_reach_is_a_scenario_error(tmp_path, capsys, command, fields):
+    """A radicand with a cofactor over the proven Miller-Rabin bound that is
+    neither a square nor split by rho ends in a `scenario` error, in bounded
+    time, from assembly and from the scalar parser alike."""
+    code, out = run_cli(capsys, [*command, "--scenario", write_scenario(tmp_path, fields)])
+    assert_json_error(code, out, "scenario", "3317044064679887385961981")
+
+
+def test_radicand_split_by_rho_assembles(tmp_path, capsys):
+    """A 31-digit D = 4 d whose cofactor after trial division, the product
+    of two 12-digit primes, lies below the proven bound: rho splits it."""
+    d = 1000003 * 999999999989 * 999999999959
+    path = write_scenario(tmp_path, {"form": [2, 0, 2 * d]})  # D = 4 d
+    code, out = run_cli(capsys, ["attractor", "--scenario", path])
+    report = json.loads(out)
+    assert code == 0 and report["scenario"]["m"] == d

@@ -372,9 +372,9 @@ def test_wall_member_examples(sc28):
     psi = sc28.psi
     w_f = mirror_class(sc28.split, F)
     w_s = mirror_class(sc28.split, SIGMA0)
-    rep = wall_member(psi, w_f, w_s)
-    assert rep.member
-    assert rep.z_i == QuadComplex(1) and rep.z_j == QuadComplex(3)
+    assert wall_member(psi, w_f, w_s).member
+    assert central_charge(psi, w_f) == QuadComplex(1)
+    assert central_charge(psi, w_s) == QuadComplex(3)
     assert wall_member(psi, w_f, w_f).member
     assert not wall_member(psi, w_f, mirror_class(sc28.split, -F)).member
     # zero charge fails membership
@@ -614,32 +614,31 @@ def test_dual_eta_matches_gauss_jordan():
 
 
 def test_wall_intersection_2_8(searched28, sc28):
-    result = wall_intersection(searched28.charges)
-    assert len(result.reports) == 190
-    assert result.all_member
-    for z in result.charges:
+    flips, charges = wall_intersection(searched28.charges)
+    assert len(flips) == len(charges) == 20
+    for z in charges:
         assert z.sign() > 0
 
 
 def test_wall_intersection_matches_flipped_central_charges(searched28, sc28):
-    """The table built from the flipped values equals the one from a central
-    charge of each flipped class: Z(mu(-l)) = -Z(mu(l))."""
+    """The flipped values are the central charges of the flipped classes,
+    Z(mu(-l)) = -Z(mu(l)), and their wall table has every pair a member."""
     psi = searched28.psi
-    result = wall_intersection(searched28.charges)
-    assert any(result.flips) and not all(result.flips)
-    flipped = [-cls if flip else cls for cls, flip in zip(sc28.pic_basis, result.flips)]
+    flips, charges = wall_intersection(searched28.charges)
+    assert any(flips) and not all(flips)
+    flipped = [-cls if flip else cls for cls, flip in zip(sc28.pic_basis, flips)]
     zs = [central_charge(psi, mirror_class(sc28.split, cls)) for cls in flipped]
-    assert [z.re for z in zs] == result.charges and not any(z.im for z in zs)
-    reference = wall_table(zs)
-    assert [(r.i, r.j, r.member, r.z_i, r.z_j) for r in result.reports] == [
-        (r.i, r.j, r.member, r.z_i, r.z_j) for r in reference
-    ]
+    assert [z.re for z in zs] == charges and not any(z.im for z in zs)
+    assert [r.member for r in wall_table(zs)] == [True] * 190
 
 
 def test_wall_intersection_rejects_zero_charge(sc28):
+    """A zero charge stays zero when flipped, and its pairs are no members."""
     charges = [(cls, z) for cls, z, _ in verify_reality(sc28.split, sc28.psi, sc28.pic_basis)]
     assert any(not z for _, z in charges)
-    assert not wall_intersection(charges).all_member
+    _, flipped = wall_intersection(charges)
+    assert all(z.sign() >= 0 for z in flipped) and any(not z for z in flipped)
+    assert not all(r.member for r in wall_table([QuadComplex(z) for z in flipped]))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +652,7 @@ def test_wall_table_matches_wall_member(sc28, searched28):
         reports = wall_table([central_charge(psi, v) for v in vs])
         assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(vs)), 2))
         for rep in reports:
-            ref = wall_member(psi, vs[rep.i], vs[rep.j])
-            assert (rep.member, rep.z_i, rep.z_j) == (ref.member, ref.z_i, ref.z_j)
+            assert rep.member == wall_member(psi, vs[rep.i], vs[rep.j]).member
     assert not all(r.member for r in wall_table([central_charge(searched28.psi, v) for v in mixed]))
 
 
@@ -683,7 +681,7 @@ def _charge_lists(draw):
 def test_wall_table_matches_phase_aligned_oracle(zs):
     reports = wall_table(zs)
     assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(zs)), 2))
-    assert [r.member for r in reports] == [phase_aligned(r.z_i, r.z_j) for r in reports]
+    assert [r.member for r in reports] == [phase_aligned(zs[r.i], zs[r.j]) for r in reports]
 
 
 def test_wall_table_phase_examples():
