@@ -5,7 +5,7 @@ Commands
     forms reduce|equiv|enumerate
     mirror               mirror period triple and involution data
     charge               central-charge table (threefold and mirror sides)
-    walls                pairwise wall table at the scenario's omega_J
+    walls                real mirror charges and wall count at the omega_J
     verify 5.1|6.2|6.3|6.4   certificate suites (aliases: slag-reality,
                          mirror-reality, regular-point, wall-intersection)
 
@@ -83,9 +83,9 @@ def _render(obj) -> str:
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
     generators; this writer appends to one list and joins it once.  `plans`
-    holds one plan per key tuple and indentation, which the 190 rows of a
-    wall table share: the sorted keys, each with its head (the opener, the
-    indentation and the quoted key), checked when the plan is built.
+    holds one plan per key tuple and indentation, which the rows of a report
+    share: the sorted keys, each with its head (the opener, the indentation
+    and the quoted key), checked when the plan is built.
 
     In a dict or a list, a str, int or bool value, told apart by exact type
     so that a bool is never written as an int, is appended right after its
@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     with_scenario(p)
     p.set_defaults(func=cmd_charge)
 
-    p = sub.add_parser("walls", help="pairwise wall table at the scenario omega_J")
+    p = sub.add_parser("walls", help="real mirror charges and wall count at the scenario omega_J")
     with_scenario(p)
     p.set_defaults(func=cmd_walls)
 

@@ -72,8 +72,8 @@ from .stability import (
     ns_of_mirror,
     search_kahler_class,
     verify_reality,
+    wall_count,
     wall_intersection,
-    wall_table,
 )
 
 
@@ -499,7 +499,7 @@ def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
         "root_enumeration": {
             "complete": True,
             "lattice_rank": enumeration.lattice_rank,
-            "roots": enumeration.count,
+            "roots": len(enumeration.roots),
         },
         "charges": [
             {"class": vector_json(c, with_float), "Z": scalar_json(z, with_float)}
@@ -525,7 +525,6 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
     is a member by `argument`, so the report holds no wall table."""
     result = sc.result
     flips, charges = wall_intersection(result.charges)
-    nonzero = sum(1 for z in charges if z)
     return {
         "scenario": sc.echo(),
         "certificate": "wall-intersection",
@@ -534,24 +533,25 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
         "charges": [scalar_json(z, with_float) for z in charges],
         "argument": "each class is flipped to make its real charge positive, and a "
         "ratio of positive reals is a positive real",
-        "member_count": nonzero * (nonzero - 1) // 2,
+        "member_count": wall_count(charges),
         "pairs": len(charges) * (len(charges) - 1) // 2,
         "kind": "generalized",
-        "pass": nonzero == len(charges),
+        "pass": all(charges),
     }
 
 
 def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
-    """Wall membership of every pair at the scenario's own omega_J (no
-    search), whose charges are not sign-normalized; each charge once."""
-    zs = [central_charge(sc.psi, mirror_class(sc.split, cls)) for cls in sc.pic_basis]
-    reports = wall_table(zs)
+    """The charges at the scenario's own omega_J (no search), not flipped,
+    real by `verify_reality` as in 6.2; the pairs on a wall follow from their
+    signs by `argument`, so the report holds no wall table."""
+    zs = [z for _, z, _ in verify_reality(sc.split, sc.psi, sc.pic_basis)]
     return {
         "scenario": sc.echo(),
-        "charges": [complex_json(z, with_float) for z in zs],
-        "walls": [{"i": r.i, "j": r.j, "member": r.member} for r in reports],
-        "member_count": sum(1 for r in reports if r.member),
-        "pairs": len(reports),
+        "charges": [scalar_json(z, with_float) for z in zs],
+        "argument": "every charge is real, and two real charges lie on a common wall "
+        "exactly when both are nonzero and of one sign",
+        "member_count": wall_count(zs),
+        "pairs": len(zs) * (len(zs) - 1) // 2,
         "kind": "generalized",
     }
 

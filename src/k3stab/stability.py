@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .attractor import Charge, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
@@ -133,20 +133,15 @@ def ns_of_mirror(omega_check: ComplexVector) -> Sublattice:
 
 @dataclass(frozen=True)
 class RootEnumeration:
-    """The roots of the lattice orthogonal to Psi and the mirror period.
-
-    `count` is the number of roots; `roots` holds the first `limit` of them in
-    (r, D, s) order, each re-verified against the exact Mukai pairing.
-    """
+    """The roots of the lattice orthogonal to Psi and the mirror period, all
+    of them, in (r, D, s) order, each re-verified against the exact Mukai
+    pairing."""
 
     lattice_rank: int
-    count: int
     roots: list[MukaiVector]
 
 
-def p0_violations(
-    psi: StabilityPoint, omega_check: ComplexVector, limit: Optional[int] = None
-) -> RootEnumeration:
+def p0_violations(psi: StabilityPoint, omega_check: ComplexVector) -> RootEnumeration:
     """Every delta = (r, D, s) with delta^2 = -2, D in NS(mirror) and
     (Psi, delta) = 0, found by one complete enumeration (module docstring).
 
@@ -189,13 +184,13 @@ def p0_violations(
         basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
         hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []
-    for r, d, s in hits[:limit]:
+    for r, d, s in hits:
         delta = MukaiVector(r, LatticeVector.from_ints(d), s)
         assert not central_charge(psi, delta), f"false positive {delta}: pairs with Psi"
         assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
         roots.append(delta)
-    return RootEnumeration(lattice_rank=len(kern), count=len(hits), roots=roots)
+    return RootEnumeration(lattice_rank=len(kern), roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +238,6 @@ def fibration_obstruction(charge: Charge, split: SplitData) -> ObstructionCheck:
 # Walls.
 
 
-class WallReport(NamedTuple):
-    i: int
-    j: int
-    member: bool
-
-
 def _phase_key(z: QuadComplex) -> Optional[tuple]:
     """An exact key of the phase of z: None for zero, (0, sign re) for a real
     z, (sign im, re/im) otherwise.  The sign of im picks the half plane and
@@ -259,23 +248,20 @@ def _phase_key(z: QuadComplex) -> Optional[tuple]:
     return (z.im.sign(), z.re / z.im)
 
 
-def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> WallReport:
-    """Generalized wall membership, Z(v1)/Z(v2) in R_{>0}, decided exactly; a
-    zero central charge has no phase and fails it."""
-    (report,) = wall_table([central_charge(psi, v1), central_charge(psi, v2)])
-    return report
+def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> bool:
+    """Generalized wall membership, Z(v1)/Z(v2) in R_{>0}, decided exactly for
+    any two charges; a zero central charge has no phase and fails it."""
+    key = _phase_key(central_charge(psi, v1))
+    return key is not None and key == _phase_key(central_charge(psi, v2))
 
 
-def wall_table(zs: Sequence[QuadComplex]) -> list[WallReport]:
-    """Wall membership of every pair i < j, in (i, j) order, from the central
-    charges of the vectors (one per vector, computed by the caller) and one
-    phase key per charge."""
-    keys = [_phase_key(z) for z in zs]
-    return [
-        WallReport(i, j, keys[i] is not None and keys[i] == keys[j])
-        for i in range(len(zs))
-        for j in range(i + 1, len(zs))
-    ]
+def wall_count(charges: Sequence[QuadScalar]) -> int:
+    """The number of pairs of real charges on a common generalized wall.  A
+    ratio of two real charges is a positive real exactly when both are
+    nonzero and of one sign, so that is C(n+, 2) + C(n-, 2) for the n+
+    positive and n- negative charges."""
+    signs = [z.sign() for z in charges]
+    return sum(n * (n - 1) // 2 for n in (signs.count(1), signs.count(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,19 @@ def verify_reality(
     split: SplitData, psi: StabilityPoint, classes: Sequence[LatticeVector]
 ) -> list[tuple[LatticeVector, QuadScalar, MukaiVector]]:
     """Check that every Z(mu(l)) is exactly real; return (l, Z(mu(l)), mu(l))
-    per class, from one mirror class and one central charge each."""
+    per class, from one mirror class and one central charge each.
+
+    The check cannot fail at the point of an assembled scenario or of the
+    search, for any B.  There Omega_I = omega_J + i Re(Omega), and Re(Omega)
+    lies in span(p, q), orthogonal to l, f and sigma0, so the mirror map gives
+    omega_check = (Re(Omega) - (Re(Omega).B) f) / (omega_J.f) and
+    B_check = (pr(omega_J) - (omega_J.B) f) / (omega_J.f).  With
+    mu(l) = (b, pr(l), -a), Im Z(mu(l)) = omega_check.pr(l) - b Im s_Psi, and
+    omega_check.pr(l) = Re(Omega).l / (omega_J.f) = 0, as pr(l) is orthogonal
+    to f.  Im s_Psi = B_check.omega_check = omega_J.Re(Omega) / (omega_J.f)^2
+    = 0, as f pairs to zero with f, Re(Omega) and pr(omega_J), and assembly
+    makes omega_J (and eta, so the search's candidate) orthogonal to p and q.
+    """
     out = []
     for cls in classes:
         v = mirror_class(split, cls)
@@ -397,7 +395,7 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     for cls, z in charges:
         if not z:
             raise exhausted(f"zero real charge for class {cls}")
-    enumeration = p0_violations(psi, triple.Omega_check, limit=1)
+    enumeration = p0_violations(psi, triple.Omega_check)
     if enumeration.roots:
         raise exhausted(f"annihilating (-2)-class: {enumeration.roots[0]}")
     return SearchResult(

@@ -500,7 +500,7 @@ def cone_violation(omega, f, what):
 
 def phase_aligned(z1, z2):
     """z1/z2 in R_{>0}, decided exactly by two products per pair; a zero
-    charge has no phase.  The reference for `stability.wall_table`."""
+    charge has no phase.  The reference for `stability._phase_key` and `wall_count`."""
     if not (z1 and z2):
         return False
     if not (z1.im or z2.im):

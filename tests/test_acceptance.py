@@ -37,6 +37,7 @@ from oracles import (
     bounded_p0_violations,
     minus_two_coefficients,
     mukai_ambient,
+    phase_aligned,
     quad_pair,
     signature,
     triple_pair,
@@ -50,7 +51,6 @@ from k3stab.stability import (
     p0_violations,
     verify_reality,
     wall_member,
-    wall_table,
 )
 
 F = GAMMA.basis(0)
@@ -164,7 +164,7 @@ def test_criterion_5_mirror_reality(sc28):
 def test_criterion_6_regular_point_search(sc28, searched28):
     with acceptance_criterion("regular stability point found for diag(2,8)"):
         enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
-        assert enumeration.lattice_rank == 20 and enumeration.count == 0
+        assert enumeration.lattice_rank == 20 and enumeration.roots == []
         assert all(z.sign() != 0 for _, z in searched28.charges)
         # the unperturbed family member has plane Gram omega^2 I = diag(8,8)
         gram = triple_plane_gram(sc28.psi)
@@ -198,7 +198,8 @@ def _cli_report(capsys, argv):
 
 def test_criterion_8_wall_intersection(tmp_path, capsys):
     """verify 6.4 states the 20 flipped charges and no wall table; `walls` at
-    the omega_J that 6.4 reports is the table it leaves out."""
+    the omega_J that 6.4 reports states the same charges unflipped, and each
+    of the 190 pairs is checked with the general phase test."""
     with acceptance_criterion("190/190 generalized walls meet at the mirror point"):
         path = tmp_path / "scenario.json"
         for form in ([2, 0, 8], [4, 1, 6]):
@@ -208,19 +209,18 @@ def test_criterion_8_wall_intersection(tmp_path, capsys):
             assert (cert["member_count"], cert["pairs"], cert["pass"]) == (190, 190, True)
             path.write_text(json.dumps({"form": form, "omega_J": cert["omega_J"]}))
             table = _cli_report(capsys, ["walls", "--scenario", str(path)])
-            assert all(z["im"] == "0" for z in table["charges"])
-            zs = [parse_quad(z["re"]) for z in table["charges"]]
+            assert "walls" not in table and "pass" not in table
+            zs = [parse_quad(z) for z in table["charges"]]
             signs = [z.sign() for z in zs]
             assert len(zs) == 20 and 0 not in signs
             assert [sign < 0 for sign in signs] == cert["flips"]
             assert [str(-z if sign < 0 else z) for z, sign in zip(zs, signs)] == cert["charges"]
             pairs = list(itertools.combinations(range(20), 2))
-            members = [(w["i"], w["j"]) for w in table["walls"] if w["member"]]
-            assert members == [(i, j) for i, j in pairs if signs[i] == signs[j]]
-            assert table["member_count"] == len(members)
+            same_sign = [(i, j) for i, j in pairs if signs[i] == signs[j]]
+            assert table["member_count"] == len(same_sign) < 190
 
-            # once flipped, 190 of 190; flipping any single class back
-            # breaks exactly its 19 walls
+            # once flipped, 190 of 190 by the general phase test; flipping
+            # any single class back breaks exactly its 19 walls
             sc = build_scenario(form=form, omega_J=cert["omega_J"])
             aligned = [
                 mirror_class(sc.split, -cls if flip else cls)
@@ -228,19 +228,39 @@ def test_criterion_8_wall_intersection(tmp_path, capsys):
             ]
             flipped = [central_charge(sc.psi, v) for v in aligned]
             assert [str(z.re) for z in flipped] == cert["charges"]
-            assert all(r.member for r in wall_table(flipped))
+            assert all(wall_member(sc.psi, aligned[i], aligned[j]) for i, j in pairs)
+            unflipped = [mirror_class(sc.split, cls) for cls in sc.pic_basis]
+            members = [(i, j) for i, j in pairs if wall_member(sc.psi, unflipped[i], unflipped[j])]
+            assert members == same_sign
             for i in range(20):
                 broken = [
                     j
                     for j in range(20)
-                    if j != i and not wall_member(sc.psi, -aligned[i], aligned[j]).member
+                    if j != i and not wall_member(sc.psi, -aligned[i], aligned[j])
                 ]
                 assert broken == [j for j in range(20) if j != i]
-            for i in (0, 7, 19):
-                zs = list(flipped)
-                zs[i] = central_charge(sc.psi, -aligned[i])
-                bad_pairs = {(r.i, r.j) for r in wall_table(zs) if not r.member}
-                assert bad_pairs == {(min(i, j), max(i, j)) for j in range(20) if j != i}
+
+
+def test_walls_charges_are_real_for_every_b_field(tmp_path, capsys):
+    """On every reduced form with D <= 40, at B = 0, at e8a.1 and at
+    1/2 e1(U2), which pairs with p, each central charge of `walls` is exactly
+    real by the expanded pairing (`oracles.triple_pair`), and `member_count`
+    is the number of pairs that the general phase test
+    (`oracles.phase_aligned`) puts on a wall."""
+    fields = [0] * 22, [0] * 6 + [1] + [0] * 15, [0, 0, "1/2"] + [0] * 19
+    path = tmp_path / "scenario.json"
+    forms = [form.as_list() for disc in range(1, 41) for form in enumerate_reduced(disc)]
+    assert len(forms) == 40
+    for form in forms:
+        for b_field in fields:
+            path.write_text(json.dumps({"form": form, "B": b_field}))
+            report = _cli_report(capsys, ["walls", "--scenario", str(path)])
+            sc = build_scenario(form=form, B=b_field)
+            zs = [triple_pair(sc.psi, mirror_class(sc.split, cls)) for cls in sc.pic_basis]
+            assert not any(z.im for z in zs), (form, b_field)
+            assert [str(z.re) for z in zs] == report["charges"]
+            aligned = sum(phase_aligned(z1, z2) for z1, z2 in itertools.combinations(zs, 2))
+            assert report["member_count"] == aligned, (form, b_field)
 
 
 def _naive_reduced_forms(disc):

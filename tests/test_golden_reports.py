@@ -18,7 +18,7 @@ GOLDEN = [
         ("walls",),
         "diag_2_8",
         0,
-        "b290fdd7482f1164e0d4c80ccb3e4ddfd0f5d47da67d425901891893880ac47d",
+        "0af0bb7e8feec90b1657649e2410efa9a568ec9c6d7d3fb6e57a4d0673127a90",
     ),
     (
         ("verify", "6.3"),
@@ -66,7 +66,7 @@ GOLDEN = [
         ("walls", "--float"),
         "diag_2_8",
         0,
-        "1a271b32b137ab10d584e37673610d415db1f0b7f1ecd316dccb9a9f415996fd",
+        "bda19aa537b9205fa13c84fdc5400809839ec31557471dee86d4731d19a620e2",
     ),
     (
         ("charge",),
@@ -74,12 +74,13 @@ GOLDEN = [
         0,
         "b1f7b44a8b215d1924cf6917e6d4e23ef89d48b9daaf64cb032a594a3f4a350b",
     ),
-    # complex charges over Q(sqrt 23): the complex branch of the phase test
+    # a scenario over Q(sqrt 23) whose twenty mirror charges are real (and
+    # rational: 1, 15/8 and eighteen zeros), as at every scenario's omega_J
     (
         ("walls",),
         "form_4_1_6",
         0,
-        "61f8cba139055e606f713d537b336697922bf6cdf6d5cb749864f82fbb1a37d2",
+        "fa15834e5e0bc8cc9c9c4d265f5390ffd9aa7bda3bd013b59d04fe00f94ab82a",
     ),
     (
         ("mirror",),

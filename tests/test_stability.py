@@ -34,10 +34,10 @@ from k3stab.stability import (
     search_kahler_class,
     verify_reality,
     wall_intersection,
+    wall_count,
     wall_member,
-    wall_table,
 )
-from k3stab.stability import _dual_eta
+from k3stab.stability import _dual_eta, _phase_key
 from oracles import (
     bounded_p0_violations,
     cone_violation,
@@ -227,13 +227,13 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
 
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
     enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
-    assert (enumeration.lattice_rank, enumeration.count, enumeration.roots) == (20, 0, [])
+    assert (enumeration.lattice_rank, enumeration.roots) == (20, [])
     assert searched28.enumeration == enumeration
 
 
 def test_falsifier_hits_base_family_member(sc28):
     # with B-check = 0 every Gamma'-root annihilates the stability point
-    hit = p0_violations(sc28.psi, sc28.triple.Omega_check, limit=1).roots[0]
+    hit = p0_violations(sc28.psi, sc28.triple.Omega_check).roots[0]
     assert hit.r == 0 and hit.s == 0
     assert triple_pair(sc28.psi, hit) == QuadComplex(0)
 
@@ -243,21 +243,16 @@ def _sort_key(delta):
 
 
 def test_falsifier_is_first_violation(sc28, searched28, sc22):
-    """The roots come in (r, D, s) order and `limit` keeps a prefix of them."""
+    """The roots come in (r, D, s) order, each once, closed under negation."""
     points = [(sc28.psi, sc28.triple), (searched28.psi, searched28.triple)]
     points.append((sc22.psi, sc22.triple))
     counts = []
     for psi, triple in points:
         full = p0_violations(psi, triple.Omega_check)
-        assert full.count == len(full.roots)
         assert full.roots == sorted(full.roots, key=_sort_key)
-        assert len(set(full.roots)) == full.count
+        assert len(set(full.roots)) == len(full.roots)
         assert set(full.roots) == {-h for h in full.roots}
-        for limit in (1, 2):
-            cut = p0_violations(psi, triple.Omega_check, limit=limit)
-            assert cut.roots == full.roots[:limit]
-            assert (cut.count, cut.lattice_rank) == (full.count, full.lattice_rank)
-        counts.append(full.count)
+        counts.append(len(full.roots))
     assert counts == [482, 0, 488]
 
 
@@ -276,7 +271,7 @@ def test_complete_enumeration_contains_bounded_walk():
         complete = p0_violations(sc.psi, sc.triple.Omega_check)
         bounded = bounded_p0_violations(sc.psi, ns_of_mirror(sc.triple.Omega_check), 2)
         assert bounded and set(bounded) <= set(complete.roots), name
-        assert complete.count > len(bounded), name
+        assert len(complete.roots) > len(bounded), name
 
 
 def test_enumeration_needs_a_positive_four_plane(sc28):
@@ -372,14 +367,14 @@ def test_wall_member_examples(sc28):
     psi = sc28.psi
     w_f = mirror_class(sc28.split, F)
     w_s = mirror_class(sc28.split, SIGMA0)
-    assert wall_member(psi, w_f, w_s).member
+    assert wall_member(psi, w_f, w_s) is True
     assert central_charge(psi, w_f) == QuadComplex(1)
     assert central_charge(psi, w_s) == QuadComplex(3)
-    assert wall_member(psi, w_f, w_f).member
-    assert not wall_member(psi, w_f, mirror_class(sc28.split, -F)).member
+    assert wall_member(psi, w_f, w_f) is True
+    assert wall_member(psi, w_f, mirror_class(sc28.split, -F)) is False
     # zero charge fails membership
     zero_class = mirror_class(sc28.split, sc28.eta_basis[0])
-    assert not wall_member(psi, w_f, zero_class).member
+    assert wall_member(psi, w_f, zero_class) is False
 
 
 def test_verify_reality_2_8(sc28):
@@ -622,14 +617,14 @@ def test_wall_intersection_2_8(searched28, sc28):
 
 def test_wall_intersection_matches_flipped_central_charges(searched28, sc28):
     """The flipped values are the central charges of the flipped classes,
-    Z(mu(-l)) = -Z(mu(l)), and their wall table has every pair a member."""
+    Z(mu(-l)) = -Z(mu(l)), and every pair of them is on a wall."""
     psi = searched28.psi
     flips, charges = wall_intersection(searched28.charges)
     assert any(flips) and not all(flips)
     flipped = [-cls if flip else cls for cls, flip in zip(sc28.pic_basis, flips)]
     zs = [central_charge(psi, mirror_class(sc28.split, cls)) for cls in flipped]
     assert [z.re for z in zs] == charges and not any(z.im for z in zs)
-    assert [r.member for r in wall_table(zs)] == [True] * 190
+    assert wall_count(charges) == 190
 
 
 def test_wall_intersection_rejects_zero_charge(sc28):
@@ -638,22 +633,26 @@ def test_wall_intersection_rejects_zero_charge(sc28):
     assert any(not z for _, z in charges)
     _, flipped = wall_intersection(charges)
     assert all(z.sign() >= 0 for z in flipped) and any(not z for z in flipped)
-    assert not all(r.member for r in wall_table([QuadComplex(z) for z in flipped]))
+    assert wall_count(flipped) < 190
 
 
 # ---------------------------------------------------------------------------
 # Rewritten kernels against the code they replaced.
 
 
-def test_wall_table_matches_wall_member(sc28, searched28):
+def test_wall_count_matches_wall_member(sc28, searched28):
+    """The sign count of the real charges at a scenario's point and at the
+    searched one agrees with the general phase test of `wall_member`."""
     vectors = [mirror_class(sc28.split, cls) for cls in sc28.pic_basis]
     mixed = [-v for v in vectors[:4]] + vectors[4:]
+    counts = []
     for psi, vs in ((sc28.psi, vectors), (searched28.psi, vectors), (searched28.psi, mixed)):
-        reports = wall_table([central_charge(psi, v) for v in vs])
-        assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(vs)), 2))
-        for rep in reports:
-            assert rep.member == wall_member(psi, vs[rep.i], vs[rep.j]).member
-    assert not all(r.member for r in wall_table([central_charge(searched28.psi, v) for v in mixed]))
+        zs = [central_charge(psi, v) for v in vs]
+        assert not any(z.im for z in zs)
+        members = [wall_member(psi, v1, v2) for v1, v2 in itertools.combinations(vs, 2)]
+        counts.append(wall_count([z.re for z in zs]))
+        assert counts[-1] == sum(members)
+    assert counts[2] < 190
 
 
 @st.composite
@@ -678,18 +677,28 @@ def _charge_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_charge_lists())
-def test_wall_table_matches_phase_aligned_oracle(zs):
-    reports = wall_table(zs)
-    assert [(r.i, r.j) for r in reports] == list(itertools.combinations(range(len(zs)), 2))
-    assert [r.member for r in reports] == [phase_aligned(zs[r.i], zs[r.j]) for r in reports]
+def test_phase_key_matches_phase_aligned_oracle(zs):
+    """Equal phase keys decide the general phase test on complex charges, and
+    the sign count decides it on their real parts."""
+    keys = [_phase_key(z) for z in zs]
+    for (k1, z1), (k2, z2) in itertools.combinations(zip(keys, zs), 2):
+        assert (k1 is not None and k1 == k2) == phase_aligned(z1, z2)
+    reals = [QuadComplex(z.re) for z in zs]
+    aligned = sum(phase_aligned(z1, z2) for z1, z2 in itertools.combinations(reals, 2))
+    assert wall_count([z.re for z in zs]) == aligned
 
 
-def test_wall_table_phase_examples():
+def test_phase_key_examples():
     one, i = QuadComplex(1), QuadComplex(0, 1)
     z = QuadComplex(QuadScalar(1, 1, 2), QuadScalar(-3))
     zs = [one, 2 * one, -one, i, -i, z, z * Fraction(1, 3), -z, QuadComplex(0), z.conj()]
-    members = {(r.i, r.j) for r in wall_table(zs) if r.member}
-    assert members == {(0, 1), (5, 6)}
+    keys = [_phase_key(z) for z in zs]
+    pairs = itertools.combinations(range(len(zs)), 2)
+    assert {(a, b) for a, b in pairs if keys[a] and keys[a] == keys[b]} == {(0, 1), (5, 6)}
+    # 1, 2, 1/2 + sqrt 2 are positive and -1, -3 negative: 3 + 1 pairs
+    reals = [QuadScalar(1), QuadScalar(2), QuadScalar(-1), QuadScalar(0), QuadScalar(-3)]
+    assert wall_count(reals + [QuadScalar(Fraction(1, 2), 1, 2)]) == 4
+    assert wall_count([]) == wall_count([QuadScalar(0)] * 5) == 0
 
 
 def test_s_part_memo_is_the_value(sc28):
