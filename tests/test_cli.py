@@ -147,3 +147,82 @@ def test_shared_parser_keeps_no_state_between_calls(monkeypatch):
     together = [_in_process(argv) for argv in calls]
     assert [code for code, _, _ in together] == [1, 0, 1]
     assert together == [_alone(argv, env) for argv in calls]
+
+
+_TOP_USAGE = "usage: k3stab [-h] {attractor,forms,mirror,charge,walls,verify} ...\n"
+_VERIFY_USAGE = (
+    "usage: k3stab verify [-h] --scenario SCENARIO [--float]\n"
+    "                     {5.1,6.2,6.3,6.4,mirror-reality,regular-point,slag-reality,wall-intersection}\n"
+)
+_HELP_AND_USAGE = {
+    "help": (
+        ["--help"],
+        0,
+        _TOP_USAGE
+        + "\n"
+        "Command-line front end: scenario ingestion, dispatch, deterministic reports.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {attractor,forms,mirror,charge,walls,verify}\n"
+        "    attractor           solve and verify the attractor background\n"
+        "    forms               binary even form utilities\n"
+        "    mirror              mirror period triple\n"
+        "    charge              central-charge table\n"
+        "    walls               real mirror charges and wall count at the scenario\n"
+        "                        omega_J\n"
+        "    verify              run a certificate suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "verify-help": (
+        ["verify", "--help"],
+        0,
+        _VERIFY_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  {5.1,6.2,6.3,6.4,mirror-reality,regular-point,slag-reality,wall-intersection}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --scenario SCENARIO   scenario JSON file\n"
+        "  --float               add decimal renderings\n",
+        "",
+    ),
+    "forms-help": (
+        ["forms", "--help"],
+        0,
+        "usage: k3stab forms [-h] {reduce,equiv,enumerate} forms [forms ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  {reduce,equiv,enumerate}\n"
+        "  forms                 form triples as JSON, or a discriminant\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "unknown-command": (
+        ["bogus"],
+        1,
+        "",
+        _TOP_USAGE + "k3stab: error: argument command: invalid choice: 'bogus' (choose from "
+        "'attractor', 'forms', 'mirror', 'charge', 'walls', 'verify')\n",
+    ),
+    "verify-without-scenario": (
+        ["verify", "6.4"],
+        1,
+        "",
+        _VERIFY_USAGE + "k3stab verify: error: the following arguments are required: --scenario\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HELP_AND_USAGE))
+def test_help_and_usage_text(case):
+    """Exit code, stdout and stderr of the help and usage texts, byte for
+    byte, at an 80-column terminal."""
+    argv, code, out, err = _HELP_AND_USAGE[case]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    assert _alone(argv, env) == (code, out, err)
