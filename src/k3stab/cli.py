@@ -9,6 +9,10 @@ Commands
     verify 5.1|6.2|6.3|6.4   certificate suites (aliases: slag-reality,
                          mirror-reality, regular-point, wall-intersection)
 
+Every command takes one path: `main` parses the arguments, `_run` returns the
+exit code and the report text (the command's report, or the JSON error of a
+documented failure), and `main` prints that text once.
+
 Reports are JSON on stdout, byte for byte `json.dumps(report, indent=2,
 sort_keys=True)` and one newline, with exact scalar strings; the --float flag
 adds 15-digit decimal renderings (strings) for reading, never used in any
@@ -69,11 +73,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _emit(payload: dict) -> None:
-    # flush here, so a closed stdout raises inside main() and not at exit
-    print(_render(payload), flush=True)
 
 
 def _render(obj) -> str:
@@ -175,11 +174,6 @@ def _parse_form(text: str) -> BinaryEvenForm:
     return form_from_json(value)
 
 
-def cmd_attractor(args) -> int:
-    _emit(attractor_report(scenario_from_file(args.scenario), args.float))
-    return 0
-
-
 _FORMS_ARITY = {
     "reduce": (1, "one form"),
     "equiv": (2, "two forms"),
@@ -187,77 +181,68 @@ _FORMS_ARITY = {
 }
 
 
-def cmd_forms(args) -> int:
+def cmd_forms(args) -> dict:
     count, what = _FORMS_ARITY[args.action]
     if len(args.forms) != count:
         raise ScenarioError(f"{args.action} needs {what}, got {len(args.forms)} arguments")
     if args.action == "reduce":
         form = _parse_form(args.forms[0])
         reduced, witness = gauss_reduce(form)
-        _emit(
-            {
-                "action": "reduce",
-                "input": form.as_list(),
-                "reduced": reduced.as_list(),
-                "witness": witness.as_rows(),
-                "discriminant": form.discriminant(),
-            }
-        )
-    elif args.action == "equiv":
+        return {
+            "action": "reduce",
+            "input": form.as_list(),
+            "reduced": reduced.as_list(),
+            "witness": witness.as_rows(),
+            "discriminant": form.discriminant(),
+        }
+    if args.action == "equiv":
         q1, q2 = (_parse_form(t) for t in args.forms)
         witness = sl2_equivalent(q1, q2)
-        _emit(
-            {
-                "action": "equiv",
-                "q1": q1.as_list(),
-                "q2": q2.as_list(),
-                "equivalent": witness is not None,
-                "witness": witness.as_rows() if witness else None,
-            }
-        )
-    else:  # enumerate
-        try:
-            disc = int(args.forms[0])
-            forms = enumerate_reduced(disc)
-        except ValueError as exc:
-            raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
-        _emit(
-            {
-                "action": "enumerate",
-                "discriminant": disc,
-                "forms": [f.as_list() for f in forms],
-            }
-        )
-    return 0
+        return {
+            "action": "equiv",
+            "q1": q1.as_list(),
+            "q2": q2.as_list(),
+            "equivalent": witness is not None,
+            "witness": witness.as_rows() if witness else None,
+        }
+    try:  # enumerate
+        disc = int(args.forms[0])
+        forms = enumerate_reduced(disc)
+    except ValueError as exc:
+        raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
+    return {"action": "enumerate", "discriminant": disc, "forms": [f.as_list() for f in forms]}
 
 
-def cmd_mirror(args) -> int:
-    _emit(mirror_report(scenario_from_file(args.scenario), args.float))
-    return 0
+def _report(args) -> dict:
+    """The report of one parsed command.  A scenario command, or a `verify`
+    suite by its canonical name, picks its builder from a table built here,
+    on each call, from this module's names, so that a builder rebound on the
+    module (a tracer's wrapper, a test's stub) is the one that runs."""
+    if args.command == "forms":
+        return cmd_forms(args)
+    builders = {
+        "attractor": attractor_report,
+        "mirror": mirror_report,
+        "charge": charge_table_report,
+        "walls": wall_table_report,
+        "5.1": slag_reality_report,
+        "6.2": mirror_reality_report,
+        "6.3": regular_point_report,
+        "6.4": wall_system_report,
+    }
+    name = _VERIFY_ALIASES[args.certificate] if args.command == "verify" else args.command
+    return builders[name](scenario_from_file(args.scenario), args.float)
 
 
-def cmd_charge(args) -> int:
-    _emit(charge_table_report(scenario_from_file(args.scenario), args.float))
-    return 0
-
-
-def cmd_walls(args) -> int:
-    _emit(wall_table_report(scenario_from_file(args.scenario), args.float))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    sc = scenario_from_file(args.scenario)
-    which = _VERIFY_ALIASES[args.certificate]
-    if which == "5.1":
-        _emit(slag_reality_report(sc, args.float))
-    elif which == "6.2":
-        _emit(mirror_reality_report(sc, args.float))
-    elif which == "6.3":
-        _emit(regular_point_report(sc, args.float))
-    else:
-        _emit(wall_system_report(sc, args.float))
-    return 0
+# (command, help), in the order of `k3stab --help`
+_COMMANDS = (
+    ("attractor", "solve and verify the attractor background"),
+    ("forms", "binary even form utilities"),
+    ("mirror", "mirror period triple"),
+    ("charge", "central-charge table"),
+    ("walls", "real mirror charges and wall count at the scenario omega_J"),
+    ("verify", "run a certificate suite"),
+)
 
 
 @functools.cache
@@ -266,103 +251,70 @@ def build_parser() -> _Parser:
     one: parsing leaves no state in it."""
     parser = _Parser(prog="k3stab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_scenario(p):
+    for command, text in _COMMANDS:
+        p = sub.add_parser(command, help=text)
+        if command == "forms":
+            p.add_argument("action", choices=["reduce", "equiv", "enumerate"])
+            p.add_argument("forms", nargs="+", help="form triples as JSON, or a discriminant")
+            continue
+        if command == "verify":
+            p.add_argument("certificate", choices=sorted(_VERIFY_ALIASES))
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--float", action="store_true", help="add decimal renderings")
-
-    p = sub.add_parser("attractor", help="solve and verify the attractor background")
-    with_scenario(p)
-    p.set_defaults(func=cmd_attractor)
-
-    p = sub.add_parser("forms", help="binary even form utilities")
-    p.add_argument("action", choices=["reduce", "equiv", "enumerate"])
-    p.add_argument("forms", nargs="+", help="form triples as JSON, or a discriminant")
-    p.set_defaults(func=cmd_forms)
-
-    p = sub.add_parser("mirror", help="mirror period triple")
-    with_scenario(p)
-    p.set_defaults(func=cmd_mirror)
-
-    p = sub.add_parser("charge", help="central-charge table")
-    with_scenario(p)
-    p.set_defaults(func=cmd_charge)
-
-    p = sub.add_parser("walls", help="real mirror charges and wall count at the scenario omega_J")
-    with_scenario(p)
-    p.set_defaults(func=cmd_walls)
-
-    p = sub.add_parser("verify", help="run a certificate suite")
-    p.add_argument("certificate", choices=sorted(_VERIFY_ALIASES))
-    with_scenario(p)
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    code, text = _run(build_parser().parse_args(argv))
     try:
-        return _dispatch(args)
+        # flush here, so a closed stdout raises inside main() and not at exit
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader has gone; send what is still buffered to /dev/null so the
         # interpreter's final flush of stdout cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    return code
 
 
-def _dispatch(args) -> int:
-    """Run one command.  A report number over the int digit limit
-    (`sys.get_int_max_str_digits()`) cannot be written: the plain ValueError
-    that str() or the writer raises, also while `_run` writes an error,
-    becomes a `scenario` error.  Every other plain ValueError propagates."""
+def _run(args) -> tuple[int, str]:
+    """The exit code and the report text of one parsed command, each
+    documented failure mapped to its JSON error.  A report number over the
+    int digit limit (`sys.get_int_max_str_digits()`) cannot be written: the
+    plain ValueError that str() or the writer raises, also while an error is
+    written, becomes a `scenario` error.  Every other plain ValueError
+    propagates."""
     try:
-        return _run(args)
-    except ValueError as exc:
-        if type(exc) is not ValueError or "integer string conversion" not in str(exc):
-            raise
-        limit = sys.get_int_max_str_digits()
-        _emit({"error": f"a report number has more than {limit} digits", "kind": "scenario"})
-        return 1
-
-
-def _run(args) -> int:
-    """`args.func`, each documented failure mapped to its JSON error."""
-    try:
-        return args.func(args)
-    except (ScenarioError, UnsplitRadicand) as exc:
-        _emit({"error": str(exc), "kind": "scenario"})
-        return 1
-    except PreconditionViolation as exc:
-        _emit({"error": str(exc), "kind": "precondition"})
-        return 1
-    except (DegenerateCharge, NotAttractor) as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__})
-        return 2
-    except SearchObstructed as exc:
-        _emit(
-            {
+        try:
+            return 0, _render(_report(args))
+        except (ScenarioError, UnsplitRadicand) as exc:
+            code, error = 1, {"error": str(exc), "kind": "scenario"}
+        except PreconditionViolation as exc:
+            code, error = 1, {"error": str(exc), "kind": "precondition"}
+        except (DegenerateCharge, NotAttractor) as exc:
+            code, error = 2, {"error": str(exc), "kind": type(exc).__name__}
+        except SearchObstructed as exc:
+            code, error = 3, {
                 "error": str(exc),
                 "kind": "obstructed",
                 "obstruction": obstruction_json(exc.obstruction),
                 "pass": False,
             }
-        )
-        return 3
-    except RealityViolation as exc:
-        _emit({"error": str(exc), "kind": "reality-violation", "pass": False})
-        return 3
-    except SearchExhausted as exc:
-        _emit(
-            {
+        except RealityViolation as exc:
+            code, error = 3, {"error": str(exc), "kind": "reality-violation", "pass": False}
+        except SearchExhausted as exc:
+            code, error = 4, {
                 "error": str(exc),
                 "kind": "search-exhausted",
                 "rejections": [[i, reason] for i, reason in exc.rejections],
                 "pass": False,
             }
-        )
-        return 4
+        return code, _render(error)
+    except ValueError as exc:
+        if type(exc) is not ValueError or "integer string conversion" not in str(exc):
+            raise
+        error = f"a report number has more than {sys.get_int_max_str_digits()} digits"
+        return 1, _render({"error": error, "kind": "scenario"})
 
 
 if __name__ == "__main__":
