@@ -305,7 +305,29 @@ class QuadScalar:
         return self.p
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * self.m ** 0.5
+        """The double nearest to the value, ties to even, from integers only;
+        OverflowError beyond the float range.
+
+        For the absolute value x, a lower bound 2^e on x d comes from bit
+        lengths, and the scale 2^k puts x 2^k above 2^55.  Its integer part n,
+        from one isqrt, then has at least 56 bits, and n | 1 rounds to 53 bits
+        as x 2^k does: x is irrational, so the dropped fraction is never 0.
+        Python rounds int division and int-to-float conversion correctly."""
+        p, q, d, m = self.p, self.q, self.d, self.m
+        if not q:
+            return p / d
+        sign = self.sign()
+        p, q = sign * p, sign * q
+        if p < 0 or q < 0:  # opposite signs: p + q sqrt(m) = (p^2 - m q^2) / (p - q sqrt(m))
+            e = abs(p * p - m * q * q).bit_length() - 1 - (abs(p) + abs(q) * m).bit_length()
+        else:
+            e = max(p.bit_length(), q.bit_length()) - 1
+        k = 55 - e + d.bit_length()
+        a, b = max(k, 0), max(-k, 0)
+        t = q << a
+        root = isqrt(m * t * t)  # floor(|t| sqrt(m)), never exact
+        n = ((p << a) + (root if t > 0 else -root - 1)) // (d << b)  # floor(x 2^k)
+        return sign * ((n | 1) / (1 << k) if k >= 0 else float((n | 1) << b))
 
     # -- serialization ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Reference implementations that the tests compare the library against."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -72,6 +73,18 @@ def complex_quotient(z, w):
         raise ZeroDivisionError("inverse of zero")
     inv = n.inverse()
     return z * QuadComplex(w.re * inv, -w.im * inv)
+
+
+def decimal_float(p: int, q: int, d: int, m: int) -> float:
+    """The float of (p + q sqrt(m)) / d, through a Decimal with at least 50
+    correct digits.  For m square-free, |p^2 - m q^2| >= 1 when q != 0, so
+    |p + q sqrt(m)| >= 1 / (|p| + |q| sqrt(m)): the sum loses at most twice
+    the digits of |p| + |q| m, and the precision pays for them.  Decimal to
+    float rounds correctly; a value beyond the float range gives inf."""
+    digits = len(str(abs(p) + abs(q) * m))
+    with localcontext() as ctx:
+        ctx.prec = 2 * digits + 60
+        return float((Decimal(p) + Decimal(q) * Decimal(m).sqrt()) / d)
 
 
 class FractionQuadScalar:
@@ -189,7 +202,9 @@ class FractionQuadScalar:
         return f.numerator
 
     def __float__(self):
-        return float(self.a) + float(self.b) * self.m ** 0.5
+        a, b = self.a, self.b
+        d = a.denominator * b.denominator
+        return decimal_float(a.numerator * b.denominator, b.numerator * a.denominator, d, self.m)
 
     def __str__(self):
         if self.b == 0:

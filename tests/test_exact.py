@@ -21,6 +21,7 @@ from k3stab.lattice import LatticeVector, pair
 from oracles import (
     FractionQuadScalar,
     complex_quotient,
+    decimal_float,
     squarefree_split_brute,
     squarefree_split_trial,
 )
@@ -200,6 +201,58 @@ def test_sign_matches_float_on_random_samples():
             continue
         assert x.sign() == (1 if fx > 0 else -1)
         checked += 1
+
+
+def _pell_unit(k: int) -> QuadScalar:
+    """(1 + sqrt(2))^-k = (sqrt(2) - 1)^k: parts of about 0.38 k digits that
+    cancel to about 10^(-0.38 k)."""
+    x, unit = QuadScalar(1), QuadScalar(-1, 1, 2)
+    for _ in range(k):
+        x = x * unit
+    return x
+
+
+def _near_cancelling(q: int, m: int, offset: int, d: int) -> QuadScalar:
+    """(p + q sqrt(m)) / d with p the integer next to -q sqrt(m)."""
+    root = isqrt(m * q * q)
+    return QuadScalar(Fraction(offset - root if q > 0 else root + offset, d), Fraction(q, d), m)
+
+
+_SQUAREFREE = st.sampled_from([2, 3, 5, 6, 7, 10, 23, 1009, 10**9 + 7])
+_BIG = st.integers(-(10**40), 10**40)
+_FLOAT_CASES = st.one_of(
+    st.integers(0, 900).map(_pell_unit),
+    st.builds(_near_cancelling, _BIG.filter(bool), _SQUAREFREE, st.integers(-3, 3), st.integers(1, 10**6)),
+    st.builds(
+        lambda a, b, d, m: QuadScalar(Fraction(a, d), Fraction(b, d), m),
+        _BIG,
+        _BIG,
+        st.integers(1, 10**30),
+        _SQUAREFREE,
+    ),
+)
+
+
+@given(_FLOAT_CASES)
+@settings(max_examples=300, deadline=None)
+def test_float_is_the_nearest_double(x):
+    """float() rounds the exact value once, to the nearest double: checked
+    against a Decimal of at least 50 correct digits, on Pell units (1 +
+    sqrt(2))^-k down past the subnormal range, and on parts that cancel."""
+    assert float(x) == decimal_float(x.p, x.q, x.d, x.m)
+    assert float(-x) == -float(x)
+
+
+def test_float_renderings_that_once_rounded_twice():
+    # float(a) + float(b) * m ** 0.5 rounded three times, and lost digits
+    # when a and b sqrt(m) cancel
+    assert f"{float(QuadScalar(0, Fraction(-2, 23), 23)):.15g}" == "-0.41702882811415"
+    assert f"{float(QuadScalar(665857, -470832, 2)):.15g}" == "7.50911982603295e-07"
+    assert float(_pell_unit(900)) == 0.0
+    with pytest.raises(OverflowError):
+        float(QuadScalar(10**400, 1, 2))
+    with pytest.raises(OverflowError):
+        float(QuadScalar(-(10**400), 10**399, 2))
 
 
 @given(scalars())
