@@ -13,19 +13,19 @@ suspension class 2f + sigma0, B = 0.  One quadratic field Q(sqrt m) holds
 every scalar of a scenario; it is fixed at assembly (m = 0 when rational).
 
 A `Scenario` is one pipeline.  Constructing it runs the eager stages, all
-exact: the attractor solution (tau, Omega), the field, the hyperkaehler
-rotation at omega_J, and a Picard basis containing f and sigma0 with the
-eta basis of the complement of (p, q, f, sigma0).  It also runs every input
-check once, and nothing downstream repeats one: f and sigma0 orthogonal to
-p and q (they lie in the Picard lattice), those of the rotation (omega_J
-orthogonal to p and q, with positive square), B.f = 0, the one precondition
-of the mirror map at omega_J that the others leave open (mirror module
-docstring), omega_J.f > 0, since f is nef, and an explicit search eta
-orthogonal to p and q.  The lazy stages are
-computed on first read and kept: the mirror triple at omega_J (`triple`),
-its stability point (`psi`), and the Kaehler search (`result`), which reads
-the scenario itself.  A command pays only for the stages it reads, and
-rejects the same scenarios as any other command.
+exact: the attractor solution (tau, Omega), the field, and the hyperkaehler
+rotation at omega_J.  It also runs every input check once, and nothing
+downstream repeats one: f and sigma0 orthogonal to p and q (they lie in the
+Picard lattice), those of the rotation (omega_J orthogonal to p and q, with
+positive square), B.f = 0, the one precondition of the mirror map at omega_J
+that the others leave open (mirror module docstring), omega_J.f > 0, since f
+is nef, and an explicit search eta orthogonal to p and q.  The lazy stages
+are computed on first read and kept: the rank-18 complement of (p, q, f,
+sigma0) (`eta_basis`) and the Picard basis of f, sigma0 and that complement
+(`pic_basis`), the mirror triple at omega_J (`triple`), its stability point
+(`psi`), and the Kaehler search (`result`), which reads the scenario itself.
+A command pays only for the stages it reads, and rejects the same scenarios
+as any other command.
 """
 
 from __future__ import annotations
@@ -162,8 +162,6 @@ class Scenario:
     tau: QuadComplex = field(init=False)
     Omega: ComplexVector = field(init=False)
     Omega_I: ComplexVector = field(init=False)
-    pic_basis: list[LatticeVector] = field(init=False)
-    eta_basis: list[LatticeVector] = field(init=False)
 
     def __post_init__(self):
         self.tau, self.Omega = solve_attractor(self.charge)
@@ -186,17 +184,23 @@ class Scenario:
             raise PreconditionViolation("omega_J does not pair positively with the fiber class")
         if self.eta is not None and not self._orthogonal_to_charge(self.eta):
             raise PreconditionViolation("search.eta must pair to zero with p and q")
-        # the definite plane (p, q) and the hyperbolic plane (f, sigma0) are
-        # orthogonal, so the complement has rank 18
-        complement = orth_complement(
-            GAMMA, [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
-        )
-        self.eta_basis = list(complement.basis)
-        self.pic_basis = [self.split.f, self.split.sigma0] + self.eta_basis
 
     def _orthogonal_to_charge(self, *classes: LatticeVector) -> bool:
         p, q = self.charge.p, self.charge.q
         return not any(pair(x, c) for x in classes for c in (p, q))
+
+    @cached_property
+    def eta_basis(self) -> list[LatticeVector]:
+        """A basis of the complement of (p, q, f, sigma0): the definite plane
+        (p, q) and the hyperbolic plane (f, sigma0) are orthogonal, so it has
+        rank 18."""
+        gens = [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
+        return list(orth_complement(GAMMA, gens).basis)
+
+    @cached_property
+    def pic_basis(self) -> list[LatticeVector]:
+        """The Picard basis: f, sigma0 and the eta basis."""
+        return [self.split.f, self.split.sigma0] + self.eta_basis
 
     @cached_property
     def triple(self) -> MirrorTriple:

@@ -12,7 +12,13 @@ from k3stab.exact import QuadScalar
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import GAMMA, MukaiVector, pair
 from k3stab.mirror import PreconditionViolation
-from k3stab.scenario import ScenarioError, build_scenario, scenario_from_file
+from k3stab.scenario import (
+    ScenarioError,
+    attractor_report,
+    build_scenario,
+    mirror_report,
+    scenario_from_file,
+)
 from oracles import dual_eta
 
 
@@ -815,6 +821,15 @@ def test_commands_without_mirror_data_skip_the_mirror_map(monkeypatch, capsys, d
     code, _ = run_cli(capsys, [*command, "--scenario", diag28])
     assert code == 0
     assert calls == {"mirror_period": 0}
+
+
+@pytest.mark.parametrize("builder", [attractor_report, mirror_report])
+def test_reports_without_the_picard_basis_skip_the_complement(builder):
+    # eta_basis and pic_basis are cached on the scenario when first read
+    sc = build_scenario(form=[2, 0, 8])
+    builder(sc, True)
+    assert "eta_basis" not in vars(sc) and "pic_basis" not in vars(sc)
+    assert len(sc.pic_basis) == 20 and vars(sc)["eta_basis"] == sc.pic_basis[2:]
 
 
 def _vec(**coords):
