@@ -210,7 +210,11 @@ def cmd_forms(args) -> dict:
         forms = enumerate_reduced(disc)
     except ValueError as exc:
         raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
-    return {"action": "enumerate", "discriminant": disc, "forms": [f.as_list() for f in forms]}
+    return {
+        "action": "enumerate",
+        "discriminant": disc,
+        "forms": [f.as_list() for f in forms],
+    }
 
 
 def _report(args) -> dict:
