@@ -4,7 +4,6 @@ from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .lattice import (
     GAMMA,
     MUKAI,
-    ComplexVector,
     GramLattice,
     LatticeVector,
     MukaiVector,

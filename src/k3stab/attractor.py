@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import QuadComplex, QuadScalar
-from .lattice import ComplexVector, LatticeVector, pair
+from .lattice import LatticeVector, pair
 
 
 class DegenerateCharge(ValueError):
@@ -77,7 +77,7 @@ class Charge:
         return self.p2 * self.q2 - self.pq * self.pq
 
 
-def solve_attractor(charge: Charge) -> tuple[QuadComplex, ComplexVector]:
+def solve_attractor(charge: Charge) -> tuple[QuadComplex, QuadComplex]:
     """Exact attractor solution (tau, Omega) with Omega = q - conj(tau) p,
     for a positive definite charge plane (p^2 > 0 and D > 0)."""
     if charge.p2 <= 0 or charge.disc <= 0:
@@ -85,11 +85,11 @@ def solve_attractor(charge: Charge) -> tuple[QuadComplex, ComplexVector]:
     re = QuadScalar(Fraction(charge.pq, charge.p2))
     im = QuadScalar.sqrt(charge.disc) * Fraction(1, charge.p2)
     tau = QuadComplex(re, im)
-    omega = ComplexVector(charge.q - re * charge.p, im * charge.p)
+    omega = QuadComplex(charge.q - re * charge.p, im * charge.p)
     return tau, omega
 
 
-def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> QuadComplex:
+def verify_attractor(charge: Charge, tau: QuadComplex, omega: QuadComplex) -> QuadComplex:
     """Check p dx + q dy = lambda * (dx + tau dy) ^ Omega + c.c. with the
     witness lambda = -i / (2 Im tau) (module docstring) and return lambda.
 
@@ -106,16 +106,16 @@ def verify_attractor(charge: Charge, tau: QuadComplex, omega: ComplexVector) -> 
         raise NotAttractor("Omega . conj(Omega) is not positive")
     lam = QuadComplex(0, tau.im.inverse() * Fraction(-1, 2))
     lam_bar = lam.conj()
-    dx = omega.scale(lam) + omega.conj().scale(lam_bar)
-    if dx != ComplexVector(charge.p):
+    dx = omega * lam + omega.conj() * lam_bar
+    if dx != QuadComplex(charge.p):
         raise NotAttractor("dx component mismatch")
-    dy = omega.scale(lam * tau) + omega.conj().scale(lam_bar * tau.conj())
-    if dy != ComplexVector(charge.q):
+    dy = omega * (lam * tau) + omega.conj() * (lam_bar * tau.conj())
+    if dy != QuadComplex(charge.q):
         raise NotAttractor("dy component mismatch")
     return lam
 
 
-def hyperkahler_rotate(Omega: ComplexVector, omega_J: LatticeVector) -> ComplexVector:
+def hyperkahler_rotate(Omega: QuadComplex, omega_J: LatticeVector) -> QuadComplex:
     """The period Omega_I = omega_J + i Re(Omega) of the complex structure I,
     from the attractor period Omega of the charge.
 
@@ -123,10 +123,10 @@ def hyperkahler_rotate(Omega: ComplexVector, omega_J: LatticeVector) -> ComplexV
     assembly checks both, so the rotation only relabels.  Its scale is free
     (module docstring).
     """
-    return ComplexVector(omega_J, Omega.re)
+    return QuadComplex(omega_J, Omega.re)
 
 
-def threefold_central_charge(Omega_I: ComplexVector, cls: LatticeVector) -> QuadComplex:
+def threefold_central_charge(Omega_I: QuadComplex, cls: LatticeVector) -> QuadComplex:
     """Central charge of the charge cls dy (p' = 0) against
     Omega_I ^ (dx + tau dy).
 

@@ -81,46 +81,32 @@ def _render(obj) -> str:
     Any other type, a float or a tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
-    generators; this writer appends to one list and joins it once.  `plans`
-    holds one plan per key tuple and indentation, which the rows of a report
-    share: the sorted keys, each with its head (the opener, the indentation
-    and the quoted key), checked when the plan is built.
-
-    In a dict or a list, a str, int or bool value, told apart by exact type
-    so that a bool is never written as an int, is appended right after its
-    head; any other value is written by the recursion.
+    generators; this writer appends to one list and joins it once.  In a dict
+    or a list, a str, int or bool value, told apart by exact type so that a
+    bool is never written as an int, is appended right after its head (the
+    opener or comma, the indentation and, in a dict, the quoted key); any
+    other value is written by the recursion.
     """
     parts: list[str] = []
-    _write(obj, parts, "\n", {})
+    _write(obj, parts, "\n")
     return "".join(parts)
 
 
-def _plan(obj: dict, newline: str) -> list[tuple[str, str]]:
-    """(key, head) for each key of obj in sorted order; raises TypeError on a
-    key that is not a str."""
-    for key in obj:
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be str, not {type(key).__name__}")
-    inner = newline + "  "
-    heads = ["," + inner] * len(obj)
-    heads[0] = "{" + inner
-    return [(key, head + _quote(key) + ": ") for key, head in zip(sorted(obj), heads)]
-
-
-def _write(obj, parts: list, newline: str, plans: dict) -> None:
+def _write(obj, parts: list, newline: str) -> None:
     # containers first: the scalars of a container are mostly written inline
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
-        shape = (tuple(obj), newline)
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _plan(obj, newline)
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
         inner = newline + "  "
-        for key, head in plan:
+        head = "{" + inner
+        for key in sorted(obj):
             value = obj[key]
             kind = type(value)
+            head += _quote(key) + ": "
             if kind is str:
                 parts.append(head + _quote(value))
             elif kind is int:
@@ -129,7 +115,8 @@ def _write(obj, parts: list, newline: str, plans: dict) -> None:
                 parts.append(head + ("true" if value else "false"))
             else:
                 parts.append(head)
-                _write(value, parts, inner, plans)
+                _write(value, parts, inner)
+            head = "," + inner
         parts.append(newline)
         parts.append("}")
     elif isinstance(obj, list):
@@ -148,7 +135,7 @@ def _write(obj, parts: list, newline: str, plans: dict) -> None:
                 parts.append(head + ("true" if value else "false"))
             else:
                 parts.append(head)
-                _write(value, parts, inner, plans)
+                _write(value, parts, inner)
             head = "," + inner
         parts.append(newline)
         parts.append("]")
@@ -169,10 +156,12 @@ def _write(obj, parts: list, newline: str, plans: dict) -> None:
 def _parse_form(text: str) -> BinaryEvenForm:
     try:
         value = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"bad form {text!r}: {exc}") from None
     return form_from_json(value)
 
+
+_MAX_DISC = 10**7  # about 0.3 s of enumeration
 
 _FORMS_ARITY = {
     "reduce": (1, "one form"),
@@ -205,10 +194,14 @@ def cmd_forms(args) -> dict:
             "equivalent": witness is not None,
             "witness": witness.as_rows() if witness else None,
         }
-    try:  # enumerate
-        disc = int(args.forms[0])
+    try:  # enumerate: a JSON integer, as the forms are, bounded here: the scan is O(D)
+        disc = json.loads(args.forms[0])
+        if type(disc) is not int:
+            raise ValueError("not a JSON integer")
+        if disc > _MAX_DISC:
+            raise ValueError(f"forms enumerate takes D <= {_MAX_DISC}")
         forms = enumerate_reduced(disc)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
     return {
         "action": "enumerate",

@@ -2,10 +2,11 @@
 
 Every quantity in this package is an exact number: a rational, a value
 ``a + b*sqrt(m)`` with ``a, b`` rational and ``m`` a square-free positive
-integer, or a complex pair of such values.  Signs (hence all inequalities,
-positivity tests and wall conditions) are decided exactly, never through
-floating point.  ``QuadScalar.sign()`` is the one order: scalars define no
-``<`` or ``>``, and every comparison is written as the sign of a difference.
+integer, or a complex pair (`QuadComplex`) of such values or of lattice
+vectors.  Signs (hence all inequalities, positivity tests and wall
+conditions) are decided exactly, never through floating point.
+``QuadScalar.sign()`` is the one order: scalars define no ``<`` or ``>``,
+and every comparison is written as the sign of a difference.
 
 The design is deliberately restrictive: a single radical per computation.
 Mixing ``sqrt(2)`` with ``sqrt(3)`` raises :class:`FieldMismatch` instead of
@@ -344,6 +345,8 @@ class QuadScalar:
 
 _new = object.__new__
 _ints = QuadScalar._ints
+# exact types: an isinstance test of Fraction goes through ABCMeta
+_RATIONALS = frozenset((int, Fraction))
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -411,19 +414,32 @@ def parse_quad(text: str) -> QuadScalar:
 
 
 class QuadComplex:
-    """A complex number with :class:`QuadScalar` real and imaginary parts."""
+    """An exact complex pair ``re + i*im``: two :class:`QuadScalar` parts (a
+    complex number), or two ``lattice.LatticeVector`` parts of one length (a
+    complexified class).  ``im`` defaults to the zero of ``re``'s kind.
+
+    A real factor (QuadScalar, int or Fraction) multiplies both parts; a
+    QuadComplex factor takes the four products, so a vector pair times a
+    scalar pair works in either order through the vector's reflected
+    product."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, QuadScalar) else QuadScalar(re)
-        self.im = im if isinstance(im, QuadScalar) else QuadScalar(im)
+    def __init__(self, re=0, im=None):
+        if type(re) in _RATIONALS:
+            re = QuadScalar(re)
+        if im is None:
+            im = re * 0
+        elif type(im) in _RATIONALS:
+            im = QuadScalar(im)
+        self.re = re
+        self.im = im
 
     @staticmethod
     def _coerce(x) -> "QuadComplex | None":
         if isinstance(x, QuadComplex):
             return x
-        if isinstance(x, (int, Fraction, QuadScalar)):
+        if isinstance(x, (QuadScalar, int, Fraction)):
             return QuadComplex(x)
         return None
 
@@ -442,12 +458,12 @@ class QuadComplex:
         return QuadComplex(self.re - o.re, self.im - o.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadComplex(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if isinstance(other, QuadComplex):
+            re, im = other.re, other.im
+            return QuadComplex(self.re * re - self.im * im, self.re * im + self.im * re)
+        if isinstance(other, (QuadScalar, int, Fraction)):
+            return QuadComplex(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -232,49 +232,6 @@ def _lin(x: Optional[list[int]], s: int, y: Optional[list[int]], t: int) -> Opti
     return [s * a + t * b for a, b in zip(x, y)]
 
 
-class ComplexVector:
-    """A complexified lattice vector, kept as an exact (re, im) pair."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: LatticeVector, im: Optional[LatticeVector] = None):
-        self.re = re
-        self.im = im if im is not None else LatticeVector.zero(len(re))
-        if len(self.re) != len(self.im):
-            raise DimensionMismatch("re/im length mismatch")
-
-    def __add__(self, other: "ComplexVector") -> "ComplexVector":
-        return ComplexVector(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexVector") -> "ComplexVector":
-        return ComplexVector(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexVector":
-        return ComplexVector(-self.re, -self.im)
-
-    def scale(self, z) -> "ComplexVector":
-        """Multiply by an exact scalar (real or complex)."""
-        if isinstance(z, QuadComplex):
-            return ComplexVector(
-                self.re * z.re - self.im * z.im, self.re * z.im + self.im * z.re
-            )
-        return ComplexVector(self.re * z, self.im * z)
-
-    def conj(self) -> "ComplexVector":
-        return ComplexVector(self.re, -self.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexVector):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        return f"{self.re} + i*{self.im}"
-
-
 class GramLattice:
     """A lattice presented by an integral symmetric Gram matrix."""
 
@@ -388,9 +345,9 @@ def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
 
 def pair(x, y):
     """The exact pairing of GAMMA; extended complex-bilinearly to
-    ComplexVector inputs."""
-    cx = isinstance(x, ComplexVector)
-    cy = isinstance(y, ComplexVector)
+    QuadComplex vectors."""
+    cx = isinstance(x, QuadComplex)
+    cy = isinstance(y, QuadComplex)
     if not cx and not cy:
         return _pair_real(x, y)
     if cx and cy:

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadScalar
+from .exact import QuadComplex, QuadScalar
 from .intmat import rank_generic
-from .lattice import GAMMA, ComplexVector, LatticeVector, MukaiVector, pair
+from .lattice import GAMMA, LatticeVector, MukaiVector, pair
 
 
 class PreconditionViolation(ValueError):
@@ -58,8 +58,8 @@ class SplitData:
         """The projection pr onto Gamma'_R, pr(x) = x - (x.v*) v - (x.v) v*,
         of a real or complex vector: v^2 = v*^2 = 0 and v.v* = 1, so the
         image pairs to zero with both v and v*."""
-        if isinstance(x, ComplexVector):
-            return ComplexVector(self.project(x.re), self.project(x.im))
+        if isinstance(x, QuadComplex):
+            return QuadComplex(self.project(x.re), self.project(x.im))
         return x - pair(x, self.vstar) * self.v - pair(x, self.v) * self.vstar
 
 
@@ -78,28 +78,26 @@ def make_split(f: LatticeVector, sigma0: LatticeVector) -> SplitData:
 class MirrorTriple:
     """Mirror period Omega, complexified Kaehler class omega and B-field."""
 
-    Omega_check: ComplexVector
+    Omega_check: QuadComplex
     omega_check: LatticeVector
     B_check: LatticeVector
 
 
 def mirror_period(
-    split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
+    split: SplitData, Omega: QuadComplex, omega: LatticeVector, B: LatticeVector
 ) -> MirrorTriple:
     """Apply the mirror map to period data that meets the preconditions of
     the module docstring; all scalars exact.  The two invariants of the
     output period are asserted."""
     v, vstar = split.v, split.vstar
     scale = pair(Omega.re, v).inverse()
-    x = ComplexVector(B, omega)
+    x = QuadComplex(B, omega)
     x_sq = pair(x, x)
     omega_check_cplx = (
-        split.project(x)
-        - ComplexVector(v).scale(x_sq * Fraction(1, 2))
-        + ComplexVector(vstar)
-    ).scale(scale)
-    shift = pair(Omega, ComplexVector(B))
-    kahler_side = (split.project(Omega) - ComplexVector(v).scale(shift)).scale(scale)
+        split.project(x) - QuadComplex(v) * (x_sq * Fraction(1, 2)) + QuadComplex(vstar)
+    ) * scale
+    shift = pair(Omega, B)
+    kahler_side = (split.project(Omega) - QuadComplex(v) * shift) * scale
     triple = MirrorTriple(
         Omega_check=omega_check_cplx,
         omega_check=kahler_side.im,
@@ -142,7 +140,7 @@ class InvolutionReport:
 
 
 def mirror_involution_check(
-    split: SplitData, Omega: ComplexVector, omega: LatticeVector, B: LatticeVector
+    split: SplitData, Omega: QuadComplex, omega: LatticeVector, B: LatticeVector
 ) -> InvolutionReport:
     """Apply the mirror map twice and compare with the input.
 

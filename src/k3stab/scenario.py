@@ -47,13 +47,7 @@ from .attractor import (
 )
 from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
 from .forms import BinaryEvenForm
-from .lattice import (
-    GAMMA,
-    ComplexVector,
-    LatticeVector,
-    orth_complement,
-    pair,
-)
+from .lattice import GAMMA, LatticeVector, orth_complement, pair
 from .mirror import (
     MirrorTriple,
     PreconditionViolation,
@@ -160,8 +154,8 @@ class Scenario:
     # eager stages, filled at construction
     m: int = field(init=False)
     tau: QuadComplex = field(init=False)
-    Omega: ComplexVector = field(init=False)
-    Omega_I: ComplexVector = field(init=False)
+    Omega: QuadComplex = field(init=False)
+    Omega_I: QuadComplex = field(init=False)
 
     def __post_init__(self):
         self.tau, self.Omega = solve_attractor(self.charge)
@@ -368,7 +362,7 @@ def vector_json(v: LatticeVector, with_float: bool = False):
     return [scalar_json(c, with_float) for c in v.coords]
 
 
-def complex_vector_json(v: ComplexVector, with_float: bool = False):
+def complex_vector_json(v: QuadComplex, with_float: bool = False):
     return {"re": vector_json(v.re, with_float), "im": vector_json(v.im, with_float)}
 
 
@@ -468,7 +462,7 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
     if ratio.is_rational:
         root = _rational_sqrt(ratio.as_fraction())
         if root is not None:
-            null_period = ComplexVector(sc.omega_J, root * sc.Omega.re)
+            null_period = QuadComplex(sc.omega_J, root * sc.Omega.re)
             rep = mirror_involution_check(sc.split, null_period, sc.Omega.im, sc.B)
             involution = {
                 "holds": rep.holds,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .attractor import Charge, hyperkahler_rotate
@@ -41,7 +42,6 @@ from .intmat import enumerate_quadric, kernel_basis, lll_reduce
 from .lattice import (
     GAMMA,
     MUKAI,
-    ComplexVector,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -98,7 +98,7 @@ class StabilityPoint:
         """1/2 (B + i omega)^2, computed on first use and kept on the instance."""
         cached = self.__dict__.get("_s_part")
         if cached is None:
-            x = ComplexVector(self.B, self.omega)
+            x = QuadComplex(self.B, self.omega)
             cached = pair(x, x) * Fraction(1, 2)
             object.__setattr__(self, "_s_part", cached)
         return cached
@@ -122,7 +122,7 @@ def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
     return QuadComplex(re, im)
 
 
-def ns_of_mirror(omega_check: ComplexVector) -> Sublattice:
+def ns_of_mirror(omega_check: QuadComplex) -> Sublattice:
     """Integral classes orthogonal to both Re and Im of the mirror period."""
     return orth_complement(GAMMA, [omega_check.re, omega_check.im])
 
@@ -141,7 +141,7 @@ class RootEnumeration:
     roots: list[MukaiVector]
 
 
-def p0_violations(psi: StabilityPoint, omega_check: ComplexVector) -> RootEnumeration:
+def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumeration:
     """Every delta = (r, D, s) with delta^2 = -2, D in NS(mirror) and
     (Psi, delta) = 0, found by one complete enumeration (module docstring).
 
@@ -353,7 +353,10 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     and omega0 lie in one cone, and by the light-cone lemma
     omega.omega0 >= sqrt(omega^2 omega0^2) > 0.  Both tests are polynomials
     in t, omega_t^2 = a + (2 b + c t) t and omega_t.f = e + g t, whose five
-    coefficients are paired once; omega is built only at the accepted k.
+    coefficients are paired once and cleared of their denominators once; at
+    t = 1/u the signs are those of a u^2 + 2 b u + c and e u + g, sums of
+    integer numerators with no gcd to divide out.  omega is built only at the
+    accepted k.
     """
     if sc.B:
         raise PreconditionViolation("the Kaehler search requires B = 0")
@@ -367,18 +370,20 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
         step = sc.c_eta * eta
     a, b, c = pair(omega0, omega0), pair(omega0, step), pair(step, step)
     e, g = pair(omega0, f), pair(step, f)
+    n = lcm(a.d, b.d, c.d, e.d, g.d)  # > 0, so every sign is kept
+    a, b, c, e, g = a * n, b * n, c * n, e * n, g * n
     rejections: list[tuple[int, str]] = []
-    k, t = 0, Fraction(1)
+    k = 0
     while True:
-        if (a + (2 * b + c * t) * t).sign() <= 0:
+        u = 1 << k  # t = 1/u: the tests times u^2 and u, on integer numerators
+        if (a * (u * u) + b * (2 * u) + c).sign() <= 0:
             rejections.append((k, "candidate has nonpositive square"))
-        elif (e + g * t).sign() <= 0:
+        elif (e * u + g).sign() <= 0:
             rejections.append((k, "candidate does not pair positively with the fiber class"))
         else:
             break
         k += 1
-        t = Fraction(1, 2**k)
-    omega = omega0 + t * step
+    omega = omega0 + Fraction(1, 1 << k) * step
 
     def exhausted(reason: str) -> SearchExhausted:
         return SearchExhausted(rejections + [(k, reason)])

@@ -10,7 +10,6 @@ from k3stab.intmat import gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
-    ComplexVector,
     DimensionMismatch,
     GramLattice,
     LatticeVector,
@@ -413,9 +412,9 @@ def as_triple(x):
     exp(B + i omega) = (1, B + i omega, 1/2 (B + i omega)^2) with its third
     entry computed here, not read from `s_part`, and a triple as itself."""
     if isinstance(x, MukaiVector):
-        return QuadComplex(x.r), ComplexVector(x.D), QuadComplex(x.s)
+        return QuadComplex(x.r), QuadComplex(x.D), QuadComplex(x.s)
     if isinstance(x, StabilityPoint):
-        d = ComplexVector(x.B, x.omega)
+        d = QuadComplex(x.B, x.omega)
         return QuadComplex(1), d, pair(d, d) * Fraction(1, 2)
     return x
 
@@ -455,8 +454,8 @@ def triple_plane_gram(psi):
     which is omega^2 times the identity, so Re Psi and Im Psi span a positive
     plane exactly when omega^2 > 0."""
     s = psi.s_part
-    re_t = (QuadComplex(1), ComplexVector(psi.B), QuadComplex(s.re))
-    im_t = (QuadComplex(0), ComplexVector(psi.omega), QuadComplex(s.im))
+    re_t = (QuadComplex(1), QuadComplex(psi.B), QuadComplex(s.re))
+    im_t = (QuadComplex(0), QuadComplex(psi.omega), QuadComplex(s.im))
     g11 = triple_pair(re_t, re_t).re
     g12 = triple_pair(re_t, im_t).re
     g22 = triple_pair(im_t, im_t).re
@@ -479,8 +478,8 @@ def solve_lambda(charge, tau, omega):
     if norm.im or norm.re.sign() <= 0:
         raise NotAttractor("Omega . conj(Omega) is not positive")
     # coefficients of Omega in the (p, q) plane
-    op = pair(omega, ComplexVector(charge.p))
-    oq = pair(omega, ComplexVector(charge.q))
+    op = pair(omega, QuadComplex(charge.p))
+    oq = pair(omega, QuadComplex(charge.q))
     d = Fraction(1, disc)
     coeff_p = (op * charge.q2 - oq * charge.pq) * d
     coeff_q = (oq * charge.p2 - op * charge.pq) * d
@@ -493,11 +492,11 @@ def solve_lambda(charge, tau, omega):
     if mu != lam.conj():
         raise NotAttractor("decomposition requires a non-conjugate pair")
     lam_bar = lam.conj()
-    dx = omega.scale(lam) + omega.conj().scale(lam_bar)
-    if dx != ComplexVector(charge.p):
+    dx = omega * lam + omega.conj() * lam_bar
+    if dx != QuadComplex(charge.p):
         raise NotAttractor("dx component mismatch")
-    dy = omega.scale(lam * tau) + omega.conj().scale(lam_bar * tau.conj())
-    if dy != ComplexVector(charge.q):
+    dy = omega * (lam * tau) + omega.conj() * (lam_bar * tau.conj())
+    if dy != QuadComplex(charge.q):
         raise NotAttractor("dy component mismatch")
     return lam
 
@@ -541,10 +540,10 @@ def form_of_charge(lat, p, q):
 
 def canonicalize_period(split, period):
     """Rescale a period so its v*-coefficient (= period.v) equals 1."""
-    coeff = pair(period, ComplexVector(split.v))
+    coeff = pair(period, QuadComplex(split.v))
     if not coeff:
         raise PreconditionViolation("period has no v* component")
-    return period.scale(complex_quotient(QuadComplex(1), coeff))
+    return period * complex_quotient(QuadComplex(1), coeff)
 
 
 def ldl_posdef(p):
@@ -797,10 +796,10 @@ def bounded_p0_violations(psi, ns, bound):
 
 def tube_map(split, z):
     """Tube-domain coordinate to period: z - 1/2 z^2 v + v*."""
-    if pair(z, ComplexVector(split.v)) or pair(z, ComplexVector(split.vstar)):
+    if pair(z, QuadComplex(split.v)) or pair(z, QuadComplex(split.vstar)):
         raise PreconditionViolation("tube coordinate must be orthogonal to U'")
     z_sq = pair(z, z)
-    return z - ComplexVector(split.v).scale(z_sq * Fraction(1, 2)) + ComplexVector(split.vstar)
+    return z - QuadComplex(split.v) * (z_sq * Fraction(1, 2)) + QuadComplex(split.vstar)
 
 
 def period_embed(split, p_basis, omega, B):

@@ -24,7 +24,6 @@ from k3stab.forms import BinaryEvenForm, SL2Witness, enumerate_reduced, gauss_re
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
-    ComplexVector,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -91,7 +90,7 @@ def _mirror_b0_oracle(split, tau, charge, omega_J):
     omega_check = scale * (charge.q - tau.re * charge.p)
     b_check = scale * split.project(omega_J)
     f_coeff = tau.im * tau.im * charge.p2 * Fraction(1, 2) + 1
-    period = ComplexVector(
+    period = QuadComplex(
         scale * (f_coeff * split.f + split.sigma0), (scale * tau.im) * charge.p
     )
     return period, omega_check, b_check
@@ -99,7 +98,7 @@ def _mirror_b0_oracle(split, tau, charge, omega_J):
 
 def test_criterion_3_mirror_formulas(sc28):
     with acceptance_criterion("mirror formulas and double-mirror involution"):
-        assert sc28.triple.Omega_check == ComplexVector(5 * F + SIGMA0, 2 * sc28.charge.p)
+        assert sc28.triple.Omega_check == QuadComplex(5 * F + SIGMA0, 2 * sc28.charge.p)
         assert sc28.triple.omega_check == sc28.charge.q
         assert not sc28.triple.B_check
         # the general map specializes term-for-term at B = 0
@@ -124,7 +123,7 @@ def test_criterion_3_mirror_formulas(sc28):
             if pair(omega0, omega0).sign() <= 0:
                 continue
             b0 = rng.randint(-2, 2) * GAMMA.basis(17) + rng.randint(-2, 2) * p
-            period = tube_map(split, ComplexVector(b0, omega0))
+            period = tube_map(split, QuadComplex(b0, omega0))
             omega1 = (1 + a * a) * p + rng.randint(0, 2) * split.v
             b1 = rng.randint(-2, 2) * GAMMA.basis(18) + rng.randint(-2, 2) * split.v
             report = mirror_involution_check(split, period, omega1, b1)

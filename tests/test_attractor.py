@@ -16,7 +16,7 @@ from k3stab.attractor import (
 )
 from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.forms import enumerate_reduced
-from k3stab.lattice import GAMMA, ComplexVector, LatticeVector, pair
+from k3stab.lattice import GAMMA, LatticeVector, pair
 from k3stab.scenario import build_scenario
 from oracles import ns_lattice, signature, solve_integer, solve_lambda
 
@@ -144,7 +144,7 @@ def test_verify_rejects_non_null_period():
     ch = diag_charge(4)
     tau, _ = solve_attractor(ch)
     bad_tau = QuadComplex(tau.re + QuadScalar(Fraction(1, 10)), tau.im)
-    bad_omega = ComplexVector(ch.q - bad_tau.re.as_fraction() * ch.p, bad_tau.im * ch.p)
+    bad_omega = QuadComplex(ch.q - bad_tau.re.as_fraction() * ch.p, bad_tau.im * ch.p)
     with pytest.raises(NotAttractor):
         verify_attractor(ch, bad_tau, bad_omega)
 
@@ -156,7 +156,7 @@ def test_rotation_fields_diag_2_8():
     _, Omega = solve_attractor(ch)
     assert Omega.im == 2 * ch.p
     omega_J = 2 * F + SIGMA0
-    assert hyperkahler_rotate(Omega, omega_J) == ComplexVector(omega_J, ch.q)
+    assert hyperkahler_rotate(Omega, omega_J) == QuadComplex(omega_J, ch.q)
 
 
 def test_rotation_pairs_nothing(monkeypatch, sc28):

@@ -99,10 +99,10 @@ _ROW = {"i": 0, "j": 1, "member": True, "Z": _CHARGE}
     ids=["two-insertion-orders", "two-depths", "value-types", "list-values"],
 )
 def test_render_planned_shapes(value):
-    """Dicts of one key tuple share one plan per indentation: the same keys
-    in another insertion order, the same shape at another depth, and bool,
-    None and str values under a shape first planned with an int all render
-    as json.dumps renders them."""
+    """Dicts of one key tuple, with the same keys in another insertion
+    order, the same shape at another depth, and bool, None and str values
+    where another dict of the shape holds an int, all render as json.dumps
+    renders them."""
     assert _render(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

@@ -10,7 +10,6 @@ from k3stab.lattice import (
     GAMMA,
     MUKAI,
     U_GRAM,
-    ComplexVector,
     DimensionMismatch,
     GramLattice,
     LatticeVector,
@@ -343,12 +342,19 @@ def test_vector_matches_quadscalar_reference(data):
     assert (value.a, value.b, value.m) == (reference.a, reference.b, reference.m)
     u, u_ref = both(data.draw(coordinate_lists(m)))
     w, w_ref = both(data.draw(coordinate_lists(m)))
-    z = pair(ComplexVector(x, u), ComplexVector(y, w))
+    z = pair(QuadComplex(x, u), QuadComplex(y, w))
     assert z.re == quad_pair(GAMMA, x_ref, y_ref) - quad_pair(GAMMA, u_ref, w_ref)
     assert z.im == quad_pair(GAMMA, x_ref, w_ref) + quad_pair(GAMMA, u_ref, y_ref)
-    assert pair(ComplexVector(x, u), y) == QuadComplex(
+    assert pair(QuadComplex(x, u), y) == QuadComplex(
         quad_pair(GAMMA, x_ref, y_ref), quad_pair(GAMMA, u_ref, y_ref)
     )
+    # a vector pair times a scalar pair, in either order, and times a real
+    c = QuadComplex(s, data.draw(scalars_in(m)))
+    for product in (QuadComplex(x, u) * c, c * QuadComplex(x, u)):
+        assert_same(product.re, x_ref * c.re - u_ref * c.im)
+        assert_same(product.im, x_ref * c.im + u_ref * c.re)
+    assert QuadComplex(x, u) * s == QuadComplex(x * s, u * s) == s * QuadComplex(x, u)
+    assert QuadComplex(x).im == LatticeVector.zero(len(x))  # the zero of re's kind
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,6 @@ from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
-    ComplexVector,
     LatticeVector,
     orth_complement,
     pair,
@@ -56,7 +55,7 @@ def mirror_b0_oracle(split, tau, charge, omega_J):
     omega_check = scale * (charge.q - tau.re * charge.p)
     b_check = scale * split.project(omega_J)
     f_coeff = tau.im * tau.im * charge.p2 * Fraction(1, 2) + 1
-    omega_big = ComplexVector(
+    omega_big = QuadComplex(
         scale * (f_coeff * split.f + split.sigma0), (scale * tau.im) * charge.p
     )
     return omega_big, omega_check, b_check
@@ -64,14 +63,14 @@ def mirror_b0_oracle(split, tau, charge, omega_J):
 
 def test_mirror_diag_2_8(split, sc28):
     triple = sc28.triple
-    assert triple.Omega_check == ComplexVector(5 * F + SIGMA0, 2 * sc28.charge.p)
+    assert triple.Omega_check == QuadComplex(5 * F + SIGMA0, 2 * sc28.charge.p)
     assert triple.omega_check == sc28.charge.q
     assert not triple.B_check
 
 
 def test_mirror_diag_2_2(split, sc22):
     triple = sc22.triple
-    assert triple.Omega_check == ComplexVector(2 * F + SIGMA0, sc22.charge.p)
+    assert triple.Omega_check == QuadComplex(2 * F + SIGMA0, sc22.charge.p)
     assert triple.omega_check == sc22.charge.q
     assert not triple.B_check
 
@@ -167,19 +166,19 @@ def test_mirror_class_preserves_pairing(split):
 
 def test_tube_map(split, sc28):
     q = sc28.charge.q
-    assert tube_map(split, ComplexVector(ZERO)) == ComplexVector(split.vstar)
-    image = tube_map(split, ComplexVector(ZERO, q))
-    assert image == ComplexVector(4 * split.v + split.vstar, q)
+    assert tube_map(split, QuadComplex(ZERO)) == QuadComplex(split.vstar)
+    image = tube_map(split, QuadComplex(ZERO, q))
+    assert image == QuadComplex(4 * split.v + split.vstar, q)
     rng = random.Random(11)
     for _ in range(10):
         coeffs = [rng.randint(-3, 3) for _ in range(4)]
-        z = ComplexVector(
+        z = QuadComplex(
             coeffs[0] * sc28.charge.p + coeffs[1] * GAMMA.basis(6),
             coeffs[2] * q + coeffs[3] * GAMMA.basis(14),
         )
-        assert pair(tube_map(split, z), ComplexVector(split.v)) == QuadComplex(1)
+        assert pair(tube_map(split, z), QuadComplex(split.v)) == QuadComplex(1)
     with pytest.raises(PreconditionViolation):
-        tube_map(split, ComplexVector(E2))
+        tube_map(split, QuadComplex(E2))
 
 
 def test_period_embed_diag_2_8(split, sc28):
@@ -219,14 +218,14 @@ def test_period_embed_preconditions(split, sc28):
 
 
 def test_canonicalize_period(split, sc28):
-    scaled = sc28.triple.Omega_check.scale(QuadComplex(3, 2))
+    scaled = sc28.triple.Omega_check * QuadComplex(3, 2)
     canonical = canonicalize_period(split, scaled)
-    assert pair(canonical, ComplexVector(split.v)) == QuadComplex(1)
+    assert pair(canonical, QuadComplex(split.v)) == QuadComplex(1)
 
 
 def test_involution_diag_2_8(split, sc28):
     # norm-matched null representative of the rotated period plane
-    omega = ComplexVector(2 * F + SIGMA0, Fraction(1, 2) * sc28.charge.q)
+    omega = QuadComplex(2 * F + SIGMA0, Fraction(1, 2) * sc28.charge.q)
     assert pair(omega, omega) == QuadComplex(0)
     report = mirror_involution_check(split, omega, sc28.Omega.im, ZERO)
     assert report.holds and report.span_equal
@@ -235,7 +234,7 @@ def test_involution_diag_2_8(split, sc28):
 
 
 def test_involution_diag_2_2(split, sc22):
-    omega = ComplexVector(2 * F + SIGMA0, sc22.charge.q)
+    omega = QuadComplex(2 * F + SIGMA0, sc22.charge.q)
     assert pair(omega, omega) == QuadComplex(0)
     report = mirror_involution_check(split, omega, sc22.Omega.im, ZERO)
     assert report.holds
@@ -252,7 +251,7 @@ def test_involution_on_random_tube_periods(split, sc28):
         if pair(omega0, omega0).sign() <= 0:
             continue
         b0 = d * GAMMA.basis(15) + c * p
-        period = tube_map(split, ComplexVector(b0, omega0))
+        period = tube_map(split, QuadComplex(b0, omega0))
         # a second, independent Kaehler slot for the involution input
         omega1 = (a * a + 1) * q + d * GAMMA.basis(8) + rng.randint(0, 2) * split.v
         if pair(omega1, omega1).sign() <= 0:

@@ -437,6 +437,32 @@ def test_cli_forms_enumerate_nonpositive(capsys):
     assert_json_error(*run_cli(capsys, ["forms", "enumerate", "0"]), "scenario")
 
 
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("1_2", ""),
+        ("+12", ""),
+        ("\u0661\u0662", ""),  # Arabic-Indic digits, which int() reads as 12
+        ("12.0", "not a JSON integer"),
+        ("true", "not a JSON integer"),
+        ("10000001", "D <= 10000000"),
+        ("[" * 100000, "recursion"),
+    ],
+    ids=["underscore", "plus-sign", "arabic-indic", "float", "bool", "over-the-bound", "deep"],
+)
+def test_cli_forms_enumerate_reads_a_bounded_json_integer(capsys, text, says):
+    """The discriminant is read as the forms are, by json.loads, and the O(D)
+    scan is bounded at 10^7; the library's `enumerate_reduced` is not."""
+    assert_json_error(*run_cli(capsys, ["forms", "enumerate", text]), "scenario", says)
+    code, out = run_cli(capsys, ["forms", "enumerate", "12"])
+    assert code == 0 and json.loads(out)["forms"] == [[2, 0, 6], [4, 2, 4]]
+
+
+def test_cli_forms_reduce_of_a_deeply_nested_argument(capsys):
+    deep = "[" * 100000
+    assert_json_error(*run_cli(capsys, ["forms", "reduce", deep]), "scenario", "recursion")
+
+
 def test_cli_walls_nonpositive_omega(tmp_path, capsys):
     f = [1] + [0] * 21  # the fiber class, f^2 = 0
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": f})

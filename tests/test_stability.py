@@ -12,7 +12,6 @@ from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
-    ComplexVector,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -190,7 +189,7 @@ def test_ns_of_mirror(sc28, sc22):
 def test_ns_rank_drops_for_irrational_period():
     p = GAMMA.basis(2) + GAMMA.basis(3)
     q = GAMMA.basis(4) + 4 * GAMMA.basis(5)
-    period = ComplexVector(p + QuadScalar(0, 1, 2) * q, ZERO)
+    period = QuadComplex(p + QuadScalar(0, 1, 2) * q, ZERO)
     ns = ns_of_mirror(period)
     assert ns.rank == 20  # two rational constraints from one irrational vector
 
@@ -278,7 +277,7 @@ def test_enumeration_needs_a_positive_four_plane(sc28):
     # Im Psi = (q, 0, 0) is Re of this period, so the four vectors span only
     # a positive 3-plane and its complement is indefinite
     psi = StabilityPoint(ZERO, sc28.charge.q)
-    period = ComplexVector(sc28.charge.q, sc28.charge.p)
+    period = QuadComplex(sc28.charge.q, sc28.charge.p)
     with pytest.raises(RuntimeError, match="not negative definite"):
         p0_violations(psi, period)
 
@@ -703,7 +702,7 @@ def test_phase_key_examples():
 
 def test_s_part_memo_is_the_value(sc28):
     fresh = StabilityPoint(sc28.psi.B, sc28.psi.omega)
-    d = ComplexVector(fresh.B, fresh.omega)
+    d = QuadComplex(fresh.B, fresh.omega)
     expected = pair(d, d) * Fraction(1, 2)
     assert fresh.s_part == expected
     assert fresh.s_part is fresh.s_part
