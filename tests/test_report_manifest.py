@@ -1,9 +1,9 @@
-"""Byte-identity gate over the 540 reference reports.
+"""Byte-identity gate over the 560 reference reports.
 
 `report_manifest.json` pins the exit code and the sha256 of the exact stdout
 of each reference run:
 
-* the 12 commands of `COMMANDS` on each of the 5 files in `scenarios/`;
+* the 16 commands of `COMMANDS` on each of the 5 files in `scenarios/`;
 * the 12 commands of `FORM_COMMANDS` on the scenario `{"form": [a, b, c]}`
   of each of the 40 reduced forms with D <= 40: `attractor`, `mirror`,
   `charge` and `walls`, each with and without `--float`, and `verify 6.2`,
@@ -50,6 +50,10 @@ COMMANDS = (
     ("verify", "6.2"),
     ("verify", "6.3"),
     ("verify", "6.4"),
+    ("verify", "5.1", "--float"),
+    ("verify", "6.2", "--float"),
+    ("verify", "6.3", "--float"),
+    ("verify", "6.4", "--float"),
 )
 FORM_COMMANDS = (
     ("attractor",),
@@ -110,7 +114,7 @@ def changed_reports(seen: dict[str, list]) -> dict[str, tuple]:
 
 def test_reference_reports_are_byte_identical(tmp_path):
     seen = run_all(tmp_path)
-    assert len(json.loads(MANIFEST.read_text())) == 540
+    assert len(json.loads(MANIFEST.read_text())) == 560
     changed = changed_reports(seen)
     assert not changed, changed
 

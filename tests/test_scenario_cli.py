@@ -119,6 +119,44 @@ def test_cli_attractor_float_rendering(capsys, diag28):
     assert report["tau"]["im"] == {"exact": "2", "float": "2"}
 
 
+def _float_leaves(value, text_keys=("argument", "certificate", "kind")):
+    """Every str leaf of a report outside its `scenario` echo and its text
+    keys, and every {"exact", "float"} pair, as (kind, leaf)."""
+    if isinstance(value, dict):
+        if set(value) == {"exact", "float"}:
+            yield "pair", value
+            return
+        for key, item in value.items():
+            if key != "scenario" and key not in text_keys:
+                yield from _float_leaves(item, text_keys)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _float_leaves(item, text_keys)
+    elif isinstance(value, str):
+        yield "str", value
+
+
+@pytest.mark.parametrize(
+    "command", [["charge"], ["mirror"], ["walls"], ["verify", "6.2"]], ids=" ".join
+)
+def test_float_reports_keep_a_rational_echo_exact(tmp_path, capsys, command):
+    """Under --float the echo writes omega_J and B as exact strings, and
+    every other non-integral scalar as its {"exact", "float"} pair."""
+    omega_J = ["1/2", "1/2"] + [0] * 20
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": omega_J, "B": _vec(i6="1/2")})
+    code, out = run_cli(capsys, [*command, "--scenario", path, "--float"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["scenario"]["omega_J"] == ["1/2", "1/2"] + ["0"] * 20
+    assert report["scenario"]["B"] == ["0"] * 6 + ["1/2"] + ["0"] * 15
+    leaves = list(_float_leaves(report))
+    assert [leaf for kind, leaf in leaves if kind == "str"] == []
+    pairs = [leaf for kind, leaf in leaves if kind == "pair"]
+    assert pairs
+    for number in pairs:  # D = 16: every scalar is rational
+        assert number["float"] == f"{float(Fraction(number['exact'])):.15g}"
+
+
 def test_cli_reports_are_byte_deterministic(capsys, diag28):
     _, first = run_cli(capsys, ["charge", "--scenario", diag28])
     _, second = run_cli(capsys, ["charge", "--scenario", diag28])
