@@ -14,9 +14,10 @@ exit code and the report text (the command's report, or the JSON error of a
 documented failure), and `main` prints that text once.
 
 Reports are JSON on stdout, byte for byte `json.dumps(report, indent=2,
-sort_keys=True)` and one newline, with exact scalar strings; the --float flag
-adds 15-digit decimal renderings (strings) for reading, never used in any
-comparison.  Exit codes:
+sort_keys=True)` and one newline.  The builders of `scenario` return exact
+values; `_render`, the one writer, gives each its JSON form, and only it reads
+--float, which pairs each scalar outside the scenario echo with a 15-digit
+decimal string for reading, never used in any comparison.  Exit codes:
 
     0  certificate verified / command succeeded
     1  usage, scenario-file, or precondition error, or a report number too
@@ -38,8 +39,9 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .attractor import DegenerateCharge, NotAttractor
-from .exact import UnsplitRadicand
+from .exact import QuadComplex, QuadScalar, UnsplitRadicand, quoted
 from .forms import BinaryEvenForm, enumerate_reduced, gauss_reduce, sl2_equivalent
+from .lattice import LatticeVector, MukaiVector
 from .mirror import PreconditionViolation
 from .scenario import (
     ScenarioError,
@@ -75,24 +77,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _render(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for the
-    types a report holds: dicts with str keys, lists, str, int, bool and None.
-    Any other type, a float or a tuple included, raises TypeError.
+def _render(obj, with_float: bool = False) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, with each
+    exact value replaced by its `_exact_json` form.  A report holds dicts
+    with str keys, lists, str, int, bool, None, QuadScalar, QuadComplex,
+    LatticeVector and MukaiVector; any other type, a float, a Fraction or a
+    tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
     generators; this writer appends to one list and joins it once.  In a dict
-    or a list, a str, int or bool value, told apart by exact type so that a
-    bool is never written as an int, is appended right after its head (the
-    opener or comma, the indentation and, in a dict, the quoted key); any
-    other value is written by the recursion.
+    or a list, an exact value is replaced by its form; then a str, int or
+    bool value, told apart by exact type so that a bool is never written as
+    an int, is appended right after its head (the opener or comma, the
+    indentation and, in a dict, the quoted key); any other value is written
+    by the recursion.  Of two numbers that cannot be written, the first in
+    the text is the one reported.
     """
     parts: list[str] = []
-    _write(obj, parts, "\n")
+    _write(obj, parts, "\n", with_float)
     return "".join(parts)
 
 
-def _write(obj, parts: list, newline: str) -> None:
+def _exact_json(obj, with_float: bool):
+    """The JSON form of one exact value: a scalar as its exact string, or
+    under --float as {"exact", "float"} with the `.15g` float; a complex
+    value as {"re", "im"}; an integral vector as its integers, any other
+    vector as its scalars; a Mukai vector as {"r", "D", "s"}."""
+    kind = type(obj)
+    if kind is QuadScalar:
+        if not with_float:
+            return str(obj)
+        try:
+            approx = float(obj)
+        except OverflowError:
+            raise ScenarioError("a report number is beyond the range of --float") from None
+        return {"exact": str(obj), "float": f"{approx:.15g}"}
+    if kind is QuadComplex:
+        return {"re": obj.re, "im": obj.im}
+    if kind is LatticeVector:
+        return obj.int_coords() if obj.is_integral else list(obj.coords)
+    if kind is MukaiVector:
+        return {"r": obj.r, "D": obj.D, "s": obj.s}
+    raise TypeError(f"not a report value: {kind.__name__}")
+
+
+_EXACT = frozenset((QuadScalar, QuadComplex, LatticeVector, MukaiVector))
+
+
+def _write(obj, parts: list, newline: str, with_float: bool) -> None:
     # containers first: the scalars of a container are mostly written inline
     if isinstance(obj, dict):
         if not obj:
@@ -106,6 +138,9 @@ def _write(obj, parts: list, newline: str) -> None:
         for key in sorted(obj):
             value = obj[key]
             kind = type(value)
+            if kind in _EXACT:
+                value = _exact_json(value, with_float)
+                kind = type(value)
             head += _quote(key) + ": "
             if kind is str:
                 parts.append(head + _quote(value))
@@ -115,7 +150,7 @@ def _write(obj, parts: list, newline: str) -> None:
                 parts.append(head + ("true" if value else "false"))
             else:
                 parts.append(head)
-                _write(value, parts, inner)
+                _write(value, parts, inner, with_float)
             head = "," + inner
         parts.append(newline)
         parts.append("}")
@@ -127,6 +162,9 @@ def _write(obj, parts: list, newline: str) -> None:
         head = "[" + inner
         for value in obj:
             kind = type(value)
+            if kind in _EXACT:
+                value = _exact_json(value, with_float)
+                kind = type(value)
             if kind is str:
                 parts.append(head + _quote(value))
             elif kind is int:
@@ -135,7 +173,7 @@ def _write(obj, parts: list, newline: str) -> None:
                 parts.append(head + ("true" if value else "false"))
             else:
                 parts.append(head)
-                _write(value, parts, inner)
+                _write(value, parts, inner, with_float)
             head = "," + inner
         parts.append(newline)
         parts.append("]")
@@ -150,14 +188,14 @@ def _write(obj, parts: list, newline: str) -> None:
     elif isinstance(obj, int):
         parts.append(int.__repr__(obj))
     else:
-        raise TypeError(f"not a report value: {type(obj).__name__}")
+        _write(_exact_json(obj, with_float), parts, newline, with_float)
 
 
 def _parse_form(text: str) -> BinaryEvenForm:
     try:
         value = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ScenarioError(f"bad form {text!r}: {exc}") from None
+        raise ScenarioError(f"bad form {quoted(text)}: {exc}") from None
     return form_from_json(value)
 
 
@@ -202,7 +240,7 @@ def cmd_forms(args) -> dict:
             raise ValueError(f"forms enumerate takes D <= {_MAX_DISC}")
         forms = enumerate_reduced(disc)
     except (ValueError, RecursionError) as exc:
-        raise ScenarioError(f"bad discriminant {args.forms[0]!r}: {exc}") from None
+        raise ScenarioError(f"bad discriminant {quoted(args.forms[0])}: {exc}") from None
     return {
         "action": "enumerate",
         "discriminant": disc,
@@ -228,7 +266,7 @@ def _report(args) -> dict:
         "6.4": wall_system_report,
     }
     name = _VERIFY_ALIASES[args.certificate] if args.command == "verify" else args.command
-    return builders[name](scenario_from_file(args.scenario), args.float)
+    return builders[name](scenario_from_file(args.scenario))
 
 
 # (command, help), in the order of `k3stab --help`
@@ -253,6 +291,7 @@ def build_parser() -> _Parser:
         if command == "forms":
             p.add_argument("action", choices=["reduce", "equiv", "enumerate"])
             p.add_argument("forms", nargs="+", help="form triples as JSON, or a discriminant")
+            p.set_defaults(float=False)
             continue
         if command == "verify":
             p.add_argument("certificate", choices=sorted(_VERIFY_ALIASES))
@@ -283,7 +322,7 @@ def _run(args) -> tuple[int, str]:
     propagates."""
     try:
         try:
-            return 0, _render(_report(args))
+            return 0, _render(_report(args), args.float)
         except (ScenarioError, UnsplitRadicand) as exc:
             code, error = 1, {"error": str(exc), "kind": "scenario"}
         except PreconditionViolation as exc:

@@ -383,6 +383,18 @@ _TERM = re.compile(
 )
 
 
+_QUOTE_LIMIT = 200
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut after its first 200 characters:
+    an input, and so the message that quotes it, can be as long as its file."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def parse_quad(text: str) -> QuadScalar:
     """Parse the ``"a + b*sqrt(m)"`` serialization (also plain ``"a"``).
 
@@ -397,11 +409,11 @@ def parse_quad(text: str) -> QuadScalar:
     while pos < len(s):
         match = _TERM.match(s, pos)
         if not match or match.end() == pos:
-            raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
+            raise ValueError(f"cannot parse scalar {quoted(text)} at position {pos}")
         if (match.group("coef") is None and match.group("root") is None) or (
             pos and not match.group("sign")
         ):
-            raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
+            raise ValueError(f"cannot parse scalar {quoted(text)} at position {pos}")
         sign = -1 if match.group("sign") == "-" else 1
         coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
         if match.group("root"):

@@ -92,12 +92,13 @@ def mirror_period(
     v, vstar = split.v, split.vstar
     scale = pair(Omega.re, v).inverse()
     x = QuadComplex(B, omega)
-    x_sq = pair(x, x)
+    # v and v* are real: a complex multiple of v scales v once per part
+    half_sq = pair(x, x) * Fraction(1, 2)
     omega_check_cplx = (
-        split.project(x) - QuadComplex(v) * (x_sq * Fraction(1, 2)) + QuadComplex(vstar)
+        split.project(x) - QuadComplex(v * half_sq.re - vstar, v * half_sq.im)
     ) * scale
     shift = pair(Omega, B)
-    kahler_side = (split.project(Omega) - QuadComplex(v) * shift) * scale
+    kahler_side = (split.project(Omega) - QuadComplex(v * shift.re, v * shift.im)) * scale
     triple = MirrorTriple(
         Omega_check=omega_check_cplx,
         omega_check=kahler_side.im,

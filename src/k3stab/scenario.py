@@ -26,6 +26,10 @@ sigma0) (`eta_basis`) and the Picard basis of f, sigma0 and that complement
 (`psi`), and the Kaehler search (`result`), which reads the scenario itself.
 A command pays only for the stages it reads, and rejects the same scenarios
 as any other command.
+
+Each report builder below takes a `Scenario` alone and returns a dict of
+exact values (QuadScalar, QuadComplex, LatticeVector, MukaiVector), which
+`cli._render` writes; the builders know nothing of JSON forms or --float.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .attractor import (
     threefold_central_charge,
     verify_attractor,
 )
-from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad
+from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad, quoted
 from .forms import BinaryEvenForm
 from .lattice import GAMMA, LatticeVector, orth_complement, pair
 from .mirror import (
@@ -79,7 +83,7 @@ def _scalar(value) -> QuadScalar:
     if isinstance(value, QuadScalar):
         return value
     if isinstance(value, bool):
-        raise ScenarioError(f"not a scalar: {value!r}")
+        raise ScenarioError(f"not a scalar: {quoted(value)}")
     if isinstance(value, int):
         return QuadScalar(value)
     if isinstance(value, str):
@@ -88,15 +92,15 @@ def _scalar(value) -> QuadScalar:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         except ZeroDivisionError:
-            raise ScenarioError(f"zero denominator in scalar {value!r}") from None
-    raise ScenarioError(f"not a scalar: {value!r}")
+            raise ScenarioError(f"zero denominator in scalar {quoted(value)}") from None
+    raise ScenarioError(f"not a scalar: {quoted(value)}")
 
 
 def _vector(value, rank: int = 22) -> LatticeVector:
     if isinstance(value, LatticeVector):
         return value
     if not isinstance(value, (list, tuple)) or len(value) != rank:
-        raise ScenarioError(f"expected a length-{rank} coordinate array, got {value!r}")
+        raise ScenarioError(f"expected a length-{rank} coordinate array, got {quoted(value)}")
     scalars = [_scalar(x) for x in value]
     try:
         return LatticeVector(scalars)
@@ -115,14 +119,16 @@ def form_from_json(value) -> BinaryEvenForm:
     if isinstance(value, BinaryEvenForm):
         return value
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"form must be a triple [a, b, c], got {value!r}")
+        raise ScenarioError(f"form must be a triple [a, b, c], got {quoted(value)}")
     for x in value:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ScenarioError(f"form entries must be integers, got {x!r} in {value!r}")
+            raise ScenarioError(
+                f"form entries must be integers, got {quoted(x)} in {quoted(value)}"
+            )
     try:
         return BinaryEvenForm(*value)
     except ValueError as exc:
-        raise ScenarioError(f"bad form {value!r}: {exc}") from None
+        raise ScenarioError(f"bad form {quoted(value)}: {exc}") from None
 
 
 def standard_charge(form: BinaryEvenForm) -> tuple[LatticeVector, LatticeVector]:
@@ -225,13 +231,15 @@ class Scenario:
         return radicands.pop() if radicands else 0
 
     def echo(self) -> dict:
+        """The inputs and invariants; omega_J and B, which may be
+        non-integral, stay exact strings under --float."""
         out = {
-            "p": vector_json(self.charge.p),
-            "q": vector_json(self.charge.q),
-            "f": vector_json(self.split.f),
-            "sigma0": vector_json(self.split.sigma0),
-            "omega_J": vector_json(self.omega_J),
-            "B": vector_json(self.B),
+            "p": self.charge.p,
+            "q": self.charge.q,
+            "f": self.split.f,
+            "sigma0": self.split.sigma0,
+            "omega_J": _exact_coords(self.omega_J),
+            "B": _exact_coords(self.B),
             "disc": self.charge.disc,
             "gram": [[self.charge.p2, self.charge.pq], [self.charge.pq, self.charge.q2]],
             "m": self.m,
@@ -240,6 +248,11 @@ class Scenario:
         if self.form is not None:
             out["form"] = self.form.as_list()
         return out
+
+
+def _exact_coords(v: LatticeVector) -> list:
+    """The integers of v, or its exact strings if v is not integral."""
+    return v.int_coords() if v.is_integral else [str(c) for c in v.coords]
 
 
 def build_scenario(
@@ -273,17 +286,17 @@ def build_scenario(
         raise ScenarioError(str(exc)) from None
     if isinstance(omega_J, str):
         if omega_J.replace(" ", "") != "2f+sigma0":
-            raise ScenarioError(f"unknown omega_J family {omega_J!r}")
+            raise ScenarioError(f"unknown omega_J family {quoted(omega_J)}")
         omega_vec = 2 * f_vec + s_vec
     else:
         omega_vec = _vector(omega_J)
     b_vec = LatticeVector.zero(GAMMA.rank) if B is None else _vector(B)
     if search is not None and not isinstance(search, dict):
-        raise ScenarioError(f"search must be a JSON object, got {search!r}")
+        raise ScenarioError(f"search must be a JSON object, got {quoted(search)}")
     search = search or {}
     unknown = set(search) - {"c_eta", "eta"}
     if unknown:
-        raise ScenarioError(f"unknown search parameters: {sorted(unknown)}")
+        raise ScenarioError(f"unknown search parameters: {quoted(sorted(unknown))}")
     c_eta = _scalar(search["c_eta"]) if "c_eta" in search else QuadScalar(Fraction(1, 10))
     eta = None
     if search.get("eta") is not None:
@@ -325,71 +338,27 @@ def scenario_from_file(path: str) -> Scenario:
     known = {"form", "p", "q", "f", "sigma0", "omega_J", "B", "search"}
     unknown = set(raw) - known
     if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    return build_scenario(
-        form=raw.get("form"),
-        p=raw.get("p"),
-        q=raw.get("q"),
-        f=raw.get("f"),
-        sigma0=raw.get("sigma0"),
-        omega_J=raw.get("omega_J", "2f+sigma0"),
-        B=raw.get("B"),
-        search=raw.get("search"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON rendering helpers (deterministic; floats only when asked, never compared).
-
-
-def scalar_json(x: QuadScalar, with_float: bool = False):
-    if with_float:
-        try:
-            approx = float(x)
-        except OverflowError:
-            raise ScenarioError("a report number is beyond the range of --float") from None
-        return {"exact": str(x), "float": f"{approx:.15g}"}
-    return str(x)
-
-
-def complex_json(z: QuadComplex, with_float: bool = False):
-    return {"re": scalar_json(z.re, with_float), "im": scalar_json(z.im, with_float)}
-
-
-def vector_json(v: LatticeVector, with_float: bool = False):
-    if v.is_integral:
-        return v.int_coords()
-    return [scalar_json(c, with_float) for c in v.coords]
-
-
-def complex_vector_json(v: QuadComplex, with_float: bool = False):
-    return {"re": vector_json(v.re, with_float), "im": vector_json(v.im, with_float)}
-
-
-def mukai_json(m):
-    return {"r": m.r, "D": vector_json(m.D), "s": m.s}
+        raise ScenarioError(f"unknown scenario fields: {quoted(sorted(unknown))}")
+    return build_scenario(**raw)
 
 
 # ---------------------------------------------------------------------------
 # Certificate pipelines (shared by the CLI and the acceptance suite).
 
 
-def attractor_report(sc: Scenario, with_float: bool = False) -> dict:
+def attractor_report(sc: Scenario) -> dict:
     lam = verify_attractor(sc.charge, sc.tau, sc.Omega)
     conj_norm = pair(sc.Omega, sc.Omega.conj())
     return {
         "scenario": sc.echo(),
-        "tau": complex_json(sc.tau, with_float),
-        "Omega": complex_vector_json(sc.Omega, with_float),
-        "lambda": complex_json(lam, with_float),
-        "checks": {
-            "omega_sq_zero": True,
-            "omega_dot_conj": scalar_json(conj_norm.re, with_float),
-        },
+        "tau": sc.tau,
+        "Omega": sc.Omega,
+        "lambda": lam,
+        "checks": {"omega_sq_zero": True, "omega_dot_conj": conj_norm.re},
     }
 
 
-def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
+def slag_reality_report(sc: Scenario) -> dict:
     """Threefold central charges of the Picard basis: exactly real.  Their
     real part is the K3 charge omega_J . l by the rotation's definition
     (Re(Omega_I) = omega_J), so only reality is checked.  Those charges do
@@ -404,12 +373,7 @@ def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
         z3 = threefold_central_charge(sc.Omega_I, cls)
         if z3.im:
             raise RealityViolation(cls, z3)
-        rows.append(
-            {
-                "class": vector_json(cls, with_float),
-                "Z": scalar_json(z3.re, with_float),
-            }
-        )
+        rows.append({"class": cls, "Z": z3.re})
     return {
         "scenario": sc.echo(),
         "certificate": "slag-reality",
@@ -420,23 +384,13 @@ def slag_reality_report(sc: Scenario, with_float: bool = False) -> dict:
     }
 
 
-def mirror_reality_report(sc: Scenario, with_float: bool = False) -> dict:
+def mirror_reality_report(sc: Scenario) -> dict:
     values = verify_reality(sc.split, sc.psi, sc.pic_basis)
-    rows = [
-        {
-            "class": vector_json(cls, with_float),
-            "mukai": mukai_json(v),
-            "Z": scalar_json(z, with_float),
-        }
-        for cls, z, v in values
-    ]
+    rows = [{"class": cls, "mukai": v, "Z": z} for cls, z, v in values]
     return {
         "scenario": sc.echo(),
         "certificate": "mirror-reality",
-        "stability_point": {
-            "B": vector_json(sc.psi.B, with_float),
-            "omega": vector_json(sc.psi.omega, with_float),
-        },
+        "stability_point": {"B": sc.psi.B, "omega": sc.psi.omega},
         "classes": len(rows),
         "all_real": True,
         "charges": rows,
@@ -454,7 +408,7 @@ def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
+def mirror_report(sc: Scenario) -> dict:
     involution = None
     # the involution contract needs a null period: rescale Im(Omega_I) =
     # Re(Omega) when the norm ratio is a perfect rational square
@@ -468,21 +422,21 @@ def mirror_report(sc: Scenario, with_float: bool = False) -> dict:
                 "holds": rep.holds,
                 "span_equal": rep.span_equal,
                 "b_recovered": rep.b_recovered,
-                "omega_v_shift": scalar_json(rep.omega_v_shift, with_float),
+                "omega_v_shift": rep.omega_v_shift,
             }
     return {
         "scenario": sc.echo(),
         "mirror": {
-            "Omega": complex_vector_json(sc.triple.Omega_check, with_float),
-            "omega": vector_json(sc.triple.omega_check, with_float),
-            "B": vector_json(sc.triple.B_check, with_float),
+            "Omega": sc.triple.Omega_check,
+            "omega": sc.triple.omega_check,
+            "B": sc.triple.B_check,
         },
         "ns_of_mirror_rank": ns_of_mirror(sc.triple.Omega_check).rank,
         "involution": involution,
     }
 
 
-def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
+def regular_point_report(sc: Scenario) -> dict:
     """Obstruction certificate plus the Kaehler-class search (exit data only;
     raising variants live in the stability module)."""
     result = sc.result
@@ -491,7 +445,7 @@ def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
         "scenario": sc.echo(),
         "certificate": "regular-point",
         "obstruction": obstruction_json(result.obstruction),
-        "omega_J": vector_json(result.omega_J, with_float),
+        "omega_J": result.omega_J,
         "candidate_index": result.candidate_index,
         "candidates_tried": result.candidates_tried,
         "root_enumeration": {
@@ -499,10 +453,7 @@ def regular_point_report(sc: Scenario, with_float: bool = False) -> dict:
             "lattice_rank": enumeration.lattice_rank,
             "roots": len(enumeration.roots),
         },
-        "charges": [
-            {"class": vector_json(c, with_float), "Z": scalar_json(z, with_float)}
-            for c, z in result.charges
-        ],
+        "charges": [{"class": c, "Z": z} for c, z in result.charges],
         "pass": True,
     }
 
@@ -514,11 +465,11 @@ def obstruction_json(ob: ObstructionCheck) -> dict:
         "two_p_sq": 2 * ob.p2,
         "solutions": [list(mn) for mn in ob.solutions],
         "residuals": [str(r) for r in ob.residuals],
-        "delta": mukai_json(ob.delta) if ob.delta is not None else None,
+        "delta": ob.delta,
     }
 
 
-def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
+def wall_system_report(sc: Scenario) -> dict:
     """The flipped charges at the searched point.  Every pair of nonzero ones
     is a member by `argument`, so the report holds no wall table."""
     result = sc.result
@@ -526,9 +477,9 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
     return {
         "scenario": sc.echo(),
         "certificate": "wall-intersection",
-        "omega_J": vector_json(result.omega_J, with_float),
+        "omega_J": result.omega_J,
         "flips": flips,
-        "charges": [scalar_json(z, with_float) for z in charges],
+        "charges": charges,
         "argument": "each class is flipped to make its real charge positive, and a "
         "ratio of positive reals is a positive real",
         "member_count": wall_count(charges),
@@ -538,14 +489,14 @@ def wall_system_report(sc: Scenario, with_float: bool = False) -> dict:
     }
 
 
-def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
+def wall_table_report(sc: Scenario) -> dict:
     """The charges at the scenario's own omega_J (no search), not flipped,
     real by `verify_reality` as in 6.2; the pairs on a wall follow from their
     signs by `argument`, so the report holds no wall table."""
     zs = [z for _, z, _ in verify_reality(sc.split, sc.psi, sc.pic_basis)]
     return {
         "scenario": sc.echo(),
-        "charges": [scalar_json(z, with_float) for z in zs],
+        "charges": zs,
         "argument": "every charge is real, and two real charges lie on a common wall "
         "exactly when both are nonzero and of one sign",
         "member_count": wall_count(zs),
@@ -554,16 +505,10 @@ def wall_table_report(sc: Scenario, with_float: bool = False) -> dict:
     }
 
 
-def charge_table_report(sc: Scenario, with_float: bool = False) -> dict:
+def charge_table_report(sc: Scenario) -> dict:
     rows = []
     for cls in sc.pic_basis:
         z3 = threefold_central_charge(sc.Omega_I, cls)
         zm = central_charge(sc.psi, mirror_class(sc.split, cls))
-        rows.append(
-            {
-                "class": vector_json(cls, with_float),
-                "Z_threefold": complex_json(z3, with_float),
-                "Z_mirror": complex_json(zm, with_float),
-            }
-        )
+        rows.append({"class": cls, "Z_threefold": z3, "Z_mirror": zm})
     return {"scenario": sc.echo(), "charges": rows}

@@ -20,6 +20,7 @@ from k3stab.lattice import (
     pair,
 )
 from k3stab.mirror import PreconditionViolation
+from k3stab.scenario import ScenarioError
 from k3stab.stability import StabilityPoint
 
 
@@ -72,6 +73,55 @@ def complex_quotient(z, w):
         raise ZeroDivisionError("inverse of zero")
     inv = n.inverse()
     return z * QuadComplex(w.re * inv, -w.im * inv)
+
+
+def scalar_json(x: QuadScalar, with_float: bool = False):
+    if with_float:
+        try:
+            approx = float(x)
+        except OverflowError:
+            raise ScenarioError("a report number is beyond the range of --float") from None
+        return {"exact": str(x), "float": f"{approx:.15g}"}
+    return str(x)
+
+
+def complex_json(z: QuadComplex, with_float: bool = False):
+    return {"re": scalar_json(z.re, with_float), "im": scalar_json(z.im, with_float)}
+
+
+def vector_json(v: LatticeVector, with_float: bool = False):
+    if v.is_integral:
+        return v.int_coords()
+    return [scalar_json(c, with_float) for c in v.coords]
+
+
+def complex_vector_json(v: QuadComplex, with_float: bool = False):
+    return {"re": vector_json(v.re, with_float), "im": vector_json(v.im, with_float)}
+
+
+def mukai_json(m: MukaiVector):
+    return {"r": m.r, "D": vector_json(m.D), "s": m.s}
+
+
+def report_json(obj, with_float: bool = False):
+    """A report with each exact value replaced by its JSON form, through the
+    helpers above, which the report builders called before `cli._render`
+    wrote exact values itself; the reference for that writer."""
+    if isinstance(obj, dict):
+        return {key: report_json(value, with_float) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [report_json(value, with_float) for value in obj]
+    if isinstance(obj, QuadScalar):
+        return scalar_json(obj, with_float)
+    if isinstance(obj, QuadComplex):
+        if isinstance(obj.re, LatticeVector):
+            return complex_vector_json(obj, with_float)
+        return complex_json(obj, with_float)
+    if isinstance(obj, LatticeVector):
+        return vector_json(obj, with_float)
+    if isinstance(obj, MukaiVector):
+        return mukai_json(obj)
+    return obj
 
 
 def decimal_float(p: int, q: int, d: int, m: int) -> float:

@@ -4,16 +4,21 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3stab.cli import _render, build_parser, main
-from k3stab.exact import QuadScalar
+from k3stab.exact import QuadComplex, QuadScalar
+from k3stab.lattice import LatticeVector, MukaiVector
+from k3stab.scenario import ScenarioError
+from oracles import report_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = str(ROOT / "scenarios" / "diag_2_8.json")
@@ -58,11 +63,79 @@ def test_render_examples(value):
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, (1, 2), QuadScalar(1), {"a": [0.0]}, {1: "x"}, [QuadScalar(0, 1, 2)]],
+    [1.5, (1, 2), Fraction(1, 2), {"a": [0.0]}, {1: "x"}, [1j]],
 )
 def test_render_rejects_other_types(value):
     with pytest.raises(TypeError):
         _render(value)
+
+
+# numerators past the float range (about 1.8e308) once in a while
+_integers = st.one_of(
+    st.integers(-(10**6), 10**6), st.integers(-(10**400), 10**400).filter(lambda n: n)
+)
+_rationals = st.builds(Fraction, _integers, st.integers(1, 10**6))
+_fields = st.sampled_from([0, 2, 3, 5, 23])
+
+
+@st.composite
+def _scalars(draw, m=None):
+    m = draw(_fields) if m is None else m
+    return QuadScalar(draw(_rationals), draw(_rationals) if m else 0, m)
+
+
+@st.composite
+def _vectors(draw, size=None):
+    size = draw(st.integers(0, 4)) if size is None else size
+    if draw(st.booleans()):
+        return LatticeVector.from_ints(draw(st.lists(_integers, min_size=size, max_size=size)))
+    m = draw(_fields)
+    return LatticeVector([draw(_scalars(m)) for _ in range(size)])
+
+
+@st.composite
+def _complex_vectors(draw):
+    size = draw(st.integers(0, 4))
+    return QuadComplex(draw(_vectors(size)), draw(_vectors(size)))
+
+
+_exact_values = st.one_of(
+    _scalars(),
+    st.builds(QuadComplex, _scalars(), _scalars()),
+    _vectors(),
+    _complex_vectors(),
+    st.builds(
+        MukaiVector,
+        _integers,
+        st.lists(_integers, max_size=4).map(LatticeVector.from_ints),
+        _integers,
+    ),
+)
+_payloads = st.recursive(
+    st.one_of(_leaves, _exact_values),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_texts, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads, st.booleans())
+@example(QuadScalar(1), False)
+@example([QuadScalar(0, 1, 2)], True)
+def test_render_writes_exact_values_as_the_json_helpers_did(payload, with_float):
+    """The writer renders each exact value as the builders' JSON helpers
+    (the oracle `report_json`) did, with and without --float, and a number
+    past the float range is the same `scenario` error."""
+    try:
+        expected = json.dumps(report_json(payload, with_float), indent=2, sort_keys=True)
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(exc))}$"):
+            _render(payload, with_float)
+        return
+    assert _render(payload, with_float) == expected
 
 
 _CHARGE = {"re": "1/2", "im": {"exact": "0", "float": "0"}}

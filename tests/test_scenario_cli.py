@@ -501,6 +501,21 @@ def test_cli_forms_reduce_of_a_deeply_nested_argument(capsys):
     assert_json_error(*run_cli(capsys, ["forms", "reduce", deep]), "scenario", "recursion")
 
 
+def test_errors_quote_a_bounded_prefix_of_a_long_input(tmp_path, capsys):
+    """An error quotes the first 200 characters of an over-long input and
+    its length, not the whole input: these two once printed reports of
+    100,135 and 300,083 bytes."""
+    code, out = run_cli(capsys, ["forms", "reduce", "[" * 100000])
+    assert_json_error(code, out, "scenario", "bad form '" + "[" * 199 + "... (100002 characters)")
+    assert len(out) < 500
+    path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": [0] * 100000})
+    code, out = run_cli(capsys, ["attractor", "--scenario", path])
+    says = "expected a length-22 coordinate array, got [0, 0, "
+    assert_json_error(code, out, "scenario", says)
+    assert json.loads(out)["error"].endswith("... (300000 characters)")
+    assert len(out) < 500
+
+
 def test_cli_walls_nonpositive_omega(tmp_path, capsys):
     f = [1] + [0] * 21  # the fiber class, f^2 = 0
     path = write_scenario(tmp_path, {"form": [2, 0, 8], "omega_J": f})
@@ -891,7 +906,7 @@ def test_commands_without_mirror_data_skip_the_mirror_map(monkeypatch, capsys, d
 def test_reports_without_the_picard_basis_skip_the_complement(builder):
     # eta_basis and pic_basis are cached on the scenario when first read
     sc = build_scenario(form=[2, 0, 8])
-    builder(sc, True)
+    builder(sc)
     assert "eta_basis" not in vars(sc) and "pic_basis" not in vars(sc)
     assert len(sc.pic_basis) == 20 and vars(sc)["eta_basis"] == sc.pic_basis[2:]
 
