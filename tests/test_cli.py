@@ -71,9 +71,7 @@ def test_render_rejects_other_types(value):
 
 
 # numerators past the float range (about 1.8e308) once in a while
-_integers = st.one_of(
-    st.integers(-(10**6), 10**6), st.integers(-(10**400), 10**400).filter(lambda n: n)
-)
+_integers = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**400), 10**400))
 _rationals = st.builds(Fraction, _integers, st.integers(1, 10**6))
 _fields = st.sampled_from([0, 2, 3, 5, 23])
 
