@@ -3,11 +3,11 @@
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic: unimodular column reduction for integer kernels, integral
 Gram-Schmidt data (the one factorization of a definite matrix, which also
-decides definiteness), integral LLL reduction, and the
-Fincke–Pohst enumerator of the integer vectors of one norm of a definite
-form, which the (-2)-class enumeration runs at norm 2.  The last three run in
-integers only: the enumerator scales its budget once at entry, so every level
-costs an integer and every coordinate bound is an `isqrt`.
+decides definiteness), integral LLL reduction, which keeps only what it reads
+again and builds its transform on request, and the Fincke–Pohst enumerator of
+the vectors of one norm of a definite form, run at norm 2 for the (-2)-classes.
+The last three run in integers only: the enumerator scales its budget once at
+entry, so every level costs an integer and every coordinate bound is an `isqrt`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[list[int]]:
@@ -82,12 +82,13 @@ def rank_generic(rows: Iterable[Sequence]) -> int:
 def _gram_schmidt_row(g, d: list[int], lam: list[list[int]], k: int) -> None:
     """Fill d[k + 1] and lam[k][:k] from row k of g and the data of rows < k;
     every division is exact (the values are integer minors)."""
+    gk, lk = g[k], lam[k]
     for j in range(k + 1):
-        u = g[k][j]
+        u, lj = gk[j], lam[j]
         for i in range(j):
-            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
         if j < k:
-            lam[k][j] = u
+            lk[j] = u
         elif u <= 0:
             raise ValueError("matrix is not positive definite")
         else:
@@ -121,16 +122,17 @@ def is_negative_definite(gram: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def lll_reduce(
-    gram: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
+def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list[list[int]]]:
     """LLL reduction, delta = 3/4, of a positive definite integer Gram matrix.
 
-    Returns ``(t, g, d, lam)`` with t unimodular, g = t gram t^T reduced and
-    ``(d, lam) = gram_schmidt(g)``.  This is the integral LLL of Cohen
-    (Algorithm 2.6.7): the Gram-Schmidt data are computed once per new
-    vector and then updated in place on every size reduction and swap,
-    never recomputed.
+    Returns ``(transform, d, lam)``: ``(d, lam) = gram_schmidt(t gram t^T)``
+    is reduced and ``transform()`` builds the unimodular t.  This is the
+    integral LLL of Cohen (Algorithm 2.6.7): the Gram-Schmidt data are
+    computed once per new vector, then updated in place on every size
+    reduction and swap.  A new vector's data read only its Gram row, so a
+    move updates only the Gram entries of the vectors not yet seen; the
+    reduced Gram matrix is never formed.  The moves are recorded, and only
+    ``transform()`` replays them into t.
 
     The reduction starts from the basis sorted shortest first, by
     (gram[i][i], i), so t starts as that permutation.  A kernel basis from
@@ -142,30 +144,34 @@ def lll_reduce(
     """
     n = len(gram)
     order = sorted(range(n), key=lambda i: (gram[i][i], i))
-    g = [[int(gram[i][j]) for j in order] for i in order]
-    t = [[int(i == j) for j in range(n)] for i in order]
+    g = [[gram[i][j] for j in order[: k + 1]] for k, i in enumerate(order)]  # lower triangle
     d = [1] + [0] * n  # d[i + 1] belongs to basis vector i
     lam = [[0] * n for _ in range(n)]
-    if n == 0:
-        return t, g, d, lam
-    _gram_schmidt_row(g, d, lam, 0)
+    moves = []  # (k, l, q): row k -= q row l, or swap rows k and l = k - 1 if q = 0
+
+    def transform() -> list[list[int]]:
+        t = [[int(i == j) for j in range(n)] for i in order]
+        for k, l, q in moves:
+            t[k], t[l] = ([a - q * b for a, b in zip(t[k], t[l])], t[l]) if q else (t[l], t[k])
+        return t
+
+    if n:
+        _gram_schmidt_row(g, d, lam, 0)
 
     def reduce(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) <= d[l + 1]:
             return
         q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
-        t[k] = [a - q * b for a, b in zip(t[k], t[l])]
-        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
-        for row in g:
+        moves.append((k, l, q))
+        for row in g[kmax + 1 :]:  # the vectors not yet seen
             row[k] -= q * row[l]
         lam[k][l] -= q * d[l + 1]
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
 
     def swap(k: int) -> None:
-        t[k], t[k - 1] = t[k - 1], t[k]
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
+        moves.append((k, k - 1, 0))
+        for row in g[kmax + 1 :]:
             row[k], row[k - 1] = row[k - 1], row[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
@@ -190,7 +196,7 @@ def lll_reduce(
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return t, g, d, lam
+    return transform, d, lam
 
 
 def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:

@@ -115,12 +115,15 @@ def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
     """Mukai vector of the mirror of an integral class.
 
     Decompose cls = pr(cls) + a v + b v*; the result is (b, pr(cls), -a), the
-    identity on Gamma' with f -> (0,0,-1) and sigma0 -> (1,0,1).
+    identity on Gamma' with f -> (0,0,-1) and sigma0 -> (1,0,1).  A class in
+    Gamma' (a = b = 0, as every eta class is) is its own core.
     """
     if not cls.is_integral:
         raise ValueError("mirror_class requires an integral class")
     a = pair(cls, split.vstar).as_int()
     b = pair(cls, split.v).as_int()
+    if not (a or b):
+        return MukaiVector(0, cls, 0)
     core = cls - a * split.v - b * split.vstar
     return MukaiVector(b, core, -a)
 

@@ -148,9 +148,10 @@ def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumerat
     The integral kernel of the Mukai pairings with Re and Im of the mirror
     period and of Psi is negative definite; minus its Gram matrix is LLL
     reduced, and its vectors of norm 2 are enumerated with the Gram-Schmidt
-    data that the reduction ends with, so nothing is factored twice.  The
-    reduced basis is built only to map hits back to Mukai coordinates; a
-    certified point has none.  Every reported root is re-verified.
+    data that the reduction ends with, so nothing is factored twice.  Only
+    hits, which a certified point has none of, build the transform t and the
+    reduced basis t K that map them back to Mukai coordinates.  Every
+    reported root is re-verified.
     """
     s_part = psi.s_part
     n = GAMMA.rank  # Mukai coordinates are (D, r, s)
@@ -162,9 +163,8 @@ def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumerat
         embed_gamma(psi.omega) + s_part.im * s_unit,
     ]
     sub = orth_complement(MUKAI, gens)
-    kern = [v.int_coords() for v in sub.basis]
     try:
-        t, _, d, lam = lll_reduce([[-x for x in row] for row in sub.gram()])
+        transform, d, lam = lll_reduce([[-x for x in row] for row in sub.gram()])
     except ValueError:
         raise RuntimeError(
             "the lattice orthogonal to Psi and the mirror period is not negative "
@@ -180,8 +180,9 @@ def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumerat
 
     hits = []
     ys = enumerate_quadric((d, lam), 2)
-    if ys:  # a certified point has none, and needs no reduced basis
-        basis = [combine(row, kern) for row in t]  # the reduced basis: rows of t K
+    if ys:  # a certified point has none, and needs neither t nor a basis
+        kern = [v.int_coords() for v in sub.basis]
+        basis = [combine(row, kern) for row in transform()]  # the reduced basis: rows of t K
         hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []
     for r, d, s in hits:
@@ -190,7 +191,7 @@ def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumerat
         assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
         roots.append(delta)
-    return RootEnumeration(lattice_rank=len(kern), roots=roots)
+    return RootEnumeration(lattice_rank=sub.rank, roots=roots)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import isqrt, lcm
 
 from k3stab.attractor import DegenerateCharge, NotAttractor
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
-from k3stab.intmat import gram_schmidt, kernel_basis
+from k3stab.intmat import _gram_schmidt_row, gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
@@ -439,6 +439,65 @@ def fraction_enumerate_quadric(factors, w, r):
     return sorted(out)
 
 
+def full_lll_reduce(gram):
+    """``(t, g, d, lam)``: the integral LLL of Cohen (Algorithm 2.6.7),
+    delta = 3/4, from the basis sorted by (gram[i][i], i), keeping the whole
+    reduced Gram matrix g = t gram t^T and the transform t up to date on
+    every size reduction and swap; the reference for the lean
+    `intmat.lll_reduce`, which keeps only what it reads again."""
+    n = len(gram)
+    order = sorted(range(n), key=lambda i: (gram[i][i], i))
+    g = [[int(gram[i][j]) for j in order] for i in order]
+    t = [[int(i == j) for j in range(n)] for i in order]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    if n == 0:
+        return t, g, d, lam
+    _gram_schmidt_row(g, d, lam, 0)
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        t[k] = [a - q * b for a, b in zip(t[k], t[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        t[k], t[k - 1] = t[k - 1], t[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            x = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * x) // d[k]
+            lam[i][k - 1] = (b * x + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            _gram_schmidt_row(g, d, lam, k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return t, g, d, lam
+
+
 # ---------------------------------------------------------------------------
 # Second formulas for the central charge, the Mukai pairing, the attractor
 # witness and the Kaehler search's cone test: the library keeps one formula
@@ -850,6 +909,16 @@ def tube_map(split, z):
         raise PreconditionViolation("tube coordinate must be orthogonal to U'")
     z_sq = pair(z, z)
     return z - QuadComplex(split.v) * (z_sq * Fraction(1, 2)) + QuadComplex(split.vstar)
+
+
+def general_mirror_class(split, cls):
+    """The Mukai vector (b, l - a v - b v*, -a) of the mirror of an integral
+    class l, a = l.v*, b = l.v, by the general formula for every class; the
+    reference for `mirror.mirror_class`, which skips the subtraction when
+    a = b = 0."""
+    a = pair(cls, split.vstar).as_int()
+    b = pair(cls, split.v).as_int()
+    return MukaiVector(b, cls - a * split.v - b * split.vstar, -a)
 
 
 def period_embed(split, p_basis, omega, B):

@@ -24,7 +24,13 @@ from k3stab.stability import (
     p0_violations,
     search_kahler_class,
 )
-from oracles import fraction_enumerate_quadric, ldl_posdef, signature_of, solve_integer
+from oracles import (
+    fraction_enumerate_quadric,
+    full_lll_reduce,
+    ldl_posdef,
+    signature_of,
+    solve_integer,
+)
 
 
 def test_kernel_basis_simple():
@@ -199,9 +205,10 @@ def _det(m):
 
 
 def _assert_lll_reduced(gram):
-    t, g, d, lam = lll_reduce(gram)
+    transform, d, lam = lll_reduce(gram)
+    t = transform()  # replayed from the recorded moves
     assert abs(_det(t)) == 1  # unimodular
-    assert _mul(_mul(t, gram), [list(col) for col in zip(*t)]) == g
+    g = _mul(_mul(t, gram), [list(col) for col in zip(*t)])
     # the data kept through the reduction are those of the reduced matrix
     assert (d, lam) == gram_schmidt(g)
     for k in range(len(g)):
@@ -243,6 +250,46 @@ def test_lll_reduce_is_unimodular_and_reduced(case):
     assert _assert_lll_reduced(_permuted(gram, perm))[2][-1] == d[-1]
 
 
+def _assert_lean_lll_matches_oracle(gram):
+    """The lean reduction ends with the data of the full-bookkeeping one,
+    and its replayed transform is the oracle's t."""
+    transform, d, lam = lll_reduce(gram)
+    t, _, d_full, lam_full = full_lll_reduce(gram)
+    assert (d, lam) == (d_full, lam_full)
+    assert transform() == t
+
+
+_BASES = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-40, 40), min_size=n + 2, max_size=n + 2), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_BASES)
+@example([[1, 0, 0], [1000, 1, 0]])  # one long vector: a reduction, then a swap
+def test_lean_lll_matches_the_full_bookkeeping_oracle(b):
+    gram = _mul(b, [list(col) for col in zip(*b)])
+    if not _det(gram):
+        for reduce in (lll_reduce, full_lll_reduce):
+            with pytest.raises(ValueError):
+                reduce(gram)
+        return
+    _assert_lean_lll_matches_oracle(gram)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(20)))
+def test_lean_lll_matches_the_oracle_on_root_lattices(sc28, searched28, perm):
+    """At the base point of diag(2,8) (482 roots) and at its search point
+    (none), for any order of the kernel basis."""
+    for point in (sc28, searched28):
+        _, neg_gram = _root_kernel(point.psi, point.triple.Omega_check)
+        _assert_lean_lll_matches_oracle(neg_gram)
+        _assert_lean_lll_matches_oracle(_permuted(neg_gram, perm))
+
+
 def _root_kernel(psi, period):
     """The integral basis (rows) of the Mukai classes orthogonal to Re and
     Im of the mirror period and of Psi, and minus its Gram matrix: the input
@@ -262,7 +309,8 @@ def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
     _, neg_gram = _root_kernel(searched28.psi, searched28.triple.Omega_check)
     assert len(neg_gram) == 20
     _assert_lll_reduced(neg_gram)
-    assert lll_reduce([]) == ([], [], [1], [])
+    transform, d, lam = lll_reduce([])
+    assert (transform(), d, lam) == ([], [1], [])
     with pytest.raises(ValueError):
         lll_reduce([[2, 3], [3, 2]])  # indefinite
 
@@ -285,8 +333,8 @@ def _norm_two_classes(kern, neg_gram):
     """The sorted (r, D, s) of the vectors of norm 2 of minus the lattice
     with basis rows kern, by LLL and one enumeration, as `p0_violations`
     finds them."""
-    t, _, d, lam = lll_reduce(neg_gram)
-    basis = [[sum(c * v[i] for c, v in zip(row, kern)) for i in range(MUKAI.rank)] for row in t]
+    transform, d, lam = lll_reduce(neg_gram)
+    basis = [[sum(c * v[i] for c, v in zip(row, kern)) for i in range(MUKAI.rank)] for row in transform()]
     n = GAMMA.rank
     out = []
     for y in enumerate_quadric((d, lam), 2):
@@ -305,7 +353,7 @@ def test_basis_order_does_not_change_the_root_enumeration(point, searched28):
         psi, period = _exhausted_point_2_1_2()
     kern, neg_gram = _root_kernel(psi, period)
     n = len(kern)
-    det = lll_reduce(neg_gram)[2][n]
+    det = lll_reduce(neg_gram)[1][n]
     roots = sorted((r.r, tuple(r.D.int_coords()), r.s) for r in p0_violations(psi, period).roots)
     assert _norm_two_classes(kern, neg_gram) == roots
     assert (len(roots) > 0) == (point == "exhausted-2-1-2")

@@ -13,6 +13,7 @@ from k3stab.lattice import (
     GAMMA,
     MUKAI,
     LatticeVector,
+    MukaiVector,
     orth_complement,
     pair,
 )
@@ -24,7 +25,15 @@ from k3stab.mirror import (
     mirror_period,
 )
 from k3stab.scenario import build_scenario
-from oracles import canonicalize_period, gram_of, mukai_ambient, period_embed, quad_pair, tube_map
+from oracles import (
+    canonicalize_period,
+    general_mirror_class,
+    gram_of,
+    mukai_ambient,
+    period_embed,
+    quad_pair,
+    tube_map,
+)
 
 F = GAMMA.basis(0)
 E2 = GAMMA.basis(1)
@@ -147,6 +156,27 @@ def test_mirror_class_anchors(split):
     for cls in [GAMMA.basis(6), GAMMA.basis(2) + GAMMA.basis(3)]:
         mc = mirror_class(split, cls)
         assert (mc.r, mc.s) == (0, 0) and mc.D == cls
+
+
+def test_mirror_class_of_a_class_orthogonal_to_v_and_vstar_is_its_own_core(split, sc28):
+    """The eta classes (every Picard class but f and sigma0) lie in Gamma':
+    the mirror of l is (0, l, 0)."""
+    for cls in sc28.eta_basis + [GAMMA.basis(6), GAMMA.basis(2) - 3 * GAMMA.basis(21)]:
+        assert not pair(cls, split.v) and not pair(cls, split.vstar)
+        mc = mirror_class(split, cls)
+        assert mc == MukaiVector(0, cls, 0) and mc.D == cls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=22, max_size=22), st.booleans())
+def test_mirror_class_matches_the_general_formula(coords, in_gamma_prime):
+    """mirror_class against l - a v - b v* on random integral classes, half
+    of them drawn in Gamma' (no U1 part, where v and v* live)."""
+    split = make_split(F, SIGMA0)
+    if in_gamma_prime:
+        coords[0] = coords[1] = 0
+    cls = LatticeVector.from_ints(coords)
+    assert mirror_class(split, cls) == general_mirror_class(split, cls)
 
 
 def test_mirror_class_preserves_pairing(split):

@@ -890,6 +890,34 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     }
 
 
+def test_root_transform_is_built_only_for_hits(monkeypatch, capsys, diag28, sc28):
+    """p0_violations replays the LLL moves into a transform only when the
+    enumeration has hits: none on a certified verify 6.4 of diag(2,8), one
+    at diag(2,8)'s base omega_J, whose 482 roots still come in (r, D, s)
+    order."""
+    import k3stab.stability
+
+    replays = []
+    lll_reduce = k3stab.stability.lll_reduce
+
+    def counted_lll(gram):
+        transform, d, lam = lll_reduce(gram)
+
+        def counted_transform():
+            replays.append(len(gram))
+            return transform()
+
+        return counted_transform, d, lam
+
+    monkeypatch.setattr(k3stab.stability, "lll_reduce", counted_lll)
+    code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
+    assert code == 0 and replays == []
+    roots = k3stab.stability.p0_violations(sc28.psi, sc28.triple.Omega_check).roots
+    assert replays == [20]
+    keys = [(r.r, tuple(r.D.int_coords()), r.s) for r in roots]
+    assert len(keys) == 482 and keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("command", [["attractor"], ["verify", "5.1"]])
 def test_commands_without_mirror_data_skip_the_mirror_map(monkeypatch, capsys, diag28, command):
     # the mirror map's one input check, B.f = 0, still runs at assembly
