@@ -157,6 +157,7 @@ class Scenario:
     c_eta: QuadScalar
     eta: Optional[LatticeVector]
     form: Optional[BinaryEvenForm] = None
+    search_given: bool = False  # the file gave a search object: echo c_eta and eta
     # eager stages, filled at construction
     m: int = field(init=False)
     tau: QuadComplex = field(init=False)
@@ -232,7 +233,8 @@ class Scenario:
 
     def echo(self) -> dict:
         """The inputs and invariants; omega_J and B, which may be
-        non-integral, stay exact strings under --float."""
+        non-integral, and the c_eta and eta of a given search object stay
+        exact strings under --float."""
         out = {
             "p": self.charge.p,
             "q": self.charge.q,
@@ -247,6 +249,10 @@ class Scenario:
         }
         if self.form is not None:
             out["form"] = self.form.as_list()
+        if self.search_given:
+            out["search"] = {"c_eta": str(self.c_eta)}
+            if self.eta is not None:
+                out["search"]["eta"] = _exact_coords(self.eta)
         return out
 
 
@@ -293,6 +299,7 @@ def build_scenario(
     b_vec = LatticeVector.zero(GAMMA.rank) if B is None else _vector(B)
     if search is not None and not isinstance(search, dict):
         raise ScenarioError(f"search must be a JSON object, got {quoted(search)}")
+    search_given = search is not None
     search = search or {}
     unknown = set(search) - {"c_eta", "eta"}
     if unknown:
@@ -311,6 +318,7 @@ def build_scenario(
         c_eta=c_eta,
         eta=eta,
         form=form,
+        search_given=search_given,
     )
 
 

@@ -68,11 +68,12 @@ GOLDEN = [
         0,
         "bda19aa537b9205fa13c84fdc5400809839ec31557471dee86d4731d19a620e2",
     ),
+    # diag_2_8 with its search object: the echo carries c_eta
     (
         ("charge",),
         "diag_2_8_tuned",
         0,
-        "b1f7b44a8b215d1924cf6917e6d4e23ef89d48b9daaf64cb032a594a3f4a350b",
+        "6134a4ac94287c1457be458ca2ee1f67e1754cc68b26afcfd6d8416b70819811",
     ),
     # a scenario over Q(sqrt 23) whose twenty mirror charges are real (and
     # rational: 1, 15/8 and eighteen zeros), as at every scenario's omega_J

@@ -103,6 +103,32 @@ def test_scenario_search_overrides(tmp_path):
     assert sc.eta == GAMMA.basis(6)
 
 
+def test_echo_records_a_given_search_object(tmp_path, capsys):
+    """The search inputs decide the candidate, so the echo carries the c_eta
+    and eta of a given search object, as exact strings under --float; a
+    scenario without one echoes none.  diag(2,8) with c_eta = 1/20 and with
+    the default 1/10 differ only there and in their candidate_index."""
+    eta = [0] * 6 + ["1/2"] + [0] * 15
+    runs = {
+        "default": ({"form": [2, 0, 8]}, "verify 6.3"),
+        "tuned": ({"form": [2, 0, 8], "search": {"c_eta": "1/20"}}, "verify 6.3"),
+        "eta": ({"form": [2, 0, 8], "search": {"c_eta": "1/20", "eta": eta}}, "attractor"),
+    }
+    reports = {}
+    for name, (fields, command) in runs.items():
+        path = write_scenario(tmp_path, fields, f"{name}.json")
+        code, out = run_cli(capsys, [*command.split(), "--scenario", path, "--float"])
+        assert code == 0, name
+        reports[name] = json.loads(out)
+    default, tuned = reports["default"], reports["tuned"]
+    assert "search" not in default["scenario"]
+    assert tuned["scenario"].pop("search") == {"c_eta": "1/20"}
+    assert tuned["scenario"] == default["scenario"]
+    assert (default["candidate_index"], tuned["candidate_index"]) == (5, 4)
+    echoed = {"c_eta": "1/20", "eta": ["0"] * 6 + ["1/2"] + ["0"] * 15}
+    assert reports["eta"]["scenario"]["search"] == echoed
+
+
 def test_cli_attractor(capsys, diag28):
     code, out = run_cli(capsys, ["attractor", "--scenario", diag28])
     assert code == 0
