@@ -126,13 +126,11 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list
     """LLL reduction, delta = 3/4, of a positive definite integer Gram matrix.
 
     Returns ``(transform, d, lam)``: ``(d, lam) = gram_schmidt(t gram t^T)``
-    is reduced and ``transform()`` builds the unimodular t.  This is the
-    integral LLL of Cohen (Algorithm 2.6.7): the Gram-Schmidt data are
-    computed once per new vector, then updated in place on every size
-    reduction and swap.  A new vector's data read only its Gram row, so a
-    move updates only the Gram entries of the vectors not yet seen; the
-    reduced Gram matrix is never formed.  The moves are recorded, and only
-    ``transform()`` replays them into t.
+    is reduced, and ``transform()`` replays the recorded moves into the
+    unimodular t.  This is the integral LLL of Cohen (Algorithm 2.6.7): the
+    Gram-Schmidt data are computed once per new vector, then updated on each
+    move.  A new vector's data read only its Gram row, so a move updates only
+    the lower triangles of the rows not yet seen; t gram t^T is never formed.
 
     The reduction starts from the basis sorted shortest first, by
     (gram[i][i], i), so t starts as that permutation.  A kernel basis from
@@ -152,7 +150,10 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list
     def transform() -> list[list[int]]:
         t = [[int(i == j) for j in range(n)] for i in order]
         for k, l, q in moves:
-            t[k], t[l] = ([a - q * b for a, b in zip(t[k], t[l])], t[l]) if q else (t[l], t[k])
+            if q:
+                t[k] = [a - q * b for a, b in zip(t[k], t[l])]
+            else:
+                t[k], t[l] = t[l], t[k]
         return t
 
     if n:

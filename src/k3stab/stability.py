@@ -149,9 +149,8 @@ def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumerat
     period and of Psi is negative definite; minus its Gram matrix is LLL
     reduced, and its vectors of norm 2 are enumerated with the Gram-Schmidt
     data that the reduction ends with, so nothing is factored twice.  Only
-    hits, which a certified point has none of, build the transform t and the
-    reduced basis t K that map them back to Mukai coordinates.  Every
-    reported root is re-verified.
+    hits (a certified point has none) build t and the reduced basis t K that
+    map them back to Mukai coordinates.  Every root is re-verified.
     """
     s_part = psi.s_part
     n = GAMMA.rank  # Mukai coordinates are (D, r, s)
