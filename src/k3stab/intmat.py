@@ -1,13 +1,16 @@
 """Exact integer / rational matrix machinery.
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
-arithmetic: unimodular column reduction for integer kernels, integral
-Gram-Schmidt data (the one factorization of a definite matrix, which also
-decides definiteness), integral LLL reduction, which keeps only what it reads
-again and builds its transform on request, and the Fincke–Pohst enumerator of
-the vectors of one norm of a definite form, run at norm 2 for the (-2)-classes.
-The last three run in integers only: the enumerator scales its budget once at
-entry, so every level costs an integer and every coordinate bound is an `isqrt`.
+arithmetic: unimodular column reduction for integer kernels, which records its
+column moves and replays their inverses into the rows dual to the kernel on
+request, integral Gram-Schmidt data (the one factorization of a definite
+matrix, which also decides definiteness), integral LLL reduction, which keeps
+only what it reads again and builds its transform on request, and the
+Fincke–Pohst enumerator of the vectors of one norm of a definite form, run at
+norm 2 for the (-2)-classes, which walks one vector of each pair +-y and
+appends the negations.  All of these run in integers only: the enumerator
+scales its budget once at entry, so every level costs an integer and every
+coordinate bound is an `isqrt`.
 """
 
 from __future__ import annotations
@@ -18,19 +21,28 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 
-def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[list[int]]:
-    """Basis of the integer kernel {x : a @ x = 0}; saturated by construction.
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
-    Unimodular column reduction A U = (echelon): row by row, the live columns
-    are reduced against the one of least absolute entry until a single pivot
-    column remains, which then leaves the active set.  The columns of U that
-    never become pivots span the kernel.
+
+def _column_reduce(
+    a: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
+    """Unimodular column reduction A U = (echelon): ``(ucols, kernel, moves)``.
+
+    Row by row, the live columns are reduced against the one of least
+    absolute entry until a single pivot column remains, which then leaves the
+    active set.  ``ucols`` are the columns of U, ``kernel`` the sorted
+    indices of the columns that never become pivots, and ``moves`` the
+    column moves (c, c0, q), column c -= q column c0, in the order made.
     """
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
     nrows = len(a)
     cols = [[a[r][c] for r in range(nrows)] for c in range(ncols)]
-    ucols = [[1 if i == c else 0 for i in range(ncols)] for c in range(ncols)]
+    ucols = _identity(ncols)
+    moves = []
     active = list(range(ncols))
     for r in range(nrows):
         while True:
@@ -43,6 +55,7 @@ def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> lis
             for c in live[1:]:
                 q = cols[c][r] // e0
                 if q:
+                    moves.append((c, c0, q))
                     for i in range(r, nrows):
                         cols[c][i] -= q * cols[c0][i]
                     for i in range(ncols):
@@ -50,7 +63,42 @@ def kernel_basis(a: Sequence[Sequence[int]], ncols: Optional[int] = None) -> lis
         live = [c for c in active if cols[c][r] != 0]
         if live:
             active.remove(live[0])
-    return [ucols[c] for c in sorted(active)]
+    return ucols, sorted(active), moves
+
+
+def _replay_inverse(moves: Sequence[tuple[int, int, int]], n: int) -> list[list[int]]:
+    """U^-1 of U = E_1 ... E_m from the column moves E_k (c, c0, q): the
+    inverse of column c -= q column c0 is row c0 += q row c of what follows
+    it, so the moves are replayed in order on the rows of I."""
+    v = _identity(n)
+    for c, c0, q in moves:
+        v[c0] = [x + q * y for x, y in zip(v[c0], v[c])]
+    return v
+
+
+def kernel_basis(
+    a: Sequence[Sequence[int]], ncols: Optional[int] = None
+) -> tuple[list[list[int]], Callable[[], list[list[int]]]]:
+    """Basis b_k of the integer kernel {x : a @ x = 0}, and its dual.
+
+    Returns ``(kernel, dual)``.  The column reduction A U = (echelon) of
+    `_column_reduce` is unimodular, and the columns of U that never become
+    pivots are the kernel: saturated by construction, since U is invertible
+    over Z.  ``dual()`` replays the recorded moves into U^-1 (Cohen, GTM 138,
+    Section 2.4) and returns its rows d_j at the kernel's column indices;
+    U^-1 U = I gives d_j . b_k = delta_jk (plain coordinate dot products).
+    Recording a move costs one append; U^-1 is built only when ``dual()`` is
+    called, and the root lattice of `stability.p0_violations` never calls it.
+    """
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    ucols, kernel, moves = _column_reduce(a, ncols)
+
+    def dual() -> list[list[int]]:
+        v = _replay_inverse(moves, ncols)
+        return [v[c] for c in kernel]
+
+    return [ucols[c] for c in kernel], dual
 
 
 def rank_generic(rows: Iterable[Sequence]) -> int:
@@ -212,6 +260,15 @@ def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
     the bounds on each X come from `isqrt` and the last level tests one exact
     square.
 
+    The quadric is symmetric, y -> -y, and p is definite, so r = 0 has the
+    zero vector alone and every other solution comes in a pair +-y of which
+    exactly one has a positive top nonzero coordinate (Fincke and Pohst,
+    Math. Comp. 44 (1985)).  The walk visits only that one: while every
+    level above is 0, its offset g_i is 0, the level's range is symmetric,
+    and it takes t >= 0 (t > 0 at the last level).  The negations are
+    appended and the union sorted, the same list as a walk over both signs,
+    in about half the nodes.
+
     The column of lam below each diagonal entry is listed once, so the offset
     of a level, g_i = sum_{j>i} lam[j][i] y_j, is one C-level
     `sum(map(mul, ...))`.
@@ -219,9 +276,11 @@ def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
     d, lam = factors
     n = len(lam)
     r = Fraction(r)
-    if n == 0:
-        return [()] if r == 0 else []
     if r < 0:
+        return []
+    if r == 0:
+        return [(0,) * n]
+    if n == 0:
         return []
     steps = [d[i] * d[i + 1] for i in range(n)]
     common = lcm(*steps)
@@ -230,7 +289,8 @@ def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     y = [0] * n
 
-    def descend(i: int, budget: int) -> None:
+    def descend(i: int, budget: int, lead: bool) -> None:
+        # lead: every level above is 0, so g = 0 and only t >= 0 is walked
         g = sum(map(mul, cols[i], y[i + 1 :]))  # X = t d[i + 1] + g
         gd = d[i + 1]
         c = cost[i]
@@ -239,17 +299,18 @@ def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
             s = isqrt(q)
             if rem or s * s != q:
                 return
-            for x in sorted({-s, s}):
+            for x in (s,) if lead else sorted({-s, s}):
                 t, off = divmod(x - g, gd)
                 if not off:
                     y[0] = t
                     out.append(tuple(y))
             return
         s = isqrt(budget // c)  # c X^2 <= budget  <=>  |X| <= s
-        for t in range(-((s + g) // gd), (s - g) // gd + 1):
+        for t in range(0 if lead else -((s + g) // gd), (s - g) // gd + 1):
             y[i] = t
             x = t * gd + g
-            descend(i - 1, budget - c * x * x)
+            descend(i - 1, budget - c * x * x, lead and not t)
 
-    descend(n - 1, r.numerator * common)  # r L
+    descend(n - 1, r.numerator * common, True)  # r L
+    out += [tuple(-a for a in v) for v in out]
     return sorted(out)

@@ -37,11 +37,11 @@ numerators of x with the kept image of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exact import FieldMismatch, QuadComplex, QuadScalar, _join
 from .intmat import kernel_basis
@@ -246,6 +246,7 @@ class GramLattice:
                     raise ValueError("gram matrix is not symmetric")
         # the nonzero entries of each row: at most 3 in the standard lattices
         self._rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        self._inverse: Optional[GramLattice] = None
 
     def image(self, x: Sequence[int]) -> list[int]:
         """G x for an integer vector x, summed over the nonzero coordinates of
@@ -257,6 +258,32 @@ class GramLattice:
                     out[j] += g * xi
         return out
 
+    def inverse(self) -> "GramLattice":
+        """The lattice of G^-1 for a unimodular G, so that G^-1 z is the
+        sparse `image` of z; computed on first use, by Gauss-Jordan over Q on
+        [G | I] that touches only the nonzero entries of each pivot row, and
+        kept.  Raises ValueError unless G^-1 is integral."""
+        if self._inverse is None:
+            n = self.rank
+            m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(self.gram)]
+            for col in range(n):
+                piv = next(i for i in range(col, n) if m[i][col])
+                m[col], m[piv] = m[piv], m[col]
+                row, inv = m[col], m[col][col]
+                entries = [(j, x / inv) for j, x in enumerate(row) if x]
+                for j, x in entries:
+                    row[j] = x
+                for i, other in enumerate(m):
+                    f = other[col]
+                    if i != col and f:
+                        for j, x in entries:
+                            other[j] -= f * x
+            if any(x.denominator != 1 for row in m for x in row[n:]):
+                raise ValueError("gram matrix is not unimodular")
+            self._inverse = GramLattice([[int(x) for x in row[n:]] for row in m])
+        return self._inverse
+
     def basis(self, i: int) -> LatticeVector:
         return LatticeVector.unit(self.rank, i)
 
@@ -266,14 +293,25 @@ class GramLattice:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A primitive sublattice given by an integral basis of the ambient lattice."""
+    """A primitive sublattice given by an integral basis of the ambient lattice.
+
+    ``dual``, when given (`orth_complement` gives it), returns integer
+    coordinate rows d_j with d_j . b_k = delta_jk on the basis b_k.
+    """
 
     ambient: GramLattice
     basis: tuple[LatticeVector, ...]
+    dual: Optional[Callable[[], list[list[int]]]] = field(default=None, compare=False, repr=False)
 
-    def __init__(self, ambient: GramLattice, basis: Iterable[LatticeVector]):
+    def __init__(
+        self,
+        ambient: GramLattice,
+        basis: Iterable[LatticeVector],
+        dual: Optional[Callable[[], list[list[int]]]] = None,
+    ):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "dual", dual)
         for v in self.basis:
             if len(v) != ambient.rank:
                 raise DimensionMismatch("basis vector has wrong length")
@@ -297,15 +335,6 @@ class Sublattice:
                 gy = images[j]
                 out[k][j] = out[j][k] = sum(a * gy[i] for i, a in support[k])
         return out
-
-    def from_coefficients(self, coeffs: Sequence[int]) -> LatticeVector:
-        out = [0] * self.ambient.rank  # integer sums: the basis is integral
-        for c, b in zip(coeffs, self.basis, strict=True):
-            if c:
-                for i, x in enumerate(b.A):
-                    if x:
-                        out[i] += c * x
-        return LatticeVector.from_ints(out)
 
 
 def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
@@ -361,7 +390,9 @@ def pair(x, y):
 
 
 def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:
-    """Integral basis of {x : x.g = 0 for all generators g}; saturated.
+    """Integral basis of {x : x.g = 0 for all generators g}; saturated, with
+    the coordinate rows dual to it from the same column reduction
+    (`intmat.kernel_basis`).
 
     A generator may have rational or Q(sqrt m) coordinates: an integral x is
     orthogonal to g = (A + B sqrt(m)) / den exactly when x.A = x.B = 0, so each
@@ -372,8 +403,8 @@ def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublatti
         rows.append(lat.image(g.A))
         if g.B is not None:
             rows.append(lat.image(g.B))
-    kern = kernel_basis(rows, lat.rank)
-    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern])
+    kern, dual = kernel_basis(rows, lat.rank)
+    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern], dual)
 
 
 @dataclass(frozen=True)

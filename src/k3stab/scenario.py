@@ -21,7 +21,8 @@ positive square), B.f = 0, the one precondition of the mirror map at omega_J
 that the others leave open (mirror module docstring), omega_J.f > 0, since f
 is nef, and an explicit search eta orthogonal to p and q.  The lazy stages
 are computed on first read and kept: the rank-18 complement of (p, q, f,
-sigma0) (`eta_basis`) and the Picard basis of f, sigma0 and that complement
+sigma0) (`eta_lattice`, with the coordinate rows dual to its basis, and
+`eta_basis`) and the Picard basis of f, sigma0 and that complement
 (`pic_basis`), the mirror triple at omega_J (`triple`), its stability point
 (`psi`), and the Kaehler search (`result`), which reads the scenario itself.
 A command pays only for the stages it reads, and rejects the same scenarios
@@ -51,7 +52,7 @@ from .attractor import (
 )
 from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad, quoted
 from .forms import BinaryEvenForm
-from .lattice import GAMMA, LatticeVector, orth_complement, pair
+from .lattice import GAMMA, LatticeVector, Sublattice, orth_complement, pair
 from .mirror import (
     MirrorTriple,
     PreconditionViolation,
@@ -191,12 +192,17 @@ class Scenario:
         return not any(pair(x, c) for x in classes for c in (p, q))
 
     @cached_property
-    def eta_basis(self) -> list[LatticeVector]:
-        """A basis of the complement of (p, q, f, sigma0): the definite plane
-        (p, q) and the hyperbolic plane (f, sigma0) are orthogonal, so it has
-        rank 18."""
+    def eta_lattice(self) -> Sublattice:
+        """The complement of (p, q, f, sigma0), with the coordinate rows dual
+        to its basis: the definite plane (p, q) and the hyperbolic plane
+        (f, sigma0) are orthogonal, so it has rank 18."""
         gens = [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
-        return list(orth_complement(GAMMA, gens).basis)
+        return orth_complement(GAMMA, gens)
+
+    @cached_property
+    def eta_basis(self) -> list[LatticeVector]:
+        """The basis of `eta_lattice`."""
+        return list(self.eta_lattice.basis)
 
     @cached_property
     def pic_basis(self) -> list[LatticeVector]:

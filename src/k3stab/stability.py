@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .attractor import Charge, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
-from .intmat import enumerate_quadric, kernel_basis, lll_reduce
+from .intmat import enumerate_quadric, lll_reduce
 from .lattice import (
     GAMMA,
     MUKAI,
@@ -307,25 +308,42 @@ class SearchResult:
     enumeration: RootEnumeration
 
 
-def _dual_eta(basis: Sequence[LatticeVector]) -> LatticeVector:
-    """The integral class eta with eta . b_i = -c for every vector b_i of a
-    basis of a negative definite lattice, c > 0 the least such integer.
+def _dual_eta(sc: Scenario) -> LatticeVector:
+    """The integral class eta with eta . b_i = -c for every vector b_i of the
+    scenario's eta basis, c > 0 the least such integer.
 
-    The eta basis of a scenario spans the complement of the definite plane
-    (p, q) and the hyperbolic plane (f, sigma0) in signature (3,19), which is
-    negative definite.  With P minus its Gram matrix, the kernel of [P | -1]
-    is spanned by one primitive vector (x, c), and with c > 0, P x = c 1
-    makes x the coefficients of eta.  Nothing more holds in general: eta is
-    orthogonal to every difference b_i - b_j, so it does not avoid the
-    hyperplane of a root of that form.  On the form [2,1,2] the
-    root e2(U3) - e1(U3), the difference of the first two vectors of the
-    scenario's basis, annihilates every candidate (ROADMAP item 1).
+    The eta basis spans W, the complement of the definite plane (p, q) and
+    the hyperbolic plane (f, sigma0) in signature (3,19); W is negative
+    definite, and primitive, so a vector of W_Q is integral exactly when its
+    coefficients are.  Its column reduction (`orth_complement`) gives the
+    rows d_j with d_j . b_k = delta_jk, so z = sum_j d_j has z . b_k = 1,
+    and y0 = G^-1 z (GAMMA is unimodular) pairs to 1 with every b_k.  The
+    two planes are orthogonal, assembly checks it, so subtracting the
+    projection of y0 onto each, a 2x2 solve against g . y0 = g . z for g in
+    the plane, leaves the one u in W_Q with u . b_k = 1.  Then eta = -c u:
+    with eta = sum_i x_i b_i, minus the Gram matrix P of W has P x = c 1,
+    and a common factor of the x_i would divide c, so eta is minus the
+    primitive vector on the ray of u.  Neither the Gram matrix of W nor a
+    second kernel is computed.
+
+    Nothing more holds in general: eta is orthogonal to every difference
+    b_i - b_j, so it does not avoid the hyperplane of a root of that form.
+    On the form [2,1,2] the root e2(U3) - e1(U3), the difference of the
+    first two vectors of the scenario's basis, annihilates every candidate
+    (ROADMAP item 1).
     """
-    sub = Sublattice(GAMMA, basis)
-    neg_gram = [[-x for x in row] for row in sub.gram()]
-    (kernel,) = kernel_basis([row + [-1] for row in neg_gram])
-    *x, _ = kernel if kernel[-1] > 0 else [-a for a in kernel]
-    return sub.from_coefficients(x)
+    z = [sum(col) for col in zip(*sc.eta_lattice.dual())]
+    num, den = GAMMA.inverse().image(z), 1  # u = num / den
+    for a, b in ((sc.charge.p.A, sc.charge.q.A), (sc.split.f.A, sc.split.sigma0.A)):
+        ga, gb = GAMMA.image(a), GAMMA.image(b)
+        aa, ab, bb = sum(map(mul, a, ga)), sum(map(mul, a, gb)), sum(map(mul, b, gb))
+        ra, rb = sum(map(mul, a, z)), sum(map(mul, b, z))
+        det = aa * bb - ab * ab
+        ca, cb = bb * ra - ab * rb, aa * rb - ab * ra  # the projection is (ca a + cb b) / det
+        num = [det * x - den * (ca * y + cb * w) for x, y, w in zip(num, a, b)]
+        den *= det
+    g = gcd(*num) if den > 0 else -gcd(*num)
+    return LatticeVector.from_ints([-x // g for x in num])
 
 
 def search_kahler_class(sc: Scenario) -> SearchResult:
@@ -366,7 +384,7 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     omega0, f = sc.omega_J, sc.split.f
     step = LatticeVector.zero(GAMMA.rank)
     if sc.c_eta:
-        eta = sc.eta if sc.eta is not None else _dual_eta(sc.eta_basis)
+        eta = sc.eta if sc.eta is not None else _dual_eta(sc)
         step = sc.c_eta * eta
     a, b, c = pair(omega0, omega0), pair(omega0, step), pair(step, step)
     e, g = pair(omega0, f), pair(step, f)

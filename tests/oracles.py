@@ -3,6 +3,7 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from k3stab.attractor import DegenerateCharge, NotAttractor
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
@@ -373,6 +374,18 @@ def dense_gram(sub):
     return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
 
 
+def from_coefficients(sub, coeffs):
+    """The integral vector sum_i c_i b_i of a sublattice basis b, summed over
+    the nonzero coordinates of each b_i."""
+    out = [0] * sub.ambient.rank
+    for c, b in zip(coeffs, sub.basis, strict=True):
+        if c:
+            for i, x in enumerate(b.A):
+                if x:
+                    out[i] += c * x
+    return LatticeVector.from_ints(out)
+
+
 def dense_orth_complement(lat, gens):
     """`orth_complement` with the integer rows G A and G B formed densely."""
     rows = []
@@ -380,7 +393,7 @@ def dense_orth_complement(lat, gens):
         rows.append(mat_vec_int(lat.gram, g.A))
         if g.B is not None:
             rows.append(mat_vec_int(lat.gram, g.B))
-    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)])
+    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)[0]])
 
 
 def _sqrt_fraction(f):
@@ -436,6 +449,48 @@ def fraction_enumerate_quadric(factors, w, r):
             descend(i - 1, budget - pivot[i] * (t + gamma) ** 2)
 
     descend(n - 1, r)
+    return sorted(out)
+
+
+def full_sign_enumerate_quadric(factors, r):
+    """All integer y with y^T p y == r, in lexicographic order, by the integer
+    Fincke-Pohst walk over both signs of every coordinate; the reference for
+    `intmat.enumerate_quadric`, which walks one vector of each pair +-y."""
+    d, lam = factors
+    n = len(lam)
+    r = Fraction(r)
+    if n == 0:
+        return [()] if r == 0 else []
+    if r < 0:
+        return []
+    steps = [d[i] * d[i + 1] for i in range(n)]
+    common = lcm(*steps)
+    cost = [r.denominator * common // s for s in steps]
+    out = []
+    y = [0] * n
+
+    def descend(i, budget):
+        g = sum(lam[j][i] * y[j] for j in range(i + 1, n))  # X = t d[i + 1] + g
+        gd = d[i + 1]
+        c = cost[i]
+        if i == 0:
+            q, rem = divmod(budget, c)
+            s = isqrt(q)
+            if rem or s * s != q:
+                return
+            for x in sorted({-s, s}):
+                t, off = divmod(x - g, gd)
+                if not off:
+                    y[0] = t
+                    out.append(tuple(y))
+            return
+        s = isqrt(budget // c)  # c X^2 <= budget  <=>  |X| <= s
+        for t in range(-((s + g) // gd), (s - g) // gd + 1):
+            y[i] = t
+            x = t * gd + g
+            descend(i - 1, budget - c * x * x)
+
+    descend(n - 1, r.numerator * common)
     return sorted(out)
 
 
@@ -745,14 +800,34 @@ def solve_rational(a, b):
 
 def dual_eta(lat, basis):
     """The integral class with eta . b_i = -d for every basis vector, d the
-    least positive integer that makes it integral, by a Gauss-Jordan solve."""
-    gram = [[Fraction(quad_pair(lat, x, y).as_int()) for y in basis] for x in basis]
+    least positive integer that makes it integral, by a Gauss-Jordan solve on
+    the dense Gram matrix."""
+    gram = [[Fraction(x) for x in row] for row in dense_gram(Sublattice(lat, basis))]
     coeffs = solve_rational(gram, [Fraction(-1)] * len(basis))
     denom = lcm(*(c.denominator for c in coeffs))
     eta = LatticeVector.zero(lat.rank)
     for c, b in zip(coeffs, basis):
         eta = eta + int(c * denom) * b
     return eta
+
+
+def explicit_charge(rng):
+    """A non-degenerate explicit charge (p, q) as coordinate lists: entries in
+    [-2, 2] on U2 + U3, with probability 1/2 one +-1 E8 entry per vector,
+    and a degenerate draw (p^2 <= 0 or D <= 0) discarded before assembly."""
+    while True:
+        vectors = []
+        for _ in range(2):
+            v = [0] * GAMMA.rank
+            for i in range(2, 6):
+                v[i] = rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                v[rng.randrange(6, GAMMA.rank)] = rng.choice((-1, 1))
+            vectors.append(v)
+        p, q = vectors
+        p2, q2, pq = (sum(map(mul, x, GAMMA.image(y))) for x, y in ((p, p), (q, q), (p, q)))
+        if p2 > 0 and p2 * q2 - pq * pq > 0:
+            return p, q
 
 
 def solve_integer(a, b, ncols=None):
@@ -855,7 +930,7 @@ def bounded_p0_violations(psi, ns, bound):
             parts.append((idx, part, denom, any(cs)))
             if any(cs):
                 rows.append([int(x * denom) for x in cs])
-    kern = kernel_basis(rows, k)
+    kern, _ = kernel_basis(rows, k)
     p = [[-sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k))
           for w in kern] for u in kern]
     try:
@@ -892,7 +967,7 @@ def bounded_p0_violations(psi, ns, bound):
                     if all(abs(c) <= bound for c in x):
                         found.append(tuple(x))
             for coeffs in sorted(found):
-                delta = MukaiVector(r, ns.from_coefficients(coeffs), s)
+                delta = MukaiVector(r, from_coefficients(ns, coeffs), s)
                 assert not triple_pair(psi, delta) and triple_pair(delta, delta) == -2
                 out.append(delta)
     return out

@@ -34,6 +34,7 @@ from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
 from k3stab.scenario import build_scenario
 from oracles import (
     bounded_p0_violations,
+    from_coefficients,
     minus_two_coefficients,
     mukai_ambient,
     phase_aligned,
@@ -349,7 +350,7 @@ def test_criterion_10_brute_force_equivalence(sc28):
                 for h in bounded_p0_violations(psi, sub, 2)
             }
             naive = {
-                (r, tuple(sub.from_coefficients(x).int_coords()), s)
+                (r, tuple(from_coefficients(sub, x).int_coords()), s)
                 for r, x, s in _naive_p0(psi, sub, 2)
             }
             assert fast == naive

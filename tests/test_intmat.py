@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3stab.intmat import (
+    _column_reduce,
+    _replay_inverse,
     enumerate_quadric,
     gram_schmidt,
     is_negative_definite,
@@ -27,6 +30,7 @@ from k3stab.stability import (
 from oracles import (
     fraction_enumerate_quadric,
     full_lll_reduce,
+    full_sign_enumerate_quadric,
     ldl_posdef,
     signature_of,
     solve_integer,
@@ -35,19 +39,50 @@ from oracles import (
 
 def test_kernel_basis_simple():
     a = [[1, 2, 3]]
-    kern = kernel_basis(a)
+    kern, _ = kernel_basis(a)
     assert len(kern) == 2
     for v in kern:
         assert sum(x * y for x, y in zip(a[0], v)) == 0
 
 
 def test_kernel_is_saturated():
-    kern = kernel_basis([[2, 4]])
+    kern, _ = kernel_basis([[2, 4]])
     assert len(kern) == 1
     x, y = kern[0]
     assert 2 * x + 4 * y == 0
     # the primitive generator, not a multiple of it
     assert abs(x) == 2 and abs(y) == 1
+
+
+_MATRIX = st.integers(0, 4).flatmap(
+    lambda m: st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m
+        ).map(lambda a: (a, n))
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_MATRIX)
+@example(([[1, 2, 3]], 3))
+@example(([[0, 0]], 2))  # no moves: U = I
+def test_kernel_dual_is_the_replayed_inverse(case):
+    """The inverse moves replayed from I give U^-1 (the full replay times U
+    is I), and its rows at the kernel indices are dual to the kernel:
+    d_j . b_k = delta_jk."""
+    a, n = case
+    ucols, kernel, moves = _column_reduce(a, n)
+    v = _replay_inverse(moves, n)
+    assert [[sum(map(mul, row, col)) for col in ucols] for row in v] == [
+        [int(i == j) for j in range(n)] for i in range(n)
+    ]
+    kern, dual = kernel_basis(a, n)
+    assert kern == [ucols[c] for c in kernel]
+    assert all(sum(map(mul, row, b)) == 0 for row in a for b in kern)
+    assert [[sum(map(mul, d, b)) for b in kern] for d in dual()] == [
+        [int(j == k) for k in range(len(kern))] for j in range(len(kern))
+    ]
 
 
 def test_solve_integer():
@@ -131,7 +166,17 @@ def test_enumerate_quadric_matches_fraction_oracle(data):
     else:
         r = data.draw(st.fractions(-1, 24, max_denominator=6))
     factors = gram_schmidt(p)
-    assert enumerate_quadric(factors, r) == fraction_enumerate_quadric(factors, [0] * n, r)
+    ys = enumerate_quadric(factors, r)
+    assert ys == fraction_enumerate_quadric(factors, [0] * n, r)
+    assert ys == full_sign_enumerate_quadric(factors, r)
+    assert sorted(tuple(-a for a in y) for y in ys) == ys  # closed under negation
+
+
+def test_enumerate_quadric_zero_norm_is_the_zero_vector():
+    for n in range(1, 6):
+        p = _posdef([[(i * j) % 3 - 1 for j in range(n)] for i in range(n)])
+        assert enumerate_quadric(gram_schmidt(p), 0) == [(0,) * n]
+        assert full_sign_enumerate_quadric(gram_schmidt(p), 0) == [(0,) * n]
 
 
 _SQUARE = st.integers(1, 6).flatmap(
@@ -323,7 +368,7 @@ def _exhausted_point_2_1_2():
         search_kahler_class(sc)
     k, reason = err.value.rejections[-1]
     assert reason.startswith("annihilating (-2)-class")
-    omega = sc.omega_J + sc.c_eta * Fraction(1, 2**k) * _dual_eta(sc.eta_basis)
+    omega = sc.omega_J + sc.c_eta * Fraction(1, 2**k) * _dual_eta(sc)
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
     return StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check
@@ -341,6 +386,24 @@ def _norm_two_classes(kern, neg_gram):
         x = [sum(c * v[i] for c, v in zip(y, basis)) for i in range(MUKAI.rank)]
         out.append((x[n], tuple(x[:n]), x[n + 1]))
     return sorted(out)
+
+
+@pytest.mark.parametrize("point", ["base-2-0-8", "exhausted-2-1-2"])
+def test_enumerate_quadric_matches_the_oracles_on_root_lattices(point, sc28):
+    """The walk up to sign lists the same roots as the Fraction walk and the
+    full-sign walk: the 482 of diag(2,8) at its base omega_J, and those of
+    the candidate that fails the search on [2,1,2]."""
+    if point == "base-2-0-8":
+        psi, period = sc28.psi, sc28.triple.Omega_check
+    else:
+        psi, period = _exhausted_point_2_1_2()
+    _, neg_gram = _root_kernel(psi, period)
+    _, d, lam = lll_reduce(neg_gram)
+    ys = enumerate_quadric((d, lam), 2)
+    assert ys == fraction_enumerate_quadric((d, lam), [0] * len(lam), 2)
+    assert ys == full_sign_enumerate_quadric((d, lam), 2)
+    assert sorted(tuple(-a for a in y) for y in ys) == ys
+    assert len(ys) == (482 if point == "base-2-0-8" else 2)  # +-(e2(U3) - e1(U3)) on [2,1,2]
 
 
 @pytest.mark.parametrize("point", ["searched-2-0-8", "exhausted-2-1-2"])

@@ -24,6 +24,7 @@ from oracles import (
     QuadVector,
     dense_gram,
     dense_orth_complement,
+    from_coefficients,
     minus_two_coefficients,
     mukai_ambient,
     nonzero_entries,
@@ -152,7 +153,7 @@ def test_minus_two_in_single_u():
     # the bounded scan of tests/oracles.py, the reference of the root enumeration
     u = GramLattice(U_GRAM)
     sub = Sublattice(u, [u.basis(0), u.basis(1)])
-    hits = [sub.from_coefficients(c) for c in minus_two_coefficients(sub.gram(), 1)]
+    hits = [from_coefficients(sub, c) for c in minus_two_coefficients(sub.gram(), 1)]
     assert sorted(v.int_coords() for v in hits) == [[-1, 1], [1, -1]]
     assert minus_two_coefficients(sub.gram(), 0) == []
     for v in hits:

@@ -888,10 +888,14 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     per Picard class (20 of each), one complete root enumeration, and one
     pass through the pipeline: the search's mirror period, none at the
     scenario's own omega_J.  The hyperkaehler rotation runs twice: at
-    omega_J on assembly, and at the search's candidate."""
+    omega_J on assembly, and at the search's candidate.  Two integer kernels
+    (the eta lattice, whose column reduction also gives the dual eta, and
+    the root lattice) and one Gram matrix (the root lattice's)."""
     import k3stab.attractor
+    import k3stab.intmat
     import k3stab.mirror
     import k3stab.stability
+    from k3stab.lattice import Sublattice
 
     calls = _count_calls(
         monkeypatch,
@@ -902,8 +906,17 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
             k3stab.mirror.mirror_period,
             k3stab.stability.search_kahler_class,
             k3stab.attractor.hyperkahler_rotate,
+            k3stab.intmat.kernel_basis,
         ),
     )
+    gram = Sublattice.gram
+    calls["Sublattice.gram"] = 0
+
+    def counted_gram(self):
+        calls["Sublattice.gram"] += 1
+        return gram(self)
+
+    monkeypatch.setattr(Sublattice, "gram", counted_gram)
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0
     assert calls == {
@@ -913,7 +926,26 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
         "mirror_period": 1,
         "search_kahler_class": 1,
         "hyperkahler_rotate": 2,
+        "kernel_basis": 2,
+        "Sublattice.gram": 1,
     }
+
+
+def test_no_wall_table_command_computes_the_inverse_of_gamma(monkeypatch, capsys):
+    """GAMMA^-1 serves the dual eta of the search only: it is not built at
+    import, nor by any of the six commands without a search, on any shipped
+    scenario."""
+    probe = "import k3stab.cli; from k3stab.lattice import GAMMA; print(GAMMA._inverse is None)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout == "True\n", proc.stderr
+    monkeypatch.setattr(GAMMA, "_inverse", None)
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    names = ("diag_2_2", "diag_2_4", "diag_2_8", "diag_2_8_tuned", "form_4_1_6")
+    commands = (["walls"], ["charge"], ["verify", "6.2"], ["verify", "5.1"], ["mirror"], ["attractor"])
+    for name in names:
+        for command in commands:
+            run_cli(capsys, [*command, "--scenario", os.path.join(scenarios, f"{name}.json")])
+            assert GAMMA._inverse is None, (name, command)
 
 
 def test_root_transform_is_built_only_for_hits(monkeypatch, capsys, diag28, sc28):

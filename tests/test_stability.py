@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from k3stab.attractor import hyperkahler_rotate
 from k3stab.exact import QuadComplex, QuadScalar
+from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
     GAMMA,
     MUKAI,
@@ -42,6 +44,8 @@ from oracles import (
     cone_violation,
     dual_eta,
     expanded_charge,
+    explicit_charge,
+    from_coefficients,
     mukai_ambient,
     phase_aligned,
     quad_pair,
@@ -201,7 +205,7 @@ def test_ns_rank_drops_for_irrational_period():
 def test_falsifier_finds_sigma0_for_2_2_family(sc22):
     split = sc22.split
     eta = sc22.eta_basis[0]
-    dual = _dual_eta(sc22.eta_basis)
+    dual = _dual_eta(sc22)
     family = [
         2 * F + SIGMA0,
         3 * F + SIGMA0,
@@ -319,7 +323,7 @@ def test_falsifier_matches_naive_scan(basis_idx, sc28):
             (h.r, tuple(h.D.int_coords()), h.s) for h in bounded_p0_violations(psi, sub, 2)
         }
         naive = {
-            (r, tuple(sub.from_coefficients(x).int_coords()), s)
+            (r, tuple(from_coefficients(sub, x).int_coords()), s)
             for r, x, s in _naive_p0(psi, sub, 2)
         }
         assert fast == naive
@@ -467,7 +471,7 @@ def _halvings(sc):
     """The search's halvings by the oracle cone test on each built
     omega_k = omega_J + 2^-k c_eta eta: (least k inside the cone, the
     rejections before it)."""
-    eta = sc.eta if sc.eta is not None else _dual_eta(sc.eta_basis)
+    eta = sc.eta if sc.eta is not None else _dual_eta(sc)
     step = sc.c_eta * eta
     rejections, k = [], 0
     while (reason := cone_violation(sc.omega_J + Fraction(1, 2**k) * step, F, "candidate")):
@@ -505,7 +509,7 @@ def test_halvings_match_the_built_candidates(form, search):
         assert err.rejections[-1][0] == k
     else:
         assert (result.candidate_index, result.candidates_tried) == (k, k + 1)
-        step = sc.c_eta * _dual_eta(sc.eta_basis)
+        step = sc.c_eta * _dual_eta(sc)
         assert result.omega_J == sc.omega_J + Fraction(1, 2**k) * step
     if search == _AGAINST_OMEGA_J:
         fiber = "candidate does not pair positively with the fiber class"
@@ -601,10 +605,37 @@ def test_dual_eta_matches_gauss_jordan():
     assert len(cases) == 5
     cases["form_2_1_2"] = build_scenario(form=[2, 1, 2])
     for name, sc in cases.items():
-        eta = _dual_eta(sc.eta_basis)
+        eta = _dual_eta(sc)
         assert eta == dual_eta(GAMMA, sc.eta_basis), name
         products = {pair(eta, b) for b in sc.eta_basis}
         assert len(products) == 1 and products.pop().sign() < 0, name
+
+
+def _assert_dual_eta_matches_the_oracle(sc):
+    rows, basis = sc.eta_lattice.dual(), sc.eta_basis
+    assert [[sum(map(mul, d, b.A)) for b in basis] for d in rows] == [
+        [int(j == k) for k in range(len(basis))] for j in range(len(rows))
+    ]
+    assert _dual_eta(sc) == dual_eta(GAMMA, basis)
+
+
+def test_dual_eta_matches_gauss_jordan_on_every_form_up_to_100():
+    """On all 158 reduced forms with D <= 100; the rows that the eta basis's
+    column reduction replays are dual to it."""
+    forms = [form for disc in range(1, 101) for form in enumerate_reduced(disc)]
+    assert len(forms) == 158
+    for form in forms:
+        _assert_dual_eta_matches_the_oracle(build_scenario(form=form.as_list()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_eta_matches_gauss_jordan_on_explicit_charges(seed):
+    """On explicit charges of the sampler of ROADMAP's State (`explicit_charge`):
+    entries in [-2, 2] on U2 + U3, an optional +-1 E8 entry, degenerate draws
+    discarded."""
+    p, q = explicit_charge(random.Random(seed))
+    _assert_dual_eta_matches_the_oracle(build_scenario(p=p, q=q))
 
 
 def test_wall_intersection_2_8(searched28, sc28):
@@ -728,7 +759,7 @@ def _reference_ns(omega_check):
                 rows.append([int(x * denom) for x in cs])
     if not rows:
         return tuple(GAMMA.basis(i) for i in range(GAMMA.rank))
-    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, GAMMA.rank))
+    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, GAMMA.rank)[0])
 
 
 def test_orth_complement_matches_per_basis_rows():
