@@ -262,12 +262,12 @@ def enumerate_quadric(factors, r: Fraction) -> list[tuple[int, ...]]:
 
     The quadric is symmetric, y -> -y, and p is definite, so r = 0 has the
     zero vector alone and every other solution comes in a pair +-y of which
-    exactly one has a positive top nonzero coordinate (Fincke and Pohst,
-    Math. Comp. 44 (1985)).  The walk visits only that one: while every
-    level above is 0, its offset g_i is 0, the level's range is symmetric,
-    and it takes t >= 0 (t > 0 at the last level).  The negations are
-    appended and the union sorted, the same list as a walk over both signs,
-    in about half the nodes.
+    exactly one has a positive last nonzero coordinate (Fincke and Pohst,
+    Math. Comp. 44 (1985)).  The walk, which fixes y_{n-1} first, visits
+    only that one: while every level above is 0, its offset g_i is 0, the
+    level's range is symmetric, and it takes t >= 0 (t > 0 at level 0).  The
+    negations are appended and the union sorted, the same list as a walk
+    over both signs, in about half the nodes.
 
     The column of lam below each diagonal entry is listed once, so the offset
     of a level, g_i = sum_{j>i} lam[j][i] y_j, is one C-level
