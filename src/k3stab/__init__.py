@@ -21,6 +21,7 @@ from .attractor import (
     hyperkahler_rotate,
     solve_attractor,
     threefold_central_charge,
+    threefold_central_charges,
     verify_attractor,
 )
 from .mirror import (
@@ -28,6 +29,7 @@ from .mirror import (
     SplitData,
     make_split,
     mirror_class,
+    mirror_classes,
     mirror_involution_check,
     mirror_period,
 )
@@ -35,6 +37,7 @@ from .stability import (
     ObstructionCheck,
     StabilityPoint,
     central_charge,
+    central_charges,
     fibration_obstruction,
     mukai_pair,
     ns_of_mirror,

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .exact import QuadComplex, QuadScalar
 from .lattice import LatticeVector, pair
@@ -126,11 +127,20 @@ def hyperkahler_rotate(Omega: QuadComplex, omega_J: LatticeVector) -> QuadComple
     return QuadComplex(omega_J, Omega.re)
 
 
-def threefold_central_charge(Omega_I: QuadComplex, cls: LatticeVector) -> QuadComplex:
-    """Central charge of the charge cls dy (p' = 0) against
-    Omega_I ^ (dx + tau dy).
+def threefold_central_charges(
+    Omega_I: QuadComplex, classes: Sequence[LatticeVector]
+) -> list[QuadComplex]:
+    """Central charges of the charges cls dy (p' = 0) of integral classes
+    against Omega_I ^ (dx + tau dy).
 
     With the unit torus normalization the pairing collapses to
-    Omega_I . (q' - tau p') = Omega_I . cls, so tau does not enter.
+    Omega_I . (q' - tau p') = Omega_I . cls, so tau does not enter; Re and
+    Im of Omega_I are each paired with every class in one pass.
     """
-    return pair(Omega_I, cls)
+    return pair(Omega_I, list(classes))
+
+
+def threefold_central_charge(Omega_I: QuadComplex, cls: LatticeVector) -> QuadComplex:
+    """The threefold central charge of one integral class: the one-element
+    case of `threefold_central_charges`."""
+    return threefold_central_charges(Omega_I, [cls])[0]

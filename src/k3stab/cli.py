@@ -86,12 +86,13 @@ def _render(obj, with_float: bool = False) -> str:
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
     generators; this writer appends to one list and joins it once.  In a dict
-    or a list, an exact value is replaced by its form; then a str, int or
-    bool value, told apart by exact type so that a bool is never written as
-    an int, is appended right after its head (the opener or comma, the
-    indentation and, in a dict, the quoted key); any other value is written
-    by the recursion.  Of two numbers that cannot be written, the first in
-    the text is the one reported.
+    or a list, an integral vector is appended right after its head (the
+    opener or comma, the indentation and, in a dict, the quoted key) as one
+    join of its integers (`_int_array`); any other exact value is replaced
+    by its form.  Then a str, int or bool value, told apart by exact type so
+    that a bool is never written as an int, is appended right after its
+    head; any other value is written by the recursion.  Of two numbers that
+    cannot be written, the first in the text is the one reported.
     """
     parts: list[str] = []
     _write(obj, parts, "\n", with_float)
@@ -138,10 +139,14 @@ def _write(obj, parts: list, newline: str, with_float: bool) -> None:
         for key in sorted(obj):
             value = obj[key]
             kind = type(value)
+            head += _quote(key) + ": "
             if kind in _EXACT:
+                if kind is LatticeVector and value.is_integral:
+                    parts.append(head + _int_array(value.A, inner))
+                    head = "," + inner
+                    continue
                 value = _exact_json(value, with_float)
                 kind = type(value)
-            head += _quote(key) + ": "
             if kind is str:
                 parts.append(head + _quote(value))
             elif kind is int:
@@ -163,6 +168,10 @@ def _write(obj, parts: list, newline: str, with_float: bool) -> None:
         for value in obj:
             kind = type(value)
             if kind in _EXACT:
+                if kind is LatticeVector and value.is_integral:
+                    parts.append(head + _int_array(value.A, inner))
+                    head = "," + inner
+                    continue
                 value = _exact_json(value, with_float)
                 kind = type(value)
             if kind is str:
@@ -189,6 +198,16 @@ def _write(obj, parts: list, newline: str, with_float: bool) -> None:
         parts.append(int.__repr__(obj))
     else:
         _write(_exact_json(obj, with_float), parts, newline, with_float)
+
+
+def _int_array(ints: list, newline: str) -> str:
+    """The JSON text of a list of ints at the indentation of `newline`: one
+    join of their `int.__repr__`, which raises the digit-limit ValueError at
+    the first integer over the limit, as the writer's own loop would."""
+    if not ints:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, ints)) + newline + "]"
 
 
 def _parse_form(text: str) -> BinaryEvenForm:

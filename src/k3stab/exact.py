@@ -26,9 +26,9 @@ constructor takes rational parts ``a`` and ``b`` and splits the square part
 off the radicand.  Every arithmetic result, and every pairing and rendered
 coordinate in ``lattice``, is built from integer products by
 ``QuadScalar._ints``, which divides out one gcd and drops ``m`` when the
-radicals cancel; no Fraction is built on the way.  The rational parts
-``a = p/d`` and ``b = q/d`` are read-only Fraction views, for rendering and
-for callers that want a rational.
+radicals cancel; no Fraction is built on the way.  ``str`` writes a scalar
+from its integers too.  The rational parts ``a = p/d`` and ``b = q/d`` are
+read-only Fraction views, for callers that want a rational.
 """
 
 from __future__ import annotations
@@ -333,11 +333,18 @@ class QuadScalar:
     # -- serialization ----------------------------------------------------
 
     def __str__(self):
-        if not self.q:
-            return str(self.a)
-        if self.q < 0:
-            return f"{self.a} - {-self.b}*sqrt({self.m})"
-        return f"{self.a} + {self.b}*sqrt({self.m})"
+        """``a``, ``a + b*sqrt(m)`` or ``a - |b|*sqrt(m)``, each of a and b
+        written as ``str(Fraction)`` writes it, from the integers: a rational
+        p/d is in lowest terms already, and an irrational one takes one gcd
+        per part."""
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            return _ratio_str(p, d)
+        g, h = gcd(p, d), gcd(q, d)
+        a = _ratio_str(p // g, d // g)
+        if q < 0:
+            return f"{a} - {_ratio_str(-q // h, d // h)}*sqrt({self.m})"
+        return f"{a} + {_ratio_str(q // h, d // h)}*sqrt({self.m})"
 
     def __repr__(self):
         return f"QuadScalar({self.a!r}, {self.b!r}, {self.m})"
@@ -347,6 +354,11 @@ _new = object.__new__
 _ints = QuadScalar._ints
 # exact types: an isinstance test of Fraction goes through ABCMeta
 _RATIONALS = frozenset((int, Fraction))
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """The text of n/d for coprime n and d > 0, as `str(Fraction)` gives it."""
+    return int.__repr__(n) if d == 1 else f"{n}/{d}"
 
 
 def _ratio(x) -> tuple[int, int]:

@@ -27,6 +27,12 @@ as QuadScalars.  A QuadScalar keeps the same kind of integer parts, (p + q
 sqrt(m)) / d, so all three read or build those integers directly: `pair`
 and `coords` wrap them by `QuadScalar._ints`, and no Fraction is built.
 
+A fixed vector paired with many integral classes (the Picard classes of a
+scenario against v, v*, B, omega or Omega_I) is paired with all of them in
+one pass, `pair(x, [y1, y2, ...])`: an integral y has no denominator and no
+radical part, so x.y is one dot product of y's integers with each numerator
+list of x's kept image (`pair_numerators`), with no per-class field join.
+
 A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
 standard lattices), and every integer image G x -- the Gram matrix of a
 `Sublattice`, the rows of `orth_complement`, GAMMA's image a vector keeps
@@ -337,16 +343,23 @@ class Sublattice:
         return out
 
 
+def _kept_image(x: LatticeVector) -> tuple[list[int], Optional[list[int]]]:
+    """The GAMMA Gram image ``(G A, G B)`` of the numerators of x, computed on
+    first use and kept on x (G B is None when x is rational)."""
+    img = x._image
+    if img is None:
+        img = x._image = (GAMMA.image(x.A), None if x.B is None else GAMMA.image(x.B))
+    return img
+
+
 def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
     """x.y in GAMMA as integer dot products of the numerators of one operand
     with the Gram image of the other.
 
     The image is the one an operand already keeps, y's first; when neither
-    keeps one, x is imaged and keeps ``(G A, G B)`` (G B is None when x is
-    rational).  On the certificate path most pairings are against a vector
-    paired many times (the B and omega of a stability point, the fibration
-    classes, omega_J): in a `verify 6.4` about 150 of about 187 pairings
-    find a kept image and cost one dot product per numerator list.  Vectors
+    keeps one, x is imaged and keeps it (`_kept_image`).  On the certificate
+    path most pairings are against a vector paired many times (the B and
+    omega of a stability point, the fibration classes, omega_J).  Vectors
     over different quadratic fields raise FieldMismatch.  The two sums over
     den are the integer parts of the result, wrapped by `QuadScalar._ints`
     with one gcd and no Fraction.
@@ -354,13 +367,9 @@ def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
     if len(x.A) != GAMMA.rank or len(y.A) != GAMMA.rank:
         raise DimensionMismatch("vector length does not match lattice rank")
     m = _join(x.m, y.m)
-    img = y._image
-    if img is None:
+    if y._image is None:
         x, y = y, x
-        img = y._image
-        if img is None:
-            img = y._image = (GAMMA.image(y.A), None if y.B is None else GAMMA.image(y.B))
-    ga, gb = img
+    ga, gb = _kept_image(y)
     rational = sum(map(mul, x.A, ga))
     radical = 0
     if x.B is not None:
@@ -372,10 +381,42 @@ def _pair_real(x: LatticeVector, y: LatticeVector) -> QuadScalar:
     return _ints(rational, radical, x.den * y.den, m)
 
 
+def pair_numerators(
+    x: LatticeVector, ys: Sequence[LatticeVector]
+) -> tuple[list[int], Optional[list[int]]]:
+    """The integer numerators of x.y for every integral y of ys, in one pass
+    over the Gram image that x keeps: x.y_k = (R_k + S_k sqrt(x.m)) / x.den
+    for the returned lists (R, S), S None when x is rational.
+
+    An integral y has no denominator and no radical part, so each pairing is
+    one dot product of y's integers per numerator list of x, with no field
+    join and no scalar built.  A y of another length raises
+    DimensionMismatch, a non-integral one ValueError.
+    """
+    n = GAMMA.rank
+    if len(x.A) != n:
+        raise DimensionMismatch("vector length does not match lattice rank")
+    for y in ys:
+        if len(y.A) != n:
+            raise DimensionMismatch("vector length does not match lattice rank")
+        if y.den != 1 or y.B is not None:
+            raise ValueError(f"{y} is not integral")
+    ga, gb = _kept_image(x)
+    rows = [y.A for y in ys]
+    R = [sum(map(mul, a, ga)) for a in rows]
+    return R, None if gb is None else [sum(map(mul, a, gb)) for a in rows]
+
+
 def pair(x, y):
-    """The exact pairing of GAMMA; extended complex-bilinearly to
-    QuadComplex vectors."""
+    """The exact pairing of GAMMA; extended complex-bilinearly to QuadComplex
+    vectors.  For a list y of integral vectors it is the list of the
+    pairings x.y_k, from one pass over x's kept Gram image
+    (`pair_numerators`) and one scalar built per pairing."""
     cx = isinstance(x, QuadComplex)
+    if type(y) is list:
+        if cx:
+            return list(map(QuadComplex, _pair_each(x.re, y), _pair_each(x.im, y)))
+        return _pair_each(x, y)
     cy = isinstance(y, QuadComplex)
     if not cx and not cy:
         return _pair_real(x, y)
@@ -387,6 +428,16 @@ def pair(x, y):
     if cx:
         return QuadComplex(_pair_real(x.re, y), _pair_real(x.im, y))
     return QuadComplex(_pair_real(x, y.re), _pair_real(x, y.im))
+
+
+def _pair_each(x: LatticeVector, ys: list[LatticeVector]) -> list[QuadScalar]:
+    """The scalars x.y of `pair_numerators`."""
+    R, S = pair_numerators(x, ys)
+    den = x.den
+    if S is None:
+        return [_ints(r, 0, den, 0) for r in R]
+    m = x.m
+    return [_ints(r, s, den, m) for r, s in zip(R, S)]
 
 
 def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:

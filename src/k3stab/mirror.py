@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import QuadComplex, QuadScalar
 from .intmat import rank_generic
-from .lattice import GAMMA, LatticeVector, MukaiVector, pair
+from .lattice import GAMMA, LatticeVector, MukaiVector, pair, pair_numerators
 
 
 class PreconditionViolation(ValueError):
@@ -111,21 +112,31 @@ def mirror_period(
     return triple
 
 
-def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
-    """Mukai vector of the mirror of an integral class.
+def mirror_classes(split: SplitData, classes: Sequence[LatticeVector]) -> list[MukaiVector]:
+    """Mukai vectors of the mirrors of integral classes.
 
     Decompose cls = pr(cls) + a v + b v*; the result is (b, pr(cls), -a), the
-    identity on Gamma' with f -> (0,0,-1) and sigma0 -> (1,0,1).  A class in
-    Gamma' (a = b = 0, as every eta class is) is its own core.
+    identity on Gamma' with f -> (0,0,-1) and sigma0 -> (1,0,1).  The
+    integers a = cls.v* and b = cls.v of every class come from one pass each
+    over the kept Gram images of v* and v (`pair_numerators`; both are
+    integral, `make_split` checks it).  A class in Gamma' (a = b = 0, as
+    every eta class is) is its own core.
     """
-    if not cls.is_integral:
-        raise ValueError("mirror_class requires an integral class")
-    a = pair(cls, split.vstar).as_int()
-    b = pair(cls, split.v).as_int()
-    if not (a or b):
-        return MukaiVector(0, cls, 0)
-    core = cls - a * split.v - b * split.vstar
-    return MukaiVector(b, core, -a)
+    A, _ = pair_numerators(split.vstar, classes)  # ValueError unless every class is integral
+    B, _ = pair_numerators(split.v, classes)
+    out = []
+    for cls, a, b in zip(classes, A, B):
+        if a or b:
+            out.append(MukaiVector(b, cls - a * split.v - b * split.vstar, -a))
+        else:
+            out.append(MukaiVector(0, cls, 0))
+    return out
+
+
+def mirror_class(split: SplitData, cls: LatticeVector) -> MukaiVector:
+    """The Mukai vector of the mirror of one integral class: the one-element
+    case of `mirror_classes`."""
+    return mirror_classes(split, [cls])[0]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .attractor import (
     Charge,
     hyperkahler_rotate,
     solve_attractor,
-    threefold_central_charge,
+    threefold_central_charges,
     verify_attractor,
 )
 from .exact import FieldMismatch, QuadComplex, QuadScalar, parse_quad, quoted
@@ -58,7 +58,7 @@ from .mirror import (
     PreconditionViolation,
     SplitData,
     make_split,
-    mirror_class,
+    mirror_classes,
     mirror_involution_check,
     mirror_period,
 )
@@ -67,7 +67,7 @@ from .stability import (
     RealityViolation,
     SearchResult,
     StabilityPoint,
-    central_charge,
+    central_charges,
     ns_of_mirror,
     search_kahler_class,
     verify_reality,
@@ -383,8 +383,7 @@ def slag_reality_report(sc: Scenario) -> dict:
             "verify 5.1 requires B = 0: the threefold charges it certifies do not depend on B"
         )
     rows = []
-    for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.Omega_I, cls)
+    for cls, z3 in zip(sc.pic_basis, threefold_central_charges(sc.Omega_I, sc.pic_basis)):
         if z3.im:
             raise RealityViolation(cls, z3)
         rows.append({"class": cls, "Z": z3.re})
@@ -520,9 +519,11 @@ def wall_table_report(sc: Scenario) -> dict:
 
 
 def charge_table_report(sc: Scenario) -> dict:
-    rows = []
-    for cls in sc.pic_basis:
-        z3 = threefold_central_charge(sc.Omega_I, cls)
-        zm = central_charge(sc.psi, mirror_class(sc.split, cls))
-        rows.append({"class": cls, "Z_threefold": z3, "Z_mirror": zm})
+    classes = sc.pic_basis
+    threefold = threefold_central_charges(sc.Omega_I, classes)
+    mirror = central_charges(sc.psi, mirror_classes(sc.split, classes))
+    rows = [
+        {"class": cls, "Z_threefold": z3, "Z_mirror": zm}
+        for cls, z3, zm in zip(classes, threefold, mirror)
+    ]
     return {"scenario": sc.echo(), "charges": rows}

@@ -8,10 +8,16 @@ omega with omega^2 > 0 the stability point is the complex triple
 
 and the central charge of v is Z(v) = (Psi, v).  For an integral v that is
 one formula of two real pairings, (B.D - s - r Re s_Psi) +
-i (omega.D - r Im s_Psi) with s_Psi = 1/2 (B + i omega)^2 kept on the point
-(`central_charge`).  Two nonzero charges lie on a
-common generalized wall at Psi when Z(v1)/Z(v2) is a positive real number; a
-zero charge has no phase and fails every wall test.
+i (omega.D - r Im s_Psi) with s_Psi = 1/2 (B + i omega)^2 kept on the point.
+The charges of many vectors are taken together (`central_charges`): B and
+omega are each paired with every D in one pass over their kept Gram images,
+which is still that formula, two pairings per charge.  The pass only shares
+the image and the per-call work; it does not expand D = l - a v - b v* of a
+mirror class into B.l - a B.v - b B.v*, a second formula equal to the first
+only by bilinearity.  `central_charge` is its one-element case.  Two
+nonzero charges lie on a common generalized wall at Psi when Z(v1)/Z(v2) is
+a positive real number; a zero charge has no phase and fails every wall
+test.
 
 The regular-point condition ("is Psi away from every delta-perp with
 delta^2 = -2?") is decided by one complete enumeration.  Re and Im of Psi
@@ -50,7 +56,7 @@ from .lattice import (
     orth_complement,
     pair,
 )
-from .mirror import MirrorTriple, PreconditionViolation, SplitData, mirror_class, mirror_period
+from .mirror import MirrorTriple, PreconditionViolation, SplitData, mirror_classes, mirror_period
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -110,17 +116,29 @@ def mukai_pair(x: MukaiVector, y: MukaiVector) -> QuadScalar:
     return pair(x.D, y.D) - QuadScalar(x.r * y.s + y.r * x.s)
 
 
-def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
-    """Z(v) = (Psi, v) for an integral v = (r, D, s): the Mukai pairing of
+def central_charges(psi: StabilityPoint, vs: Sequence[MukaiVector]) -> list[QuadComplex]:
+    """Z(v) = (Psi, v) for integral v = (r, D, s): the Mukai pairing of
     Psi = (1, B + i omega, s_Psi) with v is (B + i omega).D - s - r s_Psi,
-    two real pairings with s_Psi = psi.s_part kept on the point."""
+    two real pairings with s_Psi = psi.s_part kept on the point.  B and
+    omega are each paired with every D in one pass over their kept Gram
+    images (`lattice.pair` of a list)."""
+    Ds = [v.D for v in vs]
+    res, ims = pair(psi.B, Ds), pair(psi.omega, Ds)
     s_psi = psi.s_part
-    re = pair(psi.B, v.D) - v.s
-    im = pair(psi.omega, v.D)
-    if v.r:
-        re = re - s_psi.re * v.r
-        im = im - s_psi.im * v.r
-    return QuadComplex(re, im)
+    out = []
+    for v, re, im in zip(vs, res, ims):
+        if v.s:
+            re = re - v.s
+        if v.r:
+            re = re - s_psi.re * v.r
+            im = im - s_psi.im * v.r
+        out.append(QuadComplex(re, im))
+    return out
+
+
+def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
+    """Z(v) for one integral v: the one-element case of `central_charges`."""
+    return central_charges(psi, [v])[0]
 
 
 def ns_of_mirror(omega_check: QuadComplex) -> Sublattice:
@@ -273,7 +291,15 @@ def verify_reality(
     split: SplitData, psi: StabilityPoint, classes: Sequence[LatticeVector]
 ) -> list[tuple[LatticeVector, QuadScalar, MukaiVector]]:
     """Check that every Z(mu(l)) is exactly real; return (l, Z(mu(l)), mu(l))
-    per class, from one mirror class and one central charge each.
+    per class, in the order of `classes`; the first non-real charge raises
+    RealityViolation with its class and complex value.
+
+    The twenty charges come from four passes over the classes, each one
+    fixed vector paired with all of them: v* and v give the mirror classes
+    mu(l) = (b, D, -a) (`mirror_classes`), then B and omega give B.D and
+    omega.D (`central_charges`).  Each charge is still the two-pairing
+    formula of the module docstring, Z = (B.D - s - r Re s_Psi) +
+    i (omega.D - r Im s_Psi), with the pairings batched, not expanded.
 
     The check cannot fail at the point of an assembled scenario or of the
     search, for any B.  There Omega_I = omega_J + i Re(Omega), and Re(Omega)
@@ -286,10 +312,9 @@ def verify_reality(
     = 0, as f pairs to zero with f, Re(Omega) and pr(omega_J), and assembly
     makes omega_J (and eta, so the search's candidate) orthogonal to p and q.
     """
+    vs = mirror_classes(split, classes)
     out = []
-    for cls in classes:
-        v = mirror_class(split, cls)
-        z = central_charge(psi, v)
+    for cls, z, v in zip(classes, central_charges(psi, vs), vs):
         if z.im:
             raise RealityViolation(cls, z)
         out.append((cls, z.re, v))

@@ -22,7 +22,7 @@ from k3stab.lattice import (
 )
 from k3stab.mirror import PreconditionViolation
 from k3stab.scenario import ScenarioError
-from k3stab.stability import StabilityPoint
+from k3stab.stability import RealityViolation, StabilityPoint
 
 
 def is_reduced(form: BinaryEvenForm) -> bool:
@@ -994,6 +994,41 @@ def general_mirror_class(split, cls):
     a = pair(cls, split.vstar).as_int()
     b = pair(cls, split.v).as_int()
     return MukaiVector(b, cls - a * split.v - b * split.vstar, -a)
+
+
+def per_class_charges(split, psi, classes):
+    """(l, mu(l), Z(mu(l))) per class, one class at a time with one `pair`
+    call per pairing: the loop that `verify_reality` and the `charge` report
+    ran before their passes, with `general_mirror_class` for mu(l) and the
+    two-pairing Z = (B.D - s - r Re s_Psi) + i (omega.D - r Im s_Psi)."""
+    s_psi = psi.s_part
+    out = []
+    for cls in classes:
+        mu = general_mirror_class(split, cls)
+        re = pair(psi.B, mu.D) - mu.s
+        im = pair(psi.omega, mu.D)
+        if mu.r:
+            re = re - s_psi.re * mu.r
+            im = im - s_psi.im * mu.r
+        out.append((cls, mu, QuadComplex(re, im)))
+    return out
+
+
+def per_class_reality(split, psi, classes):
+    """`stability.verify_reality` one class at a time: (l, Z(mu(l)), mu(l))
+    per class, or RealityViolation at the first non-real charge."""
+    out = []
+    for cls, mu, z in per_class_charges(split, psi, classes):
+        if z.im:
+            raise RealityViolation(cls, z)
+        out.append((cls, z.re, mu))
+    return out
+
+
+def per_class_threefold_charges(Omega_I, classes):
+    """Omega_I . l per class, one `pair` call each: the loop that `verify
+    5.1` and the `charge` report ran before their pass."""
+    return [pair(Omega_I, cls) for cls in classes]
 
 
 def period_embed(split, p_basis, omega, B):

@@ -186,6 +186,46 @@ def test_render_rejects_a_bad_key_or_value_after_a_planned_shape(value):
         _render(value)
 
 
+@pytest.fixture
+def digit_limit_640():
+    """The int digit limit at its least value, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+def test_integral_vectors_meet_the_digit_limit_in_text_order(digit_limit_640, monkeypatch):
+    """An integral vector is written as one join of its integers.  An integer
+    over the digit limit in it raises the ValueError that json.dumps raises
+    on its integers; of two numbers that cannot be written, the first in the
+    text is the one reported, also against a scalar past the float range of
+    --float; and `main` turns it into the same `scenario` error."""
+    vector = LatticeVector.from_ints([1, -(10**digit_limit_640), 2])
+    for payload in ({"v": vector}, [0, {"a": [vector]}], {"b": [vector, 7], "a": "x"}):
+        with pytest.raises(ValueError) as expected:
+            json.dumps(report_json(payload), indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            _render(payload)
+    beyond = QuadScalar(10**400)  # 401 digits, past the float range
+    for first, second in (("a", "b"), ("b", "a")):
+        payload = {first: vector, second: beyond}
+        raised = ValueError if first == "a" else ScenarioError  # a ValueError too
+        for value in (payload, [payload[key] for key in sorted(payload)]):
+            with pytest.raises(ValueError) as info:
+                _render(value, True)
+            assert type(info.value) is raised
+    import k3stab.cli
+
+    monkeypatch.setattr(k3stab.cli, "_report", lambda args: {"v": vector})
+    code, out, _ = _in_process(["walls", "--scenario", SCENARIO])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "a report number has more than 640 digits",
+        "kind": "scenario",
+    }
+
+
 def _in_process(argv):
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()

@@ -91,6 +91,40 @@ def test_pair_dimension_mismatch():
         pair(MUKAI_W, MUKAI_W)
 
 
+def test_pair_of_a_list_takes_integral_classes_of_the_rank():
+    """A list is paired in one pass over x's kept Gram image, which reads
+    y's integers only: a rational or irrational y, or one of another length,
+    is refused, not paired as its numerators."""
+    x = LatticeVector([QuadScalar(1, 2, 3)] + [0] * 21)
+    for bad in (LatticeVector([Fraction(1, 2)] + [0] * 21), LatticeVector([QuadScalar(0, 1, 3)] + [0] * 21)):
+        with pytest.raises(ValueError, match="is not integral"):
+            pair(x, [F, bad])
+    with pytest.raises(DimensionMismatch):
+        pair(x, [F, MUKAI_W])
+    with pytest.raises(DimensionMismatch):
+        pair(MUKAI_W, [F])
+    assert pair(x, []) == []
+
+
+@given(
+    st.lists(st.integers(-4, 4), min_size=22, max_size=22),
+    st.sampled_from([0, 2, 5]),
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(-3, 3), min_size=22, max_size=22), max_size=5),
+)
+@settings(max_examples=60)
+def test_pair_of_a_list_is_the_list_of_pairings(a, m, den, rows):
+    """pair(x, [y1, ...]) of integral ys is the list of the pairings (the
+    dense oracle `quad_pair`), for x over Q and Q(sqrt m) with a
+    denominator, and for a complex x, whose parts are each paired once."""
+    x = LatticeVector([QuadScalar(Fraction(c, den), Fraction(c - 1, den) if m else 0, m) for c in a])
+    ys = [LatticeVector.from_ints(r) for r in rows]
+    assert pair(x, ys) == [quad_pair(GAMMA, x, y) for y in ys]
+    w = LatticeVector.from_ints(a)
+    expected = [QuadComplex(quad_pair(GAMMA, x, y), quad_pair(GAMMA, w, y)) for y in ys]
+    assert pair(QuadComplex(x, w), ys) == expected
+
+
 def test_pair_zero():
     assert pair(F, LatticeVector.zero(22)) == 0
 

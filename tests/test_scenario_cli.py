@@ -19,6 +19,7 @@ from k3stab.scenario import (
     mirror_report,
     scenario_from_file,
 )
+from k3stab.stability import verify_reality
 from oracles import dual_eta
 
 
@@ -884,8 +885,10 @@ def _count_calls(monkeypatch, fns) -> dict:
 
 
 def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
-    """verify 6.4 on diag(2,8) takes one mirror class and one central charge
-    per Picard class (20 of each), one complete root enumeration, and one
+    """verify 6.4 on diag(2,8) takes the mirror classes and the central
+    charges of the twenty Picard classes in one pass each, and no charge of
+    one class on its own (the root enumeration re-verifies its hits only,
+    and a certified point has none); one complete root enumeration, and one
     pass through the pipeline: the search's mirror period, none at the
     scenario's own omega_J.  The hyperkaehler rotation runs twice: at
     omega_J on assembly, and at the search's candidate.  Two integer kernels
@@ -900,6 +903,8 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     calls = _count_calls(
         monkeypatch,
         (
+            k3stab.stability.central_charges,
+            k3stab.mirror.mirror_classes,
             k3stab.stability.central_charge,
             k3stab.mirror.mirror_class,
             k3stab.stability.p0_violations,
@@ -920,8 +925,10 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0
     assert calls == {
-        "central_charge": 20,
-        "mirror_class": 20,
+        "central_charges": 1,
+        "mirror_classes": 1,
+        "central_charge": 0,
+        "mirror_class": 0,
         "p0_violations": 1,
         "mirror_period": 1,
         "search_kahler_class": 1,
@@ -929,6 +936,42 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
         "kernel_basis": 2,
         "Sublattice.gram": 1,
     }
+
+
+def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, diag28):
+    """The charge layer pairs each fixed vector (v and v*, B and omega, Re
+    and Im of Omega_I) with all twenty Picard classes in one pass, outside
+    `lattice._pair_real`.  On diag(2,8) the reports make 42 calls
+    (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`) and 47
+    (`verify 6.4`), where one call per class and pairing made 122, 122, 162,
+    55 and 127; and `verify_reality` makes as many calls on one class as on
+    twenty."""
+    import k3stab.lattice
+
+    real = k3stab.lattice._pair_real
+    count = [0]
+
+    def counted(x, y):
+        count[0] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(k3stab.lattice, "_pair_real", counted)
+    expected = {"walls": 42, "verify 6.2": 42, "charge": 42, "verify 5.1": 15, "verify 6.4": 47}
+    got = {}
+    for command in expected:
+        count[0] = 0
+        code, _ = run_cli(capsys, [*command.split(), "--scenario", diag28])
+        assert code == 0, command
+        got[command] = count[0]
+    assert got == expected
+    spent = []
+    for classes in (slice(0, 1), slice(0, 20)):
+        sc = build_scenario(form=[2, 0, 8])
+        psi = sc.psi  # the mirror period's pairings are not the classes'
+        count[0] = 0
+        assert len(verify_reality(sc.split, psi, sc.pic_basis[classes])) == classes.stop
+        spent.append(count[0])
+    assert spent[0] == spent[1]
 
 
 def test_no_wall_table_command_computes_the_inverse_of_gamma(monkeypatch, capsys):

@@ -5,10 +5,14 @@ from functools import cache
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3stab.attractor import hyperkahler_rotate
+from k3stab.attractor import (
+    hyperkahler_rotate,
+    threefold_central_charge,
+    threefold_central_charges,
+)
 from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
@@ -20,7 +24,7 @@ from k3stab.lattice import (
     orth_complement,
     pair,
 )
-from k3stab.mirror import PreconditionViolation, mirror_class, mirror_period
+from k3stab.mirror import PreconditionViolation, mirror_class, mirror_classes, mirror_period
 from k3stab.scenario import build_scenario, scenario_from_file
 from k3stab.stability import (
     RealityViolation,
@@ -28,6 +32,7 @@ from k3stab.stability import (
     SearchObstructed,
     StabilityPoint,
     central_charge,
+    central_charges,
     fibration_obstruction,
     mukai_pair,
     ns_of_mirror,
@@ -47,6 +52,9 @@ from oracles import (
     explicit_charge,
     from_coefficients,
     mukai_ambient,
+    per_class_charges,
+    per_class_reality,
+    per_class_threefold_charges,
     phase_aligned,
     quad_pair,
     solve_integer,
@@ -392,6 +400,93 @@ def test_reality_violation_detected(sc28):
     bad_psi = StabilityPoint(GAMMA.basis(5), sc28.charge.q)  # B.omega != 0
     with pytest.raises(RealityViolation):
         verify_reality(sc28.split, bad_psi, [SIGMA0])
+
+
+# Points of the charge passes: over Q (diag(2,8), D = 16) and over
+# Q(sqrt 23) ([4,1,6]), each with B = 0, a rational B and, over Q(sqrt 23),
+# an irrational B; every B has B.f = 0 (its e2(U1) entry is 0), as assembly
+# requires, and `walls`, `verify 6.2` and `charge` accept B != 0.
+_B_RATIONAL = ["1/2", 0, 1, -1, 0, 2, "-3/2"] + [0] * 15
+_B_IRRATIONAL = ["sqrt(23)", 0, 0, 1, "1/3 - sqrt(23)"] + [0] * 17
+_CHARGE_POINTS = [
+    ((2, 0, 8), None),
+    ((2, 0, 8), tuple(_B_RATIONAL)),
+    ((4, 1, 6), None),
+    ((4, 1, 6), tuple(_B_RATIONAL)),
+    ((4, 1, 6), tuple(_B_IRRATIONAL)),
+]
+
+
+@cache
+def _charge_point(form, B):
+    return build_scenario(form=list(form), B=None if B is None else list(B))
+
+
+# integral classes with a nonzero U' component (l.v = l[1] or l.v* = l[0]),
+# so that the core l - a v - b v* of the mirror class is not l
+_u_prime_classes = (
+    st.lists(st.integers(-3, 3), min_size=22, max_size=22)
+    .filter(lambda a: a[0] or a[1])
+    .map(LatticeVector.from_ints)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CHARGE_POINTS), st.lists(_u_prime_classes, min_size=1, max_size=6))
+def test_charge_passes_equal_the_per_class_loops(point, classes):
+    """The mirror classes, mirror central charges and threefold charges of
+    one pass each equal the one-class-at-a-time loops (the oracles), as do
+    their one-element cases, on classes whose core is not the class."""
+    sc = _charge_point(*point)
+    expected = per_class_charges(sc.split, sc.psi, classes)
+    mus = mirror_classes(sc.split, classes)
+    assert mus == [mu for _, mu, _ in expected]
+    assert all(mu.D != cls for cls, mu in zip(classes, mus))
+    zs = central_charges(sc.psi, mus)
+    assert zs == [z for _, _, z in expected]
+    assert [central_charge(sc.psi, mirror_class(sc.split, cls)) for cls in classes] == zs
+    threefold = per_class_threefold_charges(sc.Omega_I, classes)
+    assert threefold_central_charges(sc.Omega_I, classes) == threefold
+    assert [threefold_central_charge(sc.Omega_I, cls) for cls in classes] == threefold
+    assert verify_reality(sc.split, sc.psi, sc.pic_basis) == per_class_reality(
+        sc.split, sc.psi, sc.pic_basis
+    )
+
+
+_perturbations = st.lists(st.integers(-1, 1), min_size=22, max_size=22).map(
+    LatticeVector.from_ints
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CHARGE_POINTS), _perturbations)
+@example(((2, 0, 8), None), GAMMA.basis(6))
+def test_reality_violation_names_the_first_non_real_class(point, x):
+    """At a point whose omega is moved off the scenario's by x, as the
+    reality tests above perturb it, `verify_reality` raises at the first
+    non-real charge in basis order with its class and complex value, as the
+    per-class loop does, and otherwise returns the loop's values."""
+    sc = _charge_point(*point)
+    bad = StabilityPoint(sc.psi.B, sc.psi.omega + x)
+    try:
+        expected = per_class_reality(sc.split, bad, sc.pic_basis)
+    except RealityViolation as exc:
+        with pytest.raises(RealityViolation) as raised:
+            verify_reality(sc.split, bad, sc.pic_basis)
+        assert raised.value.cls == exc.cls and raised.value.value == exc.value
+        assert str(raised.value) == str(exc)
+    else:
+        assert verify_reality(sc.split, bad, sc.pic_basis) == expected
+
+
+def test_reality_violation_is_not_always_the_first_class(sc28):
+    """The perturbation of the example above leaves f and sigma0 real (their
+    mirror cores are 0 and B = 0), so the class named is a later one."""
+    bad = StabilityPoint(sc28.psi.B, sc28.psi.omega + GAMMA.basis(6))
+    with pytest.raises(RealityViolation) as raised:
+        verify_reality(sc28.split, bad, sc28.pic_basis)
+    assert raised.value.cls in sc28.eta_basis
+    assert raised.value.value.im
 
 
 def test_reality_preserved_under_scaling(sc28):
