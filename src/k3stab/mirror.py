@@ -20,6 +20,21 @@ Omega^2 = 0; for non-null inputs (e.g. unnormalized hyperkaehler data) only
 the Kaehler-side data returns, and the involution check reports that honestly
 instead of asserting it.
 
+With pr(x) = x - (x.v*) v - (x.v) v*, each of the four output vectors (Re
+and Im of mirror Omega, mirror omega, mirror B) is s (y - a v - b v*) for
+one input vector y, s = 1 / (Re(Omega).v) and scalars a, b gathered from
+the formula: for Re(mirror Omega), y = B, a = B.v* + (B^2 - omega^2) / 2
+and b = B.v - 1.  `SplitData.shift` computes it in one pass over the
+numerators of y and the integers of v and v*, and reduces the result
+once; `project` is its s = 1 case, and the core of a mirror class its
+integer case.  The pairings are one list pairing pair(x, [v, v*]) per
+input vector x and five real ones (B.B, omega.omega, B.omega, Re(Omega).B,
+Im(Omega).B); no pairing is expanded.  The two invariants of the output
+period come from three pairings of its parts, rr, ii and ri:
+(mirror Omega)^2 = (rr - ii) + 2i ri, so null means rr = ii and ri = 0,
+and (mirror Omega).conj(mirror Omega) = rr + ii, whose imaginary part a
+symmetric pairing makes zero, so a positive plane means rr + ii > 0.
+
 The preconditions are the caller's, and `mirror_period` tests none of them.
 Scenario assembly proves them for the data (Omega_I, Im(Omega), B) at
 omega_J, where only B.v = 0 needs a test: Im(Omega_I) = Re(Omega) and
@@ -35,11 +50,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exact import QuadComplex, QuadScalar
+from .exact import QuadComplex, QuadScalar, _join, _parts
 from .intmat import rank_generic
 from .lattice import GAMMA, LatticeVector, MukaiVector, pair, pair_numerators
+
+
+_HALF = Fraction(1, 2)
 
 
 class PreconditionViolation(ValueError):
@@ -58,10 +77,48 @@ class SplitData:
     def project(self, x):
         """The projection pr onto Gamma'_R, pr(x) = x - (x.v*) v - (x.v) v*,
         of a real or complex vector: v^2 = v*^2 = 0 and v.v* = 1, so the
-        image pairs to zero with both v and v*."""
+        image pairs to zero with both v and v*.  The s = 1 case of `shift`."""
         if isinstance(x, QuadComplex):
             return QuadComplex(self.project(x.re), self.project(x.im))
-        return x - pair(x, self.vstar) * self.v - pair(x, self.v) * self.vstar
+        x_vstar, x_v = pair(x, [self.vstar, self.v])
+        return self.shift(x, x_vstar, x_v)
+
+    def shift(self, y: LatticeVector, a, b, s=1) -> LatticeVector:
+        """s (y - a v - b v*) for exact scalars a, b, s (int, Fraction or
+        QuadScalar), in one pass over the numerators of y and the integers
+        of v and v* (`make_split` checks that both are integral).
+
+        Over the common denominator D of y, a and b, and with
+        s = (s_p + s_q sqrt(m)) / s_d, each numerator of the result is one
+        integer combination of y's numerators and of v's and v*'s integers,
+        whose coefficients are products of the scalars' integers; the list
+        over D s_d is reduced once.  Nothing is built per term."""
+        pa, qa, da, ma = _parts(a)
+        pb, qb, db, mb = _parts(b)
+        ps, qs, ds, ms = _parts(s)
+        m = _join(_join(y.m, ma), _join(mb, ms))
+        den = lcm(y.den, da, db)
+        t = den // y.den
+        ca, cb = -den // da, -den // db  # -a and -b over den
+        pa, qa, pb, qb = pa * ca, qa * ca, pb * cb, qb * cb
+        A, B, V, W = y.A, y.B, self.v.A, self.vstar.A
+        if not m:  # every radical part is zero
+            k, kv, kw = ps * t, ps * pa, ps * pb
+            return LatticeVector._reduced(
+                [k * x + kv * g + kw * h for x, g, h in zip(A, V, W)], None, den * ds, 0
+            )
+        # (s_p + s_q r)((t A + pa v + pb w) + (t B + qa v + qb w) r), r = sqrt(m)
+        mq = m * qs
+        k, kv, kw = ps * t, ps * pa + mq * qa, ps * pb + mq * qb
+        j, jv, jw = qs * t, qs * pa + ps * qa, qs * pb + ps * qb
+        kb, jb = mq * t, ps * t
+        rows = list(zip(A, B or [0] * len(A), V, W))
+        return LatticeVector._reduced(
+            [k * x + kb * z + kv * g + kw * h for x, z, g, h in rows],
+            [j * x + jb * z + jv * g + jw * h for x, z, g, h in rows],
+            den * ds,
+            m,
+        )
 
 
 def make_split(f: LatticeVector, sigma0: LatticeVector) -> SplitData:
@@ -88,27 +145,32 @@ def mirror_period(
     split: SplitData, Omega: QuadComplex, omega: LatticeVector, B: LatticeVector
 ) -> MirrorTriple:
     """Apply the mirror map to period data that meets the preconditions of
-    the module docstring; all scalars exact.  The two invariants of the
-    output period are asserted."""
+    the module docstring; all scalars exact.  Each output vector is one
+    `SplitData.shift` of an input vector, its coefficients gathered from
+    pr(x) = x - (x.v*) v - (x.v) v* and the v-shift of the formula.  The
+    two invariants of the output period are asserted."""
     v, vstar = split.v, split.vstar
-    scale = pair(Omega.re, v).inverse()
-    x = QuadComplex(B, omega)
-    # v and v* are real: a complex multiple of v scales v once per part
-    half_sq = pair(x, x) * Fraction(1, 2)
-    omega_check_cplx = (
-        split.project(x) - QuadComplex(v * half_sq.re - vstar, v * half_sq.im)
-    ) * scale
-    shift = pair(Omega, B)
-    kahler_side = (split.project(Omega) - QuadComplex(v * shift.re, v * shift.im)) * scale
-    triple = MirrorTriple(
-        Omega_check=omega_check_cplx,
-        omega_check=kahler_side.im,
-        B_check=kahler_side.re,
+    re, im = Omega.re, Omega.im
+    (B_v, B_w), (w_v, w_w), (r_v, r_w), (i_v, i_w) = (
+        pair(x, [v, vstar]) for x in (B, omega, re, im)
     )
-    # structural invariants of the output period
-    assert not pair(triple.Omega_check, triple.Omega_check), "mirror period is not null"
-    conj_norm = pair(triple.Omega_check, triple.Omega_check.conj())
-    assert not conj_norm.im and conj_norm.re.sign() > 0, "mirror period plane is not positive"
+    scale = r_v.inverse()
+    B_omega = pair(B, omega)
+    # (B + i omega)^2 / 2 = (B.B - omega.omega) / 2 + i B.omega
+    half_sq_re = (pair(B, B) - pair(omega, omega)) * _HALF
+    triple = MirrorTriple(
+        Omega_check=QuadComplex(
+            split.shift(B, B_w + half_sq_re, B_v - 1, scale),
+            split.shift(omega, w_w + B_omega, w_v, scale),
+        ),
+        omega_check=split.shift(im, i_w + pair(im, B), i_v, scale),
+        B_check=split.shift(re, r_w + pair(re, B), r_v, scale),
+    )
+    # the two invariants from three pairings (module docstring)
+    check = triple.Omega_check
+    rr, ii, ri = pair(check.re, check.re), pair(check.im, check.im), pair(check.re, check.im)
+    assert rr == ii and not ri, "mirror period is not null"
+    assert (rr + ii).sign() > 0, "mirror period plane is not positive"
     return triple
 
 
@@ -119,15 +181,16 @@ def mirror_classes(split: SplitData, classes: Sequence[LatticeVector]) -> list[M
     identity on Gamma' with f -> (0,0,-1) and sigma0 -> (1,0,1).  The
     integers a = cls.v* and b = cls.v of every class come from one pass each
     over the kept Gram images of v* and v (`pair_numerators`; both are
-    integral, `make_split` checks it).  A class in Gamma' (a = b = 0, as
-    every eta class is) is its own core.
+    integral, `make_split` checks it), and the core cls - a v - b v* is
+    one `SplitData.shift`.  A class in Gamma' (a = b = 0, as every eta
+    class is) is its own core.
     """
     A, _ = pair_numerators(split.vstar, classes)  # ValueError unless every class is integral
     B, _ = pair_numerators(split.v, classes)
     out = []
     for cls, a, b in zip(classes, A, B):
         if a or b:
-            out.append(MukaiVector(b, cls - a * split.v - b * split.vstar, -a))
+            out.append(MukaiVector(b, split.shift(cls, a, b), -a))
         else:
             out.append(MukaiVector(0, cls, 0))
     return out

@@ -133,16 +133,18 @@ def form_from_json(value) -> BinaryEvenForm:
 
 
 def standard_charge(form: BinaryEvenForm) -> tuple[LatticeVector, LatticeVector]:
-    """Block realization of a charge with Gram matrix equal to the form."""
-    p = GAMMA.basis(2) + (form.a // 2) * GAMMA.basis(3)
-    q = form.b * GAMMA.basis(3) + GAMMA.basis(4) + (form.c // 2) * GAMMA.basis(5)
+    """Block realization of a charge with Gram matrix equal to the form:
+    p = e1 + (a/2) e2 in U2 and q = b e2(U2) + e1 + (c/2) e2 in U3."""
+    zeros = [0] * 16
+    p = LatticeVector.from_ints([0, 0, 1, form.a // 2, 0, 0, *zeros])
+    q = LatticeVector.from_ints([0, 0, 0, form.b, 1, form.c // 2, *zeros])
     return p, q
 
 
 def standard_fibration() -> tuple[LatticeVector, LatticeVector]:
-    f = GAMMA.basis(0)
-    sigma0 = GAMMA.basis(1) - GAMMA.basis(0)
-    return f, sigma0
+    """f = e1 and sigma0 = e2 - e1 in U1."""
+    zeros = [0] * 20
+    return LatticeVector.from_ints([1, 0, *zeros]), LatticeVector.from_ints([-1, 1, *zeros])
 
 
 @dataclass

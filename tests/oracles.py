@@ -986,6 +986,71 @@ def tube_map(split, z):
     return z - QuadComplex(split.v) * (z_sq * Fraction(1, 2)) + QuadComplex(split.vstar)
 
 
+def stepwise_mirror_period(split, Omega, omega, B):
+    """The mirror map of `mirror.mirror_period` step by step: the projection
+    `SplitData.project` of each complex input, then the v-shift (and the
+    v* of the tube map), then the scale 1 / (Re(Omega).v), with vector
+    products and sums, and the two invariants as complex pairings.  The body
+    that `mirror_period` replaced by one `SplitData.shift` per output vector,
+    kept as its reference; the result is (Omega_check, omega_check,
+    B_check)."""
+    v, vstar = split.v, split.vstar
+    scale = pair(Omega.re, v).inverse()
+    x = QuadComplex(B, omega)
+    half_sq = pair(x, x) * Fraction(1, 2)
+    omega_check_cplx = (
+        split.project(x) - QuadComplex(v * half_sq.re - vstar, v * half_sq.im)
+    ) * scale
+    shift = pair(Omega, B)
+    kahler_side = (split.project(Omega) - QuadComplex(v * shift.re, v * shift.im)) * scale
+    assert not pair(omega_check_cplx, omega_check_cplx), "mirror period is not null"
+    conj_norm = pair(omega_check_cplx, omega_check_cplx.conj())
+    assert not conj_norm.im and conj_norm.re.sign() > 0, "mirror period plane is not positive"
+    return omega_check_cplx, kahler_side.im, kahler_side.re
+
+
+def stepwise_project(split, x):
+    """pr(x) = x - (x.v*) v - (x.v) v* by two vector products and two
+    differences; the reference for `SplitData.project`."""
+    return x - pair(x, split.vstar) * split.v - pair(x, split.v) * split.vstar
+
+
+def eichler(e, a, x):
+    """The Eichler transvection x + (x.e) a - (x.a) e - 1/2 a^2 (x.e) e, an
+    isometry of GAMMA for an isotropic e and an a orthogonal to e with a^2
+    even; it fixes every x orthogonal to e and a."""
+    xe = pair(x, e)
+    return x + xe * a - pair(x, a) * e - (pair(a, a) * xe * Fraction(1, 2)) * e
+
+
+def dense_fibration():
+    """Fibration classes (f, sigma0) with f^2 = 0, f.sigma0 = 1 and
+    sigma0^2 = -2 whose v = f and v* = f + sigma0 have every coordinate of
+    U1 and of both E8 blocks nonzero: the standard classes moved by two
+    Eichler transvections along v* and v, with dense vectors of the E8
+    blocks.  The isometry fixes U2 + U3, so the classes stay orthogonal to
+    every standard charge."""
+    f, sigma0 = GAMMA.basis(0), GAMMA.basis(1) - GAMMA.basis(0)
+    vstar = f + sigma0
+    a = LatticeVector.from_ints([0] * 6 + [(-1) ** i * (1 + i % 3) for i in range(16)])
+    b = LatticeVector.from_ints([0] * 6 + [1 + i % 2 for i in range(16)])
+
+    def move(x):
+        return eichler(f, b, eichler(vstar, a, x))
+
+    return move(f), move(sigma0)
+
+
+def unit_vector_charge(form):
+    """The block charge of `scenario.standard_charge` from unit vectors,
+    products and sums: p = e1 + (a/2) e2 in U2, q = b e2(U2) + e1 + (c/2) e2
+    in U3; and the fibration classes f = e1, sigma0 = e2 - e1 in U1 of
+    `scenario.standard_fibration`.  Returns (p, q, f, sigma0)."""
+    p = GAMMA.basis(2) + (form.a // 2) * GAMMA.basis(3)
+    q = form.b * GAMMA.basis(3) + GAMMA.basis(4) + (form.c // 2) * GAMMA.basis(5)
+    return p, q, GAMMA.basis(0), GAMMA.basis(1) - GAMMA.basis(0)
+
+
 def general_mirror_class(split, cls):
     """The Mukai vector (b, l - a v - b v*, -a) of the mirror of an integral
     class l, a = l.v*, b = l.v, by the general formula for every class; the

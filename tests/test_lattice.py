@@ -22,6 +22,7 @@ from oracles import (
     MUKAI_W,
     MUKAI_WSTAR,
     QuadVector,
+    dense_fibration,
     dense_gram,
     dense_orth_complement,
     from_coefficients,
@@ -30,6 +31,7 @@ from oracles import (
     nonzero_entries,
     quad_pair,
     signature,
+    stepwise_project,
 )
 
 F = GAMMA.basis(0)
@@ -37,6 +39,7 @@ SIGMA0 = GAMMA.basis(1) - GAMMA.basis(0)
 P = GAMMA.basis(2) + GAMMA.basis(3)
 Q = GAMMA.basis(4) + 4 * GAMMA.basis(5)
 SPLIT = make_split(F, SIGMA0)
+DENSE_SPLIT = make_split(*dense_fibration())
 
 int_vectors = st.lists(st.integers(-4, 4), min_size=22, max_size=22).map(LatticeVector)
 
@@ -390,6 +393,35 @@ def test_vector_matches_quadscalar_reference(data):
         assert_same(product.im, x_ref * c.im + u_ref * c.re)
     assert QuadComplex(x, u) * s == QuadComplex(x * s, u * s) == s * QuadComplex(x, u)
     assert QuadComplex(x).im == LatticeVector.zero(len(x))  # the zero of re's kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shift_is_the_products_and_sums_it_replaces(data):
+    """`SplitData.shift`, s (y - a v - b v*) in one pass, equals the vector
+    products and sums, with the canonical form, over Q and Q(sqrt m), for
+    int, Fraction and QuadScalar a, b, s, on the standard split and on one
+    whose v and v* are dense; and `project` equals pr(x) by products and
+    sums, orthogonal to v and v*."""
+    m = data.draw(st.sampled_from([0, 2, 3, 23]))
+    split = data.draw(st.sampled_from([SPLIT, DENSE_SPLIT]))
+    y = LatticeVector(data.draw(coordinate_lists(m)))
+    a, b, s = (data.draw(scalars_in(m)) for _ in range(3))
+    out = split.shift(y, a, b, s)
+    expected = s * (y - a * split.v - b * split.vstar)
+    assert out == expected and out.coords == expected.coords
+    assert split.shift(y, a, b) == y - a * split.v - b * split.vstar
+    pr = split.project(y)
+    assert pr == stepwise_project(split, y)
+    assert not pair(pr, split.v) and not pair(pr, split.vstar)
+
+
+def test_shift_of_two_radicands_raises():
+    y = LatticeVector([QuadScalar(0, 1, 2)] + [0] * 21)
+    with pytest.raises(FieldMismatch):
+        SPLIT.shift(y, QuadScalar(0, 1, 3), 0)
+    with pytest.raises(FieldMismatch):
+        SPLIT.shift(y, 1, 1, QuadScalar(1, 1, 3))
 
 
 @settings(max_examples=30, deadline=None)

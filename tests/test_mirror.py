@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,13 +26,16 @@ from k3stab.mirror import (
     mirror_period,
 )
 from k3stab.scenario import build_scenario
+from k3stab.stability import SearchExhausted, SearchObstructed, search_kahler_class
 from oracles import (
     canonicalize_period,
+    dense_fibration,
     general_mirror_class,
     gram_of,
     mukai_ambient,
     period_embed,
     quad_pair,
+    stepwise_mirror_period,
     tube_map,
 )
 
@@ -146,6 +150,111 @@ def test_period_data_meets_the_preconditions_by_construction(data):
     assert pair(first.Omega_check.re, f) == omega_f.inverse()
     assert not pair(first.Omega_check.im, f)
     assert not pair(first.omega_check, f) and not pair(first.B_check, f)
+
+
+@cache
+def _dense_scenario(form):
+    f, sigma0 = dense_fibration()
+    return build_scenario(form=list(form), f=f, sigma0=sigma0)
+
+
+def _is_square(n):
+    return isqrt(n) ** 2 == n
+
+
+# a square D gives Q, any other D a Q(sqrt m)
+_RATIONAL_FORMS = [f for f in _FORMS_UP_TO_40 if _is_square(f[0] * f[2] - f[1] ** 2)]
+_IRRATIONAL_FORMS = [f for f in _FORMS_UP_TO_40 if f not in _RATIONAL_FORMS]
+
+
+def _as_tuple(triple):
+    return triple.Omega_check, triple.omega_check, triple.B_check
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mirror_period_equals_the_stepwise_map(data):
+    """One `SplitData.shift` per output vector gives the projection, v-shift
+    and scale of `oracles.stepwise_mirror_period`, over Q and Q(sqrt m), on
+    the standard split and on one whose v and v* are dense, with B = 0 and
+    with a B != 0 orthogonal to v (in the field), at a rotated Kaehler class
+    drawn as in the precondition test above, and again on the involution's
+    second application, whose input is the mirror data."""
+    forms = _IRRATIONAL_FORMS if data.draw(st.booleans()) else _RATIONAL_FORMS
+    form = data.draw(st.sampled_from(forms))
+    sc = _dense_scenario(form) if data.draw(st.booleans()) else _form_scenario(form)
+    assert bool(sc.m) == (forms is _IRRATIONAL_FORMS)
+    f, v = sc.split.f, sc.split.v
+    part = st.integers(-30, 30)
+    a, b = (
+        QuadScalar(data.draw(part), data.draw(part) if sc.m else 0, sc.m) for _ in range(2)
+    )
+    omega = a * sc.omega_J + b * f
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=18, max_size=18))
+    for c, eta in zip(coeffs, sc.eta_basis):
+        omega = omega + c * eta
+    assume(pair(omega, omega).sign() > 0)
+    if pair(omega, f).sign() < 0:
+        omega = -omega
+    B = ZERO
+    if data.draw(st.booleans()):
+        small = st.integers(-3, 3)
+        B = (
+            data.draw(small) * sc.eta_basis[data.draw(st.integers(0, 17))]
+            + data.draw(small) * sc.charge.p
+            + data.draw(small) * sc.charge.q
+            + QuadScalar(data.draw(small), data.draw(small) if sc.m else 0, sc.m) * v
+        )
+        assert not pair(B, v)
+    Omega_I = hyperkahler_rotate(sc.Omega, omega)
+    first = mirror_period(sc.split, Omega_I, sc.Omega.im, B)
+    assert _as_tuple(first) == stepwise_mirror_period(sc.split, Omega_I, sc.Omega.im, B)
+    second = mirror_period(sc.split, *_as_tuple(first))
+    assert _as_tuple(second) == stepwise_mirror_period(sc.split, *_as_tuple(first))
+
+
+def test_mirror_period_equals_the_stepwise_map_at_the_search_candidate(monkeypatch):
+    """At the Kaehler search's one candidate, on every form with D <= 40
+    and, with the dense split, on the forms with D <= 12."""
+    import k3stab.stability
+
+    mapped = []
+
+    def checked(split, Omega, omega, B):
+        triple = mirror_period(split, Omega, omega, B)
+        assert _as_tuple(triple) == stepwise_mirror_period(split, Omega, omega, B)
+        mapped.append(split)
+        return triple
+
+    monkeypatch.setattr(k3stab.stability, "mirror_period", checked)
+    small = [form for form in _FORMS_UP_TO_40 if form[0] * form[2] - form[1] ** 2 <= 12]
+    scenarios = [_form_scenario(form) for form in _FORMS_UP_TO_40]
+    scenarios += [_dense_scenario(form) for form in small]
+    obstructed = 0
+    for sc in scenarios:
+        try:
+            search_kahler_class(sc)
+        except SearchObstructed:
+            obstructed += 1  # before any candidate
+            continue
+        except SearchExhausted:
+            pass
+        assert mapped[-1] is sc.split
+    # [2, 0, 2] is obstructed on either split, and every other search maps once
+    assert obstructed == 2 and len(mapped) == len(scenarios) - 2
+
+
+def test_both_mirror_period_asserts_still_fire(split, sc28):
+    """The two invariants are decided from rr, ii and ri: B = e1 + e2 of U1
+    (B.v = B.v* = 1, outside the preconditions) gives a period that is not
+    null, and omega = an E8 root (square -2) with B = 0 a null period whose
+    plane is not positive."""
+    with pytest.raises(AssertionError, match="mirror period is not null"):
+        mirror_period(split, sc28.Omega_I, sc28.Omega.im, GAMMA.basis(0) + GAMMA.basis(1))
+    root = GAMMA.basis(6)
+    assert pair(root, root) == -2
+    with pytest.raises(AssertionError, match="mirror period plane is not positive"):
+        mirror_period(split, sc28.Omega_I, root, ZERO)
 
 
 def test_mirror_class_anchors(split):

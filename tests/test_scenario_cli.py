@@ -4,23 +4,28 @@ import subprocess
 import sys
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3stab.cli import main
 from k3stab.exact import QuadScalar
-from k3stab.forms import enumerate_reduced
+from k3stab.forms import BinaryEvenForm, enumerate_reduced
 from k3stab.lattice import GAMMA, MukaiVector, pair
-from k3stab.mirror import PreconditionViolation
+from k3stab.mirror import PreconditionViolation, make_split
 from k3stab.scenario import (
     ScenarioError,
     attractor_report,
     build_scenario,
     mirror_report,
     scenario_from_file,
+    standard_charge,
+    standard_fibration,
 )
 from k3stab.stability import verify_reality
-from oracles import dual_eta
+from oracles import dual_eta, unit_vector_charge
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -941,11 +946,13 @@ def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
 def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, diag28):
     """The charge layer pairs each fixed vector (v and v*, B and omega, Re
     and Im of Omega_I) with all twenty Picard classes in one pass, outside
-    `lattice._pair_real`.  On diag(2,8) the reports make 42 calls
-    (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`) and 47
-    (`verify 6.4`), where one call per class and pairing made 122, 122, 162,
-    55 and 127; and `verify_reality` makes as many calls on one class as on
-    twenty."""
+    `lattice._pair_real`, and the mirror map pairs each input vector with v
+    and v* in one pass too.  On diag(2,8) the reports make 27 calls
+    (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`), 32 (`verify 6.4`)
+    and 41 (`mirror`, which maps twice), where one call per class and
+    pairing made 122, 122, 162, 55 and 127, and the stepwise mirror map
+    made 42, 42, 42, 15, 47 and 86; and `verify_reality` makes as many
+    calls on one class as on twenty."""
     import k3stab.lattice
 
     real = k3stab.lattice._pair_real
@@ -956,7 +963,14 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
         return real(x, y)
 
     monkeypatch.setattr(k3stab.lattice, "_pair_real", counted)
-    expected = {"walls": 42, "verify 6.2": 42, "charge": 42, "verify 5.1": 15, "verify 6.4": 47}
+    expected = {
+        "walls": 27,
+        "verify 6.2": 27,
+        "charge": 27,
+        "verify 5.1": 15,
+        "verify 6.4": 32,
+        "mirror": 41,
+    }
     got = {}
     for command in expected:
         count[0] = 0
@@ -1185,3 +1199,28 @@ def test_radicand_split_by_rho_assembles(tmp_path, capsys):
     code, out = run_cli(capsys, ["attractor", "--scenario", path])
     report = json.loads(out)
     assert code == 0 and report["scenario"]["m"] == d
+
+
+@st.composite
+def even_forms(draw):
+    """A positive definite even form [a, b, c], its diagonal halves drawn
+    from small integers or from integers of 1001 digits."""
+    half = draw(st.sampled_from([st.integers(1, 50), st.integers(10**1000, 10**1001 - 1)]))
+    a, c = 2 * draw(half), 2 * draw(half)
+    bound = isqrt(a * c - 1)
+    return BinaryEvenForm(a, draw(st.integers(-bound, bound)), c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_forms())
+def test_standard_charge_and_fibration_are_the_unit_vector_construction(form):
+    """The integer lists of `standard_charge` and `standard_fibration` are
+    the unit-vector sums of `oracles.unit_vector_charge`, and realize the
+    form: p^2 = a, p.q = b, q^2 = c; the fibration classes make a split."""
+    p, q = standard_charge(form)
+    f, sigma0 = standard_fibration()
+    assert (p, q, f, sigma0) == unit_vector_charge(form)
+    assert all(x.is_integral for x in (p, q, f, sigma0))
+    assert (pair(p, p), pair(p, q), pair(q, q)) == (form.a, form.b, form.c)
+    make_split(f, sigma0)
+    assert not any(pair(x, y) for x in (f, sigma0) for y in (p, q))
