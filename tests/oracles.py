@@ -988,21 +988,25 @@ def tube_map(split, z):
 
 def stepwise_mirror_period(split, Omega, omega, B):
     """The mirror map of `mirror.mirror_period` step by step: the projection
-    `SplitData.project` of each complex input, then the v-shift (and the
-    v* of the tube map), then the scale 1 / (Re(Omega).v), with vector
-    products and sums, and the two invariants as complex pairings.  The body
-    that `mirror_period` replaced by one `SplitData.shift` per output vector,
-    kept as its reference; the result is (Omega_check, omega_check,
-    B_check)."""
+    pr of each complex input (`stepwise_project` on each part), then the
+    v-shift (and the v* of the tube map), then the scale 1 / (Re(Omega).v),
+    with vector products and sums, and the two invariants as complex
+    pairings.  The body that `mirror_period` replaced by one
+    `SplitData.shift` per output vector, kept as its reference; the result
+    is (Omega_check, omega_check, B_check)."""
     v, vstar = split.v, split.vstar
+
+    def project(z):
+        return QuadComplex(stepwise_project(split, z.re), stepwise_project(split, z.im))
+
     scale = pair(Omega.re, v).inverse()
     x = QuadComplex(B, omega)
     half_sq = pair(x, x) * Fraction(1, 2)
     omega_check_cplx = (
-        split.project(x) - QuadComplex(v * half_sq.re - vstar, v * half_sq.im)
+        project(x) - QuadComplex(v * half_sq.re - vstar, v * half_sq.im)
     ) * scale
     shift = pair(Omega, B)
-    kahler_side = (split.project(Omega) - QuadComplex(v * shift.re, v * shift.im)) * scale
+    kahler_side = (project(Omega) - QuadComplex(v * shift.re, v * shift.im)) * scale
     assert not pair(omega_check_cplx, omega_check_cplx), "mirror period is not null"
     conj_norm = pair(omega_check_cplx, omega_check_cplx.conj())
     assert not conj_norm.im and conj_norm.re.sign() > 0, "mirror period plane is not positive"
