@@ -1,4 +1,5 @@
-"""Exact integer / rational matrix machinery.
+"""Exact integer matrix machinery; the one rational is the enumerator's
+norm, a Fraction scaled to an integer at entry.
 
 Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic: unimodular column reduction for integer kernels, which records its
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -99,28 +100,6 @@ def kernel_basis(
         return [v[c] for c in kernel]
 
     return [ucols[c] for c in kernel], dual
-
-
-def rank_generic(rows: Iterable[Sequence]) -> int:
-    """Rank by Gaussian elimination over any exact field (Fraction, QuadScalar)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < cols:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                f = mat[i][col] / inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

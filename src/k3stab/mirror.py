@@ -35,6 +35,13 @@ period come from three pairings of its parts, rr, ii and ri:
 and (mirror Omega).conj(mirror Omega) = rr + ii, whose imaginary part a
 symmetric pairing makes zero, so a positive plane means rr + ii > 0.
 
+The involution check decides by pairings too, resting on those asserts:
+the second period c + i d has c.d = 0 and c.c = d.d = n > 0, so x lies in
+span(c, d) exactly when n x = (x.c) c + (x.d) d, and Re and Im of the input
+then span it exactly when (Re.c)(Im.d) - (Re.d)(Im.c) != 0; and as v^2 = 0
+and v.v* = 1, omega returns up to a v-multiple exactly when
+delta = omega'' - omega equals t v for t = delta.v*.
+
 The preconditions are the caller's, and `mirror_period` tests none of them.
 Scenario assembly proves them for the data (Omega_I, Im(Omega), B) at
 omega_J, where only B.v = 0 needs a test: Im(Omega_I) = Re(Omega) and
@@ -54,8 +61,7 @@ from math import lcm
 from typing import Sequence
 
 from .exact import QuadComplex, QuadScalar, _join, _parts
-from .intmat import rank_generic
-from .lattice import GAMMA, LatticeVector, MukaiVector, pair, pair_numerators
+from .lattice import LatticeVector, MukaiVector, pair, pair_numerators
 
 
 _HALF = Fraction(1, 2)
@@ -225,34 +231,31 @@ def mirror_involution_check(
     The period-plane equality is guaranteed for null input periods
     (Omega^2 = 0); the Kaehler-side data returns exactly in B and up to an
     explicit v-multiple in omega, whose coefficient is reported.
+
+    Both tests are pairings.  The second period c + i d is an output of
+    `mirror_period`, whose asserts give c.d = 0 and c.c = d.d = n > 0, so
+    a vector x lies in span(c, d) exactly when n x = (x.c) c + (x.d) d, and
+    Re and Im of the input, once both lie there, span it exactly when
+    (Re.c)(Im.d) - (Re.d)(Im.c) != 0.  Since v^2 = 0 and v.v* = 1, the only
+    candidate coefficient of v in delta = omega'' - omega is t = delta.v*,
+    and omega returns exactly when delta = t v.
     """
     first = mirror_period(split, Omega, omega, B)
     second = mirror_period(split, first.Omega_check, first.omega_check, first.B_check)
-    plane_in = [list(Omega.re.coords), list(Omega.im.coords)]
-    plane_out = [list(second.Omega_check.re.coords), list(second.Omega_check.im.coords)]
+    c, d = second.Omega_check.re, second.Omega_check.im
+    n = pair(c, c)
+    (rc, rd), (ic, id_) = ((pair(x, c), pair(x, d)) for x in (Omega.re, Omega.im))
     span_equal = (
-        rank_generic(plane_in) == 2
-        and rank_generic(plane_out) == 2
-        and rank_generic(plane_in + plane_out) == 2
+        n * Omega.re == rc * c + rd * d
+        and n * Omega.im == ic * c + id_ * d
+        and bool(rc * id_ - rd * ic)
     )
-    b_recovered = second.B_check == B
     delta = second.omega_check - omega
-    shift, along_v = _component_along(GAMMA.rank, split.v, delta)
+    shift = pair(delta, split.vstar)
     return InvolutionReport(
         span_equal=span_equal,
-        omega_recovered=along_v,
-        b_recovered=b_recovered,
+        omega_recovered=delta == shift * split.v,
+        b_recovered=second.B_check == B,
         omega_v_shift=shift,
         second=second,
     )
-
-
-def _component_along(rank: int, v: LatticeVector, delta: LatticeVector):
-    """Return (t, True) when delta = t*v, else (0, False)."""
-    if not delta:
-        return QuadScalar(0), True
-    idx = next((i for i in range(rank) if v.coords[i]), None)
-    if idx is None:
-        return QuadScalar(0), False
-    t = delta.coords[idx] / v.coords[idx]
-    return t, delta == t * v

@@ -257,21 +257,13 @@ def fibration_obstruction(charge: Charge, split: SplitData) -> ObstructionCheck:
 # Walls.
 
 
-def _phase_key(z: QuadComplex) -> Optional[tuple]:
-    """An exact key of the phase of z: None for zero, (0, sign re) for a real
-    z, (sign im, re/im) otherwise.  The sign of im picks the half plane and
-    re/im, the cotangent of the argument, is injective on each, so z1/z2 is a
-    positive real exactly when the keys are equal and not None."""
-    if not z.im:
-        return (0, z.re.sign()) if z.re else None
-    return (z.im.sign(), z.re / z.im)
-
-
 def wall_member(psi: StabilityPoint, v1: MukaiVector, v2: MukaiVector) -> bool:
     """Generalized wall membership, Z(v1)/Z(v2) in R_{>0}, decided exactly for
-    any two charges; a zero central charge has no phase and fails it."""
-    key = _phase_key(central_charge(psi, v1))
-    return key is not None and key == _phase_key(central_charge(psi, v2))
+    any two charges by one product: Z(v1)/Z(v2) = w / |Z(v2)|^2 with
+    w = Z(v1) conj(Z(v2)), so the pair is a member exactly when w is a
+    positive real; a zero central charge makes w = 0 and fails it."""
+    w = central_charge(psi, v1) * central_charge(psi, v2).conj()
+    return not w.im and w.re.sign() > 0
 
 
 def wall_count(charges: Sequence[QuadScalar]) -> int:

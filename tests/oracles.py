@@ -676,9 +676,21 @@ def cone_violation(omega, f, what):
     return None
 
 
+def phase_key(z):
+    """An exact key of the phase of z: None for zero, (0, sign re) for a real
+    z, (sign im, re/im) otherwise.  The sign of im picks the half plane and
+    re/im, the cotangent of the argument, is injective on each, so z1/z2 is a
+    positive real exactly when the keys are equal and not None.  The
+    reference for `stability.wall_member`, which decides by a product."""
+    if not z.im:
+        return (0, z.re.sign()) if z.re else None
+    return (z.im.sign(), z.re / z.im)
+
+
 def phase_aligned(z1, z2):
     """z1/z2 in R_{>0}, decided exactly by two products per pair; a zero
-    charge has no phase.  The reference for `stability._phase_key` and `wall_count`."""
+    charge has no phase.  The reference for `phase_key` and
+    `stability.wall_count`."""
     if not (z1 and z2):
         return False
     if not (z1.im or z2.im):
@@ -1017,6 +1029,62 @@ def stepwise_project(split, x):
     """pr(x) = x - (x.v*) v - (x.v) v* by two vector products and two
     differences; the reference for `SplitData.project`."""
     return x - pair(x, split.vstar) * split.v - pair(x, split.v) * split.vstar
+
+
+def rank_generic(rows):
+    """Rank by Gaussian elimination over any exact field (Fraction,
+    QuadScalar); the reference plane test of `involution_reference`."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    col = 0
+    while rank < len(mat) and col < cols:
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col]:
+                f = mat[i][col] / inv
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def component_along(v, delta):
+    """(t, delta == t v) with t the ratio of delta to v at v's first nonzero
+    coordinate, (0, True) for delta = 0, and (0, False) for v = 0; the
+    reference v-shift of `involution_reference`."""
+    if not delta:
+        return QuadScalar(0), True
+    idx = next((i for i, c in enumerate(v.coords) if c), None)
+    if idx is None:
+        return QuadScalar(0), False
+    t = delta.coords[idx] / v.coords[idx]
+    return t, delta == t * v
+
+
+def involution_reference(split, Omega, omega, B):
+    """(span_equal, omega_recovered, b_recovered, omega_v_shift) of
+    `mirror.mirror_involution_check`, from the stepwise map applied twice, a
+    rank elimination over the coordinate rows of the input and output
+    planes, and a division of coordinates: the decisions that the check
+    makes by pairings, kept as their reference."""
+    Omega2, omega2, B2 = stepwise_mirror_period(
+        split, *stepwise_mirror_period(split, Omega, omega, B)
+    )
+    plane_in = [list(Omega.re.coords), list(Omega.im.coords)]
+    plane_out = [list(Omega2.re.coords), list(Omega2.im.coords)]
+    span_equal = (
+        rank_generic(plane_in) == 2
+        and rank_generic(plane_out) == 2
+        and rank_generic(plane_in + plane_out) == 2
+    )
+    shift, along_v = component_along(split.v, omega2 - omega)
+    return span_equal, along_v, B2 == B, shift
 
 
 def eichler(e, a, x):

@@ -14,7 +14,6 @@ from k3stab.intmat import (
     is_negative_definite,
     kernel_basis,
     lll_reduce,
-    rank_generic,
 )
 from k3stab.attractor import hyperkahler_rotate
 from k3stab.lattice import GAMMA, MUKAI, LatticeVector, embed_gamma, orth_complement
@@ -32,6 +31,7 @@ from oracles import (
     full_lll_reduce,
     full_sign_enumerate_quadric,
     ldl_posdef,
+    rank_generic,
     signature_of,
     solve_integer,
 )

@@ -25,13 +25,14 @@ from k3stab.mirror import (
     mirror_involution_check,
     mirror_period,
 )
-from k3stab.scenario import build_scenario
+from k3stab.scenario import _rational_sqrt, build_scenario
 from k3stab.stability import SearchExhausted, SearchObstructed, search_kahler_class
 from oracles import (
     canonicalize_period,
     dense_fibration,
     general_mirror_class,
     gram_of,
+    involution_reference,
     mukai_ambient,
     period_embed,
     quad_pair,
@@ -402,6 +403,71 @@ def test_involution_on_random_tube_periods(split, sc28):
         assert report.b_recovered
         assert report.omega_recovered  # up to the reported v-multiple
         produced += 1
+
+
+def _involution_inputs(sc, rng):
+    """Periods for the involution check on one scenario: three null tube
+    periods T, T + i v (Re in the returned plane, Im not), Omega_I and
+    3/2 Omega_I (not null unless omega_J^2 = Re(Omega)^2), the norm-matched
+    null period of `mirror_report` when the norm ratio is a rational square,
+    and two degenerate planes x + i x: at x = Re(Omega) + v*, which lies in
+    the returned plane, and at x = omega_J + Re(Omega), which does not."""
+    p, q, eta = sc.charge.p, sc.charge.q, sc.eta_basis
+    periods = []
+    while len(periods) < 3:
+        omega0 = rng.randint(-3, 3) * p + rng.randint(-3, 3) * q + rng.randint(-1, 1) * eta[0]
+        if pair(omega0, omega0).sign() > 0:
+            b0 = rng.randint(-2, 2) * eta[rng.randrange(18)] + rng.randint(-2, 2) * p
+            periods.append(tube_map(sc.split, QuadComplex(b0, omega0)))
+    periods += [periods[0] + QuadComplex(ZERO, sc.split.v), sc.Omega_I, sc.Omega_I * Fraction(3, 2)]
+    ratio = pair(sc.omega_J, sc.omega_J) / pair(sc.Omega.re, sc.Omega.re)
+    root = _rational_sqrt(ratio.as_fraction()) if ratio.is_rational else None
+    if root is not None:
+        periods.append(QuadComplex(sc.omega_J, root * sc.Omega.re))
+    for x in (sc.Omega.re + sc.split.vstar, sc.omega_J + sc.Omega.re):
+        periods.append(QuadComplex(x, x))
+    return periods
+
+
+def test_involution_check_equals_the_rank_and_coordinate_reference():
+    """The plane test by pairings (n x = (x.c) c + (x.d) d for both input
+    parts, and a nonzero determinant of their coefficients) and the v-shift
+    t = delta.v* against the rank elimination and coordinate division of
+    `oracles.involution_reference`, on every form with D <= 40: with
+    omega = Im(Omega) and B = 0 or eta + v, and with omega = Im(Omega) + v*,
+    which pairs to 1 with v and so does not return, and B = 0 or eta + v*
+    (the first map's period is null when (B + i omega).v* = 0).  The plane
+    returns exactly for the null inputs.  On the standard split the
+    coordinate ratio of the reference is delta.v* whether omega returns or
+    not.  The
+    degenerate plane omega_J + i omega_J is refused alike by both: the
+    default omega_J = v + v* has pr(omega_J) = 0, so the first map's omega
+    has square 0 and the second map's period plane is not positive."""
+    rng = random.Random(30)
+    seen = {True: 0, False: 0}
+    for form in _FORMS_UP_TO_40:
+        sc = _form_scenario(form)
+        degenerate = QuadComplex(sc.omega_J, sc.omega_J)
+        for check in (mirror_involution_check, involution_reference):
+            with pytest.raises(AssertionError, match="mirror period plane is not positive"):
+                check(sc.split, degenerate, sc.Omega.im, ZERO)
+        periods = _involution_inputs(sc, rng)
+        eta, v, vstar = sc.eta_basis[1], sc.split.v, sc.split.vstar
+        for omega, B in (
+            (sc.Omega.im, ZERO),
+            (sc.Omega.im, eta + v),
+            (sc.Omega.im + vstar, ZERO),
+            (sc.Omega.im + vstar, eta + vstar),
+        ):
+            for period in periods:
+                rep = mirror_involution_check(sc.split, period, omega, B)
+                got = (rep.span_equal, rep.omega_recovered, rep.b_recovered, rep.omega_v_shift)
+                assert got == involution_reference(sc.split, period, omega, B)
+                null = not pair(period, period)
+                assert rep.span_equal == null
+                assert rep.omega_recovered == (omega is sc.Omega.im)
+                seen[null] += 1
+    assert min(seen.values()) > 12 * len(_FORMS_UP_TO_40)
 
 
 def test_involution_reports_failure_for_non_null_input(split, sc28):

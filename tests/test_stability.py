@@ -5,7 +5,7 @@ from functools import cache
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from k3stab.attractor import (
@@ -43,7 +43,7 @@ from k3stab.stability import (
     wall_count,
     wall_member,
 )
-from k3stab.stability import _dual_eta, _phase_key
+from k3stab.stability import _dual_eta
 from oracles import (
     bounded_p0_violations,
     cone_violation,
@@ -56,6 +56,7 @@ from oracles import (
     per_class_reality,
     per_class_threefold_charges,
     phase_aligned,
+    phase_key,
     quad_pair,
     solve_integer,
     triple_pair,
@@ -805,7 +806,7 @@ def _charge_lists(draw):
 def test_phase_key_matches_phase_aligned_oracle(zs):
     """Equal phase keys decide the general phase test on complex charges, and
     the sign count decides it on their real parts."""
-    keys = [_phase_key(z) for z in zs]
+    keys = [phase_key(z) for z in zs]
     for (k1, z1), (k2, z2) in itertools.combinations(zip(keys, zs), 2):
         assert (k1 is not None and k1 == k2) == phase_aligned(z1, z2)
     reals = [QuadComplex(z.re) for z in zs]
@@ -817,13 +818,46 @@ def test_phase_key_examples():
     one, i = QuadComplex(1), QuadComplex(0, 1)
     z = QuadComplex(QuadScalar(1, 1, 2), QuadScalar(-3))
     zs = [one, 2 * one, -one, i, -i, z, z * Fraction(1, 3), -z, QuadComplex(0), z.conj()]
-    keys = [_phase_key(z) for z in zs]
+    keys = [phase_key(z) for z in zs]
     pairs = itertools.combinations(range(len(zs)), 2)
     assert {(a, b) for a, b in pairs if keys[a] and keys[a] == keys[b]} == {(0, 1), (5, 6)}
     # 1, 2, 1/2 + sqrt 2 are positive and -1, -3 negative: 3 + 1 pairs
     reals = [QuadScalar(1), QuadScalar(2), QuadScalar(-1), QuadScalar(0), QuadScalar(-3)]
     assert wall_count(reals + [QuadScalar(Fraction(1, 2), 1, 2)]) == 4
     assert wall_count([]) == wall_count([QuadScalar(0)] * 5) == 0
+
+
+@cache
+def _wall_scenario(form):
+    return build_scenario(form=list(form))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wall_member_on_complex_charges_matches_the_phase_key_oracle(data):
+    """`wall_member` decides by one product, Z(v1) conj(Z(v2)) a positive
+    real, and the key oracle by the half plane and the cotangent.  At a
+    point with B != 0, over Q ([2, 0, 8]) and Q(sqrt 23) ([4, 1, 6]), on
+    random Mukai vectors, their multiples of either sign, the zero vector
+    and (0, eta, B.eta), whose charge B.eta - B.eta vanishes."""
+    sc = _wall_scenario(data.draw(st.sampled_from([(2, 0, 8), (4, 1, 6)])))
+    small = st.integers(-3, 3)
+    eta = sc.eta_basis[data.draw(st.integers(0, 17))]
+    B = data.draw(st.integers(1, 3)) * eta + data.draw(small) * sc.charge.p
+    psi = StabilityPoint(B, sc.omega_J + data.draw(small) * sc.Omega.im)
+    vectors = [MukaiVector(0, ZERO, 0), MukaiVector(0, eta, pair(B, eta).as_int())]
+    for _ in range(data.draw(st.integers(1, 3))):
+        coords = data.draw(st.lists(small, min_size=22, max_size=22))
+        r, D, s = data.draw(small), LatticeVector.from_ints(coords), data.draw(small)
+        for k in data.draw(st.lists(st.sampled_from([-2, -1, 1, 3]), min_size=1, max_size=3)):
+            vectors.append(MukaiVector(k * r, k * D, k * s))
+    zs = [central_charge(psi, v) for v in vectors]
+    assert not zs[0] and not zs[1]
+    assume(any(z.im for z in zs))
+    keys = [phase_key(z) for z in zs]
+    for (v1, k1), (v2, k2) in itertools.combinations(zip(vectors, keys), 2):
+        assert wall_member(psi, v1, v2) == (k1 is not None and k1 == k2)
+        assert wall_member(psi, v2, v1) == wall_member(psi, v1, v2)
 
 
 def test_s_part_memo_is_the_value(sc28):
