@@ -85,9 +85,11 @@ def _render(obj, with_float: bool = False) -> str:
     tuple included, raises TypeError.
 
     With an indent, json.dumps runs CPython's pure-Python encoder, a chain of
-    generators; this writer appends to one list and joins it once.  In a dict
-    or a list, an integral vector is appended right after its head (the
-    opener or comma, the indentation and, in a dict, the quoted key) as one
+    generators; this writer appends to one list and joins it once.  Dicts
+    and lists share one loop over their items: a dict checks its keys, sorts
+    them and adds each quoted key to the head of its value (the opener or
+    comma and the indentation); a list takes its values as they are.  In
+    that loop an integral vector is appended right after its head as one
     join of its integers (`_int_array`); any other exact value is replaced
     by its form.  Then a str, int or bool value, told apart by exact type so
     that a bool is never written as an int, is appended right after its
@@ -128,76 +130,55 @@ _EXACT = frozenset((QuadScalar, QuadComplex, LatticeVector, MukaiVector))
 def _write(obj, parts: list, newline: str, with_float: bool) -> None:
     # containers first: the scalars of a container are mostly written inline
     if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        inner = newline + "  "
-        head = "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            kind = type(value)
-            head += _quote(key) + ": "
-            if kind in _EXACT:
-                if kind is LatticeVector and value.is_integral:
-                    parts.append(head + _int_array(value.A, inner))
-                    head = "," + inner
-                    continue
-                value = _exact_json(value, with_float)
-                kind = type(value)
-            if kind is str:
-                parts.append(head + _quote(value))
-            elif kind is int:
-                parts.append(head + int.__repr__(value))
-            elif kind is bool:
-                parts.append(head + ("true" if value else "false"))
-            else:
-                parts.append(head)
-                _write(value, parts, inner, with_float)
-            head = "," + inner
-        parts.append(newline)
-        parts.append("}")
+        keys, opener, closer = sorted(obj), "{", "}"
     elif isinstance(obj, list):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        head = "[" + inner
-        for value in obj:
-            kind = type(value)
-            if kind in _EXACT:
-                if kind is LatticeVector and value.is_integral:
-                    parts.append(head + _int_array(value.A, inner))
-                    head = "," + inner
-                    continue
-                value = _exact_json(value, with_float)
-                kind = type(value)
-            if kind is str:
-                parts.append(head + _quote(value))
-            elif kind is int:
-                parts.append(head + int.__repr__(value))
-            elif kind is bool:
-                parts.append(head + ("true" if value else "false"))
-            else:
-                parts.append(head)
-                _write(value, parts, inner, with_float)
-            head = "," + inner
-        parts.append(newline)
-        parts.append("]")
-    elif isinstance(obj, str):
-        parts.append(_quote(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
+        keys, opener, closer = (), "[", "]"
     else:
-        _write(_exact_json(obj, with_float), parts, newline, with_float)
+        if isinstance(obj, str):
+            parts.append(_quote(obj))
+        elif obj is None:
+            parts.append("null")
+        elif obj is True:
+            parts.append("true")
+        elif obj is False:
+            parts.append("false")
+        elif isinstance(obj, int):
+            parts.append(int.__repr__(obj))
+        else:
+            _write(_exact_json(obj, with_float), parts, newline, with_float)
+        return
+    if not obj:
+        parts.append(opener + closer)
+        return
+    inner = newline + "  "
+    head = opener + inner
+    for value in keys or obj:  # a dict's sorted keys (not empty here), or a list's values
+        if keys:
+            head += _quote(value) + ": "
+            value = obj[value]
+        kind = type(value)
+        if kind in _EXACT:
+            if kind is LatticeVector and value.is_integral:
+                parts.append(head + _int_array(value.A, inner))
+                head = "," + inner
+                continue
+            value = _exact_json(value, with_float)
+            kind = type(value)
+        if kind is str:
+            parts.append(head + _quote(value))
+        elif kind is int:
+            parts.append(head + int.__repr__(value))
+        elif kind is bool:
+            parts.append(head + ("true" if value else "false"))
+        else:
+            parts.append(head)
+            _write(value, parts, inner, with_float)
+        head = "," + inner
+    parts.append(newline)
+    parts.append(closer)
 
 
 def _int_array(ints: list, newline: str) -> str:

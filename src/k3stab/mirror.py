@@ -49,8 +49,11 @@ Im(Omega) lie in span(p, q), which is orthogonal to v = f;
 Im(Omega)^2 = D / p^2 > 0; and Re(Omega_I).v = omega_J.f is nonzero since
 omega_J^2 > 0 (the light-cone argument of `stability.search_kahler_class`).
 They hold alike at the Kaehler search's candidate, and for the mirror data
-that the involution check maps a second time, whose Re(Omega).v is
-1 / (omega.f).
+that the involution check maps a second time (its Re(Omega).v is the
+inverse of the input's) except omega^2 > 0: that square is
+Im(Omega)^2 / (Re(Omega).v)^2 when Im(Omega).v = 0, and 0 on the plane
+omega_J + i omega_J at omega_J = v + v*, where pr(omega_J) = 0, so the
+check decides it by one pairing and raises `PreconditionViolation`.
 """
 
 from __future__ import annotations
@@ -80,12 +83,10 @@ class SplitData:
     v: LatticeVector
     vstar: LatticeVector
 
-    def project(self, x):
-        """The projection pr onto Gamma'_R, pr(x) = x - (x.v*) v - (x.v) v*,
-        of a real or complex vector: v^2 = v*^2 = 0 and v.v* = 1, so the
-        image pairs to zero with both v and v*.  The s = 1 case of `shift`."""
-        if isinstance(x, QuadComplex):
-            return QuadComplex(self.project(x.re), self.project(x.im))
+    def project(self, x: LatticeVector) -> LatticeVector:
+        """The projection pr onto Gamma'_R, pr(x) = x - (x.v*) v - (x.v) v*:
+        v^2 = v*^2 = 0 and v.v* = 1, so the image pairs to zero with both v
+        and v*.  The s = 1 case of `shift`."""
         x_vstar, x_v = pair(x, [self.vstar, self.v])
         return self.shift(x, x_vstar, x_v)
 
@@ -230,7 +231,8 @@ def mirror_involution_check(
 
     The period-plane equality is guaranteed for null input periods
     (Omega^2 = 0); the Kaehler-side data returns exactly in B and up to an
-    explicit v-multiple in omega, whose coefficient is reported.
+    explicit v-multiple in omega, whose coefficient is reported.  An input
+    whose image has omega^2 <= 0 raises `PreconditionViolation`.
 
     Both tests are pairings.  The second period c + i d is an output of
     `mirror_period`, whose asserts give c.d = 0 and c.c = d.d = n > 0, so
@@ -241,6 +243,10 @@ def mirror_involution_check(
     and omega returns exactly when delta = t v.
     """
     first = mirror_period(split, Omega, omega, B)
+    if pair(first.omega_check, first.omega_check).sign() <= 0:
+        raise PreconditionViolation(
+            "the mirror image's omega has square <= 0, so the map cannot be applied again"
+        )
     second = mirror_period(split, first.Omega_check, first.omega_check, first.B_check)
     c, d = second.Omega_check.re, second.Omega_check.im
     n = pair(c, c)

@@ -97,11 +97,11 @@ def _scalar(value) -> QuadScalar:
     raise ScenarioError(f"not a scalar: {quoted(value)}")
 
 
-def _vector(value, rank: int = 22) -> LatticeVector:
+def _vector(value) -> LatticeVector:
     if isinstance(value, LatticeVector):
         return value
-    if not isinstance(value, (list, tuple)) or len(value) != rank:
-        raise ScenarioError(f"expected a length-{rank} coordinate array, got {quoted(value)}")
+    if not isinstance(value, (list, tuple)) or len(value) != GAMMA.rank:
+        raise ScenarioError(f"expected a length-{GAMMA.rank} coordinate array, got {quoted(value)}")
     scalars = [_scalar(x) for x in value]
     try:
         return LatticeVector(scalars)

@@ -1,4 +1,4 @@
-"""The CLI's report writer and its shared argument parser."""
+"""The CLI's report writer, its shared argument parser, and the package root."""
 
 import contextlib
 import io
@@ -337,3 +337,17 @@ def test_help_and_usage_text(case):
     argv, code, out, err = _HELP_AND_USAGE[case]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     assert _alone(argv, env) == (code, out, err)
+
+
+def test_importing_the_package_loads_no_submodule():
+    """The package root exports nothing: `import k3stab` in a fresh
+    interpreter loads no `k3stab.*` module, so every caller names the
+    submodule it uses."""
+    code = "import sys, k3stab; print(sorted(n for n in sys.modules if n.startswith('k3stab.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -440,17 +440,20 @@ def test_involution_check_equals_the_rank_and_coordinate_reference():
     returns exactly for the null inputs.  On the standard split the
     coordinate ratio of the reference is delta.v* whether omega returns or
     not.  The
-    degenerate plane omega_J + i omega_J is refused alike by both: the
-    default omega_J = v + v* has pr(omega_J) = 0, so the first map's omega
-    has square 0 and the second map's period plane is not positive."""
+    degenerate plane omega_J + i omega_J is refused by both: the default
+    omega_J = v + v* has pr(omega_J) = 0, so the first map's omega has
+    square 0.  The check decides that precondition of the second map and
+    raises `PreconditionViolation`; the reference maps again and its
+    assert finds the second period plane not positive."""
     rng = random.Random(30)
     seen = {True: 0, False: 0}
     for form in _FORMS_UP_TO_40:
         sc = _form_scenario(form)
         degenerate = QuadComplex(sc.omega_J, sc.omega_J)
-        for check in (mirror_involution_check, involution_reference):
-            with pytest.raises(AssertionError, match="mirror period plane is not positive"):
-                check(sc.split, degenerate, sc.Omega.im, ZERO)
+        with pytest.raises(PreconditionViolation, match="omega has square <= 0"):
+            mirror_involution_check(sc.split, degenerate, sc.Omega.im, ZERO)
+        with pytest.raises(AssertionError, match="mirror period plane is not positive"):
+            involution_reference(sc.split, degenerate, sc.Omega.im, ZERO)
         periods = _involution_inputs(sc, rng)
         eta, v, vstar = sc.eta_basis[1], sc.split.v, sc.split.vstar
         for omega, B in (

@@ -949,10 +949,11 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
     `lattice._pair_real`, and the mirror map pairs each input vector with v
     and v* in one pass too.  On diag(2,8) the reports make 27 calls
     (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`), 32 (`verify 6.4`)
-    and 47 (`mirror`, which maps twice), where one call per class and
+    and 48 (`mirror`, which maps twice), where one call per class and
     pairing made 122, 122, 162, 55 and 127, and the stepwise mirror map
-    made 42, 42, 42, 15, 47 and 86.  Six of `mirror`'s calls decide the
-    involution: n = c.c and the four coefficients of the plane test, and
+    made 42, 42, 42, 15, 47 and 86.  Seven of `mirror`'s calls decide the
+    involution: the square of the first image's omega, the second map's
+    precondition, n = c.c and the four coefficients of the plane test, and
     the v-shift delta.v*, which replaced a coordinate elimination that made
     none.  `verify_reality` makes as many calls on one class as on
     twenty."""
@@ -972,7 +973,7 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
         "charge": 27,
         "verify 5.1": 15,
         "verify 6.4": 32,
-        "mirror": 47,
+        "mirror": 48,
     }
     got = {}
     for command in expected:
