@@ -163,8 +163,8 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list
     (gram[i][i], i), so t starts as that permutation.  A kernel basis from
     `kernel_basis` interleaves short vectors with a few very long ones; in
     this order the long ones come last and are size-reduced against the
-    short ones instead of being swapped down past them (5.4 swaps per call
-    instead of 49 on the 39 rank-20 root lattices that
+    short ones instead of being swapped down past them (4.7 swaps per call
+    instead of 49 on the 39 rank-19 root lattices that
     `stability.p0_violations` reduces for the forms with D <= 40).
     """
     n = len(gram)

@@ -1,26 +1,22 @@
-"""The K3 lattice 2(-E8) + 3U, its Mukai extension, and exact lattice ops.
+"""The K3 lattice Gamma = 2(-E8) + 3U, its vectors, and exact lattice ops.
 
-Basis order of the rank-24 Mukai lattice:
+Basis order of the rank-22 lattice Gamma, of signature (3,19):
 
     index 0..1   U1  (e1, e2)          -- hosts the fibration classes
     index 2..3   U2  (e1, e2)
     index 4..5   U3  (e1, e2)
     index 6..13  E8(-1), negated Cartan matrix, Bourbaki node order
     index 14..21 E8(-1), second copy
-    index 22..23 (r, s) block with Gram [[0,-1],[-1,0]]
 
-The first 22 coordinates form the K3 lattice Gamma of signature (3,19).  The
-final block carries the Mukai-pairing sign convention: a triple (r, D, s) has
-pairing ((r1,D1,s1),(r2,D2,s2)) = D1.D2 - r1*s2 - r2*s1, so w = (0,0,-1) and
-w* = (1,0,0) pair to +1.
+GAMMA is the only lattice the library builds.  A Mukai vector (r, D, s)
+keeps D in Gamma, and the stability module pairs triples by pairings in
+GAMMA (its docstring gives the Mukai pairing).
 
 A `LatticeVector` lives in one field Q(sqrt m): it is stored as integer
 numerator lists (A, B) over one common denominator, so sums, scalings and the
 pairing `pair` of GAMMA are integer list operations with one field check
-each.  Every charge, period and class is a Gamma vector, so `pair` pairs in
-GAMMA only; other lattices (the Mukai lattice of the root enumeration) are
-reached through their integer images, by `Sublattice.gram` and
-`orth_complement`.
+each.  Every charge, period and class is a Gamma vector, and `pair`,
+`Sublattice.gram` and `orth_complement` all pair in GAMMA.
 QuadScalar is the scalar type at the boundary: the constructor parses
 QuadScalar coordinates, `pair` returns one, and `coords` renders the vector
 as QuadScalars.  A QuadScalar keeps the same kind of integer parts, (p + q
@@ -33,12 +29,12 @@ one pass, `pair(x, [y1, y2, ...])`: an integral y has no denominator and no
 radical part, so x.y is one dot product of y's integers with each numerator
 list of x's kept image (`pair_numerators`), with no per-class field join.
 
-A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in the
-standard lattices), and every integer image G x -- the Gram matrix of a
-`Sublattice`, the rows of `orth_complement`, GAMMA's image a vector keeps
-for `pair` -- is summed over those entries and the nonzero coordinates of x,
-never over the dense matrix.  A pairing x.y is then one dot product of the
-numerators of x with the kept image of y.
+A `GramLattice` keeps the nonzero entries of each Gram row (at most 3 in
+GAMMA), and every integer image G x -- the Gram matrix of a `Sublattice`,
+the rows of `orth_complement`, GAMMA's image a vector keeps for `pair` -- is
+summed over those entries and the nonzero coordinates of x, never over the
+dense matrix.  A pairing x.y is then one dot product of the numerators of x
+with the kept image of y.
 """
 
 from __future__ import annotations
@@ -268,13 +264,16 @@ class GramLattice:
         """The lattice of G^-1 for a unimodular G, so that G^-1 z is the
         sparse `image` of z; computed on first use, by Gauss-Jordan over Q on
         [G | I] that touches only the nonzero entries of each pivot row, and
-        kept.  Raises ValueError unless G^-1 is integral."""
+        kept.  Raises ValueError when G is singular or G^-1 is not
+        integral."""
         if self._inverse is None:
             n = self.rank
             m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
                  for i, row in enumerate(self.gram)]
             for col in range(n):
-                piv = next(i for i in range(col, n) if m[i][col])
+                piv = next((i for i in range(col, n) if m[i][col]), None)
+                if piv is None:
+                    raise ValueError("gram matrix is singular")
                 m[col], m[piv] = m[piv], m[col]
                 row, inv = m[col], m[col][col]
                 entries = [(j, x / inv) for j, x in enumerate(row) if x]
@@ -299,27 +298,19 @@ class GramLattice:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A primitive sublattice given by an integral basis of the ambient lattice.
+    """A primitive sublattice of GAMMA given by an integral basis.
 
     ``dual``, when given (`orth_complement` gives it), returns integer
     coordinate rows d_j with d_j . b_k = delta_jk on the basis b_k.
     """
 
-    ambient: GramLattice
     basis: tuple[LatticeVector, ...]
     dual: Optional[Callable[[], list[list[int]]]] = field(default=None, compare=False, repr=False)
 
-    def __init__(
-        self,
-        ambient: GramLattice,
-        basis: Iterable[LatticeVector],
-        dual: Optional[Callable[[], list[list[int]]]] = None,
-    ):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "dual", dual)
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
         for v in self.basis:
-            if len(v) != ambient.rank:
+            if len(v) != GAMMA.rank:
                 raise DimensionMismatch("basis vector has wrong length")
             if not v.is_integral:
                 raise ValueError("sublattice basis must be integral")
@@ -331,8 +322,7 @@ class Sublattice:
     def gram(self) -> list[list[int]]:
         """The integer Gram matrix of the basis: one sparse image G y per basis
         vector y, then x . (G y) over the nonzero coordinates of x, i <= j."""
-        lat = self.ambient
-        images = [lat.image(b.A) for b in self.basis]
+        images = [GAMMA.image(b.A) for b in self.basis]
         support = [[(i, a) for i, a in enumerate(b.A) if a] for b in self.basis]
         n = len(images)
         out = [[0] * n for _ in range(n)]
@@ -440,10 +430,10 @@ def _pair_each(x: LatticeVector, ys: list[LatticeVector]) -> list[QuadScalar]:
     return [_ints(r, s, den, m) for r, s in zip(R, S)]
 
 
-def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublattice:
-    """Integral basis of {x : x.g = 0 for all generators g}; saturated, with
-    the coordinate rows dual to it from the same column reduction
-    (`intmat.kernel_basis`).
+def orth_complement(gens: Sequence[LatticeVector]) -> Sublattice:
+    """Integral basis of {x in GAMMA : x.g = 0 for all generators g};
+    saturated, with the coordinate rows dual to it from the same column
+    reduction (`intmat.kernel_basis`).
 
     A generator may have rational or Q(sqrt m) coordinates: an integral x is
     orthogonal to g = (A + B sqrt(m)) / den exactly when x.A = x.B = 0, so each
@@ -451,11 +441,11 @@ def orth_complement(lat: GramLattice, gens: Sequence[LatticeVector]) -> Sublatti
     """
     rows = []
     for g in gens:
-        rows.append(lat.image(g.A))
+        rows.append(GAMMA.image(g.A))
         if g.B is not None:
-            rows.append(lat.image(g.B))
-    kern, dual = kernel_basis(rows, lat.rank)
-    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kern], dual)
+            rows.append(GAMMA.image(g.B))
+    kern, dual = kernel_basis(rows, GAMMA.rank)
+    return Sublattice([LatticeVector.from_ints(v) for v in kern], dual)
 
 
 @dataclass(frozen=True)
@@ -487,7 +477,6 @@ class MukaiVector:
 # Standard lattices.
 
 U_GRAM = ((0, 1), (1, 0))
-U_MUKAI_GRAM = ((0, -1), (-1, 0))
 
 # Bourbaki node order: chain 1-3-4-5-6-7-8 with node 2 attached to node 4.
 E8_CARTAN = (
@@ -524,20 +513,4 @@ def standard_k3_lattice() -> GramLattice:
     return GramLattice(gram)
 
 
-def standard_mukai_lattice() -> GramLattice:
-    """Gamma extended by the (r, s) block carrying the Mukai pairing signs."""
-    k3 = standard_k3_lattice()
-    gram = _block_diag([k3.gram, U_MUKAI_GRAM])
-    return GramLattice(gram)
-
-
 GAMMA = standard_k3_lattice()
-MUKAI = standard_mukai_lattice()
-
-
-def embed_gamma(x: LatticeVector) -> LatticeVector:
-    """Extend a Gamma vector by zero Mukai coordinates."""
-    if len(x) != GAMMA.rank:
-        raise DimensionMismatch("expected a Gamma vector")
-    B = None if x.B is None else x.B + [0, 0]
-    return LatticeVector._raw(x.A + [0, 0], B, x.den, x.m)

@@ -199,7 +199,7 @@ class Scenario:
         to its basis: the definite plane (p, q) and the hyperbolic plane
         (f, sigma0) are orthogonal, so it has rank 18."""
         gens = [self.charge.p, self.charge.q, self.split.f, self.split.sigma0]
-        return orth_complement(GAMMA, gens)
+        return orth_complement(gens)
 
     @cached_property
     def eta_basis(self) -> list[LatticeVector]:

@@ -26,13 +26,41 @@ span a positive plane: their Mukai Gram matrix is omega^2 times the identity
 so omega^2 > 0 is that test.  It needs no check at the mirror of the period
 data: the mirror omega has square D / (p^2 (omega.f)^2) > 0.  Re and Im of
 the mirror period span another (asserted by `mirror_period`), and the two are
-orthogonal, so together they span a positive 4-plane of the Mukai lattice, of
-signature (4,20).  The integral classes orthogonal to that 4-plane, which are
-exactly the delta = (r, D, s) with D in NS(mirror) and (Psi, delta) = 0, form
-a negative-definite lattice; it has finitely many roots, and
-`p0_violations` lists all of them (Fincke-Pohst on an LLL-reduced basis).
-Only the fibration-supported family D = m f + n sigma0 admits a closed-form
-certificate, equivalent to D != 2 p^2 (`fibration_obstruction`).
+orthogonal, so together they span a positive 4-plane of the Mukai lattice
+Gamma + U, of signature (4,20).  The integral classes orthogonal to that
+4-plane, which are exactly the delta = (r, D, s) with D in NS(mirror) and
+(Psi, delta) = 0, form a negative-definite lattice with finitely many roots,
+and `p0_violations` lists all of them (Fincke-Pohst on an LLL-reduced basis).
+
+That lattice is found in GAMMA, through the mirror isometry mu of Gamma + U:
+mu is the identity on Gamma' and swaps v = f with w = (0,0,-1) and
+v* = f + sigma0 with w* = (1,0,0), so it is an involution, and on GAMMA it
+is `mirror_classes`.  Take the mirror of the period data at a Kaehler class
+omega with B = 0, Omega_I = omega + i Re(Omega) and the Kaehler class
+Im(Omega), as the search does.  Then:
+
+* the mirror period is (i Im(Omega) + (D / 2 p^2) v + v*) / (omega.f), as
+  Im(Omega) lies in Gamma' and Im(Omega)^2 = D / p^2, so (omega.f) times
+  its pullback by mu is (1, i Im(Omega), -D / 2 p^2) = exp(i Im(Omega));
+* B_check = pr(omega) / (omega.f) and omega_check = Re(Omega) / (omega.f),
+  so Im s_Psi = B_check.omega_check = 0 (omega is orthogonal to p and q),
+  (omega.f) mu(Im Psi) = Re(Omega), and (omega.f) mu(Re Psi) is
+  omega + lam f for some lam; mu is an isometry, so its square is
+  (omega.f)^2 omega_check^2 = D / p^2, which fixes
+  lam = (D / p^2 - omega^2) / (2 omega.f).  Call it omega';
+* Re(Omega) and Im(Omega) span (p, q), so x = (r, y, s) is orthogonal to
+  the four pullbacks exactly when y is in K = {p, q, omega'}^perp of GAMMA
+  and r D / 2 p^2 = s, that is (r, 0, s) in Z e for
+  e = (2 p^2 / g, 0, D / g), g = gcd(D, 2 p^2): the conditions on y and on
+  (r, s) separate.
+
+So the lattice is mu(K + Z e), an orthogonal sum.  K is negative definite,
+as (p, q, omega') span a positive 3-plane, and e^2 = -4 p^2 D / g^2.  Both
+parts are even, so a root k + n e has n = 0 and k a root of K, or k = 0,
+n = +-1 and e^2 = -2, which holds exactly when g = D = 2 p^2; then
+e = w* - w and mu(e) = v* - v = sigma0.  That is the fibration obstruction
+D = 2 p^2 (`fibration_obstruction`), the one family with a closed-form
+certificate.
 """
 
 from __future__ import annotations
@@ -46,16 +74,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .attractor import Charge, hyperkahler_rotate
 from .exact import QuadComplex, QuadScalar
 from .intmat import enumerate_quadric, lll_reduce
-from .lattice import (
-    GAMMA,
-    MUKAI,
-    LatticeVector,
-    MukaiVector,
-    Sublattice,
-    embed_gamma,
-    orth_complement,
-    pair,
-)
+from .lattice import GAMMA, LatticeVector, MukaiVector, Sublattice, orth_complement, pair
 from .mirror import MirrorTriple, PreconditionViolation, SplitData, mirror_classes, mirror_period
 
 if TYPE_CHECKING:
@@ -143,7 +162,7 @@ def central_charge(psi: StabilityPoint, v: MukaiVector) -> QuadComplex:
 
 def ns_of_mirror(omega_check: QuadComplex) -> Sublattice:
     """Integral classes orthogonal to both Re and Im of the mirror period."""
-    return orth_complement(GAMMA, [omega_check.re, omega_check.im])
+    return orth_complement([omega_check.re, omega_check.im])
 
 
 # ---------------------------------------------------------------------------
@@ -160,56 +179,56 @@ class RootEnumeration:
     roots: list[MukaiVector]
 
 
-def p0_violations(psi: StabilityPoint, omega_check: QuadComplex) -> RootEnumeration:
+def p0_violations(
+    sc: Scenario, omega: LatticeVector, psi: StabilityPoint, omega_check: QuadComplex
+) -> RootEnumeration:
     """Every delta = (r, D, s) with delta^2 = -2, D in NS(mirror) and
-    (Psi, delta) = 0, found by one complete enumeration (module docstring).
+    (Psi, delta) = 0, found by one complete enumeration in GAMMA.
 
-    The integral kernel of the Mukai pairings with Re and Im of the mirror
-    period and of Psi is negative definite; minus its Gram matrix is LLL
-    reduced, and its vectors of norm 2 are enumerated with the Gram-Schmidt
-    data that the reduction ends with, so nothing is factored twice.  Only
-    hits (a certified point has none) build t and the reduced basis t K that
-    map them back to Mukai coordinates.  Every root is re-verified.
+    psi and omega_check are the mirror point and period of the data at the
+    Kaehler class omega with B = 0, as at the search's candidate.  Lemma
+    (proof in the module docstring): the Mukai classes orthogonal to both
+    are mu(K + Z e), for the mirror isometry mu, K = {p, q, omega'}^perp in
+    GAMMA with omega' = omega + lam f of square D / p^2, and
+    e = (2 p^2 / g, 0, D / g), g = gcd(D, 2 p^2).  K is negative definite
+    and e^2 = -4 p^2 D / g^2, so the roots are mu of those of K and, when
+    D = 2 p^2, +-mu(e) = +-sigma0: the fibration obstruction.
+
+    Minus the Gram matrix of K is LLL reduced and its vectors of norm 2 are
+    enumerated with the Gram-Schmidt data that the reduction ends with;
+    only hits (a certified point has none) build the transform t and the
+    reduced basis t K, and `mirror_classes` maps them.  Every root is
+    re-verified against Psi, the mirror period and the Mukai pairing.
     """
-    s_part = psi.s_part
-    n = GAMMA.rank  # Mukai coordinates are (D, r, s)
-    r_unit, s_unit = LatticeVector.unit(MUKAI.rank, n), LatticeVector.unit(MUKAI.rank, n + 1)
-    gens = [
-        embed_gamma(omega_check.re),
-        embed_gamma(omega_check.im),
-        embed_gamma(psi.B) + r_unit + s_part.re * s_unit,
-        embed_gamma(psi.omega) + s_part.im * s_unit,
-    ]
-    sub = orth_complement(MUKAI, gens)
-    try:
-        transform, d, lam = lll_reduce([[-x for x in row] for row in sub.gram()])
-    except ValueError:
-        raise RuntimeError(
-            "the lattice orthogonal to Psi and the mirror period is not negative "
-            "definite: they do not span a positive 4-plane"
-        ) from None
+    charge, split = sc.charge, sc.split
+    f = split.f
+    lam = (QuadScalar(Fraction(charge.disc, charge.p2)) - pair(omega, omega)) / (pair(omega, f) * 2)
+    # in this order the kernel basis is short: 21 LLL swaps instead of 654
+    # (p, q, omega') on the form [2 10^2200, 0, 2 10^2200]
+    sub = orth_complement([charge.p, omega + lam * f, charge.q])
+    transform, *factors = lll_reduce([[-x for x in row] for row in sub.gram()])
 
     def combine(coeffs, vectors):
-        out = [0] * MUKAI.rank
+        out = [0] * GAMMA.rank
         for c, v in zip(coeffs, vectors):
             if c:
                 out = [o + c * x for o, x in zip(out, v)]
         return out
 
-    hits = []
-    ys = enumerate_quadric((d, lam), 2)
-    if ys:  # a certified point has none, and needs neither t nor a basis
-        kern = [v.int_coords() for v in sub.basis]
-        basis = [combine(row, kern) for row in transform()]  # the reduced basis: rows of t K
-        hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []
-    for r, d, s in hits:
-        delta = MukaiVector(r, LatticeVector.from_ints(d), s)
+    ys = enumerate_quadric(factors, 2)
+    if ys:  # a certified point has none, and needs neither t nor a basis
+        kern = [v.A for v in sub.basis]
+        basis = [combine(row, kern) for row in transform()]  # the reduced basis: rows of t K
+        roots = mirror_classes(split, [LatticeVector.from_ints(combine(y, basis)) for y in ys])
+    if charge.disc == 2 * charge.p2:  # e = (1, 0, 1), the mirror of sigma0
+        roots += [MukaiVector(0, split.sigma0, 0), MukaiVector(0, -split.sigma0, 0)]
+    roots.sort(key=lambda delta: (delta.r, delta.D.A, delta.s))
+    for delta in roots:
         assert not central_charge(psi, delta), f"false positive {delta}: pairs with Psi"
         assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
         assert mukai_pair(delta, delta) == -2
-        roots.append(delta)
-    return RootEnumeration(lattice_rank=sub.rank, roots=roots)
+    return RootEnumeration(lattice_rank=sub.rank + 1, roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +454,7 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     for cls, z in charges:
         if not z:
             raise exhausted(f"zero real charge for class {cls}")
-    enumeration = p0_violations(psi, triple.Omega_check)
+    enumeration = p0_violations(sc, omega, psi, triple.Omega_check)
     if enumeration.roots:
         raise exhausted(f"annihilating (-2)-class: {enumeration.roots[0]}")
     return SearchResult(

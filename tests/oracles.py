@@ -7,7 +7,13 @@ from operator import mul
 
 from k3stab.attractor import DegenerateCharge, NotAttractor
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
-from k3stab.intmat import _gram_schmidt_row, gram_schmidt, kernel_basis
+from k3stab.intmat import (
+    _gram_schmidt_row,
+    enumerate_quadric,
+    gram_schmidt,
+    kernel_basis,
+    lll_reduce,
+)
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
@@ -16,13 +22,12 @@ from k3stab.lattice import (
     LatticeVector,
     MukaiVector,
     Sublattice,
-    embed_gamma,
     orth_complement,
     pair,
 )
 from k3stab.mirror import PreconditionViolation
 from k3stab.scenario import ScenarioError
-from k3stab.stability import RealityViolation, StabilityPoint
+from k3stab.stability import RealityViolation, RootEnumeration, StabilityPoint
 
 
 def is_reduced(form: BinaryEvenForm) -> bool:
@@ -366,18 +371,18 @@ def mat_vec_int(a, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
-def dense_gram(sub):
-    """The Gram matrix of a sublattice basis by dense images G y over the full
-    ambient Gram matrix; the reference for `Sublattice.gram`."""
-    coords = [b.A for b in sub.basis]
-    images = [mat_vec_int(sub.ambient.gram, x) for x in coords]
+def dense_gram(lat, basis):
+    """The Gram matrix of integral vectors of a lattice by dense images G y
+    over its full Gram matrix; the reference for `Sublattice.gram`."""
+    coords = [b.A for b in basis]
+    images = [mat_vec_int(lat.gram, x) for x in coords]
     return [[sum(a * b for a, b in zip(x, gy)) for gy in images] for x in coords]
 
 
 def from_coefficients(sub, coeffs):
     """The integral vector sum_i c_i b_i of a sublattice basis b, summed over
     the nonzero coordinates of each b_i."""
-    out = [0] * sub.ambient.rank
+    out = [0] * GAMMA.rank
     for c, b in zip(coeffs, sub.basis, strict=True):
         if c:
             for i, x in enumerate(b.A):
@@ -387,13 +392,14 @@ def from_coefficients(sub, coeffs):
 
 
 def dense_orth_complement(lat, gens):
-    """`orth_complement` with the integer rows G A and G B formed densely."""
+    """The basis of `orth_complement`, in any lattice, with the integer rows
+    G A and G B formed densely."""
     rows = []
     for g in gens:
         rows.append(mat_vec_int(lat.gram, g.A))
         if g.B is not None:
             rows.append(mat_vec_int(lat.gram, g.B))
-    return Sublattice(lat, [LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)[0]])
+    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)[0])
 
 
 def _sqrt_fraction(f):
@@ -559,8 +565,71 @@ def full_lll_reduce(gram):
 # for each, and the tests compare it against these.
 
 
-# w = (0, 0, -1) and w* = (1, 0, 0) in rank-24 Mukai coordinates (D, r, s):
-# the hyperbolic pair of the (r, s) block, (w, w*) = 1
+# The rank-24 Mukai lattice Gamma + U, coordinates (D, r, s): GAMMA's
+# basis order, then the (r, s) block with Gram [[0, -1], [-1, 0]], so
+# ((r1,D1,s1),(r2,D2,s2)) = D1.D2 - r1 s2 - r2 s1.  The library enumerates
+# the roots at a stability point in GAMMA (`stability.p0_violations`); this
+# lattice is the reference it is compared against.
+U_MUKAI_GRAM = ((0, -1), (-1, 0))
+MUKAI = GramLattice(
+    [list(row) + [0, 0] for row in GAMMA.gram]
+    + [[0] * GAMMA.rank + list(row) for row in U_MUKAI_GRAM]
+)
+
+
+def embed_gamma(x):
+    """Extend a Gamma vector by zero Mukai coordinates."""
+    if len(x) != GAMMA.rank:
+        raise DimensionMismatch("expected a Gamma vector")
+    B = None if x.B is None else x.B + [0, 0]
+    return LatticeVector._raw(x.A + [0, 0], B, x.den, x.m)
+
+
+def mukai_p0_violations(psi, omega_check):
+    """The complete root enumeration in the Mukai lattice, as the library
+    ran it before it enumerated in GAMMA through the mirror isometry: the
+    integral kernel of the Mukai pairings with Re and Im of the mirror
+    period and of Psi, minus its Gram matrix LLL reduced, its vectors of
+    norm 2 enumerated and mapped back by the reduced basis, in (r, D, s)
+    order.  A kernel that is not negative definite raises RuntimeError."""
+    s_part = psi.s_part
+    n = GAMMA.rank  # Mukai coordinates are (D, r, s)
+    r_unit, s_unit = LatticeVector.unit(MUKAI.rank, n), LatticeVector.unit(MUKAI.rank, n + 1)
+    gens = [
+        embed_gamma(omega_check.re),
+        embed_gamma(omega_check.im),
+        embed_gamma(psi.B) + r_unit + s_part.re * s_unit,
+        embed_gamma(psi.omega) + s_part.im * s_unit,
+    ]
+    kern = dense_orth_complement(MUKAI, gens)
+    try:
+        transform, d, lam = lll_reduce([[-x for x in row] for row in dense_gram(MUKAI, kern)])
+    except ValueError:
+        raise RuntimeError(
+            "the lattice orthogonal to Psi and the mirror period is not negative "
+            "definite: they do not span a positive 4-plane"
+        ) from None
+
+    def combine(coeffs, vectors):
+        out = [0] * MUKAI.rank
+        for c, v in zip(coeffs, vectors):
+            out = [o + c * x for o, x in zip(out, v)]
+        return out
+
+    basis = [combine(row, [v.A for v in kern]) for row in transform()]  # rows of t K
+    ys = enumerate_quadric((d, lam), 2)
+    hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
+    roots = []
+    for r, D, s in hits:
+        delta = MukaiVector(r, LatticeVector.from_ints(D), s)
+        assert not triple_pair(psi, delta) and not pair(omega_check, delta.D)
+        assert triple_pair(delta, delta) == -2
+        roots.append(delta)
+    return RootEnumeration(lattice_rank=len(kern), roots=roots)
+
+
+# w = (0, 0, -1) and w* = (1, 0, 0) in Mukai coordinates (D, r, s): the
+# hyperbolic pair of the (r, s) block, (w, w*) = 1
 MUKAI_W = LatticeVector.from_ints([0] * 22 + [0, -1])
 MUKAI_WSTAR = LatticeVector.from_ints([0] * 22 + [1, 0])
 
@@ -814,7 +883,7 @@ def dual_eta(lat, basis):
     """The integral class with eta . b_i = -d for every basis vector, d the
     least positive integer that makes it integral, by a Gauss-Jordan solve on
     the dense Gram matrix."""
-    gram = [[Fraction(x) for x in row] for row in dense_gram(Sublattice(lat, basis))]
+    gram = [[Fraction(x) for x in row] for row in dense_gram(lat, basis)]
     coeffs = solve_rational(gram, [Fraction(-1)] * len(basis))
     denom = lcm(*(c.denominator for c in coeffs))
     eta = LatticeVector.zero(lat.rank)
@@ -928,7 +997,7 @@ def bounded_p0_violations(psi, ns, bound):
     is enumerated by Fincke-Pohst when K is negative definite, with a
     Gauss-Jordan solve for its centre; otherwise the box scan is filtered.
     """
-    lat = ns.ambient
+    lat = GAMMA
     gram = ns.gram()
     k = ns.rank
     functionals = [[quad_pair(lat, v, b) for b in ns.basis] for v in (psi.omega, psi.B)]
@@ -1197,7 +1266,7 @@ def period_embed(split, p_basis, omega, B):
 
 def ns_lattice(charge):
     """Neron-Severi lattice of the background: the complement of <p, q>."""
-    sub = orth_complement(GAMMA, [charge.p, charge.q])
+    sub = orth_complement([charge.p, charge.q])
     if sub.rank != GAMMA.rank - 2:
         raise DegenerateCharge("charge pair does not span a rank-2 sublattice")
     return sub

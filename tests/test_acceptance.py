@@ -23,7 +23,6 @@ from k3stab.exact import QuadComplex, QuadScalar, parse_quad
 from k3stab.forms import BinaryEvenForm, SL2Witness, enumerate_reduced, gauss_reduce, sl2_equivalent
 from k3stab.lattice import (
     GAMMA,
-    MUKAI,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -33,6 +32,7 @@ from k3stab.lattice import (
 from k3stab.mirror import mirror_class, mirror_involution_check, mirror_period
 from k3stab.scenario import build_scenario
 from oracles import (
+    MUKAI,
     bounded_p0_violations,
     from_coefficients,
     minus_two_coefficients,
@@ -163,7 +163,8 @@ def test_criterion_5_mirror_reality(sc28):
 
 def test_criterion_6_regular_point_search(sc28, searched28):
     with acceptance_criterion("regular stability point found for diag(2,8)"):
-        enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
+        point = (searched28.omega_J, searched28.psi, searched28.triple.Omega_check)
+        enumeration = p0_violations(sc28, *point)
         assert enumeration.lattice_rank == 20 and enumeration.roots == []
         assert all(z.sign() != 0 for _, z in searched28.charges)
         # the unperturbed family member has plane Gram omega^2 I = diag(8,8)
@@ -182,7 +183,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
             Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
             triple = mirror_period(sc22.split, Omega_I, sc22.Omega.im, ZERO)
             psi = StabilityPoint(triple.B_check, triple.omega_check)
-            hits = p0_violations(psi, triple.Omega_check).roots
+            hits = p0_violations(sc22, omega_J, psi, triple.Omega_check).roots
             sigma_hits = [
                 h for h in hits if h.r == 0 and h.s == 0 and h.D in (SIGMA0, -SIGMA0)
             ]
@@ -338,11 +339,11 @@ def test_criterion_10_brute_force_equivalence(sc28):
         # the bounded scans are the oracles of the complete root enumeration
         assert signature(GAMMA) == (3, 0, 19)
         four = orth_complement(
-            GAMMA, [sc28.charge.p, sc28.charge.q, F, SIGMA0]
+            [sc28.charge.p, sc28.charge.q, F, SIGMA0]
         )
         assert signature(four) == (0, 0, 18)
         for idx in [(0, 1), (0, 1, 6), (0, 1, 6, 7)]:
-            sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in idx])
+            sub = Sublattice([GAMMA.basis(i) for i in idx])
             assert sorted(minus_two_coefficients(sub.gram(), 2)) == _naive_minus_two(sub, 2)
             psi = StabilityPoint(GAMMA.basis(6) if len(idx) > 2 else ZERO, 2 * F + SIGMA0)
             fast = {

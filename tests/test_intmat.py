@@ -16,7 +16,7 @@ from k3stab.intmat import (
     lll_reduce,
 )
 from k3stab.attractor import hyperkahler_rotate
-from k3stab.lattice import GAMMA, MUKAI, LatticeVector, embed_gamma, orth_complement
+from k3stab.lattice import GAMMA, LatticeVector
 from k3stab.mirror import mirror_period
 from k3stab.scenario import build_scenario
 from k3stab.stability import (
@@ -27,6 +27,10 @@ from k3stab.stability import (
     search_kahler_class,
 )
 from oracles import (
+    MUKAI,
+    dense_gram,
+    dense_orth_complement,
+    embed_gamma,
     fraction_enumerate_quadric,
     full_lll_reduce,
     full_sign_enumerate_quadric,
@@ -338,7 +342,8 @@ def test_lean_lll_matches_the_oracle_on_root_lattices(sc28, searched28, perm):
 def _root_kernel(psi, period):
     """The integral basis (rows) of the Mukai classes orthogonal to Re and
     Im of the mirror period and of Psi, and minus its Gram matrix: the input
-    of the reduction in `p0_violations`."""
+    of the reduction in the oracle `mukai_p0_violations`, whose roots are
+    those of `p0_violations`."""
     s = psi.s_part
     gens = [
         embed_gamma(period.re),
@@ -346,8 +351,8 @@ def _root_kernel(psi, period):
         LatticeVector(list(psi.B.coords) + [1, s.re]),
         LatticeVector(list(psi.omega.coords) + [0, s.im]),
     ]
-    kern = orth_complement(MUKAI, gens)
-    return [v.int_coords() for v in kern.basis], [[-x for x in row] for row in kern.gram()]
+    kern = dense_orth_complement(MUKAI, gens)
+    return [v.int_coords() for v in kern], [[-x for x in row] for row in dense_gram(MUKAI, kern)]
 
 
 def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
@@ -361,8 +366,9 @@ def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
 
 
 def _exhausted_point_2_1_2():
-    """Psi and the mirror period at the candidate that fails the search on
-    [2,1,2] (exit 4): the last halving of omega_J + 2^-k c_eta eta."""
+    """The scenario, the candidate omega, and Psi and the mirror period at
+    it, where the search on [2,1,2] fails (exit 4): the last halving of
+    omega_J + 2^-k c_eta eta."""
     sc = build_scenario(form=[2, 1, 2])
     with pytest.raises(SearchExhausted) as err:
         search_kahler_class(sc)
@@ -371,7 +377,7 @@ def _exhausted_point_2_1_2():
     omega = sc.omega_J + sc.c_eta * Fraction(1, 2**k) * _dual_eta(sc)
     Omega_I = hyperkahler_rotate(sc.Omega, omega)
     triple = mirror_period(sc.split, Omega_I, sc.Omega.im, LatticeVector.zero(GAMMA.rank))
-    return StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check
+    return sc, omega, StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check
 
 
 def _norm_two_classes(kern, neg_gram):
@@ -396,7 +402,7 @@ def test_enumerate_quadric_matches_the_oracles_on_root_lattices(point, sc28):
     if point == "base-2-0-8":
         psi, period = sc28.psi, sc28.triple.Omega_check
     else:
-        psi, period = _exhausted_point_2_1_2()
+        _, _, psi, period = _exhausted_point_2_1_2()
     _, neg_gram = _root_kernel(psi, period)
     _, d, lam = lll_reduce(neg_gram)
     ys = enumerate_quadric((d, lam), 2)
@@ -407,17 +413,20 @@ def test_enumerate_quadric_matches_the_oracles_on_root_lattices(point, sc28):
 
 
 @pytest.mark.parametrize("point", ["searched-2-0-8", "exhausted-2-1-2"])
-def test_basis_order_does_not_change_the_root_enumeration(point, searched28):
-    """`lll_reduce` sorts its input basis; any order of the kernel basis
-    gives a reduced basis with the same determinant and the same roots."""
+def test_basis_order_does_not_change_the_root_enumeration(point, sc28, searched28):
+    """`lll_reduce` sorts its input basis; any order of the oracle's Mukai
+    kernel basis gives a reduced basis with the same determinant and the
+    roots that `p0_violations` finds in GAMMA."""
     if point == "searched-2-0-8":
+        sc, omega = sc28, searched28.omega_J
         psi, period = searched28.psi, searched28.triple.Omega_check
     else:
-        psi, period = _exhausted_point_2_1_2()
+        sc, omega, psi, period = _exhausted_point_2_1_2()
     kern, neg_gram = _root_kernel(psi, period)
     n = len(kern)
     det = lll_reduce(neg_gram)[1][n]
-    roots = sorted((r.r, tuple(r.D.int_coords()), r.s) for r in p0_violations(psi, period).roots)
+    enumeration = p0_violations(sc, omega, psi, period)
+    roots = [(r.r, tuple(r.D.int_coords()), r.s) for r in enumeration.roots]
     assert _norm_two_classes(kern, neg_gram) == roots
     assert (len(roots) > 0) == (point == "exhausted-2-1-2")
     rng = random.Random(14)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar
 from k3stab.lattice import (
     GAMMA,
-    MUKAI,
-    U_GRAM,
     DimensionMismatch,
     GramLattice,
     LatticeVector,
@@ -19,6 +17,7 @@ from k3stab.lattice import (
 )
 from k3stab.mirror import make_split
 from oracles import (
+    MUKAI,
     MUKAI_W,
     MUKAI_WSTAR,
     QuadVector,
@@ -60,8 +59,21 @@ def test_fibration_block_pairings():
 def test_signatures():
     assert signature(GAMMA) == (3, 0, 19)
     assert signature(MUKAI) == (4, 0, 20)
-    four = orth_complement(GAMMA, [P, Q, F, SIGMA0])
+    four = orth_complement([P, Q, F, SIGMA0])
     assert signature(four) == (0, 0, 18)
+
+
+def test_gram_inverse():
+    """A singular Gram matrix has no pivot and a non-unimodular one no
+    integral inverse, and each raises ValueError; GAMMA's inverse is exact."""
+    for singular in ([[0]], [[1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="singular"):
+            GramLattice(singular).inverse()
+    with pytest.raises(ValueError, match="not unimodular"):
+        GramLattice([[2]]).inverse()
+    inv, n = GAMMA.inverse().gram, GAMMA.rank
+    product = [[sum(GAMMA.gram[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_e8_block_is_unimodular():
@@ -141,31 +153,31 @@ def test_pair_symmetric_bilinear(x, y, a, b):
 
 
 def test_orth_complement_ranks():
-    ns = orth_complement(GAMMA, [P, Q])
+    ns = orth_complement([P, Q])
     assert ns.rank == 20
     for v in ns.basis:
         assert pair(v, P) == 0 and pair(v, Q) == 0
-    assert orth_complement(GAMMA, [GAMMA.basis(i) for i in range(22)]).rank == 0
-    uprime = orth_complement(GAMMA, [F, SIGMA0])
+    assert orth_complement([GAMMA.basis(i) for i in range(22)]).rank == 0
+    uprime = orth_complement([F, SIGMA0])
     assert uprime.rank == 20
     assert signature(uprime) == (2, 0, 18)
 
 
 def test_orth_complement_of_irrational_generators():
     # x.(P + sqrt(2) Q) = 0 for integral x exactly when x.P = x.Q = 0
-    irrational = orth_complement(GAMMA, [Fraction(1, 3) * P + QuadScalar(0, 1, 2) * Q])
-    assert irrational == orth_complement(GAMMA, [P, Q])
-    assert orth_complement(GAMMA, [Fraction(1, 2) * F]) == orth_complement(GAMMA, [F])
-    assert orth_complement(GAMMA, []).basis == tuple(GAMMA.basis(i) for i in range(22))
+    irrational = orth_complement([Fraction(1, 3) * P + QuadScalar(0, 1, 2) * Q])
+    assert irrational == orth_complement([P, Q])
+    assert orth_complement([Fraction(1, 2) * F]) == orth_complement([F])
+    assert orth_complement([]).basis == tuple(GAMMA.basis(i) for i in range(22))
 
 
 def test_ns_signature_recorded():
     # complement of the rank-2 positive definite charge lattice inside (3,19)
-    assert signature(orth_complement(GAMMA, [P, Q])) == (1, 0, 19)
+    assert signature(orth_complement([P, Q])) == (1, 0, 19)
 
 
 def test_rank_additivity_for_nondegenerate_generators():
-    sub = orth_complement(GAMMA, [P, Q, F, SIGMA0])
+    sub = orth_complement([P, Q, F, SIGMA0])
     assert 4 + sub.rank == GAMMA.rank
 
 
@@ -173,7 +185,7 @@ def test_projection_examples():
     assert not SPLIT.project(F)
     root = GAMMA.basis(6)
     assert SPLIT.project(2 * F + SIGMA0 + root) == root
-    for v in orth_complement(GAMMA, [F, SIGMA0]).basis[:4]:
+    for v in orth_complement([F, SIGMA0]).basis[:4]:
         assert SPLIT.project(v) == v
 
 
@@ -187,14 +199,15 @@ def test_projection_idempotent_and_orthogonal(x):
 
 
 def test_minus_two_in_single_u():
-    # the bounded scan of tests/oracles.py, the reference of the root enumeration
-    u = GramLattice(U_GRAM)
-    sub = Sublattice(u, [u.basis(0), u.basis(1)])
+    # the bounded scan of tests/oracles.py, the reference of the root
+    # enumeration, on the block U1 of GAMMA
+    sub = Sublattice([GAMMA.basis(0), GAMMA.basis(1)])
     hits = [from_coefficients(sub, c) for c in minus_two_coefficients(sub.gram(), 1)]
-    assert sorted(v.int_coords() for v in hits) == [[-1, 1], [1, -1]]
+    assert sorted(v.int_coords()[:2] for v in hits) == [[-1, 1], [1, -1]]
+    assert all(not any(v.int_coords()[2:]) for v in hits)
     assert minus_two_coefficients(sub.gram(), 0) == []
     for v in hits:
-        assert quad_pair(u, v, v) == -2
+        assert quad_pair(GAMMA, v, v) == -2
 
 
 def _naive_minus_two(sub, bound):
@@ -221,7 +234,7 @@ def _naive_minus_two(sub, bound):
     ],
 )
 def test_minus_two_matches_naive_scan(basis_idx, bound):
-    sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in basis_idx])
+    sub = Sublattice([GAMMA.basis(i) for i in basis_idx])
     fast = minus_two_coefficients(sub.gram(), bound)
     assert sorted(fast) == sorted(_naive_minus_two(sub, bound))
     assert list(fast) == sorted(fast)  # deterministic lexicographic order
@@ -237,7 +250,7 @@ def test_vector_integrality():
 
 def test_sublattice_rejects_non_integral_basis():
     with pytest.raises(ValueError):
-        Sublattice(GAMMA, [LatticeVector([Fraction(1, 2)] + [0] * 21)])
+        Sublattice([LatticeVector([Fraction(1, 2)] + [0] * 21)])
 
 
 def test_mukai_vector_ambient_roundtrip():
@@ -458,17 +471,16 @@ def integral_vectors(lat):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_gram_images_match_dense(data):
-    lat = data.draw(st.sampled_from([GAMMA, MUKAI]))
-    sub = Sublattice(lat, data.draw(st.lists(integral_vectors(lat), min_size=1, max_size=8)))
-    assert sub.gram() == dense_gram(sub)
-    gens = data.draw(st.lists(integral_vectors(lat), min_size=1, max_size=3))
+    sub = Sublattice(data.draw(st.lists(integral_vectors(GAMMA), min_size=1, max_size=8)))
+    assert sub.gram() == dense_gram(GAMMA, sub.basis)
+    gens = data.draw(st.lists(integral_vectors(GAMMA), min_size=1, max_size=3))
     m = data.draw(st.sampled_from([0, 2, 23]))
     if m:  # a generator over Q(sqrt m): it adds the two rows G A and G B
-        x, y = data.draw(integral_vectors(lat)), data.draw(integral_vectors(lat))
+        x, y = data.draw(integral_vectors(GAMMA)), data.draw(integral_vectors(GAMMA))
         gens.append(Fraction(1, 3) * x + QuadScalar(0, 1, m) * y)
-    fast, dense = orth_complement(lat, gens), dense_orth_complement(lat, gens)
-    assert fast.basis == dense.basis
-    assert fast.gram() == dense_gram(dense)
+    fast, dense = orth_complement(gens), dense_orth_complement(GAMMA, gens)
+    assert fast.basis == dense
+    assert fast.gram() == dense_gram(GAMMA, dense)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,6 @@ from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
     GAMMA,
-    MUKAI,
     LatticeVector,
     MukaiVector,
     orth_complement,
@@ -28,6 +27,7 @@ from k3stab.mirror import (
 from k3stab.scenario import _rational_sqrt, build_scenario
 from k3stab.stability import SearchExhausted, SearchObstructed, search_kahler_class
 from oracles import (
+    MUKAI,
     canonicalize_period,
     dense_fibration,
     general_mirror_class,
@@ -53,7 +53,7 @@ def split():
 
 def test_make_split(split):
     assert (split.v, split.vstar) == (F, E2)
-    assert orth_complement(GAMMA, [split.f, split.sigma0]).rank == 20
+    assert orth_complement([split.f, split.sigma0]).rank == 20
     assert pair(split.vstar, split.vstar) == 0
     assert pair(split.v, split.vstar) == 1
 

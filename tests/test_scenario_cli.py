@@ -948,8 +948,9 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
     and Im of Omega_I) with all twenty Picard classes in one pass, outside
     `lattice._pair_real`, and the mirror map pairs each input vector with v
     and v* in one pass too.  On diag(2,8) the reports make 27 calls
-    (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`), 32 (`verify 6.4`)
-    and 48 (`mirror`, which maps twice), where one call per class and
+    (`walls`, `verify 6.2`, `charge`), 15 (`verify 5.1`), 34 (`verify 6.4`,
+    two of them omega^2 and omega.f, which give the root enumeration its
+    omega') and 48 (`mirror`, which maps twice), where one call per class and
     pairing made 122, 122, 162, 55 and 127, and the stepwise mirror map
     made 42, 42, 42, 15, 47 and 86.  Seven of `mirror`'s calls decide the
     involution: the square of the first image's omega, the second map's
@@ -972,7 +973,7 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
         "verify 6.2": 27,
         "charge": 27,
         "verify 5.1": 15,
-        "verify 6.4": 32,
+        "verify 6.4": 34,
         "mirror": 48,
     }
     got = {}
@@ -1031,8 +1032,9 @@ def test_root_transform_is_built_only_for_hits(monkeypatch, capsys, diag28, sc28
     monkeypatch.setattr(k3stab.stability, "lll_reduce", counted_lll)
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0 and replays == []
-    roots = k3stab.stability.p0_violations(sc28.psi, sc28.triple.Omega_check).roots
-    assert replays == [20]
+    point = (sc28.omega_J, sc28.psi, sc28.triple.Omega_check)
+    roots = k3stab.stability.p0_violations(sc28, *point).roots
+    assert replays == [19]
     keys = [(r.r, tuple(r.D.int_coords()), r.s) for r in roots]
     assert len(keys) == 482 and keys == sorted(set(keys))
 

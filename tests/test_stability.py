@@ -17,7 +17,6 @@ from k3stab.exact import QuadComplex, QuadScalar
 from k3stab.forms import enumerate_reduced
 from k3stab.lattice import (
     GAMMA,
-    MUKAI,
     LatticeVector,
     MukaiVector,
     Sublattice,
@@ -45,13 +44,16 @@ from k3stab.stability import (
 )
 from k3stab.stability import _dual_eta
 from oracles import (
+    MUKAI,
     bounded_p0_violations,
+    dense_fibration,
     cone_violation,
     dual_eta,
     expanded_charge,
     explicit_charge,
     from_coefficients,
     mukai_ambient,
+    mukai_p0_violations,
     per_class_charges,
     per_class_reality,
     per_class_threefold_charges,
@@ -226,7 +228,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
         psi = StabilityPoint(triple.B_check, triple.omega_check)
-        hits = p0_violations(psi, triple.Omega_check).roots
+        hits = p0_violations(sc22, omega_J, psi, triple.Omega_check).roots
         found = {
             (h.r, tuple(h.D.int_coords()), h.s)
             for h in hits
@@ -238,14 +240,15 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
 
 
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
-    enumeration = p0_violations(searched28.psi, searched28.triple.Omega_check)
+    point = (searched28.omega_J, searched28.psi, searched28.triple.Omega_check)
+    enumeration = p0_violations(sc28, *point)
     assert (enumeration.lattice_rank, enumeration.roots) == (20, [])
     assert searched28.enumeration == enumeration
 
 
 def test_falsifier_hits_base_family_member(sc28):
     # with B-check = 0 every Gamma'-root annihilates the stability point
-    hit = p0_violations(sc28.psi, sc28.triple.Omega_check).roots[0]
+    hit = p0_violations(sc28, sc28.omega_J, sc28.psi, sc28.triple.Omega_check).roots[0]
     assert hit.r == 0 and hit.s == 0
     assert triple_pair(sc28.psi, hit) == QuadComplex(0)
 
@@ -256,11 +259,14 @@ def _sort_key(delta):
 
 def test_falsifier_is_first_violation(sc28, searched28, sc22):
     """The roots come in (r, D, s) order, each once, closed under negation."""
-    points = [(sc28.psi, sc28.triple), (searched28.psi, searched28.triple)]
-    points.append((sc22.psi, sc22.triple))
+    points = [
+        (sc28, sc28.omega_J, sc28.psi, sc28.triple),
+        (sc28, searched28.omega_J, searched28.psi, searched28.triple),
+        (sc22, sc22.omega_J, sc22.psi, sc22.triple),
+    ]
     counts = []
-    for psi, triple in points:
-        full = p0_violations(psi, triple.Omega_check)
+    for sc, omega, psi, triple in points:
+        full = p0_violations(sc, omega, psi, triple.Omega_check)
         assert full.roots == sorted(full.roots, key=_sort_key)
         assert len(set(full.roots)) == len(full.roots)
         assert set(full.roots) == {-h for h in full.roots}
@@ -270,7 +276,7 @@ def test_falsifier_is_first_violation(sc28, searched28, sc22):
 
 def test_complete_list_contains_obstruction_delta(sc22):
     obstruction = fibration_obstruction(sc22.charge, sc22.split)
-    roots = p0_violations(sc22.psi, sc22.triple.Omega_check).roots
+    roots = p0_violations(sc22, sc22.omega_J, sc22.psi, sc22.triple.Omega_check).roots
     assert obstruction.delta in roots and -obstruction.delta in roots
     assert {obstruction.delta.D, -obstruction.delta.D} == {SIGMA0, -SIGMA0}
 
@@ -280,7 +286,7 @@ def test_complete_enumeration_contains_bounded_walk():
     walk is in the complete list; the complete list also finds roots that
     lie outside the walk's coefficient box."""
     for name, sc in _shipped_scenarios().items():
-        complete = p0_violations(sc.psi, sc.triple.Omega_check)
+        complete = p0_violations(sc, sc.omega_J, sc.psi, sc.triple.Omega_check)
         bounded = bounded_p0_violations(sc.psi, ns_of_mirror(sc.triple.Omega_check), 2)
         assert bounded and set(bounded) <= set(complete.roots), name
         assert len(complete.roots) > len(bounded), name
@@ -292,7 +298,68 @@ def test_enumeration_needs_a_positive_four_plane(sc28):
     psi = StabilityPoint(ZERO, sc28.charge.q)
     period = QuadComplex(sc28.charge.q, sc28.charge.p)
     with pytest.raises(RuntimeError, match="not negative definite"):
-        p0_violations(psi, period)
+        mukai_p0_violations(psi, period)
+
+
+def _same_roots_as_mukai_oracle(sc, omega, psi, period):
+    """`p0_violations` after asserting that it equals the Mukai-lattice
+    oracle in lattice rank and in root order."""
+    got = p0_violations(sc, omega, psi, period)
+    want = mukai_p0_violations(psi, period)
+    assert (got.lattice_rank, got.roots) == (want.lattice_rank, want.roots), sc.echo()
+    return got
+
+
+def _roots_at_base_and_candidate(monkeypatch, scenarios):
+    """The enumeration of each scenario at its omega_J and, through the
+    search, at the search's candidate, each checked against the oracle;
+    returns the enumerations at the candidates, in order."""
+    import k3stab.stability
+
+    at_candidate = []
+
+    def checked(*args):
+        at_candidate.append(_same_roots_as_mukai_oracle(*args))
+        return at_candidate[-1]
+
+    monkeypatch.setattr(k3stab.stability, "p0_violations", checked)
+    for sc in scenarios:
+        _same_roots_as_mukai_oracle(sc, sc.omega_J, sc.psi, sc.triple.Omega_check)
+        try:
+            search_kahler_class(sc)
+        except (SearchExhausted, SearchObstructed):
+            pass
+    return at_candidate
+
+
+@pytest.mark.parametrize("fibration", ["standard", "dense"])
+def test_root_enumeration_in_gamma_equals_the_mukai_oracle(monkeypatch, fibration):
+    """On every reduced form with D <= 40, at omega_J and at the search's
+    candidate, with the standard fibration classes and with dense ones: the
+    enumeration in GAMMA through the mirror isometry has the lattice rank
+    and the roots, in order, of the enumeration in the Mukai lattice."""
+    split = {} if fibration == "standard" else dict(zip(("f", "sigma0"), dense_fibration()))
+    forms = [form for disc in range(1, 41) for form in enumerate_reduced(disc)]
+    scenarios = [build_scenario(form=form.as_list(), **split) for form in forms]
+    # [2,0,2] is obstructed before its search reaches a candidate
+    assert len(_roots_at_base_and_candidate(monkeypatch, scenarios)) == len(forms) - 1 == 39
+
+
+def test_root_enumeration_in_gamma_on_the_e_root_and_irrational_cases(monkeypatch):
+    """The mirror of the (r, s) root e = (1, 0, 1) on [2,0,2], where
+    D = 2 p^2; the root e2(U3) - e1(U3) that exhausts the search on [2,1,2];
+    and a candidate over Q(sqrt 2) from an irrational c_eta: each equal to
+    the Mukai-lattice oracle."""
+    sc22 = build_scenario(form=[2, 0, 2])
+    base = _same_roots_as_mukai_oracle(sc22, sc22.omega_J, sc22.psi, sc22.triple.Omega_check)
+    assert MukaiVector(0, SIGMA0, 0) in base.roots and MukaiVector(0, -SIGMA0, 0) in base.roots
+    root = LatticeVector.from_ints([0, 0, 0, 0, -1, 1] + [0] * 16)
+    irrational = build_scenario(form=[2, 0, 8], search={"c_eta": "sqrt(2)"})
+    at_candidate = _roots_at_base_and_candidate(
+        monkeypatch, [build_scenario(form=[2, 1, 2]), irrational]
+    )
+    assert [r.D for r in at_candidate[0].roots] == [root, -root]
+    assert irrational.result.omega_J.m == 2 and at_candidate[1].roots == []
 
 
 def _naive_p0(psi, ns, bound):
@@ -321,7 +388,7 @@ def _naive_p0(psi, ns, bound):
 def test_falsifier_matches_naive_scan(basis_idx, sc28):
     """The bounded-walk oracle equals a naive grid scan on small sublattices,
     (2, 3, 6, 7) with an indefinite kernel."""
-    sub = Sublattice(GAMMA, [GAMMA.basis(i) for i in basis_idx])
+    sub = Sublattice([GAMMA.basis(i) for i in basis_idx])
     for b_vec, w_vec in [
         (ZERO, 2 * F + SIGMA0),
         (GAMMA.basis(6), 2 * F + SIGMA0),
@@ -902,7 +969,7 @@ def test_orth_complement_matches_per_basis_rows():
     assert {c.m for c in period.re.coords + period.im.coords} == {0, 23}
     periods["perturbed_4_1_6"] = period
     for name, period in periods.items():
-        ns = orth_complement(GAMMA, [period.re, period.im])
+        ns = orth_complement([period.re, period.im])
         assert ns.basis == _reference_ns(period), name
         for v in ns.basis:
             assert not pair(v, period.re) and not pair(v, period.im)
