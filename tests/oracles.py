@@ -620,9 +620,10 @@ def mukai_p0_violations(psi, omega_check):
     ys = enumerate_quadric((d, lam), 2)
     hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []
+    psi_triple = as_triple(psi)  # 1/2 (B + i omega)^2 once, not once per root
     for r, D, s in hits:
         delta = MukaiVector(r, LatticeVector.from_ints(D), s)
-        assert not triple_pair(psi, delta) and not pair(omega_check, delta.D)
+        assert not triple_pair(psi_triple, delta) and not pair(omega_check, delta.D)
         assert triple_pair(delta, delta) == -2
         roots.append(delta)
     return RootEnumeration(lattice_rank=len(kern), roots=roots)
