@@ -172,33 +172,30 @@ def ns_of_mirror(omega_check: QuadComplex) -> Sublattice:
 @dataclass(frozen=True)
 class RootEnumeration:
     """The roots of the lattice orthogonal to Psi and the mirror period, all
-    of them, in (r, D, s) order, each re-verified against the exact Mukai
-    pairing."""
+    of them, in (r, D, s) order; `search_kahler_class`, which builds Psi and
+    the period, re-verifies each against the exact Mukai pairing."""
 
     lattice_rank: int
     roots: list[MukaiVector]
 
 
-def p0_violations(
-    sc: Scenario, omega: LatticeVector, psi: StabilityPoint, omega_check: QuadComplex
-) -> RootEnumeration:
+def p0_violations(sc: Scenario, omega: LatticeVector) -> RootEnumeration:
     """Every delta = (r, D, s) with delta^2 = -2, D in NS(mirror) and
-    (Psi, delta) = 0, found by one complete enumeration in GAMMA.
-
-    psi and omega_check are the mirror point and period of the data at the
-    Kaehler class omega with B = 0, as at the search's candidate.  Lemma
-    (proof in the module docstring): the Mukai classes orthogonal to both
-    are mu(K + Z e), for the mirror isometry mu, K = {p, q, omega'}^perp in
-    GAMMA with omega' = omega + lam f of square D / p^2, and
-    e = (2 p^2 / g, 0, D / g), g = gcd(D, 2 p^2).  K is negative definite
-    and e^2 = -4 p^2 D / g^2, so the roots are mu of those of K and, when
-    D = 2 p^2, +-mu(e) = +-sigma0: the fibration obstruction.
+    (Psi, delta) = 0, found by one complete enumeration in GAMMA, where Psi
+    and the mirror period are those of the data at the Kaehler class omega
+    with B = 0, whatever the scenario's own B.  Lemma (proof in the module
+    docstring): the Mukai classes orthogonal to both are mu(K + Z e), for
+    the mirror isometry mu, K = {p, q, omega'}^perp in GAMMA with
+    omega' = omega + lam f of square D / p^2, and e = (2 p^2 / g, 0, D / g),
+    g = gcd(D, 2 p^2).  K is negative definite and e^2 = -4 p^2 D / g^2, so
+    the roots are mu of those of K and, when D = 2 p^2, +-mu(e) = +-sigma0:
+    the fibration obstruction.  So the roots depend on (sc, omega) alone.
 
     Minus the Gram matrix of K is LLL reduced and its vectors of norm 2 are
     enumerated with the Gram-Schmidt data that the reduction ends with;
     only hits (a certified point has none) build the transform t and the
-    reduced basis t K, and `mirror_classes` maps them.  Every root is
-    re-verified against Psi, the mirror period and the Mukai pairing.
+    reduced basis t K, and `mirror_classes` maps them; `search_kahler_class`
+    re-verifies each root at the Psi and mirror period it builds.
     """
     charge, split = sc.charge, sc.split
     f = split.f
@@ -224,10 +221,6 @@ def p0_violations(
     if charge.disc == 2 * charge.p2:  # e = (1, 0, 1), the mirror of sigma0
         roots += [MukaiVector(0, split.sigma0, 0), MukaiVector(0, -split.sigma0, 0)]
     roots.sort(key=lambda delta: (delta.r, delta.D.A, delta.s))
-    for delta in roots:
-        assert not central_charge(psi, delta), f"false positive {delta}: pairs with Psi"
-        assert not pair(omega_check, delta.D), f"{delta} is not in NS(mirror)"
-        assert mukai_pair(delta, delta) == -2
     return RootEnumeration(lattice_rank=sub.rank + 1, roots=roots)
 
 
@@ -336,12 +329,15 @@ def verify_reality(
 class SearchResult:
     omega_J: LatticeVector
     candidate_index: int
-    candidates_tried: int
     psi: StabilityPoint
     triple: MirrorTriple
     charges: list[tuple[LatticeVector, QuadScalar]]
     obstruction: ObstructionCheck
     enumeration: RootEnumeration
+
+    @property
+    def candidates_tried(self) -> int:
+        return self.candidate_index + 1
 
 
 def _dual_eta(sc: Scenario) -> LatticeVector:
@@ -395,8 +391,8 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     strictly inside that cone and eta orthogonal to the charge, so halving
     the step towards omega0 ends with no cap.  The candidate must give all
     twenty mirror charges real and nonzero and annihilate no (-2)-class (the
-    complete `p0_violations`); otherwise SearchExhausted carries the k
-    halving rejections and the final reason.
+    complete `p0_violations`, each root re-verified); otherwise
+    SearchExhausted carries the k halving rejections and the final reason.
 
     The cone test needs no omega.omega0 test: omega and omega0 lie in
     (p, q)^perp, of signature (1,19), both have positive square, and both
@@ -454,13 +450,16 @@ def search_kahler_class(sc: Scenario) -> SearchResult:
     for cls, z in charges:
         if not z:
             raise exhausted(f"zero real charge for class {cls}")
-    enumeration = p0_violations(sc, omega, psi, triple.Omega_check)
+    enumeration = p0_violations(sc, omega)
+    for delta in enumeration.roots:
+        assert not central_charge(psi, delta), f"false positive {delta}: pairs with Psi"
+        assert not pair(triple.Omega_check, delta.D), f"{delta} is not in NS(mirror)"
+        assert mukai_pair(delta, delta) == -2
     if enumeration.roots:
         raise exhausted(f"annihilating (-2)-class: {enumeration.roots[0]}")
     return SearchResult(
         omega_J=omega,
         candidate_index=k,
-        candidates_tried=k + 1,
         psi=psi,
         triple=triple,
         charges=charges,

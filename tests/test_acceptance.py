@@ -163,8 +163,7 @@ def test_criterion_5_mirror_reality(sc28):
 
 def test_criterion_6_regular_point_search(sc28, searched28):
     with acceptance_criterion("regular stability point found for diag(2,8)"):
-        point = (searched28.omega_J, searched28.psi, searched28.triple.Omega_check)
-        enumeration = p0_violations(sc28, *point)
+        enumeration = p0_violations(sc28, searched28.omega_J)
         assert enumeration.lattice_rank == 20 and enumeration.roots == []
         assert all(z.sign() != 0 for _, z in searched28.charges)
         # the unperturbed family member has plane Gram omega^2 I = diag(8,8)
@@ -183,7 +182,7 @@ def test_criterion_7_obstruction_sharpness(sc22):
             Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
             triple = mirror_period(sc22.split, Omega_I, sc22.Omega.im, ZERO)
             psi = StabilityPoint(triple.B_check, triple.omega_check)
-            hits = p0_violations(sc22, omega_J, psi, triple.Omega_check).roots
+            hits = p0_violations(sc22, omega_J).roots
             sigma_hits = [
                 h for h in hits if h.r == 0 and h.s == 0 and h.D in (SIGMA0, -SIGMA0)
             ]

@@ -425,7 +425,7 @@ def test_basis_order_does_not_change_the_root_enumeration(point, sc28, searched2
     kern, neg_gram = _root_kernel(psi, period)
     n = len(kern)
     det = lll_reduce(neg_gram)[1][n]
-    enumeration = p0_violations(sc, omega, psi, period)
+    enumeration = p0_violations(sc, omega)
     roots = [(r.r, tuple(r.D.int_coords()), r.s) for r in enumeration.roots]
     assert _norm_two_classes(kern, neg_gram) == roots
     assert (len(roots) > 0) == (point == "exhausted-2-1-2")

@@ -12,8 +12,7 @@ of each reference run:
   denominators.
 
 A change that alters one of these reports on purpose re-pins the manifest
-and says why, as for `test_golden_reports.py`.  To re-pin, run from the root
-of the repository:
+and says why.  To re-pin, run from the root of the repository:
 
     PYTHONPATH=src python tests/test_report_manifest.py --write
 

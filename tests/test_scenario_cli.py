@@ -892,7 +892,7 @@ def _count_calls(monkeypatch, fns) -> dict:
 def test_verify_64_computes_each_charge_once(monkeypatch, capsys, diag28):
     """verify 6.4 on diag(2,8) takes the mirror classes and the central
     charges of the twenty Picard classes in one pass each, and no charge of
-    one class on its own (the root enumeration re-verifies its hits only,
+    one class on its own (the search re-verifies the enumeration's hits only,
     and a certified point has none); one complete root enumeration, and one
     pass through the pipeline: the search's mirror period, none at the
     scenario's own omega_J.  The hyperkaehler rotation runs twice: at
@@ -1032,8 +1032,7 @@ def test_root_transform_is_built_only_for_hits(monkeypatch, capsys, diag28, sc28
     monkeypatch.setattr(k3stab.stability, "lll_reduce", counted_lll)
     code, _ = run_cli(capsys, ["verify", "6.4", "--scenario", diag28])
     assert code == 0 and replays == []
-    point = (sc28.omega_J, sc28.psi, sc28.triple.Omega_check)
-    roots = k3stab.stability.p0_violations(sc28, *point).roots
+    roots = k3stab.stability.p0_violations(sc28, sc28.omega_J).roots
     assert replays == [19]
     keys = [(r.r, tuple(r.D.int_coords()), r.s) for r in roots]
     assert len(keys) == 482 and keys == sorted(set(keys))

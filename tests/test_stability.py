@@ -27,6 +27,7 @@ from k3stab.mirror import PreconditionViolation, mirror_class, mirror_classes, m
 from k3stab.scenario import build_scenario, scenario_from_file
 from k3stab.stability import (
     RealityViolation,
+    RootEnumeration,
     SearchExhausted,
     SearchObstructed,
     StabilityPoint,
@@ -228,7 +229,7 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
         Omega_I = hyperkahler_rotate(sc22.Omega, omega_J)
         triple = mirror_period(split, Omega_I, sc22.Omega.im, ZERO)
         psi = StabilityPoint(triple.B_check, triple.omega_check)
-        hits = p0_violations(sc22, omega_J, psi, triple.Omega_check).roots
+        hits = p0_violations(sc22, omega_J).roots
         found = {
             (h.r, tuple(h.D.int_coords()), h.s)
             for h in hits
@@ -240,15 +241,14 @@ def test_falsifier_finds_sigma0_for_2_2_family(sc22):
 
 
 def test_falsifier_empty_for_searched_2_8(searched28, sc28):
-    point = (searched28.omega_J, searched28.psi, searched28.triple.Omega_check)
-    enumeration = p0_violations(sc28, *point)
+    enumeration = p0_violations(sc28, searched28.omega_J)
     assert (enumeration.lattice_rank, enumeration.roots) == (20, [])
     assert searched28.enumeration == enumeration
 
 
 def test_falsifier_hits_base_family_member(sc28):
     # with B-check = 0 every Gamma'-root annihilates the stability point
-    hit = p0_violations(sc28, sc28.omega_J, sc28.psi, sc28.triple.Omega_check).roots[0]
+    hit = p0_violations(sc28, sc28.omega_J).roots[0]
     assert hit.r == 0 and hit.s == 0
     assert triple_pair(sc28.psi, hit) == QuadComplex(0)
 
@@ -259,14 +259,10 @@ def _sort_key(delta):
 
 def test_falsifier_is_first_violation(sc28, searched28, sc22):
     """The roots come in (r, D, s) order, each once, closed under negation."""
-    points = [
-        (sc28, sc28.omega_J, sc28.psi, sc28.triple),
-        (sc28, searched28.omega_J, searched28.psi, searched28.triple),
-        (sc22, sc22.omega_J, sc22.psi, sc22.triple),
-    ]
+    points = [(sc28, sc28.omega_J), (sc28, searched28.omega_J), (sc22, sc22.omega_J)]
     counts = []
-    for sc, omega, psi, triple in points:
-        full = p0_violations(sc, omega, psi, triple.Omega_check)
+    for sc, omega in points:
+        full = p0_violations(sc, omega)
         assert full.roots == sorted(full.roots, key=_sort_key)
         assert len(set(full.roots)) == len(full.roots)
         assert set(full.roots) == {-h for h in full.roots}
@@ -276,7 +272,7 @@ def test_falsifier_is_first_violation(sc28, searched28, sc22):
 
 def test_complete_list_contains_obstruction_delta(sc22):
     obstruction = fibration_obstruction(sc22.charge, sc22.split)
-    roots = p0_violations(sc22, sc22.omega_J, sc22.psi, sc22.triple.Omega_check).roots
+    roots = p0_violations(sc22, sc22.omega_J).roots
     assert obstruction.delta in roots and -obstruction.delta in roots
     assert {obstruction.delta.D, -obstruction.delta.D} == {SIGMA0, -SIGMA0}
 
@@ -286,7 +282,7 @@ def test_complete_enumeration_contains_bounded_walk():
     walk is in the complete list; the complete list also finds roots that
     lie outside the walk's coefficient box."""
     for name, sc in _shipped_scenarios().items():
-        complete = p0_violations(sc, sc.omega_J, sc.psi, sc.triple.Omega_check)
+        complete = p0_violations(sc, sc.omega_J)
         bounded = bounded_p0_violations(sc.psi, ns_of_mirror(sc.triple.Omega_check), 2)
         assert bounded and set(bounded) <= set(complete.roots), name
         assert len(complete.roots) > len(bounded), name
@@ -301,11 +297,18 @@ def test_enumeration_needs_a_positive_four_plane(sc28):
         mukai_p0_violations(psi, period)
 
 
-def _same_roots_as_mukai_oracle(sc, omega, psi, period):
+def _mirror_point(sc, omega):
+    """Psi and the mirror period of the data at omega with B = 0."""
+    triple = mirror_period(sc.split, hyperkahler_rotate(sc.Omega, omega), sc.Omega.im, ZERO)
+    return StabilityPoint(triple.B_check, triple.omega_check), triple.Omega_check
+
+
+def _same_roots_as_mukai_oracle(sc, omega):
     """`p0_violations` after asserting that it equals the Mukai-lattice
-    oracle in lattice rank and in root order."""
-    got = p0_violations(sc, omega, psi, period)
-    want = mukai_p0_violations(psi, period)
+    oracle at the mirror of (omega, B = 0) in lattice rank and in root
+    order."""
+    got = p0_violations(sc, omega)
+    want = mukai_p0_violations(*_mirror_point(sc, omega))
     assert (got.lattice_rank, got.roots) == (want.lattice_rank, want.roots), sc.echo()
     return got
 
@@ -324,7 +327,7 @@ def _roots_at_base_and_candidate(monkeypatch, scenarios):
 
     monkeypatch.setattr(k3stab.stability, "p0_violations", checked)
     for sc in scenarios:
-        _same_roots_as_mukai_oracle(sc, sc.omega_J, sc.psi, sc.triple.Omega_check)
+        _same_roots_as_mukai_oracle(sc, sc.omega_J)
         try:
             search_kahler_class(sc)
         except (SearchExhausted, SearchObstructed):
@@ -351,7 +354,7 @@ def test_root_enumeration_in_gamma_on_the_e_root_and_irrational_cases(monkeypatc
     and a candidate over Q(sqrt 2) from an irrational c_eta: each equal to
     the Mukai-lattice oracle."""
     sc22 = build_scenario(form=[2, 0, 2])
-    base = _same_roots_as_mukai_oracle(sc22, sc22.omega_J, sc22.psi, sc22.triple.Omega_check)
+    base = _same_roots_as_mukai_oracle(sc22, sc22.omega_J)
     assert MukaiVector(0, SIGMA0, 0) in base.roots and MukaiVector(0, -SIGMA0, 0) in base.roots
     root = LatticeVector.from_ints([0, 0, 0, 0, -1, 1] + [0] * 16)
     irrational = build_scenario(form=[2, 0, 8], search={"c_eta": "sqrt(2)"})
@@ -360,6 +363,27 @@ def test_root_enumeration_in_gamma_on_the_e_root_and_irrational_cases(monkeypatc
     )
     assert [r.D for r in at_candidate[0].roots] == [root, -root]
     assert irrational.result.omega_J.m == 2 and at_candidate[1].roots == []
+
+
+def test_root_enumeration_takes_only_its_kaehler_class():
+    """On diag(2,8) with B = e8a.1 the enumeration at omega_J is that of the
+    mirror of (omega_J, B = 0), whatever the scenario's B: it equals the
+    Mukai-lattice oracle there, with rank 20 and diag(2,8)'s 482 roots."""
+    sc = build_scenario(form=[2, 0, 8], B=[0] * 6 + [1] + [0] * 15)
+    assert sc.B
+    enumeration = _same_roots_as_mukai_oracle(sc, sc.omega_J)
+    assert (enumeration.lattice_rank, len(enumeration.roots)) == (20, 482)
+
+
+def test_search_re_verifies_every_root(monkeypatch, sc28):
+    """The search checks each root it is given against its own Psi: a class
+    (0, q, 0), whose charge there is 8i, is refused as a false positive."""
+    import k3stab.stability
+
+    fake = RootEnumeration(lattice_rank=20, roots=[MukaiVector(0, sc28.charge.q, 0)])
+    monkeypatch.setattr(k3stab.stability, "p0_violations", lambda sc, omega: fake)
+    with pytest.raises(AssertionError, match="pairs with Psi"):
+        search_kahler_class(sc28)
 
 
 def _naive_p0(psi, ns, bound):
