@@ -5,13 +5,13 @@ Small dense problems only (ranks up to 24), so everything is plain list-of-list
 arithmetic: unimodular column reduction for integer kernels, which records its
 column moves and replays their inverses into the rows dual to the kernel on
 request, integral Gram-Schmidt data (the one factorization of a definite
-matrix, which also decides definiteness), integral LLL reduction, which keeps
-only what it reads again and builds its transform on request, and the
-Fincke–Pohst enumerator of the vectors of one norm of a definite form, run at
-norm 2 for the (-2)-classes, which walks one vector of each pair +-y and
-appends the negations.  All of these run in integers only: the enumerator
-scales its budget once at entry, so every level costs an integer and every
-coordinate bound is an `isqrt`.
+matrix, which also decides definiteness), a Lovasz reduction that size
+reduces adjacent vectors only (all that the enumerator reads) and builds its
+transform on request, and the Fincke–Pohst enumerator of the vectors of one
+norm of a definite form, run at norm 2 for the (-2)-classes, which walks one
+vector of each pair +-y and appends the negations.  All of these run in
+integers only: the enumerator scales its budget once at entry, so every
+level costs an integer and every coordinate bound is an `isqrt`.
 """
 
 from __future__ import annotations
@@ -150,21 +150,23 @@ def is_negative_definite(gram: Sequence[Sequence[int]]) -> bool:
 
 
 def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list[list[int]]]:
-    """LLL reduction, delta = 3/4, of a positive definite integer Gram matrix.
+    """Lovasz reduction, delta = 3/4, with adjacent size reduction only.
 
-    Returns ``(transform, d, lam)``: ``(d, lam) = gram_schmidt(t gram t^T)``
-    is reduced, and ``transform()`` replays the recorded moves into the
-    unimodular t.  This is the integral LLL of Cohen (Algorithm 2.6.7): the
-    Gram-Schmidt data are computed once per new vector, then updated on each
-    move.  A new vector's data read only its Gram row, so a move updates only
-    the lower triangles of the rows not yet seen; t gram t^T is never formed.
+    Returns ``(transform, d, lam)`` for a positive definite integer Gram
+    matrix: ``(d, lam) = gram_schmidt(t gram t^T)`` has 2 |lam[k][k - 1]| <=
+    d[k] and the Lovasz condition, and ``transform()`` replays the recorded
+    moves into the unimodular t.  This is Cohen's integral LLL (Algorithm
+    2.6.7) less the reduction of row k against rows < k - 1 (the test oracle
+    `full_lll_reduce`), which keeps each vector in its flag b_0, ..., b_k: it
+    changes no d, and the Fincke-Pohst walk of `enumerate_quadric` visits
+    nodes fixed by the flag and finds vectors fixed by the lattice.  The
+    Gram-Schmidt data of a new vector are computed once and updated on each
+    move, in the lower triangles of the rows not yet seen.
 
-    The reduction starts from the basis sorted shortest first, by
-    (gram[i][i], i), so t starts as that permutation.  A kernel basis from
-    `kernel_basis` interleaves short vectors with a few very long ones; in
-    this order the long ones come last and are size-reduced against the
-    short ones instead of being swapped down past them (4.7 swaps per call
-    instead of 49 on the 39 rank-19 root lattices that
+    The basis is sorted shortest first, by (gram[i][i], i), so t starts as
+    that permutation: a kernel basis from `kernel_basis` interleaves short
+    vectors with a few very long ones, which then come last (4.7 swaps per
+    call instead of 49 on the 39 rank-19 root lattices that
     `stability.p0_violations` reduces for the forms with D <= 40).
     """
     n = len(gram)
@@ -172,33 +174,33 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list
     g = [[gram[i][j] for j in order[: k + 1]] for k, i in enumerate(order)]  # lower triangle
     d = [1] + [0] * n  # d[i + 1] belongs to basis vector i
     lam = [[0] * n for _ in range(n)]
-    moves = []  # (k, l, q): row k -= q row l, or swap rows k and l = k - 1 if q = 0
+    moves = []  # (k, q): row k -= q row k - 1, or swap rows k and k - 1 if q = 0
 
     def transform() -> list[list[int]]:
         t = [[int(i == j) for j in range(n)] for i in order]
-        for k, l, q in moves:
+        for k, q in moves:
             if q:
-                t[k] = [a - q * b for a, b in zip(t[k], t[l])]
+                t[k] = [a - q * b for a, b in zip(t[k], t[k - 1])]
             else:
-                t[k], t[l] = t[l], t[k]
+                t[k], t[k - 1] = t[k - 1], t[k]
         return t
 
     if n:
         _gram_schmidt_row(g, d, lam, 0)
 
-    def reduce(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) <= d[l + 1]:
+    def reduce(k: int) -> None:
+        if 2 * abs(lam[k][k - 1]) <= d[k]:
             return
-        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
-        moves.append((k, l, q))
+        q = (2 * lam[k][k - 1] + d[k]) // (2 * d[k])  # nearest integer
+        moves.append((k, q))
         for row in g[kmax + 1 :]:  # the vectors not yet seen
-            row[k] -= q * row[l]
-        lam[k][l] -= q * d[l + 1]
-        for i in range(l):
-            lam[k][i] -= q * lam[l][i]
+            row[k] -= q * row[k - 1]
+        lam[k][k - 1] -= q * d[k]
+        for i in range(k - 1):
+            lam[k][i] -= q * lam[k - 1][i]
 
     def swap(k: int) -> None:
-        moves.append((k, k - 1, 0))
+        moves.append((k, 0))
         for row in g[kmax + 1 :]:
             row[k], row[k - 1] = row[k - 1], row[k]
         for j in range(k - 1):
@@ -216,13 +218,11 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Callable, list[int], list
         if k > kmax:  # Gram-Schmidt data of a vector not seen before
             kmax = k
             _gram_schmidt_row(g, d, lam, k)
-        reduce(k, k - 1)
+        reduce(k)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
             swap(k)
             k = max(1, k - 1)
         else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
             k += 1
     return transform, d, lam
 

@@ -29,8 +29,8 @@ the mirror period span another (asserted by `mirror_period`), and the two are
 orthogonal, so together they span a positive 4-plane of the Mukai lattice
 Gamma + U, of signature (4,20).  The integral classes orthogonal to that
 4-plane, which are exactly the delta = (r, D, s) with D in NS(mirror) and
-(Psi, delta) = 0, form a negative-definite lattice with finitely many roots,
-and `p0_violations` lists all of them (Fincke-Pohst on an LLL-reduced basis).
+(Psi, delta) = 0, form a negative-definite lattice with finitely many roots;
+`p0_violations` lists them all, by Fincke-Pohst on a Lovasz-reduced basis.
 
 That lattice is found in GAMMA, through the mirror isometry mu of Gamma + U:
 mu is the identity on Gamma' and swaps v = f with w = (0,0,-1) and
@@ -191,8 +191,8 @@ def p0_violations(sc: Scenario, omega: LatticeVector) -> RootEnumeration:
     the roots are mu of those of K and, when D = 2 p^2, +-mu(e) = +-sigma0:
     the fibration obstruction.  So the roots depend on (sc, omega) alone.
 
-    Minus the Gram matrix of K is LLL reduced and its vectors of norm 2 are
-    enumerated with the Gram-Schmidt data that the reduction ends with;
+    Minus the Gram matrix of K is Lovasz reduced and its vectors of norm 2
+    are enumerated with the Gram-Schmidt data that the reduction ends with;
     only hits (a certified point has none) build the transform t and the
     reduced basis t K, and `mirror_classes` maps them; `search_kahler_class`
     re-verifies each root at the Psi and mirror period it builds.
@@ -200,7 +200,7 @@ def p0_violations(sc: Scenario, omega: LatticeVector) -> RootEnumeration:
     charge, split = sc.charge, sc.split
     f = split.f
     lam = (QuadScalar(Fraction(charge.disc, charge.p2)) - pair(omega, omega)) / (pair(omega, f) * 2)
-    # in this order the kernel basis is short: 21 LLL swaps instead of 654
+    # in this order the kernel basis is short: 21 Lovasz swaps instead of 654
     # (p, q, omega') on the form [2 10^2200, 0, 2 10^2200]
     sub = orth_complement([charge.p, omega + lam * f, charge.q])
     transform, *factors = lll_reduce([[-x for x in row] for row in sub.gram()])

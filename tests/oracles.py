@@ -7,13 +7,7 @@ from operator import mul
 
 from k3stab.attractor import DegenerateCharge, NotAttractor
 from k3stab.exact import FieldMismatch, QuadComplex, QuadScalar, squarefree_split
-from k3stab.intmat import (
-    _gram_schmidt_row,
-    enumerate_quadric,
-    gram_schmidt,
-    kernel_basis,
-    lll_reduce,
-)
+from k3stab.intmat import _gram_schmidt_row, enumerate_quadric, gram_schmidt, kernel_basis
 from k3stab.forms import BinaryEvenForm
 from k3stab.lattice import (
     GAMMA,
@@ -501,19 +495,22 @@ def full_sign_enumerate_quadric(factors, r):
 
 
 def full_lll_reduce(gram):
-    """``(t, g, d, lam)``: the integral LLL of Cohen (Algorithm 2.6.7),
-    delta = 3/4, from the basis sorted by (gram[i][i], i), keeping the whole
+    """``(t, g, d, lam, swaps)``: the integral LLL of Cohen (Algorithm
+    2.6.7), delta = 3/4, from the basis sorted by (gram[i][i], i), with full
+    size reduction (|mu_kj| <= 1/2 for every j < k), keeping the whole
     reduced Gram matrix g = t gram t^T and the transform t up to date on
-    every size reduction and swap; the reference for the lean
-    `intmat.lll_reduce`, which keeps only what it reads again."""
+    every size reduction and swap, and counting the swaps; the reference for
+    `intmat.lll_reduce`, which size reduces adjacent vectors only and keeps
+    only what the enumeration reads."""
     n = len(gram)
     order = sorted(range(n), key=lambda i: (gram[i][i], i))
     g = [[int(gram[i][j]) for j in order] for i in order]
     t = [[int(i == j) for j in range(n)] for i in order]
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
+    swaps = 0
     if n == 0:
-        return t, g, d, lam
+        return t, g, d, lam, swaps
     _gram_schmidt_row(g, d, lam, 0)
 
     def reduce(k, l):
@@ -529,6 +526,8 @@ def full_lll_reduce(gram):
             lam[k][i] -= q * lam[l][i]
 
     def swap(k):
+        nonlocal swaps
+        swaps += 1
         t[k], t[k - 1] = t[k - 1], t[k]
         g[k], g[k - 1] = g[k - 1], g[k]
         for row in g:
@@ -556,7 +555,7 @@ def full_lll_reduce(gram):
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return t, g, d, lam
+    return t, g, d, lam, swaps
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +588,11 @@ def mukai_p0_violations(psi, omega_check):
     """The complete root enumeration in the Mukai lattice, as the library
     ran it before it enumerated in GAMMA through the mirror isometry: the
     integral kernel of the Mukai pairings with Re and Im of the mirror
-    period and of Psi, minus its Gram matrix LLL reduced, its vectors of
-    norm 2 enumerated and mapped back by the reduced basis, in (r, D, s)
-    order.  A kernel that is not negative definite raises RuntimeError."""
+    period and of Psi, minus its Gram matrix reduced by the full LLL of
+    `full_lll_reduce` (not by the library's reduction, which it checks),
+    its vectors of norm 2 enumerated and mapped back by the reduced basis,
+    in (r, D, s) order.  A kernel that is not negative definite raises
+    RuntimeError."""
     s_part = psi.s_part
     n = GAMMA.rank  # Mukai coordinates are (D, r, s)
     r_unit, s_unit = LatticeVector.unit(MUKAI.rank, n), LatticeVector.unit(MUKAI.rank, n + 1)
@@ -603,7 +604,7 @@ def mukai_p0_violations(psi, omega_check):
     ]
     kern = dense_orth_complement(MUKAI, gens)
     try:
-        transform, d, lam = lll_reduce([[-x for x in row] for row in dense_gram(MUKAI, kern)])
+        t, _, d, lam, _ = full_lll_reduce([[-x for x in row] for row in dense_gram(MUKAI, kern)])
     except ValueError:
         raise RuntimeError(
             "the lattice orthogonal to Psi and the mirror period is not negative "
@@ -616,7 +617,7 @@ def mukai_p0_violations(psi, omega_check):
             out = [o + c * x for o, x in zip(out, v)]
         return out
 
-    basis = [combine(row, [v.A for v in kern]) for row in transform()]  # rows of t K
+    basis = [combine(row, [v.A for v in kern]) for row in t]  # rows of t K
     ys = enumerate_quadric((d, lam), 2)
     hits = sorted((x[n], tuple(x[:n]), x[n + 1]) for x in (combine(y, basis) for y in ys))
     roots = []

@@ -260,10 +260,10 @@ def _assert_lll_reduced(gram):
     g = _mul(_mul(t, gram), [list(col) for col in zip(*t)])
     # the data kept through the reduction are those of the reduced matrix
     assert (d, lam) == gram_schmidt(g)
-    for k in range(len(g)):
-        for j in range(k):
-            assert 2 * abs(lam[k][j]) <= d[j + 1]  # size reduced: |mu_kj| <= 1/2
     for k in range(1, len(g)):
+        # adjacent vectors size reduced: |mu_k,k-1| <= 1/2; no bound on
+        # mu_kj for j < k - 1, which the enumeration does not read
+        assert 2 * abs(lam[k][k - 1]) <= d[k]
         # Lovasz: B_k >= (3/4 - mu_k,k-1^2) B_k-1 with B_k = d[k+1]/d[k]
         assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
     return t, g, d, lam
@@ -299,13 +299,30 @@ def test_lll_reduce_is_unimodular_and_reduced(case):
     assert _assert_lll_reduced(_permuted(gram, perm))[2][-1] == d[-1]
 
 
+def _vectors_by_norm(t, factors, top):
+    """The vectors of each norm 1, ..., top of a definite form, by
+    `enumerate_quadric` on the Gram-Schmidt data ``factors`` of a reduced
+    basis, written in the input basis through the reduction's transform t."""
+    n = len(t)
+    return [
+        sorted(tuple(sum(c * row[i] for c, row in zip(y, t)) for i in range(n)) for y in enumerate_quadric(factors, r))
+        for r in range(1, top + 1)
+    ]
+
+
 def _assert_lean_lll_matches_oracle(gram):
-    """The lean reduction ends with the data of the full-bookkeeping one,
-    and its replayed transform is the oracle's t."""
+    """The reduction and the oracle's full LLL reduce one lattice: the same
+    determinant, and the same vectors at each norm up to the least diagonal
+    entry, enumerated on each side's data and mapped through each side's
+    transform.  Returns both d, which agree unless a tie |mu| = 1/2 that
+    only the full size reduction meets sends the swaps another way."""
+    n = len(gram)
     transform, d, lam = lll_reduce(gram)
-    t, _, d_full, lam_full = full_lll_reduce(gram)
-    assert (d, lam) == (d_full, lam_full)
-    assert transform() == t
+    t, _, d_full, lam_full, _ = full_lll_reduce(gram)
+    assert d[n] == d_full[n]
+    top = min(gram[i][i] for i in range(n))
+    assert _vectors_by_norm(transform(), (d, lam), top) == _vectors_by_norm(t, (d_full, lam_full), top)
+    return d, d_full
 
 
 _BASES = st.integers(1, 8).flatmap(
@@ -318,6 +335,7 @@ _BASES = st.integers(1, 8).flatmap(
 @settings(max_examples=80, deadline=None)
 @given(_BASES)
 @example([[1, 0, 0], [1000, 1, 0]])  # one long vector: a reduction, then a swap
+@example([[1, 0, 0], [0, 1, 0], [5, 0, 1]])  # mu_20 = 5: kept here, reduced by the oracle
 def test_lean_lll_matches_the_full_bookkeeping_oracle(b):
     gram = _mul(b, [list(col) for col in zip(*b)])
     if not _det(gram):
@@ -328,15 +346,25 @@ def test_lean_lll_matches_the_full_bookkeeping_oracle(b):
     _assert_lean_lll_matches_oracle(gram)
 
 
+@pytest.fixture(scope="module")
+def root_lattices(sc28, searched28):
+    """Minus the Gram matrices of the root lattices of the oracle
+    `mukai_p0_violations` at the base point of diag(2,8) (482 roots), at its
+    search point (none), and at the candidate that exhausts the search on
+    [2,1,2] (two)."""
+    points = [(sc28.psi, sc28.triple.Omega_check), (searched28.psi, searched28.triple.Omega_check)]
+    points.append(_exhausted_point_2_1_2()[2:])
+    return [_root_kernel(psi, period)[1] for psi, period in points]
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.permutations(range(20)))
-def test_lean_lll_matches_the_oracle_on_root_lattices(sc28, searched28, perm):
-    """At the base point of diag(2,8) (482 roots) and at its search point
-    (none), for any order of the kernel basis."""
-    for point in (sc28, searched28):
-        _, neg_gram = _root_kernel(point.psi, point.triple.Omega_check)
-        _assert_lean_lll_matches_oracle(neg_gram)
-        _assert_lean_lll_matches_oracle(_permuted(neg_gram, perm))
+def test_lean_lll_matches_the_oracle_on_root_lattices(root_lattices, perm):
+    """For any order of the kernel basis, with the oracle's d as well."""
+    for neg_gram in root_lattices:
+        for gram in (neg_gram, _permuted(neg_gram, perm)):
+            d, d_full = _assert_lean_lll_matches_oracle(gram)
+            assert d == d_full
 
 
 def _root_kernel(psi, period):
@@ -363,6 +391,28 @@ def test_lll_reduce_on_the_root_lattice_of_a_search_point(searched28):
     assert (transform(), d, lam) == ([], [1], [])
     with pytest.raises(ValueError):
         lll_reduce([[2, 3], [3, 2]])  # indefinite
+
+
+def test_generator_order_keeps_the_huge_form_at_21_swaps(monkeypatch):
+    """`p0_violations` builds K from (p, omega', q): on the form
+    [2 10^2200, 0, 2 10^2200] at the search candidate its basis takes 21
+    swaps of the oracle's full LLL (from (p, q, omega') it would take 654
+    and several seconds), and `lll_reduce` ends with the oracle's d."""
+    import k3stab.stability
+
+    grams = []
+
+    def captured(gram):
+        grams.append(gram)
+        return lll_reduce(gram)
+
+    monkeypatch.setattr(k3stab.stability, "lll_reduce", captured)
+    huge = 2 * 10**2200
+    search_kahler_class(build_scenario(form=[huge, 0, huge]))
+    [gram] = grams  # the one candidate
+    _, _, d_full, _, swaps = full_lll_reduce(gram)
+    assert swaps == 21
+    assert lll_reduce(gram)[1] == d_full
 
 
 def _exhausted_point_2_1_2():

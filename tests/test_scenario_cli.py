@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from k3stab.cli import main
 from k3stab.exact import QuadScalar
 from k3stab.forms import BinaryEvenForm, enumerate_reduced
+from k3stab.intmat import enumerate_quadric, lll_reduce
 from k3stab.lattice import GAMMA, MukaiVector, pair
 from k3stab.mirror import PreconditionViolation, make_split
 from k3stab.scenario import (
@@ -993,6 +994,19 @@ def test_picard_classes_cost_no_pairing_call_of_their_own(monkeypatch, capsys, d
     assert spent[0] == spent[1]
 
 
+def _wall_table_runs(capsys):
+    """Run each of the six commands of the wall-table workload, which make
+    no search, on each shipped scenario, and yield (name, command) after
+    each run."""
+    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    names = ("diag_2_2", "diag_2_4", "diag_2_8", "diag_2_8_tuned", "form_4_1_6")
+    commands = (["walls"], ["charge"], ["verify", "6.2"], ["verify", "5.1"], ["mirror"], ["attractor"])
+    for name in names:
+        for command in commands:
+            run_cli(capsys, [*command, "--scenario", os.path.join(scenarios, f"{name}.json")])
+            yield name, command
+
+
 def test_no_wall_table_command_computes_the_inverse_of_gamma(monkeypatch, capsys):
     """GAMMA^-1 serves the dual eta of the search only: it is not built at
     import, nor by any of the six commands without a search, on any shipped
@@ -1001,24 +1015,31 @@ def test_no_wall_table_command_computes_the_inverse_of_gamma(monkeypatch, capsys
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stdout == "True\n", proc.stderr
     monkeypatch.setattr(GAMMA, "_inverse", None)
-    scenarios = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-    names = ("diag_2_2", "diag_2_4", "diag_2_8", "diag_2_8_tuned", "form_4_1_6")
-    commands = (["walls"], ["charge"], ["verify", "6.2"], ["verify", "5.1"], ["mirror"], ["attractor"])
-    for name in names:
-        for command in commands:
-            run_cli(capsys, [*command, "--scenario", os.path.join(scenarios, f"{name}.json")])
-            assert GAMMA._inverse is None, (name, command)
+    for name, command in _wall_table_runs(capsys):
+        assert GAMMA._inverse is None, (name, command)
+
+
+def test_no_wall_table_command_reduces_or_enumerates_a_root_lattice(monkeypatch, capsys, diag28):
+    """The Lovasz reduction and the Fincke-Pohst walk serve the root
+    certificate only: none of the six commands without a search calls
+    `lll_reduce` or `enumerate_quadric`, on any shipped scenario, so a change
+    to either cannot move the wall-table workload.  verify 6.4 calls each
+    once, which shows that the counters see the calls."""
+    calls = _count_calls(monkeypatch, (lll_reduce, enumerate_quadric))
+    for name, command in _wall_table_runs(capsys):
+        assert calls == {"lll_reduce": 0, "enumerate_quadric": 0}, (name, command)
+    assert run_cli(capsys, ["verify", "6.4", "--scenario", diag28])[0] == 0
+    assert calls == {"lll_reduce": 1, "enumerate_quadric": 1}
 
 
 def test_root_transform_is_built_only_for_hits(monkeypatch, capsys, diag28, sc28):
-    """p0_violations replays the LLL moves into a transform only when the
+    """p0_violations replays the Lovasz moves into a transform only when the
     enumeration has hits: none on a certified verify 6.4 of diag(2,8), one
     at diag(2,8)'s base omega_J, whose 482 roots still come in (r, D, s)
     order."""
     import k3stab.stability
 
     replays = []
-    lll_reduce = k3stab.stability.lll_reduce
 
     def counted_lll(gram):
         transform, d, lam = lll_reduce(gram)
