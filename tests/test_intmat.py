@@ -304,18 +304,19 @@ def _vectors_by_norm(t, factors, top):
     `enumerate_quadric` on the Gram-Schmidt data ``factors`` of a reduced
     basis, written in the input basis through the reduction's transform t."""
     n = len(t)
-    return [
-        sorted(tuple(sum(c * row[i] for c, row in zip(y, t)) for i in range(n)) for y in enumerate_quadric(factors, r))
-        for r in range(1, top + 1)
-    ]
+    def image(y):
+        return tuple(sum(c * row[i] for c, row in zip(y, t)) for i in range(n))
+
+    return [sorted(map(image, enumerate_quadric(factors, r))) for r in range(1, top + 1)]
 
 
 def _assert_lean_lll_matches_oracle(gram):
     """The reduction and the oracle's full LLL reduce one lattice: the same
     determinant, and the same vectors at each norm up to the least diagonal
     entry, enumerated on each side's data and mapped through each side's
-    transform.  Returns both d, which agree unless a tie |mu| = 1/2 that
-    only the full size reduction meets sends the swaps another way."""
+    transform.  Returns both d, which agree unless the two meet a tie
+    |mu_k,k-1| = 1/2 with opposite signs, after which a swap leaves them
+    different flags."""
     n = len(gram)
     transform, d, lam = lll_reduce(gram)
     t, _, d_full, lam_full, _ = full_lll_reduce(gram)
@@ -360,11 +361,13 @@ def root_lattices(sc28, searched28):
 @settings(max_examples=10, deadline=None)
 @given(st.permutations(range(20)))
 def test_lean_lll_matches_the_oracle_on_root_lattices(root_lattices, perm):
-    """For any order of the kernel basis, with the oracle's d as well."""
+    """For any order of the kernel basis; in the order the oracle builds it,
+    also with the oracle's d.  (About 1 in 130 random orders meets a tie
+    that sends the swaps another way.)"""
     for neg_gram in root_lattices:
-        for gram in (neg_gram, _permuted(neg_gram, perm)):
-            d, d_full = _assert_lean_lll_matches_oracle(gram)
-            assert d == d_full
+        d, d_full = _assert_lean_lll_matches_oracle(neg_gram)
+        assert d == d_full
+        _assert_lean_lll_matches_oracle(_permuted(neg_gram, perm))
 
 
 def _root_kernel(psi, period):
