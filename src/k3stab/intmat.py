@@ -1,11 +1,12 @@
 """Exact integer matrix machinery; the one rational is the enumerator's
 norm, a Fraction scaled to an integer at entry.
 
-Small dense problems only (ranks up to 24), so everything is plain list-of-list
-arithmetic: unimodular column reduction for integer kernels, which records its
-column moves and replays their inverses into the rows dual to the kernel on
-request, integral Gram-Schmidt data (the one factorization of a definite
-matrix, which also decides definiteness), a Lovasz reduction that size
+Small problems only (ranks up to 24), so everything is plain list-of-list
+arithmetic: unimodular column reduction for integer kernels, which keeps each
+column of U as its nonzero entries, never touches an all-zero column (a unit
+kernel column), records its column moves and replays their inverses into the
+rows dual to the kernel on request, integral Gram-Schmidt data (the one
+factorization of a definite matrix, which also decides definiteness), a Lovasz reduction that size
 reduces adjacent vectors only (all that the enumerator reads) and builds its
 transform on request, and the Fincke–Pohst enumerator of the vectors of one
 norm of a definite form, run at norm 2 for the (-2)-classes, which walks one
@@ -22,56 +23,55 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 
-def _identity(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
 def _column_reduce(
     a: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[list[int]], list[int], list[tuple[int, int, int]]]:
+) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int, int]]]:
     """Unimodular column reduction A U = (echelon): ``(ucols, kernel, moves)``.
 
     Row by row, the live columns are reduced against the one of least
     absolute entry until a single pivot column remains, which then leaves the
-    active set.  ``ucols`` are the columns of U, ``kernel`` the sorted
-    indices of the columns that never become pivots, and ``moves`` the
-    column moves (c, c0, q), column c -= q column c0, in the order made.
+    active set.  ``ucols`` are the columns of U as their nonzero entries
+    ``{index: entry}``, so a move costs the support it subtracts; ``kernel``
+    the sorted indices of the non-pivots, which end all-zero; ``moves`` the
+    column moves (c, c0, q), column c -= q column c0, in the order made.  An
+    all-zero column of A is never live: it stays a unit column of U.
     """
-    nrows = len(a)
-    cols = [[a[r][c] for r in range(nrows)] for c in range(ncols)]
-    ucols = _identity(ncols)
+    cols = [[row[c] for row in a] for c in range(ncols)]
+    ucols = [{c: 1} for c in range(ncols)]
     moves = []
-    active = list(range(ncols))
-    for r in range(nrows):
+    active = [c for c in range(ncols) if any(cols[c])]
+    for r in range(len(a)):
         while True:
             live = [c for c in active if cols[c][r] != 0]
             if len(live) <= 1:
                 break
-            live.sort(key=lambda c: (abs(cols[c][r]), c))
+            live.sort(key=lambda c: abs(cols[c][r]))  # stable: ties stay in index order
             c0 = live[0]
-            e0 = cols[c0][r]
+            a0, u0, e0 = cols[c0], ucols[c0].items(), cols[c0][r]
             for c in live[1:]:
                 q = cols[c][r] // e0
                 if q:
                     moves.append((c, c0, q))
-                    for i in range(r, nrows):
-                        cols[c][i] -= q * cols[c0][i]
-                    for i in range(ncols):
-                        ucols[c][i] -= q * ucols[c0][i]
+                    ac, uc = cols[c], ucols[c]
+                    for i in range(r, len(a)):
+                        ac[i] -= q * a0[i]
+                    for i, x in u0:
+                        y = uc.pop(i, 0) - q * x
+                        if y:
+                            uc[i] = y
         live = [c for c in active if cols[c][r] != 0]
         if live:
             active.remove(live[0])
-    return ucols, sorted(active), moves
+    return ucols, [c for c in range(ncols) if not any(cols[c])], moves
 
 
 def _replay_inverse(moves: Sequence[tuple[int, int, int]], n: int) -> list[list[int]]:
     """U^-1 of U = E_1 ... E_m from the column moves E_k (c, c0, q): the
     inverse of column c -= q column c0 is row c0 += q row c of what follows
     it, so the moves are replayed in order on the rows of I."""
-    v = _identity(n)
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1
     for c, c0, q in moves:
         v[c0] = [x + q * y for x, y in zip(v[c0], v[c])]
     return v
@@ -79,13 +79,15 @@ def _replay_inverse(moves: Sequence[tuple[int, int, int]], n: int) -> list[list[
 
 def kernel_basis(
     a: Sequence[Sequence[int]], ncols: Optional[int] = None
-) -> tuple[list[list[int]], Callable[[], list[list[int]]]]:
+) -> tuple[list[dict[int, int]], Callable[[], list[list[int]]]]:
     """Basis b_k of the integer kernel {x : a @ x = 0}, and its dual.
 
     Returns ``(kernel, dual)``.  The column reduction A U = (echelon) of
     `_column_reduce` is unimodular, and the columns of U that never become
     pivots are the kernel: saturated by construction, since U is invertible
-    over Z.  ``dual()`` replays the recorded moves into U^-1 (Cohen, GTM 138,
+    over Z.  Each b_k is its nonzero entries ``{index: entry}``, as the
+    reduction keeps it; an all-zero column c of a gives the unit {c: 1}.
+    ``dual()`` replays the recorded moves into U^-1 (Cohen, GTM 138,
     Section 2.4) and returns its rows d_j at the kernel's column indices;
     U^-1 U = I gives d_j . b_k = delta_jk (plain coordinate dot products).
     Recording a move costs one append; U^-1 is built only when ``dual()`` is

@@ -39,7 +39,7 @@ with the kept image of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -296,40 +296,68 @@ class GramLattice:
         return f"GramLattice(rank={self.rank})"
 
 
-@dataclass(frozen=True)
 class Sublattice:
     """A primitive sublattice of GAMMA given by an integral basis.
 
-    ``dual``, when given (`orth_complement` gives it), returns integer
-    coordinate rows d_j with d_j . b_k = delta_jk on the basis b_k.
+    Each basis vector is kept as its nonzero coordinates ``{index: entry}``
+    (``supports``), the form in which `orth_complement` finds it; the
+    `LatticeVector` basis is built on first read.  ``dual``, when given
+    (`orth_complement` gives it), returns integer coordinate rows d_j with
+    d_j . b_k = delta_jk on the basis b_k.
     """
 
-    basis: tuple[LatticeVector, ...]
-    dual: Optional[Callable[[], list[list[int]]]] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        for v in self.basis:
+    def __init__(self, basis: Iterable[LatticeVector], dual: Optional[Callable] = None):
+        basis = tuple(basis)
+        for v in basis:
             if len(v) != GAMMA.rank:
                 raise DimensionMismatch("basis vector has wrong length")
             if not v.is_integral:
                 raise ValueError("sublattice basis must be integral")
+        self.supports = [{i: a for i, a in enumerate(v.A) if a} for v in basis]
+        self.dual, self._basis = dual, basis
+
+    @classmethod
+    def _of_supports(cls, supports: list[dict[int, int]], dual: Optional[Callable]) -> "Sublattice":
+        sub = object.__new__(cls)
+        sub.supports, sub.dual, sub._basis = supports, dual, None
+        return sub
+
+    @property
+    def basis(self) -> tuple[LatticeVector, ...]:
+        if self._basis is None:
+            rows = [[0] * GAMMA.rank for _ in self.supports]
+            for row, s in zip(rows, self.supports):
+                for i, a in s.items():
+                    row[i] = a
+            self._basis = tuple(map(LatticeVector.from_ints, rows))
+        return self._basis
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.supports)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sublattice):
+            return NotImplemented
+        return self.supports == other.supports
 
     def gram(self) -> list[list[int]]:
-        """The integer Gram matrix of the basis: one sparse image G y per basis
-        vector y, then x . (G y) over the nonzero coordinates of x, i <= j."""
-        images = [GAMMA.image(b.A) for b in self.basis]
-        support = [[(i, a) for i, a in enumerate(b.A) if a] for b in self.basis]
-        n = len(images)
-        out = [[0] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(k, n):
-                gy = images[j]
-                out[k][j] = out[j][k] = sum(a * gy[i] for i, a in support[k])
+        """The integer Gram matrix over supports: entry (k, j) sums x_i g_il y_l
+        over the nonzero x_i of x = b_k, g_il of GAMMA and y_l of y = b_j."""
+        supports = self.supports
+        hits = [[] for _ in range(GAMMA.rank)]  # hits[l]: (j, y_l) for y = b_j
+        for j, y in enumerate(supports):
+            for l, b in y.items():
+                hits[l].append((j, b))
+        out = []
+        for x in supports:
+            row = [0] * len(supports)
+            for i, a in x.items():
+                for l, g in GAMMA._rows[i]:
+                    ga = g * a
+                    for j, b in hits[l]:
+                        row[j] += ga * b
+            out.append(row)
         return out
 
 
@@ -444,8 +472,7 @@ def orth_complement(gens: Sequence[LatticeVector]) -> Sublattice:
         rows.append(GAMMA.image(g.A))
         if g.B is not None:
             rows.append(GAMMA.image(g.B))
-    kern, dual = kernel_basis(rows, GAMMA.rank)
-    return Sublattice([LatticeVector.from_ints(v) for v in kern], dual)
+    return Sublattice._of_supports(*kernel_basis(rows, GAMMA.rank))
 
 
 @dataclass(frozen=True)

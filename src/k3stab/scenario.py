@@ -318,6 +318,8 @@ def build_scenario(
         if not c_eta:
             raise ScenarioError("search.eta has no effect when search.c_eta is 0")
         eta = _vector(search["eta"])
+        if not eta:
+            raise ScenarioError("search.c_eta has no effect when search.eta is 0")
     return Scenario(
         charge=charge,
         split=split,

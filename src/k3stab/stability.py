@@ -191,11 +191,11 @@ def p0_violations(sc: Scenario, omega: LatticeVector) -> RootEnumeration:
     the roots are mu of those of K and, when D = 2 p^2, +-mu(e) = +-sigma0:
     the fibration obstruction.  So the roots depend on (sc, omega) alone.
 
-    Minus the Gram matrix of K is Lovasz reduced and its vectors of norm 2
-    are enumerated with the Gram-Schmidt data that the reduction ends with;
-    only hits (a certified point has none) build the transform t and the
-    reduced basis t K, and `mirror_classes` maps them; `search_kahler_class`
-    re-verifies each root at the Psi and mirror period it builds.
+    K is kept as the supports of its kernel columns; minus its Gram matrix
+    over them is Lovasz reduced and its vectors of norm 2 are enumerated with
+    the Gram-Schmidt data that the reduction ends with.  Only hits (a
+    certified point has none) build t, the reduced basis t K and vectors,
+    which `mirror_classes` maps; `search_kahler_class` re-verifies each root.
     """
     charge, split = sc.charge, sc.split
     f = split.f
@@ -205,18 +205,17 @@ def p0_violations(sc: Scenario, omega: LatticeVector) -> RootEnumeration:
     sub = orth_complement([charge.p, omega + lam * f, charge.q])
     transform, *factors = lll_reduce([[-x for x in row] for row in sub.gram()])
 
-    def combine(coeffs, vectors):
+    def combine(coeffs, vectors):  # sum_k c_k v_k for vectors {index: entry}
         out = [0] * GAMMA.rank
         for c, v in zip(coeffs, vectors):
-            if c:
-                out = [o + c * x for o, x in zip(out, v)]
+            for i, x in v.items():
+                out[i] += c * x
         return out
 
     roots = []
     ys = enumerate_quadric(factors, 2)
     if ys:  # a certified point has none, and needs neither t nor a basis
-        kern = [v.A for v in sub.basis]
-        basis = [combine(row, kern) for row in transform()]  # the reduced basis: rows of t K
+        basis = [dict(enumerate(combine(row, sub.supports))) for row in transform()]  # rows of t K
         roots = mirror_classes(split, [LatticeVector.from_ints(combine(y, basis)) for y in ys])
     if charge.disc == 2 * charge.p2:  # e = (1, 0, 1), the mirror of sigma0
         roots += [MukaiVector(0, split.sigma0, 0), MukaiVector(0, -split.sigma0, 0)]

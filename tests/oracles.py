@@ -385,15 +385,54 @@ def from_coefficients(sub, coeffs):
     return LatticeVector.from_ints(out)
 
 
+def dense_column_reduce(a, ncols):
+    """The unimodular column reduction A U = (echelon) of
+    `intmat._column_reduce` on dense columns: every column of U is a full
+    list of ncols integers, rewritten entry by entry on each move, and every
+    column of A, all-zero or not, is scanned on every row.  Returns
+    ``(ucols, kernel, moves)`` as the library does, with dense ``ucols``."""
+    nrows = len(a)
+    cols = [[a[r][c] for r in range(nrows)] for c in range(ncols)]
+    ucols = [[int(i == c) for i in range(ncols)] for c in range(ncols)]
+    moves = []
+    active = list(range(ncols))
+    for r in range(nrows):
+        while True:
+            live = [c for c in active if cols[c][r] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda c: (abs(cols[c][r]), c))
+            c0 = live[0]
+            e0 = cols[c0][r]
+            for c in live[1:]:
+                q = cols[c][r] // e0
+                if q:
+                    moves.append((c, c0, q))
+                    for i in range(r, nrows):
+                        cols[c][i] -= q * cols[c0][i]
+                    for i in range(ncols):
+                        ucols[c][i] -= q * ucols[c0][i]
+        live = [c for c in active if cols[c][r] != 0]
+        if live:
+            active.remove(live[0])
+    return ucols, sorted(active), moves
+
+
+def densify(support, n):
+    """The dense list of n integers with the nonzero entries {index: entry}."""
+    return [support.get(i, 0) for i in range(n)]
+
+
 def dense_orth_complement(lat, gens):
     """The basis of `orth_complement`, in any lattice, with the integer rows
-    G A and G B formed densely."""
+    G A and G B formed densely and reduced by `dense_column_reduce`."""
     rows = []
     for g in gens:
         rows.append(mat_vec_int(lat.gram, g.A))
         if g.B is not None:
             rows.append(mat_vec_int(lat.gram, g.B))
-    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, lat.rank)[0])
+    ucols, kernel, _ = dense_column_reduce(rows, lat.rank)
+    return tuple(LatticeVector.from_ints(ucols[c]) for c in kernel)
 
 
 def _sqrt_fraction(f):
@@ -1013,7 +1052,7 @@ def bounded_p0_violations(psi, ns, bound):
             parts.append((idx, part, denom, any(cs)))
             if any(cs):
                 rows.append([int(x * denom) for x in cs])
-    kern, _ = kernel_basis(rows, k)
+    kern = [densify(b, k) for b in kernel_basis(rows, k)[0]]
     p = [[-sum(u[i] * gram[i][j] * w[j] for i in range(k) for j in range(k))
           for w in kern] for u in kern]
     try:

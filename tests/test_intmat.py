@@ -28,8 +28,10 @@ from k3stab.stability import (
 )
 from oracles import (
     MUKAI,
+    dense_column_reduce,
     dense_gram,
     dense_orth_complement,
+    densify,
     embed_gamma,
     fraction_enumerate_quadric,
     full_lll_reduce,
@@ -46,13 +48,13 @@ def test_kernel_basis_simple():
     kern, _ = kernel_basis(a)
     assert len(kern) == 2
     for v in kern:
-        assert sum(x * y for x, y in zip(a[0], v)) == 0
+        assert sum(x * y for x, y in zip(a[0], densify(v, 3))) == 0
 
 
 def test_kernel_is_saturated():
     kern, _ = kernel_basis([[2, 4]])
     assert len(kern) == 1
-    x, y = kern[0]
+    x, y = densify(kern[0], 2)
     assert 2 * x + 4 * y == 0
     # the primitive generator, not a multiple of it
     assert abs(x) == 2 and abs(y) == 1
@@ -77,16 +79,75 @@ def test_kernel_dual_is_the_replayed_inverse(case):
     d_j . b_k = delta_jk."""
     a, n = case
     ucols, kernel, moves = _column_reduce(a, n)
+    ucols = [densify(col, n) for col in ucols]
     v = _replay_inverse(moves, n)
     assert [[sum(map(mul, row, col)) for col in ucols] for row in v] == [
         [int(i == j) for j in range(n)] for i in range(n)
     ]
     kern, dual = kernel_basis(a, n)
+    kern = [densify(b, n) for b in kern]
     assert kern == [ucols[c] for c in kernel]
     assert all(sum(map(mul, row, b)) == 0 for row in a for b in kern)
     assert [[sum(map(mul, d, b)) for b in kern] for d in dual()] == [
         [int(j == k) for k in range(len(kern))] for j in range(len(kern))
     ]
+
+
+def _with_zero_columns(case):
+    """The matrix with up to three all-zero columns inserted."""
+    a, n = case
+
+    def insert(at):
+        rows = [list(row) for row in a]
+        for j in sorted(at, reverse=True):  # the later positions first
+            for row in rows:
+                row.insert(j, 0)
+        return rows, n + len(at)
+
+    return st.lists(st.integers(0, n), max_size=3).map(insert)
+
+
+_EQUAL_RUNS = st.integers(1, 4).flatmap(  # rows of a few values, each repeated
+    lambda m: st.lists(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), min_size=1, max_size=4).map(
+            lambda runs: [x for v, k in runs for x in [v] * k]
+        ),
+        min_size=m,
+        max_size=m,
+    ).filter(lambda a: len({len(row) for row in a}) == 1).map(lambda a: (a, len(a[0])))
+)
+
+_HUGE = st.integers(1, 3).flatmap(  # entries of several hundred digits
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-(10**400), 10**400) | st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        ).map(lambda a: (a, n))
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_MATRIX.flatmap(_with_zero_columns), _EQUAL_RUNS, _HUGE))
+@example(([[0, 3, 0, 3, 3, 0, 3]], 7))  # the shape of a G omega' row
+@example(([[10**300 + 1, 0, 10**300], [0, 0, 0]], 3))
+@example(([[0, 0, 0]], 3))
+def test_column_reduce_matches_the_dense_oracle(case):
+    """The column reduction on supports makes the dense reduction's moves,
+    in order, and returns its kernel indices and (densified) kernel
+    columns; an all-zero column stays a unit kernel column."""
+    a, n = case
+    ucols, kernel, moves = _column_reduce(a, n)
+    dense_ucols, dense_kernel, dense_moves = dense_column_reduce(a, n)
+    assert (kernel, moves) == (dense_kernel, dense_moves)
+    assert [densify(col, n) for col in ucols] == dense_ucols
+    assert all(0 not in col.values() for col in ucols)
+    kern, _ = kernel_basis(a, n)
+    assert [densify(b, n) for b in kern] == [dense_ucols[c] for c in dense_kernel]
+    for c in range(n):
+        if not any(row[c] for row in a):
+            assert c in kernel and ucols[c] == {c: 1}
 
 
 def test_solve_integer():

@@ -16,6 +16,8 @@ from k3stab.lattice import (
     pair,
 )
 from k3stab.mirror import make_split
+from k3stab.scenario import build_scenario
+from k3stab.stability import search_kahler_class
 from oracles import (
     MUKAI,
     MUKAI_W,
@@ -24,6 +26,7 @@ from oracles import (
     dense_fibration,
     dense_gram,
     dense_orth_complement,
+    densify,
     from_coefficients,
     minus_two_coefficients,
     mukai_ambient,
@@ -468,19 +471,63 @@ def integral_vectors(lat):
     return st.lists(coord, min_size=lat.rank, max_size=lat.rank).map(LatticeVector.from_ints)
 
 
+def mixed_vectors(lat):
+    """Unit vectors, single-entry supports, dense vectors and sparse ones."""
+    n = lat.rank
+    unit = st.integers(0, n - 1).map(lambda i: LatticeVector.unit(n, i))
+    single = st.tuples(st.integers(0, n - 1), st.integers(-5, 5).filter(bool)).map(
+        lambda t: LatticeVector.from_ints([t[1] * (j == t[0]) for j in range(n)])
+    )
+    dense = st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n)
+    return st.one_of(unit, single, dense.map(LatticeVector.from_ints), integral_vectors(lat))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_gram_images_match_dense(data):
     sub = Sublattice(data.draw(st.lists(integral_vectors(GAMMA), min_size=1, max_size=8)))
     assert sub.gram() == dense_gram(GAMMA, sub.basis)
+    mixed = Sublattice(data.draw(st.lists(mixed_vectors(GAMMA), min_size=1, max_size=8)))
+    assert mixed.gram() == dense_gram(GAMMA, mixed.basis)
+    assert [densify(x, GAMMA.rank) for x in mixed.supports] == [v.A for v in mixed.basis]
+    assert all(0 not in x.values() for x in mixed.supports)
     gens = data.draw(st.lists(integral_vectors(GAMMA), min_size=1, max_size=3))
     m = data.draw(st.sampled_from([0, 2, 23]))
     if m:  # a generator over Q(sqrt m): it adds the two rows G A and G B
         x, y = data.draw(integral_vectors(GAMMA)), data.draw(integral_vectors(GAMMA))
         gens.append(Fraction(1, 3) * x + QuadScalar(0, 1, m) * y)
     fast, dense = orth_complement(gens), dense_orth_complement(GAMMA, gens)
+    assert fast.gram() == dense_gram(GAMMA, dense)  # before the basis is built
     assert fast.basis == dense
-    assert fast.gram() == dense_gram(GAMMA, dense)
+    assert fast == Sublattice(dense)
+
+
+@pytest.mark.parametrize("form", [[2, 0, 8], [4, 1, 6]])
+def test_sparse_gram_of_the_pipeline_lattices_matches_dense(monkeypatch, form):
+    """The eta lattice, the root lattice K at the search's candidate and
+    NS(mirror), over Q (diag(2,8)) and over Q(sqrt 23) ([4,1,6]): the Gram
+    matrix over the supports that the column reduction keeps is the dense
+    one, on the basis of the dense reduction."""
+    import k3stab.stability
+
+    found = []
+
+    def captured(gens):
+        found.append((gens, orth_complement(gens)))
+        return found[-1][1]
+
+    monkeypatch.setattr(k3stab.stability, "orth_complement", captured)
+    sc = build_scenario(form=form)
+    found.append(([sc.charge.p, sc.charge.q, sc.split.f, sc.split.sigma0], sc.eta_lattice))
+    result = search_kahler_class(sc)
+    k3stab.stability.ns_of_mirror(result.triple.Omega_check)
+    assert [sub.rank for _, sub in found] == [18, 19, 20]
+    period = result.triple.Omega_check
+    assert {c.m for c in period.re.coords + period.im.coords} == ({0} if form == [2, 0, 8] else {0, 23})
+    for gens, sub in found:
+        dense = dense_orth_complement(GAMMA, gens)
+        assert sub.gram() == dense_gram(GAMMA, dense)
+        assert sub.basis == dense
 
 
 @settings(max_examples=60, deadline=None)

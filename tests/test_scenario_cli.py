@@ -801,6 +801,20 @@ def test_cli_rejects_eta_without_a_step(tmp_path, capsys):
     assert_json_error(*run_cli(capsys, argv), "scenario", says)
 
 
+def test_cli_rejects_a_zero_eta_with_a_step(tmp_path, capsys):
+    # with eta = 0 the step c_eta eta is 0 and the candidate is omega_J
+    # itself, so a nonzero c_eta (given or the default) would be ignored
+    path = write_scenario(tmp_path, {"form": [2, 0, 8]})
+    omega_J = json.loads(run_cli(capsys, ["verify", "6.4", "--scenario", path])[1])["omega_J"]
+    says = "search.c_eta has no effect when search.eta is 0"
+    for search in ({"c_eta": "1/10", "eta": [0] * 22}, {"eta": [0] * 22}):
+        fields = {"form": [2, 0, 8], "omega_J": omega_J, "search": search}
+        path = write_scenario(tmp_path, fields, name="zero_eta.json")
+        for command in (["verify", "6.4"], ["verify", "6.3"]):
+            argv = [*command, "--scenario", path]
+            assert_json_error(*run_cli(capsys, argv), "scenario", says)
+
+
 def test_echo_m_is_the_scenario_field(tmp_path, capsys):
     code, out = run_cli(capsys, ["attractor", "--scenario", write_scenario(tmp_path, {"form": [4, 1, 6]})])
     assert code == 0 and json.loads(out)["scenario"]["m"] == 23

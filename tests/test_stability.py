@@ -48,6 +48,7 @@ from oracles import (
     MUKAI,
     bounded_p0_violations,
     dense_fibration,
+    densify,
     cone_violation,
     dual_eta,
     expanded_charge,
@@ -979,7 +980,9 @@ def _reference_ns(omega_check):
                 rows.append([int(x * denom) for x in cs])
     if not rows:
         return tuple(GAMMA.basis(i) for i in range(GAMMA.rank))
-    return tuple(LatticeVector.from_ints(v) for v in kernel_basis(rows, GAMMA.rank)[0])
+    return tuple(
+        LatticeVector.from_ints(densify(v, GAMMA.rank)) for v in kernel_basis(rows, GAMMA.rank)[0]
+    )
 
 
 def test_orth_complement_matches_per_basis_rows():
