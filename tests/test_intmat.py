@@ -107,14 +107,14 @@ def _with_zero_columns(case):
     return st.lists(st.integers(0, n), max_size=3).map(insert)
 
 
-_EQUAL_RUNS = st.integers(1, 4).flatmap(  # rows of a few values, each repeated
-    lambda m: st.lists(
+_EQUAL_RUNS = st.integers(1, 12).flatmap(  # rows made of runs of equal entries
+    lambda n: st.lists(
         st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), min_size=1, max_size=4).map(
-            lambda runs: [x for v, k in runs for x in [v] * k]
+            lambda runs: ([x for v, k in runs for x in [v] * k] * n)[:n]
         ),
-        min_size=m,
-        max_size=m,
-    ).filter(lambda a: len({len(row) for row in a}) == 1).map(lambda a: (a, len(a[0])))
+        min_size=1,
+        max_size=4,
+    ).map(lambda a: (a, n))
 )
 
 _HUGE = st.integers(1, 3).flatmap(  # entries of several hundred digits
